@@ -41,6 +41,7 @@ from .channel import (
     power_report,
     sample_channel,
     tf_channel,
+    tf_gains_from_taps,
     time_channel,
     transmit_frame,
 )
@@ -70,11 +71,13 @@ from .detection import (
     NoiseModel,
     analytic_detection_mse,
     count_errors,
+    error_counts,
     mmse_detect,
     mmse_error_covariance,
     mmse_trace_mse,
     noise_covariance,
     spa_detect,
+    tf_lmmse_detect,
 )
 from .harness import (
     ExperimentConfig,

@@ -129,17 +129,20 @@ def tf_channel(ch: ChannelRealization) -> np.ndarray:
     """Per-bin TF channel gains H[n, m] as an (N, M) grid.
 
     Under ideal pulses the TF channel matrix is diagonal; flattening this
-    grid row-major gives the diagonal in vector order n*M + m.
+    grid row-major gives the diagonal in vector order n*M + m.  Each path
+    contributes a rank-one term: its gain and delay-Doppler phase times a
+    Doppler phase vector over the slots and a delay phase vector over the
+    subcarriers.  The outer products are summed by broadcasting, not by a
+    matrix product, which keeps BLAS out of the per-trial estimation path.
     """
     grid = ch.grid
-    n = np.arange(grid.N)[:, None]
-    m = np.arange(grid.M)[None, :]
-    out = np.zeros((grid.N, grid.M), dtype=complex)
-    for p in ch.paths:
-        nu = p.doppler_shift
-        phase = np.exp(-2j * np.pi * nu * p.delay_bin / (grid.N * grid.M))
-        out += p.gain * phase * np.exp(2j * np.pi * (n * nu / grid.N - m * p.delay_bin / grid.M))
-    return out
+    gains = ch.gains()
+    nu = np.array([p.doppler_shift for p in ch.paths])
+    delay = np.array([p.delay_bin for p in ch.paths], dtype=float)
+    coef = gains * np.exp(-2j * np.pi * nu * delay / (grid.N * grid.M))
+    doppler = coef[:, None] * np.exp(2j * np.pi * nu[:, None] * np.arange(grid.N) / grid.N)
+    delay_ph = np.exp(-2j * np.pi * delay[:, None] * np.arange(grid.M) / grid.M)
+    return np.sum(doppler[:, :, None] * delay_ph[:, None, :], axis=0)
 
 
 def time_channel(tf_gain_grid: np.ndarray) -> np.ndarray:
@@ -167,6 +170,14 @@ def _dd_response(tf_grid: np.ndarray) -> np.ndarray:
     """(1/NM) * sum_{n,m} A[n,m] exp(-j2pi nk/N) exp(+j2pi ml/M) for all (k,l)."""
     n = tf_grid.shape[0]
     return np.fft.fft(np.fft.ifft(tf_grid, axis=1), axis=0) / n
+
+
+def tf_gains_from_taps(tap_grid: np.ndarray) -> np.ndarray:
+    """TF gain grid whose DD response is ``tap_grid``: the inverse of the
+    effective-channel map, so the circular operator of ``tap_grid`` is
+    diagonal with these gains in the TF domain."""
+    n = tap_grid.shape[0]
+    return np.fft.fft(np.fft.ifft(tap_grid, axis=0), axis=1) * n
 
 
 def dd_filter(windows: WindowPair, dk: float, dl: float) -> complex:
@@ -267,21 +278,12 @@ def effective_dd_channel(
 
     Each path contributes its gain times the joint-window DD filter shifted
     to the path's (Doppler, delay) position, times the delay-Doppler phase
-    rotation exp(-j2pi nu*l_tau/(NM)).  Computed exactly per path with one
-    2-D FFT of the modulated joint window.
+    rotation exp(-j2pi nu*l_tau/(NM)).  That sum is linear in the TF grid,
+    so it is the DD response of the windowed TF channel: one 2-D FFT.
     """
-    grid = ch.grid
-    if windows.shape != grid.shape:
+    if windows.shape != ch.grid.shape:
         raise ValueError("window grid does not match the frame grid")
-    w = windows.joint
-    n_idx = np.arange(grid.N)[:, None]
-    m_idx = np.arange(grid.M)[None, :]
-    taps = np.zeros(grid.shape, dtype=complex)
-    for p in ch.paths:
-        nu = p.doppler_shift
-        ramp = np.exp(2j * np.pi * (n_idx * nu / grid.N - m_idx * p.delay_bin / grid.M))
-        phase = np.exp(-2j * np.pi * nu * p.delay_bin / (grid.N * grid.M))
-        taps += p.gain * phase * _dd_response(w * ramp)
+    taps = _dd_response(windows.joint * tf_channel(ch))
     trunc = largest_taps(taps, truncate_to) if truncate_to is not None else None
     return EffectiveDDChannel(taps=taps, truncation=trunc)
 

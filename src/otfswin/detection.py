@@ -1,8 +1,14 @@
 """MMSE and sum-product detection in the DD domain, plus error counting.
 
-The MMSE detector works on the dense vectorized model and supports colored
-noise from a non-unimodular RX window through the full covariance (no
-whitening: a whitening filter would undo the RX window's sparsity shaping).
+Two LMMSE detectors compute the same estimate.  :func:`tf_lmmse_detect` uses
+the ideal-pulse structure: channel, both windows and the post-window noise
+are diagonal in the TF domain, so a full-data frame is equalized per TF bin,
+and the known guard and pilot cells of an embedded-pilot frame are a
+low-rank downdate of that diagonal Gram matrix, applied with the Woodbury
+identity.  :func:`mmse_detect` works on the dense vectorized model and takes
+colored noise from a non-unimodular RX window through the full covariance
+(no whitening: a whitening filter would undo the RX window's sparsity
+shaping); it is the oracle the per-bin detector is checked against.
 
 The sum-product detector runs belief propagation on the factor graph induced
 by the truncated effective channel: every received cell is a factor coupling
@@ -19,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EffectiveDDChannel
+from .channel import EffectiveDDChannel, _dd_response
 from .errors import ConfigurationError, NumericalFailure
 from .grid import Constellation
-from .transforms import dft_matrix
+from .transforms import dft_matrix, isfft, sfft
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +114,73 @@ def mmse_detect(
         truth = np.asarray(truth, dtype=complex).reshape(-1)
         mse = float(np.mean(np.abs(soft - truth) ** 2))
     return DetectionReport(soft=soft, hard=constellation.points[idx], hard_indices=idx, mse_emp=mse)
+
+
+def tf_lmmse_detect(
+    y_frame: np.ndarray,
+    tf_gains: np.ndarray,
+    rx_window: np.ndarray,
+    n0: float,
+    constellation: Constellation,
+    data_mask: np.ndarray | None = None,
+) -> DetectionReport:
+    """LMMSE detection of an (N, M) DD frame, solved per TF bin.
+
+    ``tf_gains`` is the receiver's TF gain grid g (joint window times
+    channel), so the DD channel is sfft . diag(g) . isfft, and ``rx_window``
+    the RX window grid v, which colors the noise to n0 |v|^2 per bin.  With
+    d = |g|^2 + n0 |v|^2, the full-data estimate is sfft(conj(g) / d *
+    isfft(y)).
+
+    Cells outside ``data_mask`` are known zeros; they remove G columns from
+    the channel, a rank-G downdate of the diagonal Gram matrix.  By Woodbury
+    the data estimate is x0[D] - E[D, G] E[G, G]^(-1) x0[G], where x0 is the
+    full-data estimate and E the circular operator of e = DD response of
+    n0 |v|^2 / d.  E[G, G] is the capacitance matrix I - c[G, G] with c the
+    DD response of |g|^2 / d, formed without the cancellation of 1 - c.
+
+    Returns the soft estimates of the data cells in row-major order, as
+    :func:`mmse_detect` does for the masked dense channel.  Raises
+    :class:`NumericalFailure` where the dense solve would be singular.
+    """
+    y = np.asarray(y_frame, dtype=complex)
+    g = np.asarray(tf_gains, dtype=complex)
+    noise_tf = n0 * np.abs(np.asarray(rx_window)) ** 2
+    if not y.shape == g.shape == noise_tf.shape:
+        raise ValueError("observation, gain and window grids must share one shape")
+    denom = np.abs(g) ** 2 + noise_tf
+    if not np.all(denom > 0):
+        raise NumericalFailure(
+            "LMMSE solve is singular (a TF bin with zero gain and zero noise); "
+            "refusing to regularize implicitly"
+        )
+    soft = sfft(np.conj(g) / denom * isfft(y))
+    if data_mask is None:
+        soft = soft.reshape(-1)
+    else:
+        mask = np.asarray(data_mask, dtype=bool)
+        guard = ~mask
+        if guard.any():
+            n, m = y.shape
+            k, l = np.nonzero(guard)
+            residual = noise_tf / denom
+            e = _dd_response(residual)
+            capacitance = e[(k[:, None] - k[None, :]) % n, (l[:, None] - l[None, :]) % m]
+            try:
+                weights = np.linalg.solve(capacitance, soft[guard])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure(
+                    "LMMSE guard downdate is singular (zero noise with known cells); "
+                    "refusing to regularize implicitly"
+                ) from exc
+            placed = np.zeros_like(y)
+            placed[guard] = weights
+            soft = soft - sfft(residual * isfft(placed))
+        soft = soft[mask]
+    if not np.all(np.isfinite(soft)):
+        raise NumericalFailure("LMMSE estimate is not finite")
+    idx = constellation.nearest_indices(soft)
+    return DetectionReport(soft=soft, hard=constellation.points[idx], hard_indices=idx)
 
 
 def mmse_error_covariance(channel_matrix: np.ndarray, noise: NoiseModel) -> np.ndarray:
@@ -262,7 +335,7 @@ def spa_detect(
         for t in range(degree):
             out = loo_sym[t]
             total = out.sum(axis=1, keepdims=True)
-            out = np.divide(out, total, where=total > 0)
+            np.divide(out, total, out=out, where=total > 0)
             out[np.squeeze(total <= 0, axis=1)] = 1.0 / q
             from_symbol[obs_of[:, t], t, :] = out
         if delta < tol:
@@ -270,7 +343,7 @@ def spa_detect(
 
     belief = np.prod(to_symbol[obs_of, np.arange(degree)[None, :], :], axis=1)
     total = belief.sum(axis=1, keepdims=True)
-    belief = np.divide(belief, total, where=total > 0)
+    np.divide(belief, total, out=belief, where=total > 0)
     belief[np.squeeze(total <= 0, axis=1)] = 1.0 / q
 
     idx = belief.argmax(axis=1)
@@ -298,6 +371,19 @@ class ErrorCounts:
     frames: int
 
 
+def error_counts(bit_errors: int, frame_errors: int, frames: int, bits_per_frame: int) -> ErrorCounts:
+    """Bit and frame error rates from error totals over ``frames`` frames."""
+    bits = frames * bits_per_frame
+    return ErrorCounts(
+        ber=bit_errors / bits,
+        fer=frame_errors / frames,
+        bit_errors=bit_errors,
+        frame_errors=frame_errors,
+        bits=bits,
+        frames=frames,
+    )
+
+
 def count_errors(detected_bits: np.ndarray, true_bits: np.ndarray, bits_per_frame: int) -> ErrorCounts:
     """Bit and frame error rates over a concatenation of equal-size frames.
 
@@ -311,14 +397,5 @@ def count_errors(detected_bits: np.ndarray, true_bits: np.ndarray, bits_per_fram
     if bits_per_frame < 1 or detected_bits.size % bits_per_frame:
         raise ValueError("bit count must split into whole frames")
     diffs = (detected_bits != true_bits).reshape(-1, bits_per_frame)
-    bit_errors = int(diffs.sum())
-    frame_errors = int(diffs.any(axis=1).sum())
-    frames = diffs.shape[0]
-    return ErrorCounts(
-        ber=bit_errors / diffs.size,
-        fer=frame_errors / frames,
-        bit_errors=bit_errors,
-        frame_errors=frame_errors,
-        bits=diffs.size,
-        frames=frames,
-    )
+    return error_counts(int(diffs.sum()), int(diffs.any(axis=1).sum()),
+                        diffs.shape[0], bits_per_frame)

@@ -96,6 +96,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"l_max must lie in [0, {grid.M - 1}] for M={grid.M}")
         if self.paths < 1:
             raise ConfigurationError("paths must be positive")
+        if self.spa_iters < 1:
+            raise ConfigurationError("spa_iters must be positive")
+        if not 0.0 < self.spa_damping <= 1.0:
+            raise ConfigurationError("spa_damping must lie in (0, 1]")
         snrs = self.snr_db
         if isinstance(snrs, str):
             snrs = [p for p in snrs.replace(",", " ").split() if p]
@@ -105,6 +109,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"bad snr_db list: {self.snr_db!r}") from exc
         if not snrs:
             raise ConfigurationError("at least one SNR point is required")
+        if not all(math.isfinite(v) for v in snrs):
+            raise ConfigurationError(f"SNR points must be finite: {self.snr_db!r}")
         object.__setattr__(self, "snr_db", snrs)
 
     # -- construction ------------------------------------------------------
@@ -365,31 +371,36 @@ def _detect_frame(
     grid: FrameGrid,
     constellation: Constellation,
     y: np.ndarray,
-    taps: np.ndarray,
-    noise: det_mod.NoiseModel,
+    n0: float,
+    rx_window: np.ndarray,
+    taps: np.ndarray | None,
+    gains: np.ndarray | None,
     data_mask: np.ndarray | None,
     layout: est_mod.PilotLayout | None,
 ) -> np.ndarray:
-    """Run the configured detector and return hard bits for the data cells."""
+    """Run the configured detector and return hard bits for the data cells.
+
+    The receiver knows the channel as its DD tap grid ``taps`` or its TF gain
+    grid ``gains``.  The pilot cancellation and SPA use the taps; the LMMSE
+    detector uses the gains, derived from the taps (one 2-D FFT) when only
+    those were estimated.
+    """
     if layout is not None:
         # remove the pilot's (estimated) contribution before detection
         shift = np.roll(taps, (layout.pilot_doppler, layout.pilot_delay), axis=(0, 1))
         y = y - layout.pilot_value * shift
 
     if config.detector == "mmse":
-        h_full = ch_mod.circular_operator(taps)
-        if data_mask is not None:
-            h = h_full[:, data_mask.reshape(-1)]
-        else:
-            h = h_full
-        report = det_mod.mmse_detect(y.reshape(-1), h, noise, constellation)
+        if gains is None:
+            gains = ch_mod.tf_gains_from_taps(taps)
+        report = det_mod.tf_lmmse_detect(y, gains, rx_window, n0, constellation, data_mask)
         return constellation.indices_to_bits(report.hard_indices)
 
     eff = ch_mod.EffectiveDDChannel(
         taps=taps, truncation=ch_mod.largest_taps(taps, config.spa_tap_count())
     )
     report = det_mod.spa_detect(
-        y, eff, noise.n0, constellation,
+        y, eff, n0, constellation,
         iters=config.spa_iters, damping=config.spa_damping, data_mask=data_mask,
     )
     idx = report.hard_indices.reshape(grid.shape)
@@ -406,9 +417,11 @@ def run_fer(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     csit-csir: full-data frames, the TX window is rebuilt per realization
     from the TF gains (mercury/water filling) when tx_window = optimal.
 
-    The MMSE detector consumes the full (possibly colored) noise covariance;
-    the sum-product detector models the noise as white at power N0, so
-    shaping RX windows pair with MMSE, not SPA.
+    The MMSE detector models the noise after the RX window, n0 |v|^2 per TF
+    bin, so it is colored in the DD domain for a shaping RX window; the
+    sum-product detector models the noise as white at power N0, so shaping
+    RX windows pair with MMSE, not SPA.  Each trial returns its frame's
+    (bit errors, frame error) counts, so memory does not grow with trials.
     """
     grid = config.grid()
     constellation = config.constellation_obj()
@@ -428,7 +441,7 @@ def run_fer(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     for snr_index, snr in enumerate(config.snr_db):
         n0 = 10.0 ** (-snr / 10.0)
 
-        def trial(t: int, _n0=n0, _snr_index=snr_index) -> tuple[np.ndarray, np.ndarray]:
+        def trial(t: int, _n0=n0, _snr_index=snr_index) -> tuple[int, int]:
             rng = _trial_rng(config, _snr_index, t)
             ch = ch_mod.sample_channel(grid, config.paths, config.k_max, config.l_max, rng)
             tf_gains = ch_mod.tf_channel(ch)
@@ -444,19 +457,23 @@ def run_fer(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
                 frame = est_mod.embed_pilot(frame, layout, grid)
             y = ch_mod.transmit_frame(frame, tf_gains, windows, _n0, rng)
 
+            taps = gains = None
             if layout is not None:
                 taps = est_mod.estimate_channel(y, layout, grid, _n0)
+            elif config.detector == "mmse":
+                gains = windows.joint * tf_gains
             else:
                 taps = ch_mod.effective_dd_channel(ch, windows).taps
-            noise = det_mod.noise_covariance(windows.rx, _n0)
-            detected = _detect_frame(config, grid, constellation, y, taps,
-                                     noise, data_mask, layout)
-            return detected, bits
+            detected = _detect_frame(config, grid, constellation, y, _n0, windows.rx,
+                                     taps, gains, data_mask, layout)
+            bit_errors = int(np.count_nonzero(detected != bits))
+            return bit_errors, int(bit_errors > 0)
 
         outcomes = _map_trials(trial, config.trials, threads)
-        detected = np.concatenate([d for d, _ in outcomes])
-        truth = np.concatenate([b for _, b in outcomes])
-        counts = det_mod.count_errors(detected, truth, bits_per_frame)
+        counts = det_mod.error_counts(
+            sum(b for b, _ in outcomes), sum(f for _, f in outcomes),
+            config.trials, bits_per_frame,
+        )
         flo, fhi = wilson_interval(counts.frame_errors, counts.frames)
         blo, bhi = wilson_interval(counts.bit_errors, counts.bits)
         rows.append(ResultRow("fer", config.config_hash(), snr, "fer",
@@ -555,6 +572,35 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
         rep = det_mod.mmse_detect(y, h, noise, Constellation.qpsk(), truth=x)
         mses.append(rep.mse_emp)
     check("detection.rx_window_invariance", abs(mses[0] - mses[1]), 1e-9)
+
+    # per-bin LMMSE vs the dense covariance form, full-data and pilot frames
+    qpsk = Constellation.qpsk()
+    for name, m, n, layout in (
+        ("detection.tf_lmmse_vs_dense", 8, 4, None),
+        ("detection.tf_lmmse_pilot_vs_dense", 6, 10, (1, 2, 1)),
+    ):
+        grid = FrameGrid(M=m, N=n)
+        mask = np.ones(grid.shape, dtype=bool)
+        if layout is not None:
+            mask = est_mod.PilotLayout.centered(grid, *layout).data_mask(grid)
+        worst = 0.0
+        for n0 in (1.0, 1e-3, 1e-6):
+            ch = ch_mod.sample_channel(grid, 3, (n - 1) // 2, m - 1, rng)
+            windows = win_mod.WindowPair(
+                tx=rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)),
+                rx=rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)),
+            )
+            x = np.zeros(grid.shape, dtype=complex)
+            x[mask] = qpsk.points[rng.integers(0, 4, int(mask.sum()))]
+            y = ch_mod.transmit_frame(x, ch_mod.tf_channel(ch), windows, n0, rng)
+            h = ch_mod.dd_channel_matrix(ch, windows)[:, mask.reshape(-1)]
+            dense = det_mod.mmse_detect(
+                y.reshape(-1), h, det_mod.noise_covariance(windows.rx, n0), qpsk).soft
+            fast = det_mod.tf_lmmse_detect(
+                y, windows.joint * ch_mod.tf_channel(ch), windows.rx, n0, qpsk,
+                mask if layout is not None else None).soft
+            worst = max(worst, float(np.linalg.norm(fast - dense) / np.linalg.norm(dense)))
+        check(name, worst, 1e-8)
 
     # two-channel optimal allocation closed form
     alloc = win_mod.optimal_tx_window(np.array([4.0, 1.0]))

@@ -99,6 +99,23 @@ class TestExperiments:
         rc = main(["ce-mse", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2
 
+    @pytest.mark.parametrize("line, field", [
+        ("snr_db = 10, nan", "SNR"),
+        ("spa_iters = 0", "spa_iters"),
+        ("spa_damping = 2", "spa_damping"),
+    ])
+    def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line, field):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            "M = 8\nN = 16\nconstellation = bpsk\npaths = 2\nk_max = 2\nl_max = 2\n"
+            f"detector = spa\ntrials = 2\n{line}\n",
+            encoding="utf-8",
+        )
+        rc = main(["fer", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n", encoding="utf-8")

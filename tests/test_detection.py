@@ -10,6 +10,7 @@ from otfswin import (
     FrameGrid,
     NumericalFailure,
     PathSpec,
+    PilotLayout,
     WindowPair,
     analytic_detection_mse,
     build_kron_operators,
@@ -27,6 +28,8 @@ from otfswin import (
     sfft,
     spa_detect,
     tf_channel,
+    tf_gains_from_taps,
+    tf_lmmse_detect,
     transmit_frame,
     vectorize,
 )
@@ -119,6 +122,76 @@ class TestMMSE:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mmse_detect(np.ones(4), np.eye(5), NoiseModel(0.1), Constellation.bpsk())
+
+
+class TestTFLMMSE:
+    """Per-bin LMMSE against the dense covariance-form oracle."""
+
+    # (M, N) -> pilot layouts (k_max, l_max, k_hat) that fit the grid; the
+    # 30x20 pair is the Fig-6 layout and the same layout without k_hat
+    LAYOUTS = {
+        (4, 4): [(0, 1, 0)],
+        (8, 4): [(0, 2, 0)],
+        (6, 10): [(1, 2, 1)],
+        (30, 20): [(3, 4, 1), (3, 4, 0)],
+    }
+
+    def draw(self, rng, grid):
+        ch = sample_channel(grid, 3, (grid.N - 1) // 2, min(grid.M - 1, 4), rng)
+        windows = WindowPair(
+            tx=rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape),
+            rx=rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape),
+        )
+        return ch, windows
+
+    def compare(self, rng, grid, mask, estimated):
+        qpsk = Constellation.qpsk()
+        data = np.ones(grid.shape, dtype=bool) if mask is None else mask
+        for snr in (0.0, 20.0, 40.0, 60.0):
+            n0 = 10.0 ** (-snr / 10.0)
+            ch, windows = self.draw(rng, grid)
+            x = np.zeros(grid.shape, dtype=complex)
+            x[data] = qpsk.points[rng.integers(0, 4, int(data.sum()))]
+            y = transmit_frame(x, tf_channel(ch), windows, n0, rng)
+            taps = effective_dd_channel(ch, windows).taps
+            # estimated CSI reaches the detector as taps, known CSI as TF gains
+            gains = tf_gains_from_taps(taps) if estimated else windows.joint * tf_channel(ch)
+            dense = mmse_detect(vectorize(y), circular_operator(taps)[:, vectorize(data)],
+                                noise_covariance(windows.rx, n0), qpsk)
+            fast = tf_lmmse_detect(y, gains, windows.rx, n0, qpsk, mask)
+            rel = np.linalg.norm(fast.soft - dense.soft) / np.linalg.norm(dense.soft)
+            assert rel < 1e-8, (grid, snr)
+            assert np.array_equal(fast.hard_indices, dense.hard_indices)
+
+    @pytest.mark.parametrize("m, n", sorted(LAYOUTS))
+    def test_full_data_frames_match_dense(self, m, n):
+        self.compare(np.random.default_rng(m * n), FrameGrid(M=m, N=n), None, False)
+
+    @pytest.mark.parametrize("m, n, k_max, l_max, k_hat", [
+        (m, n, *layout) for (m, n), layouts in sorted(LAYOUTS.items()) for layout in layouts
+    ])
+    def test_pilot_frames_match_dense(self, m, n, k_max, l_max, k_hat):
+        grid = FrameGrid(M=m, N=n)
+        mask = PilotLayout.centered(grid, k_max, l_max, k_hat).data_mask(grid)
+        self.compare(np.random.default_rng(m * n + k_hat), grid, mask, True)
+
+    def test_zero_noise_with_a_zero_gain_refused(self):
+        grid = FrameGrid(M=4, N=4)
+        gains = np.ones(grid.shape, dtype=complex)
+        gains[1, 2] = 0.0
+        mask = PilotLayout.centered(grid, 0, 1, 0).data_mask(grid)
+        for data_mask in (None, mask):
+            with pytest.raises(NumericalFailure):
+                tf_lmmse_detect(np.ones(grid.shape), gains, np.ones(grid.shape), 0.0,
+                                Constellation.qpsk(), data_mask)
+
+    def test_zero_noise_with_known_cells_refused(self):
+        # the masked Gram H_D H_D^H has rank |D| < NM without noise
+        grid = FrameGrid(M=4, N=4)
+        mask = PilotLayout.centered(grid, 0, 1, 0).data_mask(grid)
+        with pytest.raises(NumericalFailure):
+            tf_lmmse_detect(np.ones(grid.shape), np.ones(grid.shape), np.ones(grid.shape),
+                            0.0, Constellation.qpsk(), mask)
 
 
 class TestAnalyticMSE:

@@ -162,6 +162,36 @@ class TestFerExperiment:
         fer = next(r for r in rows1 if r.metric == "fer")
         assert 0.0 <= fer.ci_lo <= fer.value <= fer.ci_hi <= 1.0
 
+    def test_rows_equal_count_errors_over_the_concatenated_frames(self, monkeypatch):
+        from otfswin import detection, harness
+
+        sent, detected = [], []
+        map_symbols, detect_frame = harness.map_symbols, harness._detect_frame
+
+        def spy_map(bits, *args, **kwargs):
+            sent.append(np.array(bits))
+            return map_symbols(bits, *args, **kwargs)
+
+        def spy_detect(*args, **kwargs):
+            detected.append(detect_frame(*args, **kwargs))
+            return detected[-1]
+
+        monkeypatch.setattr(harness, "map_symbols", spy_map)
+        monkeypatch.setattr(harness, "_detect_frame", spy_detect)
+        cfg = ExperimentConfig(M=8, N=16, paths=2, k_max=1, l_max=1, k_hat=0,
+                               csi="estimated-csir", detector="mmse",
+                               snr_db=(4.0, 14.0), trials=25, seed=12)
+        rows = run_fer(cfg)
+        bits_per_frame = sent[0].size
+        for i, snr in enumerate(cfg.snr_db):
+            frames = slice(i * cfg.trials, (i + 1) * cfg.trials)
+            counts = detection.count_errors(np.concatenate(detected[frames]),
+                                            np.concatenate(sent[frames]), bits_per_frame)
+            assert 0 < counts.bit_errors
+            got = {r.metric: r for r in rows if r.snr_db == snr}
+            assert got["fer"].value == counts.fer and got["ber"].value == counts.ber
+            assert got["fer"].trials == counts.frames == cfg.trials
+
     def test_estimated_csir_pipeline_runs(self):
         cfg = ExperimentConfig(M=8, N=16, constellation="bpsk", paths=2,
                                k_max=2, l_max=2, k_hat=1, detector="spa",
