@@ -34,6 +34,8 @@ from .harness import (
 )
 from .windows import dc_window
 
+MAX_THREADS = 64
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="flat key = value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help=f"trial worker threads, 1 to {MAX_THREADS}")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     ce = sub.add_parser("ce-mse", help="channel-estimation MSE experiment")
@@ -86,10 +89,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _run_experiment(args: argparse.Namespace, runner) -> int:
+    if not 1 <= args.threads <= MAX_THREADS:
+        raise ConfigurationError(f"--threads must lie in [1, {MAX_THREADS}]")
     config = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    rows = runner(config, threads=max(args.threads, 1))
+    rows = runner(config, threads=args.threads)
     if args.out is None:
         sys.stdout.write(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows))
     else:

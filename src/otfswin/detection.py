@@ -253,13 +253,12 @@ def spa_detect(
 
     Messages are probability vectors over the constellation; the factor
     update enumerates all Q^L joint configurations, so Q^L is capped by
-    ``max_configs``.
+    ``max_configs``.  An empty truncation (an all-zero channel estimate)
+    gives the prior decisions after 0 iterations.
     """
     if channel.truncation is None:
         raise ValueError("sum-product detection needs a tap-truncated channel")
     taps = channel.truncation
-    if len(taps) < 1:
-        raise ValueError("tap truncation is empty")
     points = constellation.points
     q = points.size
     degree = len(taps)
@@ -276,6 +275,13 @@ def spa_detect(
     y = np.asarray(y_frame, dtype=complex).reshape(-1)
     if y.size != size:
         raise ValueError("observation shape does not match the channel grid")
+    if degree == 0:
+        # an all-zero channel (estimate) leaves no factors: every symbol
+        # keeps its uniform prior, decided as constellation index 0
+        belief = np.full((size, q), 1.0 / q)
+        idx = np.zeros(size, dtype=np.int64)
+        return DetectionReport(soft=belief @ points, hard=points[idx], hard_indices=idx,
+                               marginals=belief, iterations=0)
     sigma2 = n0 + channel.residual_power()
     if sigma2 <= 0:
         sigma2 = 1e-12  # degenerate noiseless likelihood; keep it sharp but finite

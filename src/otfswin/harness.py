@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ from . import channel as ch_mod
 from . import detection as det_mod
 from . import estimation as est_mod
 from . import windows as win_mod
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalFailure
 from .grid import Constellation, FrameGrid, derive_resolutions, map_symbols
 
 _WINDOW_KINDS_TX = ("rect", "dc", "optimal")
@@ -111,6 +112,20 @@ class ExperimentConfig:
             raise ConfigurationError("at least one SNR point is required")
         if not all(math.isfinite(v) for v in snrs):
             raise ConfigurationError(f"SNR points must be finite: {self.snr_db!r}")
+        for v in snrs:
+            try:
+                n0 = noise_power(v)
+            except OverflowError:
+                n0 = math.inf
+            if not sys.float_info.min <= n0 < math.inf:
+                raise ConfigurationError(
+                    f"SNR point {v:g} dB gives a noise power of {n0:g}, outside "
+                    "the normal floating-point range"
+                )
+        if self.detector == "spa" and self.rx_window != "rect":
+            raise ConfigurationError(
+                "the sum-product detector models white noise; use rx_window = rect"
+            )
         object.__setattr__(self, "snr_db", snrs)
 
     # -- construction ------------------------------------------------------
@@ -305,6 +320,11 @@ def config_sidelobe_level(config: ExperimentConfig, grid: FrameGrid) -> float:
     return win_mod.nominal_sidelobe_level("rect", grid.N)
 
 
+def noise_power(snr_db: float) -> float:
+    """Noise power N0 = 10^(-SNR/10) at unit signal power."""
+    return 10.0 ** (-snr_db / 10.0)
+
+
 def _trial_rng(config: ExperimentConfig, snr_index: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, snr_index, trial])
 
@@ -337,7 +357,7 @@ def run_ce_mse(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
 
     rows: list[ResultRow] = []
     for snr_index, snr in enumerate(config.snr_db):
-        n0 = 10.0 ** (-snr / 10.0)
+        n0 = noise_power(snr)
 
         def trial(t: int, _n0=n0, _snr_index=snr_index) -> float:
             rng = _trial_rng(config, _snr_index, t)
@@ -439,14 +459,17 @@ def run_fer(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
 
     rows: list[ResultRow] = []
     for snr_index, snr in enumerate(config.snr_db):
-        n0 = 10.0 ** (-snr / 10.0)
+        n0 = noise_power(snr)
 
         def trial(t: int, _n0=n0, _snr_index=snr_index) -> tuple[int, int]:
             rng = _trial_rng(config, _snr_index, t)
             ch = ch_mod.sample_channel(grid, config.paths, config.k_max, config.l_max, rng)
             tf_gains = ch_mod.tf_channel(ch)
             if adaptive_tx:
-                allocation = win_mod.optimal_tx_window(np.abs(tf_gains) ** 2 / _n0)
+                try:
+                    allocation = win_mod.optimal_tx_window(np.abs(tf_gains) ** 2 / _n0)
+                except ValueError as exc:
+                    raise NumericalFailure(f"optimal TX window: {exc}") from exc
                 windows = win_mod.WindowPair.from_tx_grid(allocation.tx_window)
             else:
                 windows = base_windows
@@ -611,5 +634,18 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
         abs(det_mod.analytic_detection_mse(np.array([4.0, 1.0]), alloc.x) - 9.0 / 26.0),
     )
     check("windows.two_channel_allocation", err, 1e-9)
+
+    # exact water level: unit budget and KKT conditions on a Fig-6 size grid
+    lam = rng.exponential(size=(20, 30)) * 10.0 ** rng.uniform(-1.0, 3.0, size=(20, 30))
+    lam[rng.random(lam.shape) < 0.2] = 0.0
+    alloc = win_mod.optimal_tx_window(lam)
+    active = alloc.x > 0
+    stationarity = lam[active] / (lam[active] * alloc.x[active] + 1.0) ** 2
+    err = max(
+        abs(float(np.mean(alloc.x)) - 1.0),
+        float(np.max(np.abs(stationarity / alloc.eta - 1.0))),
+        max(float(np.max(lam[~active], initial=0.0)) / alloc.eta - 1.0, 0.0),
+    )
+    check("windows.water_level_kkt", err, 1e-12)
 
     return results

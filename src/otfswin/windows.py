@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalFailure
 from .grid import FrameGrid
 
 
@@ -315,42 +315,68 @@ class PowerAllocation:
 
 
 def _allocation(lam: np.ndarray, eta: float) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # bins at or below the level get no power (their 1/lam may overflow)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         raw = np.sqrt(1.0 / (eta * lam)) - 1.0 / lam
-    return np.where(lam > 0, np.maximum(raw, 0.0), 0.0)
+    return np.where(lam > eta, np.maximum(raw, 0.0), 0.0)
 
 
 def optimal_tx_window(lam: np.ndarray) -> PowerAllocation:
     """Minimize the mean MMSE detection error over TF power allocations.
 
     ``lam`` are the nonnegative per-bin TF channel gains |H[n,m]|^2 / N0.
-    The solution is the water-filling form [sqrt(1/(eta*lam)) - 1/lam]^+ with
-    the dual level eta fixed by bisection on the unit-mean power budget (the
-    budget is strictly decreasing in eta, so bisection converges to the same
-    fixed point an exhaustive search would).
+    The solution is the water-filling form x = [sqrt(1/(eta*lam)) - 1/lam]^+,
+    so a bin is active exactly when lam > eta, and the dual level eta is set
+    by the unit-mean power budget.  On a given active set A the budget
+    solves in closed form,
+
+        eta(A) = (sum_A lam^-1/2 / (lam.size + sum_A lam^-1))^2,
+
+    and eta is found by the active-set fixed point: start from a superset of
+    the optimal set, drop every bin with lam <= eta(A), repeat until none
+    drops.  Dropping bins at or below eta(A) never lowers eta(A), so an
+    eta computed from a superset is at most the optimal level and every bin
+    it drops is truly inactive; when none drops, the KKT conditions hold and
+    eta(A) is the exact level (Palomar & Fonollosa, IEEE TSP 2005).  The set
+    shrinks on every pass, so there are at most lam.size passes.
+
+    The start set keeps the bins at or above lam_max / (lam.size * lam_max
+    + 1)^2: the strongest bin is always active and holds at most the whole
+    budget, which bounds eta from below, and the bound keeps subnormal gains
+    out of the 1/lam sums.
+
+    Raises ``ValueError`` for negative, non-finite or all-zero gains and
+    ``NumericalFailure`` when the level or the powers are not finite (gains
+    too small for the budget to be met in floating point).
     """
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0) or not np.all(np.isfinite(lam)):
+    lam_max = float(lam.max(initial=0.0))
+    if not (lam.min(initial=0.0) >= 0.0 and lam_max < math.inf):
         raise ValueError("channel gains must be finite and nonnegative")
-    if not np.any(lam > 0):
+    if lam_max == 0.0:
         raise ValueError("all channel gains are zero; no useful allocation exists")
 
-    hi = float(lam.max())  # budget(hi) = 0
-    lo = hi
-    while float(np.mean(_allocation(lam, lo))) < 1.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise ValueError("power budget cannot be met")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(np.mean(_allocation(lam, mid))) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    eta = 0.5 * (lo + hi)
+    # the start bound lam_max / denom^2, divided twice so the square cannot overflow
+    denom = lam.size * lam_max + 1.0
+    active = (lam > 0.0) & (lam >= lam_max / denom / denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_lam = np.divide(1.0, lam, out=np.zeros_like(lam), where=active)
+        inv_sqrt = np.sqrt(inv_lam)
+        for _ in range(lam.size):
+            eta = float((inv_sqrt.sum(where=active)
+                         / (lam.size + inv_lam.sum(where=active))) ** 2)
+            dropped = active & (lam <= eta)
+            if not dropped.any():
+                break
+            active ^= dropped
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise NumericalFailure(
+            f"optimal TX window: water level {eta!r} is not finite and positive "
+            "(channel gains too small for the power budget)"
+        )
     x = _allocation(lam, eta)
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailure("optimal TX window: the power map is not finite")
 
     inv_eta_sqrt = math.sqrt(1.0 / eta)
     with np.errstate(divide="ignore"):

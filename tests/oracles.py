@@ -100,3 +100,35 @@ def random_feasible_allocations(rng, shape, count):
     """Random nonnegative power maps exhausting the unit mean budget."""
     draws = rng.exponential(size=(count,) + tuple(shape))
     return draws / draws.mean(axis=tuple(range(1, draws.ndim)), keepdims=True)
+
+
+def bisection_water_level(lam, steps=200):
+    """Water level of the mercury/water-filling TX window by bisection.
+
+    The mean power sum [sqrt(1/(eta*lam)) - 1/lam]^+ / lam.size falls
+    strictly in eta, so halving the bracket [lo, lam.max()] until it is one
+    ulp wide converges to the level that spends the unit-mean budget.
+    """
+    lam = np.asarray(lam, dtype=float)
+    pos = lam > 0
+
+    def budget(eta):
+        raw = np.zeros_like(lam)
+        raw[pos] = np.sqrt(1.0 / (eta * lam[pos])) - 1.0 / lam[pos]
+        return float(np.mean(np.maximum(raw, 0.0)))
+
+    hi = float(lam.max())
+    lo = hi
+    while budget(lo) < 1.0:
+        lo *= 0.5
+        if lo < 1e-300:
+            raise ValueError("power budget cannot be met")
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if budget(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * hi:
+            break
+    return 0.5 * (lo + hi)

@@ -103,6 +103,9 @@ class TestExperiments:
         ("snr_db = 10, nan", "SNR"),
         ("spa_iters = 0", "spa_iters"),
         ("spa_damping = 2", "spa_damping"),
+        ("snr_db = 10, -3100", "noise power"),
+        ("snr_db = 3300", "noise power"),
+        ("rx_window = dc", "rx_window"),
     ])
     def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line, field):
         cfg = tmp_path / "bad.cfg"
@@ -115,6 +118,35 @@ class TestExperiments:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+    def test_overflowing_noise_power_exits_2_on_ce_mse(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CE_CONFIG.replace("snr_db = 30", "snr_db = -3100"), encoding="utf-8")
+        rc = main(["ce-mse", "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: SNR point -3100 dB")
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "65"])
+    def test_thread_count_out_of_range_exits_2(self, capsys, ce_config, threads):
+        # refused before any worker pool is created
+        rc = main(["ce-mse", "--config", ce_config, "--threads", threads])
+        assert rc == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_optimal_window_dead_end_exits_3_without_traceback(self, tmp_path, capsys):
+        # at -3075 dB the gains are so small that no power map is representable
+        cfg = tmp_path / "csit.cfg"
+        cfg.write_text(
+            "M = 8\nN = 8\npaths = 2\nk_max = 2\nl_max = 2\ncsi = csit-csir\n"
+            "tx_window = optimal\nsnr_db = -3075\ntrials = 2\n",
+            encoding="utf-8",
+        )
+        rc = main(["fer", "--config", str(cfg)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: optimal TX window")
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

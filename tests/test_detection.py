@@ -316,6 +316,19 @@ class TestSPA:
         with pytest.raises(ValueError, match="trunc"):
             spa_detect(np.zeros(grid.shape), eff, 0.1, Constellation.bpsk())
 
+    def test_empty_truncation_gives_prior_decisions(self):
+        # an all-zero channel estimate keeps no taps: no factors, no iterations
+        grid = FrameGrid(M=4, N=4)
+        bpsk = Constellation.bpsk()
+        taps = np.zeros(grid.shape, dtype=complex)
+        eff = EffectiveDDChannel(taps=taps, truncation=largest_taps(taps, 3))
+        y = np.random.default_rng(11).standard_normal(grid.shape).astype(complex)
+        report = spa_detect(y, eff, 0.1, bpsk)
+        assert report.iterations == 0
+        assert np.all(report.marginals == 0.5)
+        lmmse = tf_lmmse_detect(y, taps, np.ones(grid.shape), 0.1, bpsk)
+        assert np.array_equal(report.hard_indices, lmmse.hard_indices)
+
     def test_configuration_budget_enforced(self):
         grid = FrameGrid(M=4, N=4)
         taps = np.arange(1, 17, dtype=complex).reshape(grid.shape)

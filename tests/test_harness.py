@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from otfswin import ConfigurationError
+from otfswin import ConfigurationError, NumericalFailure
 from otfswin.harness import (
     ExperimentConfig,
     ce_rows_csv,
@@ -199,6 +199,26 @@ class TestFerExperiment:
                                trials=30, seed=3)
         rows = run_fer(cfg)
         assert {r.metric for r in rows} == {"fer", "ber"}
+
+    def test_all_zero_threshold_estimate_counts_as_a_detected_frame(self):
+        # trial 50 of this acceptance-9b config estimates an all-zero channel;
+        # SPA then keeps the prior decisions instead of raising
+        def rows(trials):
+            cfg = ExperimentConfig(M=8, N=16, constellation="bpsk", paths=2,
+                                   k_max=2, l_max=2, k_hat=1, pilot_power_dbw=30.0,
+                                   tx_window="dc", detector="spa", csi="estimated-csir",
+                                   snr_db=(15.0,), trials=trials, seed=564906722)
+            return {r.metric: r for r in run_fer(cfg)}
+
+        before, with_zero = rows(50), rows(51)
+        assert with_zero["fer"].value * 51 == pytest.approx(before["fer"].value * 50 + 1)
+        assert with_zero["ber"].value > before["ber"].value
+
+    def test_optimal_tx_window_failure_is_numerical(self):
+        cfg = ExperimentConfig(M=8, N=8, paths=2, k_max=2, l_max=2, csi="csit-csir",
+                               tx_window="optimal", snr_db=(-3075.0,), trials=2)
+        with pytest.raises(NumericalFailure, match="optimal TX window"):
+            run_fer(cfg)
 
     def test_rect_and_shaped_rx_windows_detect_identically_with_csir(self):
         # with perfect receiver CSI, a receive window changes nothing

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.signal.windows import chebwin
 
 from otfswin import (
     ConfigurationError,
     Constellation,
     FrameGrid,
+    NumericalFailure,
     WindowPair,
     apply_window,
     dc_window,
@@ -21,7 +25,19 @@ from otfswin.channel import rect_doppler_response
 from otfswin.detection import analytic_detection_mse
 from otfswin.windows import measure_doppler_response
 
-from oracles import grid_search_allocation, random_feasible_allocations
+from oracles import bisection_water_level, grid_search_allocation, random_feasible_allocations
+
+
+@st.composite
+def gain_grids(draw):
+    """Per-bin gains log-uniform over 1e-12 .. 1e12, some bins exactly zero."""
+    shape = draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    exponents = draw(hnp.arrays(float, shape, elements=st.floats(-12.0, 12.0)))
+    zero = draw(hnp.arrays(bool, shape))
+    lam = 10.0 ** exponents
+    lam[zero] = 0.0
+    assume(lam.any())
+    return lam
 
 
 class TestRectangular:
@@ -181,6 +197,30 @@ class TestOptimalTxWindow:
     def test_tx_window_is_real_square_root(self):
         alloc = optimal_tx_window(np.array([4.0, 1.0]))
         assert np.allclose(alloc.tx_window**2, alloc.x, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gain_grids())
+    def test_water_level_is_exact(self, lam):
+        alloc = optimal_tx_window(lam)
+        assert abs(alloc.eta / bisection_water_level(lam) - 1.0) <= 1e-12
+        active = alloc.x > 0
+        # one ulp of eta moves the budget by about eps * (size + sum 1/lam) / size
+        budget_scale = (lam.size + np.sum(1.0 / lam[active])) / lam.size
+        assert abs(np.mean(alloc.x) - 1.0) <= 1e-12 * budget_scale
+        stationarity = lam[active] / (lam[active] * alloc.x[active] + 1.0) ** 2
+        assert np.max(np.abs(stationarity / alloc.eta - 1.0)) <= 1e-12
+        assert np.all(lam[~active] <= alloc.eta * (1.0 + 1e-12))
+
+    def test_subnormal_gain_is_inactive_not_fatal(self):
+        with_tiny = optimal_tx_window(np.array([4.0, 1.0, 5e-324]))
+        with_zero = optimal_tx_window(np.array([4.0, 1.0, 0.0]))
+        assert with_tiny.eta == with_zero.eta
+        assert np.array_equal(with_tiny.x, with_zero.x)
+
+    def test_gains_too_small_for_the_budget_raise_numerical_failure(self):
+        # size * lam << eps: the level rounds onto lam and no power map is left
+        with pytest.raises(NumericalFailure):
+            optimal_tx_window(np.full((4, 4), 1e-300))
 
 
 class TestApplyWindow:
