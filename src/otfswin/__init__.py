@@ -37,7 +37,6 @@ from .channel import (
     delay_power_profile,
     effective_dd_channel,
     largest_taps,
-    noise_filter,
     power_report,
     sample_channel,
     tf_channel,
@@ -49,9 +48,7 @@ from .windows import (
     DCWindowDesign,
     PowerAllocation,
     WindowPair,
-    apply_window,
     dc_window,
-    ideal_window_reference,
     nominal_sidelobe_level,
     optimal_tx_window,
     rectangular,

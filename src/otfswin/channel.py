@@ -194,26 +194,13 @@ def rect_doppler_response(dk, length: int) -> np.ndarray:
 
     Equals (1/N) * sum_n exp(-j2pi n dk/N): a Dirichlet kernel with linear
     phase, periodic in dk with period N.  Exact at integer offsets (1 at
-    multiples of N, 0 otherwise).
+    multiples of N, 0 otherwise).  The delay-axis response is its complex
+    conjugate, since the delay exponent has the opposite sign.
     """
     dk = np.asarray(dk, dtype=float)
     x = dk - length * np.floor(dk / length + 0.5)  # reduce to [-N/2, N/2)
     mag = np.sinc(x) / np.sinc(x / length)
     return mag * np.exp(-1j * np.pi * x * (length - 1) / length)
-
-
-def rect_delay_response(dl, length: int) -> np.ndarray:
-    """Delay-axis counterpart of :func:`rect_doppler_response` (conjugate
-    exponent, hence the opposite phase slope)."""
-    dl = np.asarray(dl, dtype=float)
-    x = dl - length * np.floor(dl / length + 0.5)
-    mag = np.sinc(x) / np.sinc(x / length)
-    return mag * np.exp(1j * np.pi * x * (length - 1) / length)
-
-
-def noise_filter(rx_window: np.ndarray) -> np.ndarray:
-    """DD-domain filter the RX window applies to the channel noise."""
-    return _dd_response(np.asarray(rx_window, dtype=complex))
 
 
 @dataclass(frozen=True)

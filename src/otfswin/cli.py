@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--threads", type=int, default=1,
-                       help=f"trial worker threads, 1 to {MAX_THREADS}")
+                       help=f"accepted for compatibility (1 to {MAX_THREADS}); trials "
+                            "always run serially, so it does not change the run")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     ce = sub.add_parser("ce-mse", help="channel-estimation MSE experiment")
@@ -94,7 +95,7 @@ def _run_experiment(args: argparse.Namespace, runner) -> int:
     config = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    rows = runner(config, threads=args.threads)
+    rows = runner(config)
     if args.out is None:
         sys.stdout.write(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows))
     else:
@@ -122,8 +123,6 @@ def main(argv: list[str] | None = None) -> int:
                 "SL_db_target": design.sl_db_target,
                 "SL_db_measured": design.sl_db_measured,
                 "k_main_measured": design.k_main,
-                "SL_db_formula": design.sl_db_formula,
-                "eta": None,
             }
             sidecar_text = json.dumps(sidecar, indent=2) + "\n"
             if args.out is None:

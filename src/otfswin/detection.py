@@ -79,7 +79,6 @@ class DetectionReport:
     hard: np.ndarray                  # nearest constellation points
     hard_indices: np.ndarray          # constellation indices of the decisions
     mse_emp: float | None = None      # empirical per-symbol MSE vs supplied truth
-    sigma_e2: float | None = None     # analytic per-symbol MSE, when computed
     marginals: np.ndarray | None = None  # SPA per-symbol posteriors
     iterations: int | None = None     # SPA iterations actually run
 

@@ -18,6 +18,7 @@ here is safe to share across concurrent simulation trials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class FrameGrid:
     def __post_init__(self) -> None:
         if self.M < 2 or self.N < 2:
             raise ValueError(f"grid needs M >= 2 and N >= 2, got M={self.M}, N={self.N}")
-        if self.delta_f <= 0 or self.fc <= 0:
-            raise ValueError("delta_f and fc must be positive")
+        if not (0 < self.delta_f < math.inf and 0 < self.fc < math.inf):
+            raise ValueError("delta_f and fc must be finite and positive")
 
     @property
     def T(self) -> float:

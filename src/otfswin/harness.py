@@ -3,8 +3,8 @@
 Experiments are described by a flat key/value config (file or mapping); every
 field is echoed into the run metadata together with a hash of the canonical
 config text.  Each trial draws its RNG stream from (master seed, snr index,
-trial index), so results are bit-identical regardless of scheduling and of
-the worker count.
+trial index), so results are bit-identical for a given config and seed, and
+any single trial can be rerun on its own.
 
 Output rows follow one CSV schema (header mandatory)::
 
@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,11 @@ _WINDOW_KINDS_TX = ("rect", "dc", "optimal")
 _WINDOW_KINDS_RX = ("rect", "dc")
 _DETECTORS = ("mmse", "spa")
 _CSI_MODES = ("perfect-csir", "estimated-csir", "csit-csir")
+
+
+# Beyond a pilot-to-data amplitude ratio of 1/eps (or below eps), the pilot and
+# the unit-power data cells cannot share one frame in double precision.
+_MAX_PILOT_DB = 20.0 * math.log10(1.0 / sys.float_info.epsilon)
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,19 @@ class ExperimentConfig:
             raise ConfigurationError(f"l_max must lie in [0, {grid.M - 1}] for M={grid.M}")
         if self.paths < 1:
             raise ConfigurationError("paths must be positive")
+        if self.seed < 0 or self.k_hat < 0:
+            raise ConfigurationError("seed and k_hat must be nonnegative")
+        if self.spa_taps < 0:
+            raise ConfigurationError("spa_taps must be nonnegative (0 means 3*paths - 1)")
+        if not math.isfinite(self.dc_sl_db):
+            raise ConfigurationError(f"dc_sl_db must be finite: {self.dc_sl_db!r}")
+        if not abs(self.pilot_power_dbw) <= _MAX_PILOT_DB:
+            raise ConfigurationError(
+                f"pilot_power_dbw = {self.pilot_power_dbw!r} lies outside "
+                f"[-{_MAX_PILOT_DB:.1f}, {_MAX_PILOT_DB:.1f}] dB"
+            )
+        if not math.isfinite(self.implied_max_speed_kmh()):
+            raise ConfigurationError("delta_f / fc is too large for a finite implied speed")
         if self.spa_iters < 1:
             raise ConfigurationError("spa_iters must be positive")
         if not 0.0 < self.spa_damping <= 1.0:
@@ -203,10 +220,12 @@ class ExperimentConfig:
         meta = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         meta["snr_db"] = list(self.snr_db)
         meta["config_hash"] = self.config_hash()
-        res = derive_resolutions(self.grid())
-        # the grid parameters decide the speed this setup actually supports
-        meta["implied_max_speed_kmh"] = 3.6 * self.k_max * res.speed_res
+        meta["implied_max_speed_kmh"] = self.implied_max_speed_kmh()
         return meta
+
+    def implied_max_speed_kmh(self) -> float:
+        # the grid parameters decide the speed this setup actually supports
+        return 3.6 * self.k_max * derive_resolutions(self.grid()).speed_res
 
 
 @dataclass(frozen=True)
@@ -329,55 +348,106 @@ def _trial_rng(config: ExperimentConfig, snr_index: int, trial: int) -> np.rando
     return np.random.default_rng([config.seed, snr_index, trial])
 
 
-def _map_trials(worker, trials: int, threads: int) -> list:
-    """Run trials over a work queue; results keep trial order regardless of
-    scheduling because each trial derives its own RNG stream."""
-    if threads <= 1:
-        return [worker(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(trials)))
+# ---------------------------------------------------------------------------
+# the link chain shared by every experiment
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Link:
+    """Per-config state of the link chain that every trial shares."""
+
+    config: ExperimentConfig
+    grid: FrameGrid
+    constellation: Constellation
+    windows: win_mod.WindowPair | None    # None: optimal TX window per realization
+    layout: est_mod.PilotLayout | None    # None: full-data frames
+    data_mask: np.ndarray | None
+    bits_per_frame: int
+
+
+def _link(config: ExperimentConfig, pilot: bool) -> _Link:
+    grid = config.grid()
+    constellation = config.constellation_obj()
+    windows = None if config.tx_window == "optimal" else build_windows(config, grid)
+    layout = data_mask = None
+    if pilot:
+        layout = est_mod.PilotLayout.centered(
+            grid, config.k_max, config.l_max, config.k_hat, config.pilot_power_dbw
+        )
+        data_mask = layout.data_mask(grid)
+    n_data = grid.size if data_mask is None else int(data_mask.sum())
+    return _Link(config, grid, constellation, windows, layout, data_mask,
+                 n_data * constellation.bits_per_symbol)
+
+
+def _transmit(link: _Link, snr_index: int, trial: int, n0: float):
+    """One trial of the link up to the receiver: draw the channel, build the
+    TX window, map the bits, embed the pilot and pass the frame through the
+    windowed TF channel.
+
+    Returns the data bits, the received DD frame, the RX window and the
+    windowed TF gains ``joint * H_tf``, whose DD response is the effective
+    channel.  The draw order (channel, bits, noise) fixes the output bytes.
+    """
+    rng = _trial_rng(link.config, snr_index, trial)
+    ch = ch_mod.sample_channel(link.grid, link.config.paths, link.config.k_max,
+                               link.config.l_max, rng)
+    tf_gains = ch_mod.tf_channel(ch)
+    windows = link.windows
+    if windows is None:
+        try:
+            allocation = win_mod.optimal_tx_window(np.abs(tf_gains) ** 2 / n0)
+        except ValueError as exc:
+            raise NumericalFailure(f"optimal TX window: {exc}") from exc
+        windows = win_mod.WindowPair.from_tx_grid(allocation.tx_window)
+    bits = rng.integers(0, 2, link.bits_per_frame)
+    frame = map_symbols(bits, link.constellation, link.grid, mask=link.data_mask)
+    if link.layout is not None:
+        frame = est_mod.embed_pilot(frame, link.layout, link.grid)
+    y = ch_mod.transmit_frame(frame, tf_gains, windows, n0, rng)
+    return bits, y, windows.rx, windows.joint * tf_gains
+
+
+def _sweep(config: ExperimentConfig, trial):
+    """Yield each SNR point with ``trial(snr_index, t, n0)`` for every trial,
+    run serially in trial order."""
+    for snr_index, snr in enumerate(config.snr_db):
+        n0 = noise_power(snr)
+        yield snr, [trial(snr_index, t, n0) for t in range(config.trials)]
 
 
 # ---------------------------------------------------------------------------
 # channel-estimation experiment
 # ---------------------------------------------------------------------------
 
-def run_ce_mse(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
+def run_ce_mse(config: ExperimentConfig) -> list[ResultRow]:
     """Measured CE error (summed over the pilot read window, at the received
     pilot scale) against the analytic floor, per SNR point."""
-    grid = config.grid()
-    constellation = config.constellation_obj()
-    windows = build_windows(config, grid)
-    layout = est_mod.PilotLayout.centered(
-        grid, config.k_max, config.l_max, config.k_hat, config.pilot_power_dbw
+    if config.tx_window == "optimal":
+        raise ConfigurationError(
+            "ce-mse needs a fixed TX window (rect or dc); the optimal window "
+            "assumes the transmitter already knows the channel"
+        )
+    link = _link(config, pilot=True)
+    predicted = est_mod.predicted_mse_floor(
+        link.grid, link.layout, config_sidelobe_level(config, link.grid)
     )
-    data_mask = layout.data_mask(grid)
-    n_bits = int(data_mask.sum()) * constellation.bits_per_symbol
-    predicted = est_mod.predicted_mse_floor(grid, layout, config_sidelobe_level(config, grid))
 
+    def trial(snr_index: int, t: int, n0: float) -> float:
+        _, y, _, gains = _transmit(link, snr_index, t, n0)
+        est = est_mod.estimate_channel(y, link.layout, link.grid, n0)
+        return est_mod.measured_ce_mse(ch_mod._dd_response(gains), est, link.layout, link.grid)
+
+    tag = config.config_hash()
     rows: list[ResultRow] = []
-    for snr_index, snr in enumerate(config.snr_db):
-        n0 = noise_power(snr)
-
-        def trial(t: int, _n0=n0, _snr_index=snr_index) -> float:
-            rng = _trial_rng(config, _snr_index, t)
-            ch = ch_mod.sample_channel(grid, config.paths, config.k_max, config.l_max, rng)
-            truth = ch_mod.effective_dd_channel(ch, windows).taps
-            frame = map_symbols(rng.integers(0, 2, n_bits), constellation, grid, mask=data_mask)
-            frame = est_mod.embed_pilot(frame, layout, grid)
-            received = ch_mod.transmit_frame(frame, ch_mod.tf_channel(ch), windows, _n0, rng)
-            est = est_mod.estimate_channel(received, layout, grid, _n0)
-            return est_mod.measured_ce_mse(truth, est, layout, grid)
-
-        sse = np.array(_map_trials(trial, config.trials, threads))
-        mean, lo, hi = mean_interval(sse)
-        rows.append(ResultRow("ce-mse", config.config_hash(), snr, "ce_mse",
-                              mean, lo, hi, config.trials))
-        rows.append(ResultRow("ce-mse", config.config_hash(), snr, "ce_mse_db",
+    for snr, sse in _sweep(config, trial):
+        mean, lo, hi = mean_interval(np.array(sse))
+        rows.append(ResultRow("ce-mse", tag, snr, "ce_mse", mean, lo, hi, config.trials))
+        rows.append(ResultRow("ce-mse", tag, snr, "ce_mse_db",
                               _db(mean), _db(lo), _db(hi), config.trials))
-        rows.append(ResultRow("ce-mse", config.config_hash(), snr, "ce_mse_predicted",
+        rows.append(ResultRow("ce-mse", tag, snr, "ce_mse_predicted",
                               predicted, predicted, predicted, config.trials))
-        rows.append(ResultRow("ce-mse", config.config_hash(), snr, "ce_mse_predicted_db",
+        rows.append(ResultRow("ce-mse", tag, snr, "ce_mse_predicted_db",
                               _db(predicted), _db(predicted), _db(predicted), config.trials))
     return rows
 
@@ -387,48 +457,49 @@ def run_ce_mse(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
 # ---------------------------------------------------------------------------
 
 def _detect_frame(
-    config: ExperimentConfig,
-    grid: FrameGrid,
-    constellation: Constellation,
+    link: _Link,
     y: np.ndarray,
-    n0: float,
     rx_window: np.ndarray,
-    taps: np.ndarray | None,
+    n0: float,
     gains: np.ndarray | None,
-    data_mask: np.ndarray | None,
-    layout: est_mod.PilotLayout | None,
 ) -> np.ndarray:
     """Run the configured detector and return hard bits for the data cells.
 
-    The receiver knows the channel as its DD tap grid ``taps`` or its TF gain
-    grid ``gains``.  The pilot cancellation and SPA use the taps; the LMMSE
-    detector uses the gains, derived from the taps (one 2-D FFT) when only
-    those were estimated.
+    ``gains`` is the windowed TF gain grid the receiver knows, or ``None``
+    when it estimates the channel from the embedded pilot as a DD tap grid.
+    The pilot cancellation and SPA use the taps, the LMMSE detector the
+    gains; either comes from the other by one 2-D FFT.
     """
-    if layout is not None:
-        # remove the pilot's (estimated) contribution before detection
+    taps = None
+    if gains is None:
+        layout = link.layout
+        taps = est_mod.estimate_channel(y, layout, link.grid, n0)
+        # remove the pilot's estimated contribution before detection
         shift = np.roll(taps, (layout.pilot_doppler, layout.pilot_delay), axis=(0, 1))
         y = y - layout.pilot_value * shift
 
+    config, constellation = link.config, link.constellation
     if config.detector == "mmse":
         if gains is None:
             gains = ch_mod.tf_gains_from_taps(taps)
-        report = det_mod.tf_lmmse_detect(y, gains, rx_window, n0, constellation, data_mask)
+        report = det_mod.tf_lmmse_detect(y, gains, rx_window, n0, constellation, link.data_mask)
         return constellation.indices_to_bits(report.hard_indices)
 
+    if taps is None:
+        taps = ch_mod._dd_response(gains)
     eff = ch_mod.EffectiveDDChannel(
         taps=taps, truncation=ch_mod.largest_taps(taps, config.spa_tap_count())
     )
     report = det_mod.spa_detect(
         y, eff, n0, constellation,
-        iters=config.spa_iters, damping=config.spa_damping, data_mask=data_mask,
+        iters=config.spa_iters, damping=config.spa_damping, data_mask=link.data_mask,
     )
-    idx = report.hard_indices.reshape(grid.shape)
-    sel = idx[data_mask] if data_mask is not None else idx.reshape(-1)
+    idx = report.hard_indices.reshape(link.grid.shape)
+    sel = idx[link.data_mask] if link.data_mask is not None else idx.reshape(-1)
     return constellation.indices_to_bits(sel)
 
 
-def run_fer(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
+def run_fer(config: ExperimentConfig) -> list[ResultRow]:
     """Frame/bit error rates per SNR under the configured CSI mode.
 
     perfect-csir: full-data frames, detector sees the true effective channel.
@@ -440,69 +511,27 @@ def run_fer(config: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     The MMSE detector models the noise after the RX window, n0 |v|^2 per TF
     bin, so it is colored in the DD domain for a shaping RX window; the
     sum-product detector models the noise as white at power N0, so shaping
-    RX windows pair with MMSE, not SPA.  Each trial returns its frame's
-    (bit errors, frame error) counts, so memory does not grow with trials.
+    RX windows pair with MMSE, not SPA.  Each trial returns its frame's bit
+    error count, so memory does not grow with the frame size.
     """
-    grid = config.grid()
-    constellation = config.constellation_obj()
-    adaptive_tx = config.tx_window == "optimal"
-    base_windows = None if adaptive_tx else build_windows(config, grid)
+    link = _link(config, pilot=config.csi == "estimated-csir")
 
-    layout = None
-    if config.csi == "estimated-csir":
-        layout = est_mod.PilotLayout.centered(
-            grid, config.k_max, config.l_max, config.k_hat, config.pilot_power_dbw
-        )
-    data_mask = layout.data_mask(grid) if layout is not None else None
-    n_data = int(data_mask.sum()) if data_mask is not None else grid.size
-    bits_per_frame = n_data * constellation.bits_per_symbol
+    def trial(snr_index: int, t: int, n0: float) -> int:
+        bits, y, rx_window, gains = _transmit(link, snr_index, t, n0)
+        known = gains if link.layout is None else None
+        detected = _detect_frame(link, y, rx_window, n0, known)
+        return int(np.count_nonzero(detected != bits))
 
+    tag = config.config_hash()
     rows: list[ResultRow] = []
-    for snr_index, snr in enumerate(config.snr_db):
-        n0 = noise_power(snr)
-
-        def trial(t: int, _n0=n0, _snr_index=snr_index) -> tuple[int, int]:
-            rng = _trial_rng(config, _snr_index, t)
-            ch = ch_mod.sample_channel(grid, config.paths, config.k_max, config.l_max, rng)
-            tf_gains = ch_mod.tf_channel(ch)
-            if adaptive_tx:
-                try:
-                    allocation = win_mod.optimal_tx_window(np.abs(tf_gains) ** 2 / _n0)
-                except ValueError as exc:
-                    raise NumericalFailure(f"optimal TX window: {exc}") from exc
-                windows = win_mod.WindowPair.from_tx_grid(allocation.tx_window)
-            else:
-                windows = base_windows
-
-            bits = rng.integers(0, 2, bits_per_frame)
-            frame = map_symbols(bits, constellation, grid, mask=data_mask)
-            if layout is not None:
-                frame = est_mod.embed_pilot(frame, layout, grid)
-            y = ch_mod.transmit_frame(frame, tf_gains, windows, _n0, rng)
-
-            taps = gains = None
-            if layout is not None:
-                taps = est_mod.estimate_channel(y, layout, grid, _n0)
-            elif config.detector == "mmse":
-                gains = windows.joint * tf_gains
-            else:
-                taps = ch_mod.effective_dd_channel(ch, windows).taps
-            detected = _detect_frame(config, grid, constellation, y, _n0, windows.rx,
-                                     taps, gains, data_mask, layout)
-            bit_errors = int(np.count_nonzero(detected != bits))
-            return bit_errors, int(bit_errors > 0)
-
-        outcomes = _map_trials(trial, config.trials, threads)
+    for snr, bit_errors in _sweep(config, trial):
         counts = det_mod.error_counts(
-            sum(b for b, _ in outcomes), sum(f for _, f in outcomes),
-            config.trials, bits_per_frame,
+            sum(bit_errors), sum(e > 0 for e in bit_errors), config.trials, link.bits_per_frame,
         )
         flo, fhi = wilson_interval(counts.frame_errors, counts.frames)
         blo, bhi = wilson_interval(counts.bit_errors, counts.bits)
-        rows.append(ResultRow("fer", config.config_hash(), snr, "fer",
-                              counts.fer, flo, fhi, counts.frames))
-        rows.append(ResultRow("fer", config.config_hash(), snr, "ber",
-                              counts.ber, blo, bhi, counts.frames))
+        rows.append(ResultRow("fer", tag, snr, "fer", counts.fer, flo, fhi, counts.frames))
+        rows.append(ResultRow("fer", tag, snr, "ber", counts.ber, blo, bhi, counts.frames))
     return rows
 
 
@@ -566,7 +595,7 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
         dl = rng.uniform(-grid.M, grid.M)
         direct = ch_mod.dd_filter(windows, dk, dl)
         closed = (ch_mod.rect_doppler_response(dk, grid.N)
-                  * ch_mod.rect_delay_response(dl, grid.M))
+                  * np.conj(ch_mod.rect_doppler_response(dl, grid.M)))
         worst = max(worst, abs(direct - complex(closed)))
     check("channel.rect_closed_form", worst, 1e-10)
 

@@ -18,6 +18,7 @@ Two families are provided:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,35 +114,14 @@ def rectangular(length: int) -> np.ndarray:
     return np.ones(length)
 
 
-def apply_window(frame: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Point-wise multiplication of a TF frame by a window grid."""
-    frame = np.asarray(frame)
-    window = np.asarray(window)
-    if frame.shape != window.shape:
-        raise ValueError(f"shape mismatch: frame {frame.shape} vs window {window.shape}")
-    return frame * window
-
-
-def ideal_window_reference(dk) -> np.ndarray:
-    """Brick-wall Doppler response used only as a comparison curve.
-
-    Returns 1 for offsets within half a bin of the target (inclusive), else 0.
-    Not realizable with a finite frame, hence never synthesized.
-    """
-    dk = np.asarray(dk, dtype=float)
-    return (np.abs(dk) <= 0.5).astype(float)
-
-
 # ---------------------------------------------------------------------------
 # Dolph-Chebyshev design
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WindowResponse:
-    """Densely sampled Doppler response of an axis window."""
+    """Mainlobe and sidelobe figures of an axis window's Doppler response."""
 
-    offsets_bins: np.ndarray    # dk grid in bins, 0 .. N/2
-    magnitude: np.ndarray       # raw |response| samples over that grid
     mainlobe_width_bins: float  # null-to-null width
     sidelobe_db: float          # peak sidelobe relative to the mainlobe peak
 
@@ -154,7 +134,6 @@ class DCWindowDesign:
     sl_db_target: float
     sl_db_measured: float
     k_main: float               # measured null-to-null mainlobe width, bins
-    sl_db_formula: float        # closed-form width/attenuation relation, informational
 
 
 def _chebyshev_coeffs(length: int, attenuation_db: float) -> np.ndarray:
@@ -210,29 +189,14 @@ def measure_doppler_response(coeffs: np.ndarray, oversample: int = 128) -> Windo
         )
     sidelobe = float(np.max(dense[j:half + 1]) / peak)
     return WindowResponse(
-        offsets_bins=np.arange(half + 1) / oversample,
-        magnitude=dense[:half + 1],
         mainlobe_width_bins=2.0 * j / oversample,
         sidelobe_db=20.0 * math.log10(max(sidelobe, 1e-300)),
     )
 
 
-def dc_sidelobe_formula_db(length: int, k_main: float) -> float:
-    """Closed-form attenuation/width relation for the Chebyshev design.
-
-    Informational only: its argument units do not reconcile exactly with
-    measured widths, so measured figures are authoritative and this value is
-    reported alongside them.
-    """
-    c = math.cos(k_main / 2.0)
-    if 1.0 + c < 1e-12:
-        return float("-inf")
-    arg = (3.0 - c) / (1.0 + c)
-    return -20.0 * math.log10(math.cosh(length / 2.0 * math.acosh(arg)))
-
-
 def max_achievable_attenuation_db(length: int) -> float:
-    """Largest attenuation whose mainlobe still leaves a sidelobe region."""
+    """Largest attenuation whose mainlobe still leaves a sidelobe region and
+    whose sidelobe ratio 10^(dB/20) is a finite float."""
     if length < 3:
         return 0.0
     order = length - 1
@@ -240,7 +204,10 @@ def max_achievable_attenuation_db(length: int) -> float:
     x0_max = math.cos(math.pi / (2 * order)) / math.cos(math.pi * (length - 1) / (2 * length))
     if x0_max <= 1.0:
         return 0.0
-    return 20.0 * math.log10(math.cosh(order * math.acosh(x0_max)))
+    # 20 log10 cosh(a) without forming cosh(a), which overflows for long windows
+    a = order * math.acosh(x0_max)
+    db = 20.0 * (a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)) / math.log(10.0)
+    return min(db, 20.0 * math.log10(sys.float_info.max))
 
 
 def dc_window(length: int, sl_db: float, oversample: int = 128) -> DCWindowDesign:
@@ -253,12 +220,12 @@ def dc_window(length: int, sl_db: float, oversample: int = 128) -> DCWindowDesig
     """
     if length < 3:
         raise ConfigurationError("Chebyshev design needs a window length of at least 3")
-    if sl_db > -10.0:
-        raise ConfigurationError("sidelobe target must be -10 dB or lower")
-    coeffs = _chebyshev_coeffs(length, -abs(sl_db))
+    if not sl_db <= -10.0:
+        raise ConfigurationError(f"sidelobe target must be -10 dB or lower, got {sl_db!r}")
     try:
+        coeffs = _chebyshev_coeffs(length, -abs(sl_db))
         resp = measure_doppler_response(coeffs, oversample=oversample)
-    except ConfigurationError:
+    except (ConfigurationError, OverflowError):
         raise ConfigurationError(
             f"requested {sl_db:.1f} dB is infeasible for N={length}; "
             f"max achievable attenuation is about "
@@ -270,7 +237,6 @@ def dc_window(length: int, sl_db: float, oversample: int = 128) -> DCWindowDesig
         sl_db_target=float(sl_db),
         sl_db_measured=resp.sidelobe_db,
         k_main=resp.mainlobe_width_bins,
-        sl_db_formula=dc_sidelobe_formula_db(length, resp.mainlobe_width_bins),
     )
 
 

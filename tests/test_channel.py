@@ -18,7 +18,6 @@ from otfswin import (
     delay_power_profile,
     effective_dd_channel,
     largest_taps,
-    noise_filter,
     power_report,
     sample_channel,
     tf_channel,
@@ -26,7 +25,7 @@ from otfswin import (
     transmit_frame,
     vectorize,
 )
-from otfswin.channel import rect_delay_response, rect_doppler_response
+from otfswin.channel import _dd_response, rect_doppler_response
 
 from oracles import direct_dd_filter, naive_effective_channel, naive_tf_channel
 
@@ -159,8 +158,9 @@ class TestDDFilter:
         for _ in range(1000):
             dk = rng.uniform(-2 * grid.N, 2 * grid.N)
             dl = rng.uniform(-2 * grid.M, 2 * grid.M)
+            # the delay exponent has the opposite sign: the conjugate response
             closed = complex(
-                rect_doppler_response(dk, grid.N) * rect_delay_response(dl, grid.M)
+                rect_doppler_response(dk, grid.N) * np.conj(rect_doppler_response(dl, grid.M))
             )
             assert abs(closed - dd_filter(w, dk, dl)) < 1e-10
 
@@ -176,9 +176,10 @@ class TestDDFilter:
 
 
 class TestNoiseFilter:
+    # the RX window filters the TF noise by its own DD response
     def test_flat_window_gives_delta(self):
         v = np.ones((4, 8))
-        out = noise_filter(v)
+        out = _dd_response(v)
         assert out[0, 0] == pytest.approx(1.0)
         out[0, 0] = 0
         assert np.max(np.abs(out)) < 1e-12
@@ -186,7 +187,7 @@ class TestNoiseFilter:
     def test_slot_phase_ramp_shifts_the_delta(self):
         n, m = 8, 4
         v = np.exp(2j * np.pi * np.arange(n) / n)[:, None] * np.ones((1, m))
-        out = noise_filter(v)
+        out = _dd_response(v)
         assert out[1, 0] == pytest.approx(1.0)
         out[1, 0] = 0
         assert np.max(np.abs(out)) < 1e-12
@@ -194,7 +195,7 @@ class TestNoiseFilter:
     def test_parseval(self):
         rng = np.random.default_rng(8)
         v = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        out = noise_filter(v)
+        out = _dd_response(v)
         assert np.sum(np.abs(out) ** 2) == pytest.approx(
             np.sum(np.abs(v) ** 2) / 16, rel=1e-12
         )

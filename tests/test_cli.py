@@ -1,8 +1,15 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from otfswin.cli import main
 
@@ -50,12 +57,19 @@ class TestDesignWindow:
         assert sidecar["SL_db_target"] == -40.0
         assert sidecar["SL_db_measured"] <= -39.5
         assert 2.5 <= sidecar["k_main_measured"] <= 4.0
-        assert sidecar["eta"] is None
 
     def test_infeasible_design_exits_2(self, capsys):
         rc = main(["design-window", "--N", "3", "--sl-db", "-100"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, sl_db", [("20", "nan"), ("20", "-1e6"), ("400", "-1e6")])
+    def test_non_finite_or_overflowing_sidelobe_exits_2(self, capsys, n, sl_db):
+        # a NaN target, or a sidelobe ratio 10^(dB/20) beyond the float range
+        rc = main(["design-window", "--N", n, f"--sl-db={sl_db}"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 class TestExperiments:
@@ -106,6 +120,17 @@ class TestExperiments:
         ("snr_db = 10, -3100", "noise power"),
         ("snr_db = 3300", "noise power"),
         ("rx_window = dc", "rx_window"),
+        ("pilot_power_dbw = nan", "pilot_power_dbw"),
+        ("pilot_power_dbw = 400", "pilot_power_dbw"),
+        ("pilot_power_dbw = -400", "pilot_power_dbw"),
+        ("tx_window = dc\ndc_sl_db = -1e6", "-1000000.0 dB"),
+        ("dc_sl_db = nan", "dc_sl_db"),
+        ("delta_f = nan", "delta_f"),
+        ("fc = inf", "fc"),
+        ("fc = 1e-300", "fc"),
+        ("spa_taps = -2", "spa_taps"),
+        ("seed = -1", "seed"),
+        ("k_hat = -1", "k_hat"),
     ])
     def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line, field):
         cfg = tmp_path / "bad.cfg"
@@ -118,6 +143,14 @@ class TestExperiments:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+    def test_optimal_tx_window_exits_2_on_ce_mse(self, tmp_path, capsys):
+        cfg = tmp_path / "csit.cfg"
+        cfg.write_text(CE_CONFIG + "csi = csit-csir\ntx_window = optimal\n", encoding="utf-8")
+        rc = main(["ce-mse", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ce-mse needs a fixed TX window")
 
     def test_overflowing_noise_power_exits_2_on_ce_mse(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -189,3 +222,85 @@ class TestSelfcheckCommand:
         captured = capsys.readouterr()
         assert "FAIL forced" in captured.out
         assert "numerical failure" in captured.err
+
+
+# Config fuzzing: each key draws from a few valid values plus invalid ones.
+# M, N, trials, the channel spread and the pilot guard are always set, so
+# that no example runs the large default grid or a layout that only fits it.
+_INVALID = ("-1", "0", "nan", "inf", "-inf", "-1e6", "1e6", "bogus")
+_VALID = {
+    "M": ("3", "4", "8"),
+    "N": ("4", "5", "8"),
+    "trials": ("1", "2"),
+    "delta_f": ("5e3", "15e3"),
+    "fc": ("3e9", "28e9"),
+    "constellation": ("bpsk", "qpsk", "QPSK"),
+    "paths": ("1", "2", "3"),
+    "k_max": ("0", "1"),
+    "l_max": ("0", "1"),
+    "k_hat": ("0", "1"),
+    "pilot_power_dbw": ("30", "10", "-5"),
+    "tx_window": ("rect", "dc", "optimal"),
+    "rx_window": ("rect", "dc"),
+    "dc_sl_db": ("-40", "-20", "-10", "-5"),
+    "detector": ("mmse", "spa"),
+    "spa_taps": ("0", "2", "5"),
+    "spa_iters": ("1", "5"),
+    "spa_damping": ("0.5", "1"),
+    "csi": ("perfect-csir", "estimated-csir", "csit-csir"),
+    "snr_db": ("10", "0, 30", "-10"),
+    "seed": ("0", "7", "123456789"),
+}
+_REQUIRED = ("M", "N", "trials", "k_max", "l_max", "k_hat")
+
+
+# Valid values everywhere would rarely reach the checks, and invalid values
+# everywhere would rarely get past them, so a draw sets up to two keys to
+# invalid values and the rest to valid ones.
+_CONFIGS = st.builds(
+    lambda valid, invalid: {**valid, **invalid},
+    st.fixed_dictionaries(
+        {key: st.sampled_from(_VALID[key]) for key in _REQUIRED},
+        optional={key: st.sampled_from(_VALID[key]) for key in _VALID if key not in _REQUIRED},
+    ),
+    st.dictionaries(st.sampled_from(sorted(_VALID) + ["bogus_key"]),
+                    st.sampled_from(_INVALID), max_size=2),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestConfigFuzz:
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fields=_CONFIGS)
+    def test_any_config_exits_cleanly_with_finite_rows(self, fields):
+        for command in ("ce-mse", "fer"):
+            self._check_run(command, fields)
+
+    @staticmethod
+    def _check_run(command, fields):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "fuzz.cfg")
+            out = os.path.join(tmp, "rows.csv")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{key} = {value}\n" for key, value in fields.items())
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main([command, "--config", cfg, "--out", out])
+            err = stderr.getvalue()
+            assert rc in (0, 2, 3), err
+            assert "Traceback" not in err
+            if rc != 0:
+                assert len(err.splitlines()) == 1, err
+                return
+            with open(out, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            assert len(lines) > 1
+            for line in lines[1:]:
+                value, ci_lo, ci_hi = (float(v) for v in line.split(",")[4:7])
+                assert math.isfinite(value) and math.isfinite(ci_lo) and math.isfinite(ci_hi), line
+            with open(out + ".meta.json", encoding="utf-8") as fh:
+                json.loads(fh.read(), parse_constant=_reject_constant)

@@ -1,6 +1,7 @@
 """Experiment engine: config parsing, determinism, and protocol claims."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -23,6 +24,54 @@ from otfswin.harness import (
 
 TINY_CE = dict(M=16, N=16, paths=2, k_max=2, l_max=2, k_hat=1,
                snr_db="30", trials=40, seed=5)
+
+
+# SHA-256 of rows_to_csv for small seeded configs, recorded before the
+# per-trial chain was shared between ce-mse and fer: every refactor of the
+# trial path must reproduce these bytes.
+GOLDEN_CE = dict(M=16, N=16, paths=2, k_max=2, l_max=2, k_hat=1,
+                 snr_db="10, 30", trials=30, seed=7)
+GOLDEN_FER = dict(M=8, N=16, paths=2, k_max=2, l_max=2, k_hat=0,
+                  snr_db="6, 16", trials=12, seed=11)
+GOLDEN_SPA = dict(GOLDEN_FER, constellation="bpsk", detector="spa", spa_taps=4)
+GOLDEN_ROWS = {
+    "ce-rect": (run_ce_mse, GOLDEN_CE,
+                "7a7866f517e24f73838acfbe0937602ca60f7842524726c02b04df61a7dcf78c"),
+    "ce-dc-tx": (run_ce_mse, dict(GOLDEN_CE, tx_window="dc"),
+                 "5ba41be7ef755590c60b9b3a015cb97c0bac66bdb9c6d7a1c3ac1af904dc7549"),
+    "ce-dc-rx": (run_ce_mse, dict(GOLDEN_CE, rx_window="dc", k_hat=0, dc_sl_db=-30),
+                 "53cdd1809259d5dab3dc4d9cd00def6d7f7bac68d7bc7e7727133a668a65f895"),
+    "fer-perfect-mmse-rect": (run_fer, GOLDEN_FER,
+                              "cbe0258222ad4e92fa68119dce8bcbce9db858a9c2eeb59403521782401bba34"),
+    "fer-perfect-mmse-dc-rx": (run_fer, dict(GOLDEN_FER, rx_window="dc"),
+                               "90b48586670a095f98c909a23103bf4dc752e3ee67e54e5b0cd1dc1a54745c2b"),
+    "fer-perfect-spa-dc-tx": (run_fer, dict(GOLDEN_SPA, tx_window="dc"),
+                              "27942c3b573893dc956dad6a8093e7d1f97a8ef931819431b786cef7772bd75d"),
+    "fer-estimated-mmse-dc-tx": (run_fer, dict(GOLDEN_FER, csi="estimated-csir",
+                                               tx_window="dc", k_hat=1),
+                                 "0a94bcd7e86ea8f9c46144dc332fdd8a7e710df2fe6280adb7548e2698acd8f7"),
+    "fer-estimated-mmse-dc-rx": (run_fer, dict(GOLDEN_FER, csi="estimated-csir",
+                                               rx_window="dc"),
+                                 "6a1b9cae6cdee639d6f650340b22fe0d3d3ad69662fef9ddb5c83b7c1c26c4d0"),
+    "fer-estimated-spa-rect": (run_fer, dict(GOLDEN_SPA, csi="estimated-csir",
+                                             pilot_power_dbw=20),
+                               "ab8ebdc9f1b215ffca3c9019939c883f1d21b88636d48751891211e0e1041bbc"),
+    "fer-csit-mmse-optimal": (run_fer, dict(GOLDEN_FER, csi="csit-csir", tx_window="optimal"),
+                              "765bbd2fd78c03dbfe530bebce47b49b69908e095eac27c3d1f198da1739d387"),
+    "fer-csit-mmse-dc-rx": (run_fer, dict(GOLDEN_FER, csi="csit-csir", rx_window="dc"),
+                            "7b89c988e711e85d3df0e801796e2bb43b6a61744330774444f6fd9c656b0568"),
+    "fer-csit-spa-optimal": (run_fer, dict(GOLDEN_SPA, csi="csit-csir", tx_window="optimal"),
+                             "4cd483ac34d36ede2c8e357851a8d662824e0c402c59e411014036936d4c6c9b"),
+}
+
+
+class TestGoldenRows:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ROWS))
+    def test_seeded_rows_are_byte_identical(self, name):
+        runner, fields, digest = GOLDEN_ROWS[name]
+        cfg = ExperimentConfig.from_mapping({k: str(v) for k, v in fields.items()})
+        csv = rows_to_csv(runner(cfg))
+        assert hashlib.sha256(csv.encode()).hexdigest() == digest, csv
 
 
 class TestConfig:
@@ -127,10 +176,6 @@ class TestCeExperiment:
         metrics = {r.metric for r in rows1}
         assert metrics == {"ce_mse", "ce_mse_db", "ce_mse_predicted", "ce_mse_predicted_db"}
         assert all(r.config_hash == cfg.config_hash() for r in rows1)
-
-    def test_thread_count_does_not_change_results(self):
-        cfg = ExperimentConfig(**TINY_CE)
-        assert rows_to_csv(run_ce_mse(cfg, threads=1)) == rows_to_csv(run_ce_mse(cfg, threads=3))
 
     def test_predicted_value_matches_floor_formula(self):
         from otfswin.estimation import predicted_mse_floor_params

@@ -13,9 +13,7 @@ from otfswin import (
     FrameGrid,
     NumericalFailure,
     WindowPair,
-    apply_window,
     dc_window,
-    ideal_window_reference,
     isfft,
     nominal_sidelobe_level,
     optimal_tx_window,
@@ -53,14 +51,6 @@ class TestRectangular:
         n = 20
         far = abs(rect_doppler_response(n / 2 + 0.5, n))
         assert far == pytest.approx(1.0 / n, rel=0.01)
-
-
-class TestIdealReference:
-    def test_boundary_values(self):
-        assert ideal_window_reference(0.0) == 1.0
-        assert ideal_window_reference(0.5) == 1.0
-        assert ideal_window_reference(0.51) == 0.0
-        assert ideal_window_reference(-0.5) == 1.0
 
 
 class TestChebyshevDesign:
@@ -223,38 +213,6 @@ class TestOptimalTxWindow:
             optimal_tx_window(np.full((4, 4), 1e-300))
 
 
-class TestApplyWindow:
-    def test_identity_window(self):
-        rng = np.random.default_rng(22)
-        frame = rng.standard_normal((4, 4))
-        assert np.array_equal(apply_window(frame, np.ones((4, 4))), frame)
-
-    def test_zero_row_silences_a_slot(self):
-        frame = np.ones((4, 4))
-        w = np.ones((4, 4))
-        w[2, :] = 0.0
-        out = apply_window(frame, w)
-        assert np.all(out[2, :] == 0)
-        assert np.all(out[[0, 1, 3], :] == 1)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            apply_window(np.ones((4, 4)), np.ones((4, 5)))
-
-    def test_average_transmit_power_is_window_energy(self):
-        # Monte Carlo over unit-energy frames: E ||U * isfft(x)||^2 = sum |U|^2
-        rng = np.random.default_rng(23)
-        grid = FrameGrid(M=4, N=4)
-        qpsk = Constellation.qpsk()
-        u = np.abs(rng.standard_normal(grid.shape)) + 0.2
-        total = 0.0
-        frames = 10_000
-        for _ in range(frames):
-            x = qpsk.points[rng.integers(0, 4, grid.size)].reshape(grid.shape)
-            total += float(np.sum(np.abs(apply_window(isfft(x), u)) ** 2))
-        assert total / frames == pytest.approx(float(np.sum(u**2)), rel=0.01)
-
-
 class TestWindowPair:
     def test_separable_normalization_carries_through(self):
         grid = FrameGrid(M=6, N=20)
@@ -271,3 +229,16 @@ class TestWindowPair:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             WindowPair(tx=np.ones((2, 3)), rx=np.ones((3, 2)))
+
+    def test_average_transmit_power_is_window_energy(self):
+        # Monte Carlo over unit-energy frames: E ||U * isfft(x)||^2 = sum |U|^2
+        rng = np.random.default_rng(23)
+        grid = FrameGrid(M=4, N=4)
+        qpsk = Constellation.qpsk()
+        pair = WindowPair.from_tx_grid(np.abs(rng.standard_normal(grid.shape)) + 0.2)
+        total = 0.0
+        frames = 10_000
+        for _ in range(frames):
+            x = qpsk.points[rng.integers(0, 4, grid.size)].reshape(grid.shape)
+            total += float(np.sum(np.abs(pair.tx * isfft(x)) ** 2))
+        assert total / frames == pytest.approx(grid.size * pair.tx_power(), rel=0.01)
