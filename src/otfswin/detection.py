@@ -219,17 +219,41 @@ def analytic_detection_mse(lam: np.ndarray, x: np.ndarray) -> float:
 # sum-product detector
 # ---------------------------------------------------------------------------
 
-def _leave_one_out_products(factors: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-slot products of all entries except slot t (prefix/suffix trick)."""
-    count = len(factors)
-    ones = np.ones_like(factors[0])
-    prefix = [ones]
-    for f in factors[:-1]:
-        prefix.append(prefix[-1] * f)
-    suffix = [ones]
-    for f in reversed(factors[1:]):
-        suffix.append(suffix[-1] * f)
-    return [prefix[t] * suffix[count - 1 - t] for t in range(count)]
+def _normalize(msgs: np.ndarray, axis: int) -> np.ndarray:
+    """Scale ``msgs`` in place to unit sum along ``axis``; all-zero ones become uniform."""
+    total = msgs.sum(axis=axis, keepdims=True)
+    if total.min() > 0:
+        msgs /= total
+    else:
+        np.divide(msgs, total, out=msgs, where=total > 0)
+        np.copyto(msgs, 1.0 / msgs.shape[axis], where=total <= 0)
+    return msgs
+
+
+def _factor_messages(likelihood: np.ndarray, from_symbol: np.ndarray) -> np.ndarray:
+    """Unnormalized factor-to-symbol messages of one flooding sweep.
+
+    ``likelihood`` has shape (Q,)*L + (F,): one axis per tap slot and the
+    factor axis last; ``from_symbol[t]`` is the (Q, F) array of messages the
+    factors receive on slot t.  Message t sums the likelihood over every slot
+    but t, each weighted by its incoming message.  The head over slots
+    0..t-1 is contracted once and shared by all t, and the tail over slots
+    t+1..L-1 enters as one product weight, so a sweep costs O(Q^L F).
+    """
+    degree, q, size = from_symbol.shape
+    # tails[t][r, i]: product of the messages on slots t+1.. at tail index r
+    tails = [None] * degree
+    for t in range(degree - 2, -1, -1):
+        later = tails[t + 1]
+        tails[t] = from_symbol[t + 1] if later is None else (
+            from_symbol[t + 1][:, None, :] * later).reshape(-1, size)
+    out = np.empty_like(from_symbol)
+    head = likelihood.reshape(q, -1, size)
+    for t in range(degree - 1):
+        np.einsum("vri,ri->vi", head, tails[t], out=out[t])
+        head = np.einsum("vri,vi->ri", head, from_symbol[t]).reshape(q, -1, size)
+    out[-1] = head.reshape(q, size)
+    return out
 
 
 def spa_detect(
@@ -250,9 +274,11 @@ def spa_detect(
     cells outside it are treated as known zeros (the caller cancels any pilot
     beforehand), which simply removes their taps from the graph.
 
-    Messages are probability vectors over the constellation; the factor
-    update enumerates all Q^L joint configurations, so Q^L is capped by
-    ``max_configs``.  An empty truncation (an all-zero channel estimate)
+    Messages are probability vectors over the constellation.  The factor
+    update contracts the (Q,)*L likelihood tensor of every factor with its
+    incoming messages (:func:`_factor_messages`), O(NM Q^L) per iteration;
+    the likelihood is held for all Q^L joint configurations, so Q^L is capped
+    by ``max_configs``.  An empty truncation (an all-zero channel estimate)
     gives the prior decisions after 0 iterations.
     """
     if channel.truncation is None:
@@ -285,71 +311,63 @@ def spa_detect(
     if sigma2 <= 0:
         sigma2 = 1e-12  # degenerate noiseless likelihood; keep it sharp but finite
 
-    k_obs, l_obs = np.divmod(np.arange(size), m)
-    sym_of = np.empty((size, degree), dtype=np.int64)
+    # factor i meets symbol sym_of[t, i] on tap slot t, and symbol j meets
+    # factor obs_of[t, j] there: the two are inverse permutations per slot
+    doppler = np.array([[tap.doppler] for tap in taps])
+    delay = np.array([[tap.delay] for tap in taps])
+    k, l = np.divmod(np.arange(size), m)
+    sym_of = ((k - doppler) % n) * m + (l - delay) % m
+    obs_of = ((k + doppler) % n) * m + (l + delay) % m
     gains = np.empty((size, degree), dtype=complex)
-    for t, tap in enumerate(taps):
-        sym_of[:, t] = ((k_obs - tap.doppler) % n) * m + (l_obs - tap.delay) % m
-        gains[:, t] = tap.value
+    gains[:] = [tap.value for tap in taps]
     if data_mask is not None:
         known = ~np.asarray(data_mask, dtype=bool).reshape(-1)
-        gains[known[sym_of]] = 0.0  # known-zero symbols contribute nothing
+        gains[known[sym_of.T]] = 0.0  # known-zero symbols contribute nothing
 
-    # observation index each symbol meets at tap slot t (inverse of sym_of)
-    obs_of = np.empty((size, degree), dtype=np.int64)
-    k_sym, l_sym = k_obs, l_obs
-    for t, tap in enumerate(taps):
-        obs_of[:, t] = ((k_sym + tap.doppler) % n) * m + (l_sym + tap.delay) % m
-
+    # likelihood[c_0, .., c_{L-1}, i] of factor i under symbol values c
     configs = np.array(list(itertools.product(range(q), repeat=degree)), dtype=np.int64)
-    config_values = points[configs]                      # (C, degree)
-    one_hot = [
-        (configs[:, t][:, None] == np.arange(q)[None, :]).astype(float)
-        for t in range(degree)
-    ]
+    means = gains @ points[configs].T                    # (size, C)
+    np.subtract(y[:, None], means, out=means)
+    likelihood = np.empty((configs.shape[0], size))
+    np.abs(means.T, out=likelihood)
+    del means
+    likelihood **= 2
+    likelihood -= likelihood.min(axis=0)                 # scale-free normalization
+    likelihood /= -sigma2
+    np.exp(likelihood, out=likelihood)
+    likelihood = likelihood.reshape((q,) * degree + (size,))
 
-    means = gains @ config_values.T                      # (size, C)
-    dist = np.abs(y[:, None] - means) ** 2
-    dist -= dist.min(axis=1, keepdims=True)              # scale-free normalization
-    likelihood = np.exp(-dist / sigma2)
-
-    to_symbol = np.full((size, degree, q), 1.0 / q)      # factor -> symbol messages
-    from_symbol = np.full((size, degree, q), 1.0 / q)    # symbol -> factor messages
+    # Messages live as (degree, q, size) arrays indexed [slot, value, node]:
+    # to_symbol[t, :, i] leaves factor i on slot t, from_symbol[t, :, i]
+    # enters it.  One flat gather through obs_of puts factor-side messages in
+    # symbol order, and one through sym_of puts them back.
+    rows = (np.arange(degree)[:, None] * q + np.arange(q)) * size
+    at_symbols = rows[:, :, None] + obs_of[:, None, :]
+    at_factors = rows[:, :, None] + sym_of[:, None, :]
+    to_symbol = np.full((degree, q, size), 1.0 / q)
+    from_symbol = np.full((degree, q, size), 1.0 / q)
+    prefix = np.ones((degree, q, size))
+    suffix = np.ones((degree, q, size))
     iterations_run = 0
     for _ in range(iters):
         iterations_run += 1
-        gathered = [from_symbol[np.arange(size)[:, None], t, configs[:, t][None, :]]
-                    for t in range(degree)]
-        # gathered[t][i, c] = message from the t-th neighbor of factor i
-        # evaluated at that neighbor's value in configuration c
-        loo = _leave_one_out_products(gathered)
-        new_msgs = np.empty_like(to_symbol)
-        for t in range(degree):
-            weighted = likelihood * loo[t]
-            msg = weighted @ one_hot[t]                  # (size, q)
-            total = msg.sum(axis=1, keepdims=True)
-            np.divide(msg, total, out=msg, where=total > 0)
-            msg[np.squeeze(total <= 0, axis=1)] = 1.0 / q
-            new_msgs[:, t, :] = msg
+        new_msgs = _normalize(_factor_messages(likelihood, from_symbol), axis=1)
         delta = float(np.max(np.abs(new_msgs - to_symbol)))
         to_symbol = damping * new_msgs + (1.0 - damping) * to_symbol
 
-        incoming = to_symbol[obs_of, np.arange(degree)[None, :], :]   # (size, degree, q)
-        inc_factors = [incoming[:, t, :] for t in range(degree)]
-        loo_sym = _leave_one_out_products(inc_factors)
-        for t in range(degree):
-            out = loo_sym[t]
-            total = out.sum(axis=1, keepdims=True)
-            np.divide(out, total, out=out, where=total > 0)
-            out[np.squeeze(total <= 0, axis=1)] = 1.0 / q
-            from_symbol[obs_of[:, t], t, :] = out
+        # leave-one-out product over each symbol's slots: exclusive prefix
+        # times exclusive suffix products (prefix[0] and suffix[-1] stay 1)
+        incoming = to_symbol.take(at_symbols)
+        for t in range(1, degree):
+            np.multiply(prefix[t - 1], incoming[t - 1], out=prefix[t])
+            np.multiply(suffix[-t], incoming[-t], out=suffix[-t - 1])
+        out = _normalize(prefix * suffix, axis=1)
+        from_symbol = out.take(at_factors)
         if delta < tol:
             break
 
-    belief = np.prod(to_symbol[obs_of, np.arange(degree)[None, :], :], axis=1)
-    total = belief.sum(axis=1, keepdims=True)
-    np.divide(belief, total, out=belief, where=total > 0)
-    belief[np.squeeze(total <= 0, axis=1)] = 1.0 / q
+    belief = np.ascontiguousarray(np.prod(to_symbol.take(at_symbols), axis=0).T)
+    _normalize(belief, axis=1)
 
     idx = belief.argmax(axis=1)
     soft = belief @ points

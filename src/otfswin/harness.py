@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -85,6 +86,10 @@ class ExperimentConfig:
             raise ConfigurationError("trials must be positive")
         if self.tx_window == "optimal" and self.csi != "csit-csir":
             raise ConfigurationError("the optimal TX window needs csi = csit-csir")
+        if self.tx_window == "optimal" and self.rx_window != "rect":
+            raise ConfigurationError(
+                "the optimal TX window is designed for a rect RX window; use rx_window = rect"
+            )
         if self.tx_window == "dc" and self.rx_window == "dc":
             raise ConfigurationError(
                 "shaping windows go on one side only; keep the other side rect"
@@ -653,6 +658,29 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
                 mask if layout is not None else None).soft
             worst = max(worst, float(np.linalg.norm(fast - dense) / np.linalg.norm(dense)))
         check(name, worst, 1e-8)
+
+    # sum-product factor update: tensor contraction vs literal enumeration
+    # of the joint configurations on a tiny random factor graph
+    worst = 0.0
+    for constellation, degree in ((Constellation.bpsk(), 4), (Constellation.qpsk(), 3)):
+        points, size = constellation.points, 6
+        q = points.size
+        gains = rng.standard_normal((size, degree)) + 1j * rng.standard_normal((size, degree))
+        y = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        from_symbol = rng.random((degree, q, size))
+        likelihood = np.empty((q,) * degree + (size,))
+        slow = np.zeros((degree, q, size))
+        for config in itertools.product(range(q), repeat=degree):
+            likelihood[config] = np.exp(-np.abs(y - gains @ points[list(config)]) ** 2)
+            for t in range(degree):
+                weight = likelihood[config].copy()
+                for s in range(degree):
+                    if s != t:
+                        weight *= from_symbol[s, config[s]]
+                slow[t, config[t]] += weight
+        fast = det_mod._factor_messages(likelihood, from_symbol)
+        worst = max(worst, float(np.max(np.abs(fast - slow))))
+    check("detection.spa_factor_update_vs_enumeration", worst, 1e-12)
 
     # two-channel optimal allocation closed form
     alloc = win_mod.optimal_tx_window(np.array([4.0, 1.0]))

@@ -4,7 +4,13 @@ Everything here is deliberately naive (double loops, exhaustive enumeration,
 dense algebra) and shares no code with the fast paths it checks.
 """
 
+import itertools
+
 import numpy as np
+
+from otfswin import ConfigurationError, Constellation
+from otfswin.channel import EffectiveDDChannel
+from otfswin.detection import DetectionReport
 
 
 def naive_tf_channel(ch):
@@ -132,3 +138,151 @@ def bisection_water_level(lam, steps=200):
         if hi - lo <= 1e-16 * hi:
             break
     return 0.5 * (lo + hi)
+
+
+def _leave_one_out_products(factors: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-slot products of all entries except slot t (prefix/suffix trick)."""
+    count = len(factors)
+    ones = np.ones_like(factors[0])
+    prefix = [ones]
+    for f in factors[:-1]:
+        prefix.append(prefix[-1] * f)
+    suffix = [ones]
+    for f in reversed(factors[1:]):
+        suffix.append(suffix[-1] * f)
+    return [prefix[t] * suffix[count - 1 - t] for t in range(count)]
+
+
+def enumeration_spa_detect(
+    y_frame: np.ndarray,
+    channel: EffectiveDDChannel,
+    n0: float,
+    constellation: Constellation,
+    iters: int = 20,
+    damping: float = 0.5,
+    tol: float = 1e-4,
+    data_mask: np.ndarray | None = None,
+    max_configs: int = 8192,
+) -> DetectionReport:
+    """Sum-product detection that enumerates all Q^L configurations per factor.
+
+    The exact reference for :func:`otfswin.spa_detect`: same flooding
+    schedule, damping, stop rule and fallbacks, with a factor update that
+    gathers every joint configuration and forms list-based leave-one-out
+    products, O(L Q^L) per factor and iteration.
+
+    ``channel`` must carry a tap truncation; its residual tap energy is added
+    to ``n0`` in the likelihood.  ``data_mask`` marks the unknown symbols;
+    cells outside it are treated as known zeros (the caller cancels any pilot
+    beforehand), which simply removes their taps from the graph.
+
+    Messages are probability vectors over the constellation; the factor
+    update enumerates all Q^L joint configurations, so Q^L is capped by
+    ``max_configs``.  An empty truncation (an all-zero channel estimate)
+    gives the prior decisions after 0 iterations.
+    """
+    if channel.truncation is None:
+        raise ValueError("sum-product detection needs a tap-truncated channel")
+    taps = channel.truncation
+    points = constellation.points
+    q = points.size
+    degree = len(taps)
+    if q ** degree > max_configs:
+        raise ConfigurationError(
+            f"sum step needs Q^L = {q ** degree} configurations, above the "
+            f"budget of {max_configs}; reduce the tap count or raise max_configs"
+        )
+    if not 0.0 < damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
+
+    n, m = channel.shape
+    size = n * m
+    y = np.asarray(y_frame, dtype=complex).reshape(-1)
+    if y.size != size:
+        raise ValueError("observation shape does not match the channel grid")
+    if degree == 0:
+        # an all-zero channel (estimate) leaves no factors: every symbol
+        # keeps its uniform prior, decided as constellation index 0
+        belief = np.full((size, q), 1.0 / q)
+        idx = np.zeros(size, dtype=np.int64)
+        return DetectionReport(soft=belief @ points, hard=points[idx], hard_indices=idx,
+                               marginals=belief, iterations=0)
+    sigma2 = n0 + channel.residual_power()
+    if sigma2 <= 0:
+        sigma2 = 1e-12  # degenerate noiseless likelihood; keep it sharp but finite
+
+    k_obs, l_obs = np.divmod(np.arange(size), m)
+    sym_of = np.empty((size, degree), dtype=np.int64)
+    gains = np.empty((size, degree), dtype=complex)
+    for t, tap in enumerate(taps):
+        sym_of[:, t] = ((k_obs - tap.doppler) % n) * m + (l_obs - tap.delay) % m
+        gains[:, t] = tap.value
+    if data_mask is not None:
+        known = ~np.asarray(data_mask, dtype=bool).reshape(-1)
+        gains[known[sym_of]] = 0.0  # known-zero symbols contribute nothing
+
+    # observation index each symbol meets at tap slot t (inverse of sym_of)
+    obs_of = np.empty((size, degree), dtype=np.int64)
+    k_sym, l_sym = k_obs, l_obs
+    for t, tap in enumerate(taps):
+        obs_of[:, t] = ((k_sym + tap.doppler) % n) * m + (l_sym + tap.delay) % m
+
+    configs = np.array(list(itertools.product(range(q), repeat=degree)), dtype=np.int64)
+    config_values = points[configs]                      # (C, degree)
+    one_hot = [
+        (configs[:, t][:, None] == np.arange(q)[None, :]).astype(float)
+        for t in range(degree)
+    ]
+
+    means = gains @ config_values.T                      # (size, C)
+    dist = np.abs(y[:, None] - means) ** 2
+    dist -= dist.min(axis=1, keepdims=True)              # scale-free normalization
+    likelihood = np.exp(-dist / sigma2)
+
+    to_symbol = np.full((size, degree, q), 1.0 / q)      # factor -> symbol messages
+    from_symbol = np.full((size, degree, q), 1.0 / q)    # symbol -> factor messages
+    iterations_run = 0
+    for _ in range(iters):
+        iterations_run += 1
+        gathered = [from_symbol[np.arange(size)[:, None], t, configs[:, t][None, :]]
+                    for t in range(degree)]
+        # gathered[t][i, c] = message from the t-th neighbor of factor i
+        # evaluated at that neighbor's value in configuration c
+        loo = _leave_one_out_products(gathered)
+        new_msgs = np.empty_like(to_symbol)
+        for t in range(degree):
+            weighted = likelihood * loo[t]
+            msg = weighted @ one_hot[t]                  # (size, q)
+            total = msg.sum(axis=1, keepdims=True)
+            np.divide(msg, total, out=msg, where=total > 0)
+            msg[np.squeeze(total <= 0, axis=1)] = 1.0 / q
+            new_msgs[:, t, :] = msg
+        delta = float(np.max(np.abs(new_msgs - to_symbol)))
+        to_symbol = damping * new_msgs + (1.0 - damping) * to_symbol
+
+        incoming = to_symbol[obs_of, np.arange(degree)[None, :], :]   # (size, degree, q)
+        inc_factors = [incoming[:, t, :] for t in range(degree)]
+        loo_sym = _leave_one_out_products(inc_factors)
+        for t in range(degree):
+            out = loo_sym[t]
+            total = out.sum(axis=1, keepdims=True)
+            np.divide(out, total, out=out, where=total > 0)
+            out[np.squeeze(total <= 0, axis=1)] = 1.0 / q
+            from_symbol[obs_of[:, t], t, :] = out
+        if delta < tol:
+            break
+
+    belief = np.prod(to_symbol[obs_of, np.arange(degree)[None, :], :], axis=1)
+    total = belief.sum(axis=1, keepdims=True)
+    np.divide(belief, total, out=belief, where=total > 0)
+    belief[np.squeeze(total <= 0, axis=1)] = 1.0 / q
+
+    idx = belief.argmax(axis=1)
+    soft = belief @ points
+    return DetectionReport(
+        soft=soft,
+        hard=points[idx],
+        hard_indices=idx,
+        marginals=belief,
+        iterations=iterations_run,
+    )

@@ -131,6 +131,7 @@ class TestExperiments:
         ("spa_taps = -2", "spa_taps"),
         ("seed = -1", "seed"),
         ("k_hat = -1", "k_hat"),
+        ("csi = csit-csir\ntx_window = optimal\nrx_window = dc", "optimal TX window"),
     ])
     def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line, field):
         cfg = tmp_path / "bad.cfg"

@@ -1,5 +1,7 @@
 """MMSE/SPA detectors, noise covariance, and error counting."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ from otfswin import (
 from otfswin.channel import EffectiveDDChannel
 from otfswin.detection import NoiseModel
 
-from oracles import brute_force_map
+from oracles import brute_force_map, enumeration_spa_detect
 
 
 class TestNoiseCovariance:
@@ -348,6 +350,60 @@ class TestSPA:
         report = spa_detect(y, eff, 1e-3, bpsk, iters=25)
         assert 1 <= report.iterations <= 25
 
+
+class TestSPAContraction:
+    """The contracted factor update against the enumeration SPA oracle."""
+
+    # (M, N) -> pilot layout (k_max, l_max, k_hat) for the masked frames
+    LAYOUTS = {(4, 4): (0, 1, 0), (8, 16): (2, 2, 1), (6, 10): (1, 2, 1)}
+    CASES = [
+        (index, name, m, n, masked, damping)
+        for index, (name, (m, n), masked, damping, _) in enumerate(itertools.product(
+            ("bpsk", "qpsk"), sorted(LAYOUTS), (False, True), (0.3, 0.5, 1.0), range(2)))
+    ]
+
+    @pytest.mark.parametrize("index, name, m, n, masked, damping", CASES)
+    def test_matches_enumeration(self, index, name, m, n, masked, damping):
+        rng = np.random.default_rng(1000 + index)
+        grid = FrameGrid(M=m, N=n)
+        constellation = getattr(Constellation, name)()
+        taps = 1 + index % 5                      # Q^L <= 4^5 = 1024
+        snr = rng.uniform(0.0, 40.0)
+        n0 = 10.0 ** (-snr / 10.0)
+        windows = WindowPair.rectangular(grid)
+        if index % 2:
+            windows = WindowPair.separable(grid, tx_doppler=dc_window(grid.N, -30.0).coeffs)
+        ch = sample_channel(grid, 3, min((n - 1) // 2, 2), min(m - 1, 2), rng)
+        eff = effective_dd_channel(ch, windows, truncate_to=taps)
+        mask = PilotLayout.centered(grid, *self.LAYOUTS[m, n]).data_mask(grid) if masked else None
+        data = np.ones(grid.shape, dtype=bool) if mask is None else mask
+        x = np.zeros(grid.shape, dtype=complex)
+        x[data] = constellation.points[rng.integers(0, constellation.points.size, int(data.sum()))]
+        y = transmit_frame(x, tf_channel(ch), windows, n0, rng)
+        fast = spa_detect(y, eff, n0, constellation, damping=damping, data_mask=mask)
+        slow = enumeration_spa_detect(y, eff, n0, constellation, damping=damping, data_mask=mask)
+        assert fast.iterations == slow.iterations
+        assert np.array_equal(fast.hard_indices, slow.hard_indices)
+        assert np.max(np.abs(fast.marginals - slow.marginals)) <= 1e-12
+
+
+    @pytest.mark.parametrize("name", ["bpsk", "qpsk"])
+    def test_zero_total_fallback_matches_enumeration(self, name):
+        # a noiseless likelihood with an observation no symbol word explains
+        # drives messages to exact zeros; with damping 1 some symbol-side
+        # products vanish for every value and fall back to uniform
+        grid = FrameGrid(M=4, N=4)
+        taps = np.zeros(grid.shape, dtype=complex)
+        taps[0, 0], taps[1, 2], taps[3, 1] = 1.0, 0.9j, -0.8
+        eff = EffectiveDDChannel(taps=taps, truncation=largest_taps(taps, 3))
+        rng = np.random.default_rng(3)
+        y = 3.0 * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        constellation = getattr(Constellation, name)()
+        fast = spa_detect(y, eff, 0.0, constellation, iters=5, damping=1.0)
+        slow = enumeration_spa_detect(y, eff, 0.0, constellation, iters=5, damping=1.0)
+        assert fast.iterations == slow.iterations
+        assert np.array_equal(fast.hard_indices, slow.hard_indices)
+        assert np.max(np.abs(fast.marginals - slow.marginals)) <= 1e-12
 
 class TestErrorCounting:
     def test_identical_streams_have_no_errors(self):
