@@ -16,9 +16,7 @@ from .grid import (
     Constellation,
     FrameGrid,
     GridResolutions,
-    demap_frame,
     derive_resolutions,
-    devectorize,
     map_symbols,
     vectorize,
 )
@@ -59,7 +57,6 @@ from .estimation import (
     estimate_channel,
     exact_interference_power,
     measured_ce_mse,
-    predicted_interference_power,
     predicted_mse_floor,
 )
 from .detection import (
@@ -70,8 +67,6 @@ from .detection import (
     count_errors,
     error_counts,
     mmse_detect,
-    mmse_error_covariance,
-    mmse_trace_mse,
     noise_covariance,
     spa_detect,
     tf_lmmse_detect,

@@ -27,6 +27,7 @@ import numpy as np
 
 from .channel import EffectiveDDChannel, _dd_response
 from .errors import ConfigurationError, NumericalFailure
+from .estimation import PilotLayout
 from .grid import Constellation
 from .transforms import dft_matrix, isfft, sfft
 
@@ -121,7 +122,7 @@ def tf_lmmse_detect(
     rx_window: np.ndarray,
     n0: float,
     constellation: Constellation,
-    data_mask: np.ndarray | None = None,
+    layout: PilotLayout | None = None,
 ) -> DetectionReport:
     """LMMSE detection of an (N, M) DD frame, solved per TF bin.
 
@@ -131,12 +132,14 @@ def tf_lmmse_detect(
     d = |g|^2 + n0 |v|^2, the full-data estimate is sfft(conj(g) / d *
     isfft(y)).
 
-    Cells outside ``data_mask`` are known zeros; they remove G columns from
-    the channel, a rank-G downdate of the diagonal Gram matrix.  By Woodbury
-    the data estimate is x0[D] - E[D, G] E[G, G]^(-1) x0[G], where x0 is the
+    The guard cells of an embedded-pilot ``layout`` (the caller cancels the
+    pilot beforehand) are known zeros; they remove G columns from the
+    channel, a rank-G downdate of the diagonal Gram matrix.  By Woodbury the
+    data estimate is x0[D] - E[D, G] E[G, G]^(-1) x0[G], where x0 is the
     full-data estimate and E the circular operator of e = DD response of
     n0 |v|^2 / d.  E[G, G] is the capacitance matrix I - c[G, G] with c the
-    DD response of |g|^2 / d, formed without the cancellation of 1 - c.
+    DD response of |g|^2 / d, formed without the cancellation of 1 - c, and
+    gathered from e through the layout's guard-pair index.
 
     Returns the soft estimates of the data cells in row-major order, as
     :func:`mmse_detect` does for the masked dense channel.  Raises
@@ -154,50 +157,26 @@ def tf_lmmse_detect(
             "refusing to regularize implicitly"
         )
     soft = sfft(np.conj(g) / denom * isfft(y))
-    if data_mask is None:
+    if layout is None:
         soft = soft.reshape(-1)
     else:
-        mask = np.asarray(data_mask, dtype=bool)
-        guard = ~mask
-        if guard.any():
-            n, m = y.shape
-            k, l = np.nonzero(guard)
-            residual = noise_tf / denom
-            e = _dd_response(residual)
-            capacitance = e[(k[:, None] - k[None, :]) % n, (l[:, None] - l[None, :]) % m]
-            try:
-                weights = np.linalg.solve(capacitance, soft[guard])
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure(
-                    "LMMSE guard downdate is singular (zero noise with known cells); "
-                    "refusing to regularize implicitly"
-                ) from exc
-            placed = np.zeros_like(y)
-            placed[guard] = weights
-            soft = soft - sfft(residual * isfft(placed))
-        soft = soft[mask]
+        guard = layout.guard_mask
+        residual = noise_tf / denom
+        capacitance = _dd_response(residual).take(layout.guard_pairs)
+        try:
+            weights = np.linalg.solve(capacitance, soft[guard])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(
+                "LMMSE guard downdate is singular (zero noise with known cells); "
+                "refusing to regularize implicitly"
+            ) from exc
+        placed = np.zeros_like(y)
+        placed[guard] = weights
+        soft = (soft - sfft(residual * isfft(placed)))[layout.data_mask]
     if not np.all(np.isfinite(soft)):
         raise NumericalFailure("LMMSE estimate is not finite")
     idx = constellation.nearest_indices(soft)
     return DetectionReport(soft=soft, hard=constellation.points[idx], hard_indices=idx)
-
-
-def mmse_error_covariance(channel_matrix: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Error covariance (I + H^H C^(-1) H)^(-1) of the MMSE estimate."""
-    h = np.asarray(channel_matrix, dtype=complex)
-    size = h.shape[0]
-    cov = noise.matrix(size)
-    try:
-        whitened = np.linalg.solve(cov, h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("noise covariance is singular") from exc
-    return np.linalg.inv(np.eye(h.shape[1]) + h.conj().T @ whitened)
-
-
-def mmse_trace_mse(channel_matrix: np.ndarray, noise: NoiseModel) -> float:
-    """Analytic per-symbol MSE: trace of the error covariance over its size."""
-    e = mmse_error_covariance(channel_matrix, noise)
-    return float(np.real(np.trace(e))) / e.shape[0]
 
 
 def analytic_detection_mse(lam: np.ndarray, x: np.ndarray) -> float:

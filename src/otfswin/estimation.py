@@ -17,7 +17,7 @@ across pilot settings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,21 +27,75 @@ from .grid import FrameGrid
 
 @dataclass(frozen=True)
 class PilotLayout:
-    """Position and sizing of the embedded pilot and its guard region.
+    """Position and sizing of the embedded pilot and its guard region on one
+    frame grid.
 
     The guard spans pilot_doppler +- (2*k_max + 2*k_hat) Doppler rows and
     pilot_delay +- l_max delay columns (pilot cell excluded); the read window
     spans pilot_doppler +- (k_max + k_hat) rows and delay columns
-    pilot_delay .. pilot_delay + l_max.
+    pilot_delay .. pilot_delay + l_max.  Construction rejects a layout whose
+    Doppler guard overlaps itself or whose delay band leaves the grid, and
+    computes the index sets every frame shares:
+
+    * ``guard_mask`` / ``data_mask``: boolean (N, M) masks of the
+      pilot-plus-guard cells and of the data cells;
+    * ``read_cells``: ``np.ix_`` index of the read window in the frame, and
+      ``tap_cells`` of the tap offsets it measures, (k - k_p) mod N and
+      l - l_p;
+    * ``guard_pairs``: (G, G) flat index into an (N, M) tap grid e such that
+      ``e.take(guard_pairs)[i, j] = e[(k_i - k_j) mod N, (l_i - l_j) mod M]``
+      for the guard cells in row-major order, the guard block of the circular
+      operator of e.
     """
 
+    grid: FrameGrid
     pilot_doppler: int
     pilot_delay: int
     pilot_value: complex
     k_max: int
     l_max: int
     k_hat: int = 0
-    allow_delay_wrap: bool = False
+    guard_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    data_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    read_cells: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    tap_cells: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    guard_pairs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n, m = self.grid.shape
+        if self.k_max < 0 or self.l_max < 0:
+            raise ConfigurationError("spread bounds must be nonnegative")
+        limit = (n - 4 * self.k_max - 1) // 4
+        if not 0 <= self.k_hat <= limit:
+            raise ConfigurationError(
+                f"extra Doppler guard k_hat={self.k_hat} outside [0, {limit}] for N={n}"
+            )
+        if 2 * self.l_max + 1 > m:
+            raise ConfigurationError("delay guard band does not fit in the grid")
+        if not 0 <= self.pilot_doppler < n or not 0 <= self.pilot_delay < m:
+            raise ConfigurationError("pilot cell lies outside the grid")
+        if self.pilot_delay - self.l_max < 0 or self.pilot_delay + self.l_max >= m:
+            raise ConfigurationError("delay band wraps around the grid edge; move the pilot")
+
+        guard_halfwidth = 2 * self.k_max + 2 * self.k_hat
+        guard = np.zeros((n, m), dtype=bool)
+        guard[np.ix_((self.pilot_doppler + np.arange(-guard_halfwidth, guard_halfwidth + 1)) % n,
+                     self.pilot_delay + np.arange(-self.l_max, self.l_max + 1))] = True
+        data = ~guard
+        dks = np.arange(-self.k_max - self.k_hat, self.k_max + self.k_hat + 1)
+        dls = np.arange(0, self.l_max + 1)
+        read_cells = np.ix_((self.pilot_doppler + dks) % n, self.pilot_delay + dls)
+        tap_cells = np.ix_(dks % n, dls)
+        k, l = np.nonzero(guard)
+        pairs = ((k[:, None] - k[None, :]) % n) * m + (l[:, None] - l[None, :]) % m
+        # every frame of a run shares these, so none may be written in place
+        for array in (guard, data, pairs, *read_cells, *tap_cells):
+            array.flags.writeable = False
+        object.__setattr__(self, "guard_mask", guard)
+        object.__setattr__(self, "data_mask", data)
+        object.__setattr__(self, "read_cells", read_cells)
+        object.__setattr__(self, "tap_cells", tap_cells)
+        object.__setattr__(self, "guard_pairs", pairs)
 
     @classmethod
     def centered(
@@ -53,98 +107,28 @@ class PilotLayout:
         pilot_power_dbw: float = 30.0,
     ) -> "PilotLayout":
         """Default placement: Doppler-centered, delay band kept off the wrap."""
-        if 2 * l_max + 1 > grid.M:
-            raise ConfigurationError("delay guard band does not fit in the grid")
-        l_p = min(max(grid.M // 2, l_max), grid.M - 1 - l_max)
-        layout = cls(
+        return cls(
+            grid=grid,
             pilot_doppler=grid.N // 2,
-            pilot_delay=l_p,
+            pilot_delay=min(max(grid.M // 2, l_max), grid.M - 1 - l_max),
             pilot_value=math.sqrt(10.0 ** (pilot_power_dbw / 10.0)),
             k_max=k_max,
             l_max=l_max,
             k_hat=k_hat,
         )
-        layout.validate(grid)
-        return layout
-
-    # -- geometry -----------------------------------------------------------
-
-    @property
-    def guard_doppler_halfwidth(self) -> int:
-        return 2 * self.k_max + 2 * self.k_hat
-
-    @property
-    def read_doppler_halfwidth(self) -> int:
-        return self.k_max + self.k_hat
-
-    def max_extra_guard(self, grid: FrameGrid) -> int:
-        return (grid.N - 4 * self.k_max - 1) // 4
-
-    def validate(self, grid: FrameGrid) -> None:
-        if not 0 <= self.pilot_doppler < grid.N or not 0 <= self.pilot_delay < grid.M:
-            raise ConfigurationError("pilot cell lies outside the grid")
-        if self.k_max < 0 or self.l_max < 0:
-            raise ConfigurationError("spread bounds must be nonnegative")
-        limit = self.max_extra_guard(grid)
-        if not 0 <= self.k_hat <= limit:
-            raise ConfigurationError(
-                f"extra Doppler guard k_hat={self.k_hat} outside [0, {limit}] for N={grid.N}"
-            )
-        if 2 * self.l_max + 1 > grid.M:
-            raise ConfigurationError("delay guard band does not fit in the grid")
-        if not self.allow_delay_wrap and self._delay_band_wraps(grid):
-            raise ConfigurationError(
-                "delay band wraps around the grid edge; move the pilot or set allow_delay_wrap"
-            )
-
-    def _delay_band_wraps(self, grid: FrameGrid) -> bool:
-        return self.pilot_delay - self.l_max < 0 or self.pilot_delay + self.l_max >= grid.M
-
-    def wraps(self, grid: FrameGrid) -> bool:
-        """True when the guard or read band relies on modular wraparound."""
-        return self._delay_band_wraps(grid) or 4 * self.k_max + 4 * self.k_hat + 1 > grid.N
-
-    def overhead_cells(self) -> int:
-        """Signaling overhead: guard plus pilot cell count."""
-        return (2 * self.l_max + 1) * (4 * self.k_max + 4 * self.k_hat + 1)
-
-    def guard_mask(self, grid: FrameGrid) -> np.ndarray:
-        """Boolean (N, M) mask of the pilot-plus-guard region."""
-        mask = np.zeros(grid.shape, dtype=bool)
-        rows = (self.pilot_doppler + np.arange(-self.guard_doppler_halfwidth,
-                                               self.guard_doppler_halfwidth + 1)) % grid.N
-        cols = (self.pilot_delay + np.arange(-self.l_max, self.l_max + 1)) % grid.M
-        mask[np.ix_(np.unique(rows), np.unique(cols))] = True
-        return mask
-
-    def data_mask(self, grid: FrameGrid) -> np.ndarray:
-        return ~self.guard_mask(grid)
-
-    def read_offsets(self, grid: FrameGrid) -> tuple[np.ndarray, np.ndarray]:
-        """Signed Doppler offsets and nonnegative delay offsets of the read
-        window, relative to the pilot cell."""
-        dks = np.arange(-self.read_doppler_halfwidth, self.read_doppler_halfwidth + 1)
-        dls = np.arange(0, self.l_max + 1)
-        return dks, dls
 
 
-def embed_pilot(data_frame: np.ndarray, layout: PilotLayout, grid: FrameGrid) -> np.ndarray:
+def embed_pilot(data_frame: np.ndarray, layout: PilotLayout) -> np.ndarray:
     """Overwrite the guard region with zeros and the pilot cell with x_p."""
-    layout.validate(grid)
-    if data_frame.shape != grid.shape:
+    if data_frame.shape != layout.grid.shape:
         raise ValueError("frame shape does not match grid")
     frame = np.array(data_frame, dtype=complex, copy=True)
-    frame[layout.guard_mask(grid)] = 0.0
+    frame[layout.guard_mask] = 0.0
     frame[layout.pilot_doppler, layout.pilot_delay] = layout.pilot_value
     return frame
 
 
-def estimate_channel(
-    received: np.ndarray,
-    layout: PilotLayout,
-    grid: FrameGrid,
-    n0: float,
-) -> np.ndarray:
+def estimate_channel(received: np.ndarray, layout: PilotLayout, n0: float) -> np.ndarray:
     """Threshold estimator of the effective DD channel.
 
     Reads the window the pilot response can occupy and sets
@@ -152,16 +136,13 @@ def estimate_channel(
     |y[k, l]| >= 3*sqrt(n0).  Returns a full (N, M) grid, zero outside the
     window, ready to rebuild the channel operator by circular convolution.
     """
-    if received.shape != grid.shape:
+    if received.shape != layout.grid.shape:
         raise ValueError("frame shape does not match grid")
     threshold = 3.0 * math.sqrt(max(n0, 0.0))
-    est = np.zeros(grid.shape, dtype=complex)
-    dks, dls = layout.read_offsets(grid)
-    rows = (layout.pilot_doppler + dks) % grid.N
-    cols = (layout.pilot_delay + dls) % grid.M
-    block = received[np.ix_(rows, cols)]
+    est = np.zeros(layout.grid.shape, dtype=complex)
+    block = received[layout.read_cells]
     keep = np.abs(block) >= threshold
-    est[np.ix_(dks % grid.N, dls % grid.M)] = np.where(keep, block / layout.pilot_value, 0.0)
+    est[layout.tap_cells] = np.where(keep, block / layout.pilot_value, 0.0)
     return est
 
 
@@ -184,36 +165,27 @@ def predicted_mse_floor_params(n_doppler: int, k_max: int, l_max: int,
     return predicted_interference_power_params(n_doppler, k_max, k_hat, sl_w) * cells
 
 
-def predicted_interference_power(grid: FrameGrid, layout: PilotLayout, sl_w: float) -> float:
-    return predicted_interference_power_params(grid.N, layout.k_max, layout.k_hat, sl_w)
-
-
-def predicted_mse_floor(grid: FrameGrid, layout: PilotLayout, sl_w: float) -> float:
-    return predicted_mse_floor_params(grid.N, layout.k_max, layout.l_max, layout.k_hat, sl_w)
+def predicted_mse_floor(layout: PilotLayout, sl_w: float) -> float:
+    return predicted_mse_floor_params(layout.grid.N, layout.k_max, layout.l_max,
+                                      layout.k_hat, sl_w)
 
 
 def measured_ce_mse(
     truth_taps: np.ndarray,
     estimated_taps: np.ndarray,
     layout: PilotLayout,
-    grid: FrameGrid,
 ) -> float:
     """Squared estimation error summed (not averaged) over the read window.
 
     Expressed at the received-pilot scale, |x_p * (est - truth)|^2, so values
     line up with :func:`predicted_mse_floor` for any pilot power.
     """
-    dks, dls = layout.read_offsets(grid)
-    sel = np.ix_(dks % grid.N, dls % grid.M)
+    sel = layout.tap_cells
     err = estimated_taps[sel] - truth_taps[sel]
     return float(abs(layout.pilot_value) ** 2 * np.sum(np.abs(err) ** 2))
 
 
-def exact_interference_power(
-    truth_taps: np.ndarray,
-    layout: PilotLayout,
-    grid: FrameGrid,
-) -> float:
+def exact_interference_power(truth_taps: np.ndarray, layout: PilotLayout) -> float:
     """Exact conditional data-leakage power summed over the read window.
 
     For unit-energy, zero-mean, independent data symbols the leakage power
@@ -222,10 +194,7 @@ def exact_interference_power(
     mask with the tap energy, evaluated here by FFT.  This is the
     pre-approximation value the flat-sidelobe predictor approximates.
     """
-    mask = layout.data_mask(grid).astype(float)
+    mask = layout.data_mask.astype(float)
     energy = np.abs(truth_taps) ** 2
     leak = np.fft.ifft2(np.fft.fft2(mask) * np.fft.fft2(energy)).real
-    dks, dls = layout.read_offsets(grid)
-    rows = (layout.pilot_doppler + dks) % grid.N
-    cols = (layout.pilot_delay + dls) % grid.M
-    return float(np.sum(leak[np.ix_(rows, cols)]))
+    return float(np.sum(leak[layout.read_cells]))

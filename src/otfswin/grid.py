@@ -163,23 +163,12 @@ class Constellation:
         symbols = np.asarray(symbols, dtype=complex).reshape(-1)
         return np.argmin(np.abs(symbols[:, None] - self.points[None, :]), axis=1)
 
-    def demodulate(self, symbols: np.ndarray) -> np.ndarray:
-        """Hard-decision bits for arbitrary (noisy) complex symbols."""
-        return self.indices_to_bits(self.nearest_indices(symbols))
-
 
 def vectorize(frame: np.ndarray) -> np.ndarray:
     """Flatten an (N, M) frame into the canonical k*M+l / n*M+m order."""
     if frame.ndim != 2:
         raise ValueError("expected a 2-D frame")
     return np.asarray(frame).reshape(-1)
-
-
-def devectorize(vec: np.ndarray, grid: FrameGrid) -> np.ndarray:
-    vec = np.asarray(vec)
-    if vec.size != grid.size:
-        raise ValueError(f"vector length {vec.size} does not match grid size {grid.size}")
-    return vec.reshape(grid.N, grid.M)
 
 
 def map_symbols(
@@ -209,12 +198,3 @@ def map_symbols(
     frame[mask] = symbols
     return frame
 
-
-def demap_frame(
-    frame: np.ndarray,
-    constellation: Constellation,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Hard-demap a (noisy) DD frame back to bits, honoring a data mask."""
-    values = frame[mask] if mask is not None else frame.reshape(-1)
-    return constellation.demodulate(values)

@@ -169,9 +169,7 @@ class ExperimentConfig:
             raw = mapping[f.name]
             try:
                 if f.name == "snr_db":
-                    if isinstance(raw, str):
-                        raw = [p for p in raw.replace(",", " ").split() if p]
-                    kwargs[f.name] = tuple(float(v) for v in raw)
+                    kwargs[f.name] = raw  # parsed and checked by __post_init__
                 elif f.type in ("int", int):
                     kwargs[f.name] = int(raw)
                 elif f.type in ("float", float):
@@ -366,7 +364,6 @@ class _Link:
     constellation: Constellation
     windows: win_mod.WindowPair | None    # None: optimal TX window per realization
     layout: est_mod.PilotLayout | None    # None: full-data frames
-    data_mask: np.ndarray | None
     bits_per_frame: int
 
 
@@ -374,14 +371,14 @@ def _link(config: ExperimentConfig, pilot: bool) -> _Link:
     grid = config.grid()
     constellation = config.constellation_obj()
     windows = None if config.tx_window == "optimal" else build_windows(config, grid)
-    layout = data_mask = None
+    layout = None
+    n_data = grid.size
     if pilot:
         layout = est_mod.PilotLayout.centered(
             grid, config.k_max, config.l_max, config.k_hat, config.pilot_power_dbw
         )
-        data_mask = layout.data_mask(grid)
-    n_data = grid.size if data_mask is None else int(data_mask.sum())
-    return _Link(config, grid, constellation, windows, layout, data_mask,
+        n_data = int(layout.data_mask.sum())
+    return _Link(config, grid, constellation, windows, layout,
                  n_data * constellation.bits_per_symbol)
 
 
@@ -406,9 +403,11 @@ def _transmit(link: _Link, snr_index: int, trial: int, n0: float):
             raise NumericalFailure(f"optimal TX window: {exc}") from exc
         windows = win_mod.WindowPair.from_tx_grid(allocation.tx_window)
     bits = rng.integers(0, 2, link.bits_per_frame)
-    frame = map_symbols(bits, link.constellation, link.grid, mask=link.data_mask)
-    if link.layout is not None:
-        frame = est_mod.embed_pilot(frame, link.layout, link.grid)
+    if link.layout is None:
+        frame = map_symbols(bits, link.constellation, link.grid)
+    else:
+        frame = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
+        frame = est_mod.embed_pilot(frame, link.layout)
     y = ch_mod.transmit_frame(frame, tf_gains, windows, n0, rng)
     return bits, y, windows.rx, windows.joint * tf_gains
 
@@ -434,14 +433,12 @@ def run_ce_mse(config: ExperimentConfig) -> list[ResultRow]:
             "assumes the transmitter already knows the channel"
         )
     link = _link(config, pilot=True)
-    predicted = est_mod.predicted_mse_floor(
-        link.grid, link.layout, config_sidelobe_level(config, link.grid)
-    )
+    predicted = est_mod.predicted_mse_floor(link.layout, config_sidelobe_level(config, link.grid))
 
     def trial(snr_index: int, t: int, n0: float) -> float:
         _, y, _, gains = _transmit(link, snr_index, t, n0)
-        est = est_mod.estimate_channel(y, link.layout, link.grid, n0)
-        return est_mod.measured_ce_mse(ch_mod._dd_response(gains), est, link.layout, link.grid)
+        est = est_mod.estimate_channel(y, link.layout, n0)
+        return est_mod.measured_ce_mse(ch_mod._dd_response(gains), est, link.layout)
 
     tag = config.config_hash()
     rows: list[ResultRow] = []
@@ -475,10 +472,9 @@ def _detect_frame(
     The pilot cancellation and SPA use the taps, the LMMSE detector the
     gains; either comes from the other by one 2-D FFT.
     """
-    taps = None
+    layout, taps = link.layout, None
     if gains is None:
-        layout = link.layout
-        taps = est_mod.estimate_channel(y, layout, link.grid, n0)
+        taps = est_mod.estimate_channel(y, layout, n0)
         # remove the pilot's estimated contribution before detection
         shift = np.roll(taps, (layout.pilot_doppler, layout.pilot_delay), axis=(0, 1))
         y = y - layout.pilot_value * shift
@@ -487,7 +483,7 @@ def _detect_frame(
     if config.detector == "mmse":
         if gains is None:
             gains = ch_mod.tf_gains_from_taps(taps)
-        report = det_mod.tf_lmmse_detect(y, gains, rx_window, n0, constellation, link.data_mask)
+        report = det_mod.tf_lmmse_detect(y, gains, rx_window, n0, constellation, layout)
         return constellation.indices_to_bits(report.hard_indices)
 
     if taps is None:
@@ -495,13 +491,15 @@ def _detect_frame(
     eff = ch_mod.EffectiveDDChannel(
         taps=taps, truncation=ch_mod.largest_taps(taps, config.spa_tap_count())
     )
+    data_mask = None if layout is None else layout.data_mask
     report = det_mod.spa_detect(
         y, eff, n0, constellation,
-        iters=config.spa_iters, damping=config.spa_damping, data_mask=link.data_mask,
+        iters=config.spa_iters, damping=config.spa_damping, data_mask=data_mask,
     )
-    idx = report.hard_indices.reshape(link.grid.shape)
-    sel = idx[link.data_mask] if link.data_mask is not None else idx.reshape(-1)
-    return constellation.indices_to_bits(sel)
+    idx = report.hard_indices
+    if layout is not None:
+        idx = idx.reshape(link.grid.shape)[data_mask]
+    return constellation.indices_to_bits(idx)
 
 
 def run_fer(config: ExperimentConfig) -> list[ResultRow]:
@@ -632,14 +630,13 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
 
     # per-bin LMMSE vs the dense covariance form, full-data and pilot frames
     qpsk = Constellation.qpsk()
-    for name, m, n, layout in (
+    for name, m, n, spread in (
         ("detection.tf_lmmse_vs_dense", 8, 4, None),
         ("detection.tf_lmmse_pilot_vs_dense", 6, 10, (1, 2, 1)),
     ):
         grid = FrameGrid(M=m, N=n)
-        mask = np.ones(grid.shape, dtype=bool)
-        if layout is not None:
-            mask = est_mod.PilotLayout.centered(grid, *layout).data_mask(grid)
+        layout = None if spread is None else est_mod.PilotLayout.centered(grid, *spread)
+        mask = np.ones(grid.shape, dtype=bool) if layout is None else layout.data_mask
         worst = 0.0
         for n0 in (1.0, 1e-3, 1e-6):
             ch = ch_mod.sample_channel(grid, 3, (n - 1) // 2, m - 1, rng)
@@ -654,8 +651,7 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
             dense = det_mod.mmse_detect(
                 y.reshape(-1), h, det_mod.noise_covariance(windows.rx, n0), qpsk).soft
             fast = det_mod.tf_lmmse_detect(
-                y, windows.joint * ch_mod.tf_channel(ch), windows.rx, n0, qpsk,
-                mask if layout is not None else None).soft
+                y, windows.joint * ch_mod.tf_channel(ch), windows.rx, n0, qpsk, layout).soft
             worst = max(worst, float(np.linalg.norm(fast - dense) / np.linalg.norm(dense)))
         check(name, worst, 1e-8)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from otfswin import ConfigurationError, Constellation
 from otfswin.channel import EffectiveDDChannel
-from otfswin.detection import DetectionReport
+from otfswin.detection import DetectionReport, NoiseModel
 
 
 def naive_tf_channel(ch):
@@ -86,6 +86,19 @@ def brute_force_map(y_vec, channel_matrix, points):
     candidates = np.asarray(points)[digits] @ channel_matrix.T
     dist = np.abs(y_vec[None, :] - candidates) ** 2
     return digits[dist.sum(axis=1).argmin()]
+
+
+def mmse_error_covariance(channel_matrix: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """Error covariance (I + H^H C^(-1) H)^(-1) of the MMSE estimate."""
+    h = np.asarray(channel_matrix, dtype=complex)
+    whitened = np.linalg.solve(noise.matrix(h.shape[0]), h)
+    return np.linalg.inv(np.eye(h.shape[1]) + h.conj().T @ whitened)
+
+
+def mmse_trace_mse(channel_matrix: np.ndarray, noise: NoiseModel) -> float:
+    """Analytic per-symbol MSE: trace of the error covariance over its size."""
+    e = mmse_error_covariance(channel_matrix, noise)
+    return float(np.real(np.trace(e))) / e.shape[0]
 
 
 def grid_search_allocation(lam, step=1e-3):

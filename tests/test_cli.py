@@ -115,6 +115,7 @@ class TestExperiments:
 
     @pytest.mark.parametrize("line, field", [
         ("snr_db = 10, nan", "SNR"),
+        ("snr_db = 10, x", "snr_db"),
         ("spa_iters = 0", "spa_iters"),
         ("spa_damping = 2", "spa_damping"),
         ("snr_db = 10, -3100", "noise power"),
@@ -144,6 +145,7 @@ class TestExperiments:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+        assert len(err.splitlines()) == 1, err
 
     def test_optimal_tx_window_exits_2_on_ce_mse(self, tmp_path, capsys):
         cfg = tmp_path / "csit.cfg"

@@ -23,8 +23,6 @@ from otfswin import (
     effective_dd_channel,
     largest_taps,
     mmse_detect,
-    mmse_error_covariance,
-    mmse_trace_mse,
     noise_covariance,
     sample_channel,
     sfft,
@@ -38,7 +36,7 @@ from otfswin import (
 from otfswin.channel import EffectiveDDChannel
 from otfswin.detection import NoiseModel
 
-from oracles import brute_force_map, enumeration_spa_detect
+from oracles import brute_force_map, enumeration_spa_detect, mmse_error_covariance, mmse_trace_mse
 
 
 class TestNoiseCovariance:
@@ -146,9 +144,9 @@ class TestTFLMMSE:
         )
         return ch, windows
 
-    def compare(self, rng, grid, mask, estimated):
+    def compare(self, rng, grid, layout, estimated):
         qpsk = Constellation.qpsk()
-        data = np.ones(grid.shape, dtype=bool) if mask is None else mask
+        data = np.ones(grid.shape, dtype=bool) if layout is None else layout.data_mask
         for snr in (0.0, 20.0, 40.0, 60.0):
             n0 = 10.0 ** (-snr / 10.0)
             ch, windows = self.draw(rng, grid)
@@ -160,7 +158,7 @@ class TestTFLMMSE:
             gains = tf_gains_from_taps(taps) if estimated else windows.joint * tf_channel(ch)
             dense = mmse_detect(vectorize(y), circular_operator(taps)[:, vectorize(data)],
                                 noise_covariance(windows.rx, n0), qpsk)
-            fast = tf_lmmse_detect(y, gains, windows.rx, n0, qpsk, mask)
+            fast = tf_lmmse_detect(y, gains, windows.rx, n0, qpsk, layout)
             rel = np.linalg.norm(fast.soft - dense.soft) / np.linalg.norm(dense.soft)
             assert rel < 1e-8, (grid, snr)
             assert np.array_equal(fast.hard_indices, dense.hard_indices)
@@ -174,26 +172,25 @@ class TestTFLMMSE:
     ])
     def test_pilot_frames_match_dense(self, m, n, k_max, l_max, k_hat):
         grid = FrameGrid(M=m, N=n)
-        mask = PilotLayout.centered(grid, k_max, l_max, k_hat).data_mask(grid)
-        self.compare(np.random.default_rng(m * n + k_hat), grid, mask, True)
+        layout = PilotLayout.centered(grid, k_max, l_max, k_hat)
+        self.compare(np.random.default_rng(m * n + k_hat), grid, layout, True)
 
     def test_zero_noise_with_a_zero_gain_refused(self):
         grid = FrameGrid(M=4, N=4)
         gains = np.ones(grid.shape, dtype=complex)
         gains[1, 2] = 0.0
-        mask = PilotLayout.centered(grid, 0, 1, 0).data_mask(grid)
-        for data_mask in (None, mask):
+        for layout in (None, PilotLayout.centered(grid, 0, 1, 0)):
             with pytest.raises(NumericalFailure):
                 tf_lmmse_detect(np.ones(grid.shape), gains, np.ones(grid.shape), 0.0,
-                                Constellation.qpsk(), data_mask)
+                                Constellation.qpsk(), layout)
 
     def test_zero_noise_with_known_cells_refused(self):
         # the masked Gram H_D H_D^H has rank |D| < NM without noise
         grid = FrameGrid(M=4, N=4)
-        mask = PilotLayout.centered(grid, 0, 1, 0).data_mask(grid)
+        layout = PilotLayout.centered(grid, 0, 1, 0)
         with pytest.raises(NumericalFailure):
             tf_lmmse_detect(np.ones(grid.shape), np.ones(grid.shape), np.ones(grid.shape),
-                            0.0, Constellation.qpsk(), mask)
+                            0.0, Constellation.qpsk(), layout)
 
 
 class TestAnalyticMSE:
@@ -375,7 +372,7 @@ class TestSPAContraction:
             windows = WindowPair.separable(grid, tx_doppler=dc_window(grid.N, -30.0).coeffs)
         ch = sample_channel(grid, 3, min((n - 1) // 2, 2), min(m - 1, 2), rng)
         eff = effective_dd_channel(ch, windows, truncate_to=taps)
-        mask = PilotLayout.centered(grid, *self.LAYOUTS[m, n]).data_mask(grid) if masked else None
+        mask = PilotLayout.centered(grid, *self.LAYOUTS[m, n]).data_mask if masked else None
         data = np.ones(grid.shape, dtype=bool) if mask is None else mask
         x = np.zeros(grid.shape, dtype=complex)
         x[data] = constellation.points[rng.integers(0, constellation.points.size, int(data.sum()))]

@@ -11,20 +11,19 @@ from otfswin import (
     PathSpec,
     PilotLayout,
     WindowPair,
-    dc_window,
+    circular_operator,
     effective_dd_channel,
     embed_pilot,
     estimate_channel,
     exact_interference_power,
     map_symbols,
     measured_ce_mse,
-    predicted_interference_power,
     predicted_mse_floor,
     sample_channel,
     tf_channel,
     transmit_frame,
 )
-from otfswin.estimation import predicted_mse_floor_params
+from otfswin.estimation import predicted_interference_power_params, predicted_mse_floor_params
 
 FIG6_GRID = FrameGrid(M=30, N=20)
 
@@ -36,38 +35,52 @@ def fig6_layout(k_hat=1):
 class TestLayout:
     def test_overhead_product(self):
         layout = fig6_layout(k_hat=1)
-        assert layout.overhead_cells() == 9 * 17 == 153
-        assert int(layout.guard_mask(FIG6_GRID).sum()) == 153
-        assert int(layout.data_mask(FIG6_GRID).sum()) == FIG6_GRID.size - 153
+        assert int(layout.guard_mask.sum()) == 9 * 17 == 153
+        assert int(layout.data_mask.sum()) == FIG6_GRID.size - 153
 
     def test_pilot_only_layout(self):
         grid = FrameGrid(M=8, N=8)
         layout = PilotLayout.centered(grid, k_max=0, l_max=0, k_hat=0)
-        assert layout.overhead_cells() == 1
-        assert int(layout.guard_mask(grid).sum()) == 1
+        assert int(layout.guard_mask.sum()) == 1
 
     def test_full_guard_occupies_all_doppler_rows(self):
         # 4*k_max + 4*k_hat + 1 = N wipes out the interference entirely
         grid = FrameGrid(M=16, N=21)
         layout = PilotLayout.centered(grid, k_max=2, l_max=3, k_hat=3)
         assert 4 * layout.k_max + 4 * layout.k_hat + 1 == grid.N
-        assert layout.overhead_cells() == (2 * layout.l_max + 1) * grid.N
-        assert predicted_interference_power(grid, layout, 1.0 / grid.N) == 0.0
+        assert int(layout.guard_mask.sum()) == (2 * layout.l_max + 1) * grid.N
+        assert np.all(layout.guard_mask.any(axis=1))
+        assert predicted_interference_power_params(grid.N, 2, 3, 1.0 / grid.N) == 0.0
 
     def test_excessive_extra_guard_rejected(self):
+        # N = 20, k_max = 3 leaves room for k_hat <= 1 only
         with pytest.raises(ConfigurationError, match="k_hat"):
-            fig6_layout(k_hat=2).validate(FIG6_GRID)
+            PilotLayout(grid=FIG6_GRID, pilot_doppler=10, pilot_delay=15,
+                        pilot_value=1.0, k_max=3, l_max=4, k_hat=2)
 
     def test_delay_wraparound_guarded(self):
         grid = FrameGrid(M=8, N=20)
-        layout = PilotLayout(pilot_doppler=10, pilot_delay=0, pilot_value=1.0,
-                             k_max=3, l_max=2, k_hat=0)
         with pytest.raises(ConfigurationError, match="wrap"):
-            layout.validate(grid)
-        permissive = PilotLayout(pilot_doppler=10, pilot_delay=0, pilot_value=1.0,
-                                 k_max=3, l_max=2, k_hat=0, allow_delay_wrap=True)
-        permissive.validate(grid)
-        assert permissive.wraps(grid)
+            PilotLayout(grid=grid, pilot_doppler=10, pilot_delay=0, pilot_value=1.0,
+                        k_max=3, l_max=2, k_hat=0)
+
+    @pytest.mark.parametrize("m, n, spread", [
+        (30, 20, (3, 4, 1)), (30, 20, (3, 4, 0)), (6, 10, (1, 2, 1)),
+    ])
+    def test_guard_pairs_gather_the_guard_block_of_the_circular_operator(self, m, n, spread):
+        grid = FrameGrid(M=m, N=n)
+        layout = PilotLayout.centered(grid, *spread)
+        rng = np.random.default_rng(m * n + spread[2])
+        e = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        guard = layout.guard_mask.reshape(-1)
+        assert np.array_equal(e.take(layout.guard_pairs), circular_operator(e)[guard][:, guard])
+
+    def test_index_sets_are_read_only(self):
+        layout = fig6_layout()
+        for array in (layout.guard_mask, layout.data_mask, layout.guard_pairs,
+                      *layout.read_cells, *layout.tap_cells):
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
 
     def test_centered_pilot_power(self):
         layout = fig6_layout()
@@ -79,18 +92,18 @@ class TestEmbedPilot:
         rng = np.random.default_rng(0)
         layout = fig6_layout()
         qpsk = Constellation.qpsk()
-        mask = layout.data_mask(FIG6_GRID)
+        mask = layout.data_mask
         bits = rng.integers(0, 2, int(mask.sum()) * 2)
-        frame = embed_pilot(map_symbols(bits, qpsk, FIG6_GRID, mask=mask), layout, FIG6_GRID)
+        frame = embed_pilot(map_symbols(bits, qpsk, FIG6_GRID, mask=mask), layout)
         assert frame[layout.pilot_doppler, layout.pilot_delay] == layout.pilot_value
-        guard = layout.guard_mask(FIG6_GRID).copy()
+        guard = layout.guard_mask.copy()
         guard[layout.pilot_doppler, layout.pilot_delay] = False
         assert np.all(frame[guard] == 0)
         assert np.count_nonzero(frame) == int(mask.sum()) + 1
 
     def test_frame_shape_checked(self):
         with pytest.raises(ValueError):
-            embed_pilot(np.zeros((4, 4)), fig6_layout(), FIG6_GRID)
+            embed_pilot(np.zeros((4, 4)), fig6_layout())
 
 
 class TestEstimator:
@@ -100,9 +113,9 @@ class TestEstimator:
         windows = WindowPair.rectangular(grid)
         ch = ChannelRealization((PathSpec(0.8 - 0.5j, 2, -1),), grid)
         truth = effective_dd_channel(ch, windows).taps
-        frame = embed_pilot(np.zeros(grid.shape, dtype=complex), layout, grid)
+        frame = embed_pilot(np.zeros(grid.shape, dtype=complex), layout)
         received = transmit_frame(frame, tf_channel(ch), windows)
-        est = estimate_channel(received, layout, grid, n0=1e-8)
+        est = estimate_channel(received, layout, n0=1e-8)
         assert est[(-1) % grid.N, 2] == pytest.approx(truth[(-1) % grid.N, 2], abs=1e-10)
         mismatch = np.abs(est - truth)
         mismatch[(-1) % grid.N, 2] = 0.0
@@ -112,7 +125,7 @@ class TestEstimator:
         grid = FrameGrid(M=8, N=8)
         layout = PilotLayout.centered(grid, k_max=1, l_max=1, k_hat=0)
         weak = np.full(grid.shape, 1e-3, dtype=complex)
-        est = estimate_channel(weak, layout, grid, n0=1.0)
+        est = estimate_channel(weak, layout, n0=1.0)
         assert np.all(est == 0)
 
     def test_fractional_full_guard_noiseless_matches_truth_on_window(self):
@@ -126,28 +139,26 @@ class TestEstimator:
         ch = sample_channel(grid, 3, 1, 3, rng)
         truth = effective_dd_channel(ch, windows).taps
         qpsk = Constellation.qpsk()
-        mask = layout.data_mask(grid)
+        mask = layout.data_mask
         frame = map_symbols(rng.integers(0, 2, int(mask.sum()) * 2), qpsk, grid, mask=mask)
-        frame = embed_pilot(frame, layout, grid)
+        frame = embed_pilot(frame, layout)
         received = transmit_frame(frame, tf_channel(ch), windows)
-        est = estimate_channel(received, layout, grid, n0=0.0)
-        dks, dls = layout.read_offsets(grid)
-        sel = np.ix_(dks % grid.N, dls % grid.M)
+        est = estimate_channel(received, layout, n0=0.0)
+        sel = layout.tap_cells
         assert np.max(np.abs(est[sel] - truth[sel])) < 1e-12
 
 
 class TestPredictors:
     def test_interference_power_values(self):
-        layout = fig6_layout(k_hat=1)
-        assert predicted_interference_power(FIG6_GRID, layout, 1 / 20) == pytest.approx(0.0075)
-        assert predicted_interference_power(FIG6_GRID, layout, 1e-2) == pytest.approx(3e-4)
+        assert predicted_interference_power_params(20, 3, 1, 1 / 20) == pytest.approx(0.0075)
+        assert predicted_interference_power_params(20, 3, 1, 1e-2) == pytest.approx(3e-4)
 
     def test_floor_values(self):
         layout1 = fig6_layout(k_hat=1)
         layout0 = fig6_layout(k_hat=0)
-        assert predicted_mse_floor(FIG6_GRID, layout1, 1 / 20) == pytest.approx(0.3375)
-        assert predicted_mse_floor(FIG6_GRID, layout0, 1 / 20) == pytest.approx(0.6125)
-        dc_floor = predicted_mse_floor(FIG6_GRID, layout1, 1e-2)
+        assert predicted_mse_floor(layout1, 1 / 20) == pytest.approx(0.3375)
+        assert predicted_mse_floor(layout0, 1 / 20) == pytest.approx(0.6125)
+        dc_floor = predicted_mse_floor(layout1, 1e-2)
         assert dc_floor == pytest.approx(0.0135)
         # about 14 dB below the rectangular floor
         gain_db = 10 * np.log10(0.3375 / dc_floor)
@@ -161,25 +172,25 @@ class TestMeasuredError:
     def test_zero_error_measures_zero(self):
         layout = fig6_layout()
         taps = np.random.default_rng(2).standard_normal(FIG6_GRID.shape) + 0j
-        assert measured_ce_mse(taps, taps, layout, FIG6_GRID) == 0.0
+        assert measured_ce_mse(taps, taps, layout) == 0.0
 
     def test_single_tap_error_with_unit_pilot(self):
         grid = FrameGrid(M=8, N=8)
-        layout = PilotLayout(pilot_doppler=4, pilot_delay=3, pilot_value=1.0,
+        layout = PilotLayout(grid=grid, pilot_doppler=4, pilot_delay=3, pilot_value=1.0,
                              k_max=1, l_max=1, k_hat=0)
         truth = np.zeros(grid.shape, dtype=complex)
         est = truth.copy()
         est[1, 1] = 0.3 - 0.4j  # inside the read window
-        assert measured_ce_mse(truth, est, layout, grid) == pytest.approx(0.25)
+        assert measured_ce_mse(truth, est, layout) == pytest.approx(0.25)
 
     def test_pilot_scale_factor_applied(self):
         grid = FrameGrid(M=8, N=8)
-        layout = PilotLayout(pilot_doppler=4, pilot_delay=3, pilot_value=10.0,
+        layout = PilotLayout(grid=grid, pilot_doppler=4, pilot_delay=3, pilot_value=10.0,
                              k_max=1, l_max=1, k_hat=0)
         truth = np.zeros(grid.shape, dtype=complex)
         est = truth.copy()
         est[0, 0] = 1.0
-        assert measured_ce_mse(truth, est, layout, grid) == pytest.approx(100.0)
+        assert measured_ce_mse(truth, est, layout) == pytest.approx(100.0)
 
     def test_full_guard_error_vanishes_at_high_snr(self):
         grid = FrameGrid(M=16, N=13)
@@ -187,7 +198,7 @@ class TestMeasuredError:
         rng = np.random.default_rng(3)
         windows = WindowPair.rectangular(grid)
         qpsk = Constellation.qpsk()
-        mask = layout.data_mask(grid)
+        mask = layout.data_mask
         errors = []
         for snr_db in (40.0, 80.0):
             n0 = 10 ** (-snr_db / 10)
@@ -198,10 +209,10 @@ class TestMeasuredError:
                 truth = effective_dd_channel(ch, windows).taps
                 frame = map_symbols(trial_rng.integers(0, 2, int(mask.sum()) * 2),
                                     qpsk, grid, mask=mask)
-                frame = embed_pilot(frame, layout, grid)
+                frame = embed_pilot(frame, layout)
                 received = transmit_frame(frame, tf_channel(ch), windows, n0, trial_rng)
-                est = estimate_channel(received, layout, grid, n0)
-                sse += measured_ce_mse(truth, est, layout, grid)
+                est = estimate_channel(received, layout, n0)
+                sse += measured_ce_mse(truth, est, layout)
             errors.append(sse / 50)
         assert errors[1] < 1e-3 * errors[0]  # no floor: error keeps falling
 
@@ -217,9 +228,9 @@ class TestInterferenceIdentity:
         ch = sample_channel(grid, 2, 1, 1, rng)
         taps = effective_dd_channel(ch, windows).taps
         qpsk = Constellation.qpsk()
-        mask = layout.data_mask(grid)
+        mask = layout.data_mask
         frame = map_symbols(rng.integers(0, 2, int(mask.sum()) * 2), qpsk, grid, mask=mask)
-        frame = embed_pilot(frame, layout, grid)
+        frame = embed_pilot(frame, layout)
         received = transmit_frame(frame, tf_channel(ch), windows)
         # direct leakage sum over data cells only
         for dk in range(-1, 2):
@@ -241,25 +252,22 @@ class TestInterferenceIdentity:
         layout = fig6_layout()
         windows = WindowPair.rectangular(grid)
         qpsk = Constellation.qpsk()
-        mask = layout.data_mask(grid)
+        mask = layout.data_mask
         nbits = int(mask.sum()) * 2
         trials = 10_000
         measured = np.empty(trials)
         exact = np.empty(trials)
-        dks, dls = layout.read_offsets(grid)
-        rows = (layout.pilot_doppler + dks) % grid.N
-        cols = (layout.pilot_delay + dls) % grid.M
         for t in range(trials):
             rng = np.random.default_rng([rng_seed, t])
             ch = sample_channel(grid, 5, 3, 4, rng)
             taps = effective_dd_channel(ch, windows).taps
             frame = map_symbols(rng.integers(0, 2, nbits), qpsk, grid, mask=mask)
-            frame = embed_pilot(frame, layout, grid)
+            frame = embed_pilot(frame, layout)
             received = transmit_frame(frame, tf_channel(ch), windows)
             pilot = layout.pilot_value * np.roll(taps, (layout.pilot_doppler, layout.pilot_delay), axis=(0, 1))
-            leak = (received - pilot)[np.ix_(rows, cols)]
+            leak = (received - pilot)[layout.read_cells]
             measured[t] = float(np.sum(np.abs(leak) ** 2))
-            exact[t] = exact_interference_power(taps, layout, grid)
+            exact[t] = exact_interference_power(taps, layout)
         assert measured.mean() == pytest.approx(exact.mean(), rel=0.05)
 
     def test_more_guard_lowers_the_measured_floor(self):
@@ -270,7 +278,7 @@ class TestInterferenceIdentity:
         floors = []
         for k_hat in (0, 1):
             layout = fig6_layout(k_hat=k_hat)
-            mask = layout.data_mask(grid)
+            mask = layout.data_mask
             nbits = int(mask.sum()) * 2
             sse = 0.0
             trials = 300
@@ -279,9 +287,9 @@ class TestInterferenceIdentity:
                 ch = sample_channel(grid, 5, 3, 4, rng)
                 truth = effective_dd_channel(ch, windows).taps
                 frame = map_symbols(rng.integers(0, 2, nbits), qpsk, grid, mask=mask)
-                frame = embed_pilot(frame, layout, grid)
+                frame = embed_pilot(frame, layout)
                 received = transmit_frame(frame, tf_channel(ch), windows, n0, rng)
-                est = estimate_channel(received, layout, grid, n0)
-                sse += measured_ce_mse(truth, est, layout, grid)
+                est = estimate_channel(received, layout, n0)
+                sse += measured_ce_mse(truth, est, layout)
             floors.append(sse / trials)
         assert floors[1] < floors[0]
