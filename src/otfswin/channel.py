@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,24 +126,40 @@ def sample_channel(
 # TF / time-domain operators (ideal pulses)
 # ---------------------------------------------------------------------------
 
-def tf_channel(ch: ChannelRealization) -> np.ndarray:
-    """Per-bin TF channel gains H[n, m] as an (N, M) grid.
+def tf_channel(ch: ChannelRealization | Sequence[ChannelRealization]) -> np.ndarray:
+    """Per-bin TF channel gains H[n, m] as an (N, M) grid, or as a (B, N, M)
+    stack for a sequence of B realizations on one grid with one path count.
 
     Under ideal pulses the TF channel matrix is diagonal; flattening this
     grid row-major gives the diagonal in vector order n*M + m.  Each path
     contributes a rank-one term: its gain and delay-Doppler phase times a
     Doppler phase vector over the slots and a delay phase vector over the
-    subcarriers.  The outer products are summed by broadcasting, not by a
-    matrix product, which keeps BLAS out of the per-trial estimation path.
+    subcarriers.  The phases are computed for all (B, P) paths at once and
+    the outer products added one path at a time, in path order, so no
+    (B, P, N, M) array is built and no matrix product brings BLAS onto the
+    per-trial path.
     """
-    grid = ch.grid
-    gains = ch.gains()
-    nu = np.array([p.doppler_shift for p in ch.paths])
-    delay = np.array([p.delay_bin for p in ch.paths], dtype=float)
-    coef = gains * np.exp(-2j * np.pi * nu * delay / (grid.N * grid.M))
-    doppler = coef[:, None] * np.exp(2j * np.pi * nu[:, None] * np.arange(grid.N) / grid.N)
-    delay_ph = np.exp(-2j * np.pi * delay[:, None] * np.arange(grid.M) / grid.M)
-    return np.sum(doppler[:, :, None] * delay_ph[:, None, :], axis=0)
+    single = isinstance(ch, ChannelRealization)
+    channels = (ch,) if single else tuple(ch)
+    grid = channels[0].grid
+    gains = np.array([c.gains() for c in channels])
+    nu = np.array([[p.doppler_shift for p in c.paths] for c in channels])
+    delay = np.array([[p.delay_bin for p in c.paths] for c in channels], dtype=float)
+    # A temporary that is multiplied from the left is bound to a name first.
+    # numpy rewrites ``a * tmp`` on a nameless temporary of 256 KiB or more
+    # as ``tmp *= a``, which swaps the operands of its fused complex multiply
+    # and moves imaginary parts by one ulp, so a stack would no longer match
+    # its frames bit for bit.  np.multiply(a, tmp, out=tmp) is no cure: an
+    # aliased output changes the rounding of one-element products.
+    phase = np.exp(-2j * np.pi * nu * delay / (grid.N * grid.M))
+    coef = gains * phase
+    phase = np.exp(2j * np.pi * nu[..., None] * np.arange(grid.N) / grid.N)
+    doppler = coef[..., None] * phase
+    delay_ph = np.exp(-2j * np.pi * delay[..., None] * np.arange(grid.M) / grid.M)
+    out = doppler[:, 0, :, None] * delay_ph[:, 0, None, :]
+    for p in range(1, gains.shape[1]):
+        out += doppler[:, p, :, None] * delay_ph[:, p, None, :]
+    return out[0] if single else out
 
 
 def time_channel(tf_gain_grid: np.ndarray) -> np.ndarray:
@@ -167,9 +184,10 @@ def time_channel(tf_gain_grid: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _dd_response(tf_grid: np.ndarray) -> np.ndarray:
-    """(1/NM) * sum_{n,m} A[n,m] exp(-j2pi nk/N) exp(+j2pi ml/M) for all (k,l)."""
-    n = tf_grid.shape[0]
-    return np.fft.fft(np.fft.ifft(tf_grid, axis=1), axis=0) / n
+    """(1/NM) * sum_{n,m} A[n,m] exp(-j2pi nk/N) exp(+j2pi ml/M) for all (k,l),
+    per frame of a ``[..., N, M]`` stack."""
+    n = tf_grid.shape[-2]
+    return np.fft.fft(np.fft.ifft(tf_grid, axis=-1), axis=-2) / n
 
 
 def tf_gains_from_taps(tap_grid: np.ndarray) -> np.ndarray:
@@ -320,23 +338,38 @@ def transmit_frame(
     tf_gain_grid: np.ndarray,
     windows: WindowPair,
     n0: float = 0.0,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
-    """Pass a DD frame through the windowed ideal-pulse channel.
+    """Pass a DD frame, or each frame of a ``[..., N, M]`` stack, through the
+    windowed ideal-pulse channel.
 
     Exact FFT chain: modulate, TX window, per-bin TF gains, additive white
-    TF noise of power n0, RX window, demodulate.  Returns the received DD
-    frame.
+    TF noise of power n0, RX window, demodulate.  The gain and window grids
+    broadcast against the frames.  Returns the received DD frames.
+
+    A stack takes one generator per frame (row-major over the leading axes)
+    and draws each frame's noise from its own generator, real parts before
+    imaginary parts, as a single frame does: frame i of a stack is bit for
+    bit the frame that ``transmit_frame`` returns for it alone.
     """
     x_tf = isfft(dd_frame)
-    received = tf_gain_grid * (windows.tx * x_tf)
+    # named temporaries keep the single-frame operand order (see tf_channel)
+    received = windows.tx * x_tf
+    received = tf_gain_grid * received
     if n0 > 0.0:
         if rng is None:
             raise ValueError("noise requested but no rng supplied")
-        noise = math.sqrt(n0 / 2.0) * (
-            rng.standard_normal(x_tf.shape) + 1j * rng.standard_normal(x_tf.shape)
-        )
-        received = received + noise
+        shape = x_tf.shape[-2:]
+        generators = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+        if len(generators) * shape[0] * shape[1] != x_tf.size:
+            raise ValueError("a stack of frames needs one generator per frame")
+        real, imag = np.empty(x_tf.shape), np.empty(x_tf.shape)
+        for gen, re, im in zip(generators, real.reshape((-1,) + shape),
+                               imag.reshape((-1,) + shape)):
+            re[...] = gen.standard_normal(shape)
+            im[...] = gen.standard_normal(shape)
+        noise = real + 1j * imag
+        received = received + math.sqrt(n0 / 2.0) * noise
     return sfft(windows.rx * received)
 
 

@@ -16,6 +16,7 @@ across pilot settings.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +43,8 @@ class PilotLayout:
     * ``read_cells``: ``np.ix_`` index of the read window in the frame, and
       ``tap_cells`` of the tap offsets it measures, (k - k_p) mod N and
       l - l_p;
-    * ``guard_pairs``: (G, G) flat index into an (N, M) tap grid e such that
+    * ``guard_pairs`` (built on first access): (G, G) flat index into an
+      (N, M) tap grid e such that
       ``e.take(guard_pairs)[i, j] = e[(k_i - k_j) mod N, (l_i - l_j) mod M]``
       for the guard cells in row-major order, the guard block of the circular
       operator of e.
@@ -59,7 +61,6 @@ class PilotLayout:
     data_mask: np.ndarray = field(init=False, repr=False, compare=False)
     read_cells: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     tap_cells: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    guard_pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, m = self.grid.shape
@@ -86,16 +87,23 @@ class PilotLayout:
         dls = np.arange(0, self.l_max + 1)
         read_cells = np.ix_((self.pilot_doppler + dks) % n, self.pilot_delay + dls)
         tap_cells = np.ix_(dks % n, dls)
-        k, l = np.nonzero(guard)
-        pairs = ((k[:, None] - k[None, :]) % n) * m + (l[:, None] - l[None, :]) % m
         # every frame of a run shares these, so none may be written in place
-        for array in (guard, data, pairs, *read_cells, *tap_cells):
+        for array in (guard, data, *read_cells, *tap_cells):
             array.flags.writeable = False
         object.__setattr__(self, "guard_mask", guard)
         object.__setattr__(self, "data_mask", data)
         object.__setattr__(self, "read_cells", read_cells)
         object.__setattr__(self, "tap_cells", tap_cells)
-        object.__setattr__(self, "guard_pairs", pairs)
+
+    @functools.cached_property
+    def guard_pairs(self) -> np.ndarray:
+        """The (G, G) guard-pair index, built on first use: only the pilot
+        LMMSE detector reads it, and it grows as G^2."""
+        k, l = np.nonzero(self.guard_mask)
+        n, m = self.grid.shape
+        pairs = ((k[:, None] - k[None, :]) % n) * m + (l[:, None] - l[None, :]) % m
+        pairs.flags.writeable = False
+        return pairs
 
     @classmethod
     def centered(
@@ -119,12 +127,13 @@ class PilotLayout:
 
 
 def embed_pilot(data_frame: np.ndarray, layout: PilotLayout) -> np.ndarray:
-    """Overwrite the guard region with zeros and the pilot cell with x_p."""
-    if data_frame.shape != layout.grid.shape:
+    """Overwrite the guard region with zeros and the pilot cell with x_p, in
+    an (N, M) frame or in each frame of a ``[..., N, M]`` stack."""
+    if data_frame.shape[-2:] != layout.grid.shape:
         raise ValueError("frame shape does not match grid")
     frame = np.array(data_frame, dtype=complex, copy=True)
-    frame[layout.guard_mask] = 0.0
-    frame[layout.pilot_doppler, layout.pilot_delay] = layout.pilot_value
+    frame[..., layout.guard_mask] = 0.0
+    frame[..., layout.pilot_doppler, layout.pilot_delay] = layout.pilot_value
     return frame
 
 
@@ -134,15 +143,16 @@ def estimate_channel(received: np.ndarray, layout: PilotLayout, n0: float) -> np
     Reads the window the pilot response can occupy and sets
     est[(k - k_p) mod N, (l - l_p) mod M] = y[k, l] / x_p wherever
     |y[k, l]| >= 3*sqrt(n0).  Returns a full (N, M) grid, zero outside the
-    window, ready to rebuild the channel operator by circular convolution.
+    window, ready to rebuild the channel operator by circular convolution;
+    a ``[..., N, M]`` stack of received frames gives a stack of grids.
     """
-    if received.shape != layout.grid.shape:
+    if received.shape[-2:] != layout.grid.shape:
         raise ValueError("frame shape does not match grid")
     threshold = 3.0 * math.sqrt(max(n0, 0.0))
-    est = np.zeros(layout.grid.shape, dtype=complex)
-    block = received[layout.read_cells]
+    est = np.zeros(received.shape, dtype=complex)
+    block = received[(..., *layout.read_cells)]
     keep = np.abs(block) >= threshold
-    est[layout.tap_cells] = np.where(keep, block / layout.pilot_value, 0.0)
+    est[(..., *layout.tap_cells)] = np.where(keep, block / layout.pilot_value, 0.0)
     return est
 
 
@@ -174,15 +184,22 @@ def measured_ce_mse(
     truth_taps: np.ndarray,
     estimated_taps: np.ndarray,
     layout: PilotLayout,
-) -> float:
+) -> float | np.ndarray:
     """Squared estimation error summed (not averaged) over the read window.
 
     Expressed at the received-pilot scale, |x_p * (est - truth)|^2, so values
-    line up with :func:`predicted_mse_floor` for any pilot power.
+    line up with :func:`predicted_mse_floor` for any pilot power.  Stacks of
+    ``[..., N, M]`` tap grids give one value per frame.
     """
-    sel = layout.tap_cells
-    err = estimated_taps[sel] - truth_taps[sel]
-    return float(abs(layout.pilot_value) ** 2 * np.sum(np.abs(err) ** 2))
+    # Behind a leading axis the np.ix_ gather returns the batch axis
+    # innermost, and np.sum over that layout adds a frame's cells in another
+    # order than over one frame's block.  C-contiguous blocks, summed as
+    # (..., cells) rows, add them exactly as a single frame does.
+    sel = (..., *layout.tap_cells)
+    err = np.ascontiguousarray(estimated_taps[sel]) - np.ascontiguousarray(truth_taps[sel])
+    power = np.abs(err) ** 2
+    sse = abs(layout.pilot_value) ** 2 * np.sum(power.reshape(power.shape[:-2] + (-1,)), axis=-1)
+    return float(sse) if sse.ndim == 0 else sse
 
 
 def exact_interference_power(truth_taps: np.ndarray, layout: PilotLayout) -> float:

@@ -177,24 +177,25 @@ def map_symbols(
     grid: FrameGrid,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Map a bit sequence onto a DD frame.
+    """Map a bit sequence onto a DD frame, or each row of a ``[..., bits]``
+    array onto the frames of a ``[..., N, M]`` stack.
 
     When ``mask`` is given (True marks data cells), bits fill only the masked
     cells in row-major order and the remaining cells are zero; the caller is
-    expected to overwrite them (pilot embedding).  The bit count must match
-    the number of filled cells exactly.
+    expected to overwrite them (pilot embedding).  The bit count per frame
+    must match the number of filled cells exactly.
     """
     bps = constellation.bits_per_symbol
     n_cells = grid.size if mask is None else int(np.count_nonzero(mask))
     bits = np.asarray(bits)
-    if bits.size != n_cells * bps:
-        raise ValueError(f"expected {n_cells * bps} bits, got {bits.size}")
-    symbols = constellation.modulate(bits)
+    if bits.ndim < 1 or bits.shape[-1] != n_cells * bps:
+        raise ValueError(f"expected {n_cells * bps} bits per frame, got {bits.shape}")
+    lead = bits.shape[:-1]
+    symbols = constellation.modulate(bits.reshape(-1)).reshape(lead + (n_cells,))
     if mask is None:
-        return symbols.reshape(grid.N, grid.M)
-    if mask.shape != (grid.N, grid.M):
+        return symbols.reshape(lead + grid.shape)
+    if mask.shape != grid.shape:
         raise ValueError("mask shape does not match grid")
-    frame = np.zeros((grid.N, grid.M), dtype=complex)
-    frame[mask] = symbols
+    frame = np.zeros(lead + grid.shape, dtype=complex)
+    frame[..., mask] = symbols
     return frame
-

@@ -382,42 +382,70 @@ def _link(config: ExperimentConfig, pilot: bool) -> _Link:
                  n_data * constellation.bits_per_symbol)
 
 
-def _transmit(link: _Link, snr_index: int, trial: int, n0: float):
-    """One trial of the link up to the receiver: draw the channel, build the
-    TX window, map the bits, embed the pilot and pass the frame through the
-    windowed TF channel.
+def _transmit(link: _Link, snr_index: int, trials: range, n0: float):
+    """A chunk of trials of the link up to the receiver: draw each trial's
+    channel and bits, build the TX windows, map the bits, embed the pilot and
+    pass the frames through the windowed TF channel.
 
-    Returns the data bits, the received DD frame, the RX window and the
-    windowed TF gains ``joint * H_tf``, whose DD response is the effective
-    channel.  The draw order (channel, bits, noise) fixes the output bytes.
+    Each trial keeps its own stream ``_trial_rng(config, snr_index, t)`` and
+    the draw order (channel, bits, noise) that fixes the output bytes; only
+    the array work after the draws runs once for the whole chunk, and every
+    frame of it is bit for bit the frame the trial would give on its own.
+
+    Returns per frame, stacked along a leading axis: the data bits, the
+    received DD frame, the RX window and the windowed TF gains
+    ``joint * H_tf``, whose DD response is the effective channel.
     """
-    rng = _trial_rng(link.config, snr_index, trial)
-    ch = ch_mod.sample_channel(link.grid, link.config.paths, link.config.k_max,
-                               link.config.l_max, rng)
-    tf_gains = ch_mod.tf_channel(ch)
+    config = link.config
+    generators, channels, bits = [], [], []
+    for t in trials:
+        rng = _trial_rng(config, snr_index, t)
+        channels.append(ch_mod.sample_channel(link.grid, config.paths, config.k_max,
+                                              config.l_max, rng))
+        bits.append(rng.integers(0, 2, link.bits_per_frame))
+        generators.append(rng)
+    tf_gains = ch_mod.tf_channel(channels)
     windows = link.windows
     if windows is None:
-        try:
-            allocation = win_mod.optimal_tx_window(np.abs(tf_gains) ** 2 / n0)
-        except ValueError as exc:
-            raise NumericalFailure(f"optimal TX window: {exc}") from exc
-        windows = win_mod.WindowPair.from_tx_grid(allocation.tx_window)
-    bits = rng.integers(0, 2, link.bits_per_frame)
+        tx = np.empty_like(tf_gains)
+        for frame_tx, gains in zip(tx, tf_gains):
+            try:
+                frame_tx[...] = win_mod.optimal_tx_window(np.abs(gains) ** 2 / n0).tx_window
+            except ValueError as exc:
+                raise NumericalFailure(f"optimal TX window: {exc}") from exc
+        windows = win_mod.WindowPair.from_tx_grid(tx)
+    bits = np.array(bits)
     if link.layout is None:
-        frame = map_symbols(bits, link.constellation, link.grid)
+        frames = map_symbols(bits, link.constellation, link.grid)
     else:
-        frame = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
-        frame = est_mod.embed_pilot(frame, link.layout)
-    y = ch_mod.transmit_frame(frame, tf_gains, windows, n0, rng)
-    return bits, y, windows.rx, windows.joint * tf_gains
+        frames = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
+        frames = est_mod.embed_pilot(frames, link.layout)
+    y = ch_mod.transmit_frame(frames, tf_gains, windows, n0, generators)
+    return bits, y, np.broadcast_to(windows.rx, y.shape), windows.joint * tf_gains
 
 
-def _sweep(config: ExperimentConfig, trial):
-    """Yield each SNR point with ``trial(snr_index, t, n0)`` for every trial,
-    run serially in trial order."""
+# Trials run in chunks whose (B, N, M) complex work arrays take about this
+# many bytes: B = 13 on the 30x20 grid.  Past a few frames per chunk the
+# numpy call overhead is already shared, and larger chunks only add memory.
+_CHUNK_BYTES = 128 * 1024
+
+
+def _chunk_size(grid: FrameGrid) -> int:
+    """Trials per chunk on ``grid``: at least one."""
+    return max(1, _CHUNK_BYTES // (16 * grid.size))
+
+
+def _sweep(config: ExperimentConfig, chunk):
+    """Yield each SNR point with the per-trial values of every trial, in
+    trial order.  ``chunk(snr_index, trials, n0)`` runs a ``range`` of at most
+    ``_chunk_size`` consecutive trials and returns one value per trial."""
+    step = _chunk_size(config.grid())
     for snr_index, snr in enumerate(config.snr_db):
         n0 = noise_power(snr)
-        yield snr, [trial(snr_index, t, n0) for t in range(config.trials)]
+        values = []
+        for first in range(0, config.trials, step):
+            values.extend(chunk(snr_index, range(first, min(first + step, config.trials)), n0))
+        yield snr, values
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +461,21 @@ def run_ce_mse(config: ExperimentConfig) -> list[ResultRow]:
             "assumes the transmitter already knows the channel"
         )
     link = _link(config, pilot=True)
-    predicted = est_mod.predicted_mse_floor(link.layout, config_sidelobe_level(config, link.grid))
 
-    def trial(snr_index: int, t: int, n0: float) -> float:
-        _, y, _, gains = _transmit(link, snr_index, t, n0)
+    def chunk(snr_index: int, trials: range, n0: float) -> np.ndarray:
+        _, y, _, gains = _transmit(link, snr_index, trials, n0)
         est = est_mod.estimate_channel(y, link.layout, n0)
         return est_mod.measured_ce_mse(ch_mod._dd_response(gains), est, link.layout)
 
+    return _ce_rows(config, link, _sweep(config, chunk))
+
+
+def _ce_rows(config: ExperimentConfig, link: _Link, sweep) -> list[ResultRow]:
+    """The ce-mse rows of ``(snr, per-trial squared errors)`` pairs."""
+    predicted = est_mod.predicted_mse_floor(link.layout, config_sidelobe_level(config, link.grid))
     tag = config.config_hash()
     rows: list[ResultRow] = []
-    for snr, sse in _sweep(config, trial):
+    for snr, sse in sweep:
         mean, lo, hi = mean_interval(np.array(sse))
         rows.append(ResultRow("ce-mse", tag, snr, "ce_mse", mean, lo, hi, config.trials))
         rows.append(ResultRow("ce-mse", tag, snr, "ce_mse_db",
@@ -514,20 +547,29 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
     The MMSE detector models the noise after the RX window, n0 |v|^2 per TF
     bin, so it is colored in the DD domain for a shaping RX window; the
     sum-product detector models the noise as white at power N0, so shaping
-    RX windows pair with MMSE, not SPA.  Each trial returns its frame's bit
-    error count, so memory does not grow with the frame size.
+    RX windows pair with MMSE, not SPA.  Frames are sent a chunk at a time
+    and detected one by one; each trial keeps only its frame's bit error
+    count, so memory does not grow with the trial count.
     """
     link = _link(config, pilot=config.csi == "estimated-csir")
 
-    def trial(snr_index: int, t: int, n0: float) -> int:
-        bits, y, rx_window, gains = _transmit(link, snr_index, t, n0)
-        known = gains if link.layout is None else None
-        detected = _detect_frame(link, y, rx_window, n0, known)
-        return int(np.count_nonzero(detected != bits))
+    def chunk(snr_index: int, trials: range, n0: float) -> list[int]:
+        bits, y, rx_window, gains = _transmit(link, snr_index, trials, n0)
+        errors = []
+        for i in range(len(trials)):
+            known = gains[i] if link.layout is None else None
+            detected = _detect_frame(link, y[i], rx_window[i], n0, known)
+            errors.append(int(np.count_nonzero(detected != bits[i])))
+        return errors
 
+    return _fer_rows(config, link, _sweep(config, chunk))
+
+
+def _fer_rows(config: ExperimentConfig, link: _Link, sweep) -> list[ResultRow]:
+    """The fer rows of ``(snr, per-trial bit error counts)`` pairs."""
     tag = config.config_hash()
     rows: list[ResultRow] = []
-    for snr, bit_errors in _sweep(config, trial):
+    for snr, bit_errors in sweep:
         counts = det_mod.error_counts(
             sum(bit_errors), sum(e > 0 for e in bit_errors), config.trials, link.bits_per_frame,
         )

@@ -25,21 +25,23 @@ KRON_ORACLE_LIMIT = 4096
 
 
 def isfft(dd_frame: np.ndarray) -> np.ndarray:
-    """DD -> TF transform of an (N, M) frame (inverse symplectic FFT)."""
+    """DD -> TF transform of an (N, M) frame, or of each frame of a
+    ``[..., N, M]`` stack (inverse symplectic FFT)."""
     dd_frame = np.asarray(dd_frame)
-    if dd_frame.ndim != 2:
-        raise ValueError("expected an (N, M) frame")
-    n, m = dd_frame.shape
-    return np.fft.fft(np.fft.ifft(dd_frame, axis=0), axis=1) * math.sqrt(n / m)
+    if dd_frame.ndim < 2:
+        raise ValueError("expected an (N, M) frame or a stack of them")
+    n, m = dd_frame.shape[-2:]
+    return np.fft.fft(np.fft.ifft(dd_frame, axis=-2), axis=-1) * math.sqrt(n / m)
 
 
 def sfft(tf_frame: np.ndarray) -> np.ndarray:
-    """TF -> DD transform, the exact inverse of :func:`isfft`."""
+    """TF -> DD transform, the exact inverse of :func:`isfft`, also frame by
+    frame over a ``[..., N, M]`` stack."""
     tf_frame = np.asarray(tf_frame)
-    if tf_frame.ndim != 2:
-        raise ValueError("expected an (N, M) frame")
-    n, m = tf_frame.shape
-    return np.fft.ifft(np.fft.fft(tf_frame, axis=0), axis=1) * math.sqrt(m / n)
+    if tf_frame.ndim < 2:
+        raise ValueError("expected an (N, M) frame or a stack of them")
+    n, m = tf_frame.shape[-2:]
+    return np.fft.ifft(np.fft.fft(tf_frame, axis=-2), axis=-1) * math.sqrt(m / n)
 
 
 def dft_matrix(n: int) -> np.ndarray:

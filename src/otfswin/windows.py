@@ -33,7 +33,8 @@ from .grid import FrameGrid
 
 @dataclass(frozen=True)
 class WindowPair:
-    """Transmit and receive windows as full (N, M) grids.
+    """Transmit and receive windows as full (N, M) grids, or as ``[..., N, M]``
+    stacks holding one pair per frame.
 
     ``joint`` (the entrywise product rx*tx) is what shapes the effective DD
     channel; only the tx grid affects transmit power, only the rx grid
@@ -46,8 +47,8 @@ class WindowPair:
     def __post_init__(self) -> None:
         tx = np.asarray(self.tx, dtype=complex)
         rx = np.asarray(self.rx, dtype=complex)
-        if tx.shape != rx.shape or tx.ndim != 2:
-            raise ValueError("tx and rx windows must share one (N, M) shape")
+        if tx.shape != rx.shape or tx.ndim < 2:
+            raise ValueError("tx and rx windows must share one (N, M) or [..., N, M] shape")
         object.__setattr__(self, "tx", tx)
         object.__setattr__(self, "rx", rx)
 

@@ -5,11 +5,25 @@ dense algebra) and shares no code with the fast paths it checks.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from otfswin import ConfigurationError, Constellation
-from otfswin.channel import EffectiveDDChannel
+from otfswin import (
+    ConfigurationError,
+    Constellation,
+    WindowPair,
+    embed_pilot,
+    estimate_channel,
+    harness,
+    isfft,
+    map_symbols,
+    measured_ce_mse,
+    optimal_tx_window,
+    sample_channel,
+    sfft,
+)
+from otfswin.channel import EffectiveDDChannel, _dd_response
 from otfswin.detection import DetectionReport, NoiseModel
 
 
@@ -299,3 +313,88 @@ def enumeration_spa_detect(
         marginals=belief,
         iterations=iterations_run,
     )
+
+
+# ---------------------------------------------------------------------------
+# the harness's trial chain, one frame at a time: the reference for running
+# trials in chunks.  The TF channel and the transmit step are the
+# single-frame code they replaced; the other layers are called on single
+# frames, and the rows come from the harness's own row functions.
+# ---------------------------------------------------------------------------
+
+def broadcast_sum_tf_channel(ch):
+    """TF gains of one realization as one (P, N, M) broadcast product summed
+    over the paths: ``tf_channel`` before it took stacks."""
+    grid = ch.grid
+    gains = ch.gains()
+    nu = np.array([p.doppler_shift for p in ch.paths])
+    delay = np.array([p.delay_bin for p in ch.paths], dtype=float)
+    coef = gains * np.exp(-2j * np.pi * nu * delay / (grid.N * grid.M))
+    doppler = coef[:, None] * np.exp(2j * np.pi * nu[:, None] * np.arange(grid.N) / grid.N)
+    delay_ph = np.exp(-2j * np.pi * delay[:, None] * np.arange(grid.M) / grid.M)
+    return np.sum(doppler[:, :, None] * delay_ph[:, None, :], axis=0)
+
+
+def single_frame_transmit(dd_frame, tf_gain_grid, windows, n0=0.0, rng=None):
+    """One frame through the windowed channel: ``transmit_frame`` before it
+    took stacks."""
+    x_tf = isfft(dd_frame)
+    received = tf_gain_grid * (windows.tx * x_tf)
+    if n0 > 0.0:
+        noise = math.sqrt(n0 / 2.0) * (
+            rng.standard_normal(x_tf.shape) + 1j * rng.standard_normal(x_tf.shape)
+        )
+        received = received + noise
+    return sfft(windows.rx * received)
+
+
+def per_trial_transmit(link, snr_index, trial, n0):
+    """One trial of the link up to the receiver, every layer called on its
+    own frame: the chain the harness ran before trials ran in chunks."""
+    config = link.config
+    rng = harness._trial_rng(config, snr_index, trial)
+    ch = sample_channel(link.grid, config.paths, config.k_max, config.l_max, rng)
+    tf_gains = broadcast_sum_tf_channel(ch)
+    windows = link.windows
+    if windows is None:
+        allocation = optimal_tx_window(np.abs(tf_gains) ** 2 / n0)
+        windows = WindowPair.from_tx_grid(allocation.tx_window)
+    bits = rng.integers(0, 2, link.bits_per_frame)
+    if link.layout is None:
+        frame = map_symbols(bits, link.constellation, link.grid)
+    else:
+        frame = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
+        frame = embed_pilot(frame, link.layout)
+    y = single_frame_transmit(frame, tf_gains, windows, n0, rng)
+    return bits, y, windows.rx, windows.joint * tf_gains
+
+
+def _per_trial_sweep(config, trial):
+    for snr_index, snr in enumerate(config.snr_db):
+        n0 = harness.noise_power(snr)
+        yield snr, [trial(snr_index, t, n0) for t in range(config.trials)]
+
+
+def per_trial_ce_mse(config):
+    """``run_ce_mse`` rows from the frame-by-frame chain."""
+    link = harness._link(config, pilot=True)
+
+    def trial(snr_index, t, n0):
+        _, y, _, gains = per_trial_transmit(link, snr_index, t, n0)
+        est = estimate_channel(y, link.layout, n0)
+        return measured_ce_mse(_dd_response(gains), est, link.layout)
+
+    return harness._ce_rows(config, link, _per_trial_sweep(config, trial))
+
+
+def per_trial_fer(config):
+    """``run_fer`` rows from the frame-by-frame chain."""
+    link = harness._link(config, pilot=config.csi == "estimated-csir")
+
+    def trial(snr_index, t, n0):
+        bits, y, rx_window, gains = per_trial_transmit(link, snr_index, t, n0)
+        known = gains if link.layout is None else None
+        detected = harness._detect_frame(link, y, rx_window, n0, known)
+        return int(np.count_nonzero(detected != bits))
+
+    return harness._fer_rows(config, link, _per_trial_sweep(config, trial))

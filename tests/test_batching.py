@@ -1,0 +1,163 @@
+"""Stacks of frames through the batched layers: each frame of a stack must
+come out bit for bit as the same layer gives it for that frame alone, and,
+for the TF channel and the transmit step, as the single-frame code they
+replaced (kept in ``oracles``).
+
+The harness runs trials in chunks through these layers, and its rows stay
+byte-identical only if this holds, so the comparisons are exact
+(``np.array_equal``), never within a tolerance.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from otfswin import (
+    Constellation,
+    FrameGrid,
+    PilotLayout,
+    WindowPair,
+    embed_pilot,
+    estimate_channel,
+    isfft,
+    map_symbols,
+    measured_ce_mse,
+    sample_channel,
+    sfft,
+    tf_channel,
+    transmit_frame,
+)
+from otfswin.channel import _dd_response
+from otfswin.harness import ExperimentConfig, build_windows
+
+GRID = FrameGrid(M=30, N=20)
+LAYOUT = PilotLayout.centered(GRID, k_max=3, l_max=4, k_hat=1, pilot_power_dbw=30.0)
+QPSK = Constellation.qpsk()
+# 64 complex 30x20 frames take 600 KiB, past the 256 KiB from which numpy
+# rewrites ``a * tmp`` in place; 5 frames stay below it
+STACKS = (5, 64)
+WINDOWS = ("rect", "dc-tx", "dc-rx")
+
+
+def window_pair(kind: str) -> WindowPair:
+    fields = {"rect": {}, "dc-tx": {"tx_window": "dc"}, "dc-rx": {"rx_window": "dc"}}[kind]
+    return build_windows(ExperimentConfig(M=GRID.M, N=GRID.N, **fields), GRID)
+
+
+def complex_stack(rng, frames: int) -> np.ndarray:
+    shape = (frames,) + GRID.shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def channels(rng, frames: int):
+    return [sample_channel(GRID, 5, 3, 4, rng) for _ in range(frames)]
+
+
+def data_frames(rng, frames: int) -> np.ndarray:
+    bits = rng.integers(0, 2, (frames, 2 * int(LAYOUT.data_mask.sum())))
+    return embed_pilot(map_symbols(bits, QPSK, GRID, mask=LAYOUT.data_mask), LAYOUT)
+
+
+def assert_framewise(stacked, per_frame) -> None:
+    per_frame = list(per_frame)
+    assert np.shape(stacked) == (len(per_frame),) + np.shape(per_frame[0])
+    for got, want in zip(stacked, per_frame):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("frames", STACKS)
+@pytest.mark.parametrize("layer", [isfft, sfft, _dd_response], ids=lambda f: f.__name__)
+def test_transforms(layer, frames):
+    x = complex_stack(np.random.default_rng(frames), frames)
+    assert_framewise(layer(x), (layer(f) for f in x))
+
+
+def test_transforms_take_any_number_of_leading_axes():
+    x = complex_stack(np.random.default_rng(1), 6).reshape((2, 3) + GRID.shape)
+    for layer in (isfft, sfft, _dd_response):
+        assert np.array_equal(layer(x).reshape((6,) + GRID.shape),
+                              layer(x.reshape((6,) + GRID.shape)))
+
+
+@pytest.mark.parametrize("frames", (1,) + STACKS)
+@pytest.mark.parametrize("paths", [1, 2, 5])
+def test_tf_channel(paths, frames):
+    rng = np.random.default_rng(frames + paths)
+    chs = [sample_channel(GRID, paths, 3, 4, rng) for _ in range(frames)]
+    reference = [oracles.broadcast_sum_tf_channel(ch) for ch in chs]
+    assert_framewise(tf_channel(chs), reference)
+    assert_framewise([tf_channel(ch) for ch in chs], reference)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("constellation", [Constellation.bpsk(), QPSK], ids=lambda c: c.name)
+def test_map_symbols(constellation, masked):
+    mask = LAYOUT.data_mask if masked else None
+    cells = int(LAYOUT.data_mask.sum()) if masked else GRID.size
+    bits = np.random.default_rng(2).integers(0, 2, (64, cells * constellation.bits_per_symbol))
+    assert_framewise(map_symbols(bits, constellation, GRID, mask=mask),
+                     (map_symbols(b, constellation, GRID, mask=mask) for b in bits))
+
+
+def test_embed_pilot():
+    frames = complex_stack(np.random.default_rng(3), 64)
+    assert_framewise(embed_pilot(frames, LAYOUT), (embed_pilot(f, LAYOUT) for f in frames))
+
+
+def _received(kind: str, frames: int, n0: float) -> tuple[np.ndarray, list[np.ndarray], WindowPair]:
+    """A stack sent through ``transmit_frame`` at once, and frame by frame
+    with generators seeded alike."""
+    rng = np.random.default_rng(frames)
+    gains = tf_channel(channels(rng, frames))
+    x = data_frames(rng, frames)
+    if kind == "per-frame":
+        # one non-separable TX window per frame, as the optimal window gives
+        windows = WindowPair.from_tx_grid(np.abs(complex_stack(rng, frames)))
+        pairs = [WindowPair(tx, rx) for tx, rx in zip(windows.tx, windows.rx)]
+    else:
+        windows = window_pair(kind)
+        pairs = [windows] * frames
+    stacked = transmit_frame(x, gains, windows, n0,
+                             [np.random.default_rng([9, i]) for i in range(frames)])
+    alone = [oracles.single_frame_transmit(x[i], gains[i], pairs[i], n0,
+                                           np.random.default_rng([9, i]))
+             for i in range(frames)]
+    return stacked, alone, windows
+
+
+@pytest.mark.parametrize("n0", [0.0, 0.01])
+@pytest.mark.parametrize("frames", (1,) + STACKS)
+@pytest.mark.parametrize("kind", WINDOWS + ("per-frame",))
+def test_transmit_frame(kind, frames, n0):
+    stacked, alone, windows = _received(kind, frames, n0)
+    assert_framewise(stacked, alone)
+    if kind != "per-frame":
+        rng = np.random.default_rng(frames)
+        gains = tf_channel(channels(rng, frames))
+        x = data_frames(rng, frames)
+        single = [transmit_frame(f, g, windows, n0, np.random.default_rng([9, i]))
+                  for i, (f, g) in enumerate(zip(x, gains))]
+        assert_framewise(stacked, single)
+
+
+def test_transmit_frame_needs_one_generator_per_frame():
+    x = data_frames(np.random.default_rng(4), 3)
+    gains = np.ones((3,) + GRID.shape, dtype=complex)
+    rngs = [np.random.default_rng(i) for i in range(2)]
+    with pytest.raises(ValueError, match="one generator per frame"):
+        transmit_frame(x, gains, window_pair("rect"), 0.1, rngs)
+
+
+@pytest.mark.parametrize("frames", STACKS)
+@pytest.mark.parametrize("kind", WINDOWS)
+def test_estimate_channel_and_measured_ce_mse(kind, frames):
+    n0 = 1e-3
+    y, _, windows = _received(kind, frames, n0)
+    est = estimate_channel(y, LAYOUT, n0)
+    assert_framewise(est, (estimate_channel(f, LAYOUT, n0) for f in y))
+    rng = np.random.default_rng(frames)
+    truth = _dd_response(windows.joint * tf_channel(channels(rng, frames)))
+    sse = measured_ce_mse(truth, est, LAYOUT)
+    assert sse.shape == (frames,)
+    assert np.array_equal(sse, [measured_ce_mse(t, e, LAYOUT) for t, e in zip(truth, est)])
+    assert isinstance(measured_ce_mse(truth[0], est[0], LAYOUT), float)

@@ -75,6 +75,15 @@ class TestLayout:
         guard = layout.guard_mask.reshape(-1)
         assert np.array_equal(e.take(layout.guard_pairs), circular_operator(e)[guard][:, guard])
 
+    def test_guard_pairs_are_built_on_first_access(self):
+        # G = 2501 guard cells: the index alone takes 48 MB
+        layout = PilotLayout.centered(FrameGrid(M=64, N=64), k_max=7, l_max=20, k_hat=8)
+        assert "guard_pairs" not in vars(layout)
+        small = fig6_layout()
+        assert "guard_pairs" not in vars(small)
+        pairs = small.guard_pairs
+        assert small.guard_pairs is pairs and pairs.shape == (153, 153)
+
     def test_index_sets_are_read_only(self):
         layout = fig6_layout()
         for array in (layout.guard_mask, layout.data_mask, layout.guard_pairs,

@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from otfswin import ConfigurationError, NumericalFailure
+import oracles
+from otfswin import ConfigurationError, FrameGrid, NumericalFailure
 from otfswin.harness import (
     ExperimentConfig,
+    _chunk_size,
     ce_rows_csv,
     mean_interval,
     rows_to_csv,
@@ -72,6 +74,45 @@ class TestGoldenRows:
         cfg = ExperimentConfig.from_mapping({k: str(v) for k, v in fields.items()})
         csv = rows_to_csv(runner(cfg))
         assert hashlib.sha256(csv.encode()).hexdigest() == digest, csv
+
+
+_CHUNK_GRID = dict(M=30, N=20, paths=5, k_max=3, l_max=4, k_hat=1, pilot_power_dbw=30.0)
+_CHUNK_SPA = dict(constellation="bpsk", detector="spa", spa_taps=3)
+CHUNK_CASES = {
+    "ce-rect": (run_ce_mse, oracles.per_trial_ce_mse, dict(snr_db="15, 40")),
+    "ce-dc-tx": (run_ce_mse, oracles.per_trial_ce_mse, dict(snr_db="15, 40", tx_window="dc")),
+    "ce-dc-rx": (run_ce_mse, oracles.per_trial_ce_mse, dict(snr_db="15, 40", rx_window="dc")),
+    "fer-perfect-mmse": (run_fer, oracles.per_trial_fer, dict(snr_db="8", rx_window="dc")),
+    "fer-perfect-spa": (run_fer, oracles.per_trial_fer,
+                        dict(_CHUNK_SPA, snr_db="8", tx_window="dc")),
+    "fer-estimated-mmse": (run_fer, oracles.per_trial_fer,
+                           dict(snr_db="12", csi="estimated-csir", tx_window="dc")),
+    "fer-estimated-spa": (run_fer, oracles.per_trial_fer,
+                          dict(_CHUNK_SPA, snr_db="12", csi="estimated-csir")),
+    "fer-csit-mmse": (run_fer, oracles.per_trial_fer,
+                      dict(snr_db="8", csi="csit-csir", tx_window="optimal")),
+    "fer-csit-spa": (run_fer, oracles.per_trial_fer,
+                     dict(_CHUNK_SPA, snr_db="8", csi="csit-csir", tx_window="optimal")),
+}
+
+
+class TestChunkBoundaries:
+    """Trial counts around one and two chunks give the rows of the
+    frame-by-frame chain, byte for byte."""
+
+    CHUNK = _chunk_size(FrameGrid(M=30, N=20))
+
+    def test_chunk_size_on_the_fig6_grid(self):
+        assert self.CHUNK == 13
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, CHUNK + 1])
+    @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+    def test_rows_equal_the_per_trial_chain(self, name, offset):
+        runner, oracle, fields = CHUNK_CASES[name]
+        cfg = ExperimentConfig.from_mapping(
+            {k: str(v) for k, v in dict(_CHUNK_GRID, **fields, trials=self.CHUNK + offset,
+                                         seed=31).items()})
+        assert rows_to_csv(runner(cfg)) == rows_to_csv(oracle(cfg))
 
 
 class TestConfig:
@@ -227,6 +268,8 @@ class TestFerExperiment:
                                csi="estimated-csir", detector="mmse",
                                snr_db=(4.0, 14.0), trials=25, seed=12)
         rows = run_fer(cfg)
+        # map_symbols maps a chunk of frames per call, one bit row per frame
+        sent = [frame_bits for chunk in sent for frame_bits in chunk]
         bits_per_frame = sent[0].size
         for i, snr in enumerate(cfg.snr_db):
             frames = slice(i * cfg.trials, (i + 1) * cfg.trials)
