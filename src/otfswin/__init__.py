@@ -26,7 +26,6 @@ from .channel import (
     EffectiveDDChannel,
     PathSpec,
     PowerReport,
-    Tap,
     channel_from_text,
     channel_to_text,
     circular_operator,
@@ -49,7 +48,6 @@ from .windows import (
     dc_window,
     nominal_sidelobe_level,
     optimal_tx_window,
-    rectangular,
 )
 from .estimation import (
     PilotLayout,
@@ -61,11 +59,7 @@ from .estimation import (
 )
 from .detection import (
     DetectionReport,
-    ErrorCounts,
-    NoiseModel,
     analytic_detection_mse,
-    count_errors,
-    error_counts,
     mmse_detect,
     noise_covariance,
     spa_detect,

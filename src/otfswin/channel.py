@@ -60,10 +60,6 @@ class ChannelRealization:
             raise ValueError("channel needs at least one path")
         object.__setattr__(self, "paths", tuple(self.paths))
 
-    @property
-    def num_paths(self) -> int:
-        return len(self.paths)
-
     def gains(self) -> np.ndarray:
         return np.array([p.gain for p in self.paths])
 
@@ -222,20 +218,14 @@ def rect_doppler_response(dk, length: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Tap:
-    doppler: int   # modular Doppler offset in 0..N-1
-    delay: int     # modular delay offset in 0..M-1
-    value: complex
-
-
-@dataclass(frozen=True)
 class EffectiveDDChannel:
     """Windowed effective channel: full (N, M) tap grid plus, optionally,
-    the truncation to its largest taps.  Indices are modular by construction,
-    so the grid itself encodes the circular structure."""
+    the truncation to its largest taps as flat row-major indices k*M + l
+    into the grid.  Indices are modular by construction, so the grid itself
+    encodes the circular structure."""
 
     taps: np.ndarray
-    truncation: tuple[Tap, ...] | None = None
+    truncation: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -247,31 +237,28 @@ class EffectiveDDChannel:
     def truncated_power(self) -> float:
         if self.truncation is None:
             return self.total_power()
-        return float(sum(abs(t.value) ** 2 for t in self.truncation))
+        # a Python sum in truncation order, as the seeded rows were computed:
+        # numpy's pairwise sum can round the last bit differently
+        return float(sum(abs(v) ** 2 for v in self.taps.reshape(-1)[self.truncation].tolist()))
 
     def residual_power(self) -> float:
         """Tap energy outside the truncation (treated as noise by detectors)."""
         return max(self.total_power() - self.truncated_power(), 0.0)
 
 
-def largest_taps(tap_grid: np.ndarray, count: int) -> tuple[Tap, ...]:
-    """The ``count`` largest-magnitude taps, ties broken by (k, l) order.
+def largest_taps(tap_grid: np.ndarray, count: int) -> np.ndarray:
+    """Flat indices k*M + l of the ``count`` largest-magnitude taps, largest
+    first, ties broken by (k, l) order.
 
     Exact zeros are never selected, so integer-Doppler channels keep their
     natural sparsity even when ``count`` exceeds the active tap number.
     """
     if count < 1:
         raise ValueError("tap count must be >= 1")
-    n, m = tap_grid.shape
-    flat = tap_grid.reshape(-1)
-    mag = np.abs(flat)
-    order = np.lexsort((np.arange(flat.size) % m, np.arange(flat.size) // m, -mag))
-    picked = []
-    for idx in order[:count]:
-        if mag[idx] == 0.0:
-            break
-        picked.append(Tap(doppler=int(idx // m), delay=int(idx % m), value=complex(flat[idx])))
-    return tuple(picked)
+    mag = np.abs(tap_grid.reshape(-1))
+    # a stable sort keeps equal magnitudes in flat index, i.e. (k, l), order
+    picked = np.argsort(-mag, kind="stable")[:count]
+    return picked[mag[picked] != 0.0]
 
 
 def effective_dd_channel(

@@ -30,7 +30,6 @@ from .harness import (
     run_fer,
     run_selfcheck,
     write_metadata,
-    write_rows,
 )
 from .windows import dc_window
 
@@ -96,10 +95,8 @@ def _run_experiment(args: argparse.Namespace, runner) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     rows = runner(config)
-    if args.out is None:
-        sys.stdout.write(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows))
-    else:
-        write_rows(rows, args.out, fmt=args.format)
+    _emit(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows), args.out)
+    if args.out is not None:
         write_metadata(config, args.out + ".meta.json")
     if getattr(args, "ce_rows", None):
         _emit(ce_rows_csv(rows, config), args.ce_rows)
@@ -133,8 +130,15 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "floor":
+            # a sidelobe level is at most the mainlobe peak
+            if not (math.isfinite(args.sl_db) and args.sl_db <= 0.0):
+                raise ConfigurationError(
+                    f"--sl-db must be finite and at most 0, got {args.sl_db!r}")
             sl_w = 10.0 ** (args.sl_db / 20.0)
-            value = predicted_mse_floor_params(args.N, args.kmax, args.lmax, args.khat, sl_w)
+            try:
+                value = predicted_mse_floor_params(args.N, args.kmax, args.lmax, args.khat, sl_w)
+            except OverflowError:
+                raise ConfigurationError("--N is too large for a floating-point floor") from None
             value_db = 10 * math.log10(value) if value > 0 else float("-inf")
             if args.format == "csv":
                 _emit("N,k_max,l_max,k_hat,sl_db,mse_floor,mse_floor_db\n"

@@ -1,4 +1,4 @@
-"""MMSE and sum-product detection in the DD domain, plus error counting.
+"""MMSE and sum-product detection in the DD domain.
 
 Two LMMSE detectors compute the same estimate.  :func:`tf_lmmse_detect` uses
 the ideal-pulse structure: channel, both windows and the post-window noise
@@ -20,7 +20,6 @@ likelihood as extra noise.  Scheduling is flooding with message damping.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,41 +32,23 @@ from .transforms import dft_matrix, isfft, sfft
 
 
 # ---------------------------------------------------------------------------
-# noise model
+# noise covariance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """DD-domain noise after the RX window.
-
-    ``covariance`` is None for the white fast path (unit-modulus RX window),
-    otherwise the full Hermitian PSD matrix.
-    """
-
-    n0: float
-    covariance: np.ndarray | None = None
-
-    def matrix(self, size: int) -> np.ndarray:
-        if self.covariance is not None:
-            return self.covariance
-        return self.n0 * np.eye(size)
-
-
-def noise_covariance(rx_window: np.ndarray, n0: float) -> NoiseModel:
-    """Noise covariance at the demodulator output for an RX window grid.
+def noise_covariance(rx_window: np.ndarray, n0: float) -> np.ndarray:
+    """(MN, MN) noise covariance at the demodulator output for an RX window grid.
 
     C = n0 * demod * diag(V) diag(V)^H * demod^H.  A unit-modulus window
     leaves the noise white, so that case short-circuits to n0 * I.
     """
     v = np.asarray(rx_window, dtype=complex)
     if np.allclose(np.abs(v), 1.0, atol=1e-12):
-        return NoiseModel(n0=n0)
+        return n0 * np.eye(v.size)
     n, m = v.shape
     f_n, f_m = dft_matrix(n), dft_matrix(m)
     demod = np.kron(f_n, f_m.conj().T)
     weights = np.abs(v.reshape(-1)) ** 2
-    cov = n0 * (demod * weights[None, :]) @ demod.conj().T
-    return NoiseModel(n0=n0, covariance=cov)
+    return n0 * (demod * weights[None, :]) @ demod.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +58,6 @@ def noise_covariance(rx_window: np.ndarray, n0: float) -> NoiseModel:
 @dataclass(frozen=True)
 class DetectionReport:
     soft: np.ndarray                  # soft symbol estimates
-    hard: np.ndarray                  # nearest constellation points
     hard_indices: np.ndarray          # constellation indices of the decisions
     mse_emp: float | None = None      # empirical per-symbol MSE vs supplied truth
     marginals: np.ndarray | None = None  # SPA per-symbol posteriors
@@ -91,16 +71,17 @@ class DetectionReport:
 def mmse_detect(
     y: np.ndarray,
     channel_matrix: np.ndarray,
-    noise: NoiseModel,
+    noise_cov: np.ndarray,
     constellation: Constellation,
     truth: np.ndarray | None = None,
 ) -> DetectionReport:
-    """LMMSE symbol estimates x = H^H (H H^H + C)^(-1) y with hard slicing."""
+    """LMMSE symbol estimates x = H^H (H H^H + C)^(-1) y with hard slicing,
+    for the noise covariance C (see :func:`noise_covariance`)."""
     y = np.asarray(y, dtype=complex).reshape(-1)
     h = np.asarray(channel_matrix, dtype=complex)
     if h.shape[0] != y.size:
         raise ValueError("channel matrix rows must match the observation length")
-    gram = h @ h.conj().T + noise.matrix(y.size)
+    gram = h @ h.conj().T + noise_cov
     try:
         soft = h.conj().T @ np.linalg.solve(gram, y)
     except np.linalg.LinAlgError as exc:
@@ -113,7 +94,7 @@ def mmse_detect(
     if truth is not None:
         truth = np.asarray(truth, dtype=complex).reshape(-1)
         mse = float(np.mean(np.abs(soft - truth) ** 2))
-    return DetectionReport(soft=soft, hard=constellation.points[idx], hard_indices=idx, mse_emp=mse)
+    return DetectionReport(soft=soft, hard_indices=idx, mse_emp=mse)
 
 
 def tf_lmmse_detect(
@@ -175,8 +156,7 @@ def tf_lmmse_detect(
         soft = (soft - sfft(residual * isfft(placed)))[layout.data_mask]
     if not np.all(np.isfinite(soft)):
         raise NumericalFailure("LMMSE estimate is not finite")
-    idx = constellation.nearest_indices(soft)
-    return DetectionReport(soft=soft, hard=constellation.points[idx], hard_indices=idx)
+    return DetectionReport(soft=soft, hard_indices=constellation.nearest_indices(soft))
 
 
 def analytic_detection_mse(lam: np.ndarray, x: np.ndarray) -> float:
@@ -235,6 +215,13 @@ def _factor_messages(likelihood: np.ndarray, from_symbol: np.ndarray) -> np.ndar
     return out
 
 
+# The sum-product detector stops once no message moves by more than this, and
+# refuses a truncation whose likelihood tensor has more joint configurations
+# than the budget.
+_SPA_TOL = 1e-4
+_SPA_MAX_CONFIGS = 8192
+
+
 def spa_detect(
     y_frame: np.ndarray,
     channel: EffectiveDDChannel,
@@ -242,9 +229,7 @@ def spa_detect(
     constellation: Constellation,
     iters: int = 20,
     damping: float = 0.5,
-    tol: float = 1e-4,
     data_mask: np.ndarray | None = None,
-    max_configs: int = 8192,
 ) -> DetectionReport:
     """Iterative sum-product detection on the truncated-tap factor graph.
 
@@ -257,19 +242,19 @@ def spa_detect(
     update contracts the (Q,)*L likelihood tensor of every factor with its
     incoming messages (:func:`_factor_messages`), O(NM Q^L) per iteration;
     the likelihood is held for all Q^L joint configurations, so Q^L is capped
-    by ``max_configs``.  An empty truncation (an all-zero channel estimate)
-    gives the prior decisions after 0 iterations.
+    by ``_SPA_MAX_CONFIGS``.  An empty truncation (an all-zero channel
+    estimate) gives the prior decisions after 0 iterations.
     """
     if channel.truncation is None:
         raise ValueError("sum-product detection needs a tap-truncated channel")
-    taps = channel.truncation
+    kept = channel.truncation
     points = constellation.points
     q = points.size
-    degree = len(taps)
-    if q ** degree > max_configs:
+    degree = kept.size
+    if q ** degree > _SPA_MAX_CONFIGS:
         raise ConfigurationError(
             f"sum step needs Q^L = {q ** degree} configurations, above the "
-            f"budget of {max_configs}; reduce the tap count or raise max_configs"
+            f"budget of {_SPA_MAX_CONFIGS}; reduce the tap count"
         )
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -284,7 +269,7 @@ def spa_detect(
         # keeps its uniform prior, decided as constellation index 0
         belief = np.full((size, q), 1.0 / q)
         idx = np.zeros(size, dtype=np.int64)
-        return DetectionReport(soft=belief @ points, hard=points[idx], hard_indices=idx,
+        return DetectionReport(soft=belief @ points, hard_indices=idx,
                                marginals=belief, iterations=0)
     sigma2 = n0 + channel.residual_power()
     if sigma2 <= 0:
@@ -292,13 +277,12 @@ def spa_detect(
 
     # factor i meets symbol sym_of[t, i] on tap slot t, and symbol j meets
     # factor obs_of[t, j] there: the two are inverse permutations per slot
-    doppler = np.array([[tap.doppler] for tap in taps])
-    delay = np.array([[tap.delay] for tap in taps])
+    doppler, delay = np.divmod(kept[:, None], m)
     k, l = np.divmod(np.arange(size), m)
     sym_of = ((k - doppler) % n) * m + (l - delay) % m
     obs_of = ((k + doppler) % n) * m + (l + delay) % m
     gains = np.empty((size, degree), dtype=complex)
-    gains[:] = [tap.value for tap in taps]
+    gains[:] = channel.taps.reshape(-1)[kept]
     if data_mask is not None:
         known = ~np.asarray(data_mask, dtype=bool).reshape(-1)
         gains[known[sym_of.T]] = 0.0  # known-zero symbols contribute nothing
@@ -342,7 +326,7 @@ def spa_detect(
             np.multiply(suffix[-t], incoming[-t], out=suffix[-t - 1])
         out = _normalize(prefix * suffix, axis=1)
         from_symbol = out.take(at_factors)
-        if delta < tol:
+        if delta < _SPA_TOL:
             break
 
     belief = np.ascontiguousarray(np.prod(to_symbol.take(at_symbols), axis=0).T)
@@ -352,52 +336,7 @@ def spa_detect(
     soft = belief @ points
     return DetectionReport(
         soft=soft,
-        hard=points[idx],
         hard_indices=idx,
         marginals=belief,
         iterations=iterations_run,
     )
-
-
-# ---------------------------------------------------------------------------
-# error counting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ErrorCounts:
-    ber: float
-    fer: float
-    bit_errors: int
-    frame_errors: int
-    bits: int
-    frames: int
-
-
-def error_counts(bit_errors: int, frame_errors: int, frames: int, bits_per_frame: int) -> ErrorCounts:
-    """Bit and frame error rates from error totals over ``frames`` frames."""
-    bits = frames * bits_per_frame
-    return ErrorCounts(
-        ber=bit_errors / bits,
-        fer=frame_errors / frames,
-        bit_errors=bit_errors,
-        frame_errors=frame_errors,
-        bits=bits,
-        frames=frames,
-    )
-
-
-def count_errors(detected_bits: np.ndarray, true_bits: np.ndarray, bits_per_frame: int) -> ErrorCounts:
-    """Bit and frame error rates over a concatenation of equal-size frames.
-
-    A frame counts as erroneous when any of its bits differs; pilot/guard
-    cells must already be excluded from the bit streams.
-    """
-    detected_bits = np.asarray(detected_bits).reshape(-1)
-    true_bits = np.asarray(true_bits).reshape(-1)
-    if detected_bits.size != true_bits.size:
-        raise ValueError("bit streams differ in length")
-    if bits_per_frame < 1 or detected_bits.size % bits_per_frame:
-        raise ValueError("bit count must split into whole frames")
-    diffs = (detected_bits != true_bits).reshape(-1, bits_per_frame)
-    return error_counts(int(diffs.sum()), int(diffs.any(axis=1).sum()),
-                        diffs.shape[0], bits_per_frame)

@@ -26,6 +26,18 @@ from .errors import ConfigurationError
 from .grid import FrameGrid
 
 
+def _check_spread(n_doppler: int, k_max: int, l_max: int, k_hat: int) -> None:
+    """Reject negative spread bounds and an extra Doppler guard k_hat outside
+    [0, (N - 4 k_max - 1) // 4], past which the Doppler guard overlaps itself."""
+    if k_max < 0 or l_max < 0:
+        raise ConfigurationError("spread bounds must be nonnegative")
+    limit = (n_doppler - 4 * k_max - 1) // 4
+    if not 0 <= k_hat <= limit:
+        raise ConfigurationError(
+            f"extra Doppler guard k_hat={k_hat} outside [0, {limit}] for N={n_doppler}"
+        )
+
+
 @dataclass(frozen=True)
 class PilotLayout:
     """Position and sizing of the embedded pilot and its guard region on one
@@ -64,13 +76,7 @@ class PilotLayout:
 
     def __post_init__(self) -> None:
         n, m = self.grid.shape
-        if self.k_max < 0 or self.l_max < 0:
-            raise ConfigurationError("spread bounds must be nonnegative")
-        limit = (n - 4 * self.k_max - 1) // 4
-        if not 0 <= self.k_hat <= limit:
-            raise ConfigurationError(
-                f"extra Doppler guard k_hat={self.k_hat} outside [0, {limit}] for N={n}"
-            )
+        _check_spread(n, self.k_max, self.l_max, self.k_hat)
         if 2 * self.l_max + 1 > m:
             raise ConfigurationError("delay guard band does not fit in the grid")
         if not 0 <= self.pilot_doppler < n or not 0 <= self.pilot_delay < m:
@@ -170,7 +176,12 @@ def predicted_interference_power_params(n_doppler: int, k_max: int,
 
 def predicted_mse_floor_params(n_doppler: int, k_max: int, l_max: int,
                                k_hat: int, sl_w: float) -> float:
-    """High-SNR estimation-error floor summed over the read window."""
+    """High-SNR estimation-error floor summed over the read window.
+
+    Raises :class:`ConfigurationError` for a spread or k_hat that no
+    :class:`PilotLayout` on N Doppler rows accepts.
+    """
+    _check_spread(n_doppler, k_max, l_max, k_hat)
     cells = (2 * k_max + 2 * k_hat + 1) * (l_max + 1)
     return predicted_interference_power_params(n_doppler, k_max, k_hat, sl_w) * cells
 

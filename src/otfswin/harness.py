@@ -264,12 +264,6 @@ def rows_to_json(rows: list[ResultRow]) -> str:
     return json.dumps([dataclasses.asdict(r) for r in rows], indent=2) + "\n"
 
 
-def write_rows(rows: list[ResultRow], path: str, fmt: str = "csv") -> None:
-    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def write_metadata(config: ExperimentConfig, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(config.metadata(), fh, indent=2, sort_keys=True)
@@ -298,8 +292,13 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(max(x, 1e-300))
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+# Standard normal quantile of the two-sided 95% intervals.
+_Z = 1.96
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial rate."""
+    z = _Z
     if trials < 1:
         raise ValueError("trials must be positive")
     p = successes / trials
@@ -309,13 +308,13 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(center - spread, 0.0), min(center + spread, 1.0)
 
 
-def mean_interval(samples: np.ndarray, z: float = 1.96) -> tuple[float, float, float]:
+def mean_interval(samples: np.ndarray) -> tuple[float, float, float]:
     """Sample mean with a normal-approximation 95% interval."""
     samples = np.asarray(samples, dtype=float)
     mean = float(samples.mean())
     if samples.size < 2:
         return mean, mean, mean
-    half = z * float(samples.std(ddof=1)) / math.sqrt(samples.size)
+    half = _Z * float(samples.std(ddof=1)) / math.sqrt(samples.size)
     return mean, mean - half, mean + half
 
 
@@ -569,14 +568,14 @@ def _fer_rows(config: ExperimentConfig, link: _Link, sweep) -> list[ResultRow]:
     """The fer rows of ``(snr, per-trial bit error counts)`` pairs."""
     tag = config.config_hash()
     rows: list[ResultRow] = []
+    frames = config.trials
+    bits = frames * link.bits_per_frame
     for snr, bit_errors in sweep:
-        counts = det_mod.error_counts(
-            sum(bit_errors), sum(e > 0 for e in bit_errors), config.trials, link.bits_per_frame,
-        )
-        flo, fhi = wilson_interval(counts.frame_errors, counts.frames)
-        blo, bhi = wilson_interval(counts.bit_errors, counts.bits)
-        rows.append(ResultRow("fer", tag, snr, "fer", counts.fer, flo, fhi, counts.frames))
-        rows.append(ResultRow("fer", tag, snr, "ber", counts.ber, blo, bhi, counts.frames))
+        errors, frame_errors = sum(bit_errors), sum(e > 0 for e in bit_errors)
+        flo, fhi = wilson_interval(frame_errors, frames)
+        blo, bhi = wilson_interval(errors, bits)
+        rows.append(ResultRow("fer", tag, snr, "fer", frame_errors / frames, flo, fhi, frames))
+        rows.append(ResultRow("fer", tag, snr, "ber", errors / bits, blo, bhi, frames))
     return rows
 
 
@@ -597,6 +596,8 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
     FFT fast paths it validates."""
     from .transforms import build_kron_operators, isfft, sfft
 
+    if seed < 0:
+        raise ConfigurationError(f"selfcheck seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 

@@ -82,37 +82,24 @@ class WindowPair:
         cls,
         grid: FrameGrid,
         tx_doppler: np.ndarray | None = None,
-        tx_delay: np.ndarray | None = None,
         rx_doppler: np.ndarray | None = None,
-        rx_delay: np.ndarray | None = None,
     ) -> "WindowPair":
-        """Build a pair from per-axis vectors; omitted axes are rectangular.
+        """Build a pair from Doppler-axis vectors of length N (time slots);
+        an omitted side and the delay axis are rectangular."""
 
-        Doppler-axis vectors have length N (time slots), delay-axis vectors
-        length M (subcarriers).
-        """
-
-        def _outer(dop, dly):
+        def _outer(dop):
             d = np.ones(grid.N, dtype=complex) if dop is None else np.asarray(dop, dtype=complex)
-            f = np.ones(grid.M, dtype=complex) if dly is None else np.asarray(dly, dtype=complex)
-            if d.size != grid.N or f.size != grid.M:
-                raise ValueError("axis window lengths must match the grid")
-            return np.outer(d, f)
+            if d.size != grid.N:
+                raise ValueError("Doppler window length must match the grid's N")
+            return np.outer(d, np.ones(grid.M, dtype=complex))
 
-        return cls(tx=_outer(tx_doppler, tx_delay), rx=_outer(rx_doppler, rx_delay))
+        return cls(tx=_outer(tx_doppler), rx=_outer(rx_doppler))
 
     @classmethod
     def from_tx_grid(cls, tx: np.ndarray) -> "WindowPair":
         """Arbitrary (possibly non-separable) TX grid with a rectangular RX."""
         tx = np.asarray(tx, dtype=complex)
         return cls(tx=tx, rx=np.ones_like(tx))
-
-
-def rectangular(length: int) -> np.ndarray:
-    """All-ones axis window."""
-    if length < 1:
-        raise ValueError("window length must be >= 1")
-    return np.ones(length)
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +156,22 @@ def _chebyshev_coeffs(length: int, attenuation_db: float) -> np.ndarray:
     return w / np.max(w)
 
 
-def measure_doppler_response(coeffs: np.ndarray, oversample: int = 128) -> WindowResponse:
+# Points per Doppler bin of the dense response scan.
+_OVERSAMPLE = 128
+
+
+def measure_doppler_response(coeffs: np.ndarray) -> WindowResponse:
     """Dense scan of an axis window's DD-domain response.
 
-    The response is (1/N) * sum_n c[n] exp(-j2pi n dk / N) on an oversampled
-    dk grid; the mainlobe is delimited by the first local minimum after the
-    peak and the sidelobe level is the largest magnitude beyond it.
+    The response is (1/N) * sum_n c[n] exp(-j2pi n dk / N) on a dk grid
+    oversampled ``_OVERSAMPLE`` times; the mainlobe is delimited by the
+    first local minimum after the peak and the sidelobe level is the
+    largest magnitude beyond it.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.size
-    dense = np.abs(np.fft.fft(coeffs, n=n * oversample)) / n
-    half = (n * oversample) // 2
+    dense = np.abs(np.fft.fft(coeffs, n=n * _OVERSAMPLE)) / n
+    half = (n * _OVERSAMPLE) // 2
     peak = dense[0]
     j = 1
     while j < half and dense[j + 1] < dense[j]:
@@ -190,7 +182,7 @@ def measure_doppler_response(coeffs: np.ndarray, oversample: int = 128) -> Windo
         )
     sidelobe = float(np.max(dense[j:half + 1]) / peak)
     return WindowResponse(
-        mainlobe_width_bins=2.0 * j / oversample,
+        mainlobe_width_bins=2.0 * j / _OVERSAMPLE,
         sidelobe_db=20.0 * math.log10(max(sidelobe, 1e-300)),
     )
 
@@ -211,7 +203,7 @@ def max_achievable_attenuation_db(length: int) -> float:
     return min(db, 20.0 * math.log10(sys.float_info.max))
 
 
-def dc_window(length: int, sl_db: float, oversample: int = 128) -> DCWindowDesign:
+def dc_window(length: int, sl_db: float) -> DCWindowDesign:
     """Design a Dolph-Chebyshev Doppler window with the given sidelobe level.
 
     ``sl_db`` is the requested sidelobe level in dB (negative, at most -10).
@@ -225,7 +217,7 @@ def dc_window(length: int, sl_db: float, oversample: int = 128) -> DCWindowDesig
         raise ConfigurationError(f"sidelobe target must be -10 dB or lower, got {sl_db!r}")
     try:
         coeffs = _chebyshev_coeffs(length, -abs(sl_db))
-        resp = measure_doppler_response(coeffs, oversample=oversample)
+        resp = measure_doppler_response(coeffs)
     except (ConfigurationError, OverflowError):
         raise ConfigurationError(
             f"requested {sl_db:.1f} dB is infeasible for N={length}; "

@@ -24,7 +24,7 @@ from otfswin import (
     sfft,
 )
 from otfswin.channel import EffectiveDDChannel, _dd_response
-from otfswin.detection import DetectionReport, NoiseModel
+from otfswin.detection import DetectionReport
 
 
 def naive_tf_channel(ch):
@@ -102,16 +102,16 @@ def brute_force_map(y_vec, channel_matrix, points):
     return digits[dist.sum(axis=1).argmin()]
 
 
-def mmse_error_covariance(channel_matrix: np.ndarray, noise: NoiseModel) -> np.ndarray:
+def mmse_error_covariance(channel_matrix: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
     """Error covariance (I + H^H C^(-1) H)^(-1) of the MMSE estimate."""
     h = np.asarray(channel_matrix, dtype=complex)
-    whitened = np.linalg.solve(noise.matrix(h.shape[0]), h)
+    whitened = np.linalg.solve(noise_cov, h)
     return np.linalg.inv(np.eye(h.shape[1]) + h.conj().T @ whitened)
 
 
-def mmse_trace_mse(channel_matrix: np.ndarray, noise: NoiseModel) -> float:
+def mmse_trace_mse(channel_matrix: np.ndarray, noise_cov: np.ndarray) -> float:
     """Analytic per-symbol MSE: trace of the error covariance over its size."""
-    e = mmse_error_covariance(channel_matrix, noise)
+    e = mmse_error_covariance(channel_matrix, noise_cov)
     return float(np.real(np.trace(e))) / e.shape[0]
 
 
@@ -210,10 +210,10 @@ def enumeration_spa_detect(
     """
     if channel.truncation is None:
         raise ValueError("sum-product detection needs a tap-truncated channel")
-    taps = channel.truncation
+    kept = channel.truncation
     points = constellation.points
     q = points.size
-    degree = len(taps)
+    degree = kept.size
     if q ** degree > max_configs:
         raise ConfigurationError(
             f"sum step needs Q^L = {q ** degree} configurations, above the "
@@ -232,18 +232,19 @@ def enumeration_spa_detect(
         # keeps its uniform prior, decided as constellation index 0
         belief = np.full((size, q), 1.0 / q)
         idx = np.zeros(size, dtype=np.int64)
-        return DetectionReport(soft=belief @ points, hard=points[idx], hard_indices=idx,
+        return DetectionReport(soft=belief @ points, hard_indices=idx,
                                marginals=belief, iterations=0)
     sigma2 = n0 + channel.residual_power()
     if sigma2 <= 0:
         sigma2 = 1e-12  # degenerate noiseless likelihood; keep it sharp but finite
 
     k_obs, l_obs = np.divmod(np.arange(size), m)
+    taps = [(*divmod(int(idx), m), channel.taps.reshape(-1)[idx]) for idx in kept]
     sym_of = np.empty((size, degree), dtype=np.int64)
     gains = np.empty((size, degree), dtype=complex)
-    for t, tap in enumerate(taps):
-        sym_of[:, t] = ((k_obs - tap.doppler) % n) * m + (l_obs - tap.delay) % m
-        gains[:, t] = tap.value
+    for t, (doppler, delay, value) in enumerate(taps):
+        sym_of[:, t] = ((k_obs - doppler) % n) * m + (l_obs - delay) % m
+        gains[:, t] = value
     if data_mask is not None:
         known = ~np.asarray(data_mask, dtype=bool).reshape(-1)
         gains[known[sym_of]] = 0.0  # known-zero symbols contribute nothing
@@ -251,8 +252,8 @@ def enumeration_spa_detect(
     # observation index each symbol meets at tap slot t (inverse of sym_of)
     obs_of = np.empty((size, degree), dtype=np.int64)
     k_sym, l_sym = k_obs, l_obs
-    for t, tap in enumerate(taps):
-        obs_of[:, t] = ((k_sym + tap.doppler) % n) * m + (l_sym + tap.delay) % m
+    for t, (doppler, delay, _) in enumerate(taps):
+        obs_of[:, t] = ((k_sym + doppler) % n) * m + (l_sym + delay) % m
 
     configs = np.array(list(itertools.product(range(q), repeat=degree)), dtype=np.int64)
     config_values = points[configs]                      # (C, degree)
@@ -308,7 +309,6 @@ def enumeration_spa_detect(
     soft = belief @ points
     return DetectionReport(
         soft=soft,
-        hard=points[idx],
         hard_indices=idx,
         marginals=belief,
         iterations=iterations_run,

@@ -265,10 +265,12 @@ class TestEffectiveChannel:
         taps[0, 1] = 0.5
         taps[1, 0] = 0.5
         taps[0, 2] = 1.0
-        trunc = largest_taps(taps, 2)
-        assert (trunc[0].doppler, trunc[0].delay) == (0, 2)
-        assert (trunc[1].doppler, trunc[1].delay) == (0, 1)  # tie broken by (k, l)
-        assert largest_taps(taps, 10) == largest_taps(taps, 3)  # zeros never picked
+        doppler, delay = np.divmod(largest_taps(taps, 2), taps.shape[1])
+        assert (doppler[0], delay[0]) == (0, 2)
+        assert (doppler[1], delay[1]) == (0, 1)  # tie broken by (k, l)
+        assert largest_taps(taps, 2).dtype == np.int64
+        # zeros never picked
+        assert np.array_equal(largest_taps(taps, 10), largest_taps(taps, 3))
         with pytest.raises(ValueError):
             largest_taps(taps, 0)
 

@@ -5,7 +5,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +20,14 @@ CE_CONFIG = (
     "M = 16\nN = 16\npaths = 2\nk_max = 2\nl_max = 2\nk_hat = 1\n"
     "snr_db = 30\ntrials = 25\nseed = 5\n"
 )
+
+
+# The CLI with scipy, hypothesis and pytest unimportable: the package needs
+# numpy alone.  CI runs the same command.
+NUMPY_ONLY = ("import sys; "
+              "sys.modules.update(dict.fromkeys(('scipy', 'hypothesis', 'pytest'))); "
+              "from otfswin.cli import main; sys.exit(main(sys.argv[1:]))")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -41,6 +52,29 @@ class TestFloor:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["mse_floor"] == pytest.approx(0.0135, rel=1e-9)
+
+    @pytest.mark.parametrize("args, field", [
+        (["--sl-db", "nan"], "--sl-db"),
+        (["--sl-db", "inf"], "--sl-db"),
+        (["--sl-db=-inf"], "--sl-db"),
+        (["--sl-db", "1e6"], "--sl-db"),
+        (["--sl-db", "0.5"], "--sl-db"),
+        (["--sl-db", "-40", "--kmax", "-3"], "spread"),
+        (["--sl-db", "-40", "--lmax", "-1"], "spread"),
+        # N = 20, k_max = 3 leaves room for k_hat <= 1 only
+        (["--sl-db", "-40", "--khat", "9"], "k_hat=9 outside [0, 1]"),
+        (["--sl-db", "-40", "--khat", "-1"], "k_hat=-1"),
+        (["--sl-db", "-40", "--N", "-5"], "N=-5"),
+        (["--sl-db", "-40", "--N", "1" + "0" * 400], "--N"),
+    ])
+    def test_bad_input_exits_2_with_one_line(self, capsys, args, field):
+        # a flag given twice takes its last value
+        rc = main(["floor", "--N", "20", "--kmax", "3", "--lmax", "4", *args])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and field in err[0], err
 
 
 class TestDesignWindow:
@@ -213,6 +247,14 @@ class TestSelfcheckCommand:
         assert len(lines) >= 6
         assert all(line.startswith("ok") for line in lines)
 
+    def test_negative_seed_exits_2(self, capsys):
+        rc = main(["selfcheck", "--seed", "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0], err
+
     def test_violation_exits_3(self, capsys, monkeypatch):
         from otfswin.harness import CheckResult
 
@@ -307,3 +349,16 @@ class TestConfigFuzz:
                 assert math.isfinite(value) and math.isfinite(ci_lo) and math.isfinite(ci_hi), line
             with open(out + ".meta.json", encoding="utf-8") as fh:
                 json.loads(fh.read(), parse_constant=_reject_constant)
+
+
+class TestNumpyOnly:
+    def test_selfcheck_and_ce_mse_run_without_test_dependencies(self, tmp_path):
+        cfg = tmp_path / "ce.cfg"
+        cfg.write_text(CE_CONFIG.replace("trials = 25", "trials = 2"), encoding="utf-8")
+        path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path)
+        for args in (["selfcheck"], ["ce-mse", "--config", str(cfg)]):
+            proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY, *args],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout and not proc.stderr

@@ -17,7 +17,6 @@ from otfswin import (
     isfft,
     nominal_sidelobe_level,
     optimal_tx_window,
-    rectangular,
 )
 from otfswin.channel import rect_doppler_response
 from otfswin.detection import analytic_detection_mse
@@ -39,13 +38,6 @@ def gain_grids(draw):
 
 
 class TestRectangular:
-    def test_all_ones(self):
-        assert np.array_equal(rectangular(4), np.ones(4))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            rectangular(0)
-
     def test_far_sidelobe_level_is_one_over_n(self):
         # the Dirichlet response envelope flattens to 1/N away from the peak
         n = 20
