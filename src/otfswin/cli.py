@@ -149,7 +149,8 @@ def main(argv: list[str] | None = None) -> int:
                 _emit(json.dumps({
                     "N": args.N, "k_max": args.kmax, "l_max": args.lmax,
                     "k_hat": args.khat, "sl_db": args.sl_db, "mse_floor": value,
-                    "mse_floor_db": value_db,
+                    # JSON has no -Infinity: a zero floor has no dB value
+                    "mse_floor_db": value_db if value > 0 else None,
                 }, indent=2) + "\n", None)
             return 0
 

@@ -20,6 +20,7 @@ likelihood as extra noise.  Scheduling is flooding with message damping.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,7 @@ class DetectionReport:
     hard_indices: np.ndarray          # constellation indices of the decisions
     mse_emp: float | None = None      # empirical per-symbol MSE vs supplied truth
     marginals: np.ndarray | None = None  # SPA per-symbol posteriors
-    iterations: int | None = None     # SPA iterations actually run
+    iterations: int | None = None     # SPA sweeps run: one frame's iterations
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +216,18 @@ def _factor_messages(likelihood: np.ndarray, from_symbol: np.ndarray) -> np.ndar
     return out
 
 
-# The sum-product detector stops once no message moves by more than this, and
-# refuses a truncation whose likelihood tensor has more joint configurations
-# than the budget.
+# The sum-product detector stops a frame once none of its messages moves by
+# more than this, and refuses a truncation whose likelihood tensor has more
+# joint configurations than the budget.  A stack is detected at most
+# budget // Q^L frames at a time, so it never holds more likelihood than one
+# frame at the budget.
 _SPA_TOL = 1e-4
 _SPA_MAX_CONFIGS = 8192
 
 
 def spa_detect(
     y_frame: np.ndarray,
-    channel: EffectiveDDChannel,
+    channel: EffectiveDDChannel | Sequence[EffectiveDDChannel],
     n0: float,
     constellation: Constellation,
     iters: int = 20,
@@ -233,10 +236,13 @@ def spa_detect(
 ) -> DetectionReport:
     """Iterative sum-product detection on the truncated-tap factor graph.
 
-    ``channel`` must carry a tap truncation; its residual tap energy is added
-    to ``n0`` in the likelihood.  ``data_mask`` marks the unknown symbols;
-    cells outside it are treated as known zeros (the caller cancels any pilot
-    beforehand), which simply removes their taps from the graph.
+    ``y_frame`` is one (N, M) frame and ``channel`` its effective channel,
+    or a [B, N, M] stack and a sequence of B channels, one per frame.  Each
+    channel must carry a tap truncation; its residual tap energy is added to
+    ``n0`` in that frame's likelihood.  ``data_mask`` marks the unknown
+    symbols of every frame; cells outside it are treated as known zeros (the
+    caller cancels any pilot beforehand), which simply removes their taps
+    from the graph.
 
     Messages are probability vectors over the constellation.  The factor
     update contracts the (Q,)*L likelihood tensor of every factor with its
@@ -244,79 +250,155 @@ def spa_detect(
     the likelihood is held for all Q^L joint configurations, so Q^L is capped
     by ``_SPA_MAX_CONFIGS``.  An empty truncation (an all-zero channel
     estimate) gives the prior decisions after 0 iterations.
+
+    The frames of a stack that share a truncation degree L run their sweeps
+    together (:func:`_flood`), and each stops on its own, so every frame
+    gets bit for bit its result alone.  A stack returns (B, NM) ``soft`` and
+    ``hard_indices`` and (B, NM, Q) ``marginals``; ``iterations`` counts the
+    sweeps the call ran, for one frame its iterations.
     """
-    if channel.truncation is None:
-        raise ValueError("sum-product detection needs a tap-truncated channel")
-    kept = channel.truncation
+    single = isinstance(channel, EffectiveDDChannel)
+    channels = [channel] if single else list(channel)
     points = constellation.points
     q = points.size
-    degree = kept.size
-    if q ** degree > _SPA_MAX_CONFIGS:
-        raise ConfigurationError(
-            f"sum step needs Q^L = {q ** degree} configurations, above the "
-            f"budget of {_SPA_MAX_CONFIGS}; reduce the tap count"
-        )
+    groups: dict[int, list[int]] = {}
+    for index, ch in enumerate(channels):
+        if ch.truncation is None:
+            raise ValueError("sum-product detection needs a tap-truncated channel")
+        degree = ch.truncation.size
+        if q ** degree > _SPA_MAX_CONFIGS:
+            raise ConfigurationError(
+                f"sum step needs Q^L = {q ** degree} configurations, above the "
+                f"budget of {_SPA_MAX_CONFIGS}; reduce the tap count"
+            )
+        if degree:
+            groups.setdefault(degree, []).append(index)
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
+    if len({ch.shape for ch in channels}) != 1:
+        raise ValueError("a stack needs at least one channel, all on one grid")
 
-    n, m = channel.shape
+    n, m = channels[0].shape
     size = n * m
-    y = np.asarray(y_frame, dtype=complex).reshape(-1)
-    if y.size != size:
+    y = np.asarray(y_frame, dtype=complex)
+    if y.size != len(channels) * size:
         raise ValueError("observation shape does not match the channel grid")
-    if degree == 0:
-        # an all-zero channel (estimate) leaves no factors: every symbol
-        # keeps its uniform prior, decided as constellation index 0
-        belief = np.full((size, q), 1.0 / q)
-        idx = np.zeros(size, dtype=np.int64)
-        return DetectionReport(soft=belief @ points, hard_indices=idx,
-                               marginals=belief, iterations=0)
-    sigma2 = n0 + channel.residual_power()
-    if sigma2 <= 0:
-        sigma2 = 1e-12  # degenerate noiseless likelihood; keep it sharp but finite
+    y = y.reshape(len(channels), size)
+    known = None if data_mask is None else ~np.asarray(data_mask, dtype=bool).reshape(-1)
 
-    # factor i meets symbol sym_of[t, i] on tap slot t, and symbol j meets
-    # factor obs_of[t, j] there: the two are inverse permutations per slot
-    doppler, delay = np.divmod(kept[:, None], m)
+    # an all-zero channel (estimate) leaves no factors: every symbol keeps
+    # its uniform prior, decided as constellation index 0
+    belief = np.full((len(channels), size, q), 1.0 / q)
+    sweeps = 0
+    for degree, members in groups.items():
+        step = max(1, _SPA_MAX_CONFIGS // q ** degree)
+        for first in range(0, len(members), step):
+            batch = members[first:first + step]
+            belief[batch], ran = _flood(y[batch], [channels[i] for i in batch], n0,
+                                        points, iters, damping, known)
+            sweeps += ran
+
+    idx = belief.argmax(axis=2)
+    soft = belief @ points
+    if single:
+        soft, idx, belief = soft[0], idx[0], belief[0]
+    return DetectionReport(soft=soft, hard_indices=idx, marginals=belief, iterations=sweeps)
+
+
+def _gathers(cells: np.ndarray, q: int) -> np.ndarray:
+    """Flat ``take`` index into (L, Q, B*NM) messages that reads, at
+    [t, v, b*NM + j], value v on slot t of node ``cells[b, t, j]`` of frame b."""
+    frames, degree, size = cells.shape
+    cols = frames * size
+    nodes = cells + size * np.arange(frames)[:, None, None]
+    rows = (np.arange(degree)[:, None] * q + np.arange(q)) * cols
+    return rows[:, :, None] + nodes.transpose(1, 0, 2).reshape(degree, 1, cols)
+
+
+def _flood(
+    y: np.ndarray,
+    channels: list[EffectiveDDChannel],
+    n0: float,
+    points: np.ndarray,
+    iters: int,
+    damping: float,
+    known: np.ndarray | None,
+) -> tuple[np.ndarray, int]:
+    """Flooding sum-product over (B, NM) observations whose channels keep
+    the same number L of taps.
+
+    The frames' factor axes are concatenated, so every step of a sweep runs
+    once for the stack.  After each sweep a frame whose messages moved by
+    less than ``_SPA_TOL``, or that has run ``iters`` sweeps, keeps its
+    factor-to-symbol messages and leaves the stack.  Returns the (B, NM, Q)
+    beliefs and the number of sweeps run.
+    """
+    frames, size = y.shape
+    n, m = channels[0].shape
+    q = points.size
+    kept = np.array([ch.truncation for ch in channels])
+    degree = kept.shape[1]
+    sigma2 = np.array([n0 + ch.residual_power() for ch in channels])
+    sigma2[sigma2 <= 0] = 1e-12  # degenerate noiseless likelihood; keep it sharp but finite
+
+    # factor i of frame b meets symbol sym_of[b, t, i] on tap slot t, and
+    # symbol j meets factor obs_of[b, t, j] there: inverse permutations per slot
+    doppler, delay = np.divmod(kept[:, :, None], m)
     k, l = np.divmod(np.arange(size), m)
     sym_of = ((k - doppler) % n) * m + (l - delay) % m
     obs_of = ((k + doppler) % n) * m + (l + delay) % m
-    gains = np.empty((size, degree), dtype=complex)
-    gains[:] = channel.taps.reshape(-1)[kept]
-    if data_mask is not None:
-        known = ~np.asarray(data_mask, dtype=bool).reshape(-1)
-        gains[known[sym_of.T]] = 0.0  # known-zero symbols contribute nothing
+    taps = np.array([ch.taps.reshape(-1) for ch in channels])
+    gains = np.empty((frames, size, degree), dtype=complex)
+    gains[:] = np.take_along_axis(taps, kept, axis=1)[:, None, :]
+    if known is not None:
+        gains[known[sym_of.transpose(0, 2, 1)]] = 0.0  # known-zero symbols contribute nothing
 
-    # likelihood[c_0, .., c_{L-1}, i] of factor i under symbol values c
+    # likelihood[c_0, .., c_{L-1}, b, i] of factor i of frame b under symbol
+    # values c; the stacked product runs one (NM, L) x (L, C) product per frame
     configs = np.array(list(itertools.product(range(q), repeat=degree)), dtype=np.int64)
-    means = gains @ points[configs].T                    # (size, C)
-    np.subtract(y[:, None], means, out=means)
-    likelihood = np.empty((configs.shape[0], size))
-    np.abs(means.T, out=likelihood)
+    means = gains @ points[configs].T                    # (B, NM, C)
+    np.subtract(y[:, :, None], means, out=means)
+    likelihood = np.empty((configs.shape[0], frames, size))
+    np.abs(means.transpose(2, 0, 1), out=likelihood)
     del means
     likelihood **= 2
     likelihood -= likelihood.min(axis=0)                 # scale-free normalization
-    likelihood /= -sigma2
+    likelihood /= -sigma2[:, None]
     np.exp(likelihood, out=likelihood)
-    likelihood = likelihood.reshape((q,) * degree + (size,))
 
-    # Messages live as (degree, q, size) arrays indexed [slot, value, node]:
-    # to_symbol[t, :, i] leaves factor i on slot t, from_symbol[t, :, i]
-    # enters it.  One flat gather through obs_of puts factor-side messages in
-    # symbol order, and one through sym_of puts them back.
-    rows = (np.arange(degree)[:, None] * q + np.arange(q)) * size
-    at_symbols = rows[:, :, None] + obs_of[:, None, :]
-    at_factors = rows[:, :, None] + sym_of[:, None, :]
-    to_symbol = np.full((degree, q, size), 1.0 / q)
-    from_symbol = np.full((degree, q, size), 1.0 / q)
-    prefix = np.ones((degree, q, size))
-    suffix = np.ones((degree, q, size))
-    iterations_run = 0
-    for _ in range(iters):
-        iterations_run += 1
-        new_msgs = _normalize(_factor_messages(likelihood, from_symbol), axis=1)
-        delta = float(np.max(np.abs(new_msgs - to_symbol)))
+    # Messages live as (degree, q, B*NM) arrays indexed [slot, value, node],
+    # frame b's nodes at columns b*NM..(b+1)*NM: to_symbol[t, :, i] leaves
+    # factor i on slot t, from_symbol[t, :, i] enters it.  One flat gather
+    # through obs_of puts factor-side messages in symbol order, and one
+    # through sym_of puts them back.  ``active`` lists the frames still in
+    # the stack, in column order.
+    active = np.arange(frames)
+    to_symbol = np.full((degree, q, frames * size), 1.0 / q)
+    from_symbol = to_symbol.copy()
+    final = to_symbol.reshape(degree, q, frames, size).copy()
+    at_all = _gathers(obs_of, q)
+    at_symbols, at_factors = at_all, _gathers(sym_of, q)
+    prefix = np.ones_like(to_symbol)
+    suffix = np.ones_like(to_symbol)
+    sweeps = 0
+    for sweeps in range(1, iters + 1):
+        head = likelihood.reshape((q,) * degree + (-1,))
+        new_msgs = _normalize(_factor_messages(head, from_symbol), axis=1)
+        moved = np.abs(new_msgs - to_symbol).reshape(degree * q, -1, size).max(axis=(0, 2))
         to_symbol = damping * new_msgs + (1.0 - damping) * to_symbol
+        done = (moved < _SPA_TOL) | (sweeps == iters)
+        if done.any():
+            blocks = to_symbol.reshape(degree, q, -1, size)
+            final[:, :, active[done]] = blocks[:, :, done]
+            stay = ~done
+            active = active[stay]
+            if not active.size:
+                break
+            to_symbol = blocks.compress(stay, axis=2).reshape(degree, q, -1)
+            likelihood = likelihood.compress(stay, axis=1)
+            at_symbols, at_factors = _gathers(obs_of[active], q), _gathers(sym_of[active], q)
+            prefix = np.ones_like(to_symbol)
+            suffix = np.ones_like(to_symbol)
 
         # leave-one-out product over each symbol's slots: exclusive prefix
         # times exclusive suffix products (prefix[0] and suffix[-1] stay 1)
@@ -326,17 +408,7 @@ def spa_detect(
             np.multiply(suffix[-t], incoming[-t], out=suffix[-t - 1])
         out = _normalize(prefix * suffix, axis=1)
         from_symbol = out.take(at_factors)
-        if delta < _SPA_TOL:
-            break
 
-    belief = np.ascontiguousarray(np.prod(to_symbol.take(at_symbols), axis=0).T)
-    _normalize(belief, axis=1)
-
-    idx = belief.argmax(axis=1)
-    soft = belief @ points
-    return DetectionReport(
-        soft=soft,
-        hard_indices=idx,
-        marginals=belief,
-        iterations=iterations_run,
-    )
+    belief = np.prod(final.reshape(degree, q, -1).take(at_all), axis=0)
+    belief = np.ascontiguousarray(belief.reshape(q, frames, size).transpose(1, 2, 0))
+    return _normalize(belief, axis=2), sweeps

@@ -158,6 +158,9 @@ def _chebyshev_coeffs(length: int, attenuation_db: float) -> np.ndarray:
 
 # Points per Doppler bin of the dense response scan.
 _OVERSAMPLE = 128
+# Longest window dc_window designs: its response scan then holds 2^21
+# complex points (32 MiB).
+_MAX_DC_LENGTH = 1 << 14
 
 
 def measure_doppler_response(coeffs: np.ndarray) -> WindowResponse:
@@ -213,6 +216,9 @@ def dc_window(length: int, sl_db: float) -> DCWindowDesign:
     """
     if length < 3:
         raise ConfigurationError("Chebyshev design needs a window length of at least 3")
+    if length > _MAX_DC_LENGTH:
+        raise ConfigurationError(
+            f"Chebyshev design supports window lengths up to {_MAX_DC_LENGTH}, got {length}")
     if not sl_db <= -10.0:
         raise ConfigurationError(f"sidelobe target must be -10 dB or lower, got {sl_db!r}")
     try:

@@ -393,8 +393,8 @@ def per_trial_fer(config):
 
     def trial(snr_index, t, n0):
         bits, y, rx_window, gains = per_trial_transmit(link, snr_index, t, n0)
-        known = gains if link.layout is None else None
-        detected = harness._detect_frame(link, y, rx_window, n0, known)
-        return int(np.count_nonzero(detected != bits))
+        known = gains[None] if link.layout is None else None
+        detected = harness._detect_frames(link, y[None], rx_window[None], n0, known)
+        return int(np.count_nonzero(detected[0] != bits))
 
     return harness._fer_rows(config, link, _per_trial_sweep(config, trial))

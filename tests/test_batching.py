@@ -1,7 +1,8 @@
 """Stacks of frames through the batched layers: each frame of a stack must
 come out bit for bit as the same layer gives it for that frame alone, and,
 for the TF channel and the transmit step, as the single-frame code they
-replaced (kept in ``oracles``).
+replaced (kept in ``oracles``).  The sum-product detector is also checked
+against the enumeration oracle.
 
 The harness runs trials in chunks through these layers, and its rows stay
 byte-identical only if this holds, so the comparisons are exact
@@ -14,19 +15,25 @@ import pytest
 import oracles
 from otfswin import (
     Constellation,
+    EffectiveDDChannel,
     FrameGrid,
     PilotLayout,
     WindowPair,
+    dc_window,
+    effective_dd_channel,
     embed_pilot,
     estimate_channel,
     isfft,
+    largest_taps,
     map_symbols,
     measured_ce_mse,
     sample_channel,
     sfft,
+    spa_detect,
     tf_channel,
     transmit_frame,
 )
+from otfswin import detection
 from otfswin.channel import _dd_response
 from otfswin.harness import ExperimentConfig, build_windows
 
@@ -161,3 +168,114 @@ def test_estimate_channel_and_measured_ce_mse(kind, frames):
     assert sse.shape == (frames,)
     assert np.array_equal(sse, [measured_ce_mse(t, e, LAYOUT) for t, e in zip(truth, est)])
     assert isinstance(measured_ce_mse(truth[0], est[0], LAYOUT), float)
+
+
+# --- sum-product detection: one call on a stack against one call per frame
+
+SPA_GRID = FrameGrid(M=8, N=16)
+SPA_MASK = PilotLayout.centered(SPA_GRID, k_max=2, l_max=2, k_hat=1).data_mask
+CONSTELLATIONS = [Constellation.bpsk(), QPSK]
+
+
+def spa_frames(rng, constellation, degrees, n0):
+    """Frames sent over random DC-TX-windowed channels, and the effective
+    channels truncated to the given degrees; degree 0 is an all-zero
+    estimate."""
+    windows = WindowPair.separable(SPA_GRID, tx_doppler=dc_window(SPA_GRID.N, -30.0).coeffs)
+    points = constellation.points
+    frames, channels = [], []
+    for degree in degrees:
+        ch = sample_channel(SPA_GRID, 3, 2, 2, rng)
+        x = points[rng.integers(0, points.size, SPA_GRID.shape)]
+        frames.append(transmit_frame(x, tf_channel(ch), windows, n0, rng))
+        taps = effective_dd_channel(ch, windows).taps * (degree > 0)
+        channels.append(EffectiveDDChannel(taps=taps, truncation=largest_taps(taps, max(degree, 1))))
+    assert [ch.truncation.size for ch in channels] == list(degrees)
+    return np.array(frames), channels
+
+
+def spa_stack_vs_frames(y, channels, n0, constellation, **kwargs):
+    """Detect ``y`` as one stack and frame by frame, require equal arrays,
+    and return the per-frame reports."""
+    stack = spa_detect(y, channels, n0, constellation, **kwargs)
+    alone = [spa_detect(frame, ch, n0, constellation, **kwargs)
+             for frame, ch in zip(y, channels)]
+    assert stack.marginals.shape == (len(y), SPA_GRID.size, constellation.points.size)
+    assert_framewise(stack.marginals, (r.marginals for r in alone))
+    assert_framewise(stack.hard_indices, (r.hard_indices for r in alone))
+    assert_framewise(stack.soft, (r.soft for r in alone))
+    assert type(stack.iterations) is int
+    return stack, alone
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("constellation", CONSTELLATIONS, ids=lambda c: c.name)
+def test_spa_mixed_degrees(constellation, masked):
+    degrees = (3, 0, 3, 5, 3, 5, 1, 4) if constellation.points.size == 2 else (2, 0, 2, 3, 2, 3, 1)
+    y, channels = spa_frames(np.random.default_rng(40 + masked), constellation, degrees, 0.1)
+    iters = 10
+    stack, alone = spa_stack_vs_frames(
+        y, channels, 0.1, constellation, iters=iters, damping=1.0,
+        data_mask=SPA_MASK if masked else None)
+    runs = {}
+    for degree, report in zip(degrees, alone):
+        runs.setdefault(degree, []).append(report.iterations)
+    # a flooding loop where a frame that converged early leaves beside one
+    # that stops at the sweep limit
+    assert any(iters in group and min(group) < iters for group in runs.values()), runs
+    # one flooding loop per degree: it runs as long as its slowest frame
+    assert stack.iterations == sum(max(group) for group in runs.values())
+
+
+@pytest.mark.parametrize("constellation", CONSTELLATIONS, ids=lambda c: c.name)
+def test_spa_zero_total_fallback_beside_normal_frames(constellation, monkeypatch):
+    # frame 1 keeps all its taps, so its likelihood is noiseless, and no
+    # symbol word explains its observation: messages reach exact zeros and,
+    # with damping 1, fall back to uniform; the truncated frames keep their
+    # residual tap energy as noise
+    rng = np.random.default_rng(5)
+    y, channels = spa_frames(rng, constellation, (2, 3, 2), 0.0)
+    taps = np.zeros(SPA_GRID.shape, dtype=complex)
+    taps[0, 0], taps[1, 2], taps[3, 1] = 1.0, 0.9j, -0.8
+    channels[1] = EffectiveDDChannel(taps=taps, truncation=largest_taps(taps, 3))
+    y[1] = 3.0 * (rng.standard_normal(SPA_GRID.shape) + 1j * rng.standard_normal(SPA_GRID.shape))
+    assert channels[1].residual_power() == 0 < channels[0].residual_power()
+
+    zero_totals = []
+    normalize = detection._normalize
+
+    def spy(msgs, axis):
+        zero_totals.append(bool(np.any(msgs.sum(axis=axis) <= 0)))
+        return normalize(msgs, axis)
+
+    monkeypatch.setattr(detection, "_normalize", spy)
+    spa_stack_vs_frames(y, channels, 0.0, constellation, iters=5, damping=1.0)
+    assert any(zero_totals)
+
+
+def test_spa_stack_is_split_by_the_configuration_budget(monkeypatch):
+    # QPSK with 6 taps has 4^6 = 4096 configurations: at most
+    # 8192 // 4096 = 2 such frames share a flooding loop
+    degrees = (6, 6, 2, 6, 6, 6)
+    y, channels = spa_frames(np.random.default_rng(6), QPSK, degrees, 0.1)
+    spa_stack_vs_frames(y, channels, 0.1, QPSK, iters=4, data_mask=SPA_MASK)
+    batches = []
+    flood = detection._flood
+
+    def spy(y, channels, *args):
+        batches.append([ch.truncation.size for ch in channels])
+        return flood(y, channels, *args)
+
+    monkeypatch.setattr(detection, "_flood", spy)
+    spa_detect(y, channels, 0.1, QPSK, iters=4, data_mask=SPA_MASK)
+    assert batches == [[6, 6], [6, 6], [6], [2]]
+
+
+def test_spa_stack_matches_enumeration():
+    bpsk = Constellation.bpsk()
+    y, channels = spa_frames(np.random.default_rng(7), bpsk, (4, 0, 2, 4, 3), 0.02)
+    stack = spa_detect(y, channels, 0.02, bpsk, data_mask=SPA_MASK)
+    for frame, ch, marginals, hard in zip(y, channels, stack.marginals, stack.hard_indices):
+        slow = oracles.enumeration_spa_detect(frame, ch, 0.02, bpsk, data_mask=SPA_MASK)
+        assert np.array_equal(hard, slow.hard_indices)
+        assert np.max(np.abs(marginals - slow.marginals)) <= 1e-12

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from otfswin.cli import main
+from otfswin.windows import _MAX_DC_LENGTH
 
 CE_CONFIG = (
     "M = 16\nN = 16\npaths = 2\nk_max = 2\nl_max = 2\nk_hat = 1\n"
@@ -52,6 +53,23 @@ class TestFloor:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["mse_floor"] == pytest.approx(0.0135, rel=1e-9)
+
+    @pytest.mark.parametrize("args, floor_db", [
+        # the guard covers every Doppler row: no data leaks into the window
+        (["--N", "5", "--kmax", "1", "--lmax", "2", "--sl-db", "-3"], None),
+        (["--N", "20", "--kmax", "3", "--lmax", "4", "--khat", "1", "--sl-db", "-40"],
+         pytest.approx(10 * math.log10(0.0135), rel=1e-12)),
+    ])
+    def test_json_output_is_strict_json(self, capsys, args, floor_db):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert main(["floor", *args, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert data["mse_floor_db"] == floor_db
+        assert main(["floor", *args]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[6] == ("-inf" if floor_db is None else f"{data['mse_floor_db']:.12g}")
 
     @pytest.mark.parametrize("args, field", [
         (["--sl-db", "nan"], "--sl-db"),
@@ -96,6 +114,15 @@ class TestDesignWindow:
         rc = main(["design-window", "--N", "3", "--sl-db", "-100"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [str(_MAX_DC_LENGTH + 1), "1" + "0" * 30])
+    def test_too_long_window_exits_2_with_one_line(self, capsys, n):
+        rc = main(["design-window", "--N", n, "--sl-db", "-40"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(_MAX_DC_LENGTH) in err[0]
 
     @pytest.mark.parametrize("n, sl_db", [("20", "nan"), ("20", "-1e6"), ("400", "-1e6")])
     def test_non_finite_or_overflowing_sidelobe_exits_2(self, capsys, n, sl_db):

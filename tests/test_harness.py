@@ -306,24 +306,26 @@ class TestFerExperiment:
         from otfswin import harness
 
         sent, detected = [], []
-        map_symbols, detect_frame = harness.map_symbols, harness._detect_frame
+        map_symbols, detect_frames = harness.map_symbols, harness._detect_frames
 
         def spy_map(bits, *args, **kwargs):
             sent.append(np.array(bits))
             return map_symbols(bits, *args, **kwargs)
 
         def spy_detect(*args, **kwargs):
-            detected.append(detect_frame(*args, **kwargs))
+            detected.append(detect_frames(*args, **kwargs))
             return detected[-1]
 
         monkeypatch.setattr(harness, "map_symbols", spy_map)
-        monkeypatch.setattr(harness, "_detect_frame", spy_detect)
+        monkeypatch.setattr(harness, "_detect_frames", spy_detect)
         cfg = ExperimentConfig(M=8, N=16, paths=2, k_max=1, l_max=1, k_hat=0,
                                csi="estimated-csir", detector="mmse",
                                snr_db=(4.0, 14.0), trials=25, seed=12)
         rows = run_fer(cfg)
-        # map_symbols maps a chunk of frames per call, one bit row per frame
+        # map_symbols maps and _detect_frames detects a chunk of frames per
+        # call, one bit row per frame
         sent = [frame_bits for chunk in sent for frame_bits in chunk]
+        detected = [frame_bits for chunk in detected for frame_bits in chunk]
         bits_per_frame = sent[0].size
         for i, snr in enumerate(cfg.snr_db):
             frames = slice(i * cfg.trials, (i + 1) * cfg.trials)
