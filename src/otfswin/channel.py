@@ -17,7 +17,6 @@ reduced into [-N/2, N/2) before closed forms are evaluated.
 from __future__ import annotations
 
 import io
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -189,9 +188,10 @@ def _dd_response(tf_grid: np.ndarray) -> np.ndarray:
 def tf_gains_from_taps(tap_grid: np.ndarray) -> np.ndarray:
     """TF gain grid whose DD response is ``tap_grid``: the inverse of the
     effective-channel map, so the circular operator of ``tap_grid`` is
-    diagonal with these gains in the TF domain."""
-    n = tap_grid.shape[0]
-    return np.fft.fft(np.fft.ifft(tap_grid, axis=0), axis=1) * n
+    diagonal with these gains in the TF domain.  Per frame of a
+    ``[..., N, M]`` stack."""
+    n = tap_grid.shape[-2]
+    return np.fft.fft(np.fft.ifft(tap_grid, axis=-2), axis=-1) * n
 
 
 def dd_filter(windows: WindowPair, dk: float, dl: float) -> complex:
@@ -324,7 +324,7 @@ def transmit_frame(
     dd_frame: np.ndarray,
     tf_gain_grid: np.ndarray,
     windows: WindowPair,
-    n0: float = 0.0,
+    n0: float | np.ndarray = 0.0,
     rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Pass a DD frame, or each frame of a ``[..., N, M]`` stack, through the
@@ -332,31 +332,37 @@ def transmit_frame(
 
     Exact FFT chain: modulate, TX window, per-bin TF gains, additive white
     TF noise of power n0, RX window, demodulate.  The gain and window grids
-    broadcast against the frames.  Returns the received DD frames.
+    broadcast against the frames, and so does ``n0``: one noise power, or an
+    array of one per frame.  Returns the received DD frames.
 
     A stack takes one generator per frame (row-major over the leading axes)
     and draws each frame's noise from its own generator, real parts before
-    imaginary parts, as a single frame does: frame i of a stack is bit for
-    bit the frame that ``transmit_frame`` returns for it alone.
+    imaginary parts, as a single frame does; a frame at zero noise power
+    draws nothing.  Frame i of a stack is bit for bit the frame that
+    ``transmit_frame`` returns for it alone.
     """
     x_tf = isfft(dd_frame)
     # named temporaries keep the single-frame operand order (see tf_channel)
     received = windows.tx * x_tf
     received = tf_gain_grid * received
-    if n0 > 0.0:
+    n0 = np.asarray(n0, dtype=float)
+    if np.any(n0 > 0.0):
         if rng is None:
             raise ValueError("noise requested but no rng supplied")
         shape = x_tf.shape[-2:]
         generators = [rng] if isinstance(rng, np.random.Generator) else list(rng)
         if len(generators) * shape[0] * shape[1] != x_tf.size:
             raise ValueError("a stack of frames needs one generator per frame")
-        real, imag = np.empty(x_tf.shape), np.empty(x_tf.shape)
-        for gen, re, im in zip(generators, real.reshape((-1,) + shape),
-                               imag.reshape((-1,) + shape)):
-            re[...] = gen.standard_normal(shape)
-            im[...] = gen.standard_normal(shape)
+        scale = np.sqrt(n0 / 2.0)
+        frame_scales = np.broadcast_to(scale, x_tf.shape[:-2]).reshape(-1).tolist()
+        real, imag = np.zeros(x_tf.shape), np.zeros(x_tf.shape)
+        for gen, re, im, frame_scale in zip(generators, real.reshape((-1,) + shape),
+                                            imag.reshape((-1,) + shape), frame_scales):
+            if frame_scale > 0.0:
+                re[...] = gen.standard_normal(shape)
+                im[...] = gen.standard_normal(shape)
         noise = real + 1j * imag
-        received = received + math.sqrt(n0 / 2.0) * noise
+        received = received + scale[..., None, None] * noise
     return sfft(windows.rx * received)
 
 

@@ -43,7 +43,7 @@ def noise_covariance(rx_window: np.ndarray, n0: float) -> np.ndarray:
     leaves the noise white, so that case short-circuits to n0 * I.
     """
     v = np.asarray(rx_window, dtype=complex)
-    if np.allclose(np.abs(v), 1.0, atol=1e-12):
+    if np.allclose(np.abs(v), 1.0, rtol=0.0, atol=1e-12):
         return n0 * np.eye(v.size)
     n, m = v.shape
     f_n, f_m = dft_matrix(n), dft_matrix(m)
@@ -102,15 +102,18 @@ def tf_lmmse_detect(
     y_frame: np.ndarray,
     tf_gains: np.ndarray,
     rx_window: np.ndarray,
-    n0: float,
+    n0: float | np.ndarray,
     constellation: Constellation,
     layout: PilotLayout | None = None,
 ) -> DetectionReport:
-    """LMMSE detection of an (N, M) DD frame, solved per TF bin.
+    """LMMSE detection of an (N, M) DD frame, or of each frame of a
+    [B, N, M] stack, solved per TF bin.
 
     ``tf_gains`` is the receiver's TF gain grid g (joint window times
     channel), so the DD channel is sfft . diag(g) . isfft, and ``rx_window``
-    the RX window grid v, which colors the noise to n0 |v|^2 per bin.  With
+    the RX window grid v, which colors the noise to n0 |v|^2 per bin; a
+    stack takes one gain and one window grid per frame, and ``n0`` one
+    noise power for all frames or an array of one per frame.  With
     d = |g|^2 + n0 |v|^2, the full-data estimate is sfft(conj(g) / d *
     isfft(y)).
 
@@ -119,17 +122,19 @@ def tf_lmmse_detect(
     channel, a rank-G downdate of the diagonal Gram matrix.  By Woodbury the
     data estimate is x0[D] - E[D, G] E[G, G]^(-1) x0[G], where x0 is the
     full-data estimate and E the circular operator of e = DD response of
-    n0 |v|^2 / d.  E[G, G] is the capacitance matrix I - c[G, G] with c the
-    DD response of |g|^2 / d, formed without the cancellation of 1 - c, and
-    gathered from e through the layout's guard-pair index.
+    the residual n0 |v|^2 / d.  E[G, G] is the capacitance matrix I - c[G, G]
+    with c the DD response of |g|^2 / d, formed without the cancellation of
+    1 - c, and solved in real arithmetic frame by frame
+    (:func:`_guard_weights`).
 
     Returns the soft estimates of the data cells in row-major order, as
-    :func:`mmse_detect` does for the masked dense channel.  Raises
-    :class:`NumericalFailure` where the dense solve would be singular.
+    :func:`mmse_detect` does for the masked dense channel, one row per frame
+    of a stack.  Raises :class:`NumericalFailure` where the dense solve
+    would be singular.
     """
     y = np.asarray(y_frame, dtype=complex)
     g = np.asarray(tf_gains, dtype=complex)
-    noise_tf = n0 * np.abs(np.asarray(rx_window)) ** 2
+    noise_tf = np.asarray(n0, dtype=float)[..., None, None] * np.abs(np.asarray(rx_window)) ** 2
     if not y.shape == g.shape == noise_tf.shape:
         raise ValueError("observation, gain and window grids must share one shape")
     denom = np.abs(g) ** 2 + noise_tf
@@ -140,24 +145,65 @@ def tf_lmmse_detect(
         )
     soft = sfft(np.conj(g) / denom * isfft(y))
     if layout is None:
-        soft = soft.reshape(-1)
+        soft = soft.reshape(y.shape[:-2] + (-1,))
     else:
         guard = layout.guard_mask
         residual = noise_tf / denom
-        capacitance = _dd_response(residual).take(layout.guard_pairs)
         try:
-            weights = np.linalg.solve(capacitance, soft[guard])
+            weights = _guard_weights(_dd_response(residual), soft[..., guard],
+                                     layout.guard_view_pairs, layout.guard_mirror)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(
                 "LMMSE guard downdate is singular (zero noise with known cells); "
                 "refusing to regularize implicitly"
             ) from exc
         placed = np.zeros_like(y)
-        placed[guard] = weights
-        soft = (soft - sfft(residual * isfft(placed)))[layout.data_mask]
+        placed[..., guard] = weights
+        soft = (soft - sfft(residual * isfft(placed)))[..., layout.data_mask]
     if not np.all(np.isfinite(soft)):
         raise NumericalFailure("LMMSE estimate is not finite")
-    return DetectionReport(soft=soft, hard_indices=constellation.nearest_indices(soft))
+    hard = constellation.nearest_indices(soft).reshape(soft.shape)
+    return DetectionReport(soft=soft, hard_indices=hard)
+
+
+def _real_guard_block(e: np.ndarray, view_pairs: np.ndarray) -> np.ndarray:
+    """Real form R = Re A - Im A J of one frame's guard block A = E[G, G],
+    gathered from the float view of its C-contiguous (N, M) DD response
+    ``e`` through ``view_pairs`` (:func:`~otfswin.estimation.guard_view_pairs`)."""
+    # Two (G, G) fancy-index gathers: ``take`` copies a read-only index on
+    # every call, which made the (2, G, G) gather 5x slower (measured).
+    flat = e.reshape(-1).view(float)
+    block = flat[view_pairs[0]]
+    block -= flat[view_pairs[1]]
+    return block
+
+
+def _guard_weights(
+    e: np.ndarray,
+    rhs: np.ndarray,
+    view_pairs: np.ndarray,
+    mirror: np.ndarray,
+) -> np.ndarray:
+    """Solve E[G, G] w = rhs per frame of a [..., N, M] stack of DD
+    responses ``e`` and [..., G] right-hand sides, in real arithmetic.
+
+    Each e is the DD response of a real TF grid, so it is Hermitian
+    symmetric, e[-k, -l] = conj(e[k, l]), and its guard block A = E[G, G]
+    satisfies J A J = conj(A) for the guard's mirror permutation J about
+    the pilot: A is centro-Hermitian.  With the unitary Q = (I + iJ)/sqrt(2),
+    R = Q^H A Q = Re A - Im A J is real symmetric (Lee, Linear Algebra Appl.
+    1980), so w = Q R^(-1) Q^H rhs.  With c = rhs - i rhs[J] = sqrt(2) Q^H
+    rhs, one real solve of R u = c with the two right-hand sides Re c and
+    Im c gives w = Q u / sqrt(2) = (u + i u[J]) / 2.  The solve runs frame
+    by frame, so no (B, G, G) array is formed.
+    """
+    c = rhs - 1j * rhs[..., mirror]
+    sides = np.stack((c.real, c.imag), axis=-1)
+    g = rhs.shape[-1]
+    for frame, side in zip(e.reshape((-1,) + e.shape[-2:]), sides.reshape(-1, g, 2)):
+        side[...] = np.linalg.solve(_real_guard_block(frame, view_pairs), side)
+    u = sides[..., 0] + 1j * sides[..., 1]
+    return 0.5 * (u + 1j * u[..., mirror])
 
 
 def analytic_detection_mse(lam: np.ndarray, x: np.ndarray) -> float:
@@ -228,7 +274,7 @@ _SPA_MAX_CONFIGS = 8192
 def spa_detect(
     y_frame: np.ndarray,
     channel: EffectiveDDChannel | Sequence[EffectiveDDChannel],
-    n0: float,
+    n0: float | np.ndarray,
     constellation: Constellation,
     iters: int = 20,
     damping: float = 0.5,
@@ -237,9 +283,10 @@ def spa_detect(
     """Iterative sum-product detection on the truncated-tap factor graph.
 
     ``y_frame`` is one (N, M) frame and ``channel`` its effective channel,
-    or a [B, N, M] stack and a sequence of B channels, one per frame.  Each
-    channel must carry a tap truncation; its residual tap energy is added to
-    ``n0`` in that frame's likelihood.  ``data_mask`` marks the unknown
+    or a [B, N, M] stack and a sequence of B channels, one per frame, with
+    ``n0`` one noise power for all frames or an array of one per frame.
+    Each channel must carry a tap truncation; its residual tap energy is
+    added to its frame's ``n0`` in that frame's likelihood.  ``data_mask`` marks the unknown
     symbols of every frame; cells outside it are treated as known zeros (the
     caller cancels any pilot beforehand), which simply removes their taps
     from the graph.
@@ -284,6 +331,7 @@ def spa_detect(
     if y.size != len(channels) * size:
         raise ValueError("observation shape does not match the channel grid")
     y = y.reshape(len(channels), size)
+    n0 = np.broadcast_to(np.asarray(n0, dtype=float), (len(channels),))
     known = None if data_mask is None else ~np.asarray(data_mask, dtype=bool).reshape(-1)
 
     # an all-zero channel (estimate) leaves no factors: every symbol keeps
@@ -294,7 +342,7 @@ def spa_detect(
         step = max(1, _SPA_MAX_CONFIGS // q ** degree)
         for first in range(0, len(members), step):
             batch = members[first:first + step]
-            belief[batch], ran = _flood(y[batch], [channels[i] for i in batch], n0,
+            belief[batch], ran = _flood(y[batch], [channels[i] for i in batch], n0[batch],
                                         points, iters, damping, known)
             sweeps += ran
 
@@ -318,14 +366,14 @@ def _gathers(cells: np.ndarray, q: int) -> np.ndarray:
 def _flood(
     y: np.ndarray,
     channels: list[EffectiveDDChannel],
-    n0: float,
+    n0: np.ndarray,
     points: np.ndarray,
     iters: int,
     damping: float,
     known: np.ndarray | None,
 ) -> tuple[np.ndarray, int]:
-    """Flooding sum-product over (B, NM) observations whose channels keep
-    the same number L of taps.
+    """Flooding sum-product over (B, NM) observations at (B,) noise powers
+    whose channels keep the same number L of taps.
 
     The frames' factor axes are concatenated, so every step of a sweep runs
     once for the stack.  After each sweep a frame whose messages moved by
@@ -338,7 +386,7 @@ def _flood(
     q = points.size
     kept = np.array([ch.truncation for ch in channels])
     degree = kept.shape[1]
-    sigma2 = np.array([n0 + ch.residual_power() for ch in channels])
+    sigma2 = np.array([frame_n0 + ch.residual_power() for frame_n0, ch in zip(n0, channels)])
     sigma2[sigma2 <= 0] = 1e-12  # degenerate noiseless likelihood; keep it sharp but finite
 
     # factor i of frame b meets symbol sym_of[b, t, i] on tap slot t, and

@@ -59,7 +59,10 @@ class PilotLayout:
       (N, M) tap grid e such that
       ``e.take(guard_pairs)[i, j] = e[(k_i - k_j) mod N, (l_i - l_j) mod M]``
       for the guard cells in row-major order, the guard block of the circular
-      operator of e.
+      operator of e;
+    * ``guard_mirror`` and ``guard_view_pairs`` (built on first access): the
+      guard's mirror permutation about the pilot, and the index that gathers
+      the real form of the guard block (see :func:`guard_view_pairs`).
     """
 
     grid: FrameGrid
@@ -111,6 +114,24 @@ class PilotLayout:
         pairs.flags.writeable = False
         return pairs
 
+    @functools.cached_property
+    def guard_mirror(self) -> np.ndarray:
+        """(G,) index J of the guard cells mirrored about the pilot, built on
+        first use: guard cell J[i] sits at ((2 k_p - k_i) mod N, 2 l_p - l_i).
+        The guard is symmetric about the pilot, so J permutes it."""
+        k, l = np.nonzero(self.guard_mask)
+        n, m = self.grid.shape
+        position = np.zeros(n * m, dtype=np.intp)
+        position[k * m + l] = np.arange(k.size)
+        mirror = position[((2 * self.pilot_doppler - k) % n) * m + 2 * self.pilot_delay - l]
+        mirror.flags.writeable = False
+        return mirror
+
+    @functools.cached_property
+    def guard_view_pairs(self) -> np.ndarray:
+        """:func:`guard_view_pairs` of this layout, built on first use."""
+        return guard_view_pairs(self.guard_pairs, self.guard_mirror)
+
     @classmethod
     def centered(
         cls,
@@ -132,6 +153,18 @@ class PilotLayout:
         )
 
 
+def guard_view_pairs(pairs: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+    """(2, G, G) flat index into the float view of an (N, M) complex tap grid
+    e: with ``t = e.reshape(-1).view(float)[index]``, t[0][i, j] is
+    Re e.take(pairs)[i, j] and t[1][i, j] is Im e.take(pairs)[i, mirror[j]].
+    For a Hermitian-symmetric e and the guard's mirror permutation,
+    t[0] - t[1] is the guard block in real form (see
+    :func:`otfswin.detection.tf_lmmse_detect`)."""
+    index = np.stack((2 * pairs, 2 * pairs[:, mirror] + 1))
+    index.flags.writeable = False
+    return index
+
+
 def embed_pilot(data_frame: np.ndarray, layout: PilotLayout) -> np.ndarray:
     """Overwrite the guard region with zeros and the pilot cell with x_p, in
     an (N, M) frame or in each frame of a ``[..., N, M]`` stack."""
@@ -143,21 +176,23 @@ def embed_pilot(data_frame: np.ndarray, layout: PilotLayout) -> np.ndarray:
     return frame
 
 
-def estimate_channel(received: np.ndarray, layout: PilotLayout, n0: float) -> np.ndarray:
+def estimate_channel(received: np.ndarray, layout: PilotLayout,
+                     n0: float | np.ndarray) -> np.ndarray:
     """Threshold estimator of the effective DD channel.
 
     Reads the window the pilot response can occupy and sets
     est[(k - k_p) mod N, (l - l_p) mod M] = y[k, l] / x_p wherever
     |y[k, l]| >= 3*sqrt(n0).  Returns a full (N, M) grid, zero outside the
     window, ready to rebuild the channel operator by circular convolution;
-    a ``[..., N, M]`` stack of received frames gives a stack of grids.
+    a ``[..., N, M]`` stack of received frames gives a stack of grids, and
+    ``n0`` is one noise power for all of them or an array of one per frame.
     """
     if received.shape[-2:] != layout.grid.shape:
         raise ValueError("frame shape does not match grid")
-    threshold = 3.0 * math.sqrt(max(n0, 0.0))
+    threshold = 3.0 * np.sqrt(np.maximum(np.asarray(n0, dtype=float), 0.0))
     est = np.zeros(received.shape, dtype=complex)
     block = received[(..., *layout.read_cells)]
-    keep = np.abs(block) >= threshold
+    keep = np.abs(block) >= threshold[..., None, None]
     est[(..., *layout.tap_cells)] = np.where(keep, block / layout.pilot_value, 0.0)
     return est
 

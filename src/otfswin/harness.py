@@ -381,15 +381,17 @@ def _link(config: ExperimentConfig, pilot: bool) -> _Link:
                  n_data * constellation.bits_per_symbol)
 
 
-def _transmit(link: _Link, snr_index: int, trials: range, n0: float):
+def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     """A chunk of trials of the link up to the receiver: draw each trial's
     channel and bits, build the TX windows, map the bits, embed the pilot and
     pass the frames through the windowed TF channel.
 
-    Each trial keeps its own stream ``_trial_rng(config, snr_index, t)`` and
-    the draw order (channel, bits, noise) that fixes the output bytes; only
-    the array work after the draws runs once for the whole chunk, and every
-    frame of it is bit for bit the frame the trial would give on its own.
+    ``cells`` lists the chunk's (snr index, trial) pairs and ``n0`` their
+    noise powers.  Each trial keeps its own stream ``_trial_rng(config,
+    snr_index, t)`` and the draw order (channel, bits, noise) that fixes the
+    output bytes; only the array work after the draws runs once for the
+    whole chunk, and every frame of it is bit for bit the frame the trial
+    would give on its own.
 
     Returns per frame, stacked along a leading axis: the data bits, the
     received DD frame, the RX window and the windowed TF gains
@@ -397,7 +399,7 @@ def _transmit(link: _Link, snr_index: int, trials: range, n0: float):
     """
     config = link.config
     generators, channels, bits = [], [], []
-    for t in trials:
+    for snr_index, t in cells:
         rng = _trial_rng(config, snr_index, t)
         channels.append(ch_mod.sample_channel(link.grid, config.paths, config.k_max,
                                               config.l_max, rng))
@@ -407,9 +409,9 @@ def _transmit(link: _Link, snr_index: int, trials: range, n0: float):
     windows = link.windows
     if windows is None:
         tx = np.empty_like(tf_gains)
-        for frame_tx, gains in zip(tx, tf_gains):
+        for frame_tx, gains, frame_n0 in zip(tx, tf_gains, n0):
             try:
-                frame_tx[...] = win_mod.optimal_tx_window(np.abs(gains) ** 2 / n0).tx_window
+                frame_tx[...] = win_mod.optimal_tx_window(np.abs(gains) ** 2 / frame_n0).tx_window
             except ValueError as exc:
                 raise NumericalFailure(f"optimal TX window: {exc}") from exc
         windows = win_mod.WindowPair.from_tx_grid(tx)
@@ -436,15 +438,26 @@ def _chunk_size(grid: FrameGrid) -> int:
 
 def _sweep(config: ExperimentConfig, chunk):
     """Yield each SNR point with the per-trial values of every trial, in
-    trial order.  ``chunk(snr_index, trials, n0)`` runs a ``range`` of at most
-    ``_chunk_size`` consecutive trials and returns one value per trial."""
+    trial order.
+
+    The (snr index, trial) cells run in SNR-major order, in chunks of at
+    most ``_chunk_size`` cells that may span SNR points: ``chunk(cells, n0)``
+    runs a list of (snr index, trial) pairs at their noise powers ``n0``, one
+    per cell, and returns one value per cell.  A point is yielded as soon as
+    its last trial has run.
+    """
     step = _chunk_size(config.grid())
-    for snr_index, snr in enumerate(config.snr_db):
-        n0 = noise_power(snr)
-        values = []
-        for first in range(0, config.trials, step):
-            values.extend(chunk(snr_index, range(first, min(first + step, config.trials)), n0))
-        yield snr, values
+    snrs, trials = config.snr_db, config.trials
+    powers = np.array([noise_power(snr) for snr in snrs])
+    cells = itertools.product(range(len(snrs)), range(trials))
+    values: list = []
+    point = 0
+    while batch := list(itertools.islice(cells, step)):
+        values.extend(chunk(batch, powers[[snr_index for snr_index, _ in batch]]))
+        while len(values) >= trials:
+            yield snrs[point], values[:trials]
+            del values[:trials]
+            point += 1
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +474,8 @@ def run_ce_mse(config: ExperimentConfig) -> list[ResultRow]:
         )
     link = _link(config, pilot=True)
 
-    def chunk(snr_index: int, trials: range, n0: float) -> np.ndarray:
-        _, y, _, gains = _transmit(link, snr_index, trials, n0)
+    def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> np.ndarray:
+        _, y, _, gains = _transmit(link, cells, n0)
         est = est_mod.estimate_channel(y, link.layout, n0)
         return est_mod.measured_ce_mse(ch_mod._dd_response(gains), est, link.layout)
 
@@ -494,18 +507,19 @@ def _detect_frames(
     link: _Link,
     y: np.ndarray,
     rx_window: np.ndarray,
-    n0: float,
+    n0: float | np.ndarray,
     gains: np.ndarray | None,
 ) -> np.ndarray:
     """Run the configured detector on a [B, N, M] stack of received frames
-    and return the hard bits of their data cells, one row per frame.
+    at noise power ``n0`` (one for all frames, or one per frame) and return
+    the hard bits of their data cells, one row per frame.
 
     ``gains`` is the stack of windowed TF gain grids the receiver knows, or
     ``None`` when it estimates the channel from the embedded pilot as a DD
     tap grid.  The pilot cancellation and SPA use the taps, the LMMSE
     detector the gains; either comes from the other by one 2-D FFT.  The
-    pilot is estimated and cancelled, and SPA detects, once for the stack;
-    the LMMSE detector runs frame by frame.
+    pilot is estimated and cancelled, and either detector runs, once for
+    the stack.
     """
     layout, taps = link.layout, None
     if gains is None:
@@ -517,12 +531,9 @@ def _detect_frames(
     config, constellation = link.config, link.constellation
     if config.detector == "mmse":
         if gains is None:
-            gains = [ch_mod.tf_gains_from_taps(frame_taps) for frame_taps in taps]
-        idx = np.array([
-            det_mod.tf_lmmse_detect(frame, frame_gains, frame_rx, n0, constellation,
-                                    layout).hard_indices
-            for frame, frame_gains, frame_rx in zip(y, gains, rx_window)
-        ])
+            gains = ch_mod.tf_gains_from_taps(taps)
+        idx = det_mod.tf_lmmse_detect(y, gains, rx_window, n0, constellation,
+                                      layout).hard_indices
     else:
         if taps is None:
             taps = ch_mod._dd_response(gains)
@@ -558,8 +569,8 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
     """
     link = _link(config, pilot=config.csi == "estimated-csir")
 
-    def chunk(snr_index: int, trials: range, n0: float) -> list[int]:
-        bits, y, rx_window, gains = _transmit(link, snr_index, trials, n0)
+    def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> list[int]:
+        bits, y, rx_window, gains = _transmit(link, cells, n0)
         known = gains if link.layout is None else None
         detected = _detect_frames(link, y, rx_window, n0, known)
         return np.count_nonzero(detected != bits, axis=1).tolist()
@@ -591,6 +602,48 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def _guard_real_vs_complex(
+    layout: est_mod.PilotLayout,
+    mirror: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Deviation of the real guard downdate, built with the mirror index
+    ``mirror``, from its complex oracle on one random DC-RX-windowed frame.
+
+    The oracle takes the complex guard block A = e.take(guard_pairs) of the
+    residual's DD response e and a mirror permutation J found by matching
+    guard coordinates.  Returns the largest entry of |R - Q^H A Q| for the
+    real block R and Q = (I + iJ)/sqrt(2), and the largest deviation of the
+    real-arithmetic weights from np.linalg.solve(A, b), relative to the
+    largest weight.
+    """
+    grid = layout.grid
+    n, m = grid.shape
+    ch = ch_mod.sample_channel(grid, 5, layout.k_max, layout.l_max, rng)
+    rx = win_mod.WindowPair.separable(grid, rx_doppler=win_mod.dc_window(n, -40.0).coeffs).rx
+    n0 = 0.01
+    noise_tf = n0 * np.abs(rx) ** 2
+    residual = noise_tf / (np.abs(rx * ch_mod.tf_channel(ch)) ** 2 + noise_tf)
+    e = ch_mod._dd_response(residual)
+
+    k, l = np.nonzero(layout.guard_mask)
+    cells = list(zip(k.tolist(), l.tolist()))
+    flip = np.zeros((len(cells), len(cells)))
+    for i, (ki, li) in enumerate(cells):
+        image = ((2 * layout.pilot_doppler - ki) % n, 2 * layout.pilot_delay - li)
+        flip[i, cells.index(image)] = 1.0
+    q = (np.eye(len(cells)) + 1j * flip) / math.sqrt(2.0)
+    a = e.take(layout.guard_pairs)
+    view_pairs = est_mod.guard_view_pairs(layout.guard_pairs, mirror)
+    block_err = float(np.max(np.abs(q.conj().T @ a @ q - det_mod._real_guard_block(e, view_pairs))))
+
+    b = rng.standard_normal(len(cells)) + 1j * rng.standard_normal(len(cells))
+    exact = np.linalg.solve(a, b)
+    weights = det_mod._guard_weights(e, b, view_pairs, mirror)
+    weight_err = float(np.max(np.abs(weights - exact)) / np.max(np.abs(exact)))
+    return block_err, weight_err
 
 
 def run_selfcheck(seed: int = 0) -> list[CheckResult]:
@@ -763,5 +816,19 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
         worst = max(worst, float(np.max(np.abs(marginals - alone.marginals))),
                     float(np.count_nonzero(hard != alone.hard_indices)))
     check("detection.spa_stack_vs_frames", worst, 0.0)
+
+    # the real-arithmetic guard downdate against the complex guard block and
+    # solve, on the Fig-6 layout and on one whose Doppler guard wraps row 0
+    grid = FrameGrid(M=30, N=20)
+    block_err = weight_err = 0.0
+    for layout in (est_mod.PilotLayout.centered(grid, 3, 4, 1),
+                   est_mod.PilotLayout(grid, 2, 10, 1.0, 3, 4, 1)):
+        errors = _guard_real_vs_complex(layout, layout.guard_mirror, rng)
+        block_err, weight_err = max(block_err, errors[0]), max(weight_err, errors[1])
+    results.append(CheckResult(
+        "detection.tf_lmmse_guard_real_vs_complex",
+        block_err <= 1e-12 and weight_err <= 1e-10,
+        f"block err={block_err:.3e} tol=1.0e-12, weights err={weight_err:.3e} tol=1.0e-10",
+    ))
 
     return results

@@ -31,6 +31,8 @@ from otfswin import (
     sfft,
     spa_detect,
     tf_channel,
+    tf_gains_from_taps,
+    tf_lmmse_detect,
     transmit_frame,
 )
 from otfswin import detection
@@ -170,6 +172,72 @@ def test_estimate_channel_and_measured_ce_mse(kind, frames):
     assert isinstance(measured_ce_mse(truth[0], est[0], LAYOUT), float)
 
 
+# --- per-frame noise powers: a chunk that spans SNR points
+
+def mixed_n0(frames: int) -> np.ndarray:
+    """Noise powers of two SNR points, 10 and 30 dB, interleaved over a stack."""
+    return np.where(np.arange(frames) % 2 == 0, 1e-1, 1e-3)
+
+
+def _received_at_mixed_snr(kind: str, frames: int):
+    """A stack sent through ``transmit_frame`` at per-frame noise powers,
+    and each frame sent alone at its own power with a generator seeded alike."""
+    rng = np.random.default_rng(frames)
+    gains = tf_channel(channels(rng, frames))
+    x = data_frames(rng, frames)
+    windows, n0 = window_pair(kind), mixed_n0(frames)
+    stacked = transmit_frame(x, gains, windows, n0,
+                             [np.random.default_rng([9, i]) for i in range(frames)])
+    alone = [transmit_frame(x[i], gains[i], windows, float(n0[i]), np.random.default_rng([9, i]))
+             for i in range(frames)]
+    return stacked, alone, gains, windows, n0
+
+
+@pytest.mark.parametrize("frames", STACKS)
+@pytest.mark.parametrize("kind", WINDOWS)
+def test_transmit_frame_at_per_frame_noise(kind, frames):
+    stacked, alone, _, _, _ = _received_at_mixed_snr(kind, frames)
+    assert_framewise(stacked, alone)
+
+
+@pytest.mark.parametrize("frames", STACKS)
+@pytest.mark.parametrize("kind", WINDOWS)
+def test_estimate_channel_at_per_frame_noise(kind, frames):
+    y, _, _, _, n0 = _received_at_mixed_snr(kind, frames)
+    assert_framewise(estimate_channel(y, LAYOUT, n0),
+                     (estimate_channel(f, LAYOUT, float(p)) for f, p in zip(y, n0)))
+
+
+@pytest.mark.parametrize("frames", STACKS)
+def test_tf_gains_from_taps(frames):
+    taps = complex_stack(np.random.default_rng(frames), frames)
+    assert_framewise(tf_gains_from_taps(taps), (tf_gains_from_taps(t) for t in taps))
+
+
+@pytest.mark.parametrize("frames", STACKS)
+@pytest.mark.parametrize("kind", ("rect", "dc-rx"))
+@pytest.mark.parametrize("pilot", [False, True], ids=["full-data", "pilot"])
+def test_tf_lmmse_detect_at_per_frame_noise(pilot, kind, frames):
+    y, _, true_gains, windows, n0 = _received_at_mixed_snr(kind, frames)
+    layout = LAYOUT if pilot else None
+    gains = windows.joint * true_gains
+    if pilot:
+        # as the harness does: estimate the taps, cancel the pilot, detect
+        # with the gains of the estimate
+        taps = estimate_channel(y, LAYOUT, n0)
+        shift = np.roll(taps, (LAYOUT.pilot_doppler, LAYOUT.pilot_delay), axis=(1, 2))
+        y = y - LAYOUT.pilot_value * shift
+        gains = tf_gains_from_taps(taps)
+    rx = np.broadcast_to(windows.rx, y.shape)
+    stacked = tf_lmmse_detect(y, gains, rx, n0, QPSK, layout)
+    alone = [tf_lmmse_detect(f, g, windows.rx, float(p), QPSK, layout)
+             for f, g, p in zip(y, gains, n0)]
+    cells = int(LAYOUT.data_mask.sum()) if pilot else GRID.size
+    assert stacked.soft.shape == stacked.hard_indices.shape == (frames, cells)
+    assert_framewise(stacked.soft, (r.soft for r in alone))
+    assert_framewise(stacked.hard_indices, (r.hard_indices for r in alone))
+
+
 # --- sum-product detection: one call on a stack against one call per frame
 
 SPA_GRID = FrameGrid(M=8, N=16)
@@ -178,16 +246,16 @@ CONSTELLATIONS = [Constellation.bpsk(), QPSK]
 
 
 def spa_frames(rng, constellation, degrees, n0):
-    """Frames sent over random DC-TX-windowed channels, and the effective
-    channels truncated to the given degrees; degree 0 is an all-zero
-    estimate."""
+    """Frames sent over random DC-TX-windowed channels at noise power ``n0``
+    (one, or one per frame), and the effective channels truncated to the
+    given degrees; degree 0 is an all-zero estimate."""
     windows = WindowPair.separable(SPA_GRID, tx_doppler=dc_window(SPA_GRID.N, -30.0).coeffs)
     points = constellation.points
     frames, channels = [], []
-    for degree in degrees:
+    for degree, frame_n0 in zip(degrees, np.broadcast_to(n0, len(degrees)).tolist()):
         ch = sample_channel(SPA_GRID, 3, 2, 2, rng)
         x = points[rng.integers(0, points.size, SPA_GRID.shape)]
-        frames.append(transmit_frame(x, tf_channel(ch), windows, n0, rng))
+        frames.append(transmit_frame(x, tf_channel(ch), windows, frame_n0, rng))
         taps = effective_dd_channel(ch, windows).taps * (degree > 0)
         channels.append(EffectiveDDChannel(taps=taps, truncation=largest_taps(taps, max(degree, 1))))
     assert [ch.truncation.size for ch in channels] == list(degrees)
@@ -198,8 +266,8 @@ def spa_stack_vs_frames(y, channels, n0, constellation, **kwargs):
     """Detect ``y`` as one stack and frame by frame, require equal arrays,
     and return the per-frame reports."""
     stack = spa_detect(y, channels, n0, constellation, **kwargs)
-    alone = [spa_detect(frame, ch, n0, constellation, **kwargs)
-             for frame, ch in zip(y, channels)]
+    alone = [spa_detect(frame, ch, frame_n0, constellation, **kwargs)
+             for frame, ch, frame_n0 in zip(y, channels, np.broadcast_to(n0, len(y)).tolist())]
     assert stack.marginals.shape == (len(y), SPA_GRID.size, constellation.points.size)
     assert_framewise(stack.marginals, (r.marginals for r in alone))
     assert_framewise(stack.hard_indices, (r.hard_indices for r in alone))
@@ -225,6 +293,19 @@ def test_spa_mixed_degrees(constellation, masked):
     assert any(iters in group and min(group) < iters for group in runs.values()), runs
     # one flooding loop per degree: it runs as long as its slowest frame
     assert stack.iterations == sum(max(group) for group in runs.values())
+
+
+@pytest.mark.parametrize("constellation", CONSTELLATIONS, ids=lambda c: c.name)
+def test_spa_at_per_frame_noise(constellation):
+    # frames of one degree at two SNRs share a flooding loop, each with its
+    # own likelihood width
+    degrees = (3, 3, 2, 3, 2, 3) if constellation.points.size == 2 else (2, 2, 3, 2, 3)
+    n0 = mixed_n0(len(degrees))
+    y, channels = spa_frames(np.random.default_rng(41), constellation, degrees, n0)
+    stack, _ = spa_stack_vs_frames(y, channels, n0, constellation, iters=10,
+                                   data_mask=SPA_MASK)
+    shared = spa_detect(y, channels, float(n0[0]), constellation, iters=10, data_mask=SPA_MASK)
+    assert not np.array_equal(stack.marginals, shared.marginals)
 
 
 @pytest.mark.parametrize("constellation", CONSTELLATIONS, ids=lambda c: c.name)

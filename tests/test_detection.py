@@ -32,7 +32,9 @@ from otfswin import (
     transmit_frame,
     vectorize,
 )
-from otfswin.channel import EffectiveDDChannel
+from otfswin.channel import EffectiveDDChannel, _dd_response
+from otfswin.detection import _guard_weights
+from otfswin.harness import _guard_real_vs_complex, run_selfcheck
 
 from oracles import brute_force_map, enumeration_spa_detect, mmse_error_covariance, mmse_trace_mse
 
@@ -57,6 +59,18 @@ class TestNoiseCovariance:
         expect = np.sort(n0 * np.abs(v.reshape(-1)) ** 2)
         assert np.allclose(eig, expect, atol=1e-9)
         assert np.allclose(cov, cov.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("deviation", [5e-6, 1e-9])
+    def test_nearly_unit_window_is_not_taken_for_white(self, deviation):
+        # the white shortcut allows 1e-12 absolute and no relative slack, so
+        # |v| up to 1 + 5e-6 keeps its covariance, about 1e-6 away from n0 * I
+        grid = FrameGrid(M=4, N=3)
+        rng = np.random.default_rng(9)
+        v = (1.0 + deviation * rng.random(grid.shape)) * np.exp(2j * np.pi * rng.random(grid.shape))
+        n0 = 0.3
+        demod = build_kron_operators(grid.M, grid.N).demodulator
+        explicit = n0 * demod @ np.diag(np.abs(v.reshape(-1)) ** 2) @ demod.conj().T
+        assert np.max(np.abs(noise_covariance(v, n0) - explicit)) < 1e-14
 
 
 class TestMMSE:
@@ -169,6 +183,13 @@ class TestTFLMMSE:
         layout = PilotLayout.centered(grid, k_max, l_max, k_hat)
         self.compare(np.random.default_rng(m * n + k_hat), grid, layout, True)
 
+    def test_pilot_frames_with_a_wrapped_doppler_guard_match_dense(self):
+        grid = FrameGrid(M=30, N=20)
+        layout = PilotLayout(grid=grid, pilot_doppler=2, pilot_delay=10, pilot_value=1.0,
+                             k_max=3, l_max=4, k_hat=1)
+        assert layout.guard_mask[0].any() and layout.guard_mask[-1].any()
+        self.compare(np.random.default_rng(2), grid, layout, True)
+
     def test_zero_noise_with_a_zero_gain_refused(self):
         grid = FrameGrid(M=4, N=4)
         gains = np.ones(grid.shape, dtype=complex)
@@ -185,6 +206,46 @@ class TestTFLMMSE:
         with pytest.raises(NumericalFailure):
             tf_lmmse_detect(np.ones(grid.shape), np.ones(grid.shape), np.ones(grid.shape),
                             0.0, Constellation.qpsk(), layout)
+
+
+class TestRealGuardDowndate:
+    """The guard block solved in real arithmetic against the complex block
+    and solve (the selfcheck's oracle)."""
+
+    GRID = FrameGrid(M=30, N=20)
+    LAYOUTS = {
+        "fig6": PilotLayout.centered(GRID, 3, 4, 1),
+        "wrapped": PilotLayout(grid=GRID, pilot_doppler=2, pilot_delay=10, pilot_value=1.0,
+                               k_max=3, l_max=4, k_hat=1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_matches_the_complex_guard_block_and_solve(self, name):
+        layout = self.LAYOUTS[name]
+        block_err, weight_err = _guard_real_vs_complex(
+            layout, layout.guard_mirror, np.random.default_rng(3))
+        assert block_err <= 1e-12 and weight_err <= 1e-10
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_an_identity_mirror_fails_both(self, name):
+        layout = self.LAYOUTS[name]
+        identity = np.arange(layout.guard_mirror.size)
+        block_err, weight_err = _guard_real_vs_complex(layout, identity, np.random.default_rng(3))
+        assert block_err > 1e-12 and weight_err > 1e-10
+
+    def test_is_the_last_selfcheck_entry(self):
+        last = run_selfcheck()[-1]
+        assert last.name == "detection.tf_lmmse_guard_real_vs_complex" and last.passed
+
+    def test_stack_solves_each_frame_alone(self):
+        layout = self.LAYOUTS["wrapped"]
+        rng = np.random.default_rng(4)
+        e = _dd_response(rng.uniform(0.01, 1.0, (3,) + self.GRID.shape))
+        rhs = rng.standard_normal((3, 153)) + 1j * rng.standard_normal((3, 153))
+        args = (layout.guard_view_pairs, layout.guard_mirror)
+        stacked = _guard_weights(e, rhs, *args)
+        for frame, side, weights in zip(e, rhs, stacked):
+            assert np.array_equal(weights, _guard_weights(frame, side, *args))
 
 
 class TestAnalyticMSE:

@@ -12,8 +12,10 @@ from otfswin import ConfigurationError, FrameGrid, NumericalFailure
 from otfswin.harness import (
     ExperimentConfig,
     _chunk_size,
+    _sweep,
     ce_rows_csv,
     mean_interval,
+    noise_power,
     rows_to_csv,
     rows_to_json,
     run_ce_mse,
@@ -167,6 +169,45 @@ class TestChunkBoundaries:
             {k: str(v) for k, v in dict(_CHUNK_GRID, **fields, trials=self.CHUNK + offset,
                                          seed=31).items()})
         assert rows_to_csv(runner(cfg)) == rows_to_csv(oracle(cfg))
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+    def test_chunks_straddling_snr_points_give_the_per_trial_rows(self, name, offset):
+        # three points of B - 1 or B + 1 trials: every chunk boundary but
+        # the last falls inside a point, and chunks mix two noise powers
+        runner, oracle, fields = CHUNK_CASES[name]
+        cfg = ExperimentConfig.from_mapping(
+            {k: str(v) for k, v in dict(_CHUNK_GRID, **dict(fields, snr_db="10, 20, 35"),
+                                         trials=self.CHUNK + offset, seed=37).items()})
+        assert rows_to_csv(runner(cfg)) == rows_to_csv(oracle(cfg))
+
+    def test_chunks_take_cells_across_snr_points(self):
+        cfg = ExperimentConfig(snr_db=(10.0, 20.0, 30.0), trials=self.CHUNK - 1)
+        calls = []
+
+        def chunk(cells, n0):
+            calls.append((cells, n0.tolist()))
+            return [100 * snr_index + t for snr_index, t in cells]
+
+        swept = list(_sweep(cfg, chunk))
+        assert swept == [(snr, [100 * i + t for t in range(cfg.trials)])
+                         for i, snr in enumerate(cfg.snr_db)]
+        assert [len(cells) for cells, _ in calls] == [13, 13, 10]
+        assert calls[0][0][-1] == (1, 0) and calls[1][0][-3:] == [(1, 11), (2, 0), (2, 1)]
+        for cells, n0 in calls:
+            assert n0 == [noise_power(cfg.snr_db[snr_index]) for snr_index, _ in cells]
+
+    def test_the_benchmark_mmse_calls_run_one_chunk(self):
+        # 2 points of 2 trials: one chunk of 4 frames, not one chunk per point
+        cfg = ExperimentConfig(snr_db=(10.0, 20.0), trials=2)
+        chunks = []
+
+        def chunk(cells, n0):
+            chunks.append(cells)
+            return [0] * len(cells)
+
+        list(_sweep(cfg, chunk))
+        assert chunks == [[(0, 0), (0, 1), (1, 0), (1, 1)]]
 
 
 class TestConfig:
