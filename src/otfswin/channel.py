@@ -49,31 +49,73 @@ class PathSpec:
         return self.doppler_bin + self.doppler_frac
 
 
-@dataclass(frozen=True)
 class ChannelRealization:
-    paths: tuple[PathSpec, ...]
-    grid: FrameGrid
+    """A multipath channel on one frame grid as per-path arrays: complex
+    ``gains``, integer ``delay_bins`` and ``doppler_bins``, and
+    ``doppler_fracs`` in (-1/2, 1/2).  Each has shape (P,) for one
+    realization, or (B, P) for a stack of B realizations with P paths each,
+    as :func:`sample_channel` draws them for a sequence of generators.
 
-    def __post_init__(self) -> None:
-        if not self.paths:
+    ``ChannelRealization(paths, grid)`` builds one realization from
+    :class:`PathSpec` records, and ``paths`` rebuilds them.
+    """
+
+    __slots__ = ("grid", "gains", "delay_bins", "doppler_bins", "doppler_fracs")
+
+    def __init__(self, paths: Sequence[PathSpec], grid: FrameGrid) -> None:
+        paths = tuple(paths)
+        if not paths:
             raise ValueError("channel needs at least one path")
-        object.__setattr__(self, "paths", tuple(self.paths))
+        self.grid = grid
+        self.gains = np.array([complex(p.gain) for p in paths])
+        self.delay_bins = np.array([int(p.delay_bin) for p in paths], dtype=np.int64)
+        self.doppler_bins = np.array([int(p.doppler_bin) for p in paths], dtype=np.int64)
+        self.doppler_fracs = np.array([float(p.doppler_frac) for p in paths])
 
-    def gains(self) -> np.ndarray:
-        return np.array([p.gain for p in self.paths])
+    @classmethod
+    def from_arrays(cls, grid: FrameGrid, gains: np.ndarray, delay_bins: np.ndarray,
+                    doppler_bins: np.ndarray, doppler_fracs: np.ndarray) -> "ChannelRealization":
+        """A realization, or a stack of them, from its path arrays as they are."""
+        ch = cls.__new__(cls)
+        ch.grid, ch.gains, ch.delay_bins = grid, gains, delay_bins
+        ch.doppler_bins, ch.doppler_fracs = doppler_bins, doppler_fracs
+        return ch
 
-    def total_gain_power(self) -> float:
-        return float(np.sum(np.abs(self.gains()) ** 2))
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChannelRealization):
+            return NotImplemented
+        return self.grid == other.grid and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("gains", "delay_bins", "doppler_bins", "doppler_fracs"))
+
+    @property
+    def paths(self) -> tuple[PathSpec, ...]:
+        """The paths of one realization as :class:`PathSpec` records."""
+        if self.gains.ndim != 1:
+            raise ValueError("a stack of realizations has no single path list")
+        return tuple(PathSpec(g, l, k, f) for g, l, k, f in zip(
+            self.gains.tolist(), self.delay_bins.tolist(), self.doppler_bins.tolist(),
+            self.doppler_fracs.tolist()))
+
+    @property
+    def doppler_shifts(self) -> np.ndarray:
+        """Total Doppler per path in bins (integer part plus fraction)."""
+        return self.doppler_bins + self.doppler_fracs
+
+    def total_gain_power(self) -> float | np.ndarray:
+        """Sum of |gain|^2 over the paths, one per realization of a stack."""
+        power = np.sum(np.abs(self.gains) ** 2, axis=-1)
+        return float(power) if power.ndim == 0 else power
 
 
 def delay_power_profile(delay_bins: np.ndarray) -> np.ndarray:
-    """Per-path gain variances for a set of delay bins.
+    """Per-path gain variances for a set of delay bins, along the last axis.
 
     Normalized exponential profile exp(-0.1*l_i) / sum_j exp(-0.1*l_j); the
     variances sum to one for every delay draw.
     """
     profile = np.exp(-0.1 * np.asarray(delay_bins, dtype=float))
-    return profile / profile.sum()
+    return profile / profile.sum(axis=-1, keepdims=True)
 
 
 def sample_channel(
@@ -81,9 +123,9 @@ def sample_channel(
     num_paths: int,
     k_max: int,
     l_max: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> ChannelRealization:
-    """Draw a random multipath channel.
+    """Draw a random multipath channel, or one per generator of a sequence.
 
     Delays are uniform on {0..l_max} (with replacement, so equal-delay paths
     can and do occur), integer Doppler uniform on {-k_max..k_max}, fractional
@@ -91,6 +133,12 @@ def sample_channel(
     with variances following the normalized exponential power delay profile
     exp(-0.1*l_i) / sum_j exp(-0.1*l_j), so the expected total path power is
     exactly 1 for every realization.
+
+    A sequence of B generators gives a (B, P) stack.  Each generator makes
+    its own draws in one order (delays, integer Doppler, fractions with the
+    redraw of the closed endpoint, real parts of the gains, imaginary parts);
+    the arithmetic after the draws runs once for the stack, and realization
+    i is bit for bit the one generator i gives alone.
     """
     if num_paths < 1:
         raise ValueError("need at least one path")
@@ -99,31 +147,39 @@ def sample_channel(
     if not 0 <= l_max <= grid.M - 1:
         raise ValueError(f"l_max must lie in [0, {grid.M - 1}] for M={grid.M}")
 
-    delays = rng.integers(0, l_max + 1, size=num_paths)
-    dopplers = rng.integers(-k_max, k_max + 1, size=num_paths)
-    fracs = rng.random(num_paths) - 0.5
-    while np.any(fracs <= -0.5):  # exclude the closed endpoint
-        redo = fracs <= -0.5
-        fracs[redo] = rng.random(int(np.count_nonzero(redo))) - 0.5
+    single = isinstance(rng, np.random.Generator)
+    generators = (rng,) if single else tuple(rng)
+    shape = (len(generators), num_paths)
+    delays = np.empty(shape, dtype=np.int64)
+    dopplers = np.empty(shape, dtype=np.int64)
+    fracs, real, imag = np.empty(shape), np.empty(shape), np.empty(shape)
+    for gen, d, k, f, re, im in zip(generators, delays, dopplers, fracs, real, imag):
+        d[...] = gen.integers(0, l_max + 1, size=num_paths)
+        k[...] = gen.integers(-k_max, k_max + 1, size=num_paths)
+        gen.random(out=f)
+        f -= 0.5
+        while (f <= -0.5).any():  # exclude the closed endpoint
+            redo = f <= -0.5
+            f[redo] = gen.random(int(np.count_nonzero(redo))) - 0.5
+        gen.standard_normal(out=re)
+        gen.standard_normal(out=im)
 
-    variances = delay_power_profile(delays)
-    scale = np.sqrt(variances / 2.0)
-    gains = scale * (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths))
-
-    paths = tuple(
-        PathSpec(gain=complex(g), delay_bin=int(l), doppler_bin=int(k), doppler_frac=float(f))
-        for g, l, k, f in zip(gains, delays, dopplers, fracs)
-    )
-    return ChannelRealization(paths=paths, grid=grid)
+    scale = np.sqrt(delay_power_profile(delays) / 2.0)
+    # named, so that numpy does not reorder the complex product (see tf_channel)
+    normal = real + 1j * imag
+    gains = scale * normal
+    if single:
+        return ChannelRealization.from_arrays(grid, gains[0], delays[0], dopplers[0], fracs[0])
+    return ChannelRealization.from_arrays(grid, gains, delays, dopplers, fracs)
 
 
 # ---------------------------------------------------------------------------
 # TF / time-domain operators (ideal pulses)
 # ---------------------------------------------------------------------------
 
-def tf_channel(ch: ChannelRealization | Sequence[ChannelRealization]) -> np.ndarray:
+def tf_channel(ch: ChannelRealization) -> np.ndarray:
     """Per-bin TF channel gains H[n, m] as an (N, M) grid, or as a (B, N, M)
-    stack for a sequence of B realizations on one grid with one path count.
+    stack for a stack of B realizations.
 
     Under ideal pulses the TF channel matrix is diagonal; flattening this
     grid row-major gives the diagonal in vector order n*M + m.  Each path
@@ -134,12 +190,9 @@ def tf_channel(ch: ChannelRealization | Sequence[ChannelRealization]) -> np.ndar
     (B, P, N, M) array is built and no matrix product brings BLAS onto the
     per-trial path.
     """
-    single = isinstance(ch, ChannelRealization)
-    channels = (ch,) if single else tuple(ch)
-    grid = channels[0].grid
-    gains = np.array([c.gains() for c in channels])
-    nu = np.array([[p.doppler_shift for p in c.paths] for c in channels])
-    delay = np.array([[p.delay_bin for p in c.paths] for c in channels], dtype=float)
+    grid = ch.grid
+    gains, nu = np.atleast_2d(ch.gains, ch.doppler_shifts)
+    delay = np.atleast_2d(ch.delay_bins).astype(float)
     # A temporary that is multiplied from the left is bound to a name first.
     # numpy rewrites ``a * tmp`` on a nameless temporary of 256 KiB or more
     # as ``tmp *= a``, which swaps the operands of its fused complex multiply
@@ -154,7 +207,7 @@ def tf_channel(ch: ChannelRealization | Sequence[ChannelRealization]) -> np.ndar
     out = doppler[:, 0, :, None] * delay_ph[:, 0, None, :]
     for p in range(1, gains.shape[1]):
         out += doppler[:, p, :, None] * delay_ph[:, p, None, :]
-    return out[0] if single else out
+    return out[0] if ch.gains.ndim == 1 else out
 
 
 def time_channel(tf_gain_grid: np.ndarray) -> np.ndarray:

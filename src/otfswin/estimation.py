@@ -27,8 +27,9 @@ from .grid import FrameGrid
 
 
 def _check_spread(n_doppler: int, k_max: int, l_max: int, k_hat: int) -> None:
-    """Reject negative spread bounds and an extra Doppler guard k_hat outside
-    [0, (N - 4 k_max - 1) // 4], past which the Doppler guard overlaps itself."""
+    """Reject negative spread bounds, an extra Doppler guard k_hat outside
+    [0, (N - 4 k_max - 1) // 4], past which the Doppler guard overlaps itself,
+    and fewer than the two Doppler rows of the smallest frame grid."""
     if k_max < 0 or l_max < 0:
         raise ConfigurationError("spread bounds must be nonnegative")
     limit = (n_doppler - 4 * k_max - 1) // 4
@@ -36,6 +37,8 @@ def _check_spread(n_doppler: int, k_max: int, l_max: int, k_hat: int) -> None:
         raise ConfigurationError(
             f"extra Doppler guard k_hat={k_hat} outside [0, {limit}] for N={n_doppler}"
         )
+    if n_doppler < 2:
+        raise ConfigurationError(f"N={n_doppler} Doppler rows: a frame grid needs N >= 2")
 
 
 @dataclass(frozen=True)

@@ -390,32 +390,27 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     noise powers.  Each trial keeps its own stream ``_trial_rng(config,
     snr_index, t)`` and the draw order (channel, bits, noise) that fixes the
     output bytes; only the array work after the draws runs once for the
-    whole chunk, and every frame of it is bit for bit the frame the trial
-    would give on its own.
+    whole chunk (one ``sample_channel``, ``tf_channel`` and, for the optimal
+    TX window, ``optimal_tx_window`` call), and every frame of it is bit for
+    bit the frame the trial would give on its own.
 
     Returns per frame, stacked along a leading axis: the data bits, the
     received DD frame, the RX window and the windowed TF gains
     ``joint * H_tf``, whose DD response is the effective channel.
     """
     config = link.config
-    generators, channels, bits = [], [], []
-    for snr_index, t in cells:
-        rng = _trial_rng(config, snr_index, t)
-        channels.append(ch_mod.sample_channel(link.grid, config.paths, config.k_max,
-                                              config.l_max, rng))
-        bits.append(rng.integers(0, 2, link.bits_per_frame))
-        generators.append(rng)
+    generators = [_trial_rng(config, snr_index, t) for snr_index, t in cells]
+    channels = ch_mod.sample_channel(link.grid, config.paths, config.k_max, config.l_max,
+                                     generators)
+    bits = np.array([rng.integers(0, 2, link.bits_per_frame) for rng in generators])
     tf_gains = ch_mod.tf_channel(channels)
     windows = link.windows
     if windows is None:
-        tx = np.empty_like(tf_gains)
-        for frame_tx, gains, frame_n0 in zip(tx, tf_gains, n0):
-            try:
-                frame_tx[...] = win_mod.optimal_tx_window(np.abs(gains) ** 2 / frame_n0).tx_window
-            except ValueError as exc:
-                raise NumericalFailure(f"optimal TX window: {exc}") from exc
-        windows = win_mod.WindowPair.from_tx_grid(tx)
-    bits = np.array(bits)
+        try:
+            allocation = win_mod.optimal_tx_window(np.abs(tf_gains) ** 2 / n0[:, None, None])
+        except ValueError as exc:
+            raise NumericalFailure(f"optimal TX window: {exc}") from exc
+        windows = win_mod.WindowPair.from_tx_grid(allocation.tx_window)
     if link.layout is None:
         frames = map_symbols(bits, link.constellation, link.grid)
     else:
@@ -568,6 +563,9 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
     frame's bit error count, so memory does not grow with the trial count.
     """
     link = _link(config, pilot=config.csi == "estimated-csir")
+    if link.bits_per_frame == 0:
+        raise ConfigurationError(
+            f"the pilot guard covers the whole {config.N}x{config.M} frame: no data cells left")
 
     def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> list[int]:
         bits, y, rx_window, gains = _transmit(link, cells, n0)
@@ -830,5 +828,20 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
         block_err <= 1e-12 and weight_err <= 1e-10,
         f"block err={block_err:.3e} tol=1.0e-12, weights err={weight_err:.3e} tol=1.0e-10",
     ))
+
+    # one water-level loop on a stack gives every frame exactly its
+    # allocation alone: two frames settle on the first pass (one with zero
+    # bins), the third, spread over four decades, needs several
+    shape = (3, 20, 30)
+    lam = rng.exponential(size=shape) + 1.0
+    lam[1][rng.random(shape[1:]) < 0.2] = 0.0
+    lam[2] *= 10.0 ** rng.uniform(-3.0, 1.0, size=shape[1:])
+    stack = win_mod.optimal_tx_window(lam)
+    worst = 0.0
+    for frame, x, eta, mercury in zip(lam, stack.x, stack.eta, stack.mercury):
+        alone = win_mod.optimal_tx_window(frame)
+        worst = max(worst, float(np.max(np.abs(x - alone.x))), abs(float(eta) - alone.eta),
+                    float(np.max(np.abs(mercury - alone.mercury))))
+    check("windows.water_level_stack_vs_frames", worst, 0.0)
 
     return results

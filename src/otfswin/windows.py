@@ -266,11 +266,12 @@ class PowerAllocation:
 
     ``x`` holds the per-bin powers |U|^2 (budget: mean x = 1), ``eta`` the
     dual water level, ``mercury`` the per-vessel mercury column poured in
-    before the water.
+    before the water.  For a ``[B, N, M]`` stack, ``x`` and ``mercury`` are
+    stacks and ``eta`` holds one level per frame.
     """
 
     x: np.ndarray
-    eta: float
+    eta: float | np.ndarray
     mercury: np.ndarray
 
     @property
@@ -279,7 +280,7 @@ class PowerAllocation:
         return np.sqrt(self.x)
 
 
-def _allocation(lam: np.ndarray, eta: float) -> np.ndarray:
+def _allocation(lam: np.ndarray, eta: np.ndarray) -> np.ndarray:
     # bins at or below the level get no power (their 1/lam may overflow)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         raw = np.sqrt(1.0 / (eta * lam)) - 1.0 / lam
@@ -310,41 +311,68 @@ def optimal_tx_window(lam: np.ndarray) -> PowerAllocation:
     budget, which bounds eta from below, and the bound keeps subnormal gains
     out of the 1/lam sums.
 
+    A 1-D or 2-D ``lam`` is one problem and gives a float ``eta``.  A
+    ``[B, N, M]`` stack is B problems, one per (N, M) frame, solved by one
+    fixed-point loop with a per-frame active set and level; a frame whose
+    set no longer shrinks recomputes the same level, so frame i comes out
+    bit for bit as it does alone.
+
     Raises ``ValueError`` for negative, non-finite or all-zero gains and
     ``NumericalFailure`` when the level or the powers are not finite (gains
-    too small for the budget to be met in floating point).
+    too small for the budget to be met in floating point), naming the frame
+    of a stack.
     """
     lam = np.asarray(lam, dtype=float)
-    lam_max = float(lam.max(initial=0.0))
-    if not (lam.min(initial=0.0) >= 0.0 and lam_max < math.inf):
+    stacked = lam.ndim > 2
+    frames = lam.reshape((-1, lam.shape[-2] * lam.shape[-1]) if stacked else (1, lam.size))
+    size = frames.shape[1]
+
+    def frame(index) -> str:
+        return f"frame {int(index)} of the stack: " if stacked else ""
+
+    lam_max = frames.max(axis=1, initial=0.0, keepdims=True)
+    if not (lam.min(initial=0.0) >= 0.0 and np.all(lam_max < math.inf)):
         raise ValueError("channel gains must be finite and nonnegative")
-    if lam_max == 0.0:
-        raise ValueError("all channel gains are zero; no useful allocation exists")
+    if not np.all(lam_max > 0.0):
+        raise ValueError(f"{frame(np.argmin(lam_max))}all channel gains are zero; "
+                         "no useful allocation exists")
 
     # the start bound lam_max / denom^2, divided twice so the square cannot overflow
-    denom = lam.size * lam_max + 1.0
-    active = (lam > 0.0) & (lam >= lam_max / denom / denom)
+    denom = size * lam_max + 1.0
+    active = (frames > 0.0) & (frames >= lam_max / denom / denom)
     with np.errstate(over="ignore", invalid="ignore"):
-        inv_lam = np.divide(1.0, lam, out=np.zeros_like(lam), where=active)
+        inv_lam = np.divide(1.0, frames, out=np.zeros_like(frames), where=active)
         inv_sqrt = np.sqrt(inv_lam)
-        for _ in range(lam.size):
-            eta = float((inv_sqrt.sum(where=active)
-                         / (lam.size + inv_lam.sum(where=active))) ** 2)
-            dropped = active & (lam <= eta)
+        for _ in range(size):
+            root = (inv_sqrt.sum(axis=1, where=active)
+                    / (size + inv_lam.sum(axis=1, where=active)))
+            # squared by the C library's pow, as numpy squares one float64
+            # scalar; the correctly rounded square numpy takes of an array
+            # differs from it in the last bit for about one level in 1000
+            eta = np.array([[r ** 2] for r in root.tolist()])
+            dropped = active & (frames <= eta)
             if not dropped.any():
                 break
             active ^= dropped
-    if not (math.isfinite(eta) and eta > 0.0):
+    bad = ~(np.isfinite(eta) & (eta > 0.0))
+    if bad.any():
+        first = np.argmax(bad)
         raise NumericalFailure(
-            f"optimal TX window: water level {eta!r} is not finite and positive "
-            "(channel gains too small for the power budget)"
+            f"optimal TX window: {frame(first)}water level {float(eta[first, 0])!r} is not "
+            "finite and positive (channel gains too small for the power budget)"
         )
-    x = _allocation(lam, eta)
-    if not np.all(np.isfinite(x)):
-        raise NumericalFailure("optimal TX window: the power map is not finite")
+    x = _allocation(frames, eta)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise NumericalFailure(
+            f"optimal TX window: {frame(np.argmin(finite))}the power map is not finite")
 
-    inv_eta_sqrt = math.sqrt(1.0 / eta)
+    inv_eta_sqrt = np.sqrt(1.0 / eta)
     with np.errstate(divide="ignore"):
-        inv_lam_sqrt = np.where(lam > 0, np.sqrt(1.0 / np.maximum(lam, 1e-300)), np.inf)
+        inv_lam_sqrt = np.where(frames > 0, np.sqrt(1.0 / np.maximum(frames, 1e-300)), np.inf)
     mercury = inv_eta_sqrt * np.maximum(inv_eta_sqrt - inv_lam_sqrt, 0.0)
-    return PowerAllocation(x=x, eta=eta, mercury=mercury)
+    return PowerAllocation(
+        x=x.reshape(lam.shape),
+        eta=eta.reshape(lam.shape[:-2]) if stacked else float(eta[0, 0]),
+        mercury=mercury.reshape(lam.shape),
+    )

@@ -10,8 +10,10 @@ import math
 import numpy as np
 
 from otfswin import (
+    ChannelRealization,
     ConfigurationError,
     Constellation,
+    PathSpec,
     WindowPair,
     embed_pilot,
     estimate_channel,
@@ -19,12 +21,12 @@ from otfswin import (
     isfft,
     map_symbols,
     measured_ce_mse,
-    optimal_tx_window,
-    sample_channel,
     sfft,
 )
-from otfswin.channel import EffectiveDDChannel, _dd_response
+from otfswin.channel import EffectiveDDChannel, _dd_response, delay_power_profile
 from otfswin.detection import DetectionReport
+from otfswin.errors import NumericalFailure
+from otfswin.windows import PowerAllocation
 
 
 def naive_tf_channel(ch):
@@ -317,22 +319,75 @@ def enumeration_spa_detect(
 
 # ---------------------------------------------------------------------------
 # the harness's trial chain, one frame at a time: the reference for running
-# trials in chunks.  The TF channel and the transmit step are the
-# single-frame code they replaced; the other layers are called on single
+# trials in chunks.  The channel draw, the TF channel, the water level and
+# the transmit step are the single-frame code they replaced; the other layers are called on single
 # frames, and the rows come from the harness's own row functions.
 # ---------------------------------------------------------------------------
+
+def single_generator_sample_channel(grid, num_paths, k_max, l_max, rng):
+    """One realization drawn from one generator and built from ``PathSpec``
+    records: ``sample_channel`` before it took generator sequences."""
+    delays = rng.integers(0, l_max + 1, size=num_paths)
+    dopplers = rng.integers(-k_max, k_max + 1, size=num_paths)
+    fracs = rng.random(num_paths) - 0.5
+    while np.any(fracs <= -0.5):
+        redo = fracs <= -0.5
+        fracs[redo] = rng.random(int(np.count_nonzero(redo))) - 0.5
+    scale = np.sqrt(delay_power_profile(delays) / 2.0)
+    gains = scale * (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths))
+    paths = tuple(
+        PathSpec(gain=complex(g), delay_bin=int(l), doppler_bin=int(k), doppler_frac=float(f))
+        for g, l, k, f in zip(gains, delays, dopplers, fracs)
+    )
+    return ChannelRealization(paths, grid)
+
 
 def broadcast_sum_tf_channel(ch):
     """TF gains of one realization as one (P, N, M) broadcast product summed
     over the paths: ``tf_channel`` before it took stacks."""
     grid = ch.grid
-    gains = ch.gains()
+    gains = np.array([p.gain for p in ch.paths])
     nu = np.array([p.doppler_shift for p in ch.paths])
     delay = np.array([p.delay_bin for p in ch.paths], dtype=float)
     coef = gains * np.exp(-2j * np.pi * nu * delay / (grid.N * grid.M))
     doppler = coef[:, None] * np.exp(2j * np.pi * nu[:, None] * np.arange(grid.N) / grid.N)
     delay_ph = np.exp(-2j * np.pi * delay[:, None] * np.arange(grid.M) / grid.M)
     return np.sum(doppler[:, :, None] * delay_ph[:, None, :], axis=0)
+
+
+def single_frame_optimal_tx_window(lam):
+    """The mercury/water-filling allocation of one frame, its level a numpy
+    scalar: ``optimal_tx_window`` before it took stacks."""
+    lam = np.asarray(lam, dtype=float)
+    lam_max = float(lam.max(initial=0.0))
+    if not (lam.min(initial=0.0) >= 0.0 and lam_max < math.inf):
+        raise ValueError("channel gains must be finite and nonnegative")
+    if lam_max == 0.0:
+        raise ValueError("all channel gains are zero; no useful allocation exists")
+    denom = lam.size * lam_max + 1.0
+    active = (lam > 0.0) & (lam >= lam_max / denom / denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_lam = np.divide(1.0, lam, out=np.zeros_like(lam), where=active)
+        inv_sqrt = np.sqrt(inv_lam)
+        for _ in range(lam.size):
+            eta = float((inv_sqrt.sum(where=active)
+                         / (lam.size + inv_lam.sum(where=active))) ** 2)
+            dropped = active & (lam <= eta)
+            if not dropped.any():
+                break
+            active ^= dropped
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise NumericalFailure(f"water level {eta!r} is not finite and positive")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        raw = np.sqrt(1.0 / (eta * lam)) - 1.0 / lam
+    x = np.where(lam > eta, np.maximum(raw, 0.0), 0.0)
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailure("the power map is not finite")
+    inv_eta_sqrt = math.sqrt(1.0 / eta)
+    with np.errstate(divide="ignore"):
+        inv_lam_sqrt = np.where(lam > 0, np.sqrt(1.0 / np.maximum(lam, 1e-300)), np.inf)
+    mercury = inv_eta_sqrt * np.maximum(inv_eta_sqrt - inv_lam_sqrt, 0.0)
+    return PowerAllocation(x=x, eta=eta, mercury=mercury)
 
 
 def single_frame_transmit(dd_frame, tf_gain_grid, windows, n0=0.0, rng=None):
@@ -353,11 +408,12 @@ def per_trial_transmit(link, snr_index, trial, n0):
     own frame: the chain the harness ran before trials ran in chunks."""
     config = link.config
     rng = harness._trial_rng(config, snr_index, trial)
-    ch = sample_channel(link.grid, config.paths, config.k_max, config.l_max, rng)
+    ch = single_generator_sample_channel(link.grid, config.paths, config.k_max, config.l_max,
+                                         rng)
     tf_gains = broadcast_sum_tf_channel(ch)
     windows = link.windows
     if windows is None:
-        allocation = optimal_tx_window(np.abs(tf_gains) ** 2 / n0)
+        allocation = single_frame_optimal_tx_window(np.abs(tf_gains) ** 2 / n0)
         windows = WindowPair.from_tx_grid(allocation.tx_window)
     bits = rng.integers(0, 2, link.bits_per_frame)
     if link.layout is None:

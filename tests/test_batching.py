@@ -1,8 +1,8 @@
 """Stacks of frames through the batched layers: each frame of a stack must
 come out bit for bit as the same layer gives it for that frame alone, and,
-for the TF channel and the transmit step, as the single-frame code they
-replaced (kept in ``oracles``).  The sum-product detector is also checked
-against the enumeration oracle.
+for the channel draw, the TF channel, the water level and the transmit
+step, as the single-frame code they replaced (kept in ``oracles``).  The
+sum-product detector is also checked against the enumeration oracle.
 
 The harness runs trials in chunks through these layers, and its rows stay
 byte-identical only if this holds, so the comparisons are exact
@@ -14,9 +14,11 @@ import pytest
 
 import oracles
 from otfswin import (
+    ChannelRealization,
     Constellation,
     EffectiveDDChannel,
     FrameGrid,
+    NumericalFailure,
     PilotLayout,
     WindowPair,
     dc_window,
@@ -27,6 +29,7 @@ from otfswin import (
     largest_taps,
     map_symbols,
     measured_ce_mse,
+    optimal_tx_window,
     sample_channel,
     sfft,
     spa_detect,
@@ -59,7 +62,7 @@ def complex_stack(rng, frames: int) -> np.ndarray:
 
 
 def channels(rng, frames: int):
-    return [sample_channel(GRID, 5, 3, 4, rng) for _ in range(frames)]
+    return sample_channel(GRID, 5, 3, 4, [rng] * frames)
 
 
 def data_frames(rng, frames: int) -> np.ndarray:
@@ -93,9 +96,181 @@ def test_transforms_take_any_number_of_leading_axes():
 def test_tf_channel(paths, frames):
     rng = np.random.default_rng(frames + paths)
     chs = [sample_channel(GRID, paths, 3, 4, rng) for _ in range(frames)]
-    reference = [oracles.broadcast_sum_tf_channel(ch) for ch in chs]
-    assert_framewise(tf_channel(chs), reference)
-    assert_framewise([tf_channel(ch) for ch in chs], reference)
+    assert_framewise([tf_channel(ch) for ch in chs],
+                     (oracles.broadcast_sum_tf_channel(ch) for ch in chs))
+
+
+# --- channel draws: one generator per realization of a stack
+
+PATH_ARRAYS = ("gains", "delay_bins", "doppler_bins", "doppler_fracs")
+
+
+def assert_same_realizations(stack, alone) -> None:
+    for name in PATH_ARRAYS:
+        assert_framewise(getattr(stack, name), (getattr(ch, name) for ch in alone))
+
+
+@pytest.mark.parametrize("frames", (1,) + STACKS)
+@pytest.mark.parametrize("paths", [1, 2, 5])
+def test_sample_channel_stack(paths, frames):
+    seeds = [[frames, paths, i] for i in range(frames)]
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    stack = sample_channel(GRID, paths, 3, 4, generators)
+    alone = [sample_channel(GRID, paths, 3, 4, np.random.default_rng(seed)) for seed in seeds]
+    assert stack.gains.shape == (frames, paths)
+    assert_same_realizations(stack, alone)
+    old = [oracles.single_generator_sample_channel(GRID, paths, 3, 4, np.random.default_rng(seed))
+           for seed in seeds]
+    assert all(a == o for a, o in zip(alone, old))
+    # each stream is left where a draw of its own realization leaves it
+    after = [rng.random() for rng in generators]
+    for seed, value in zip(seeds, after):
+        rng = np.random.default_rng(seed)
+        sample_channel(GRID, paths, 3, 4, rng)
+        assert rng.random() == value
+    assert_framewise(tf_channel(stack), (oracles.broadcast_sum_tf_channel(ch) for ch in alone))
+
+
+class FirstRandomZero:
+    """A generator whose first ``random`` draw starts with 0.0, the value
+    that puts a Doppler fraction on the excluded endpoint -1/2; it logs
+    which draws it makes."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def integers(self, *args, **kwargs):
+        self.draws.append("integers")
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, size=None, out=None):
+        self.draws.append("random")
+        values = self.rng.random(size, out=out)
+        if self.draws.count("random") == 1:
+            values[0] = 0.0
+        return values
+
+    def standard_normal(self, size=None, out=None):
+        self.draws.append("standard_normal")
+        return self.rng.standard_normal(size, out=out)
+
+
+def test_sample_channel_redraws_the_endpoint_from_the_trials_own_stream():
+    seeds = [[7, i] for i in range(3)]
+    stub = FirstRandomZero(seeds[1])
+    generators = [np.random.default_rng(seeds[0]), stub, np.random.default_rng(seeds[2])]
+    stack = sample_channel(GRID, 5, 3, 4, generators)
+    assert stub.draws == ["integers", "integers", "random", "random",
+                          "standard_normal", "standard_normal"]
+    old_stub = FirstRandomZero(seeds[1])
+    alone = [sample_channel(GRID, 5, 3, 4, np.random.default_rng(seeds[0])),
+             oracles.single_generator_sample_channel(GRID, 5, 3, 4, old_stub),
+             sample_channel(GRID, 5, 3, 4, np.random.default_rng(seeds[2]))]
+    assert old_stub.draws == stub.draws
+    assert_same_realizations(stack, alone)
+    # the redrawn fraction is the stream's next value, not the endpoint
+    fresh = np.random.default_rng(seeds[1])
+    fresh.integers(0, 5, size=5), fresh.integers(-3, 4, size=5), fresh.random(5)
+    assert stack.doppler_fracs[1, 0] == fresh.random() - 0.5 > -0.5
+
+
+def test_channel_realization_from_paths_and_back():
+    rng = np.random.default_rng(8)
+    ch = sample_channel(GRID, 5, 3, 4, rng)
+    assert ChannelRealization(ch.paths, GRID) == ch
+    stack = sample_channel(GRID, 5, 3, 4, [rng, rng])
+    with pytest.raises(ValueError, match="stack"):
+        stack.paths
+    assert stack.total_gain_power().shape == (2,)
+
+
+# --- the optimal TX window: one water-level loop on a stack
+
+def water_level_frames(rng) -> np.ndarray:
+    """Four gain frames whose fixed points take different numbers of
+    passes: frame 0 settles on the first pass, frame 1 too beside zero bins
+    and a subnormal bin, frame 2 spreads over two decades and frame 3 over
+    six."""
+    lam = rng.exponential(size=(4,) + GRID.shape) + 1.0
+    lam[1][rng.random(GRID.shape) < 0.2] = 0.0
+    lam[1, 0, 0] = 5e-324
+    lam[2] *= 10.0 ** rng.uniform(-1.0, 1.0, size=GRID.shape)
+    lam[3] *= 10.0 ** rng.uniform(-4.0, 2.0, size=GRID.shape)
+    return lam
+
+
+def active_set_passes(lam) -> int:
+    """Passes of the water-level fixed point on one frame, counted with
+    boolean indexing: the sets tried until none drops."""
+    lam = np.asarray(lam, dtype=float).reshape(-1)
+    lam_max = lam.max()
+    active = (lam > 0.0) & (lam >= lam_max / (lam.size * lam_max + 1.0) ** 2)
+    passes = 1
+    while True:
+        eta = (np.sum(lam[active] ** -0.5) / (lam.size + np.sum(1.0 / lam[active]))) ** 2
+        if not np.any(lam[active] <= eta):
+            return passes
+        active &= lam > eta
+        passes += 1
+
+
+def assert_allocations_framewise(stack, per_frame) -> None:
+    per_frame = list(per_frame)
+    assert stack.eta.shape == (len(per_frame),)
+    for name in ("x", "mercury", "tx_window"):
+        assert_framewise(getattr(stack, name), (getattr(a, name) for a in per_frame))
+    assert all(type(a.eta) is float for a in per_frame)
+    assert stack.eta.tolist() == [a.eta for a in per_frame]
+
+
+def test_water_level_stack_vs_frames():
+    lam = water_level_frames(np.random.default_rng(9))
+    passes = [active_set_passes(frame) for frame in lam]
+    assert passes[0] == passes[1] == 1 < passes[2] < passes[3], passes
+    stack = optimal_tx_window(lam)
+    assert_allocations_framewise(stack, (optimal_tx_window(frame) for frame in lam))
+    assert_allocations_framewise(stack, (oracles.single_frame_optimal_tx_window(frame)
+                                         for frame in lam))
+    assert stack.x[1, 0, 0] == 0.0 and np.all(stack.x[1][lam[1] == 0.0] == 0.0)
+
+
+def test_water_level_is_squared_as_one_frames_scalar_level():
+    # this level squared by the C library's pow, as numpy squares a float64
+    # scalar, lies one ulp from the correctly rounded square numpy takes of
+    # an array
+    lam = np.array([[[16.0, 29.0 / 7.0]], [[1.0, 2.0]]])
+    root = (np.sum(lam[0] ** -0.5) / (lam[0].size + np.sum(1.0 / lam[0])))
+    assert root ** 2 != np.square(np.array(root))
+    assert_allocations_framewise(optimal_tx_window(lam),
+                                 (oracles.single_frame_optimal_tx_window(frame) for frame in lam))
+    assert optimal_tx_window(lam[0, 0]).eta == oracles.single_frame_optimal_tx_window(lam[0]).eta
+
+
+def test_water_level_stack_of_many_small_frames():
+    rng = np.random.default_rng(10)
+    lam = rng.exponential(size=(2000, 4, 5)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(2000, 4, 5))
+    lam[rng.random(lam.shape) < 0.1] = 0.0
+    lam[:, 0, 0] += 1.0
+    assert_allocations_framewise(optimal_tx_window(lam),
+                                 (oracles.single_frame_optimal_tx_window(frame) for frame in lam))
+    nested = optimal_tx_window(lam[:6].reshape((2, 3, 4, 5)))
+    assert nested.eta.shape == (2, 3) and nested.x.shape == (2, 3, 4, 5)
+    assert np.array_equal(nested.x.reshape(lam[:6].shape), optimal_tx_window(lam[:6]).x)
+
+
+@pytest.mark.parametrize("fill, error, message", [
+    (0.0, ValueError, "frame 1 of the stack: all channel gains are zero"),
+    (1e-300, NumericalFailure, "frame 1 of the stack: water level"),
+    (np.inf, ValueError, "finite and nonnegative"),
+    (-1.0, ValueError, "finite and nonnegative"),
+])
+def test_water_level_stack_errors(fill, error, message):
+    lam = water_level_frames(np.random.default_rng(11))
+    lam[1] = fill
+    with pytest.raises(error, match=message):
+        optimal_tx_window(lam)
+    with pytest.raises(error):
+        optimal_tx_window(lam[1])
 
 
 @pytest.mark.parametrize("masked", [False, True])

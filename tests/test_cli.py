@@ -83,6 +83,8 @@ class TestFloor:
         (["--sl-db", "-40", "--khat", "9"], "k_hat=9 outside [0, 1]"),
         (["--sl-db", "-40", "--khat", "-1"], "k_hat=-1"),
         (["--sl-db", "-40", "--N", "-5"], "N=-5"),
+        # the only N below 2 that the k_hat bound lets through
+        (["--sl-db", "-40", "--N", "1", "--kmax", "0", "--lmax", "0"], "N=1"),
         (["--sl-db", "-40", "--N", "1" + "0" * 400], "--N"),
     ])
     def test_bad_input_exits_2_with_one_line(self, capsys, args, field):

@@ -197,6 +197,22 @@ class TestChunkBoundaries:
         for cells, n0 in calls:
             assert n0 == [noise_power(cfg.snr_db[snr_index]) for snr_index, _ in cells]
 
+    def test_the_transmit_side_runs_once_per_chunk(self, monkeypatch):
+        # looked up on their modules, where a tracer wraps them
+        from otfswin import channel, windows
+
+        calls = []
+        for module, name in ((channel, "sample_channel"), (windows, "optimal_tx_window")):
+            def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        # 2 points of B - 1 trials: two chunks
+        run_fer(ExperimentConfig(csi="csit-csir", tx_window="optimal", snr_db=(10.0, 20.0),
+                                 trials=self.CHUNK - 1))
+        assert calls == ["sample_channel", "optimal_tx_window"] * 2
+
     def test_the_benchmark_mmse_calls_run_one_chunk(self):
         # 2 points of 2 trials: one chunk of 4 frames, not one chunk per point
         cfg = ExperimentConfig(snr_db=(10.0, 20.0), trials=2)
@@ -334,6 +350,13 @@ class TestCeExperiment:
 
 
 class TestFerExperiment:
+    def test_a_frame_without_data_cells_is_a_configuration_error(self):
+        # the guard spans all 5 Doppler rows and all 3 delay columns
+        cfg = ExperimentConfig(M=3, N=5, paths=1, k_max=0, l_max=1, k_hat=1,
+                               csi="estimated-csir", snr_db=(10.0,), trials=1)
+        with pytest.raises(ConfigurationError, match="no data cells"):
+            run_fer(cfg)
+
     def test_perfect_csir_mmse_runs_and_is_deterministic(self):
         cfg = ExperimentConfig(M=8, N=8, paths=2, k_max=2, l_max=2,
                                csi="perfect-csir", detector="mmse",
@@ -463,3 +486,9 @@ class TestSelfCheck:
         assert len(results) >= 6
         for r in results:
             assert r.passed, f"{r.name}: {r.detail}"
+
+    def test_new_entries_come_last(self):
+        # each entry draws from one generator: an entry put before another
+        # would change the numbers every later entry draws
+        assert [r.name for r in run_selfcheck(seed=0)][-2:] == [
+            "detection.tf_lmmse_guard_real_vs_complex", "windows.water_level_stack_vs_frames"]
