@@ -1,44 +1,39 @@
 """Link-level OTFS simulation with transmit/receive window designs.
 
 The package covers the discrete ideal-pulse OTFS chain end to end: frame
-geometry and symbol mapping (:mod:`otfswin.grid`), the DD/TF transforms and
-their dense oracles (:mod:`otfswin.transforms`), delay-Doppler channel
-generation and effective-channel analysis (:mod:`otfswin.channel`), window
-construction including the MMSE-optimal transmit window
-(:mod:`otfswin.windows`), embedded-pilot channel estimation
-(:mod:`otfswin.estimation`), MMSE and sum-product detection
-(:mod:`otfswin.detection`), and the Monte Carlo experiment harness with its
-CLI (:mod:`otfswin.harness`, :mod:`otfswin.cli`).
+geometry and symbol mapping (:mod:`otfswin.grid`), the DD/TF transforms
+(:mod:`otfswin.transforms`), delay-Doppler channel generation and the
+effective channel (:mod:`otfswin.channel`), window construction including
+the MMSE-optimal transmit window (:mod:`otfswin.windows`), embedded-pilot
+channel estimation (:mod:`otfswin.estimation`), MMSE and sum-product
+detection (:mod:`otfswin.detection`), and the Monte Carlo experiment harness
+with its CLI (:mod:`otfswin.harness`, :mod:`otfswin.cli`).  The dense
+vectorized model that checks the FFT fast paths lives in
+:mod:`otfswin.oracles`, and the cross-oracle suite behind ``otfswin
+selfcheck`` in :mod:`otfswin.selfcheck`; no trial calls either.
 """
 
 from .errors import ConfigurationError, NumericalFailure
 from .grid import (
     Constellation,
     FrameGrid,
-    GridResolutions,
-    derive_resolutions,
     map_symbols,
     vectorize,
 )
-from .transforms import KronOperators, build_kron_operators, dft_matrix, isfft, sfft
+from .transforms import dft_matrix, isfft, sfft
 from .channel import (
     ChannelRealization,
     EffectiveDDChannel,
     PathSpec,
-    PowerReport,
     channel_from_text,
     channel_to_text,
     circular_operator,
-    dd_channel_matrix,
-    dd_filter,
     delay_power_profile,
     effective_dd_channel,
     largest_taps,
-    power_report,
     sample_channel,
     tf_channel,
     tf_gains_from_taps,
-    time_channel,
     transmit_frame,
 )
 from .windows import (
@@ -65,12 +60,13 @@ from .detection import (
     spa_detect,
     tf_lmmse_detect,
 )
+from .oracles import dd_channel_matrix
 from .harness import (
     ExperimentConfig,
     ResultRow,
     run_ce_mse,
     run_fer,
-    run_selfcheck,
 )
+from .selfcheck import run_selfcheck
 
 __version__ = "0.1.0"

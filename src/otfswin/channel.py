@@ -1,21 +1,20 @@
 """Doubly-dispersive channels in the delay-Doppler domain.
 
 The module generates sparse multipath channels with integer delays and
-(possibly fractional) Doppler shifts, builds their TF/time-domain operators
-under the ideal-pulse assumption, and computes the windowed effective DD
-channel together with its closed forms for rectangular windows.
+(possibly fractional) Doppler shifts, builds their per-bin TF gains under the
+ideal-pulse assumption, computes the windowed effective DD channel, and
+passes frames through the windowed link.  The dense time-domain and DD
+channel matrices that check these FFT forms live in :mod:`otfswin.oracles`.
 
 Ideal transceiver pulses are assumed throughout: the TF channel is exactly
 diagonal and the DD-domain input/output relation is an exact 2-D circular
 convolution with the effective tap grid.  Rectangular pulses share the same
 sparsity pattern up to a phase, so everything here transfers to that case.
-
-Fractional Doppler offsets are real-valued circular distances; they are
-reduced into [-N/2, N/2) before closed forms are evaluated.
 """
 
 from __future__ import annotations
 
+import cmath
 import io
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FrameGrid
-from .transforms import KRON_ORACLE_LIMIT, build_kron_operators, dft_matrix, isfft, sfft
+from .transforms import isfft, sfft
 from .windows import WindowPair
 
 
@@ -40,6 +39,8 @@ class PathSpec:
     def __post_init__(self) -> None:
         if self.delay_bin < 0:
             raise ValueError("delay bin must be nonnegative")
+        if not cmath.isfinite(self.gain):
+            raise ValueError(f"path gain must be finite, got {self.gain!r}")
         if not -0.5 < self.doppler_frac < 0.5:
             raise ValueError("fractional Doppler must lie strictly inside (-1/2, 1/2)")
 
@@ -174,7 +175,7 @@ def sample_channel(
 
 
 # ---------------------------------------------------------------------------
-# TF / time-domain operators (ideal pulses)
+# TF channel (ideal pulses)
 # ---------------------------------------------------------------------------
 
 def tf_channel(ch: ChannelRealization) -> np.ndarray:
@@ -210,23 +211,6 @@ def tf_channel(ch: ChannelRealization) -> np.ndarray:
     return out[0] if ch.gains.ndim == 1 else out
 
 
-def time_channel(tf_gain_grid: np.ndarray) -> np.ndarray:
-    """Dense time-domain channel matrix from the diagonal TF gains.
-
-    H_t = kron(I_N, F_M^H) diag(H_tf) kron(I_N, F_M): block diagonal with N
-    circulant-like M x M blocks.  Oracle scale only (MN <= 4096).
-    """
-    n, m = tf_gain_grid.shape
-    if n * m > KRON_ORACLE_LIMIT:
-        raise ValueError(f"dense oracle limited to M*N <= {KRON_ORACLE_LIMIT}")
-    f_m = dft_matrix(m)
-    blocks = np.zeros((n * m, n * m), dtype=complex)
-    for slot in range(n):
-        d = np.diag(tf_gain_grid[slot])
-        blocks[slot * m:(slot + 1) * m, slot * m:(slot + 1) * m] = f_m.conj().T @ d @ f_m
-    return blocks
-
-
 # ---------------------------------------------------------------------------
 # DD-domain filters and the effective channel
 # ---------------------------------------------------------------------------
@@ -245,29 +229,6 @@ def tf_gains_from_taps(tap_grid: np.ndarray) -> np.ndarray:
     ``[..., N, M]`` stack."""
     n = tap_grid.shape[-2]
     return np.fft.fft(np.fft.ifft(tap_grid, axis=-2), axis=-1) * n
-
-
-def dd_filter(windows: WindowPair, dk: float, dl: float) -> complex:
-    """Joint-window DD filter at a real-valued (Doppler, delay) offset."""
-    w = windows.joint
-    n, m = w.shape
-    ph_n = np.exp(-2j * np.pi * np.arange(n) * dk / n)
-    ph_m = np.exp(2j * np.pi * np.arange(m) * dl / m)
-    return complex(ph_n @ w @ ph_m / (n * m))
-
-
-def rect_doppler_response(dk, length: int) -> np.ndarray:
-    """Closed-form Doppler response of the joint rectangular window.
-
-    Equals (1/N) * sum_n exp(-j2pi n dk/N): a Dirichlet kernel with linear
-    phase, periodic in dk with period N.  Exact at integer offsets (1 at
-    multiples of N, 0 otherwise).  The delay-axis response is its complex
-    conjugate, since the delay exponent has the opposite sign.
-    """
-    dk = np.asarray(dk, dtype=float)
-    x = dk - length * np.floor(dk / length + 0.5)  # reduce to [-N/2, N/2)
-    mag = np.sinc(x) / np.sinc(x / length)
-    return mag * np.exp(-1j * np.pi * x * (length - 1) / length)
 
 
 @dataclass(frozen=True)
@@ -334,30 +295,8 @@ def effective_dd_channel(
 
 
 # ---------------------------------------------------------------------------
-# vectorized operators and the simulation fast path
+# the circular DD operator and the simulation fast path
 # ---------------------------------------------------------------------------
-
-def dd_channel_matrix(ch: ChannelRealization, windows: WindowPair) -> np.ndarray:
-    """Dense DD-domain channel matrix of the full vectorized model.
-
-    Built literally as demodulator * V * per-slot-DFT * H_t * per-slot-IDFT
-    * U * modulator; this is the oracle the FFT fast path is checked against.
-    """
-    grid = ch.grid
-    ops = build_kron_operators(grid.M, grid.N)  # enforces the oracle bound
-    h_t = time_channel(tf_channel(ch))
-    u = np.diag(windows.tx.reshape(-1))
-    v = np.diag(windows.rx.reshape(-1))
-    return (
-        ops.demodulator
-        @ v
-        @ ops.per_slot_dft
-        @ h_t
-        @ ops.per_slot_dft.conj().T
-        @ u
-        @ ops.modulator
-    )
-
 
 def circular_operator(tap_grid: np.ndarray) -> np.ndarray:
     """Dense 2-D circular-convolution matrix generated by a DD tap grid.
@@ -417,35 +356,6 @@ def transmit_frame(
         noise = real + 1j * imag
         received = received + scale[..., None, None] * noise
     return sfft(windows.rx * received)
-
-
-# ---------------------------------------------------------------------------
-# power accounting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PowerReport:
-    total: float     # sum |h_w|^2 over the grid
-    per_path: float  # sum over paths of |h_i|^2 * (filter energy)
-    cross: float     # total - per_path: the inter-path spread term
-
-
-def power_report(ch: ChannelRealization, windows: WindowPair) -> PowerReport:
-    """Split the effective-channel power into per-path and inter-spread parts.
-
-    Requires a jointly normalized window (sum |rx*tx|^2 = MN); otherwise the
-    split is meaningless and the input is rejected.  The per-path filter
-    energy is independent of the path position (the DD filter is a unitary
-    image of the joint window), so it reduces to (1/MN) * sum |rx*tx|^2 per
-    path.
-    """
-    if not windows.is_joint_normalized(rel_tol=1e-6):
-        raise ValueError("power report needs a jointly normalized window pair")
-    eff = effective_dd_channel(ch, windows)
-    total = eff.total_power()
-    filter_energy = windows.joint_power() / windows.tx.size
-    per_path = ch.total_gain_power() * filter_energy
-    return PowerReport(total=total, per_path=per_path, cross=total - per_path)
 
 
 # ---------------------------------------------------------------------------

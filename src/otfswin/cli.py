@@ -28,9 +28,9 @@ from .harness import (
     rows_to_json,
     run_ce_mse,
     run_fer,
-    run_selfcheck,
     write_metadata,
 )
+from .selfcheck import run_selfcheck
 from .windows import dc_window
 
 MAX_THREADS = 64
@@ -173,6 +173,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the allocation it refused; a bare MemoryError says nothing
+        print(f"error: out of memory: {str(exc) or 'allocation refused'}", file=sys.stderr)
         return 2
 
 

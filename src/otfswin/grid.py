@@ -47,20 +47,6 @@ class FrameGrid:
             raise ValueError("delta_f and fc must be finite and positive")
 
     @property
-    def T(self) -> float:
-        """Slot duration in seconds (reciprocal of the subcarrier spacing)."""
-        return 1.0 / self.delta_f
-
-    @property
-    def bandwidth(self) -> float:
-        return self.M * self.delta_f
-
-    @property
-    def duration(self) -> float:
-        """Total frame duration N*T in seconds."""
-        return self.N / self.delta_f
-
-    @property
     def size(self) -> int:
         return self.M * self.N
 
@@ -70,33 +56,14 @@ class FrameGrid:
         return (self.N, self.M)
 
     @property
-    def delay_resolution(self) -> float:
-        return 1.0 / (self.M * self.delta_f)
-
-    @property
     def doppler_resolution(self) -> float:
         return self.delta_f / self.N
 
-
-@dataclass(frozen=True)
-class GridResolutions:
-    delay_res: float    # seconds
-    doppler_res: float  # Hz
-    speed_res: float    # m/s
-
-
-def derive_resolutions(grid: FrameGrid) -> GridResolutions:
-    """Delay, Doppler, and relative-speed resolution of a frame grid.
-
-    The speed resolution is the smallest speed difference between
-    transceiver and scatterers that still lands on distinct Doppler bins.
-    """
-    doppler_res = grid.doppler_resolution
-    return GridResolutions(
-        delay_res=grid.delay_resolution,
-        doppler_res=doppler_res,
-        speed_res=doppler_res * SPEED_OF_LIGHT / grid.fc,
-    )
+    @property
+    def speed_resolution(self) -> float:
+        """Smallest speed difference, in m/s, between transceiver and
+        scatterers that still lands on distinct Doppler bins."""
+        return self.doppler_resolution * SPEED_OF_LIGHT / self.fc
 
 
 @dataclass(frozen=True)
@@ -114,10 +81,6 @@ class Constellation:
             raise ValueError("constellation size must be a power of two >= 2")
         if abs(np.mean(np.abs(pts) ** 2) - 1.0) > 1e-12:
             raise ValueError("constellation must have unit average energy")
-
-    @property
-    def order(self) -> int:
-        return self.points.size
 
     @property
     def bits_per_symbol(self) -> int:

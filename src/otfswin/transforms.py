@@ -1,4 +1,4 @@
-"""ISFFT/SFFT between the DD and TF domains, plus dense Kronecker oracles.
+"""ISFFT/SFFT between the DD and TF domains.
 
 Sign convention, stated once and inherited everywhere: the forward DFT uses
 exp(-j*2*pi*n*k/N).  The DD -> TF mapping is then an inverse DFT along the
@@ -8,20 +8,15 @@ Doppler axis combined with a forward DFT along the delay axis,
 
 and the TF -> DD mapping uses the conjugate exponents.  All transforms are
 unitary (the 1/sqrt factors split symmetrically), so power checks never need
-rescaling.
-
-The dense matrix builders exist as small-instance oracles for the FFT fast
-paths; they refuse sizes above MN = 4096.
+rescaling.  The dense Kronecker forms of these transforms, which check
+them, live in :mod:`otfswin.oracles`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-KRON_ORACLE_LIMIT = 4096
 
 
 def isfft(dd_frame: np.ndarray) -> np.ndarray:
@@ -48,36 +43,3 @@ def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix of size n (forward sign, 1/sqrt(n) scaling)."""
     idx = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / math.sqrt(n)
-
-
-@dataclass(frozen=True)
-class KronOperators:
-    """Dense vectorized-model operators for an (M, N) grid.
-
-    modulator    : DD vector -> TF vector, kron(F_N^H, F_M)
-    demodulator  : TF vector -> DD vector, kron(F_N, F_M^H)
-    per_slot_dft : time vector -> TF vector, kron(I_N, F_M)
-    """
-
-    modulator: np.ndarray
-    demodulator: np.ndarray
-    per_slot_dft: np.ndarray
-
-
-def build_kron_operators(M: int, N: int) -> KronOperators:
-    """Dense unitary operators of the vectorized OTFS model (oracle scale).
-
-    These are test oracles, not production paths; sizes above
-    MN = 4096 are rejected.
-    """
-    if M * N > KRON_ORACLE_LIMIT:
-        raise ValueError(
-            f"dense oracle limited to M*N <= {KRON_ORACLE_LIMIT}, got {M * N}"
-        )
-    f_m = dft_matrix(M)
-    f_n = dft_matrix(N)
-    return KronOperators(
-        modulator=np.kron(f_n.conj().T, f_m),
-        demodulator=np.kron(f_n, f_m.conj().T),
-        per_slot_dft=np.kron(np.eye(N), f_m),
-    )

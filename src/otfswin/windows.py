@@ -60,14 +60,6 @@ class WindowPair:
     def joint(self) -> np.ndarray:
         return self.rx * self.tx
 
-    def joint_power(self) -> float:
-        """sum |rx*tx|^2 over the grid; M*N when jointly normalized."""
-        return float(np.sum(np.abs(self.joint) ** 2))
-
-    def is_joint_normalized(self, rel_tol: float = 1e-9) -> bool:
-        target = self.tx.size
-        return abs(self.joint_power() - target) <= rel_tol * target
-
     def tx_power(self) -> float:
         """Average transmit power scale (1/MN) * sum |tx|^2, 1 when normalized."""
         return float(np.mean(np.abs(self.tx) ** 2))

@@ -176,6 +176,14 @@ class TestExperiments:
         rc = main(["ce-mse", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2
 
+    def test_config_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"\xff\xfe = 3\n")
+        rc = main(["fer", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "latin.cfg" in err[0]
+
     @pytest.mark.parametrize("line, field", [
         ("snr_db = 10, nan", "SNR"),
         ("snr_db = 10, x", "snr_db"),
@@ -196,14 +204,18 @@ class TestExperiments:
         ("seed = -1", "seed"),
         ("k_hat = -1", "k_hat"),
         ("csi = csit-csir\ntx_window = optimal\nrx_window = dc", "optimal TX window"),
+        # arrays far beyond any address space: numpy is refused before any
+        # memory is touched, under every overcommit setting
+        ("paths = 10000000000000000", "memory"),
+        ("M = 100000000000000000", "memory"),
     ])
     def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line, field):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(
-            "M = 8\nN = 16\nconstellation = bpsk\npaths = 2\nk_max = 2\nl_max = 2\n"
-            f"detector = spa\ntrials = 2\n{line}\n",
-            encoding="utf-8",
-        )
+        keys = {entry.split("=")[0].strip() for entry in line.splitlines()}
+        base = [entry for entry in ("M = 8", "N = 16", "constellation = bpsk", "paths = 2",
+                                    "k_max = 2", "l_max = 2", "detector = spa", "trials = 2")
+                if entry.split("=")[0].strip() not in keys]
+        cfg.write_text("\n".join(base) + f"\n{line}\n", encoding="utf-8")
         rc = main(["fer", "--config", str(cfg)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -285,7 +297,7 @@ class TestSelfcheckCommand:
         assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0], err
 
     def test_violation_exits_3(self, capsys, monkeypatch):
-        from otfswin.harness import CheckResult
+        from otfswin.selfcheck import CheckResult
 
         monkeypatch.setattr(
             "otfswin.cli.run_selfcheck",

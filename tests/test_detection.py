@@ -15,10 +15,8 @@ from otfswin import (
     PilotLayout,
     WindowPair,
     analytic_detection_mse,
-    build_kron_operators,
     circular_operator,
     dc_window,
-    dd_channel_matrix,
     effective_dd_channel,
     largest_taps,
     mmse_detect,
@@ -34,7 +32,8 @@ from otfswin import (
 )
 from otfswin.channel import EffectiveDDChannel, _dd_response
 from otfswin.detection import _guard_weights
-from otfswin.harness import _guard_real_vs_complex, run_selfcheck
+from otfswin.oracles import build_kron_operators, dd_channel_matrix
+from otfswin.selfcheck import _guard_real_vs_complex, run_selfcheck
 
 from oracles import brute_force_map, enumeration_spa_detect, mmse_error_covariance, mmse_trace_mse
 

@@ -5,14 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from otfswin import Constellation, FrameGrid, derive_resolutions, map_symbols, vectorize
+from otfswin import Constellation, FrameGrid, map_symbols, vectorize
+from otfswin.harness import ExperimentConfig
 
 
 class TestFrameGrid:
-    def test_slot_duration_ties_to_spacing(self):
-        grid = FrameGrid(M=16, N=8, delta_f=15e3)
-        assert grid.T * grid.delta_f == pytest.approx(1.0, abs=1e-15)
-
     def test_rejects_degenerate_sizes(self):
         with pytest.raises(ValueError):
             FrameGrid(M=1, N=8)
@@ -23,15 +20,13 @@ class TestFrameGrid:
 
     def test_microwave_example_resolutions(self):
         # 3 GHz carrier, 15 MHz bandwidth over 1024 subcarriers, 16 slots:
-        # about 1.1 ms frames and a speed resolution near 91.5 m/s
+        # a speed resolution near 91.5 m/s
         grid = FrameGrid(M=1024, N=16, delta_f=15e6 / 1024, fc=3e9)
-        res = derive_resolutions(grid)
-        assert grid.duration == pytest.approx(1.1e-3, rel=0.01)
-        assert res.speed_res == pytest.approx(91.55, rel=1e-3)
+        assert grid.speed_resolution == pytest.approx(91.55, rel=1e-3)
 
     def test_doppler_resolution_is_spacing_over_slots(self):
         grid = FrameGrid(M=20, N=20, delta_f=5e3)
-        assert derive_resolutions(grid).doppler_res == pytest.approx(250.0)
+        assert grid.doppler_resolution == pytest.approx(250.0)
 
     def test_max_resolvable_speed_matches_hand_value(self):
         # oracle: k_max * delta_f/N * c/fc, evaluated independently
@@ -39,9 +34,13 @@ class TestFrameGrid:
         k_max, delta_f, n, fc = 3, 5e3, 20, 3e9
         oracle_ms = k_max * delta_f / n * c / fc
         grid = FrameGrid(M=30, N=n, delta_f=delta_f, fc=fc)
-        speed = k_max * derive_resolutions(grid).speed_res
+        speed = k_max * grid.speed_resolution
         assert speed == pytest.approx(oracle_ms, rel=1e-12)
         assert speed * 3.6 == pytest.approx(270.0, rel=1e-3)  # km/h
+
+    def test_implied_speed_keeps_its_bytes(self):
+        # the run sidecar records this value; it must not move in the last bit
+        assert repr(ExperimentConfig().implied_max_speed_kmh()) == "269.8132122"
 
 
 class TestConstellations:

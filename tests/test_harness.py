@@ -1,13 +1,16 @@
 """Experiment engine: config parsing, determinism, and protocol claims."""
 
+import ast
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import otfswin
 from otfswin import ConfigurationError, FrameGrid, NumericalFailure
 from otfswin.harness import (
     ExperimentConfig,
@@ -276,6 +279,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="key = value"):
             ExperimentConfig.from_file(str(p2))
 
+    def test_file_that_is_not_utf8_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "latin.cfg"
+        path.write_bytes(b"\xff\xfe = 3\n")
+        with pytest.raises(ConfigurationError, match="latin.cfg: not UTF-8"):
+            ExperimentConfig.from_file(str(path))
+
     def test_hash_is_stable_and_sensitive(self):
         a = ExperimentConfig(**{**TINY_CE})
         b = ExperimentConfig(**{**TINY_CE})
@@ -490,5 +499,46 @@ class TestSelfCheck:
     def test_new_entries_come_last(self):
         # each entry draws from one generator: an entry put before another
         # would change the numbers every later entry draws
-        assert [r.name for r in run_selfcheck(seed=0)][-2:] == [
-            "detection.tf_lmmse_guard_real_vs_complex", "windows.water_level_stack_vs_frames"]
+        assert [r.name for r in run_selfcheck(seed=0)] == [
+            "transforms.kron_equivalence",
+            "channel.chain_vs_dense",
+            "channel.rect_closed_form",
+            "channel.integer_power_conservation",
+            "detection.rx_window_invariance",
+            "detection.tf_lmmse_vs_dense",
+            "detection.tf_lmmse_pilot_vs_dense",
+            "detection.spa_factor_update_vs_enumeration",
+            "windows.two_channel_allocation",
+            "windows.water_level_kkt",
+            "detection.spa_stack_vs_frames",
+            "detection.tf_lmmse_guard_real_vs_complex",
+            "windows.water_level_stack_vs_frames",
+        ]
+
+    def test_trial_modules_do_not_import_the_oracles(self):
+        # the trial path runs only the fast forms; the dense model and the
+        # suite that compares them live apart from it
+        src = Path(otfswin.__file__).parent
+        apart = {"oracles", "selfcheck"}
+        for name in ("grid", "transforms", "channel", "windows", "estimation", "detection"):
+            found = {ref for ref in _imports(src / f"{name}.py") if ref.split(".")[0] in apart}
+            assert not found, (name, found)
+        found = {ref for ref in _imports(src / "harness.py") if ref.split(".")[0] in apart}
+        assert found == {"selfcheck", "selfcheck.run_selfcheck"}
+
+
+def _imports(path: Path) -> set[str]:
+    """What a source file imports, with package prefixes dropped: ``module``
+    for every module and ``module.name`` for every name taken from one
+    (``from . import oracles`` gives ``oracles``)."""
+    refs: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            refs.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            refs.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module.rsplit(".", 1)[-1]
+            refs.add(module)
+            refs.update(f"{module}.{alias.name}" for alias in node.names)
+    return refs

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from otfswin import build_kron_operators, isfft, sfft, vectorize
+from otfswin import isfft, sfft, vectorize
+from otfswin.oracles import build_kron_operators
 
 
 def random_frame(rng, n, m):

@@ -18,8 +18,8 @@ from otfswin import (
     nominal_sidelobe_level,
     optimal_tx_window,
 )
-from otfswin.channel import rect_doppler_response
 from otfswin.detection import analytic_detection_mse
+from otfswin.oracles import rect_doppler_response
 from otfswin.windows import measure_doppler_response
 
 from oracles import bisection_water_level, grid_search_allocation, random_feasible_allocations
@@ -210,7 +210,7 @@ class TestWindowPair:
         grid = FrameGrid(M=6, N=20)
         design = dc_window(grid.N, -40.0)
         pair = WindowPair.separable(grid, tx_doppler=design.coeffs)
-        assert pair.is_joint_normalized()
+        assert np.sum(np.abs(pair.joint) ** 2) == pytest.approx(grid.size, rel=1e-9)
         assert pair.tx_power() == pytest.approx(1.0, rel=1e-12)
 
     def test_axis_length_validation(self):
