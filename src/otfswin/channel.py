@@ -44,11 +44,6 @@ class PathSpec:
         if not -0.5 < self.doppler_frac < 0.5:
             raise ValueError("fractional Doppler must lie strictly inside (-1/2, 1/2)")
 
-    @property
-    def doppler_shift(self) -> float:
-        """Total Doppler in bins (integer part plus fraction)."""
-        return self.doppler_bin + self.doppler_frac
-
 
 class ChannelRealization:
     """A multipath channel on one frame grid as per-path arrays: complex

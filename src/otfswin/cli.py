@@ -20,7 +20,7 @@ import math
 import sys
 
 from .errors import ConfigurationError, NumericalFailure
-from .estimation import predicted_mse_floor_params
+from .estimation import predicted_mse_floor
 from .harness import (
     ExperimentConfig,
     ce_rows_csv,
@@ -136,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"--sl-db must be finite and at most 0, got {args.sl_db!r}")
             sl_w = 10.0 ** (args.sl_db / 20.0)
             try:
-                value = predicted_mse_floor_params(args.N, args.kmax, args.lmax, args.khat, sl_w)
+                value = predicted_mse_floor(args.N, args.kmax, args.lmax, args.khat, sl_w)
             except OverflowError:
                 raise ConfigurationError("--N is too large for a floating-point floor") from None
             value_db = 10 * math.log10(value) if value > 0 else float("-inf")

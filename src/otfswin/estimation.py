@@ -27,12 +27,15 @@ from .grid import FrameGrid
 
 
 def _check_spread(n_doppler: int, k_max: int, l_max: int, k_hat: int) -> None:
-    """Reject negative spread bounds, an extra Doppler guard k_hat outside
-    [0, (N - 4 k_max - 1) // 4], past which the Doppler guard overlaps itself,
-    and fewer than the two Doppler rows of the smallest frame grid."""
+    """Reject negative spread bounds, a Doppler guard of more than N rows
+    (k_hat outside [0, (N - 4 k_max - 1) // 4]), and fewer than the two
+    Doppler rows of the smallest frame grid."""
     if k_max < 0 or l_max < 0:
         raise ConfigurationError("spread bounds must be nonnegative")
     limit = (n_doppler - 4 * k_max - 1) // 4
+    if limit < 0:
+        raise ConfigurationError(f"k_max={k_max} needs N >= 4 k_max + 1 = {4 * k_max + 1} "
+                                 f"Doppler rows, got N={n_doppler}")
     if not 0 <= k_hat <= limit:
         raise ConfigurationError(
             f"extra Doppler guard k_hat={k_hat} outside [0, {limit}] for N={n_doppler}"
@@ -204,29 +207,19 @@ def estimate_channel(received: np.ndarray, layout: PilotLayout,
 # analytic predictors and measured error
 # ---------------------------------------------------------------------------
 
-def predicted_interference_power_params(n_doppler: int, k_max: int,
-                                        k_hat: int, sl_w: float) -> float:
-    """Per-cell data-leakage power under a flat-sidelobe approximation,
-    for unit total channel power."""
-    exposed = max(n_doppler - 4 * k_max - 4 * k_hat - 1, 0)
-    return exposed * sl_w ** 2
-
-
-def predicted_mse_floor_params(n_doppler: int, k_max: int, l_max: int,
-                               k_hat: int, sl_w: float) -> float:
-    """High-SNR estimation-error floor summed over the read window.
+def predicted_mse_floor(n_doppler: int, k_max: int, l_max: int, k_hat: int,
+                        sl_w: float) -> float:
+    """High-SNR estimation-error floor summed over the read window, for unit
+    total channel power, under a flat-sidelobe approximation.
 
     Raises :class:`ConfigurationError` for a spread or k_hat that no
     :class:`PilotLayout` on N Doppler rows accepts.
     """
     _check_spread(n_doppler, k_max, l_max, k_hat)
+    # nonnegative: _check_spread bounds 4 k_hat by N - 4 k_max - 1
+    exposed = n_doppler - 4 * k_max - 4 * k_hat - 1
     cells = (2 * k_max + 2 * k_hat + 1) * (l_max + 1)
-    return predicted_interference_power_params(n_doppler, k_max, k_hat, sl_w) * cells
-
-
-def predicted_mse_floor(layout: PilotLayout, sl_w: float) -> float:
-    return predicted_mse_floor_params(layout.grid.N, layout.k_max, layout.l_max,
-                                      layout.k_hat, sl_w)
+    return exposed * sl_w ** 2 * cells
 
 
 def measured_ce_mse(

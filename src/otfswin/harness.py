@@ -150,6 +150,15 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "the sum-product detector models white noise; use rx_window = rect"
             )
+        # numpy refuses arrays of over intp-max bytes with a ValueError; a chunk's
+        # largest are its complex (B, N, M) frames and (B, paths, N or M) phases
+        chunk = min(_chunk_size(grid), len(snrs) * self.trials)
+        sizes = {f"M = {self.M}, N = {self.N}": grid.size,
+                 f"paths = {self.paths}": self.paths * max(grid.shape)}
+        for fields, size in sizes.items():
+            if 16 * chunk * size > np.iinfo(np.intp).max:
+                raise ConfigurationError(
+                    f"{fields}: the arrays of one {chunk}-frame chunk would not fit in memory")
         object.__setattr__(self, "snr_db", snrs)
 
     # -- construction ------------------------------------------------------
@@ -276,11 +285,16 @@ def write_metadata(config: ExperimentConfig, path: str) -> None:
         fh.write("\n")
 
 
+def _shaping_window(config: ExperimentConfig) -> str:
+    """The window kind of a ce-mse link: whichever side is not rect."""
+    return config.tx_window if config.tx_window != "rect" else config.rx_window
+
+
 def ce_rows_csv(rows: list[ResultRow], config: ExperimentConfig) -> str:
     """Compact channel-estimation summary, one line per SNR point."""
     measured = {r.snr_db: r.value for r in rows if r.metric == "ce_mse"}
     predicted = {r.snr_db: r.value for r in rows if r.metric == "ce_mse_predicted"}
-    window = config.tx_window if config.tx_window != "rect" else config.rx_window
+    window = _shaping_window(config)
     lines = ["snr_db,pilot_dbw,window,khat,mse_measured,mse_predicted"]
     for snr in sorted(measured):
         lines.append(
@@ -338,13 +352,6 @@ def build_windows(config: ExperimentConfig, grid: FrameGrid) -> win_mod.WindowPa
     if config.rx_window == "dc":
         rx_dop = win_mod.dc_window(grid.N, config.dc_sl_db).coeffs
     return win_mod.WindowPair.separable(grid, tx_doppler=tx_dop, rx_doppler=rx_dop)
-
-
-def config_sidelobe_level(config: ExperimentConfig, grid: FrameGrid) -> float:
-    """Nominal sidelobe level of the shaping window for the floor predictor."""
-    if config.tx_window == "dc" or config.rx_window == "dc":
-        return win_mod.nominal_sidelobe_level("dc", grid.N, config.dc_sl_db)
-    return win_mod.nominal_sidelobe_level("rect", grid.N)
 
 
 def noise_power(snr_db: float) -> float:
@@ -480,12 +487,14 @@ def run_ce_mse(config: ExperimentConfig) -> list[ResultRow]:
         est = est_mod.estimate_channel(y, link.layout, n0)
         return est_mod.measured_ce_mse(ch_mod._dd_response(gains), est, link.layout)
 
-    return _ce_rows(config, link, _sweep(config, chunk))
+    return _ce_rows(config, _sweep(config, chunk))
 
 
-def _ce_rows(config: ExperimentConfig, link: _Link, sweep) -> list[ResultRow]:
+def _ce_rows(config: ExperimentConfig, sweep) -> list[ResultRow]:
     """The ce-mse rows of ``(snr, per-trial squared errors)`` pairs."""
-    predicted = est_mod.predicted_mse_floor(link.layout, config_sidelobe_level(config, link.grid))
+    sl_w = win_mod.nominal_sidelobe_level(_shaping_window(config), config.N, config.dc_sl_db)
+    predicted = est_mod.predicted_mse_floor(config.N, config.k_max, config.l_max, config.k_hat,
+                                            sl_w)
     tag = config.config_hash()
     rows: list[ResultRow] = []
     for snr, sse in sweep:

@@ -26,40 +26,11 @@ from otfswin import (
 from otfswin.channel import EffectiveDDChannel, _dd_response, delay_power_profile
 from otfswin.detection import DetectionReport
 from otfswin.errors import NumericalFailure
+from otfswin.oracles import dd_filter
 from otfswin.windows import PowerAllocation
 
 
-def naive_tf_channel(ch):
-    """Term-by-term double-loop evaluation of the per-bin TF gains."""
-    grid = ch.grid
-    out = np.zeros((grid.N, grid.M), dtype=complex)
-    for n in range(grid.N):
-        for m in range(grid.M):
-            acc = 0.0 + 0.0j
-            for p in ch.paths:
-                nu = p.doppler_bin + p.doppler_frac
-                acc += (
-                    p.gain
-                    * np.exp(-2j * np.pi * nu * p.delay_bin / (grid.N * grid.M))
-                    * np.exp(2j * np.pi * (n * nu / grid.N - m * p.delay_bin / grid.M))
-                )
-            out[n, m] = acc
-    return out
-
-
-def direct_dd_filter(joint_window, dk, dl):
-    """Literal double-sum evaluation of the joint-window DD filter."""
-    n, m = joint_window.shape
-    acc = 0.0 + 0.0j
-    for a in range(n):
-        for b in range(m):
-            acc += joint_window[a, b] * np.exp(-2j * np.pi * a * dk / n) * np.exp(
-                2j * np.pi * b * dl / m
-            )
-    return acc / (n * m)
-
-
-def naive_effective_channel(ch, joint_window):
+def naive_effective_channel(ch, windows):
     """Effective DD taps by direct evaluation of the filter at every offset."""
     grid = ch.grid
     taps = np.zeros((grid.N, grid.M), dtype=complex)
@@ -70,25 +41,11 @@ def naive_effective_channel(ch, joint_window):
                 nu = p.doppler_bin + p.doppler_frac
                 acc += (
                     p.gain
-                    * direct_dd_filter(joint_window, k - nu, l - p.delay_bin)
+                    * dd_filter(windows, k - nu, l - p.delay_bin)
                     * np.exp(-2j * np.pi * nu * p.delay_bin / (grid.N * grid.M))
                 )
             taps[k, l] = acc
     return taps
-
-
-def circular_convolve_2d(frame, taps):
-    """Direct 2-D circular convolution of a frame with a tap grid."""
-    n, m = frame.shape
-    out = np.zeros((n, m), dtype=complex)
-    for k in range(n):
-        for l in range(m):
-            acc = 0.0 + 0.0j
-            for kp in range(n):
-                for lp in range(m):
-                    acc += frame[kp, lp] * taps[(k - kp) % n, (l - lp) % m]
-            out[k, l] = acc
-    return out
 
 
 def brute_force_map(y_vec, channel_matrix, points):
@@ -347,7 +304,7 @@ def broadcast_sum_tf_channel(ch):
     over the paths: ``tf_channel`` before it took stacks."""
     grid = ch.grid
     gains = np.array([p.gain for p in ch.paths])
-    nu = np.array([p.doppler_shift for p in ch.paths])
+    nu = np.array([p.doppler_bin + p.doppler_frac for p in ch.paths])
     delay = np.array([p.delay_bin for p in ch.paths], dtype=float)
     coef = gains * np.exp(-2j * np.pi * nu * delay / (grid.N * grid.M))
     doppler = coef[:, None] * np.exp(2j * np.pi * nu[:, None] * np.arange(grid.N) / grid.N)
@@ -440,7 +397,7 @@ def per_trial_ce_mse(config):
         est = estimate_channel(y, link.layout, n0)
         return measured_ce_mse(_dd_response(gains), est, link.layout)
 
-    return harness._ce_rows(config, link, _per_trial_sweep(config, trial))
+    return harness._ce_rows(config, _per_trial_sweep(config, trial))
 
 
 def per_trial_fer(config):

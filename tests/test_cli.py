@@ -83,6 +83,8 @@ class TestFloor:
         (["--sl-db", "-40", "--khat", "9"], "k_hat=9 outside [0, 1]"),
         (["--sl-db", "-40", "--khat", "-1"], "k_hat=-1"),
         (["--sl-db", "-40", "--N", "-5"], "N=-5"),
+        # k_max = 2 leaves no room for the guard on N = 8, whatever k_hat is
+        (["--sl-db", "-40", "--N", "8", "--kmax", "2"], "k_max=2 needs N >= 4 k_max + 1 = 9"),
         # the only N below 2 that the k_hat bound lets through
         (["--sl-db", "-40", "--N", "1", "--kmax", "0", "--lmax", "0"], "N=1"),
         (["--sl-db", "-40", "--N", "1" + "0" * 400], "--N"),
@@ -208,6 +210,14 @@ class TestExperiments:
         # memory is touched, under every overcommit setting
         ("paths = 10000000000000000", "memory"),
         ("M = 100000000000000000", "memory"),
+        # arrays numpy refuses to create at all: rejected with the config
+        ("M = 100000000000000000000", "M = 100000000000000000000"),
+        ("N = 100000000000000000000", "N = 100000000000000000000"),
+        ("paths = 1000000000000000000", "paths = 1000000000000000000"),
+        ("paths = 100000000000000000000", "paths = 100000000000000000000"),
+        # one 13-frame chunk of 30x20 frames
+        ("M = 30\nN = 20\ntrials = 13\npaths = 100000000000000000", "paths = 100000000000000000"),
+        ("N = 8\ncsi = estimated-csir", "k_max=2 needs N >= 4 k_max + 1 = 9"),
     ])
     def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line, field):
         cfg = tmp_path / "bad.cfg"

@@ -23,7 +23,6 @@ from otfswin import (
     tf_channel,
     transmit_frame,
 )
-from otfswin.estimation import predicted_interference_power_params, predicted_mse_floor_params
 
 FIG6_GRID = FrameGrid(M=30, N=20)
 
@@ -50,7 +49,7 @@ class TestLayout:
         assert 4 * layout.k_max + 4 * layout.k_hat + 1 == grid.N
         assert int(layout.guard_mask.sum()) == (2 * layout.l_max + 1) * grid.N
         assert np.all(layout.guard_mask.any(axis=1))
-        assert predicted_interference_power_params(grid.N, 2, 3, 1.0 / grid.N) == 0.0
+        assert predicted_mse_floor(grid.N, 2, 3, 3, 1.0 / grid.N) == 0.0
 
     def test_excessive_extra_guard_rejected(self):
         # N = 20, k_max = 3 leaves room for k_hat <= 1 only
@@ -187,23 +186,19 @@ class TestEstimator:
 
 
 class TestPredictors:
-    def test_interference_power_values(self):
-        assert predicted_interference_power_params(20, 3, 1, 1 / 20) == pytest.approx(0.0075)
-        assert predicted_interference_power_params(20, 3, 1, 1e-2) == pytest.approx(3e-4)
-
-    def test_floor_values(self):
-        layout1 = fig6_layout(k_hat=1)
-        layout0 = fig6_layout(k_hat=0)
-        assert predicted_mse_floor(layout1, 1 / 20) == pytest.approx(0.3375)
-        assert predicted_mse_floor(layout0, 1 / 20) == pytest.approx(0.6125)
-        dc_floor = predicted_mse_floor(layout1, 1e-2)
-        assert dc_floor == pytest.approx(0.0135)
-        # about 14 dB below the rectangular floor
-        gain_db = 10 * np.log10(0.3375 / dc_floor)
-        assert gain_db == pytest.approx(10 * np.log10(25), abs=1e-9)
-
-    def test_full_guard_floor_vanishes(self):
-        assert predicted_mse_floor_params(21, 2, 3, 3, 1 / 21) == 0.0
+    @pytest.mark.parametrize("args, floor", [
+        # the Fig-6 spread: N = 20, k_max = 3, l_max = 4
+        ((20, 3, 4, 1, 1 / 20), 0.3375),
+        ((20, 3, 4, 0, 1 / 20), 0.6125),
+        ((20, 3, 4, 1, 1e-2), 0.0135),  # 25 times (about 14 dB) below rect
+        # one delay column: 9 read cells of 0.0075 and 3e-4 leakage each
+        ((20, 3, 0, 1, 1 / 20), 9 * 0.0075),
+        ((20, 3, 0, 1, 1e-2), 9 * 3e-4),
+        # 4 k_max + 4 k_hat + 1 = N: the guard leaves no data row exposed
+        ((21, 2, 3, 3, 1 / 21), 0.0),
+    ])
+    def test_floor_values(self, args, floor):
+        assert predicted_mse_floor(*args) == pytest.approx(floor, rel=1e-12, abs=0.0)
 
 
 class TestMeasuredError:

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 
 import oracles
 import otfswin
-from otfswin import ConfigurationError, FrameGrid, NumericalFailure
+from otfswin import ConfigurationError, FrameGrid, NumericalFailure, predicted_mse_floor
+from otfswin.cli import main
 from otfswin.harness import (
     ExperimentConfig,
     _chunk_size,
@@ -338,15 +340,18 @@ class TestCeExperiment:
         assert metrics == {"ce_mse", "ce_mse_db", "ce_mse_predicted", "ce_mse_predicted_db"}
         assert all(r.config_hash == cfg.config_hash() for r in rows1)
 
-    def test_predicted_value_matches_floor_formula(self):
-        from otfswin.estimation import predicted_mse_floor_params
-
-        cfg = ExperimentConfig(**TINY_CE)
-        rows = run_ce_mse(cfg)
-        predicted = next(r.value for r in rows if r.metric == "ce_mse_predicted")
-        assert predicted == pytest.approx(
-            predicted_mse_floor_params(cfg.N, cfg.k_max, cfg.l_max, cfg.k_hat, 1 / cfg.N)
-        )
+    @pytest.mark.parametrize("shaping", [{}, {"tx_window": "dc"}, {"rx_window": "dc"}])
+    def test_predicted_value_matches_floor_formula(self, capsys, shaping):
+        cfg = ExperimentConfig(**TINY_CE, **shaping)
+        # rect at 1/N; a Dolph-Chebyshev window on either side at its design level
+        sl_w = 10.0 ** (cfg.dc_sl_db / 20.0) if shaping else 1 / cfg.N
+        predicted = next(r.value for r in run_ce_mse(cfg) if r.metric == "ce_mse_predicted")
+        assert predicted == predicted_mse_floor(cfg.N, cfg.k_max, cfg.l_max, cfg.k_hat, sl_w)
+        # the floor command prints the same value
+        assert main(["floor", "--N", str(cfg.N), "--kmax", str(cfg.k_max),
+                     "--lmax", str(cfg.l_max), "--khat", str(cfg.k_hat),
+                     "--sl-db", repr(20 * math.log10(sl_w))]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[5] == f"{predicted:.12g}"
 
     def test_ce_rows_summary_format(self):
         cfg = ExperimentConfig(**TINY_CE)
