@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EffectiveDDChannel, _dd_response
+from .channel import EffectiveDDChannel
 from .errors import ConfigurationError, NumericalFailure
 from .estimation import PilotLayout
 from .grid import Constellation
@@ -124,13 +124,16 @@ def tf_lmmse_detect(
     full-data estimate and E the circular operator of e = DD response of
     the residual n0 |v|^2 / d.  E[G, G] is the capacitance matrix I - c[G, G]
     with c the DD response of |g|^2 / d, formed without the cancellation of
-    1 - c, and solved in real arithmetic frame by frame
-    (:func:`_guard_weights`).
+    1 - c, and solved on the guard's delay band, where E splits into one
+    small block per time slot (:func:`_guard_band_weights`): on the Fig-6
+    layout, 20 inverses of 9 x 9 blocks and one 27 x 27 solve per frame.
 
     Returns the soft estimates of the data cells in row-major order, as
     :func:`mmse_detect` does for the masked dense channel, one row per frame
     of a stack.  Raises :class:`NumericalFailure` where the dense solve
-    would be singular.
+    would be singular.  The guard solve also refuses an ``rx_window`` with
+    fewer than 2 l_max + 1 nonzero bins in a time slot where ``tf_gains``
+    is nonzero, a pair no joint window gives, since g carries the RX window.
     """
     y = np.asarray(y_frame, dtype=complex)
     g = np.asarray(tf_gains, dtype=complex)
@@ -150,12 +153,10 @@ def tf_lmmse_detect(
         guard = layout.guard_mask
         residual = noise_tf / denom
         try:
-            weights = _guard_weights(_dd_response(residual), soft[..., guard],
-                                     layout.guard_view_pairs, layout.guard_mirror)
+            weights = _guard_band_weights(residual, soft[..., guard], guard)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(
-                "LMMSE guard downdate is singular (zero noise with known cells); "
-                "refusing to regularize implicitly"
+                "LMMSE guard downdate is singular; refusing to regularize implicitly"
             ) from exc
         placed = np.zeros_like(y)
         placed[..., guard] = weights
@@ -166,44 +167,55 @@ def tf_lmmse_detect(
     return DetectionReport(soft=soft, hard_indices=hard)
 
 
-def _real_guard_block(e: np.ndarray, view_pairs: np.ndarray) -> np.ndarray:
-    """Real form R = Re A - Im A J of one frame's guard block A = E[G, G],
-    gathered from the float view of its C-contiguous (N, M) DD response
-    ``e`` through ``view_pairs`` (:func:`~otfswin.estimation.guard_view_pairs`)."""
-    # Two (G, G) fancy-index gathers: ``take`` copies a read-only index on
-    # every call, which made the (2, G, G) gather 5x slower (measured).
-    flat = e.reshape(-1).view(float)
-    block = flat[view_pairs[0]]
-    block -= flat[view_pairs[1]]
-    return block
+def _guard_band_weights(residual: np.ndarray, rhs: np.ndarray, guard: np.ndarray) -> np.ndarray:
+    """Solve E[G, G] w = rhs per frame of a [..., N, M] stack of residual
+    grids and [..., G] right-hand sides, E the circular operator of the
+    residual's DD response and G the cells of the ``guard`` mask, a set Kg
+    of Doppler rows times a band Lb of b delay columns.
 
+    E restricted to the band (all N rows by Lb) is block-circulant in
+    Doppler: with h = ifft(residual) over delay, a Doppler DFT splits it into
+    one Hermitian positive semidefinite b x b block P_n[l, l'] = h[n, l - l']
+    per time slot n.  E[G, G] is the band operator's principal block on Kg.
+    With Q the band operator's inverse, applied as fft . inv(P_n) . ifft,
+    E[G, G]^(-1) = Q_GG - Q_GC Q_CC^(-1) Q_CG over the remaining rows Kc, so
+    z = Q [rhs; 0], Q_CC u = z_C and w = z_G - (Q [0; u])_G: one batched
+    inverse of the N blocks and one (|Kc| b)-sized solve per frame, with
+    Q_CC's block at row difference k - k' the n-DFT of the inv(P_n) over N.
 
-def _guard_weights(
-    e: np.ndarray,
-    rhs: np.ndarray,
-    view_pairs: np.ndarray,
-    mirror: np.ndarray,
-) -> np.ndarray:
-    """Solve E[G, G] w = rhs per frame of a [..., N, M] stack of DD
-    responses ``e`` and [..., G] right-hand sides, in real arithmetic.
-
-    Each e is the DD response of a real TF grid, so it is Hermitian
-    symmetric, e[-k, -l] = conj(e[k, l]), and its guard block A = E[G, G]
-    satisfies J A J = conj(A) for the guard's mirror permutation J about
-    the pilot: A is centro-Hermitian.  With the unitary Q = (I + iJ)/sqrt(2),
-    R = Q^H A Q = Re A - Im A J is real symmetric (Lee, Linear Algebra Appl.
-    1980), so w = Q R^(-1) Q^H rhs.  With c = rhs - i rhs[J] = sqrt(2) Q^H
-    rhs, one real solve of R u = c with the two right-hand sides Re c and
-    Im c gives w = Q u / sqrt(2) = (u + i u[J]) / 2.  The solve runs frame
-    by frame, so no (B, G, G) array is formed.
+    Each frame's weights come from its own batched LAPACK and FFT calls, so
+    a stack gives every frame bit for bit its result alone.  P_n is singular
+    exactly when time slot n has fewer than b nonzero residual bins; that
+    raises ``LinAlgError`` up front, since a rounded singular block need not
+    fail to invert.
     """
-    c = rhs - 1j * rhs[..., mirror]
-    sides = np.stack((c.real, c.imag), axis=-1)
-    g = rhs.shape[-1]
-    for frame, side in zip(e.reshape((-1,) + e.shape[-2:]), sides.reshape(-1, g, 2)):
-        side[...] = np.linalg.solve(_real_guard_block(frame, view_pairs), side)
-    u = sides[..., 0] + 1j * sides[..., 1]
-    return 0.5 * (u + 1j * u[..., mirror])
+    n, m = guard.shape
+    in_guard = guard.any(axis=1)
+    rows, rest = np.flatnonzero(in_guard), np.flatnonzero(~in_guard)
+    b = int(guard[rows[0]].sum())
+    if np.any(np.count_nonzero(residual, axis=-1) < b):
+        raise np.linalg.LinAlgError("a time slot's band block is singular")
+    batch = rhs.shape[:-1]
+    # h at the lags l - l' in (-b, b) of the band's b x b Toeplitz blocks
+    toeplitz = np.subtract.outer(np.arange(b), np.arange(b)) + b - 1
+    lags = np.fft.ifft(residual, axis=-1)[..., np.arange(1 - b, b) % m]
+    inverse = np.linalg.inv(lags[..., toeplitz])
+
+    def apply(cells: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Q times the band vector that holds ``values`` on rows ``cells``."""
+        x = np.zeros(batch + (n, b), dtype=complex)
+        x[..., cells, :] = values.reshape(batch + (cells.size, b))
+        return np.fft.fft((inverse @ np.fft.ifft(x, axis=-2)[..., None])[..., 0], axis=-2)
+
+    z = apply(rows, rhs)
+    if rest.size:
+        # Q_CC gathered from the row-difference blocks of Q
+        size = rest.size * b
+        q_cc = (np.fft.fft(inverse, axis=-3) / n)[..., np.subtract.outer(rest, rest) % n, :, :]
+        q_cc = q_cc.swapaxes(-3, -2).reshape(batch + (size, size))
+        u = np.linalg.solve(q_cc, z[..., rest, :].reshape(batch + (-1, 1)))
+        z -= apply(rest, u)
+    return z[..., rows, :].reshape(rhs.shape)
 
 
 def analytic_detection_mse(lam: np.ndarray, x: np.ndarray) -> float:

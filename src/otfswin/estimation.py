@@ -16,7 +16,6 @@ across pilot settings.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -60,15 +59,12 @@ class PilotLayout:
       pilot-plus-guard cells and of the data cells;
     * ``read_cells``: ``np.ix_`` index of the read window in the frame, and
       ``tap_cells`` of the tap offsets it measures, (k - k_p) mod N and
-      l - l_p;
-    * ``guard_pairs`` (built on first access): (G, G) flat index into an
-      (N, M) tap grid e such that
-      ``e.take(guard_pairs)[i, j] = e[(k_i - k_j) mod N, (l_i - l_j) mod M]``
-      for the guard cells in row-major order, the guard block of the circular
-      operator of e;
-    * ``guard_mirror`` and ``guard_view_pairs`` (built on first access): the
-      guard's mirror permutation about the pilot, and the index that gathers
-      the real form of the guard block (see :func:`guard_view_pairs`).
+      l - l_p.
+
+    The guard is its 4*k_max + 4*k_hat + 1 Doppler rows times one band of
+    2*l_max + 1 delay columns; :func:`otfswin.detection.tf_lmmse_detect`
+    solves its Woodbury downdate on that band from the mask alone, so the
+    layout holds no index that grows with the guard size squared.
     """
 
     grid: FrameGrid
@@ -110,34 +106,6 @@ class PilotLayout:
         object.__setattr__(self, "read_cells", read_cells)
         object.__setattr__(self, "tap_cells", tap_cells)
 
-    @functools.cached_property
-    def guard_pairs(self) -> np.ndarray:
-        """The (G, G) guard-pair index, built on first use: only the pilot
-        LMMSE detector reads it, and it grows as G^2."""
-        k, l = np.nonzero(self.guard_mask)
-        n, m = self.grid.shape
-        pairs = ((k[:, None] - k[None, :]) % n) * m + (l[:, None] - l[None, :]) % m
-        pairs.flags.writeable = False
-        return pairs
-
-    @functools.cached_property
-    def guard_mirror(self) -> np.ndarray:
-        """(G,) index J of the guard cells mirrored about the pilot, built on
-        first use: guard cell J[i] sits at ((2 k_p - k_i) mod N, 2 l_p - l_i).
-        The guard is symmetric about the pilot, so J permutes it."""
-        k, l = np.nonzero(self.guard_mask)
-        n, m = self.grid.shape
-        position = np.zeros(n * m, dtype=np.intp)
-        position[k * m + l] = np.arange(k.size)
-        mirror = position[((2 * self.pilot_doppler - k) % n) * m + 2 * self.pilot_delay - l]
-        mirror.flags.writeable = False
-        return mirror
-
-    @functools.cached_property
-    def guard_view_pairs(self) -> np.ndarray:
-        """:func:`guard_view_pairs` of this layout, built on first use."""
-        return guard_view_pairs(self.guard_pairs, self.guard_mirror)
-
     @classmethod
     def centered(
         cls,
@@ -157,18 +125,6 @@ class PilotLayout:
             l_max=l_max,
             k_hat=k_hat,
         )
-
-
-def guard_view_pairs(pairs: np.ndarray, mirror: np.ndarray) -> np.ndarray:
-    """(2, G, G) flat index into the float view of an (N, M) complex tap grid
-    e: with ``t = e.reshape(-1).view(float)[index]``, t[0][i, j] is
-    Re e.take(pairs)[i, j] and t[1][i, j] is Im e.take(pairs)[i, mirror[j]].
-    For a Hermitian-symmetric e and the guard's mirror permutation,
-    t[0] - t[1] is the guard block in real form (see
-    :func:`otfswin.detection.tf_lmmse_detect`)."""
-    index = np.stack((2 * pairs, 2 * pairs[:, mirror] + 1))
-    index.flags.writeable = False
-    return index
 
 
 def embed_pilot(data_frame: np.ndarray, layout: PilotLayout) -> np.ndarray:

@@ -33,46 +33,24 @@ class CheckResult:
     detail: str
 
 
-def _guard_real_vs_complex(
-    layout: est_mod.PilotLayout,
-    mirror: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Deviation of the real guard downdate, built with the mirror index
-    ``mirror``, from its complex oracle on one random DC-RX-windowed frame.
-
-    The oracle takes the complex guard block A = e.take(guard_pairs) of the
-    residual's DD response e and a mirror permutation J found by matching
-    guard coordinates.  Returns the largest entry of |R - Q^H A Q| for the
-    real block R and Q = (I + iJ)/sqrt(2), and the largest deviation of the
-    real-arithmetic weights from np.linalg.solve(A, b), relative to the
-    largest weight.
-    """
+def _guard_band_vs_dense(layout: est_mod.PilotLayout, rng: np.random.Generator) -> float:
+    """Deviation of the band-split guard solve from np.linalg.solve on the
+    dense guard block E[G, G] = circular_operator(e)[G][:, G], for the
+    residual DD response e of one random DC-RX-windowed frame and a random
+    right-hand side, relative to the largest weight."""
     grid = layout.grid
-    n, m = grid.shape
     ch = ch_mod.sample_channel(grid, 5, layout.k_max, layout.l_max, rng)
-    rx = win_mod.WindowPair.separable(grid, rx_doppler=win_mod.dc_window(n, -40.0).coeffs).rx
+    rx = win_mod.WindowPair.separable(grid, rx_doppler=win_mod.dc_window(grid.N, -40.0).coeffs).rx
     n0 = 0.01
     noise_tf = n0 * np.abs(rx) ** 2
     residual = noise_tf / (np.abs(rx * ch_mod.tf_channel(ch)) ** 2 + noise_tf)
-    e = ch_mod._dd_response(residual)
+    guard = layout.guard_mask.reshape(-1)
+    block = ch_mod.circular_operator(ch_mod._dd_response(residual))[guard][:, guard]
 
-    k, l = np.nonzero(layout.guard_mask)
-    cells = list(zip(k.tolist(), l.tolist()))
-    flip = np.zeros((len(cells), len(cells)))
-    for i, (ki, li) in enumerate(cells):
-        image = ((2 * layout.pilot_doppler - ki) % n, 2 * layout.pilot_delay - li)
-        flip[i, cells.index(image)] = 1.0
-    q = (np.eye(len(cells)) + 1j * flip) / math.sqrt(2.0)
-    a = e.take(layout.guard_pairs)
-    view_pairs = est_mod.guard_view_pairs(layout.guard_pairs, mirror)
-    block_err = float(np.max(np.abs(q.conj().T @ a @ q - det_mod._real_guard_block(e, view_pairs))))
-
-    b = rng.standard_normal(len(cells)) + 1j * rng.standard_normal(len(cells))
-    exact = np.linalg.solve(a, b)
-    weights = det_mod._guard_weights(e, b, view_pairs, mirror)
-    weight_err = float(np.max(np.abs(weights - exact)) / np.max(np.abs(exact)))
-    return block_err, weight_err
+    b = rng.standard_normal(block.shape[0]) + 1j * rng.standard_normal(block.shape[0])
+    exact = np.linalg.solve(block, b)
+    weights = det_mod._guard_band_weights(residual, b, layout.guard_mask)
+    return float(np.max(np.abs(weights - exact)) / np.max(np.abs(exact)))
 
 
 def run_selfcheck(seed: int = 0) -> list[CheckResult]:
@@ -244,19 +222,14 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
                     float(np.count_nonzero(hard != alone.hard_indices)))
     check("detection.spa_stack_vs_frames", worst, 0.0)
 
-    # the real-arithmetic guard downdate against the complex guard block and
-    # solve, on the Fig-6 layout and on one whose Doppler guard wraps row 0
+    # the band-split guard solve against the dense guard block, on the
+    # Fig-6 layout and on one whose Doppler guard wraps row 0 (both solved
+    # through the inverse band blocks: |Kg| = 17 of N = 20 rows)
     grid = FrameGrid(M=30, N=20)
-    block_err = weight_err = 0.0
-    for layout in (est_mod.PilotLayout.centered(grid, 3, 4, 1),
-                   est_mod.PilotLayout(grid, 2, 10, 1.0, 3, 4, 1)):
-        errors = _guard_real_vs_complex(layout, layout.guard_mirror, rng)
-        block_err, weight_err = max(block_err, errors[0]), max(weight_err, errors[1])
-    results.append(CheckResult(
-        "detection.tf_lmmse_guard_real_vs_complex",
-        block_err <= 1e-12 and weight_err <= 1e-10,
-        f"block err={block_err:.3e} tol=1.0e-12, weights err={weight_err:.3e} tol=1.0e-10",
-    ))
+    check("detection.tf_lmmse_guard_band_vs_dense",
+          max(_guard_band_vs_dense(layout, rng)
+              for layout in (est_mod.PilotLayout.centered(grid, 3, 4, 1),
+                             est_mod.PilotLayout(grid, 2, 10, 1.0, 3, 4, 1))), 1e-10)
 
     # one water-level loop on a stack gives every frame exactly its
     # allocation alone: two frames settle on the first pass (one with zero
@@ -272,5 +245,11 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
         worst = max(worst, float(np.max(np.abs(x - alone.x))), abs(float(eta) - alone.eta),
                     float(np.max(np.abs(mercury - alone.mercury))))
     check("windows.water_level_stack_vs_frames", worst, 0.0)
+
+    # the other guard layouts: a guard on every Doppler row (no rows left
+    # outside it) and a guard on fewer rows than the rest
+    check("detection.tf_lmmse_guard_band_layouts_vs_dense",
+          max(_guard_band_vs_dense(est_mod.PilotLayout.centered(FrameGrid(M=m, N=n), *spread), rng)
+              for m, n, spread in ((8, 13, (3, 1, 0)), (16, 32, (1, 2, 0)))), 1e-10)
 
     return results

@@ -231,19 +231,16 @@ def dc_window(length: int, sl_db: float) -> DCWindowDesign:
     )
 
 
-def nominal_sidelobe_level(kind: str, length: int, sl_db: float | None = None) -> float:
+def nominal_sidelobe_level(kind: str, length: int, sl_db: float) -> float:
     """Sidelobe level fed to the analytic estimation-floor predictor.
 
     Rectangular windows are taken at 1/N; designed windows at their target
-    ripple.  Real responses have non-constant sidelobes, so predictions carry
-    a tolerance of a couple of dB.
+    ripple ``sl_db``.  Real responses have non-constant sidelobes, so
+    predictions carry a tolerance of a couple of dB.
     """
-    kind = kind.lower()
     if kind == "rect":
         return 1.0 / length
     if kind == "dc":
-        if sl_db is None:
-            raise ValueError("dc window needs its design sidelobe level")
         return 10.0 ** (sl_db / 20.0)
     raise ValueError(f"no nominal sidelobe level for window kind {kind!r}")
 

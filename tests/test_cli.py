@@ -403,12 +403,19 @@ class TestConfigFuzz:
 
 
 class TestNumpyOnly:
-    def test_selfcheck_and_ce_mse_run_without_test_dependencies(self, tmp_path):
+    def test_selfcheck_ce_mse_and_fer_run_without_test_dependencies(self, tmp_path):
         cfg = tmp_path / "ce.cfg"
         cfg.write_text(CE_CONFIG.replace("trials = 25", "trials = 2"), encoding="utf-8")
+        # a 13-row guard on 16 Doppler rows: the DC-RX LMMSE inverts the
+        # guard band's blocks
+        fer_cfg = tmp_path / "fer.cfg"
+        fer_cfg.write_text(cfg.read_text(encoding="utf-8").replace("snr_db = 30", "snr_db = 20")
+                           + "csi = estimated-csir\nrx_window = dc\ndetector = mmse\n",
+                           encoding="utf-8")
         path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
         env = dict(os.environ, PYTHONPATH=path)
-        for args in (["selfcheck"], ["ce-mse", "--config", str(cfg)]):
+        for args in (["selfcheck"], ["ce-mse", "--config", str(cfg)],
+                     ["fer", "--config", str(fer_cfg)]):
             proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY, *args],
                                   env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr

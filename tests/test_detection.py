@@ -31,9 +31,9 @@ from otfswin import (
     vectorize,
 )
 from otfswin.channel import EffectiveDDChannel, _dd_response
-from otfswin.detection import _guard_weights
+from otfswin.detection import _guard_band_weights
 from otfswin.oracles import build_kron_operators, dd_channel_matrix
-from otfswin.selfcheck import _guard_real_vs_complex, run_selfcheck
+from otfswin.selfcheck import run_selfcheck
 
 from oracles import brute_force_map, enumeration_spa_detect, mmse_error_covariance, mmse_trace_mse
 
@@ -135,11 +135,14 @@ class TestTFLMMSE:
     """Per-bin LMMSE against the dense covariance-form oracle."""
 
     # (M, N) -> pilot layouts (k_max, l_max, k_hat) that fit the grid; the
-    # 30x20 pair is the Fig-6 layout and the same layout without k_hat
+    # 30x20 pair is the Fig-6 layout and the same layout without k_hat, the
+    # 8x13 guard takes every Doppler row, and the 16x32 one 5 of 32 rows
     LAYOUTS = {
         (4, 4): [(0, 1, 0)],
         (8, 4): [(0, 2, 0)],
         (6, 10): [(1, 2, 1)],
+        (8, 13): [(3, 1, 0)],
+        (16, 32): [(1, 2, 0)],
         (30, 20): [(3, 4, 1), (3, 4, 0)],
     }
 
@@ -207,44 +210,97 @@ class TestTFLMMSE:
                             0.0, Constellation.qpsk(), layout)
 
 
-class TestRealGuardDowndate:
-    """The guard block solved in real arithmetic against the complex block
-    and solve (the selfcheck's oracle)."""
+class TestGuardBandSolve:
+    """The guard downdate solved through the inverse band blocks against
+    the dense guard block: on a guard over most Doppler rows, over every row
+    and over fewer rows than the rest."""
 
     GRID = FrameGrid(M=30, N=20)
     LAYOUTS = {
         "fig6": PilotLayout.centered(GRID, 3, 4, 1),
         "wrapped": PilotLayout(grid=GRID, pilot_doppler=2, pilot_delay=10, pilot_value=1.0,
                                k_max=3, l_max=4, k_hat=1),
+        "every_row": PilotLayout.centered(FrameGrid(M=8, N=13), 3, 1, 0),
+        "few_rows": PilotLayout.centered(FrameGrid(M=16, N=32), 1, 2, 0),
     }
 
-    @pytest.mark.parametrize("name", sorted(LAYOUTS))
-    def test_matches_the_complex_guard_block_and_solve(self, name):
+    @pytest.mark.parametrize("name, largest", [
+        ("fig6", 27), ("wrapped", 27), ("every_row", 3),
+    ])
+    def test_largest_lapack_system(self, name, largest, monkeypatch):
+        # the Fig-6 guard has 153 cells: 20 blocks of 9 and 3 rows of 9
+        # outside the guard; the 8x13 guard, on every row, only inverts its
+        # 3 x 3 blocks
+        sizes = []
+        for attr in ("solve", "inv"):
+            def record(a, *args, _call=getattr(np.linalg, attr)):
+                sizes.append(a.shape[-1])
+                return _call(a, *args)
+            monkeypatch.setattr(np.linalg, attr, record)
         layout = self.LAYOUTS[name]
-        block_err, weight_err = _guard_real_vs_complex(
-            layout, layout.guard_mirror, np.random.default_rng(3))
-        assert block_err <= 1e-12 and weight_err <= 1e-10
+        rng = np.random.default_rng(6)
+        residual = rng.uniform(0.01, 1.0, (2,) + layout.grid.shape)
+        _guard_band_weights(residual, np.ones((2, int(layout.guard_mask.sum()))),
+                            layout.guard_mask)
+        assert max(sizes) == largest
 
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
-    def test_an_identity_mirror_fails_both(self, name):
+    def test_stack_solves_each_frame_alone(self, name):
         layout = self.LAYOUTS[name]
-        identity = np.arange(layout.guard_mirror.size)
-        block_err, weight_err = _guard_real_vs_complex(layout, identity, np.random.default_rng(3))
-        assert block_err > 1e-12 and weight_err > 1e-10
-
-    def test_is_a_passing_selfcheck_entry(self):
-        results = {r.name: r for r in run_selfcheck()}
-        assert results["detection.tf_lmmse_guard_real_vs_complex"].passed
-
-    def test_stack_solves_each_frame_alone(self):
-        layout = self.LAYOUTS["wrapped"]
+        shape, size = layout.grid.shape, int(layout.guard_mask.sum())
         rng = np.random.default_rng(4)
-        e = _dd_response(rng.uniform(0.01, 1.0, (3,) + self.GRID.shape))
-        rhs = rng.standard_normal((3, 153)) + 1j * rng.standard_normal((3, 153))
-        args = (layout.guard_view_pairs, layout.guard_mirror)
-        stacked = _guard_weights(e, rhs, *args)
-        for frame, side, weights in zip(e, rhs, stacked):
-            assert np.array_equal(weights, _guard_weights(frame, side, *args))
+        residual = rng.uniform(0.01, 1.0, (3,) + shape)
+        rhs = rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
+        stacked = _guard_band_weights(residual, rhs, layout.guard_mask)
+        for frame, side, weights in zip(residual, rhs, stacked):
+            assert np.array_equal(weights, _guard_band_weights(frame, side, layout.guard_mask))
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_matches_the_dense_guard_solve_at_high_snr(self, name):
+        layout = self.LAYOUTS[name]
+        grid = layout.grid
+        rng = np.random.default_rng(5)
+        ch = sample_channel(grid, 5, layout.k_max, layout.l_max, rng)
+        rx = WindowPair.separable(grid, rx_doppler=dc_window(grid.N, -40.0).coeffs).rx
+        noise_tf = 1e-12 * np.abs(rx) ** 2
+        residual = noise_tf / (np.abs(rx * tf_channel(ch)) ** 2 + noise_tf)
+        guard = layout.guard_mask.reshape(-1)
+        rhs = rng.standard_normal(int(guard.sum())) + 1j * rng.standard_normal(int(guard.sum()))
+        exact = np.linalg.solve(circular_operator(_dd_response(residual))[guard][:, guard], rhs)
+        weights = _guard_band_weights(residual, rhs, layout.guard_mask)
+        assert np.linalg.norm(weights - exact) <= 1e-8 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_zero_noise_with_known_cells_refused(self, name):
+        grid = self.LAYOUTS[name].grid
+        with pytest.raises(NumericalFailure):
+            tf_lmmse_detect(np.ones(grid.shape), np.ones(grid.shape), np.ones(grid.shape),
+                            0.0, Constellation.qpsk(), self.LAYOUTS[name])
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_rx_window_zero_where_the_gains_are_not_refused(self, name):
+        # a time slot with fewer than b = 2 l_max + 1 nonzero RX-window bins
+        # (and nonzero gains) makes its band block singular; b bins solve
+        layout = self.LAYOUTS[name]
+        grid, b = layout.grid, 2 * layout.l_max + 1
+        rng = np.random.default_rng(7)
+        gains = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        for kept in (1, b - 1, b):
+            rx = np.ones(grid.shape)
+            rx[1, kept:] = 0.0
+            detect = lambda: tf_lmmse_detect(np.ones(grid.shape), gains, rx, 0.1,
+                                             Constellation.qpsk(), layout)
+            if kept < b:
+                with pytest.raises(NumericalFailure):
+                    detect()
+            else:
+                assert np.all(np.isfinite(detect().soft))
+
+    def test_are_passing_selfcheck_entries(self):
+        results = {r.name: r for r in run_selfcheck()}
+        for name in ("detection.tf_lmmse_guard_band_vs_dense",
+                     "detection.tf_lmmse_guard_band_layouts_vs_dense"):
+            assert results[name].passed, results[name].detail
 
 
 class TestAnalyticMSE:

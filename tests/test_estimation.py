@@ -11,7 +11,6 @@ from otfswin import (
     PathSpec,
     PilotLayout,
     WindowPair,
-    circular_operator,
     effective_dd_channel,
     embed_pilot,
     estimate_channel,
@@ -63,58 +62,9 @@ class TestLayout:
             PilotLayout(grid=grid, pilot_doppler=10, pilot_delay=0, pilot_value=1.0,
                         k_max=3, l_max=2, k_hat=0)
 
-    @pytest.mark.parametrize("m, n, spread", [
-        (30, 20, (3, 4, 1)), (30, 20, (3, 4, 0)), (6, 10, (1, 2, 1)),
-    ])
-    def test_guard_pairs_gather_the_guard_block_of_the_circular_operator(self, m, n, spread):
-        grid = FrameGrid(M=m, N=n)
-        layout = PilotLayout.centered(grid, *spread)
-        rng = np.random.default_rng(m * n + spread[2])
-        e = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        guard = layout.guard_mask.reshape(-1)
-        assert np.array_equal(e.take(layout.guard_pairs), circular_operator(e)[guard][:, guard])
-
-    def test_guard_pairs_are_built_on_first_access(self):
-        # G = 2501 guard cells: the index alone takes 48 MB
-        layout = PilotLayout.centered(FrameGrid(M=64, N=64), k_max=7, l_max=20, k_hat=8)
-        assert "guard_pairs" not in vars(layout)
-        small = fig6_layout()
-        assert "guard_pairs" not in vars(small)
-        pairs = small.guard_pairs
-        assert small.guard_pairs is pairs and pairs.shape == (153, 153)
-
-    @pytest.mark.parametrize("pilot_doppler", [10, 2, 18])
-    def test_guard_mirror_reflects_each_guard_cell_about_the_pilot(self, pilot_doppler):
-        # pilot rows 2 and 18 put the 17-row Doppler guard across row 0
-        layout = PilotLayout(grid=FIG6_GRID, pilot_doppler=pilot_doppler, pilot_delay=12,
-                             pilot_value=1.0, k_max=3, l_max=4, k_hat=1)
-        k, l = np.nonzero(layout.guard_mask)
-        mirror = layout.guard_mirror
-        assert np.array_equal(np.sort(mirror), np.arange(k.size))
-        assert np.array_equal(k[mirror], (2 * pilot_doppler - k) % FIG6_GRID.N)
-        assert np.array_equal(l[mirror], 2 * 12 - l)
-
-    def test_guard_view_pairs_read_the_real_form_of_the_guard_block(self):
-        layout = PilotLayout(grid=FIG6_GRID, pilot_doppler=2, pilot_delay=12,
-                             pilot_value=1.0, k_max=3, l_max=4, k_hat=1)
-        rng = np.random.default_rng(8)
-        e = rng.standard_normal(FIG6_GRID.shape) + 1j * rng.standard_normal(FIG6_GRID.shape)
-        a = e.take(layout.guard_pairs)
-        taken = e.reshape(-1).view(float)[layout.guard_view_pairs]
-        assert np.array_equal(taken[0], a.real)
-        assert np.array_equal(taken[1], a.imag[:, layout.guard_mirror])
-
-    def test_guard_mirror_and_view_pairs_are_built_on_first_access(self):
-        layout = fig6_layout()
-        assert "guard_mirror" not in vars(layout) and "guard_view_pairs" not in vars(layout)
-        view_pairs = layout.guard_view_pairs
-        assert layout.guard_view_pairs is view_pairs and view_pairs.shape == (2, 153, 153)
-        assert "guard_mirror" in vars(layout)
-
     def test_index_sets_are_read_only(self):
         layout = fig6_layout()
-        for array in (layout.guard_mask, layout.data_mask, layout.guard_pairs,
-                      layout.guard_mirror, layout.guard_view_pairs,
+        for array in (layout.guard_mask, layout.data_mask,
                       *layout.read_cells, *layout.tap_cells):
             with pytest.raises(ValueError):
                 array.flat[0] = 0

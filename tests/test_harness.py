@@ -516,8 +516,9 @@ class TestSelfCheck:
             "windows.two_channel_allocation",
             "windows.water_level_kkt",
             "detection.spa_stack_vs_frames",
-            "detection.tf_lmmse_guard_real_vs_complex",
+            "detection.tf_lmmse_guard_band_vs_dense",
             "windows.water_level_stack_vs_frames",
+            "detection.tf_lmmse_guard_band_layouts_vs_dense",
         ]
 
     def test_trial_modules_do_not_import_the_oracles(self):

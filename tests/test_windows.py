@@ -91,12 +91,10 @@ class TestChebyshevDesign:
             dc_window(3, -100.0)
 
     def test_nominal_sidelobe_levels(self):
-        assert nominal_sidelobe_level("rect", 20) == pytest.approx(0.05)
+        assert nominal_sidelobe_level("rect", 20, -40.0) == pytest.approx(0.05)
         assert nominal_sidelobe_level("dc", 20, -40.0) == pytest.approx(1e-2)
         with pytest.raises(ValueError):
-            nominal_sidelobe_level("dc", 20)
-        with pytest.raises(ValueError):
-            nominal_sidelobe_level("hann", 20)
+            nominal_sidelobe_level("hann", 20, -40.0)
 
     def test_response_measure_rejects_nearly_constantless_window(self):
         # a two-point window has no sidelobe region at all
