@@ -11,10 +11,14 @@ colored noise from a non-unimodular RX window through the full covariance
 shaping); it is the oracle the per-bin detector is checked against.
 
 The sum-product detector runs belief propagation on the factor graph induced
-by the truncated effective channel: every received cell is a factor coupling
-the L data symbols the truncated taps reach, and every symbol takes part in
-L factors.  Tap energy outside the truncation is folded into the Gaussian
-likelihood as extra noise.  Scheduling is flooding with message damping.
+by the truncated effective channel, restricted to the unknown symbols: every
+data symbol takes part in the L factors its truncated taps reach, and every
+received cell that reaches a data symbol is a factor over its L tap slots.
+A slot on a known (guard or pilot) cell has zero gain and reads the uniform
+message; a frame with fewer taps takes pad slots that read a point mass, so
+the frames of a stack share one flood.  Tap energy outside the truncation is
+folded into the Gaussian likelihood as extra noise.  Scheduling is flooding
+with message damping.
 """
 
 from __future__ import annotations
@@ -277,8 +281,8 @@ def _factor_messages(likelihood: np.ndarray, from_symbol: np.ndarray) -> np.ndar
 # The sum-product detector stops a frame once none of its messages moves by
 # more than this, and refuses a truncation whose likelihood tensor has more
 # joint configurations than the budget.  A stack is detected at most
-# budget // Q^L frames at a time, so it never holds more likelihood than one
-# frame at the budget.
+# budget // Q^L frames at a time, L its largest degree, so it never holds
+# more likelihood than one frame at the budget.
 _SPA_TOL = 1e-4
 _SPA_MAX_CONFIGS = 8192
 
@@ -292,27 +296,35 @@ def spa_detect(
     damping: float = 0.5,
     data_mask: np.ndarray | None = None,
 ) -> DetectionReport:
-    """Iterative sum-product detection on the truncated-tap factor graph.
+    """Iterative sum-product detection on the data-only factor graph of the
+    truncated taps.
 
     ``y_frame`` is one (N, M) frame and ``channel`` its effective channel,
     or a [B, N, M] stack and a sequence of B channels, one per frame, with
     ``n0`` one noise power for all frames or an array of one per frame.
     Each channel must carry a tap truncation; its residual tap energy is
-    added to its frame's ``n0`` in that frame's likelihood.  ``data_mask`` marks the unknown
-    symbols of every frame; cells outside it are treated as known zeros (the
-    caller cancels any pilot beforehand), which simply removes their taps
-    from the graph.
+    added to its frame's ``n0`` in that frame's likelihood.  ``data_mask``
+    marks the unknown symbols of every frame; cells outside it are known
+    zeros (the caller cancels any pilot beforehand).
 
-    Messages are probability vectors over the constellation.  The factor
-    update contracts the (Q,)*L likelihood tensor of every factor with its
-    incoming messages (:func:`_factor_messages`), O(NM Q^L) per iteration;
-    the likelihood is held for all Q^L joint configurations, so Q^L is capped
-    by ``_SPA_MAX_CONFIGS``.  An empty truncation (an all-zero channel
-    estimate) gives the prior decisions after 0 iterations.
+    The variable nodes are the data symbols, each with one edge per kept
+    tap, and the factors the received cells that reach at least one data
+    symbol.  A factor keeps the (Q,)*L likelihood tensor of its L slots; a
+    slot on a known symbol has zero gain, so the tensor is constant along
+    it, and reads the uniform message 1/Q.  The factor update contracts the
+    tensor with the incoming messages (:func:`_factor_messages`), O(Q^L)
+    per factor and sweep; the likelihood is held for all Q^L joint
+    configurations, so Q^L is capped by ``_SPA_MAX_CONFIGS``.  An empty
+    truncation (an all-zero channel estimate) or a mask without data cells
+    leaves the uniform prior, decided as constellation index 0, after 0
+    sweeps; known cells keep that prior too.
 
-    The frames of a stack that share a truncation degree L run their sweeps
-    together (:func:`_flood`), and each stops on its own, so every frame
-    gets bit for bit its result alone.  A stack returns (B, NM) ``soft`` and
+    All frames of a stack run one flood (:func:`_flood`) with L the
+    largest degree: a frame that keeps d < L taps gives its factors L - d
+    pad slots of zero gain, which read the point mass [1, 0, ..] and leave
+    its numbers exact.  Each frame stops on its own, so every frame gets bit
+    for bit its result alone; at most ``_SPA_MAX_CONFIGS // Q^L`` frames
+    share a flood.  A stack returns (B, NM) ``soft`` and
     ``hard_indices`` and (B, NM, Q) ``marginals``; ``iterations`` counts the
     sweeps the call ran, for one frame its iterations.
     """
@@ -320,18 +332,15 @@ def spa_detect(
     channels = [channel] if single else list(channel)
     points = constellation.points
     q = points.size
-    groups: dict[int, list[int]] = {}
-    for index, ch in enumerate(channels):
+    for ch in channels:
         if ch.truncation is None:
             raise ValueError("sum-product detection needs a tap-truncated channel")
-        degree = ch.truncation.size
-        if q ** degree > _SPA_MAX_CONFIGS:
+        configs = q ** ch.truncation.size
+        if configs > _SPA_MAX_CONFIGS:
             raise ConfigurationError(
-                f"sum step needs Q^L = {q ** degree} configurations, above the "
+                f"sum step needs Q^L = {configs} configurations, above the "
                 f"budget of {_SPA_MAX_CONFIGS}; reduce the tap count"
             )
-        if degree:
-            groups.setdefault(degree, []).append(index)
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
     if len({ch.shape for ch in channels}) != 1:
@@ -344,18 +353,20 @@ def spa_detect(
         raise ValueError("observation shape does not match the channel grid")
     y = y.reshape(len(channels), size)
     n0 = np.broadcast_to(np.asarray(n0, dtype=float), (len(channels),))
-    known = None if data_mask is None else ~np.asarray(data_mask, dtype=bool).reshape(-1)
+    data = np.ones(size, dtype=bool) if data_mask is None else \
+        np.asarray(data_mask, dtype=bool).reshape(size)
 
-    # an all-zero channel (estimate) leaves no factors: every symbol keeps
-    # its uniform prior, decided as constellation index 0
     belief = np.full((len(channels), size, q), 1.0 / q)
+    cells = np.flatnonzero(data)
+    live = [b for b, ch in enumerate(channels) if ch.truncation.size and cells.size]
     sweeps = 0
-    for degree, members in groups.items():
-        step = max(1, _SPA_MAX_CONFIGS // q ** degree)
-        for first in range(0, len(members), step):
-            batch = members[first:first + step]
-            belief[batch], ran = _flood(y[batch], [channels[i] for i in batch], n0[batch],
-                                        points, iters, damping, known)
+    if live:
+        step = _SPA_MAX_CONFIGS // q ** max(channels[b].truncation.size for b in live)
+        for first in range(0, len(live), step):
+            batch = live[first:first + step]
+            beliefs, ran = _flood(y[batch], [channels[b] for b in batch], n0[batch],
+                                  points, iters, damping, data)
+            belief[np.ix_(batch, cells)] = beliefs
             sweeps += ran
 
     idx = belief.argmax(axis=2)
@@ -365,14 +376,31 @@ def spa_detect(
     return DetectionReport(soft=soft, hard_indices=idx, marginals=belief, iterations=sweeps)
 
 
-def _gathers(cells: np.ndarray, q: int) -> np.ndarray:
-    """Flat ``take`` index into (L, Q, B*NM) messages that reads, at
-    [t, v, b*NM + j], value v on slot t of node ``cells[b, t, j]`` of frame b."""
-    frames, degree, size = cells.shape
-    cols = frames * size
-    nodes = cells + size * np.arange(frames)[:, None, None]
-    rows = (np.arange(degree)[:, None] * q + np.arange(q)) * cols
-    return rows[:, :, None] + nodes.transpose(1, 0, 2).reshape(degree, 1, cols)
+def _gather_index(columns: np.ndarray, shifts: np.ndarray, keep: np.ndarray, q: int) -> np.ndarray:
+    """Flat ``take`` index into an (L + 2, Q, C) message buffer (see
+    :func:`_message_buffer`) over the C columns that the mask ``keep``
+    marks among all columns.  At [t, v, j] it reads value v on slot t of
+    the column that ``columns[t, j]`` names among all columns or, where
+    ``shifts[t, j]`` = s > 0 and ``columns[t, j]`` = -1, value v of column
+    0 on constant slot t + s."""
+    count = int(np.count_nonzero(keep))
+    table = np.zeros(keep.size + 1, dtype=np.int64)
+    table[:-1][keep] = np.arange(count)
+    rows = (np.arange(columns.shape[0])[:, None] * q + np.arange(q)) * count
+    return rows[:, :, None] + (table.take(columns) + shifts * (q * count))[:, None, :]
+
+
+def _message_buffer(
+    degree: int, q: int, count: int, first, second
+) -> tuple[np.ndarray, np.ndarray]:
+    """An (L + 2, Q, count) message buffer whose slots L and L + 1 hold the
+    constant messages ``first`` and ``second`` (a value, or one per
+    constellation point) in every column, and the view of its first L
+    slots."""
+    buffer = np.empty((degree + 2, q, count))
+    buffer[degree] = np.reshape(first, (-1, 1))
+    buffer[degree + 1] = np.reshape(second, (-1, 1))
+    return buffer, buffer[:degree]
 
 
 def _flood(
@@ -382,93 +410,169 @@ def _flood(
     points: np.ndarray,
     iters: int,
     damping: float,
-    known: np.ndarray | None,
+    data: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Flooding sum-product over (B, NM) observations at (B,) noise powers
-    whose channels keep the same number L of taps.
+    """Flooding sum-product over (B, NM) observations at (B,) noise powers,
+    on the graph of the D >= 1 cells marked in ``data``; every channel
+    keeps at least one tap.
 
-    The frames' factor axes are concatenated, so every step of a sweep runs
-    once for the stack.  After each sweep a frame whose messages moved by
-    less than ``_SPA_TOL``, or that has run ``iters`` sweeps, keeps its
-    factor-to-symbol messages and leaves the stack.  Returns the (B, NM, Q)
-    beliefs and the number of sweeps run.
+    Frame b keeps d_b taps; L is the largest d_b.  Its factors take L - d_b
+    leading pad slots of zero gain that read the point mass [1, 0, ..]: the
+    head contraction over such a slot is H * 1 + H * 0 = H, so its real
+    slots see bit for bit the numbers of a degree-d_b graph.  On the symbol
+    side a pad slot reads 1.  So every factor of the stack holds a (Q,)*L
+    tensor, and every step of a sweep runs once for the stack.  After each
+    sweep a frame whose messages moved by less than ``_SPA_TOL``, or that
+    has run ``iters`` sweeps, keeps its factor-to-symbol messages and
+    leaves the stack.  Returns the (B, D, Q) beliefs of the data cells and
+    the number of sweeps run.
     """
     frames, size = y.shape
     n, m = channels[0].shape
     q = points.size
-    kept = np.array([ch.truncation for ch in channels])
-    degree = kept.shape[1]
+    degrees = np.array([ch.truncation.size for ch in channels])
+    degree = int(degrees.max())
     sigma2 = np.array([frame_n0 + ch.residual_power() for frame_n0, ch in zip(n0, channels)])
     sigma2[sigma2 <= 0] = 1e-12  # degenerate noiseless likelihood; keep it sharp but finite
+    pad = np.arange(degree) < (degree - degrees)[:, None]
+    kept = np.zeros((frames, degree), dtype=np.int64)
+    kept[~pad] = np.concatenate([ch.truncation for ch in channels])
 
     # factor i of frame b meets symbol sym_of[b, t, i] on tap slot t, and
     # symbol j meets factor obs_of[b, t, j] there: inverse permutations per slot
     doppler, delay = np.divmod(kept[:, :, None], m)
-    k, l = np.divmod(np.arange(size), m)
-    sym_of = ((k - doppler) % n) * m + (l - delay) % m
-    obs_of = ((k + doppler) % n) * m + (l + delay) % m
+    sym_of = (((np.arange(n) - doppler) % n)[..., None] * m
+              + ((np.arange(m) - delay) % m)[..., None, :]).reshape(frames, degree, size)
+    obs_of = (((np.arange(n) + doppler) % n)[..., None] * m
+              + ((np.arange(m) + delay) % m)[..., None, :]).reshape(frames, degree, size)
+
+    # The graph keeps the factors with a real slot on a data symbol, frame
+    # b's ``counts[b]`` factors in consecutive columns, and frame b's data
+    # symbols in columns b*D..(b+1)*D-1.  Per slot, a symbol reads the
+    # column of its factor and a factor the column of its symbol; a factor
+    # slot on a known symbol reads constant slot L, and a pad slot constant
+    # slot L + 1 (see :func:`_message_buffer`).
+    cells = np.flatnonzero(data)
+    on_data = data[sym_of] & ~pad[:, :, None]
+    live = on_data.any(axis=1)
+    counts = live.sum(axis=1)
+    factor_col = (np.cumsum(live) - 1).reshape(live.shape)
+    symbol_col = np.cumsum(data) - 1 + cells.size * np.arange(frames)[:, None, None]
+    to_known = (degree - np.arange(degree))[:, None]
+    sym_cols = np.take_along_axis(factor_col[:, None, :], obs_of[:, :, cells], axis=2)
+    sym_cols[pad] = -1
+    sym_cols = sym_cols.transpose(1, 0, 2).reshape(degree, -1)
+    sym_shifts = (sym_cols < 0) * (to_known + 1)
+    fac_cols = np.where(on_data, np.take_along_axis(symbol_col, sym_of, axis=2), -1)
+    fac_cols = fac_cols.transpose(1, 0, 2)[:, live]
+    fac_shifts = np.where(on_data, 0, to_known + pad[:, :, None]).transpose(1, 0, 2)[:, live]
+
+    # likelihood[c_0, .., c_{L-1}, f] of factor f under symbol values c,
+    # built per degree d by one (NM, d) x (d, Q^d) product per frame and
+    # tiled over the pad axes
+    width = int(counts.sum())
+    frame_of = np.repeat(np.arange(frames), counts)
     taps = np.array([ch.taps.reshape(-1) for ch in channels])
-    gains = np.empty((frames, size, degree), dtype=complex)
-    gains[:] = np.take_along_axis(taps, kept, axis=1)[:, None, :]
-    if known is not None:
-        gains[known[sym_of.transpose(0, 2, 1)]] = 0.0  # known-zero symbols contribute nothing
+    parts = []
+    for d in sorted(set(degrees.tolist())):
+        members = np.flatnonzero(degrees == d)
+        slots = slice(degree - d, None)
+        gains = np.empty((members.size, size, d), dtype=complex)
+        gains[:] = np.take_along_axis(taps[members], kept[members, slots], axis=1)[:, None, :]
+        gains[~data[sym_of[members, slots].transpose(0, 2, 1)]] = 0.0  # known zeros add nothing
+        configs = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
+        means = gains @ points[configs].T
+        del gains
+        means = means[live[members]]                         # (F_d, Q^d)
+        np.subtract(y[members][live[members]][:, None], means, out=means)
+        part = np.empty((configs.shape[0], means.shape[0]))
+        np.abs(means.T, out=part)
+        del means
+        part **= 2
+        part -= part.min(axis=0)                             # scale-free normalization
+        cols = np.flatnonzero(degrees[frame_of] == d)
+        part /= -sigma2[frame_of[cols]]
+        np.exp(part, out=part)
+        parts.append((d, cols, part))
+    likelihood = np.empty((q ** degree, width))
+    for d, cols, part in parts:
+        likelihood.reshape(q ** (degree - d), -1, width)[:, :, cols] = part
+    del parts, part
 
-    # likelihood[c_0, .., c_{L-1}, b, i] of factor i of frame b under symbol
-    # values c; the stacked product runs one (NM, L) x (L, C) product per frame
-    configs = np.array(list(itertools.product(range(q), repeat=degree)), dtype=np.int64)
-    means = gains @ points[configs].T                    # (B, NM, C)
-    np.subtract(y[:, :, None], means, out=means)
-    likelihood = np.empty((configs.shape[0], frames, size))
-    np.abs(means.transpose(2, 0, 1), out=likelihood)
-    del means
-    likelihood **= 2
-    likelihood -= likelihood.min(axis=0)                 # scale-free normalization
-    likelihood /= -sigma2[:, None]
-    np.exp(likelihood, out=likelihood)
-
-    # Messages live as (degree, q, B*NM) arrays indexed [slot, value, node],
-    # frame b's nodes at columns b*NM..(b+1)*NM: to_symbol[t, :, i] leaves
-    # factor i on slot t, from_symbol[t, :, i] enters it.  One flat gather
-    # through obs_of puts factor-side messages in symbol order, and one
-    # through sym_of puts them back.  ``active`` lists the frames still in
-    # the stack, in column order.
+    # Messages live as (L, Q, columns) arrays indexed [slot, value, column],
+    # each the view of a buffer whose two constant slots follow:
+    # to_symbol[t, :, f] leaves factor f on slot t, and a symbol's pad slot
+    # reads 1 after it; from_symbol[t, :, f] enters factor f, gathered from
+    # the symbols' messages, 1/Q on a known slot and the point mass on a pad
+    # slot.  One flat gather puts factor-side messages in symbol order, and
+    # one puts them back.  ``active`` lists
+    # the frames still in the stack, in column order, and ``columns`` their
+    # factors' columns in the whole stack; ``final`` keeps the messages of
+    # the frames that left.  A frame's move is the largest over its
+    # consecutive factor columns.
+    uniform, point_mass = 1.0 / q, (np.arange(q) == 0).astype(float)
     active = np.arange(frames)
-    to_symbol = np.full((degree, q, frames * size), 1.0 / q)
-    from_symbol = to_symbol.copy()
-    final = to_symbol.reshape(degree, q, frames, size).copy()
-    at_all = _gathers(obs_of, q)
-    at_symbols, at_factors = at_all, _gathers(sym_of, q)
-    prefix = np.ones_like(to_symbol)
-    suffix = np.ones_like(to_symbol)
+    columns = np.arange(width)
+    symbols = np.ones(sym_cols.shape[1], dtype=bool)
+    to_buffer, to_symbol = _message_buffer(degree, q, width, uniform, 1.0)
+    to_symbol[:] = uniform
+    final_buffer, final = _message_buffer(degree, q, width, uniform, 1.0)
+    final[:] = uniform
+    at_all = _gather_index(sym_cols, sym_shifts, np.ones(width, dtype=bool), q)
+    at_symbols = at_all
+    at_factors = _gather_index(fac_cols, fac_shifts, symbols, q)
+    from_buffer, out = _message_buffer(degree, q, symbols.size, uniform, point_mass)
+    out[:] = uniform
+    from_symbol = from_buffer.take(at_factors)
+    prefix = np.ones_like(out)
+    suffix = np.ones_like(out)
+    starts = np.cumsum(counts) - counts
     sweeps = 0
     for sweeps in range(1, iters + 1):
         head = likelihood.reshape((q,) * degree + (-1,))
         new_msgs = _normalize(_factor_messages(head, from_symbol), axis=1)
-        moved = np.abs(new_msgs - to_symbol).reshape(degree * q, -1, size).max(axis=(0, 2))
-        to_symbol = damping * new_msgs + (1.0 - damping) * to_symbol
+        change = np.abs(new_msgs - to_symbol).reshape(degree * q, -1).max(axis=0)
+        moved = np.maximum.reduceat(change, starts)
+        to_symbol *= 1.0 - damping
+        new_msgs *= damping
+        to_symbol += new_msgs
         done = (moved < _SPA_TOL) | (sweeps == iters)
         if done.any():
-            blocks = to_symbol.reshape(degree, q, -1, size)
-            final[:, :, active[done]] = blocks[:, :, done]
-            stay = ~done
-            active = active[stay]
+            leaving = np.repeat(done, counts[active])
+            final[:, :, columns[leaving]] = to_symbol.compress(leaving, axis=2)
+            active = active[~done]
             if not active.size:
                 break
-            to_symbol = blocks.compress(stay, axis=2).reshape(degree, q, -1)
-            likelihood = likelihood.compress(stay, axis=1)
-            at_symbols, at_factors = _gathers(obs_of[active], q), _gathers(sym_of[active], q)
-            prefix = np.ones_like(to_symbol)
-            suffix = np.ones_like(to_symbol)
+            staying = ~leaving
+            columns = columns[staying]
+            likelihood = likelihood[:, staying]
+            to_buffer, remaining = _message_buffer(degree, q, columns.size, uniform, 1.0)
+            remaining[:] = to_symbol.compress(staying, axis=2)
+            to_symbol = remaining
+            alive = np.zeros(frames, dtype=bool)
+            alive[active] = True
+            symbols = np.repeat(alive, cells.size)
+            kept_columns = np.zeros(width, dtype=bool)
+            kept_columns[columns] = True
+            at_symbols = _gather_index(sym_cols.compress(symbols, axis=1),
+                                       sym_shifts.compress(symbols, axis=1), kept_columns, q)
+            at_factors = _gather_index(fac_cols.take(columns, axis=1),
+                                       fac_shifts.take(columns, axis=1), symbols, q)
+            from_buffer, out = _message_buffer(degree, q, cells.size * active.size, uniform,
+                                               point_mass)
+            prefix = np.ones_like(out)
+            suffix = np.ones_like(out)
+            starts = np.cumsum(counts[active]) - counts[active]
 
         # leave-one-out product over each symbol's slots: exclusive prefix
         # times exclusive suffix products (prefix[0] and suffix[-1] stay 1)
-        incoming = to_symbol.take(at_symbols)
+        incoming = to_buffer.take(at_symbols)
         for t in range(1, degree):
             np.multiply(prefix[t - 1], incoming[t - 1], out=prefix[t])
             np.multiply(suffix[-t], incoming[-t], out=suffix[-t - 1])
-        out = _normalize(prefix * suffix, axis=1)
-        from_symbol = out.take(at_factors)
+        _normalize(np.multiply(prefix, suffix, out=out), axis=1)
+        from_symbol = from_buffer.take(at_factors)
 
-    belief = np.prod(final.reshape(degree, q, -1).take(at_all), axis=0)
-    belief = np.ascontiguousarray(belief.reshape(q, frames, size).transpose(1, 2, 0))
+    belief = np.prod(final_buffer.take(at_all), axis=0)
+    belief = np.ascontiguousarray(belief.reshape(q, frames, cells.size).transpose(1, 2, 0))
     return _normalize(belief, axis=2), sweeps

@@ -252,4 +252,24 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
           max(_guard_band_vs_dense(est_mod.PilotLayout.centered(FrameGrid(M=m, N=n), *spread), rng)
               for m, n, spread in ((8, 13, (3, 1, 0)), (16, 32, (1, 2, 0)))), 1e-10)
 
+    # one sum-product flood on a masked stack of mixed degrees gives every
+    # frame exactly its result alone: the lower degrees take pad slots, and
+    # the guard cells leave the graph
+    grid = FrameGrid(M=6, N=8)
+    mask = est_mod.PilotLayout.centered(grid, 1, 1).data_mask
+    degrees = (3, 1, 0, 2)
+    shape = (len(degrees),) + grid.shape
+    taps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    taps[2] = 0.0
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    channels = [ch_mod.EffectiveDDChannel(taps=t, truncation=ch_mod.largest_taps(t, max(d, 1)))
+                for t, d in zip(taps, degrees)]
+    stack = det_mod.spa_detect(y, channels, 0.3, bpsk, data_mask=mask)
+    worst = 0.0
+    for frame, ch, marginals, hard in zip(y, channels, stack.marginals, stack.hard_indices):
+        alone = det_mod.spa_detect(frame, ch, 0.3, bpsk, data_mask=mask)
+        worst = max(worst, float(np.max(np.abs(marginals - alone.marginals))),
+                    float(np.count_nonzero(hard != alone.hard_indices)))
+    check("detection.spa_masked_mixed_stack_vs_frames", worst, 0.0)
+
     return results

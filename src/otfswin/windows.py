@@ -168,9 +168,9 @@ def measure_doppler_response(coeffs: np.ndarray) -> WindowResponse:
     dense = np.abs(np.fft.fft(coeffs, n=n * _OVERSAMPLE)) / n
     half = (n * _OVERSAMPLE) // 2
     peak = dense[0]
-    j = 1
-    while j < half and dense[j + 1] < dense[j]:
-        j += 1
+    # the mainlobe ends at the first j >= 1 where the scan stops falling
+    stops = np.flatnonzero(~(dense[2:half + 1] < dense[1:half]))
+    j = int(stops[0]) + 1 if stops.size else half
     if j >= half:
         raise ConfigurationError(
             "window mainlobe spans the whole Doppler axis (no sidelobe region)"

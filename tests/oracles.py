@@ -6,6 +6,7 @@ dense algebra) and shares no code with the fast paths it checks.
 
 import itertools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from otfswin.channel import EffectiveDDChannel, _dd_response, delay_power_profil
 from otfswin.detection import DetectionReport
 from otfswin.errors import NumericalFailure
 from otfswin.oracles import dd_filter
-from otfswin.windows import PowerAllocation
+from otfswin.windows import _OVERSAMPLE, PowerAllocation, WindowResponse
 
 
 def naive_effective_channel(ch, windows):
@@ -46,6 +47,25 @@ def naive_effective_channel(ch, windows):
                 )
             taps[k, l] = acc
     return taps
+
+
+def stepwise_doppler_response(coeffs):
+    """``measure_doppler_response`` with the mainlobe edge found by stepping
+    bin by bin down the dense scan until it stops falling."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    n = coeffs.size
+    dense = np.abs(np.fft.fft(coeffs, n=n * _OVERSAMPLE)) / n
+    half = (n * _OVERSAMPLE) // 2
+    j = 1
+    while j < half and dense[j + 1] < dense[j]:
+        j += 1
+    if j >= half:
+        raise ConfigurationError("window mainlobe spans the whole Doppler axis")
+    sidelobe = float(np.max(dense[j:half + 1]) / dense[0])
+    return WindowResponse(
+        mainlobe_width_bins=2.0 * j / _OVERSAMPLE,
+        sidelobe_db=20.0 * math.log10(max(sidelobe, 1e-300)),
+    )
 
 
 def brute_force_map(y_vec, channel_matrix, points):
@@ -160,7 +180,7 @@ def enumeration_spa_detect(
     ``channel`` must carry a tap truncation; its residual tap energy is added
     to ``n0`` in the likelihood.  ``data_mask`` marks the unknown symbols;
     cells outside it are treated as known zeros (the caller cancels any pilot
-    beforehand), which simply removes their taps from the graph.
+    beforehand): the taps that reach them get zero gain.
 
     Messages are probability vectors over the constellation; the factor
     update enumerates all Q^L joint configurations, so Q^L is capped by
@@ -272,6 +292,247 @@ def enumeration_spa_detect(
         marginals=belief,
         iterations=iterations_run,
     )
+
+
+# ---------------------------------------------------------------------------
+# the stacked sum-product detector on the full graph, as it ran before the
+# known symbols left the graph and all degrees shared one flood
+# ---------------------------------------------------------------------------
+
+def _fg_normalize(msgs: np.ndarray, axis: int) -> np.ndarray:
+    """Scale ``msgs`` in place to unit sum along ``axis``; all-zero ones become uniform."""
+    total = msgs.sum(axis=axis, keepdims=True)
+    if total.min() > 0:
+        msgs /= total
+    else:
+        np.divide(msgs, total, out=msgs, where=total > 0)
+        np.copyto(msgs, 1.0 / msgs.shape[axis], where=total <= 0)
+    return msgs
+
+
+def _fg_factor_messages(likelihood: np.ndarray, from_symbol: np.ndarray) -> np.ndarray:
+    """Unnormalized factor-to-symbol messages of one flooding sweep.
+
+    ``likelihood`` has shape (Q,)*L + (F,): one axis per tap slot and the
+    factor axis last; ``from_symbol[t]`` is the (Q, F) array of messages the
+    factors receive on slot t.  Message t sums the likelihood over every slot
+    but t, each weighted by its incoming message.  The head over slots
+    0..t-1 is contracted once and shared by all t, and the tail over slots
+    t+1..L-1 enters as one product weight, so a sweep costs O(Q^L F).
+    """
+    degree, q, size = from_symbol.shape
+    # tails[t][r, i]: product of the messages on slots t+1.. at tail index r
+    tails = [None] * degree
+    for t in range(degree - 2, -1, -1):
+        later = tails[t + 1]
+        tails[t] = from_symbol[t + 1] if later is None else (
+            from_symbol[t + 1][:, None, :] * later).reshape(-1, size)
+    out = np.empty_like(from_symbol)
+    head = likelihood.reshape(q, -1, size)
+    for t in range(degree - 1):
+        np.einsum("vri,ri->vi", head, tails[t], out=out[t])
+        head = np.einsum("vri,vi->ri", head, from_symbol[t]).reshape(q, -1, size)
+    out[-1] = head.reshape(q, size)
+    return out
+
+
+_FG_TOL = 1e-4
+_FG_MAX_CONFIGS = 8192
+
+
+def full_graph_spa(
+    y_frame: np.ndarray,
+    channel: EffectiveDDChannel | Sequence[EffectiveDDChannel],
+    n0: float | np.ndarray,
+    constellation: Constellation,
+    iters: int = 20,
+    damping: float = 0.5,
+    data_mask: np.ndarray | None = None,
+) -> DetectionReport:
+    """Stacked sum-product detection on the full factor graph: every cell a
+    variable node and every received cell a factor, one flood per
+    truncation degree.  The reference for the data-only graph of
+    :func:`otfswin.spa_detect`, whose BPSK marginals equal these bit for bit
+    (its known symbols read exactly 1/2 here).
+
+    ``y_frame`` is one (N, M) frame and ``channel`` its effective channel,
+    or a [B, N, M] stack and a sequence of B channels, one per frame, with
+    ``n0`` one noise power for all frames or an array of one per frame.
+    Each channel must carry a tap truncation; its residual tap energy is
+    added to its frame's ``n0`` in that frame's likelihood.  ``data_mask`` marks the unknown
+    symbols of every frame; cells outside it are treated as known zeros (the
+    caller cancels any pilot beforehand): the taps that reach them get zero
+    gain, but the cells stay variable nodes.
+
+    Messages are probability vectors over the constellation.  The factor
+    update contracts the (Q,)*L likelihood tensor of every factor with its
+    incoming messages (:func:`_fg_factor_messages`), O(NM Q^L) per iteration;
+    the likelihood is held for all Q^L joint configurations, so Q^L is capped
+    by ``_FG_MAX_CONFIGS``.  An empty truncation (an all-zero channel
+    estimate) gives the prior decisions after 0 iterations.
+
+    The frames of a stack that share a truncation degree L run their sweeps
+    together (:func:`_fg_flood`), and each stops on its own, so every frame
+    gets bit for bit its result alone.  A stack returns (B, NM) ``soft`` and
+    ``hard_indices`` and (B, NM, Q) ``marginals``; ``iterations`` counts the
+    sweeps the call ran, for one frame its iterations.
+    """
+    single = isinstance(channel, EffectiveDDChannel)
+    channels = [channel] if single else list(channel)
+    points = constellation.points
+    q = points.size
+    groups: dict[int, list[int]] = {}
+    for index, ch in enumerate(channels):
+        if ch.truncation is None:
+            raise ValueError("sum-product detection needs a tap-truncated channel")
+        degree = ch.truncation.size
+        if q ** degree > _FG_MAX_CONFIGS:
+            raise ConfigurationError(
+                f"sum step needs Q^L = {q ** degree} configurations, above the "
+                f"budget of {_FG_MAX_CONFIGS}; reduce the tap count"
+            )
+        if degree:
+            groups.setdefault(degree, []).append(index)
+    if not 0.0 < damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
+    if len({ch.shape for ch in channels}) != 1:
+        raise ValueError("a stack needs at least one channel, all on one grid")
+
+    n, m = channels[0].shape
+    size = n * m
+    y = np.asarray(y_frame, dtype=complex)
+    if y.size != len(channels) * size:
+        raise ValueError("observation shape does not match the channel grid")
+    y = y.reshape(len(channels), size)
+    n0 = np.broadcast_to(np.asarray(n0, dtype=float), (len(channels),))
+    known = None if data_mask is None else ~np.asarray(data_mask, dtype=bool).reshape(-1)
+
+    # an all-zero channel (estimate) leaves no factors: every symbol keeps
+    # its uniform prior, decided as constellation index 0
+    belief = np.full((len(channels), size, q), 1.0 / q)
+    sweeps = 0
+    for degree, members in groups.items():
+        step = max(1, _FG_MAX_CONFIGS // q ** degree)
+        for first in range(0, len(members), step):
+            batch = members[first:first + step]
+            belief[batch], ran = _fg_flood(y[batch], [channels[i] for i in batch], n0[batch],
+                                        points, iters, damping, known)
+            sweeps += ran
+
+    idx = belief.argmax(axis=2)
+    soft = belief @ points
+    if single:
+        soft, idx, belief = soft[0], idx[0], belief[0]
+    return DetectionReport(soft=soft, hard_indices=idx, marginals=belief, iterations=sweeps)
+
+
+def _fg_gathers(cells: np.ndarray, q: int) -> np.ndarray:
+    """Flat ``take`` index into (L, Q, B*NM) messages that reads, at
+    [t, v, b*NM + j], value v on slot t of node ``cells[b, t, j]`` of frame b."""
+    frames, degree, size = cells.shape
+    cols = frames * size
+    nodes = cells + size * np.arange(frames)[:, None, None]
+    rows = (np.arange(degree)[:, None] * q + np.arange(q)) * cols
+    return rows[:, :, None] + nodes.transpose(1, 0, 2).reshape(degree, 1, cols)
+
+
+def _fg_flood(
+    y: np.ndarray,
+    channels: list[EffectiveDDChannel],
+    n0: np.ndarray,
+    points: np.ndarray,
+    iters: int,
+    damping: float,
+    known: np.ndarray | None,
+) -> tuple[np.ndarray, int]:
+    """Flooding sum-product over (B, NM) observations at (B,) noise powers
+    whose channels keep the same number L of taps.
+
+    The frames' factor axes are concatenated, so every step of a sweep runs
+    once for the stack.  After each sweep a frame whose messages moved by
+    less than ``_FG_TOL``, or that has run ``iters`` sweeps, keeps its
+    factor-to-symbol messages and leaves the stack.  Returns the (B, NM, Q)
+    beliefs and the number of sweeps run.
+    """
+    frames, size = y.shape
+    n, m = channels[0].shape
+    q = points.size
+    kept = np.array([ch.truncation for ch in channels])
+    degree = kept.shape[1]
+    sigma2 = np.array([frame_n0 + ch.residual_power() for frame_n0, ch in zip(n0, channels)])
+    sigma2[sigma2 <= 0] = 1e-12  # degenerate noiseless likelihood; keep it sharp but finite
+
+    # factor i of frame b meets symbol sym_of[b, t, i] on tap slot t, and
+    # symbol j meets factor obs_of[b, t, j] there: inverse permutations per slot
+    doppler, delay = np.divmod(kept[:, :, None], m)
+    k, l = np.divmod(np.arange(size), m)
+    sym_of = ((k - doppler) % n) * m + (l - delay) % m
+    obs_of = ((k + doppler) % n) * m + (l + delay) % m
+    taps = np.array([ch.taps.reshape(-1) for ch in channels])
+    gains = np.empty((frames, size, degree), dtype=complex)
+    gains[:] = np.take_along_axis(taps, kept, axis=1)[:, None, :]
+    if known is not None:
+        gains[known[sym_of.transpose(0, 2, 1)]] = 0.0  # known-zero symbols contribute nothing
+
+    # likelihood[c_0, .., c_{L-1}, b, i] of factor i of frame b under symbol
+    # values c; the stacked product runs one (NM, L) x (L, C) product per frame
+    configs = np.array(list(itertools.product(range(q), repeat=degree)), dtype=np.int64)
+    means = gains @ points[configs].T                    # (B, NM, C)
+    np.subtract(y[:, :, None], means, out=means)
+    likelihood = np.empty((configs.shape[0], frames, size))
+    np.abs(means.transpose(2, 0, 1), out=likelihood)
+    del means
+    likelihood **= 2
+    likelihood -= likelihood.min(axis=0)                 # scale-free normalization
+    likelihood /= -sigma2[:, None]
+    np.exp(likelihood, out=likelihood)
+
+    # Messages live as (degree, q, B*NM) arrays indexed [slot, value, node],
+    # frame b's nodes at columns b*NM..(b+1)*NM: to_symbol[t, :, i] leaves
+    # factor i on slot t, from_symbol[t, :, i] enters it.  One flat gather
+    # through obs_of puts factor-side messages in symbol order, and one
+    # through sym_of puts them back.  ``active`` lists the frames still in
+    # the stack, in column order.
+    active = np.arange(frames)
+    to_symbol = np.full((degree, q, frames * size), 1.0 / q)
+    from_symbol = to_symbol.copy()
+    final = to_symbol.reshape(degree, q, frames, size).copy()
+    at_all = _fg_gathers(obs_of, q)
+    at_symbols, at_factors = at_all, _fg_gathers(sym_of, q)
+    prefix = np.ones_like(to_symbol)
+    suffix = np.ones_like(to_symbol)
+    sweeps = 0
+    for sweeps in range(1, iters + 1):
+        head = likelihood.reshape((q,) * degree + (-1,))
+        new_msgs = _fg_normalize(_fg_factor_messages(head, from_symbol), axis=1)
+        moved = np.abs(new_msgs - to_symbol).reshape(degree * q, -1, size).max(axis=(0, 2))
+        to_symbol = damping * new_msgs + (1.0 - damping) * to_symbol
+        done = (moved < _FG_TOL) | (sweeps == iters)
+        if done.any():
+            blocks = to_symbol.reshape(degree, q, -1, size)
+            final[:, :, active[done]] = blocks[:, :, done]
+            stay = ~done
+            active = active[stay]
+            if not active.size:
+                break
+            to_symbol = blocks.compress(stay, axis=2).reshape(degree, q, -1)
+            likelihood = likelihood.compress(stay, axis=1)
+            at_symbols, at_factors = _fg_gathers(obs_of[active], q), _fg_gathers(sym_of[active], q)
+            prefix = np.ones_like(to_symbol)
+            suffix = np.ones_like(to_symbol)
+
+        # leave-one-out product over each symbol's slots: exclusive prefix
+        # times exclusive suffix products (prefix[0] and suffix[-1] stay 1)
+        incoming = to_symbol.take(at_symbols)
+        for t in range(1, degree):
+            np.multiply(prefix[t - 1], incoming[t - 1], out=prefix[t])
+            np.multiply(suffix[-t], incoming[-t], out=suffix[-t - 1])
+        out = _fg_normalize(prefix * suffix, axis=1)
+        from_symbol = out.take(at_factors)
+
+    belief = np.prod(final.reshape(degree, q, -1).take(at_all), axis=0)
+    belief = np.ascontiguousarray(belief.reshape(q, frames, size).transpose(1, 2, 0))
+    return _fg_normalize(belief, axis=2), sweeps
 
 
 # ---------------------------------------------------------------------------

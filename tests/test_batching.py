@@ -466,8 +466,32 @@ def test_spa_mixed_degrees(constellation, masked):
     # a flooding loop where a frame that converged early leaves beside one
     # that stops at the sweep limit
     assert any(iters in group and min(group) < iters for group in runs.values()), runs
-    # one flooding loop per degree: it runs as long as its slowest frame
-    assert stack.iterations == sum(max(group) for group in runs.values())
+    # one flood for all degrees: it runs as long as its slowest frame
+    assert stack.iterations == max(report.iterations for report in alone)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("n0, damping", [(0.02, 0.5), (0.3, 1.0), (1.0, 0.3)])
+@pytest.mark.parametrize("constellation", CONSTELLATIONS, ids=lambda c: c.name)
+def test_spa_matches_the_full_graph(constellation, n0, damping, masked):
+    # the data-only graph with padded degrees against the stacked flood on
+    # the full graph, one loop per degree: on BPSK a known symbol's messages
+    # are exactly 1/2 there, so every number agrees bit for bit
+    bpsk = constellation.points.size == 2
+    degrees = (4, 0, 2, 5, 3, 1, 5) if bpsk else (3, 0, 2, 1, 3)
+    y, channels = spa_frames(np.random.default_rng(42), constellation, degrees, n0)
+    kwargs = dict(damping=damping, data_mask=SPA_MASK if masked else None)
+    fast = spa_detect(y, channels, n0, constellation, **kwargs)
+    slow = oracles.full_graph_spa(y, channels, n0, constellation, **kwargs)
+    if bpsk:
+        assert np.array_equal(fast.marginals, slow.marginals)
+        assert np.array_equal(fast.soft, slow.soft)
+    else:
+        assert np.max(np.abs(fast.marginals - slow.marginals)) <= 1e-12
+    assert np.array_equal(fast.hard_indices, slow.hard_indices)
+    for frame, ch in zip(y, channels):
+        assert (spa_detect(frame, ch, n0, constellation, **kwargs).iterations
+                == oracles.full_graph_spa(frame, ch, n0, constellation, **kwargs).iterations)
 
 
 @pytest.mark.parametrize("constellation", CONSTELLATIONS, ids=lambda c: c.name)
@@ -511,7 +535,7 @@ def test_spa_zero_total_fallback_beside_normal_frames(constellation, monkeypatch
 
 def test_spa_stack_is_split_by_the_configuration_budget(monkeypatch):
     # QPSK with 6 taps has 4^6 = 4096 configurations: at most
-    # 8192 // 4096 = 2 such frames share a flooding loop
+    # 8192 // 4096 = 2 frames share a flood, the degree-2 frame padded to 6
     degrees = (6, 6, 2, 6, 6, 6)
     y, channels = spa_frames(np.random.default_rng(6), QPSK, degrees, 0.1)
     spa_stack_vs_frames(y, channels, 0.1, QPSK, iters=4, data_mask=SPA_MASK)
@@ -524,7 +548,7 @@ def test_spa_stack_is_split_by_the_configuration_budget(monkeypatch):
 
     monkeypatch.setattr(detection, "_flood", spy)
     spa_detect(y, channels, 0.1, QPSK, iters=4, data_mask=SPA_MASK)
-    assert batches == [[6, 6], [6, 6], [6], [2]]
+    assert batches == [[6, 6], [2, 6], [6, 6]]
 
 
 def test_spa_stack_matches_enumeration():

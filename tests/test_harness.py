@@ -519,6 +519,7 @@ class TestSelfCheck:
             "detection.tf_lmmse_guard_band_vs_dense",
             "windows.water_level_stack_vs_frames",
             "detection.tf_lmmse_guard_band_layouts_vs_dense",
+            "detection.spa_masked_mixed_stack_vs_frames",
         ]
 
     def test_trial_modules_do_not_import_the_oracles(self):

@@ -17,12 +17,18 @@ from otfswin import (
     isfft,
     nominal_sidelobe_level,
     optimal_tx_window,
+    windows,
 )
 from otfswin.detection import analytic_detection_mse
 from otfswin.oracles import rect_doppler_response
 from otfswin.windows import measure_doppler_response
 
-from oracles import bisection_water_level, grid_search_allocation, random_feasible_allocations
+from oracles import (
+    bisection_water_level,
+    grid_search_allocation,
+    random_feasible_allocations,
+    stepwise_doppler_response,
+)
 
 
 @st.composite
@@ -95,6 +101,27 @@ class TestChebyshevDesign:
         assert nominal_sidelobe_level("dc", 20, -40.0) == pytest.approx(1e-2)
         with pytest.raises(ValueError):
             nominal_sidelobe_level("hann", 20, -40.0)
+
+    def test_mainlobe_search_matches_the_stepwise_scan(self, monkeypatch):
+        # every design field, or the refusal, is bit for bit what stepping
+        # down the scan one point at a time gives
+        def designs():
+            out = []
+            for length in range(3, 301):
+                for sl in (-10.0, -25.0, -40.0, -60.0, -120.0):
+                    try:
+                        d = dc_window(length, sl)
+                    except ConfigurationError as exc:
+                        out.append(str(exc))
+                    else:
+                        out.append((d.coeffs.tobytes(), d.sl_db_target, d.sl_db_measured,
+                                    d.k_main))
+            return out
+
+        fast = designs()
+        monkeypatch.setattr(windows, "measure_doppler_response", stepwise_doppler_response)
+        assert fast == designs()
+        assert any(isinstance(d, str) for d in fast)
 
     def test_response_measure_rejects_nearly_constantless_window(self):
         # a two-point window has no sidelobe region at all
