@@ -231,28 +231,44 @@ class EffectiveDDChannel:
     """Windowed effective channel: full (N, M) tap grid plus, optionally,
     the truncation to its largest taps as flat row-major indices k*M + l
     into the grid.  Indices are modular by construction, so the grid itself
-    encodes the circular structure."""
+    encodes the circular structure.
+
+    A stack of B frames holds [B, N, M] ``taps`` and a (B, width)
+    ``truncation``, as :func:`largest_taps` returns for a stack: a -1 marks
+    a slot with no tap, after the frame's kept taps."""
 
     taps: np.ndarray
     truncation: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.taps.shape
+        return self.taps.shape[-2:]
 
-    def total_power(self) -> float:
-        return float(np.sum(np.abs(self.taps) ** 2))
+    def total_power(self) -> float | np.ndarray:
+        """Tap energy, one value per frame of a stack."""
+        flat = self.taps.reshape(self.taps.shape[:-2] + (-1,))
+        power = np.sum(np.abs(flat) ** 2, axis=-1)
+        return float(power) if power.ndim == 0 else power
 
-    def truncated_power(self) -> float:
+    def residual_power(self) -> float | np.ndarray:
+        """Tap energy outside the truncation (treated as noise by detectors),
+        one value per frame of a stack."""
+        total = self.total_power()
         if self.truncation is None:
-            return self.total_power()
-        # a Python sum in truncation order, as the seeded rows were computed:
-        # numpy's pairwise sum can round the last bit differently
-        return float(sum(abs(v) ** 2 for v in self.taps.reshape(-1)[self.truncation].tolist()))
-
-    def residual_power(self) -> float:
-        """Tap energy outside the truncation (treated as noise by detectors)."""
-        return max(self.total_power() - self.truncated_power(), 0.0)
+            return total * 0.0
+        # The kept energy adds, left to right in truncation order, each tap's
+        # hypot squared by the C library's pow, as the seeded rows were first
+        # computed; numpy's abs, square and pairwise sum round differently.
+        kept = self.truncation
+        values = np.take_along_axis(self.taps.reshape(kept.shape[:-1] + (-1,)),
+                                    np.maximum(kept, 0), axis=-1)
+        magnitude = np.where(kept >= 0, np.hypot(values.real, values.imag), 0.0)
+        squares = np.reshape([v ** 2 for v in magnitude.reshape(-1).tolist()], kept.shape)
+        truncated = np.zeros(kept.shape[:-1])
+        for column in np.moveaxis(squares, -1, 0):
+            truncated += column
+        residual = np.maximum(total - truncated, 0.0)
+        return float(residual) if residual.ndim == 0 else residual
 
 
 def largest_taps(tap_grid: np.ndarray, count: int) -> np.ndarray:
@@ -260,14 +276,20 @@ def largest_taps(tap_grid: np.ndarray, count: int) -> np.ndarray:
     first, ties broken by (k, l) order.
 
     Exact zeros are never selected, so integer-Doppler channels keep their
-    natural sparsity even when ``count`` exceeds the active tap number.
+    natural sparsity even when ``count`` exceeds the active tap number.  A
+    [B, N, M] stack gives one row of ``count`` entries (at most NM) per
+    frame: its indices followed by -1 entries where it has fewer nonzero
+    taps.
     """
     if count < 1:
         raise ValueError("tap count must be >= 1")
-    mag = np.abs(tap_grid.reshape(-1))
+    mag = np.abs(tap_grid.reshape(tap_grid.shape[:-2] + (-1,)))
     # a stable sort keeps equal magnitudes in flat index, i.e. (k, l), order
-    picked = np.argsort(-mag, kind="stable")[:count]
-    return picked[mag[picked] != 0.0]
+    picked = np.argsort(-mag, axis=-1, kind="stable")[..., :count]
+    if picked.ndim == 1:
+        return picked[mag[picked] != 0.0]
+    picked[np.take_along_axis(mag, picked, axis=-1) == 0.0] = -1
+    return picked
 
 
 def effective_dd_channel(

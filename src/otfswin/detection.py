@@ -24,7 +24,6 @@ with message damping.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,7 +288,7 @@ _SPA_MAX_CONFIGS = 8192
 
 def spa_detect(
     y_frame: np.ndarray,
-    channel: EffectiveDDChannel | Sequence[EffectiveDDChannel],
+    channel: EffectiveDDChannel,
     n0: float | np.ndarray,
     constellation: Constellation,
     iters: int = 20,
@@ -300,10 +299,11 @@ def spa_detect(
     truncated taps.
 
     ``y_frame`` is one (N, M) frame and ``channel`` its effective channel,
-    or a [B, N, M] stack and a sequence of B channels, one per frame, with
-    ``n0`` one noise power for all frames or an array of one per frame.
-    Each channel must carry a tap truncation; its residual tap energy is
-    added to its frame's ``n0`` in that frame's likelihood.  ``data_mask``
+    or a [B, N, M] stack and the channel of the stack, whose truncation
+    rows are padded with -1 as :func:`~otfswin.channel.largest_taps` gives
+    them; ``n0`` is one noise power for all frames or an array of one per
+    frame.  The channel must carry a tap truncation; each frame's residual
+    tap energy is added to its ``n0`` in its likelihood.  ``data_mask``
     marks the unknown symbols of every frame; cells outside it are known
     zeros (the caller cancels any pilot beforehand).
 
@@ -322,72 +322,66 @@ def spa_detect(
     All frames of a stack run one flood (:func:`_flood`) with L the
     largest degree: a frame that keeps d < L taps gives its factors L - d
     pad slots of zero gain, which read the point mass [1, 0, ..] and leave
-    its numbers exact.  Each frame stops on its own, so every frame gets bit
-    for bit its result alone; at most ``_SPA_MAX_CONFIGS // Q^L`` frames
-    share a flood.  A stack returns (B, NM) ``soft`` and
-    ``hard_indices`` and (B, NM, Q) ``marginals``; ``iterations`` counts the
-    sweeps the call ran, for one frame its iterations.
+    its numbers exact.  Each frame stops on its own, its messages frozen in
+    place, so every frame gets bit for bit its result alone; at most
+    ``_SPA_MAX_CONFIGS // Q^L`` frames share a flood.  A stack returns
+    (B, NM) ``soft`` and ``hard_indices`` and (B, NM, Q) ``marginals``;
+    ``iterations`` counts the sweeps the call ran, for one frame its
+    iterations.
     """
-    single = isinstance(channel, EffectiveDDChannel)
-    channels = [channel] if single else list(channel)
+    if channel.truncation is None:
+        raise ValueError("sum-product detection needs a tap-truncated channel")
+    if channel.truncation.shape[:-1] != channel.taps.shape[:-2]:
+        raise ValueError("a stack's truncation needs one row per frame")
     points = constellation.points
     q = points.size
-    for ch in channels:
-        if ch.truncation is None:
-            raise ValueError("sum-product detection needs a tap-truncated channel")
-        configs = q ** ch.truncation.size
-        if configs > _SPA_MAX_CONFIGS:
-            raise ConfigurationError(
-                f"sum step needs Q^L = {configs} configurations, above the "
-                f"budget of {_SPA_MAX_CONFIGS}; reduce the tap count"
-            )
+    taps = channel.taps.reshape((-1,) + channel.shape)
+    truncation = channel.truncation.reshape(len(taps), -1)
+    degrees = np.count_nonzero(truncation >= 0, axis=1)
+    configs = q ** int(degrees.max(initial=0))
+    if configs > _SPA_MAX_CONFIGS:
+        raise ConfigurationError(
+            f"sum step needs Q^L = {configs} configurations, above the "
+            f"budget of {_SPA_MAX_CONFIGS}; reduce the tap count"
+        )
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
-    if len({ch.shape for ch in channels}) != 1:
-        raise ValueError("a stack needs at least one channel, all on one grid")
 
-    n, m = channels[0].shape
-    size = n * m
+    size = taps[0].size
     y = np.asarray(y_frame, dtype=complex)
-    if y.size != len(channels) * size:
+    if y.size != taps.size:
         raise ValueError("observation shape does not match the channel grid")
-    y = y.reshape(len(channels), size)
-    n0 = np.broadcast_to(np.asarray(n0, dtype=float), (len(channels),))
+    y = y.reshape(len(taps), size)
+    sigma2 = np.broadcast_to(np.asarray(n0, dtype=float) + channel.residual_power(), len(taps))
     data = np.ones(size, dtype=bool) if data_mask is None else \
         np.asarray(data_mask, dtype=bool).reshape(size)
 
-    belief = np.full((len(channels), size, q), 1.0 / q)
+    belief = np.full((len(taps), size, q), 1.0 / q)
     cells = np.flatnonzero(data)
-    live = [b for b, ch in enumerate(channels) if ch.truncation.size and cells.size]
+    live = np.flatnonzero((degrees > 0) & (cells.size > 0))
+    step = _SPA_MAX_CONFIGS // q ** int(degrees[live].max(initial=0))
     sweeps = 0
-    if live:
-        step = _SPA_MAX_CONFIGS // q ** max(channels[b].truncation.size for b in live)
-        for first in range(0, len(live), step):
-            batch = live[first:first + step]
-            beliefs, ran = _flood(y[batch], [channels[b] for b in batch], n0[batch],
-                                  points, iters, damping, data)
-            belief[np.ix_(batch, cells)] = beliefs
-            sweeps += ran
+    for first in range(0, live.size, step):
+        batch = live[first:first + step]
+        beliefs, ran = _flood(y[batch], taps[batch], truncation[batch], sigma2[batch],
+                              points, iters, damping, data)
+        belief[np.ix_(batch, cells)] = beliefs
+        sweeps += ran
 
     idx = belief.argmax(axis=2)
     soft = belief @ points
-    if single:
+    if channel.taps.ndim == 2:
         soft, idx, belief = soft[0], idx[0], belief[0]
     return DetectionReport(soft=soft, hard_indices=idx, marginals=belief, iterations=sweeps)
 
 
-def _gather_index(columns: np.ndarray, shifts: np.ndarray, keep: np.ndarray, q: int) -> np.ndarray:
-    """Flat ``take`` index into an (L + 2, Q, C) message buffer (see
-    :func:`_message_buffer`) over the C columns that the mask ``keep``
-    marks among all columns.  At [t, v, j] it reads value v on slot t of
-    the column that ``columns[t, j]`` names among all columns or, where
-    ``shifts[t, j]`` = s > 0 and ``columns[t, j]`` = -1, value v of column
-    0 on constant slot t + s."""
-    count = int(np.count_nonzero(keep))
-    table = np.zeros(keep.size + 1, dtype=np.int64)
-    table[:-1][keep] = np.arange(count)
+def _gather_index(columns: np.ndarray, shifts: np.ndarray, count: int, q: int) -> np.ndarray:
+    """Flat ``take`` index into an (L + 2, Q, count) message buffer (see
+    :func:`_message_buffer`).  At [t, v, j] it reads value v on slot t of
+    column ``columns[t, j]`` or, where ``shifts[t, j]`` = s > 0 and
+    ``columns[t, j]`` = -1, value v of column 0 on constant slot t + s."""
     rows = (np.arange(columns.shape[0])[:, None] * q + np.arange(q)) * count
-    return rows[:, :, None] + (table.take(columns) + shifts * (q * count))[:, None, :]
+    return rows[:, :, None] + (np.maximum(columns, 0) + shifts * (q * count))[:, None, :]
 
 
 def _message_buffer(
@@ -405,16 +399,19 @@ def _message_buffer(
 
 def _flood(
     y: np.ndarray,
-    channels: list[EffectiveDDChannel],
-    n0: np.ndarray,
+    taps: np.ndarray,
+    truncation: np.ndarray,
+    sigma2: np.ndarray,
     points: np.ndarray,
     iters: int,
     damping: float,
     data: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Flooding sum-product over (B, NM) observations at (B,) noise powers,
-    on the graph of the D >= 1 cells marked in ``data``; every channel
-    keeps at least one tap.
+    """Flooding sum-product over (B, NM) observations of [B, N, M] tap
+    grids, truncated to the (B, width) rows of kept indices padded with -1,
+    at (B,) noise powers ``sigma2`` that include the residual tap energy, on
+    the graph of the D >= 1 cells marked in ``data``; every frame keeps at
+    least one tap.
 
     Frame b keeps d_b taps; L is the largest d_b.  Its factors take L - d_b
     leading pad slots of zero gain that read the point mass [1, 0, ..]: the
@@ -423,20 +420,21 @@ def _flood(
     side a pad slot reads 1.  So every factor of the stack holds a (Q,)*L
     tensor, and every step of a sweep runs once for the stack.  After each
     sweep a frame whose messages moved by less than ``_SPA_TOL``, or that
-    has run ``iters`` sweeps, keeps its factor-to-symbol messages and
-    leaves the stack.  Returns the (B, D, Q) beliefs of the data cells and
-    the number of sweeps run.
+    has run ``iters`` sweeps, freezes: its factor columns take the damping
+    weights 1 and 0, which leave its messages bit for bit as they are.  The
+    flood stops once every frame is frozen.  Returns the (B, D, Q) beliefs
+    of the data cells and the number of sweeps run.
     """
-    frames, size = y.shape
-    n, m = channels[0].shape
+    frames, n, m = taps.shape
+    size = n * m
     q = points.size
-    degrees = np.array([ch.truncation.size for ch in channels])
+    degrees = np.count_nonzero(truncation >= 0, axis=1)
     degree = int(degrees.max())
-    sigma2 = np.array([frame_n0 + ch.residual_power() for frame_n0, ch in zip(n0, channels)])
-    sigma2[sigma2 <= 0] = 1e-12  # degenerate noiseless likelihood; keep it sharp but finite
+    # degenerate noiseless likelihood; keep it sharp but finite
+    sigma2 = np.where(sigma2 <= 0, 1e-12, sigma2)
     pad = np.arange(degree) < (degree - degrees)[:, None]
     kept = np.zeros((frames, degree), dtype=np.int64)
-    kept[~pad] = np.concatenate([ch.truncation for ch in channels])
+    kept[~pad] = truncation[truncation >= 0]
 
     # factor i of frame b meets symbol sym_of[b, t, i] on tap slot t, and
     # symbol j meets factor obs_of[b, t, j] there: inverse permutations per slot
@@ -472,7 +470,7 @@ def _flood(
     # tiled over the pad axes
     width = int(counts.sum())
     frame_of = np.repeat(np.arange(frames), counts)
-    taps = np.array([ch.taps.reshape(-1) for ch in channels])
+    taps = taps.reshape(frames, size)
     parts = []
     for d in sorted(set(degrees.tolist())):
         members = np.flatnonzero(degrees == d)
@@ -505,64 +503,39 @@ def _flood(
     # reads 1 after it; from_symbol[t, :, f] enters factor f, gathered from
     # the symbols' messages, 1/Q on a known slot and the point mass on a pad
     # slot.  One flat gather puts factor-side messages in symbol order, and
-    # one puts them back.  ``active`` lists
-    # the frames still in the stack, in column order, and ``columns`` their
-    # factors' columns in the whole stack; ``final`` keeps the messages of
-    # the frames that left.  A frame's move is the largest over its
-    # consecutive factor columns.
+    # one puts them back.  A frame's move is the largest over its
+    # consecutive factor columns; ``keep`` and ``step`` weigh the old and
+    # new messages of each column, 1 and 0 once its frame is frozen.
     uniform, point_mass = 1.0 / q, (np.arange(q) == 0).astype(float)
-    active = np.arange(frames)
-    columns = np.arange(width)
-    symbols = np.ones(sym_cols.shape[1], dtype=bool)
     to_buffer, to_symbol = _message_buffer(degree, q, width, uniform, 1.0)
     to_symbol[:] = uniform
-    final_buffer, final = _message_buffer(degree, q, width, uniform, 1.0)
-    final[:] = uniform
-    at_all = _gather_index(sym_cols, sym_shifts, np.ones(width, dtype=bool), q)
-    at_symbols = at_all
-    at_factors = _gather_index(fac_cols, fac_shifts, symbols, q)
-    from_buffer, out = _message_buffer(degree, q, symbols.size, uniform, point_mass)
+    from_buffer, out = _message_buffer(degree, q, sym_cols.shape[1], uniform, point_mass)
     out[:] = uniform
+    at_symbols = _gather_index(sym_cols, sym_shifts, width, q)
+    at_factors = _gather_index(fac_cols, fac_shifts, sym_cols.shape[1], q)
     from_symbol = from_buffer.take(at_factors)
     prefix = np.ones_like(out)
     suffix = np.ones_like(out)
     starts = np.cumsum(counts) - counts
+    keep, step = np.full(width, 1.0 - damping), np.full(width, damping)
+    running = np.ones(frames, dtype=bool)
+    head = likelihood.reshape((q,) * degree + (-1,))
     sweeps = 0
     for sweeps in range(1, iters + 1):
-        head = likelihood.reshape((q,) * degree + (-1,))
         new_msgs = _normalize(_factor_messages(head, from_symbol), axis=1)
         change = np.abs(new_msgs - to_symbol).reshape(degree * q, -1).max(axis=0)
         moved = np.maximum.reduceat(change, starts)
-        to_symbol *= 1.0 - damping
-        new_msgs *= damping
+        to_symbol *= keep
+        new_msgs *= step
         to_symbol += new_msgs
-        done = (moved < _SPA_TOL) | (sweeps == iters)
+        done = running & ((moved < _SPA_TOL) | (sweeps == iters))
         if done.any():
-            leaving = np.repeat(done, counts[active])
-            final[:, :, columns[leaving]] = to_symbol.compress(leaving, axis=2)
-            active = active[~done]
-            if not active.size:
+            running &= ~done
+            if not running.any():
                 break
-            staying = ~leaving
-            columns = columns[staying]
-            likelihood = likelihood[:, staying]
-            to_buffer, remaining = _message_buffer(degree, q, columns.size, uniform, 1.0)
-            remaining[:] = to_symbol.compress(staying, axis=2)
-            to_symbol = remaining
-            alive = np.zeros(frames, dtype=bool)
-            alive[active] = True
-            symbols = np.repeat(alive, cells.size)
-            kept_columns = np.zeros(width, dtype=bool)
-            kept_columns[columns] = True
-            at_symbols = _gather_index(sym_cols.compress(symbols, axis=1),
-                                       sym_shifts.compress(symbols, axis=1), kept_columns, q)
-            at_factors = _gather_index(fac_cols.take(columns, axis=1),
-                                       fac_shifts.take(columns, axis=1), symbols, q)
-            from_buffer, out = _message_buffer(degree, q, cells.size * active.size, uniform,
-                                               point_mass)
-            prefix = np.ones_like(out)
-            suffix = np.ones_like(out)
-            starts = np.cumsum(counts[active]) - counts[active]
+            frozen = np.repeat(done, counts)
+            keep[frozen] = 1.0
+            step[frozen] = 0.0
 
         # leave-one-out product over each symbol's slots: exclusive prefix
         # times exclusive suffix products (prefix[0] and suffix[-1] stay 1)
@@ -573,6 +546,6 @@ def _flood(
         _normalize(np.multiply(prefix, suffix, out=out), axis=1)
         from_symbol = from_buffer.take(at_factors)
 
-    belief = np.prod(final_buffer.take(at_all), axis=0)
+    belief = np.prod(to_buffer.take(at_symbols), axis=0)
     belief = np.ascontiguousarray(belief.reshape(q, frames, cells.size).transpose(1, 2, 0))
     return _normalize(belief, axis=2), sweeps

@@ -547,13 +547,11 @@ def _detect_frames(
     else:
         if taps is None:
             taps = ch_mod._dd_response(gains)
-        count = config.spa_tap_count()
-        channels = [ch_mod.EffectiveDDChannel(taps=frame_taps,
-                                              truncation=ch_mod.largest_taps(frame_taps, count))
-                    for frame_taps in taps]
+        channel = ch_mod.EffectiveDDChannel(
+            taps=taps, truncation=ch_mod.largest_taps(taps, config.spa_tap_count()))
         data_mask = None if layout is None else layout.data_mask
         idx = det_mod.spa_detect(
-            y, channels, n0, constellation,
+            y, channel, n0, constellation,
             iters=config.spa_iters, damping=config.spa_damping, data_mask=data_mask,
         ).hard_indices
         if layout is not None:

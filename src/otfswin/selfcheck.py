@@ -53,6 +53,22 @@ def _guard_band_vs_dense(layout: est_mod.PilotLayout, rng: np.random.Generator) 
     return float(np.max(np.abs(weights - exact)) / np.max(np.abs(exact)))
 
 
+def _spa_stack_vs_frames(y: np.ndarray, channel: ch_mod.EffectiveDDChannel,
+                         mask: np.ndarray | None = None) -> float:
+    """Largest gap between one BPSK sum-product call on a stack and one call
+    per frame on that frame's own truncation (its -1 pads dropped)."""
+    bpsk = Constellation.bpsk()
+    stack = det_mod.spa_detect(y, channel, 0.3, bpsk, data_mask=mask)
+    worst = 0.0
+    for frame, taps, row, marginals, hard in zip(y, channel.taps, channel.truncation,
+                                                 stack.marginals, stack.hard_indices):
+        alone = ch_mod.EffectiveDDChannel(taps=taps, truncation=row[row >= 0])
+        alone = det_mod.spa_detect(frame, alone, 0.3, bpsk, data_mask=mask)
+        worst = max(worst, float(np.max(np.abs(marginals - alone.marginals))),
+                    float(np.count_nonzero(hard != alone.hard_indices)))
+    return worst
+
+
 def run_selfcheck(seed: int = 0) -> list[CheckResult]:
     """Cross-oracle equivalence suite over transforms, channel operators,
     and detection identities.  Fast, deterministic, and independent of the
@@ -207,20 +223,12 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
 
     # one sum-product call on a stack gives every frame exactly its result
     # alone: two frames share a flooding loop beside an empty truncation
-    grid, bpsk = FrameGrid(M=4, N=4), Constellation.bpsk()
-    shape = (3,) + grid.shape
+    shape = (3, 4, 4)
     taps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     taps[1] = 0.0
     y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    channels = [ch_mod.EffectiveDDChannel(taps=t, truncation=ch_mod.largest_taps(t, 2))
-                for t in taps]
-    stack = det_mod.spa_detect(y, channels, 0.3, bpsk)
-    worst = 0.0
-    for frame, ch, marginals, hard in zip(y, channels, stack.marginals, stack.hard_indices):
-        alone = det_mod.spa_detect(frame, ch, 0.3, bpsk)
-        worst = max(worst, float(np.max(np.abs(marginals - alone.marginals))),
-                    float(np.count_nonzero(hard != alone.hard_indices)))
-    check("detection.spa_stack_vs_frames", worst, 0.0)
+    channel = ch_mod.EffectiveDDChannel(taps=taps, truncation=ch_mod.largest_taps(taps, 2))
+    check("detection.spa_stack_vs_frames", _spa_stack_vs_frames(y, channel), 0.0)
 
     # the band-split guard solve against the dense guard block, on the
     # Fig-6 layout and on one whose Doppler guard wraps row 0 (both solved
@@ -262,14 +270,10 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
     taps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     taps[2] = 0.0
     y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    channels = [ch_mod.EffectiveDDChannel(taps=t, truncation=ch_mod.largest_taps(t, max(d, 1)))
-                for t, d in zip(taps, degrees)]
-    stack = det_mod.spa_detect(y, channels, 0.3, bpsk, data_mask=mask)
-    worst = 0.0
-    for frame, ch, marginals, hard in zip(y, channels, stack.marginals, stack.hard_indices):
-        alone = det_mod.spa_detect(frame, ch, 0.3, bpsk, data_mask=mask)
-        worst = max(worst, float(np.max(np.abs(marginals - alone.marginals))),
-                    float(np.count_nonzero(hard != alone.hard_indices)))
-    check("detection.spa_masked_mixed_stack_vs_frames", worst, 0.0)
+    truncation = ch_mod.largest_taps(taps, max(degrees))
+    truncation[np.arange(max(degrees)) >= np.array(degrees)[:, None]] = -1
+    channel = ch_mod.EffectiveDDChannel(taps=taps, truncation=truncation)
+    check("detection.spa_masked_mixed_stack_vs_frames",
+          _spa_stack_vs_frames(y, channel, mask), 0.0)
 
     return results

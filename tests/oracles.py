@@ -49,6 +49,16 @@ def naive_effective_channel(ch, windows):
     return taps
 
 
+def python_sum_residual_power(taps, truncation):
+    """Tap energy of one (N, M) frame outside the flat indices
+    ``truncation``, as the seeded rows were first computed: numpy's sum of
+    |tap|^2 over the grid less a Python ``sum`` of ``abs(v) ** 2`` over the
+    kept taps in truncation order."""
+    total = float(np.sum(np.abs(taps) ** 2))
+    kept = float(sum(abs(v) ** 2 for v in taps.reshape(-1)[truncation].tolist()))
+    return max(total - kept, 0.0)
+
+
 def stepwise_doppler_response(coeffs):
     """``measure_doppler_response`` with the mainlobe edge found by stepping
     bin by bin down the dense scan until it stops falling."""

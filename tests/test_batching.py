@@ -422,27 +422,37 @@ CONSTELLATIONS = [Constellation.bpsk(), QPSK]
 
 def spa_frames(rng, constellation, degrees, n0):
     """Frames sent over random DC-TX-windowed channels at noise power ``n0``
-    (one, or one per frame), and the effective channels truncated to the
-    given degrees; degree 0 is an all-zero estimate."""
+    (one, or one per frame), and the stacked effective channel truncated to
+    the given degrees; degree 0 is an all-zero estimate."""
     windows = WindowPair.separable(SPA_GRID, tx_doppler=dc_window(SPA_GRID.N, -30.0).coeffs)
     points = constellation.points
-    frames, channels = [], []
+    frames, taps = [], []
     for degree, frame_n0 in zip(degrees, np.broadcast_to(n0, len(degrees)).tolist()):
         ch = sample_channel(SPA_GRID, 3, 2, 2, rng)
         x = points[rng.integers(0, points.size, SPA_GRID.shape)]
         frames.append(transmit_frame(x, tf_channel(ch), windows, frame_n0, rng))
-        taps = effective_dd_channel(ch, windows).taps * (degree > 0)
-        channels.append(EffectiveDDChannel(taps=taps, truncation=largest_taps(taps, max(degree, 1))))
-    assert [ch.truncation.size for ch in channels] == list(degrees)
-    return np.array(frames), channels
+        taps.append(effective_dd_channel(ch, windows).taps * (degree > 0))
+    taps = np.array(taps)
+    truncation = largest_taps(taps, max(degrees))
+    truncation[np.arange(max(degrees)) >= np.array(degrees)[:, None]] = -1
+    channel = EffectiveDDChannel(taps=taps, truncation=truncation)
+    assert [ch.truncation.size for ch in frame_channels(channel)] == list(degrees)
+    return np.array(frames), channel
 
 
-def spa_stack_vs_frames(y, channels, n0, constellation, **kwargs):
+def frame_channels(channel):
+    """The single-frame channels of a stack, their -1 pads dropped."""
+    return [EffectiveDDChannel(taps=taps, truncation=row[row >= 0])
+            for taps, row in zip(channel.taps, channel.truncation)]
+
+
+def spa_stack_vs_frames(y, channel, n0, constellation, **kwargs):
     """Detect ``y`` as one stack and frame by frame, require equal arrays,
     and return the per-frame reports."""
-    stack = spa_detect(y, channels, n0, constellation, **kwargs)
+    stack = spa_detect(y, channel, n0, constellation, **kwargs)
     alone = [spa_detect(frame, ch, frame_n0, constellation, **kwargs)
-             for frame, ch, frame_n0 in zip(y, channels, np.broadcast_to(n0, len(y)).tolist())]
+             for frame, ch, frame_n0 in zip(y, frame_channels(channel),
+                                            np.broadcast_to(n0, len(y)).tolist())]
     assert stack.marginals.shape == (len(y), SPA_GRID.size, constellation.points.size)
     assert_framewise(stack.marginals, (r.marginals for r in alone))
     assert_framewise(stack.hard_indices, (r.hard_indices for r in alone))
@@ -455,15 +465,15 @@ def spa_stack_vs_frames(y, channels, n0, constellation, **kwargs):
 @pytest.mark.parametrize("constellation", CONSTELLATIONS, ids=lambda c: c.name)
 def test_spa_mixed_degrees(constellation, masked):
     degrees = (3, 0, 3, 5, 3, 5, 1, 4) if constellation.points.size == 2 else (2, 0, 2, 3, 2, 3, 1)
-    y, channels = spa_frames(np.random.default_rng(40 + masked), constellation, degrees, 0.1)
+    y, channel = spa_frames(np.random.default_rng(40 + masked), constellation, degrees, 0.1)
     iters = 10
     stack, alone = spa_stack_vs_frames(
-        y, channels, 0.1, constellation, iters=iters, damping=1.0,
+        y, channel, 0.1, constellation, iters=iters, damping=1.0,
         data_mask=SPA_MASK if masked else None)
     runs = {}
     for degree, report in zip(degrees, alone):
         runs.setdefault(degree, []).append(report.iterations)
-    # a flooding loop where a frame that converged early leaves beside one
+    # a flooding loop where a frame that converged early freezes beside one
     # that stops at the sweep limit
     assert any(iters in group and min(group) < iters for group in runs.values()), runs
     # one flood for all degrees: it runs as long as its slowest frame
@@ -479,9 +489,10 @@ def test_spa_matches_the_full_graph(constellation, n0, damping, masked):
     # are exactly 1/2 there, so every number agrees bit for bit
     bpsk = constellation.points.size == 2
     degrees = (4, 0, 2, 5, 3, 1, 5) if bpsk else (3, 0, 2, 1, 3)
-    y, channels = spa_frames(np.random.default_rng(42), constellation, degrees, n0)
+    y, channel = spa_frames(np.random.default_rng(42), constellation, degrees, n0)
+    channels = frame_channels(channel)
     kwargs = dict(damping=damping, data_mask=SPA_MASK if masked else None)
-    fast = spa_detect(y, channels, n0, constellation, **kwargs)
+    fast = spa_detect(y, channel, n0, constellation, **kwargs)
     slow = oracles.full_graph_spa(y, channels, n0, constellation, **kwargs)
     if bpsk:
         assert np.array_equal(fast.marginals, slow.marginals)
@@ -500,10 +511,10 @@ def test_spa_at_per_frame_noise(constellation):
     # own likelihood width
     degrees = (3, 3, 2, 3, 2, 3) if constellation.points.size == 2 else (2, 2, 3, 2, 3)
     n0 = mixed_n0(len(degrees))
-    y, channels = spa_frames(np.random.default_rng(41), constellation, degrees, n0)
-    stack, _ = spa_stack_vs_frames(y, channels, n0, constellation, iters=10,
+    y, channel = spa_frames(np.random.default_rng(41), constellation, degrees, n0)
+    stack, _ = spa_stack_vs_frames(y, channel, n0, constellation, iters=10,
                                    data_mask=SPA_MASK)
-    shared = spa_detect(y, channels, float(n0[0]), constellation, iters=10, data_mask=SPA_MASK)
+    shared = spa_detect(y, channel, float(n0[0]), constellation, iters=10, data_mask=SPA_MASK)
     assert not np.array_equal(stack.marginals, shared.marginals)
 
 
@@ -514,12 +525,14 @@ def test_spa_zero_total_fallback_beside_normal_frames(constellation, monkeypatch
     # with damping 1, fall back to uniform; the truncated frames keep their
     # residual tap energy as noise
     rng = np.random.default_rng(5)
-    y, channels = spa_frames(rng, constellation, (2, 3, 2), 0.0)
-    taps = np.zeros(SPA_GRID.shape, dtype=complex)
+    y, channel = spa_frames(rng, constellation, (2, 3, 2), 0.0)
+    taps = channel.taps[1]
+    taps[:] = 0.0
     taps[0, 0], taps[1, 2], taps[3, 1] = 1.0, 0.9j, -0.8
-    channels[1] = EffectiveDDChannel(taps=taps, truncation=largest_taps(taps, 3))
+    channel.truncation[1] = largest_taps(taps, 3)
     y[1] = 3.0 * (rng.standard_normal(SPA_GRID.shape) + 1j * rng.standard_normal(SPA_GRID.shape))
-    assert channels[1].residual_power() == 0 < channels[0].residual_power()
+    residual = channel.residual_power()
+    assert residual[1] == 0 < residual[0]
 
     zero_totals = []
     normalize = detection._normalize
@@ -529,7 +542,7 @@ def test_spa_zero_total_fallback_beside_normal_frames(constellation, monkeypatch
         return normalize(msgs, axis)
 
     monkeypatch.setattr(detection, "_normalize", spy)
-    spa_stack_vs_frames(y, channels, 0.0, constellation, iters=5, damping=1.0)
+    spa_stack_vs_frames(y, channel, 0.0, constellation, iters=5, damping=1.0)
     assert any(zero_totals)
 
 
@@ -537,25 +550,26 @@ def test_spa_stack_is_split_by_the_configuration_budget(monkeypatch):
     # QPSK with 6 taps has 4^6 = 4096 configurations: at most
     # 8192 // 4096 = 2 frames share a flood, the degree-2 frame padded to 6
     degrees = (6, 6, 2, 6, 6, 6)
-    y, channels = spa_frames(np.random.default_rng(6), QPSK, degrees, 0.1)
-    spa_stack_vs_frames(y, channels, 0.1, QPSK, iters=4, data_mask=SPA_MASK)
+    y, channel = spa_frames(np.random.default_rng(6), QPSK, degrees, 0.1)
+    spa_stack_vs_frames(y, channel, 0.1, QPSK, iters=4, data_mask=SPA_MASK)
     batches = []
     flood = detection._flood
 
-    def spy(y, channels, *args):
-        batches.append([ch.truncation.size for ch in channels])
-        return flood(y, channels, *args)
+    def spy(y, taps, truncation, *args):
+        batches.append(np.count_nonzero(truncation >= 0, axis=1).tolist())
+        return flood(y, taps, truncation, *args)
 
     monkeypatch.setattr(detection, "_flood", spy)
-    spa_detect(y, channels, 0.1, QPSK, iters=4, data_mask=SPA_MASK)
+    spa_detect(y, channel, 0.1, QPSK, iters=4, data_mask=SPA_MASK)
     assert batches == [[6, 6], [2, 6], [6, 6]]
 
 
 def test_spa_stack_matches_enumeration():
     bpsk = Constellation.bpsk()
-    y, channels = spa_frames(np.random.default_rng(7), bpsk, (4, 0, 2, 4, 3), 0.02)
-    stack = spa_detect(y, channels, 0.02, bpsk, data_mask=SPA_MASK)
-    for frame, ch, marginals, hard in zip(y, channels, stack.marginals, stack.hard_indices):
+    y, channel = spa_frames(np.random.default_rng(7), bpsk, (4, 0, 2, 4, 3), 0.02)
+    stack = spa_detect(y, channel, 0.02, bpsk, data_mask=SPA_MASK)
+    for frame, ch, marginals, hard in zip(y, frame_channels(channel), stack.marginals,
+                                          stack.hard_indices):
         slow = oracles.enumeration_spa_detect(frame, ch, 0.02, bpsk, data_mask=SPA_MASK)
         assert np.array_equal(hard, slow.hard_indices)
         assert np.max(np.abs(marginals - slow.marginals)) <= 1e-12

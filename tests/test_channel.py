@@ -7,6 +7,7 @@ import pytest
 
 from otfswin import (
     ChannelRealization,
+    EffectiveDDChannel,
     FrameGrid,
     PathSpec,
     WindowPair,
@@ -24,7 +25,7 @@ from otfswin import (
 from otfswin.channel import _dd_response
 from otfswin.oracles import dd_channel_matrix, dd_filter, rect_doppler_response, time_channel
 
-from oracles import naive_effective_channel
+from oracles import naive_effective_channel, python_sum_residual_power
 
 
 def random_windows(rng, grid):
@@ -260,9 +261,53 @@ class TestEffectiveChannel:
         grid = FrameGrid(M=4, N=4)
         ch = sample_channel(grid, 2, 1, 2, rng)
         eff = effective_dd_channel(ch, WindowPair.rectangular(grid), truncate_to=3)
-        assert eff.residual_power() == pytest.approx(
-            eff.total_power() - eff.truncated_power(), abs=1e-12
-        )
+        kept = np.sum(np.abs(eff.taps.reshape(-1)[eff.truncation]) ** 2)
+        assert eff.residual_power() == pytest.approx(eff.total_power() - kept, abs=1e-12)
+
+    def test_stacked_largest_taps_pads_each_frame_with_minus_one(self):
+        rng = np.random.default_rng(31)
+        taps = rng.standard_normal((6, 4, 5)) + 1j * rng.standard_normal((6, 4, 5))
+        taps[rng.random(taps.shape) < 0.6] = 0.0
+        taps[1] = 0.0                                      # an all-zero frame
+        taps[2] = 0.0                                      # three tied magnitudes
+        taps[2, 3, 4], taps[2, 1, 0], taps[2, 0, 1] = 0.5, -0.5, 0.5j
+        assert np.count_nonzero(taps[3]) < 7 <= taps[3].size
+        for count in (1, 3, 7, 20):                        # 7 and 20 above most frames' nonzeros
+            rows = largest_taps(taps, count)
+            assert rows.shape == (6, count) and rows.dtype == np.int64
+            for frame, row in zip(taps, rows):
+                alone = largest_taps(frame, count)
+                assert np.array_equal(row, np.concatenate([alone, np.full(count - alone.size, -1)]))
+        rows = largest_taps(taps, 7)
+        assert np.array_equal(rows[1], np.full(7, -1))
+        assert np.array_equal(rows[2], [1, 5, 19, -1, -1, -1, -1])  # ties in (k, l) order
+
+    def test_stacked_residual_power_is_bitwise_each_frames(self):
+        # magnitudes over eight decades, sparse frames, an all-zero frame and
+        # rows with fewer kept taps than the width: every frame's value is
+        # bit for bit its value alone and the Python-sum formula
+        rng = np.random.default_rng(32)
+        shape = (400, 16, 8)
+        taps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        taps *= 10.0 ** rng.uniform(-6.0, 2.0, (shape[0], 1, 1))
+        taps[rng.random(shape) < 0.8] = 0.0
+        taps[7] = 0.0
+        # a kept tap whose square by pow is one ulp from its product by
+        # itself, beside a small tap outside the truncation
+        taps[0] = 0.0
+        taps[0, 0, 0], taps[0, 1, 1] = 0.6065823382127262, 1e-3j
+        assert 0.6065823382127262 ** 2 != np.square(0.6065823382127262)
+        rows = largest_taps(taps, 12)                      # sums of more than 8 terms
+        rows[::3, 3:] = -1
+        rows[0] = -1
+        rows[0, 0] = 0
+        stacked = EffectiveDDChannel(taps=taps, truncation=rows).residual_power()
+        assert stacked.shape == (shape[0],)
+        for frame, row, value in zip(taps, rows, stacked.tolist()):
+            kept = row[row >= 0]
+            alone = EffectiveDDChannel(taps=frame, truncation=kept).residual_power()
+            assert type(alone) is float
+            assert value == alone == python_sum_residual_power(frame, kept)
 
 
 class TestVectorizedOperators:

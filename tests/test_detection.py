@@ -425,6 +425,14 @@ class TestSPA:
         with pytest.raises(ValueError, match="trunc"):
             spa_detect(np.zeros(grid.shape), eff, 0.1, Constellation.bpsk())
 
+    def test_requires_one_truncation_row_per_frame(self):
+        # 15 kept indices over a 3-frame stack are not 3 rows of 5
+        taps = np.ones((3, 4, 4), dtype=complex)
+        for truncation in (largest_taps(taps, 5).reshape(-1), largest_taps(taps[:1], 15)):
+            eff = EffectiveDDChannel(taps=taps, truncation=truncation)
+            with pytest.raises(ValueError, match="one row per frame"):
+                spa_detect(np.zeros(taps.shape), eff, 0.1, Constellation.bpsk())
+
     def test_empty_truncation_gives_prior_decisions(self):
         # an all-zero channel estimate keeps no taps: no factors, no iterations
         grid = FrameGrid(M=4, N=4)
