@@ -18,6 +18,7 @@ runs can additionally be summarized in the compact CE row format
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -151,14 +152,18 @@ class ExperimentConfig:
                 "the sum-product detector models white noise; use rx_window = rect"
             )
         # numpy refuses arrays of over intp-max bytes with a ValueError; a chunk's
-        # largest are its complex (B, N, M) frames and (B, paths, N or M) phases
+        # largest are its complex (B, N, M) frames
         chunk = min(_chunk_size(grid), len(snrs) * self.trials)
-        sizes = {f"M = {self.M}, N = {self.N}": grid.size,
-                 f"paths = {self.paths}": self.paths * max(grid.shape)}
-        for fields, size in sizes.items():
-            if 16 * chunk * size > np.iinfo(np.intp).max:
-                raise ConfigurationError(
-                    f"{fields}: the arrays of one {chunk}-frame chunk would not fit in memory")
+        if 16 * chunk * grid.size > np.iinfo(np.intp).max:
+            raise ConfigurationError(f"M = {self.M}, N = {self.N}: the arrays of one "
+                                     f"{chunk}-frame chunk would not fit in memory")
+        # one path of one frame: five 8-byte draws and complex phases over N + M
+        fits = _PATH_BYTES // (chunk * (5 * 8 + 16 * (grid.N + grid.M)))
+        if self.paths > fits:
+            fields = f"paths = {self.paths}" if fits else f"M = {self.M}, N = {self.N}"
+            raise ConfigurationError(
+                f"{fields}: the channel draws and phases of one {chunk}-frame chunk would "
+                f"not fit in {_PATH_BYTES >> 20} MiB of memory; at most {fits} paths do")
         object.__setattr__(self, "snr_db", snrs)
 
     # -- construction ------------------------------------------------------
@@ -379,7 +384,39 @@ class _Link:
     bits_per_frame: int
 
 
+# The config fields of one call that its link does not read: every other
+# field is part of the link's cache key.
+_PER_CALL_FIELDS = ("seed", "trials", "snr_db")
+_LINK_FIELDS = tuple(name for name in ExperimentConfig.field_names()
+                     if name not in _PER_CALL_FIELDS)
+# Distinct links one process keeps: a sweep over one config needs one or two.
+_LINK_CACHE_SIZE = 8
+
+
 def _link(config: ExperimentConfig, pilot: bool) -> _Link:
+    """The link of ``config``, with the pilot layout when ``pilot`` is set.
+
+    A process builds each distinct link once (the DC window design, the
+    pilot layout and the constellation) and shares it read-only with every
+    later call whose fields differ at most in ``seed``, ``trials`` and
+    ``snr_db``.  That saves a call's fixed cost in a process that makes many
+    calls, as a benchmark loop, the test suite or a seed sweep through the
+    API do; a single CLI run builds its link once either way.
+    """
+    shared = _link_parts(tuple(getattr(config, name) for name in _LINK_FIELDS), pilot)
+    return _Link(config, *shared)
+
+
+@functools.lru_cache(maxsize=_LINK_CACHE_SIZE)
+def _link_parts(fields: tuple, pilot: bool) -> tuple:
+    """The ``_Link`` fields after ``config``, built from the values of
+    ``_LINK_FIELDS`` in ``fields``.
+
+    A failed design raises on every call: the cache stores no exception.
+    """
+    # the link reads no per-call field, and one trial at one SNR point
+    # passes validation whenever the caller's config does
+    config = ExperimentConfig(**dict(zip(_LINK_FIELDS, fields)), trials=1, snr_db=(0.0,))
     grid = config.grid()
     constellation = config.constellation_obj()
     windows = None if config.tx_window == "optimal" else build_windows(config, grid)
@@ -390,8 +427,12 @@ def _link(config: ExperimentConfig, pilot: bool) -> _Link:
             grid, config.k_max, config.l_max, config.k_hat, config.pilot_power_dbw
         )
         n_data = int(layout.data_mask.sum())
-    return _Link(config, grid, constellation, windows, layout,
-                 n_data * constellation.bits_per_symbol)
+    # every call with these fields shares the arrays, so none may be written
+    # in place (the layout's already are read-only)
+    shared = [constellation.points] + ([] if windows is None else [windows.tx, windows.rx])
+    for array in shared:
+        array.flags.writeable = False
+    return grid, constellation, windows, layout, n_data * constellation.bits_per_symbol
 
 
 def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
@@ -442,6 +483,12 @@ _CHUNK_BYTES = 128 * 1024
 def _chunk_size(grid: FrameGrid) -> int:
     """Trials per chunk on ``grid``: at least one."""
     return max(1, _CHUNK_BYTES // (16 * grid.size))
+
+
+# One chunk's channel draws and Doppler and delay phases in sample_channel
+# and tf_channel take at most this many bytes, about 6000 paths on the 30x20
+# grid; a config with more paths is refused.
+_PATH_BYTES = 64 * 1024 * 1024
 
 
 def _sweep(config: ExperimentConfig, chunk):

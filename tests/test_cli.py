@@ -217,6 +217,9 @@ class TestExperiments:
         ("paths = 100000000000000000000", "paths = 100000000000000000000"),
         # one 13-frame chunk of 30x20 frames
         ("M = 30\nN = 20\ntrials = 13\npaths = 100000000000000000", "paths = 100000000000000000"),
+        # past the 64 MiB ceiling on one chunk's path draws and phases
+        ("M = 30\nN = 20\npaths = 100000000", "paths = 100000000"),
+        ("M = 5000000\nN = 20", "M = 5000000, N = 20: "),
         ("N = 8\ncsi = estimated-csir", "k_max=2 needs N >= 4 k_max + 1 = 9"),
     ])
     def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line, field):

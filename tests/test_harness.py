@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,16 @@ import pytest
 
 import oracles
 import otfswin
-from otfswin import ConfigurationError, FrameGrid, NumericalFailure, predicted_mse_floor
+from otfswin import ConfigurationError, FrameGrid, NumericalFailure, harness, predicted_mse_floor
+from otfswin import windows as win_mod
 from otfswin.cli import main
+from otfswin.estimation import PilotLayout
+from otfswin.grid import Constellation
 from otfswin.harness import (
     ExperimentConfig,
     _chunk_size,
     _sweep,
+    build_windows,
     ce_rows_csv,
     mean_interval,
     noise_power,
@@ -302,6 +307,18 @@ class TestConfig:
         assert meta["config_hash"] == cfg.config_hash()
         assert meta["implied_max_speed_kmh"] > 0
 
+    def test_paths_past_the_chunk_byte_ceiling_are_refused(self):
+        # 13 frames of 30x20: 13 x (5 x 8 + 16 x 50) bytes per path under 64 MiB
+        fields = dict(M=30, N=20, snr_db="10", trials=13)
+        with pytest.raises(ConfigurationError, match="paths = 100000000: ") as info:
+            ExperimentConfig(paths=100_000_000, **fields)
+        assert "\n" not in str(info.value)
+        limit = int(re.search(r"at most (\d+) paths", str(info.value)).group(1))
+        assert limit == 6145
+        ExperimentConfig(paths=limit, **fields)
+        with pytest.raises(ConfigurationError, match=f"paths = {limit + 1}: "):
+            ExperimentConfig(paths=limit + 1, **fields)
+
     def test_spa_tap_default_follows_path_count(self):
         assert ExperimentConfig(paths=2).spa_tap_count() == 5
         assert ExperimentConfig(paths=2, spa_taps=3).spa_tap_count() == 3
@@ -469,6 +486,114 @@ class TestFerExperiment:
         for i in range(2):
             assert fer["optimal"][i] <= fer["rect"][i]
             assert fer["optimal"][i] <= fer["dc_tx"][i]
+
+
+# Link fields of the cache tests: an 8x16 pilot frame with a DC TX window.
+_LINK_BASE = dict(M=8, N=16, paths=2, k_max=2, l_max=2, k_hat=1, pilot_power_dbw=30.0,
+                  tx_window="dc", dc_sl_db=-40.0, csi="estimated-csir", snr_db="10, 30",
+                  trials=3, seed=9)
+# field -> (fields of the warm-up config beside _LINK_BASE, the field's new value);
+# no new value is the field's default
+_LINK_FIELD_CHANGES = {
+    "M": ({}, 10),
+    "N": ({}, 24),
+    "delta_f": ({}, 1e4),
+    "fc": ({}, 6e9),
+    "constellation": ({}, "bpsk"),
+    "tx_window": ({"tx_window": "rect"}, "dc"),
+    "rx_window": ({"tx_window": "rect"}, "dc"),
+    "dc_sl_db": ({}, -30.0),
+    "k_max": ({}, 1),
+    "l_max": ({}, 1),
+    "k_hat": ({}, 0),
+    "pilot_power_dbw": ({}, 20.0),
+}
+
+
+def _link_arrays(constellation, windows, layout) -> list:
+    """The arrays a link shares with every call of its link fields."""
+    return [constellation.points, windows.tx, windows.rx, layout.guard_mask, layout.data_mask]
+
+
+class TestLinkCache:
+    @pytest.fixture(autouse=True)
+    def cleared_cache(self):
+        harness._link_parts.cache_clear()
+        yield
+        harness._link_parts.cache_clear()
+
+    def test_a_second_call_with_the_same_link_fields_builds_nothing(self, monkeypatch):
+        calls = []
+
+        def spy(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(win_mod, "dc_window", spy("dc_window", win_mod.dc_window))
+        for cls, name in ((PilotLayout, "centered"), (Constellation, "by_name")):
+            monkeypatch.setattr(cls, name, staticmethod(spy(name, getattr(cls, name))))
+        first = ExperimentConfig(**_LINK_BASE)
+        second = dataclasses.replace(first, seed=10, trials=4, snr_db=(20.0,))
+        run_fer(first)
+        rows = run_fer(second)
+        assert calls == ["by_name", "dc_window", "centered"]
+        assert {r.trials for r in rows} == {4} and {r.snr_db for r in rows} == {20.0}
+        # each call's link carries its own config; the pilot flag is in the key
+        assert harness._link(second, pilot=True).config is second
+        assert harness._link(second, pilot=False).layout is None
+
+    @pytest.mark.parametrize("field", sorted(_LINK_FIELD_CHANGES))
+    def test_every_link_field_is_in_the_key(self, field):
+        warm_fields, value = _LINK_FIELD_CHANGES[field]
+        warm = ExperimentConfig(**dict(_LINK_BASE, **warm_fields))
+        changed = dataclasses.replace(warm, **{field: value})
+        run_fer(warm)
+        cached_rows, cached = run_fer(changed), harness._link(changed, pilot=True)
+        harness._link_parts.cache_clear()
+        assert cached_rows == run_fer(changed)
+        # and the cached parts are those the changed config builds itself
+        grid = changed.grid()
+        layout = PilotLayout.centered(grid, changed.k_max, changed.l_max, changed.k_hat,
+                                      changed.pilot_power_dbw)
+        constellation = changed.constellation_obj()
+        assert cached.grid == grid and cached.layout == layout
+        assert cached.constellation.name == constellation.name
+        built = _link_arrays(constellation, build_windows(changed, grid), layout)
+        for a, b in zip(_link_arrays(cached.constellation, cached.windows, cached.layout), built):
+            assert np.array_equal(a, b)
+
+    def test_shared_arrays_refuse_writes(self):
+        def shared(config):
+            link = harness._link(config, pilot=True)
+            return _link_arrays(link.constellation, link.windows, link.layout)
+
+        config = ExperimentConfig(**_LINK_BASE)
+        arrays = shared(config)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+        # the next call gets the same unwritten arrays
+        assert all(a is b for a, b in zip(arrays, shared(dataclasses.replace(config, seed=1))))
+
+    def test_an_infeasible_design_raises_on_every_call(self):
+        cfg = ExperimentConfig(**dict(_LINK_BASE, dc_sl_db=-1e6))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="infeasible") as info:
+                run_fer(cfg)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert harness._link_parts.cache_info().currsize == 0
+
+    def test_the_cache_is_bounded(self):
+        size = harness._LINK_CACHE_SIZE
+        assert harness._link_parts.cache_info().maxsize == size
+        for power in range(size + 3):
+            harness._link(ExperimentConfig(**dict(_LINK_BASE, pilot_power_dbw=power)),
+                          pilot=True)
+        assert harness._link_parts.cache_info().currsize == size
 
 
 class TestWriters:
