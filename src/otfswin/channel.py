@@ -345,10 +345,10 @@ def transmit_frame(
     array of one per frame.  Returns the received DD frames.
 
     A stack takes one generator per frame (row-major over the leading axes)
-    and draws each frame's noise from its own generator, real parts before
-    imaginary parts, as a single frame does; a frame at zero noise power
-    draws nothing.  Frame i of a stack is bit for bit the frame that
-    ``transmit_frame`` returns for it alone.
+    and draws each frame's noise from its own generator in one call, real
+    parts before imaginary parts, as a single frame does; a frame at zero
+    noise power draws nothing.  Frame i of a stack is bit for bit the frame
+    that ``transmit_frame`` returns for it alone.
     """
     x_tf = isfft(dd_frame)
     # named temporaries keep the single-frame operand order (see tf_channel)
@@ -364,13 +364,12 @@ def transmit_frame(
             raise ValueError("a stack of frames needs one generator per frame")
         scale = np.sqrt(n0 / 2.0)
         frame_scales = np.broadcast_to(scale, x_tf.shape[:-2]).reshape(-1).tolist()
-        real, imag = np.zeros(x_tf.shape), np.zeros(x_tf.shape)
-        for gen, re, im, frame_scale in zip(generators, real.reshape((-1,) + shape),
-                                            imag.reshape((-1,) + shape), frame_scales):
+        # frame i's (2, N, M) draws: its real plane, then its imaginary plane
+        draws = np.zeros((len(generators), 2) + shape)
+        for gen, frame_draws, frame_scale in zip(generators, draws, frame_scales):
             if frame_scale > 0.0:
-                re[...] = gen.standard_normal(shape)
-                im[...] = gen.standard_normal(shape)
-        noise = real + 1j * imag
+                gen.standard_normal(out=frame_draws)
+        noise = (draws[:, 0] + 1j * draws[:, 1]).reshape(x_tf.shape)
         received = received + scale[..., None, None] * noise
     return sfft(windows.rx * received)
 

@@ -65,7 +65,8 @@ class DetectionReport:
     hard_indices: np.ndarray          # constellation indices of the decisions
     mse_emp: float | None = None      # empirical per-symbol MSE vs supplied truth
     marginals: np.ndarray | None = None  # SPA per-symbol posteriors
-    iterations: int | None = None     # SPA sweeps run: one frame's iterations
+    iterations: int | None = None     # SPA sweeps the call ran
+    frame_iterations: np.ndarray | None = None  # SPA sweeps of each frame
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +326,11 @@ def spa_detect(
     its numbers exact.  Each frame stops on its own, its messages frozen in
     place, so every frame gets bit for bit its result alone; at most
     ``_SPA_MAX_CONFIGS // Q^L`` frames share a flood.  A stack returns
-    (B, NM) ``soft`` and ``hard_indices`` and (B, NM, Q) ``marginals``;
+    (B, NM) ``soft`` and ``hard_indices`` and (B, NM, Q) ``marginals``.
     ``iterations`` counts the sweeps the call ran, for one frame its
-    iterations.
+    iterations, and ``frame_iterations`` holds each frame's own count, the
+    ``iterations`` it gets alone: (B,) integers for a stack, one for a
+    frame.
     """
     if channel.truncation is None:
         raise ValueError("sum-product detection needs a tap-truncated channel")
@@ -361,18 +364,20 @@ def spa_detect(
     live = np.flatnonzero((degrees > 0) & (cells.size > 0))
     step = _SPA_MAX_CONFIGS // q ** int(degrees[live].max(initial=0))
     sweeps = 0
+    frame_sweeps = np.zeros(len(taps), dtype=np.int64)
     for first in range(0, live.size, step):
         batch = live[first:first + step]
-        beliefs, ran = _flood(y[batch], taps[batch], truncation[batch], sigma2[batch],
-                              points, iters, damping, data)
+        beliefs, frame_sweeps[batch] = _flood(y[batch], taps[batch], truncation[batch],
+                                              sigma2[batch], points, iters, damping, data)
         belief[np.ix_(batch, cells)] = beliefs
-        sweeps += ran
+        sweeps += int(frame_sweeps[batch].max())
 
     idx = belief.argmax(axis=2)
     soft = belief @ points
     if channel.taps.ndim == 2:
-        soft, idx, belief = soft[0], idx[0], belief[0]
-    return DetectionReport(soft=soft, hard_indices=idx, marginals=belief, iterations=sweeps)
+        soft, idx, belief, frame_sweeps = soft[0], idx[0], belief[0], frame_sweeps[0]
+    return DetectionReport(soft=soft, hard_indices=idx, marginals=belief, iterations=sweeps,
+                           frame_iterations=frame_sweeps)
 
 
 def _gather_index(columns: np.ndarray, shifts: np.ndarray, count: int, q: int) -> np.ndarray:
@@ -423,7 +428,7 @@ def _flood(
     has run ``iters`` sweeps, freezes: its factor columns take the damping
     weights 1 and 0, which leave its messages bit for bit as they are.  The
     flood stops once every frame is frozen.  Returns the (B, D, Q) beliefs
-    of the data cells and the number of sweeps run.
+    of the data cells and the (B,) sweeps each frame ran before it froze.
     """
     frames, n, m = taps.shape
     size = n * m
@@ -519,8 +524,8 @@ def _flood(
     starts = np.cumsum(counts) - counts
     keep, step = np.full(width, 1.0 - damping), np.full(width, damping)
     running = np.ones(frames, dtype=bool)
+    ran = np.zeros(frames, dtype=np.int64)
     head = likelihood.reshape((q,) * degree + (-1,))
-    sweeps = 0
     for sweeps in range(1, iters + 1):
         new_msgs = _normalize(_factor_messages(head, from_symbol), axis=1)
         change = np.abs(new_msgs - to_symbol).reshape(degree * q, -1).max(axis=0)
@@ -530,6 +535,7 @@ def _flood(
         to_symbol += new_msgs
         done = running & ((moved < _SPA_TOL) | (sweeps == iters))
         if done.any():
+            ran[done] = sweeps
             running &= ~done
             if not running.any():
                 break
@@ -548,4 +554,4 @@ def _flood(
 
     belief = np.prod(to_buffer.take(at_symbols), axis=0)
     belief = np.ascontiguousarray(belief.reshape(q, frames, cells.size).transpose(1, 2, 0))
-    return _normalize(belief, axis=2), sweeps
+    return _normalize(belief, axis=2), ran

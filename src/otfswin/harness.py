@@ -151,19 +151,18 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "the sum-product detector models white noise; use rx_window = rect"
             )
-        # numpy refuses arrays of over intp-max bytes with a ValueError; a chunk's
-        # largest are its complex (B, N, M) frames
-        chunk = min(_chunk_size(grid), len(snrs) * self.trials)
-        if 16 * chunk * grid.size > np.iinfo(np.intp).max:
-            raise ConfigurationError(f"M = {self.M}, N = {self.N}: the arrays of one "
-                                     f"{chunk}-frame chunk would not fit in memory")
-        # one path of one frame: five 8-byte draws and complex phases over N + M
-        fits = _PATH_BYTES // (chunk * (5 * 8 + 16 * (grid.N + grid.M)))
-        if self.paths > fits:
-            fields = f"paths = {self.paths}" if fits else f"M = {self.M}, N = {self.N}"
+        if 16 * grid.size > _FRAME_BYTES:
             raise ConfigurationError(
-                f"{fields}: the channel draws and phases of one {chunk}-frame chunk would "
-                f"not fit in {_PATH_BYTES >> 20} MiB of memory; at most {fits} paths do")
+                f"M = {self.M}, N = {self.N}: one complex frame would take "
+                f"{16 * grid.size} bytes, past the {_FRAME_BYTES >> 20} MiB of memory "
+                "allowed for a frame")
+        chunk = min(_chunk_size(grid), len(snrs) * self.trials)
+        fits = _paths_that_fit(grid, chunk)
+        if self.paths > fits:
+            raise ConfigurationError(
+                f"paths = {self.paths}: the channel draws and phases of one {chunk}-frame "
+                f"chunk would not fit in {_PATH_BYTES >> 20} MiB of memory; at most {fits} "
+                "paths do")
         object.__setattr__(self, "snr_db", snrs)
 
     # -- construction ------------------------------------------------------
@@ -428,9 +427,8 @@ def _link_parts(fields: tuple, pilot: bool) -> tuple:
         )
         n_data = int(layout.data_mask.sum())
     # every call with these fields shares the arrays, so none may be written
-    # in place (the layout's already are read-only)
-    shared = [constellation.points] + ([] if windows is None else [windows.tx, windows.rx])
-    for array in shared:
+    # in place (the constellation's and the layout's already are read-only)
+    for array in () if windows is None else (windows.tx, windows.rx):
         array.flags.writeable = False
     return grid, constellation, windows, layout, n_data * constellation.bits_per_symbol
 
@@ -485,10 +483,34 @@ def _chunk_size(grid: FrameGrid) -> int:
     return max(1, _CHUNK_BYTES // (16 * grid.size))
 
 
-# One chunk's channel draws and Doppler and delay phases in sample_channel
-# and tf_channel take at most this many bytes, about 6000 paths on the 30x20
-# grid; a config with more paths is refused.
+# One complex (N, M) frame takes at most this many bytes, a million cells;
+# a config with a larger grid is refused.  It leaves room under _PATH_BYTES
+# for at least one path on any grid.
+_FRAME_BYTES = 16 * 1024 * 1024
+
+# sample_channel and tf_channel on one chunk take at most this many bytes,
+# about 3000 paths on the 30x20 grid; a config with more paths is refused.
 _PATH_BYTES = 64 * 1024 * 1024
+# numpy's cast buffers and the small per-call arrays, counted once per chunk
+_PATH_SLACK_BYTES = 1024 * 1024
+
+
+def _paths_that_fit(grid: FrameGrid, chunk: int) -> int:
+    """The most paths whose channel draws and phases for ``chunk`` frames
+    on ``grid`` fit in ``_PATH_BYTES``.
+
+    Per path and frame that is at most 80 bytes of (B, P) arrays
+    (sample_channel's five draws beside its gain temporaries, or the
+    channel's arrays beside tf_channel's float and complex copies) and
+    32 (N + M) bytes of phases: tf_channel holds two complex arrays over
+    the N slots at once (the Doppler phases beside their exp argument or
+    beside their product with the gains) and, while it builds the delay
+    phases, two over the M subcarriers.  Its outer products then add the
+    output frames and one frame-sized product.
+    """
+    frames = 2 * 16 * chunk * grid.size
+    per_path = chunk * (80 + 32 * (grid.N + grid.M))
+    return (_PATH_BYTES - frames - _PATH_SLACK_BYTES) // per_path
 
 
 def _sweep(config: ExperimentConfig, chunk):

@@ -49,6 +49,15 @@ def naive_effective_channel(ch, windows):
     return taps
 
 
+def distance_argmin_indices(constellation, symbols):
+    """Index of the nearest constellation point to each symbol by its
+    distance to every point, ties to the lower index:
+    ``Constellation.nearest_indices`` before it sliced BPSK and QPSK per
+    axis."""
+    symbols = np.asarray(symbols, dtype=complex).reshape(-1)
+    return np.argmin(np.abs(symbols[:, None] - constellation.points[None, :]), axis=1)
+
+
 def python_sum_residual_power(taps, truncation):
     """Tap energy of one (N, M) frame outside the flat indices
     ``truncation``, as the seeded rows were first computed: numpy's sum of

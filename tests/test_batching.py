@@ -573,3 +573,29 @@ def test_spa_stack_matches_enumeration():
         slow = oracles.enumeration_spa_detect(frame, ch, 0.02, bpsk, data_mask=SPA_MASK)
         assert np.array_equal(hard, slow.hard_indices)
         assert np.max(np.abs(marginals - slow.marginals)) <= 1e-12
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("constellation, degrees", [
+    (Constellation.bpsk(), (3, 0, 3, 5, 3, 5, 1, 4)),
+    (QPSK, (2, 0, 2, 3, 2, 3, 1)),
+    # 4^6 configurations: three floods of two frames each
+    (QPSK, (6, 6, 2, 6, 6, 6)),
+], ids=["bpsk", "qpsk", "qpsk-split"])
+def test_spa_frame_iterations_are_each_frames_alone(constellation, degrees, masked):
+    y, channel = spa_frames(np.random.default_rng(40 + masked), constellation, degrees, 0.1)
+    split = 0 not in degrees
+    kwargs = dict(iters=4 if split else 10, damping=1.0, data_mask=SPA_MASK if masked else None)
+    stack, alone = spa_stack_vs_frames(y, channel, 0.1, constellation, **kwargs)
+    counts = [report.iterations for report in alone]
+    assert stack.frame_iterations.shape == (len(degrees),)
+    assert stack.frame_iterations.tolist() == counts
+    assert [int(report.frame_iterations) for report in alone] == counts
+    assert all(count == 0 for count, degree in zip(counts, degrees) if degree == 0)
+    if split:
+        # three floods of two frames, one after the other
+        assert stack.iterations == sum(max(counts[i:i + 2]) for i in range(0, 6, 2))
+    else:
+        # one flood, in which frames stop at different sweeps
+        assert len(set(counts) - {0}) > 1, counts
+        assert stack.iterations == max(counts)

@@ -220,6 +220,9 @@ class TestExperiments:
         # past the 64 MiB ceiling on one chunk's path draws and phases
         ("M = 30\nN = 20\npaths = 100000000", "paths = 100000000"),
         ("M = 5000000\nN = 20", "M = 5000000, N = 20: "),
+        # past the 16 MiB ceiling on one complex frame
+        ("M = 100000\nN = 100000\ntrials = 1", "M = 100000, N = 100000: "),
+        ("M = 1025\nN = 1024\ntrials = 1", "M = 1025, N = 1024: "),
         ("N = 8\ncsi = estimated-csir", "k_max=2 needs N >= 4 k_max + 1 = 9"),
     ])
     def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line, field):

@@ -4,7 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from otfswin import Constellation, FrameGrid, map_symbols, vectorize
 from otfswin.harness import ExperimentConfig
 
@@ -94,6 +97,88 @@ class TestConstellations:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             Constellation.by_name("16qam")
+
+
+def _around(x: float) -> list[float]:
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+# the per-axis slicing band's edges and their neighbours, exact point
+# coordinates, signed zeros, huge, subnormal and non-finite values
+EDGES = sorted({v for x in (1e-6, 1e3, 1.0, 1.0 / np.sqrt(2.0)) for v in _around(x)}
+               | {0.0, 1e20, 1e-300, 5e-324, 2.2250738585072014e-308, 1e-310, np.inf})
+COORDS = [sign * v for v in EDGES for sign in (1.0, -1.0)] + [np.nan]
+coordinate = st.one_of(st.sampled_from(COORDS),
+                       st.floats(min_value=-1e300, max_value=1e300),
+                       st.floats(min_value=-2e-6, max_value=2e-6),
+                       st.floats(min_value=-2e3, max_value=2e3))
+ALPHABETS = [Constellation.bpsk(), Constellation.qpsk()]
+
+
+class TestSlicing:
+    @pytest.mark.parametrize("c", ALPHABETS, ids=lambda c: c.name)
+    def test_every_pair_of_edge_coordinates_slices_as_the_distance_argmin(self, c):
+        re, im = np.meshgrid(COORDS, COORDS)
+        symbols = np.empty(re.size, dtype=complex)
+        symbols.real, symbols.imag = re.reshape(-1), im.reshape(-1)
+        assert np.array_equal(c.nearest_indices(symbols),
+                              oracles.distance_argmin_indices(c, symbols))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=12))
+    def test_nearest_indices_is_the_distance_argmin(self, pairs):
+        symbols = np.array([complex(re, im) for re, im in pairs])
+        for c in ALPHABETS:
+            assert np.array_equal(c.nearest_indices(symbols),
+                                  oracles.distance_argmin_indices(c, symbols))
+
+    def test_in_band_symbols_take_the_sign_labels(self):
+        symbols = np.array([0.5 + 0.5j, 0.5 - 0.5j, -0.5 + 0.5j, -0.5 - 0.5j, 3e-6 - 9e2j])
+        assert Constellation.qpsk().nearest_indices(symbols).tolist() == [0, 1, 2, 3, 1]
+        assert Constellation.bpsk().nearest_indices(symbols).tolist() == [0, 0, 1, 1, 0]
+
+    def test_other_alphabets_take_the_distance_argmin(self):
+        # the QPSK points in another labelling: no sign rule applies
+        c = Constellation("rotated", Constellation.qpsk().points[[3, 0, 1, 2]])
+        symbols = np.array([0.5 + 0.5j, -0.5 - 0.5j, 0.0, 2 - 1j])
+        assert np.array_equal(c.nearest_indices(symbols),
+                              oracles.distance_argmin_indices(c, symbols))
+        assert c.nearest_indices(symbols).tolist() == [1, 0, 0, 2]
+
+    def test_points_are_a_read_only_copy(self):
+        # the slicing rule is chosen from the points once, at construction
+        points = np.array(Constellation.qpsk().points)
+        c = Constellation("QPSK", points)
+        points[0] = -points[0]
+        assert c.points[0] == -points[0]
+        with pytest.raises(ValueError, match="read-only"):
+            c.points[0] = points[0]
+
+    def test_a_strided_frame_slices_as_its_copy(self):
+        frame = np.random.default_rng(5).standard_normal((6, 8)) * (1 + 1j)
+        c = Constellation.qpsk()
+        assert np.array_equal(c.nearest_indices(frame[:, ::3]),
+                              oracles.distance_argmin_indices(c, frame[:, ::3]))
+
+    @pytest.mark.parametrize("c, bits, labels", [
+        (Constellation.qpsk(), [0, 0, 0, 1, 1, 0, 1, 1], [0, 1, 2, 3]),
+        (Constellation.bpsk(), [0, 1, 1], [0, 1, 1]),
+        (Constellation.qpsk(), [], []),
+    ])
+    def test_bits_to_indices_labels_first_bit_most_significant(self, c, bits, labels):
+        assert c.bits_to_indices(np.array(bits, dtype=np.int64)).tolist() == labels
+
+    @pytest.mark.parametrize("c, bits, match", [
+        (Constellation.qpsk(), [0, 1, 2, 0], "0 or 1"),
+        (Constellation.qpsk(), [1, -1], "0 or 1"),
+        (Constellation.bpsk(), [2], "0 or 1"),
+        (Constellation.bpsk(), [0, -1], "0 or 1"),
+        (Constellation.qpsk(), [0, 1, 1], "multiple"),
+        (Constellation.qpsk(), [[0, 1], [1, 0]], "multiple"),
+    ])
+    def test_bits_to_indices_rejects_bad_bits(self, c, bits, match):
+        with pytest.raises(ValueError, match=match):
+            c.bits_to_indices(np.array(bits))
 
 
 class TestVectorization:

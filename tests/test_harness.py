@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -308,16 +309,49 @@ class TestConfig:
         assert meta["implied_max_speed_kmh"] > 0
 
     def test_paths_past_the_chunk_byte_ceiling_are_refused(self):
-        # 13 frames of 30x20: 13 x (5 x 8 + 16 x 50) bytes per path under 64 MiB
+        # 13 frames of 30x20: 13 x (80 + 32 x 50) bytes per path under 64 MiB,
+        # less twice the chunk's 124800 bytes of frames and 1 MiB of slack
         fields = dict(M=30, N=20, snr_db="10", trials=13)
         with pytest.raises(ConfigurationError, match="paths = 100000000: ") as info:
             ExperimentConfig(paths=100_000_000, **fields)
         assert "\n" not in str(info.value)
         limit = int(re.search(r"at most (\d+) paths", str(info.value)).group(1))
-        assert limit == 6145
+        assert limit == 3013
         ExperimentConfig(paths=limit, **fields)
         with pytest.raises(ConfigurationError, match=f"paths = {limit + 1}: "):
             ExperimentConfig(paths=limit + 1, **fields)
+
+    @pytest.mark.parametrize("M, N", [(30, 20), (8, 16), (2, 2), (2, 3000), (3000, 2),
+                                      (256, 256)])
+    def test_one_chunk_at_the_path_ceiling_peaks_within_it(self, M, N):
+        # numpy reports its array allocations to tracemalloc
+        grid = FrameGrid(M=M, N=N)
+        chunk = harness._chunk_size(grid)
+        k_max, l_max = (N - 1) // 2, min(M - 1, 4)
+        fields = dict(M=M, N=N, k_max=k_max, l_max=l_max, trials=chunk, snr_db="10")
+        with pytest.raises(ConfigurationError, match="paths = 100000000: ") as info:
+            ExperimentConfig(paths=100_000_000, **fields)
+        limit = int(re.search(r"at most (\d+) paths", str(info.value)).group(1))
+        ExperimentConfig(paths=limit, **fields)
+        generators = [np.random.default_rng([3, i]) for i in range(chunk)]
+        tracemalloc.start()
+        try:
+            taps = otfswin.tf_channel(otfswin.sample_channel(grid, limit, k_max, l_max,
+                                                             generators))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert taps.shape == (chunk, N, M)
+        assert harness._PATH_BYTES / 2 < peak <= harness._PATH_BYTES
+
+    def test_grids_past_the_frame_byte_ceiling_are_refused(self):
+        # constructed only: no run is started at these sizes
+        fields = dict(paths=1, k_max=0, l_max=0, trials=1, snr_db="10")
+        ExperimentConfig(M=1024, N=1024, **fields)  # a 16 MiB frame
+        for m, n in [(1025, 1024), (1024, 1025), (100_000, 100_000)]:
+            with pytest.raises(ConfigurationError, match=f"^M = {m}, N = {n}: ") as info:
+                ExperimentConfig(M=m, N=n, **fields)
+            assert "\n" not in str(info.value)
 
     def test_spa_tap_default_follows_path_count(self):
         assert ExperimentConfig(paths=2).spa_tap_count() == 5
