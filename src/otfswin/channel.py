@@ -131,10 +131,13 @@ def sample_channel(
     exactly 1 for every realization.
 
     A sequence of B generators gives a (B, P) stack.  Each generator makes
-    its own draws in one order (delays, integer Doppler, fractions with the
-    redraw of the closed endpoint, real parts of the gains, imaginary parts);
-    the arithmetic after the draws runs once for the stack, and realization
-    i is bit for bit the one generator i gives alone.
+    its own draws in one order, one call per distribution: the delays and
+    integer Dopplers as one (2, P) ``integers`` draw on per-row bounds
+    (delays first, the values two ``size=P`` draws give), the fractions with
+    the redraw of the closed endpoint, then the real and imaginary parts of
+    the gains as one (2, P) ``standard_normal`` draw.  The arithmetic after
+    the draws runs once for the stack, and realization i is bit for bit the
+    one generator i gives alone.
     """
     if num_paths < 1:
         raise ValueError("need at least one path")
@@ -145,21 +148,27 @@ def sample_channel(
 
     single = isinstance(rng, np.random.Generator)
     generators = (rng,) if single else tuple(rng)
-    shape = (len(generators), num_paths)
-    delays = np.empty(shape, dtype=np.int64)
-    dopplers = np.empty(shape, dtype=np.int64)
-    fracs, real, imag = np.empty(shape), np.empty(shape), np.empty(shape)
-    for gen, d, k, f, re, im in zip(generators, delays, dopplers, fracs, real, imag):
-        d[...] = gen.integers(0, l_max + 1, size=num_paths)
-        k[...] = gen.integers(-k_max, k_max + 1, size=num_paths)
+    frames = len(generators)
+    # row 0 draws the delays on [0, l_max], row 1 the Dopplers on [-k_max, k_max]
+    low = np.array([[0] * num_paths, [-k_max] * num_paths])
+    high = np.array([[l_max + 1] * num_paths, [k_max + 1] * num_paths])
+    bins = np.empty((frames, 2, num_paths), dtype=np.int64)
+    fracs = np.empty((frames, num_paths))
+    gauss = np.empty((frames, 2, num_paths))
+    for gen, b, f, g in zip(generators, bins, fracs, gauss):
+        b[...] = gen.integers(low, high)
         gen.random(out=f)
-        f -= 0.5
-        while (f <= -0.5).any():  # exclude the closed endpoint
-            redo = f <= -0.5
-            f[redo] = gen.random(int(np.count_nonzero(redo))) - 0.5
-        gen.standard_normal(out=re)
-        gen.standard_normal(out=im)
+        # a draw of exactly 0 would put the fraction on the closed endpoint
+        # -1/2; every other draw on [0, 1) stays above it after the shift
+        while not f.all():
+            redo = f == 0.0
+            f[redo] = gen.random(int(np.count_nonzero(redo)))
+        gen.standard_normal(out=g)
 
+    fracs -= 0.5
+    # contiguous (B, P) planes, as the arithmetic below and the realization take them
+    delays, dopplers = bins.swapaxes(0, 1).copy()
+    real, imag = gauss.swapaxes(0, 1).copy()
     scale = np.sqrt(delay_power_profile(delays) / 2.0)
     # named, so that numpy does not reorder the complex product (see tf_channel)
     normal = real + 1j * imag
@@ -215,6 +224,13 @@ def _dd_response(tf_grid: np.ndarray) -> np.ndarray:
     per frame of a ``[..., N, M]`` stack."""
     n = tf_grid.shape[-2]
     return np.fft.fft(np.fft.ifft(tf_grid, axis=-1), axis=-2) / n
+
+
+def _dd_response_delays(tf_grid: np.ndarray, count: int) -> np.ndarray:
+    """Delay columns 0 .. count - 1 of :func:`_dd_response`, bit for bit: a
+    ``[..., N, count]`` stack whose Doppler FFT runs on those columns only."""
+    n = tf_grid.shape[-2]
+    return np.fft.fft(np.fft.ifft(tf_grid, axis=-1)[..., :count], axis=-2) / n
 
 
 def tf_gains_from_taps(tap_grid: np.ndarray) -> np.ndarray:
@@ -369,7 +385,9 @@ def transmit_frame(
         for gen, frame_draws, frame_scale in zip(generators, draws, frame_scales):
             if frame_scale > 0.0:
                 gen.standard_normal(out=frame_draws)
-        noise = (draws[:, 0] + 1j * draws[:, 1]).reshape(x_tf.shape)
+        noise = np.empty((len(generators),) + shape, dtype=complex)
+        noise.real, noise.imag = draws[:, 0], draws[:, 1]
+        noise = noise.reshape(x_tf.shape)
         received = received + scale[..., None, None] * noise
     return sfft(windows.rx * received)
 

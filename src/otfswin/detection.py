@@ -471,8 +471,8 @@ def _flood(
     fac_shifts = np.where(on_data, 0, to_known + pad[:, :, None]).transpose(1, 0, 2)[:, live]
 
     # likelihood[c_0, .., c_{L-1}, f] of factor f under symbol values c,
-    # built per degree d by one (NM, d) x (d, Q^d) product per frame and
-    # tiled over the pad axes
+    # built per degree d by one (F_d, d) x (d, Q^d) product over the live
+    # factors of that degree's frames and tiled over the pad axes
     width = int(counts.sum())
     frame_of = np.repeat(np.arange(frames), counts)
     taps = taps.reshape(frames, size)
@@ -484,9 +484,8 @@ def _flood(
         gains[:] = np.take_along_axis(taps[members], kept[members, slots], axis=1)[:, None, :]
         gains[~data[sym_of[members, slots].transpose(0, 2, 1)]] = 0.0  # known zeros add nothing
         configs = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
-        means = gains @ points[configs].T
+        means = gains[live[members]] @ points[configs].T     # (F_d, Q^d)
         del gains
-        means = means[live[members]]                         # (F_d, Q^d)
         np.subtract(y[members][live[members]][:, None], means, out=means)
         part = np.empty((configs.shape[0], means.shape[0]))
         np.abs(means.T, out=part)

@@ -187,7 +187,8 @@ def measured_ce_mse(
 
     Expressed at the received-pilot scale, |x_p * (est - truth)|^2, so values
     line up with :func:`predicted_mse_floor` for any pilot power.  Stacks of
-    ``[..., N, M]`` tap grids give one value per frame.
+    ``[..., N, M]`` tap grids give one value per frame.  Only delays
+    0 .. l_max are read, so either grid may hold just those columns.
     """
     # Behind a leading axis the np.ix_ gather returns the batch axis
     # innermost, and np.sum over that layout adds a frame's cells in another

@@ -363,8 +363,31 @@ def noise_power(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
+def _seed_words(value: int) -> list[int]:
+    """The 32-bit little-endian words of a nonnegative integer, at least
+    one: the words numpy's ``SeedSequence`` makes of a Python int."""
+    if value < 0:
+        raise ValueError(f"seeds and indices must be nonnegative, got {value}")
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
 def _trial_rng(config: ExperimentConfig, snr_index: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([config.seed, snr_index, trial])
+    """The PCG64 stream of one trial, seeded by the 32-bit words of the
+    master seed, the SNR index and the trial index in that order.
+
+    Those are the words numpy makes of the list ``[seed, snr_index,
+    trial]``, so the stream is that of ``np.random.default_rng([seed,
+    snr_index, trial])``; handing numpy the word array skips its per-item
+    list coercion.
+    """
+    words = _seed_words(config.seed) + _seed_words(snr_index) + _seed_words(trial)
+    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(entropy))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +566,11 @@ def _sweep(config: ExperimentConfig, chunk):
 
 def run_ce_mse(config: ExperimentConfig) -> list[ResultRow]:
     """Measured CE error (summed over the pilot read window, at the received
-    pilot scale) against the analytic floor, per SNR point."""
+    pilot scale) against the analytic floor, per SNR point.
+
+    The error reads the true taps on delays 0 .. l_max only, the columns of
+    the read window, so the truth's Doppler FFT runs on those columns alone.
+    """
     if config.tx_window == "optimal":
         raise ConfigurationError(
             "ce-mse needs a fixed TX window (rect or dc); the optimal window "
@@ -554,7 +581,8 @@ def run_ce_mse(config: ExperimentConfig) -> list[ResultRow]:
     def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> np.ndarray:
         _, y, _, gains = _transmit(link, cells, n0)
         est = est_mod.estimate_channel(y, link.layout, n0)
-        return est_mod.measured_ce_mse(ch_mod._dd_response(gains), est, link.layout)
+        truth = ch_mod._dd_response_delays(gains, config.l_max + 1)
+        return est_mod.measured_ce_mse(truth, est, link.layout)
 
     return _ce_rows(config, _sweep(config, chunk))
 
@@ -642,7 +670,10 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
     sum-product detector models the noise as white at power N0, so shaping
     RX windows pair with MMSE, not SPA.  Frames are sent and detected a
     chunk at a time (:func:`_detect_frames`); each trial keeps only its
-    frame's bit error count, so memory does not grow with the trial count.
+    frame's bit error count, but :func:`_sweep` holds one count per trial of
+    the running SNR point, so memory grows with ``trials`` by a Python int
+    per trial.  ROADMAP item 12, which stops a point at an error count,
+    is the place to stream the counts instead.
     """
     link = _link(config, pilot=config.csi == "estimated-csir")
     if link.bits_per_frame == 0:

@@ -642,9 +642,11 @@ def single_frame_transmit(dd_frame, tf_gain_grid, windows, n0=0.0, rng=None):
 
 def per_trial_transmit(link, snr_index, trial, n0):
     """One trial of the link up to the receiver, every layer called on its
-    own frame: the chain the harness ran before trials ran in chunks."""
+    own frame: the chain the harness ran before trials ran in chunks.  The
+    trial's stream is seeded here by numpy's own list coercion, not by the
+    harness's ``_trial_rng``."""
     config = link.config
-    rng = harness._trial_rng(config, snr_index, trial)
+    rng = np.random.default_rng([config.seed, snr_index, trial])
     ch = single_generator_sample_channel(link.grid, config.paths, config.k_max, config.l_max,
                                          rng)
     tf_gains = broadcast_sum_tf_channel(ch)

@@ -39,7 +39,7 @@ from otfswin import (
     transmit_frame,
 )
 from otfswin import detection
-from otfswin.channel import _dd_response
+from otfswin.channel import _dd_response, _dd_response_delays
 from otfswin.harness import ExperimentConfig, build_windows
 
 GRID = FrameGrid(M=30, N=20)
@@ -82,6 +82,17 @@ def assert_framewise(stacked, per_frame) -> None:
 def test_transforms(layer, frames):
     x = complex_stack(np.random.default_rng(frames), frames)
     assert_framewise(layer(x), (layer(f) for f in x))
+
+
+@pytest.mark.parametrize("frames", [1, 13, 64])
+@pytest.mark.parametrize("shape", [(20, 30), (16, 8), (32, 64)], ids=str)
+def test_dd_response_on_the_first_delays_is_the_full_responses_columns(shape, frames):
+    rng = np.random.default_rng(frames)
+    x = rng.standard_normal((frames,) + shape) + 1j * rng.standard_normal((frames,) + shape)
+    full = _dd_response(x)
+    for count in (1, 3, 5, shape[1]):
+        assert np.array_equal(_dd_response_delays(x, count), full[..., :count])
+    assert np.array_equal(_dd_response_delays(x[0], 5), full[0, :, :5])
 
 
 def test_transforms_take_any_number_of_leading_axes():
@@ -131,6 +142,25 @@ def test_sample_channel_stack(paths, frames):
     assert_framewise(tf_channel(stack), (oracles.broadcast_sum_tf_channel(ch) for ch in alone))
 
 
+@pytest.mark.parametrize("l_max", [0, 4, GRID.M - 1])
+@pytest.mark.parametrize("k_max", [0, 1, 3])
+def test_sample_channel_is_the_single_generator_draw(k_max, l_max):
+    # one integers draw on (2, P) bounds and one (2, P) normal draw give the
+    # values, and leave the stream where, the per-array draws leave it
+    for paths in range(1, 10):
+        seeds = [[k_max, l_max, paths, i] for i in range(3)]
+        generators = [np.random.default_rng(seed) for seed in seeds]
+        stack = sample_channel(GRID, paths, k_max, l_max, generators)
+        olds = [np.random.default_rng(seed) for seed in seeds]
+        alone = [oracles.single_generator_sample_channel(GRID, paths, k_max, l_max, rng)
+                 for rng in olds]
+        assert_same_realizations(stack, alone)
+        single = np.random.default_rng(seeds[0])
+        assert sample_channel(GRID, paths, k_max, l_max, single) == alone[0]
+        for rng, old in zip(generators + [single], olds + olds[:1]):
+            assert rng.bit_generator.state == old.bit_generator.state
+
+
 class FirstRandomZero:
     """A generator whose first ``random`` draw starts with 0.0, the value
     that puts a Doppler fraction on the excluded endpoint -1/2; it logs
@@ -160,13 +190,13 @@ def test_sample_channel_redraws_the_endpoint_from_the_trials_own_stream():
     stub = FirstRandomZero(seeds[1])
     generators = [np.random.default_rng(seeds[0]), stub, np.random.default_rng(seeds[2])]
     stack = sample_channel(GRID, 5, 3, 4, generators)
-    assert stub.draws == ["integers", "integers", "random", "random",
-                          "standard_normal", "standard_normal"]
+    # one draw per distribution: delays with Dopplers, fractions, the redraw,
+    # gains (the single-generator oracle makes two integer and two normal draws)
+    assert stub.draws == ["integers", "random", "random", "standard_normal"]
     old_stub = FirstRandomZero(seeds[1])
     alone = [sample_channel(GRID, 5, 3, 4, np.random.default_rng(seeds[0])),
              oracles.single_generator_sample_channel(GRID, 5, 3, 4, old_stub),
              sample_channel(GRID, 5, 3, 4, np.random.default_rng(seeds[2]))]
-    assert old_stub.draws == stub.draws
     assert_same_realizations(stack, alone)
     # the redrawn fraction is the stream's next value, not the endpoint
     fresh = np.random.default_rng(seeds[1])

@@ -236,6 +236,41 @@ class TestChunkBoundaries:
         list(_sweep(cfg, chunk))
         assert chunks == [[(0, 0), (0, 1), (1, 0), (1, 1)]]
 
+    @pytest.mark.parametrize("name", ["ce-rect", "fer-estimated-mmse"])
+    def test_a_multi_word_seed_gives_the_per_trial_rows(self, name):
+        # 2**32 + 7 is two seed words; the per-trial chain seeds each trial
+        # with numpy's own list coercion, not the harness's _trial_rng
+        runner, oracle, fields = CHUNK_CASES[name]
+        cfg = ExperimentConfig.from_mapping(
+            {k: str(v) for k, v in dict(_CHUNK_GRID, **dict(fields, snr_db="10, 35"),
+                                         trials=self.CHUNK + 1, seed=2**32 + 7).items()})
+        assert rows_to_csv(runner(cfg)) == rows_to_csv(oracle(cfg))
+
+
+class TestTrialStreams:
+    """Each trial's stream is the one numpy seeds from the list
+    ``[seed, snr_index, trial]``, for seeds and indices of any word count."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30])
+    def test_trial_rng_is_the_list_seeded_stream(self, seed):
+        config = ExperimentConfig(seed=seed, trials=1, snr_db="10")
+        for snr_index in (0, 2, 2**32):
+            for trial in (0, 1, 12, 2**32 - 1, 2**32, 2**32 + 3):
+                got = harness._trial_rng(config, snr_index, trial)
+                want = np.random.default_rng([seed, snr_index, trial])
+                assert np.array_equal(got.random(3), want.random(3))
+                assert np.array_equal(got.integers(0, 2**62, 3), want.integers(0, 2**62, 3))
+                assert np.array_equal(got.standard_normal(3), want.standard_normal(3))
+                assert got.bit_generator.state == want.bit_generator.state
+
+    def test_seed_words_are_little_endian_32_bit(self):
+        assert harness._seed_words(0) == [0]
+        assert harness._seed_words(2**32 - 1) == [2**32 - 1]
+        assert harness._seed_words(2**32) == [0, 1]
+        assert harness._seed_words(2**64 + 5) == [5, 0, 1]
+        with pytest.raises(ValueError, match="nonnegative"):
+            harness._seed_words(-1)
+
 
 class TestConfig:
     def test_defaults_round_trip_through_mapping(self):
