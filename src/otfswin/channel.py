@@ -93,11 +93,6 @@ class ChannelRealization:
             self.gains.tolist(), self.delay_bins.tolist(), self.doppler_bins.tolist(),
             self.doppler_fracs.tolist()))
 
-    @property
-    def doppler_shifts(self) -> np.ndarray:
-        """Total Doppler per path in bins (integer part plus fraction)."""
-        return self.doppler_bins + self.doppler_fracs
-
     def total_gain_power(self) -> float | np.ndarray:
         """Sum of |gain|^2 over the paths, one per realization of a stack."""
         power = np.sum(np.abs(self.gains) ** 2, axis=-1)
@@ -196,7 +191,7 @@ def tf_channel(ch: ChannelRealization) -> np.ndarray:
     per-trial path.
     """
     grid = ch.grid
-    gains, nu = np.atleast_2d(ch.gains, ch.doppler_shifts)
+    gains, nu = np.atleast_2d(ch.gains, ch.doppler_bins + ch.doppler_fracs)
     delay = np.atleast_2d(ch.delay_bins).astype(float)
     # A temporary that is multiplied from the left is bound to a name first.
     # numpy rewrites ``a * tmp`` on a nameless temporary of 256 KiB or more
@@ -215,22 +210,38 @@ def tf_channel(ch: ChannelRealization) -> np.ndarray:
     return out[0] if ch.gains.ndim == 1 else out
 
 
+# numpy's cast buffers and the small per-call arrays, counted once per stack
+_PATH_SLACK_BYTES = 1024 * 1024
+
+
+def paths_that_fit(grid: FrameGrid, frames: int, budget: int) -> int:
+    """The most paths whose channel draws and phases for a stack of
+    ``frames`` frames on ``grid`` fit in ``budget`` bytes.
+
+    Per path and frame that is at most 80 bytes of (B, P) arrays
+    (sample_channel's five draws beside its gain temporaries, or the
+    channel's arrays beside tf_channel's float and complex copies) and
+    32 (N + M) bytes of phases: tf_channel holds two complex arrays over
+    the N slots at once (the Doppler phases beside their exp argument or
+    beside their product with the gains) and, while it builds the delay
+    phases, two over the M subcarriers.  Its outer products then add the
+    output frames and one frame-sized product.
+    """
+    frame_bytes = 2 * 16 * frames * grid.size
+    per_path = frames * (80 + 32 * (grid.N + grid.M))
+    return (budget - frame_bytes - _PATH_SLACK_BYTES) // per_path
+
+
 # ---------------------------------------------------------------------------
 # DD-domain filters and the effective channel
 # ---------------------------------------------------------------------------
 
-def _dd_response(tf_grid: np.ndarray) -> np.ndarray:
+def _dd_response(tf_grid: np.ndarray, delays: int | None = None) -> np.ndarray:
     """(1/NM) * sum_{n,m} A[n,m] exp(-j2pi nk/N) exp(+j2pi ml/M) for all (k,l),
-    per frame of a ``[..., N, M]`` stack."""
+    per frame of a ``[..., N, M]`` stack.  With ``delays``, only the delay
+    columns 0 .. delays - 1, bit for bit: the Doppler FFT runs on those alone."""
     n = tf_grid.shape[-2]
-    return np.fft.fft(np.fft.ifft(tf_grid, axis=-1), axis=-2) / n
-
-
-def _dd_response_delays(tf_grid: np.ndarray, count: int) -> np.ndarray:
-    """Delay columns 0 .. count - 1 of :func:`_dd_response`, bit for bit: a
-    ``[..., N, count]`` stack whose Doppler FFT runs on those columns only."""
-    n = tf_grid.shape[-2]
-    return np.fft.fft(np.fft.ifft(tf_grid, axis=-1)[..., :count], axis=-2) / n
+    return np.fft.fft(np.fft.ifft(tf_grid, axis=-1)[..., :delays], axis=-2) / n
 
 
 def tf_gains_from_taps(tap_grid: np.ndarray) -> np.ndarray:
@@ -379,7 +390,7 @@ def transmit_frame(
         if len(generators) * shape[0] * shape[1] != x_tf.size:
             raise ValueError("a stack of frames needs one generator per frame")
         scale = np.sqrt(n0 / 2.0)
-        frame_scales = np.broadcast_to(scale, x_tf.shape[:-2]).reshape(-1).tolist()
+        frame_scales = (np.zeros(x_tf.shape[:-2]) + scale).reshape(-1).tolist()
         # frame i's (2, N, M) draws: its real plane, then its imaginary plane
         draws = np.zeros((len(generators), 2) + shape)
         for gen, frame_draws, frame_scale in zip(generators, draws, frame_scales):

@@ -381,25 +381,13 @@ def spa_detect(
 
 
 def _gather_index(columns: np.ndarray, shifts: np.ndarray, count: int, q: int) -> np.ndarray:
-    """Flat ``take`` index into an (L + 2, Q, count) message buffer (see
-    :func:`_message_buffer`).  At [t, v, j] it reads value v on slot t of
-    column ``columns[t, j]`` or, where ``shifts[t, j]`` = s > 0 and
-    ``columns[t, j]`` = -1, value v of column 0 on constant slot t + s."""
+    """Flat ``take`` index into an (L + 2, Q, count) message buffer whose
+    slots L and L + 1 hold constants (see :func:`_flood`).  At [t, v, j] it
+    reads value v on slot t of column ``columns[t, j]`` or, where
+    ``shifts[t, j]`` = s > 0 and ``columns[t, j]`` = -1, value v of column 0
+    on constant slot t + s."""
     rows = (np.arange(columns.shape[0])[:, None] * q + np.arange(q)) * count
     return rows[:, :, None] + (np.maximum(columns, 0) + shifts * (q * count))[:, None, :]
-
-
-def _message_buffer(
-    degree: int, q: int, count: int, first, second
-) -> tuple[np.ndarray, np.ndarray]:
-    """An (L + 2, Q, count) message buffer whose slots L and L + 1 hold the
-    constant messages ``first`` and ``second`` (a value, or one per
-    constellation point) in every column, and the view of its first L
-    slots."""
-    buffer = np.empty((degree + 2, q, count))
-    buffer[degree] = np.reshape(first, (-1, 1))
-    buffer[degree + 1] = np.reshape(second, (-1, 1))
-    return buffer, buffer[:degree]
 
 
 def _flood(
@@ -454,7 +442,7 @@ def _flood(
     # symbols in columns b*D..(b+1)*D-1.  Per slot, a symbol reads the
     # column of its factor and a factor the column of its symbol; a factor
     # slot on a known symbol reads constant slot L, and a pad slot constant
-    # slot L + 1 (see :func:`_message_buffer`).
+    # slot L + 1 of the message buffers below.
     cells = np.flatnonzero(data)
     on_data = data[sym_of] & ~pad[:, :, None]
     live = on_data.any(axis=1)
@@ -510,11 +498,14 @@ def _flood(
     # one puts them back.  A frame's move is the largest over its
     # consecutive factor columns; ``keep`` and ``step`` weigh the old and
     # new messages of each column, 1 and 0 once its frame is frozen.
-    uniform, point_mass = 1.0 / q, (np.arange(q) == 0).astype(float)
-    to_buffer, to_symbol = _message_buffer(degree, q, width, uniform, 1.0)
-    to_symbol[:] = uniform
-    from_buffer, out = _message_buffer(degree, q, sym_cols.shape[1], uniform, point_mass)
-    out[:] = uniform
+    to_buffer = np.empty((degree + 2, q, width))
+    to_buffer[:degree + 1] = 1.0 / q
+    to_buffer[degree + 1] = 1.0
+    to_symbol = to_buffer[:degree]
+    from_buffer = np.empty((degree + 2, q, sym_cols.shape[1]))
+    from_buffer[:degree + 1] = 1.0 / q
+    from_buffer[degree + 1] = (np.arange(q) == 0)[:, None]
+    out = from_buffer[:degree]
     at_symbols = _gather_index(sym_cols, sym_shifts, width, q)
     at_factors = _gather_index(fac_cols, fac_shifts, sym_cols.shape[1], q)
     from_symbol = from_buffer.take(at_factors)

@@ -157,7 +157,7 @@ class ExperimentConfig:
                 f"{16 * grid.size} bytes, past the {_FRAME_BYTES >> 20} MiB of memory "
                 "allowed for a frame")
         chunk = min(_chunk_size(grid), len(snrs) * self.trials)
-        fits = _paths_that_fit(grid, chunk)
+        fits = ch_mod.paths_that_fit(grid, chunk, _PATH_BYTES)
         if self.paths > fits:
             raise ConfigurationError(
                 f"paths = {self.paths}: the channel draws and phases of one {chunk}-frame "
@@ -219,9 +219,6 @@ class ExperimentConfig:
 
     def grid(self) -> FrameGrid:
         return FrameGrid(M=self.M, N=self.N, delta_f=self.delta_f, fc=self.fc)
-
-    def constellation_obj(self) -> Constellation:
-        return Constellation.by_name(self.constellation)
 
     def spa_tap_count(self) -> int:
         return self.spa_taps if self.spa_taps > 0 else 3 * self.paths - 1
@@ -295,15 +292,15 @@ def _shaping_window(config: ExperimentConfig) -> str:
 
 
 def ce_rows_csv(rows: list[ResultRow], config: ExperimentConfig) -> str:
-    """Compact channel-estimation summary, one line per SNR point."""
-    measured = {r.snr_db: r.value for r in rows if r.metric == "ce_mse"}
-    predicted = {r.snr_db: r.value for r in rows if r.metric == "ce_mse_predicted"}
+    """Compact channel-estimation summary, one line per SNR point in config order."""
+    measured = [r for r in rows if r.metric == "ce_mse"]
+    predicted = [r.value for r in rows if r.metric == "ce_mse_predicted"]
     window = _shaping_window(config)
     lines = ["snr_db,pilot_dbw,window,khat,mse_measured,mse_predicted"]
-    for snr in sorted(measured):
+    for row, mse_predicted in zip(measured, predicted):
         lines.append(
-            f"{_fmt(snr)},{_fmt(config.pilot_power_dbw)},{window},{config.k_hat},"
-            f"{_fmt(measured[snr])},{_fmt(predicted[snr])}"
+            f"{_fmt(row.snr_db)},{_fmt(config.pilot_power_dbw)},{window},{config.k_hat},"
+            f"{_fmt(row.value)},{_fmt(mse_predicted)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -440,7 +437,7 @@ def _link_parts(fields: tuple, pilot: bool) -> tuple:
     # passes validation whenever the caller's config does
     config = ExperimentConfig(**dict(zip(_LINK_FIELDS, fields)), trials=1, snr_db=(0.0,))
     grid = config.grid()
-    constellation = config.constellation_obj()
+    constellation = Constellation.by_name(config.constellation)
     windows = None if config.tx_window == "optimal" else build_windows(config, grid)
     layout = None
     n_data = grid.size
@@ -511,29 +508,10 @@ def _chunk_size(grid: FrameGrid) -> int:
 # for at least one path on any grid.
 _FRAME_BYTES = 16 * 1024 * 1024
 
-# sample_channel and tf_channel on one chunk take at most this many bytes,
-# about 3000 paths on the 30x20 grid; a config with more paths is refused.
+# One chunk's channel draws and phases (channel.paths_that_fit) take at most
+# this many bytes, about 3000 paths on the 30x20 grid; a config with more
+# paths is refused.
 _PATH_BYTES = 64 * 1024 * 1024
-# numpy's cast buffers and the small per-call arrays, counted once per chunk
-_PATH_SLACK_BYTES = 1024 * 1024
-
-
-def _paths_that_fit(grid: FrameGrid, chunk: int) -> int:
-    """The most paths whose channel draws and phases for ``chunk`` frames
-    on ``grid`` fit in ``_PATH_BYTES``.
-
-    Per path and frame that is at most 80 bytes of (B, P) arrays
-    (sample_channel's five draws beside its gain temporaries, or the
-    channel's arrays beside tf_channel's float and complex copies) and
-    32 (N + M) bytes of phases: tf_channel holds two complex arrays over
-    the N slots at once (the Doppler phases beside their exp argument or
-    beside their product with the gains) and, while it builds the delay
-    phases, two over the M subcarriers.  Its outer products then add the
-    output frames and one frame-sized product.
-    """
-    frames = 2 * 16 * chunk * grid.size
-    per_path = chunk * (80 + 32 * (grid.N + grid.M))
-    return (_PATH_BYTES - frames - _PATH_SLACK_BYTES) // per_path
 
 
 def _sweep(config: ExperimentConfig, chunk):
@@ -581,7 +559,7 @@ def run_ce_mse(config: ExperimentConfig) -> list[ResultRow]:
     def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> np.ndarray:
         _, y, _, gains = _transmit(link, cells, n0)
         est = est_mod.estimate_channel(y, link.layout, n0)
-        truth = ch_mod._dd_response_delays(gains, config.l_max + 1)
+        truth = ch_mod._dd_response(gains, config.l_max + 1)
         return est_mod.measured_ce_mse(truth, est, link.layout)
 
     return _ce_rows(config, _sweep(config, chunk))

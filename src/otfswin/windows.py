@@ -60,14 +60,9 @@ class WindowPair:
     def joint(self) -> np.ndarray:
         return self.rx * self.tx
 
-    def tx_power(self) -> float:
-        """Average transmit power scale (1/MN) * sum |tx|^2, 1 when normalized."""
-        return float(np.mean(np.abs(self.tx) ** 2))
-
     @classmethod
     def rectangular(cls, grid: FrameGrid) -> "WindowPair":
-        ones = np.ones(grid.shape)
-        return cls(tx=ones, rx=ones.copy())
+        return cls.separable(grid)
 
     @classmethod
     def separable(

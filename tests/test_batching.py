@@ -39,7 +39,7 @@ from otfswin import (
     transmit_frame,
 )
 from otfswin import detection
-from otfswin.channel import _dd_response, _dd_response_delays
+from otfswin.channel import _dd_response
 from otfswin.harness import ExperimentConfig, build_windows
 
 GRID = FrameGrid(M=30, N=20)
@@ -90,9 +90,9 @@ def test_dd_response_on_the_first_delays_is_the_full_responses_columns(shape, fr
     rng = np.random.default_rng(frames)
     x = rng.standard_normal((frames,) + shape) + 1j * rng.standard_normal((frames,) + shape)
     full = _dd_response(x)
-    for count in (1, 3, 5, shape[1]):
-        assert np.array_equal(_dd_response_delays(x, count), full[..., :count])
-    assert np.array_equal(_dd_response_delays(x[0], 5), full[0, :, :5])
+    for count in (1, 3, 5, shape[1], None):
+        assert np.array_equal(_dd_response(x, count), full[..., :count])
+    assert np.array_equal(_dd_response(x[0], 5), full[0, :, :5])
 
 
 def test_transforms_take_any_number_of_leading_axes():

@@ -448,6 +448,16 @@ class TestCeExperiment:
         fields = lines[1].split(",")
         assert float(fields[0]) == 30.0 and fields[2] == "rect" and fields[3] == "1"
 
+    def test_ce_rows_summary_keeps_every_point_in_config_order(self):
+        # a repeated SNR point is measured twice and reported twice, in place
+        cfg = ExperimentConfig(**{**TINY_CE, "trials": 3, "seed": 1, "snr_db": "30, 10, 30"})
+        rows = run_ce_mse(cfg)
+        lines = ce_rows_csv(rows, cfg).strip().splitlines()[1:]
+        measured = [r for r in rows if r.metric == "ce_mse"]
+        assert [line.split(",")[0] for line in lines] == ["30", "10", "30"]
+        assert [line.split(",")[4] for line in lines] == [f"{r.value:.12g}" for r in measured]
+        assert lines[0].split(",")[4] == "0.142385274839"
+
 
 class TestFerExperiment:
     def test_a_frame_without_data_cells_is_a_configuration_error(self):
@@ -626,7 +636,7 @@ class TestLinkCache:
         grid = changed.grid()
         layout = PilotLayout.centered(grid, changed.k_max, changed.l_max, changed.k_hat,
                                       changed.pilot_power_dbw)
-        constellation = changed.constellation_obj()
+        constellation = Constellation.by_name(changed.constellation)
         assert cached.grid == grid and cached.layout == layout
         assert cached.constellation.name == constellation.name
         built = _link_arrays(constellation, build_windows(changed, grid), layout)

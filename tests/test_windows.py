@@ -236,7 +236,11 @@ class TestWindowPair:
         design = dc_window(grid.N, -40.0)
         pair = WindowPair.separable(grid, tx_doppler=design.coeffs)
         assert np.sum(np.abs(pair.joint) ** 2) == pytest.approx(grid.size, rel=1e-9)
-        assert pair.tx_power() == pytest.approx(1.0, rel=1e-12)
+        assert np.mean(np.abs(pair.tx) ** 2) == pytest.approx(1.0, rel=1e-12)
+        # with no Doppler vectors both sides are the rectangular grid of 1+0j
+        rect, plain = WindowPair.rectangular(grid), WindowPair.separable(grid)
+        for a, b in ((rect.tx, plain.tx), (rect.rx, plain.rx)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_axis_length_validation(self):
         grid = FrameGrid(M=6, N=20)
@@ -258,4 +262,5 @@ class TestWindowPair:
         for _ in range(frames):
             x = qpsk.points[rng.integers(0, 4, grid.size)].reshape(grid.shape)
             total += float(np.sum(np.abs(pair.tx * isfft(x)) ** 2))
-        assert total / frames == pytest.approx(grid.size * pair.tx_power(), rel=0.01)
+        assert total / frames == pytest.approx(grid.size * np.mean(np.abs(pair.tx) ** 2),
+                                               rel=0.01)
