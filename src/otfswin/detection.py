@@ -320,17 +320,17 @@ def spa_detect(
     leaves the uniform prior, decided as constellation index 0, after 0
     sweeps; known cells keep that prior too.
 
-    All frames of a stack run one flood (:func:`_flood`) with L the
-    largest degree: a frame that keeps d < L taps gives its factors L - d
-    pad slots of zero gain, which read the point mass [1, 0, ..] and leave
-    its numbers exact.  Each frame stops on its own, its messages frozen in
-    place, so every frame gets bit for bit its result alone; at most
-    ``_SPA_MAX_CONFIGS // Q^L`` frames share a flood.  A stack returns
-    (B, NM) ``soft`` and ``hard_indices`` and (B, NM, Q) ``marginals``.
-    ``iterations`` counts the sweeps the call ran, for one frame its
-    iterations, and ``frame_iterations`` holds each frame's own count, the
-    ``iterations`` it gets alone: (B,) integers for a stack, one for a
-    frame.
+    All frames of a stack share one graph (:func:`_spa_graph`) and one
+    flood (:func:`_flood`) with L the largest degree: a frame that keeps
+    d < L taps gives its factors L - d pad slots of zero gain, which read
+    the point mass [1, 0, ..] and leave its numbers exact.  Each frame
+    stops on its own, its messages frozen in place, so every frame gets bit
+    for bit its result alone; at most ``_SPA_MAX_CONFIGS // Q^L`` frames
+    share a flood.  A stack returns (B, NM) ``soft`` and ``hard_indices``
+    and (B, NM, Q) ``marginals``.  ``iterations`` counts the sweeps the
+    call ran, for one frame its iterations, and ``frame_iterations`` holds
+    each frame's own count, the ``iterations`` it gets alone: (B,) integers
+    for a stack, one for a frame.
     """
     if channel.truncation is None:
         raise ValueError("sum-product detection needs a tap-truncated channel")
@@ -367,8 +367,8 @@ def spa_detect(
     frame_sweeps = np.zeros(len(taps), dtype=np.int64)
     for first in range(0, live.size, step):
         batch = live[first:first + step]
-        beliefs, frame_sweeps[batch] = _flood(y[batch], taps[batch], truncation[batch],
-                                              sigma2[batch], points, iters, damping, data)
+        graph = _spa_graph(y[batch], taps[batch], truncation[batch], sigma2[batch], points, data)
+        beliefs, frame_sweeps[batch] = _flood(graph, iters, damping)
         belief[np.ix_(batch, cells)] = beliefs
         sweeps += int(frame_sweeps[batch].max())
 
@@ -380,46 +380,39 @@ def spa_detect(
                            frame_iterations=frame_sweeps)
 
 
-def _gather_index(columns: np.ndarray, shifts: np.ndarray, count: int, q: int) -> np.ndarray:
-    """Flat ``take`` index into an (L + 2, Q, count) message buffer whose
-    slots L and L + 1 hold constants (see :func:`_flood`).  At [t, v, j] it
-    reads value v on slot t of column ``columns[t, j]`` or, where
-    ``shifts[t, j]`` = s > 0 and ``columns[t, j]`` = -1, value v of column 0
-    on constant slot t + s."""
-    rows = (np.arange(columns.shape[0])[:, None] * q + np.arange(q)) * count
-    return rows[:, :, None] + (np.maximum(columns, 0) + shifts * (q * count))[:, None, :]
+@dataclass(frozen=True)
+class _SpaGraph:
+    likelihood: np.ndarray   # (Q,)*L + (F,): one axis per tap slot, F live factors
+    at_factors: np.ndarray   # (L, Q, F) take index of the messages each factor reads
+    at_symbols: np.ndarray   # (L, Q, BD) take index of the messages each data symbol reads
+    counts: np.ndarray       # (B,) live factors of each frame
 
 
-def _flood(
+def _spa_graph(
     y: np.ndarray,
     taps: np.ndarray,
     truncation: np.ndarray,
     sigma2: np.ndarray,
     points: np.ndarray,
-    iters: int,
-    damping: float,
     data: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Flooding sum-product over (B, NM) observations of [B, N, M] tap
-    grids, truncated to the (B, width) rows of kept indices padded with -1,
-    at (B,) noise powers ``sigma2`` that include the residual tap energy, on
-    the graph of the D >= 1 cells marked in ``data``; every frame keeps at
-    least one tap.
+) -> _SpaGraph:
+    """The factor graph of (B, NM) observations of [B, N, M] tap grids,
+    truncated to the (B, width) rows of kept indices padded with -1, at (B,)
+    noise powers ``sigma2`` that include the residual tap energy, on the
+    D >= 1 cells marked in ``data``; every frame keeps at least one tap.
 
-    Frame b keeps d_b taps; L is the largest d_b.  Its factors take L - d_b
-    leading pad slots of zero gain that read the point mass [1, 0, ..]: the
-    head contraction over such a slot is H * 1 + H * 0 = H, so its real
-    slots see bit for bit the numbers of a degree-d_b graph.  On the symbol
-    side a pad slot reads 1.  So every factor of the stack holds a (Q,)*L
-    tensor, and every step of a sweep runs once for the stack.  After each
-    sweep a frame whose messages moved by less than ``_SPA_TOL``, or that
-    has run ``iters`` sweeps, freezes: its factor columns take the damping
-    weights 1 and 0, which leave its messages bit for bit as they are.  The
-    flood stops once every frame is frozen.  Returns the (B, D, Q) beliefs
-    of the data cells and the (B,) sweeps each frame ran before it froze.
+    Frame b keeps d_b taps, L the largest d_b, and its factors take L - d_b
+    leading pad slots, along which their likelihood is constant.  The graph
+    keeps the factors with a real slot on a data symbol, frame b's
+    ``counts[b]`` in consecutive columns, and frame b's data symbols in
+    columns b*D..(b+1)*D-1.  Each index reads (slot, column) of an (L + 2,
+    Q, columns) message buffer (:func:`_flood`) at the flat position
+    (slot * Q + value) * columns + column.  On slot t a factor reads its
+    symbol's column, constant slot L (1/Q) where that symbol is known and
+    slot L + 1 (the point mass) on a pad slot; a data symbol reads its
+    factor's column, or slot L + 1 (1) on a pad slot.
     """
     frames, n, m = taps.shape
-    size = n * m
     q = points.size
     degrees = np.count_nonzero(truncation >= 0, axis=1)
     degree = int(degrees.max())
@@ -433,91 +426,90 @@ def _flood(
     # symbol j meets factor obs_of[b, t, j] there: inverse permutations per slot
     doppler, delay = np.divmod(kept[:, :, None], m)
     sym_of = (((np.arange(n) - doppler) % n)[..., None] * m
-              + ((np.arange(m) - delay) % m)[..., None, :]).reshape(frames, degree, size)
+              + ((np.arange(m) - delay) % m)[..., None, :]).reshape(frames, degree, -1)
     obs_of = (((np.arange(n) + doppler) % n)[..., None] * m
-              + ((np.arange(m) + delay) % m)[..., None, :]).reshape(frames, degree, size)
+              + ((np.arange(m) + delay) % m)[..., None, :]).reshape(frames, degree, -1)
 
-    # The graph keeps the factors with a real slot on a data symbol, frame
-    # b's ``counts[b]`` factors in consecutive columns, and frame b's data
-    # symbols in columns b*D..(b+1)*D-1.  Per slot, a symbol reads the
-    # column of its factor and a factor the column of its symbol; a factor
-    # slot on a known symbol reads constant slot L, and a pad slot constant
-    # slot L + 1 of the message buffers below.
     cells = np.flatnonzero(data)
     on_data = data[sym_of] & ~pad[:, :, None]
     live = on_data.any(axis=1)
     counts = live.sum(axis=1)
-    factor_col = (np.cumsum(live) - 1).reshape(live.shape)
-    symbol_col = np.cumsum(data) - 1 + cells.size * np.arange(frames)[:, None, None]
-    to_known = (degree - np.arange(degree))[:, None]
-    sym_cols = np.take_along_axis(factor_col[:, None, :], obs_of[:, :, cells], axis=2)
-    sym_cols[pad] = -1
-    sym_cols = sym_cols.transpose(1, 0, 2).reshape(degree, -1)
-    sym_shifts = (sym_cols < 0) * (to_known + 1)
-    fac_cols = np.where(on_data, np.take_along_axis(symbol_col, sym_of, axis=2), -1)
-    fac_cols = fac_cols.transpose(1, 0, 2)[:, live]
-    fac_shifts = np.where(on_data, 0, to_known + pad[:, :, None]).transpose(1, 0, 2)[:, live]
-
-    # likelihood[c_0, .., c_{L-1}, f] of factor f under symbol values c,
-    # built per degree d by one (F_d, d) x (d, Q^d) product over the live
-    # factors of that degree's frames and tiled over the pad axes
-    width = int(counts.sum())
     frame_of = np.repeat(np.arange(frames), counts)
-    taps = taps.reshape(frames, size)
-    parts = []
+    width, columns = int(counts.sum()), frames * cells.size
+    values = np.arange(q)[:, None]
+    # (F, L) rows of the live factors, frame by frame
+    on_data = on_data.transpose(0, 2, 1)[live]
+    symbol_col = ((np.cumsum(data) - 1)[sym_of.transpose(0, 2, 1)[live]]
+                  + cells.size * frame_of[:, None])
+    reads = np.where(on_data, np.arange(degree) * q * columns + symbol_col,
+                     (degree + pad[frame_of]) * q * columns)
+    at_factors = np.ascontiguousarray(reads.T)[:, None, :] + values * columns
+    factor_col = (np.cumsum(live) - 1).reshape(live.shape)
+    reads = np.where(pad[:, :, None], (degree + 1) * q * width,
+                     np.arange(degree)[:, None] * q * width
+                     + np.take_along_axis(factor_col[:, None, :], obs_of[:, :, cells], axis=2))
+    at_symbols = reads.transpose(1, 0, 2).reshape(degree, 1, columns) + values * width
+
+    # likelihood[c_0, .., c_{L-1}, f] of factor f under symbol values c: a
+    # tap's gain on a real data slot, 0 elsewhere (known zeros add nothing);
+    # per degree d one (F_d, d) x (d, Q^d) product over the live factors of
+    # that degree's frames, tiled over the pad axes
+    tap = np.take_along_axis(taps.reshape(frames, -1), kept, axis=1)
+    gains = np.where(on_data, tap[frame_of], 0.0)
+    y = y[live]
+    likelihood = np.empty((q ** degree, width))
     for d in sorted(set(degrees.tolist())):
-        members = np.flatnonzero(degrees == d)
-        slots = slice(degree - d, None)
-        gains = np.empty((members.size, size, d), dtype=complex)
-        gains[:] = np.take_along_axis(taps[members], kept[members, slots], axis=1)[:, None, :]
-        gains[~data[sym_of[members, slots].transpose(0, 2, 1)]] = 0.0  # known zeros add nothing
+        cols = np.flatnonzero(degrees[frame_of] == d)
         configs = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
-        means = gains[live[members]] @ points[configs].T     # (F_d, Q^d)
-        del gains
-        np.subtract(y[members][live[members]][:, None], means, out=means)
-        part = np.empty((configs.shape[0], means.shape[0]))
+        means = gains[cols, degree - d:] @ points[configs].T      # (F_d, Q^d)
+        np.subtract(y[cols, None], means, out=means)
+        part = np.empty((configs.shape[0], cols.size))
         np.abs(means.T, out=part)
         del means
         part **= 2
         part -= part.min(axis=0)                             # scale-free normalization
-        cols = np.flatnonzero(degrees[frame_of] == d)
         part /= -sigma2[frame_of[cols]]
         np.exp(part, out=part)
-        parts.append((d, cols, part))
-    likelihood = np.empty((q ** degree, width))
-    for d, cols, part in parts:
         likelihood.reshape(q ** (degree - d), -1, width)[:, :, cols] = part
-    del parts, part
+    return _SpaGraph(likelihood.reshape((q,) * degree + (width,)), at_factors, at_symbols, counts)
 
-    # Messages live as (L, Q, columns) arrays indexed [slot, value, column],
-    # each the view of a buffer whose two constant slots follow:
-    # to_symbol[t, :, f] leaves factor f on slot t, and a symbol's pad slot
-    # reads 1 after it; from_symbol[t, :, f] enters factor f, gathered from
-    # the symbols' messages, 1/Q on a known slot and the point mass on a pad
-    # slot.  One flat gather puts factor-side messages in symbol order, and
-    # one puts them back.  A frame's move is the largest over its
-    # consecutive factor columns; ``keep`` and ``step`` weigh the old and
-    # new messages of each column, 1 and 0 once its frame is frozen.
+
+def _flood(graph: _SpaGraph, iters: int, damping: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flooding sum-product on a stack's ``graph`` (:func:`_spa_graph`).
+
+    The head contraction over a pad slot, which reads the point mass, is
+    H * 1 + H * 0 = H, so each frame's real slots see bit for bit the
+    numbers of its own degree-d_b graph.  After each sweep a frame whose
+    messages moved by less than ``_SPA_TOL``, or that has run ``iters``
+    sweeps, freezes: its factor columns take the damping weights 1 and 0,
+    which leave its messages bit for bit as they are.  The flood stops once
+    every frame is frozen.  Returns the (B, D, Q) beliefs of the data cells
+    and the (B,) sweeps each frame ran before it froze.
+    """
+    degree, q, width = graph.at_factors.shape
+    counts = graph.counts
+    frames = counts.size
+    # to_symbol[t, :, f] leaves factor f on slot t and from_symbol[t, :, f]
+    # enters it, gathered from the symbols' messages ``out``.  A frame's move
+    # is the largest over its consecutive factor columns; ``keep`` and
+    # ``step`` weigh the old and new messages of each column.
     to_buffer = np.empty((degree + 2, q, width))
     to_buffer[:degree + 1] = 1.0 / q
     to_buffer[degree + 1] = 1.0
     to_symbol = to_buffer[:degree]
-    from_buffer = np.empty((degree + 2, q, sym_cols.shape[1]))
+    from_buffer = np.empty((degree + 2, q, graph.at_symbols.shape[2]))
     from_buffer[:degree + 1] = 1.0 / q
     from_buffer[degree + 1] = (np.arange(q) == 0)[:, None]
     out = from_buffer[:degree]
-    at_symbols = _gather_index(sym_cols, sym_shifts, width, q)
-    at_factors = _gather_index(fac_cols, fac_shifts, sym_cols.shape[1], q)
-    from_symbol = from_buffer.take(at_factors)
+    from_symbol = from_buffer.take(graph.at_factors)
     prefix = np.ones_like(out)
     suffix = np.ones_like(out)
     starts = np.cumsum(counts) - counts
     keep, step = np.full(width, 1.0 - damping), np.full(width, damping)
     running = np.ones(frames, dtype=bool)
     ran = np.zeros(frames, dtype=np.int64)
-    head = likelihood.reshape((q,) * degree + (-1,))
     for sweeps in range(1, iters + 1):
-        new_msgs = _normalize(_factor_messages(head, from_symbol), axis=1)
+        new_msgs = _normalize(_factor_messages(graph.likelihood, from_symbol), axis=1)
         change = np.abs(new_msgs - to_symbol).reshape(degree * q, -1).max(axis=0)
         moved = np.maximum.reduceat(change, starts)
         to_symbol *= keep
@@ -535,13 +527,13 @@ def _flood(
 
         # leave-one-out product over each symbol's slots: exclusive prefix
         # times exclusive suffix products (prefix[0] and suffix[-1] stay 1)
-        incoming = to_buffer.take(at_symbols)
+        incoming = to_buffer.take(graph.at_symbols)
         for t in range(1, degree):
             np.multiply(prefix[t - 1], incoming[t - 1], out=prefix[t])
             np.multiply(suffix[-t], incoming[-t], out=suffix[-t - 1])
         _normalize(np.multiply(prefix, suffix, out=out), axis=1)
-        from_symbol = from_buffer.take(at_factors)
+        from_symbol = from_buffer.take(graph.at_factors)
 
-    belief = np.prod(to_buffer.take(at_symbols), axis=0)
-    belief = np.ascontiguousarray(belief.reshape(q, frames, cells.size).transpose(1, 2, 0))
+    belief = np.prod(to_buffer.take(graph.at_symbols), axis=0)
+    belief = np.ascontiguousarray(belief.reshape(q, frames, -1).transpose(1, 2, 0))
     return _normalize(belief, axis=2), ran

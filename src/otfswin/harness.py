@@ -77,6 +77,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.constellation.lower() not in ("bpsk", "qpsk"):
             raise ConfigurationError(f"unknown constellation {self.constellation!r}")
+        # one spelling per run: the hash, the echo and the link cache see it
+        object.__setattr__(self, "constellation", self.constellation.lower())
         if self.tx_window not in _WINDOW_KINDS_TX:
             raise ConfigurationError(f"tx_window must be one of {_WINDOW_KINDS_TX}")
         if self.rx_window not in _WINDOW_KINDS_RX:

@@ -88,16 +88,26 @@ def stepwise_doppler_response(coeffs):
 
 
 def brute_force_map(y_vec, channel_matrix, points):
-    """Exhaustive maximum-likelihood word over a tiny symbol vector."""
+    """Exhaustive maximum-likelihood word over a tiny symbol vector.
+
+    Word w holds symbol k in base-Q digit k.  Meet in the middle: with h the
+    low half's length, w = high * Q^h + low, so every residual
+    y - H_high x_high is compared with every H_low x_low, and the argmin over
+    the (high, low) grid, flattened high-major, is the lowest word index at
+    the least distance.
+    """
     size = channel_matrix.shape[1]
     q = len(points)
-    count = q ** size
-    if count > 1 << 20:
+    if q ** size > 1 << 20:
         raise ValueError("word space too large for exhaustive search")
-    digits = (np.arange(count)[:, None] // q ** np.arange(size)[None, :]) % q
-    candidates = np.asarray(points)[digits] @ channel_matrix.T
-    dist = np.abs(y_vec[None, :] - candidates) ** 2
-    return digits[dist.sum(axis=1).argmin()]
+    half = size // 2
+    low, high = (np.asarray(points)[(np.arange(q ** n)[:, None] // q ** np.arange(n)) % q]
+                 for n in (half, size - half))
+    residual = y_vec - high @ channel_matrix[:, half:].T
+    partial = low @ channel_matrix[:, :half].T
+    dist = (np.abs(residual[:, None, :] - partial[None]) ** 2).sum(axis=2)
+    word = dist.argmin()
+    return (word // q ** np.arange(size)) % q
 
 
 def mmse_error_covariance(channel_matrix: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:

@@ -583,15 +583,90 @@ def test_spa_stack_is_split_by_the_configuration_budget(monkeypatch):
     y, channel = spa_frames(np.random.default_rng(6), QPSK, degrees, 0.1)
     spa_stack_vs_frames(y, channel, 0.1, QPSK, iters=4, data_mask=SPA_MASK)
     batches = []
-    flood = detection._flood
+    build = detection._spa_graph
 
     def spy(y, taps, truncation, *args):
         batches.append(np.count_nonzero(truncation >= 0, axis=1).tolist())
-        return flood(y, taps, truncation, *args)
+        return build(y, taps, truncation, *args)
 
-    monkeypatch.setattr(detection, "_flood", spy)
+    monkeypatch.setattr(detection, "_spa_graph", spy)
     spa_detect(y, channel, 0.1, QPSK, iters=4, data_mask=SPA_MASK)
     assert batches == [[6, 6], [2, 6], [6, 6]]
+
+
+def test_spa_graph_reads_the_literal_graph(monkeypatch):
+    # every gather entry decodes to the (slot, value, column) the factor
+    # graph of the truncated taps names, and the likelihood is each live
+    # factor's Gaussian, constant along its frame's pad axes
+    degrees = (3, 1, 0, 2, 3)
+    y, channel = spa_frames(np.random.default_rng(8), QPSK, degrees, 0.1)
+    calls = []
+    build = detection._spa_graph
+
+    def spy(*args):
+        calls.append((args, build(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(detection, "_spa_graph", spy)
+    spa_detect(y, channel, 0.1, QPSK, iters=2, data_mask=SPA_MASK)
+    [((y, taps, truncation, sigma2, points, data), graph)] = calls
+    n, m = SPA_GRID.N, SPA_GRID.M
+    q, width, cells = points.size, int(graph.counts.sum()), np.flatnonzero(data)
+    degree = max(degrees)
+    assert graph.likelihood.shape == (q,) * degree + (width,)
+    assert graph.at_factors.shape == (degree, q, width)
+    assert graph.at_symbols.shape == (degree, q, len(taps) * cells.size)
+
+    def decode(index, columns):
+        slot, rest = np.divmod(index, q * columns)
+        value, column = np.divmod(rest, columns)
+        assert np.array_equal(value, np.broadcast_to(np.arange(q)[:, None], value.shape))
+        assert np.all((0 <= column) & (column < columns))
+        return slot[:, 0], column[:, 0]
+
+    fac_slot, fac_col = decode(graph.at_factors, len(taps) * cells.size)
+    sym_slot, sym_col = decode(graph.at_symbols, width)
+    configs = np.array(np.meshgrid(*[np.arange(q)] * degree, indexing="ij")).reshape(degree, -1)
+    doppler, delay = np.divmod(np.arange(n * m), m)
+    factor = 0
+    for b, row in enumerate(truncation):
+        kept = row[row >= 0]
+        pad = degree - kept.size
+        # on real slot t, factor i meets symbol sym_of[t][i] and symbol j
+        # meets factor obs_of[t][j]
+        sym_of = [((doppler - tap // m) % n) * m + (delay - tap % m) % m for tap in kept]
+        obs_of = [((doppler + tap // m) % n) * m + (delay + tap % m) % m for tap in kept]
+        live = [i for i in range(n * m) if any(data[sym[i]] for sym in sym_of)]
+        assert graph.counts[b] == len(live)
+        for f, i in enumerate(live, start=factor):
+            mean = 0j
+            for t in range(degree):
+                if t < pad:
+                    assert fac_slot[t, f] == degree + 1
+                    continue
+                j = sym_of[t - pad][i]
+                if data[j]:
+                    assert fac_slot[t, f] == t
+                    assert fac_col[t, f] == b * cells.size + np.searchsorted(cells, j)
+                    mean = mean + taps[b].reshape(-1)[kept[t - pad]] * points[configs[t]]
+                else:
+                    assert fac_slot[t, f] == degree
+            dist = np.abs(y[b, i] - mean) ** 2
+            want = np.exp(-(dist - dist.min()) / sigma2[b])
+            assert np.allclose(graph.likelihood.reshape(-1, width)[:, f], want, rtol=1e-12)
+            # constant along the pad axes
+            tensor = graph.likelihood[..., f]
+            assert np.array_equal(tensor, np.broadcast_to(tensor[(0,) * pad], tensor.shape))
+        for k, j in enumerate(cells):
+            s = b * cells.size + k
+            for t in range(degree):
+                if t < pad:
+                    assert sym_slot[t, s] == degree + 1
+                else:
+                    assert sym_slot[t, s] == t
+                    assert sym_col[t, s] == factor + live.index(obs_of[t - pad][j])
+        factor += len(live)
+    assert factor == width
 
 
 def test_spa_stack_matches_enumeration():

@@ -335,6 +335,14 @@ class TestConfig:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 
+    def test_constellation_name_is_stored_lowercase(self):
+        upper = ExperimentConfig(constellation="QPSK")
+        assert upper.constellation == "qpsk"
+        assert upper == ExperimentConfig()
+        assert upper.config_hash() == ExperimentConfig().config_hash()
+        assert ExperimentConfig.from_mapping({"constellation": "Bpsk"}) == \
+            ExperimentConfig(constellation="bpsk")
+
     def test_metadata_echoes_every_field(self):
         cfg = ExperimentConfig(**TINY_CE)
         meta = cfg.metadata()
