@@ -283,14 +283,17 @@ class EffectiveDDChannel:
         total = self.total_power()
         if self.truncation is None:
             return total * 0.0
-        # The kept energy adds, left to right in truncation order, each tap's
-        # hypot squared by the C library's pow, as the seeded rows were first
-        # computed; numpy's abs, square and pairwise sum round differently.
         kept = self.truncation
         values = np.take_along_axis(self.taps.reshape(kept.shape[:-1] + (-1,)),
                                     np.maximum(kept, 0), axis=-1)
-        magnitude = np.where(kept >= 0, np.hypot(values.real, values.imag), 0.0)
-        squares = np.reshape([v ** 2 for v in magnitude.reshape(-1).tolist()], kept.shape)
+        # hypot, not abs: numpy's vector loop for a complex abs need not
+        # round as the C library's hypot does, and then a tap's square
+        # would depend on the CPU the loop was built for
+        squares = np.where(kept >= 0, np.hypot(values.real, values.imag) ** 2, 0.0)
+        # The kept energy adds left to right in truncation order, one column
+        # at a time: a stack frame's -1 pads then add exact zeros after its
+        # taps, so it sums as that frame alone does, which numpy's pairwise
+        # sum over the padded rows does not.
         truncated = np.zeros(kept.shape[:-1])
         for column in np.moveaxis(squares, -1, 0):
             truncated += column

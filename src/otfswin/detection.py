@@ -341,10 +341,10 @@ def spa_detect(
     taps = channel.taps.reshape((-1,) + channel.shape)
     truncation = channel.truncation.reshape(len(taps), -1)
     degrees = np.count_nonzero(truncation >= 0, axis=1)
-    configs = q ** int(degrees.max(initial=0))
-    if configs > _SPA_MAX_CONFIGS:
+    degree = int(degrees.max(initial=0))
+    if q ** degree > _SPA_MAX_CONFIGS:
         raise ConfigurationError(
-            f"sum step needs Q^L = {configs} configurations, above the "
+            f"sum step needs Q^L = {q}^{degree} configurations, above the "
             f"budget of {_SPA_MAX_CONFIGS}; reduce the tap count"
         )
     if not 0.0 < damping <= 1.0:

@@ -71,9 +71,6 @@ _BPSK_POINTS = (1.0 + 0j, -1.0 + 0j)   # bit 0 -> +1, bit 1 -> -1
 _A = 1.0 / np.sqrt(2.0)  # the magnitude of each QPSK coordinate
 # first bit flips the sign of I, second bit of Q
 _QPSK_POINTS = (_A + 1j * _A, _A - 1j * _A, -_A + 1j * _A, -_A - 1j * _A)
-# Symbol coordinates whose sign decides the nearest of those points exactly
-# (see Constellation.nearest_indices).
-_SLICE_MIN, _SLICE_MAX = 1e-6, 1e3
 
 
 @dataclass(frozen=True)
@@ -139,44 +136,26 @@ class Constellation:
         return self.points[self.bits_to_indices(bits)]
 
     def nearest_indices(self, symbols: np.ndarray) -> np.ndarray:
-        """Index of the point nearest to each symbol, flattened: the argmin
-        of the distances |s - p|, ties to the lower index.
+        """Index of the point nearest to each symbol, flattened, ties to the
+        lower index.
 
         BPSK and QPSK decide per axis by sign: the QPSK index is 2 [re < 0]
-        + [im < 0] and the BPSK index [re < 0].  That is the argmin exactly,
-        not only up to rounding, wherever 1e-6 <= |re|, |im| <= 1e3 (for
-        BPSK: 1e-6 <= |re| <= 1e3 and |im| <= 1e3).  Two points that differ
-        on one axis, at coordinates +a and -a there (a = 1 or 1/sqrt 2),
-        have squared distances to the symbol that differ by 4 a |x|, x its
-        coordinate on that axis, while the other axis y adds the same to
-        both.  Their distances then differ by about 2 a |x| / d, at least
-        1e-9 for any distance d up to 1.5e3 and |x| >= 1e-6, while the
-        subtraction and hypot round each distance within an ulp of 1.5e3,
-        2.3e-13: a margin of about 10^4 (the gap beats the rounding while
-        x_min >> 1.6e-16 y_max^2).  Symbols outside the band (zeros and
-        +-0.0 on an axis, huge, tiny or subnormal values, infinities and
-        NaN) take the distance argmin.  Other alphabets always do.
+        + [im < 0] and the BPSK index [re < 0].  Two of their points that
+        differ on one axis sit at +a and -a there, and their squared
+        distances to a symbol differ by exactly 4 a x, x its coordinate on
+        that axis, so the sign gives the nearest point in exact arithmetic
+        for any finite symbol.  An infinite coordinate reads by its sign; a
+        tie (x = +-0) and a NaN coordinate read as non-negative, the lower
+        index.  Other alphabets take the argmin of the float distances
+        |s - p|.
         """
         symbols = np.ascontiguousarray(symbols, dtype=complex).reshape(-1)
         if not self._sliced_axes:
             return self._distance_argmin(symbols)
-        coords = symbols.view(float)  # re, im, re, im, ...
-        negative = coords < 0
-        magnitude = np.abs(coords)
+        negative = symbols.view(float) < 0  # re, im, re, im, ...
         if self._sliced_axes == 1:
-            idx = negative[0::2].astype(np.intp)
-            floored = magnitude[0::2]  # both BPSK points share the imaginary axis
-        else:
-            idx = 2 * negative[0::2] + negative[1::2]
-            floored = magnitude
-        if floored.min(initial=np.inf) >= _SLICE_MIN and \
-                magnitude.max(initial=0.0) <= _SLICE_MAX:
-            return idx
-        sure = ((floored >= _SLICE_MIN).reshape(symbols.size, -1).all(axis=1)
-                & (magnitude <= _SLICE_MAX).reshape(-1, 2).all(axis=1))
-        odd = np.flatnonzero(~sure)
-        idx[odd] = self._distance_argmin(symbols[odd])
-        return idx
+            return negative[0::2].astype(np.intp)
+        return 2 * negative[0::2] + negative[1::2]
 
     def _distance_argmin(self, symbols: np.ndarray) -> np.ndarray:
         return np.argmin(np.abs(symbols[:, None] - self.points[None, :]), axis=1)

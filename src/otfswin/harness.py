@@ -41,6 +41,8 @@ _WINDOW_KINDS_TX = ("rect", "dc", "optimal")
 _WINDOW_KINDS_RX = ("rect", "dc")
 _DETECTORS = ("mmse", "spa")
 _CSI_MODES = ("perfect-csir", "estimated-csir", "csit-csir")
+# ExperimentConfig's numeric field types, as its annotations spell them
+_NUMERIC_TYPES = {"int": int, "float": float}
 
 
 # Beyond a pilot-to-data amplitude ratio of 1/eps (or below eps), the pilot and
@@ -75,6 +77,19 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # one type per numeric field: equal configs then print, and hash, alike
+        for f in dataclasses.fields(self):
+            kind = _NUMERIC_TYPES.get(f.type)
+            if kind is None:
+                continue
+            value = getattr(self, f.name)
+            try:
+                typed = kind(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigurationError(f"bad value for {f.name!r}: {value!r}") from exc
+            if kind is int and not isinstance(value, str) and typed != value:
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(self, f.name, typed)
         if self.constellation.lower() not in ("bpsk", "qpsk"):
             raise ConfigurationError(f"unknown constellation {self.constellation!r}")
         # one spelling per run: the hash, the echo and the link cache see it
@@ -179,22 +194,14 @@ class ExperimentConfig:
         unknown = sorted(set(mapping) - set(known))
         if unknown:
             raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
+        # numbers and the SNR list are parsed and checked by __post_init__
         kwargs = {}
         for f in dataclasses.fields(cls):
             if f.name not in mapping:
                 continue
             raw = mapping[f.name]
-            try:
-                if f.name == "snr_db":
-                    kwargs[f.name] = raw  # parsed and checked by __post_init__
-                elif f.type in ("int", int):
-                    kwargs[f.name] = int(raw)
-                elif f.type in ("float", float):
-                    kwargs[f.name] = float(raw)
-                else:
-                    kwargs[f.name] = str(raw).strip()
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"bad value for {f.name!r}: {raw!r}") from exc
+            parsed_later = f.type in _NUMERIC_TYPES or f.name == "snr_db"
+            kwargs[f.name] = raw if parsed_later else str(raw).strip()
         return cls(**kwargs)
 
     @classmethod

@@ -148,6 +148,8 @@ _OVERSAMPLE = 128
 # Longest window dc_window designs: its response scan then holds 2^21
 # complex points (32 MiB).
 _MAX_DC_LENGTH = 1 << 14
+# How far above its target a design's measured sidelobe level may sit.
+_SIDELOBE_SLACK_DB = 0.5
 
 
 def measure_doppler_response(coeffs: np.ndarray) -> WindowResponse:
@@ -197,9 +199,11 @@ def dc_window(length: int, sl_db: float) -> DCWindowDesign:
     """Design a Dolph-Chebyshev Doppler window with the given sidelobe level.
 
     ``sl_db`` is the requested sidelobe level in dB (negative, at most -10).
-    Coefficients come back normalized to unit mean square (sum c^2 = N) so a
-    separable pair built from them keeps both the transmit-power and the
-    joint-window normalization when the other axes are rectangular.
+    A design whose measured sidelobes sit more than 0.5 dB above it is
+    refused as infeasible.  Coefficients come back normalized to unit mean
+    square (sum c^2 = N) so a separable pair built from them keeps both the
+    transmit-power and the joint-window normalization when the other axes
+    are rectangular.
     """
     if length < 3:
         raise ConfigurationError("Chebyshev design needs a window length of at least 3")
@@ -217,6 +221,12 @@ def dc_window(length: int, sl_db: float) -> DCWindowDesign:
             f"max achievable attenuation is about "
             f"{max_achievable_attenuation_db(length):.1f} dB"
         ) from None
+    if resp.sidelobe_db > sl_db + _SIDELOBE_SLACK_DB:
+        # toward -300 dB the rounding of the coefficients, not the design,
+        # sets the sidelobes
+        raise ConfigurationError(
+            f"requested {sl_db:.1f} dB is infeasible for N={length}: the designed "
+            f"window's sidelobes measure {resp.sidelobe_db:.1f} dB")
     coeffs = coeffs * math.sqrt(length / np.sum(coeffs ** 2))
     return DCWindowDesign(
         coeffs=coeffs,
@@ -330,10 +340,7 @@ def optimal_tx_window(lam: np.ndarray) -> PowerAllocation:
         for _ in range(size):
             root = (inv_sqrt.sum(axis=1, where=active)
                     / (size + inv_lam.sum(axis=1, where=active)))
-            # squared by the C library's pow, as numpy squares one float64
-            # scalar; the correctly rounded square numpy takes of an array
-            # differs from it in the last bit for about one level in 1000
-            eta = np.array([[r ** 2] for r in root.tolist()])
+            eta = np.square(root)[:, None]
             dropped = active & (frames <= eta)
             if not dropped.any():
                 break

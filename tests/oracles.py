@@ -7,6 +7,7 @@ dense algebra) and shares no code with the fast paths it checks.
 import itertools
 import math
 from collections.abc import Sequence
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,21 +51,35 @@ def naive_effective_channel(ch, windows):
 
 
 def distance_argmin_indices(constellation, symbols):
-    """Index of the nearest constellation point to each symbol by its
-    distance to every point, ties to the lower index:
-    ``Constellation.nearest_indices`` before it sliced BPSK and QPSK per
-    axis."""
+    """Index of the nearest constellation point to each symbol by its float
+    distance to every point, ties to the lower index."""
     symbols = np.asarray(symbols, dtype=complex).reshape(-1)
     return np.argmin(np.abs(symbols[:, None] - constellation.points[None, :]), axis=1)
 
 
+def exact_nearest_indices(constellation, symbols):
+    """Index of the nearest constellation point to each finite symbol in
+    exact arithmetic, ties to the lower index: the squared distances are
+    Fractions of the float coordinates and the stored float points."""
+    points = [(Fraction(p.real), Fraction(p.imag)) for p in constellation.points.tolist()]
+    labels = []
+    for s in np.asarray(symbols, dtype=complex).reshape(-1).tolist():
+        re, im = Fraction(s.real), Fraction(s.imag)
+        squared = [(re - pr) ** 2 + (im - pi) ** 2 for pr, pi in points]
+        labels.append(squared.index(min(squared)))
+    return np.array(labels, dtype=np.intp)
+
+
 def python_sum_residual_power(taps, truncation):
     """Tap energy of one (N, M) frame outside the flat indices
-    ``truncation``, as the seeded rows were first computed: numpy's sum of
-    |tap|^2 over the grid less a Python ``sum`` of ``abs(v) ** 2`` over the
-    kept taps in truncation order."""
+    ``truncation``: numpy's sum of |tap|^2 over the grid less the kept
+    taps' squares, each tap's magnitude times itself, added one at a time
+    in truncation order (not by ``sum``, which compensates from Python
+    3.12 on)."""
     total = float(np.sum(np.abs(taps) ** 2))
-    kept = float(sum(abs(v) ** 2 for v in taps.reshape(-1)[truncation].tolist()))
+    kept = 0.0
+    for v in taps.reshape(-1)[truncation].tolist():
+        kept += abs(v) * abs(v)
     return max(total - kept, 0.0)
 
 
@@ -603,8 +618,9 @@ def broadcast_sum_tf_channel(ch):
 
 
 def single_frame_optimal_tx_window(lam):
-    """The mercury/water-filling allocation of one frame, its level a numpy
-    scalar: ``optimal_tx_window`` before it took stacks."""
+    """The mercury/water-filling allocation of one frame, its level one
+    numpy scalar squared by ``np.square``: ``optimal_tx_window`` before it
+    took stacks."""
     lam = np.asarray(lam, dtype=float)
     lam_max = float(lam.max(initial=0.0))
     if not (lam.min(initial=0.0) >= 0.0 and lam_max < math.inf):
@@ -617,8 +633,8 @@ def single_frame_optimal_tx_window(lam):
         inv_lam = np.divide(1.0, lam, out=np.zeros_like(lam), where=active)
         inv_sqrt = np.sqrt(inv_lam)
         for _ in range(lam.size):
-            eta = float((inv_sqrt.sum(where=active)
-                         / (lam.size + inv_lam.sum(where=active))) ** 2)
+            eta = float(np.square(inv_sqrt.sum(where=active)
+                                  / (lam.size + inv_lam.sum(where=active))))
             dropped = active & (lam <= eta)
             if not dropped.any():
                 break

@@ -9,6 +9,8 @@ byte-identical only if this holds, so the comparisons are exact
 (``np.array_equal``), never within a tolerance.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -264,16 +266,21 @@ def test_water_level_stack_vs_frames():
     assert stack.x[1, 0, 0] == 0.0 and np.all(stack.x[1][lam[1] == 0.0] == 0.0)
 
 
-def test_water_level_is_squared_as_one_frames_scalar_level():
-    # this level squared by the C library's pow, as numpy squares a float64
-    # scalar, lies one ulp from the correctly rounded square numpy takes of
-    # an array
+def test_water_level_is_the_correctly_rounded_square():
+    # this level squared by the C library's pow, as Python squares a float,
+    # lies one ulp from its correctly rounded square; the level is the
+    # latter, the square nearest to the exact one
     lam = np.array([[[16.0, 29.0 / 7.0]], [[1.0, 2.0]]])
-    root = (np.sum(lam[0] ** -0.5) / (lam[0].size + np.sum(1.0 / lam[0])))
-    assert root ** 2 != np.square(np.array(root))
+    root = float(np.sum(np.sqrt(1.0 / lam[0])) / (lam[0].size + np.sum(1.0 / lam[0])))
+    assert root ** 2 != root * root
+    exact = Fraction(root) ** 2
+    level = optimal_tx_window(lam[0, 0]).eta
+    assert level == root * root
+    assert all(abs(Fraction(level) - exact) < abs(Fraction(neighbour) - exact)
+               for neighbour in (np.nextafter(level, 0.0), np.nextafter(level, np.inf)))
     assert_allocations_framewise(optimal_tx_window(lam),
                                  (oracles.single_frame_optimal_tx_window(frame) for frame in lam))
-    assert optimal_tx_window(lam[0, 0]).eta == oracles.single_frame_optimal_tx_window(lam[0]).eta
+    assert level == oracles.single_frame_optimal_tx_window(lam[0]).eta
 
 
 def test_water_level_stack_of_many_small_frames():

@@ -285,18 +285,19 @@ class TestEffectiveChannel:
     def test_stacked_residual_power_is_bitwise_each_frames(self):
         # magnitudes over eight decades, sparse frames, an all-zero frame and
         # rows with fewer kept taps than the width: every frame's value is
-        # bit for bit its value alone and the Python-sum formula
+        # bit for bit its value alone and the Python-sum formula, which
+        # squares each kept tap by multiplication
         rng = np.random.default_rng(32)
         shape = (400, 16, 8)
         taps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         taps *= 10.0 ** rng.uniform(-6.0, 2.0, (shape[0], 1, 1))
         taps[rng.random(shape) < 0.8] = 0.0
         taps[7] = 0.0
-        # a kept tap whose square by pow is one ulp from its product by
-        # itself, beside a small tap outside the truncation
+        # a kept tap whose square by pow is one ulp from its correctly
+        # rounded square, beside a small tap outside the truncation
         taps[0] = 0.0
         taps[0, 0, 0], taps[0, 1, 1] = 0.6065823382127262, 1e-3j
-        assert 0.6065823382127262 ** 2 != np.square(0.6065823382127262)
+        assert 0.6065823382127262 ** 2 != 0.6065823382127262 * 0.6065823382127262
         rows = largest_taps(taps, 12)                      # sums of more than 8 terms
         rows[::3, 3:] = -1
         rows[0] = -1

@@ -119,6 +119,17 @@ class TestDesignWindow:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sl_db", ["-400", "-1000"])
+    def test_unreachable_sidelobe_target_exits_2_with_one_line(self, capsys, sl_db):
+        rc = main(["design-window", "--N", "16", "--sl-db", sl_db])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: requested {float(sl_db):.1f} dB "
+                                                   "is infeasible for N=16: the designed "
+                                                   "window's sidelobes measure -3"), err
+
     @pytest.mark.parametrize("n", [str(_MAX_DC_LENGTH + 1), "1" + "0" * 30])
     def test_too_long_window_exits_2_with_one_line(self, capsys, n):
         rc = main(["design-window", "--N", n, "--sl-db", "-40"])
@@ -198,6 +209,9 @@ class TestExperiments:
         ("pilot_power_dbw = 400", "pilot_power_dbw"),
         ("pilot_power_dbw = -400", "pilot_power_dbw"),
         ("tx_window = dc\ndc_sl_db = -1e6", "-1000000.0 dB"),
+        ("tx_window = dc\ndc_sl_db = -400", "infeasible for N=16: the designed window's "
+                                            "sidelobes measure -3"),
+        ("spa_taps = 100000", "Q^L = 2^128 configurations"),
         ("dc_sl_db = nan", "dc_sl_db"),
         ("delta_f = nan", "delta_f"),
         ("fc = inf", "fc"),

@@ -103,34 +103,74 @@ def _around(x: float) -> list[float]:
     return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
 
 
-# the per-axis slicing band's edges and their neighbours, exact point
+# 1e-6 and 1e3, the edges of the band where the float distance argmin
+# agrees with the exact nearest point, and their neighbours; exact point
 # coordinates, signed zeros, huge, subnormal and non-finite values
 EDGES = sorted({v for x in (1e-6, 1e3, 1.0, 1.0 / np.sqrt(2.0)) for v in _around(x)}
                | {0.0, 1e20, 1e-300, 5e-324, 2.2250738585072014e-308, 1e-310, np.inf})
 COORDS = [sign * v for v in EDGES for sign in (1.0, -1.0)] + [np.nan]
-coordinate = st.one_of(st.sampled_from(COORDS),
-                       st.floats(min_value=-1e300, max_value=1e300),
-                       st.floats(min_value=-2e-6, max_value=2e-6),
-                       st.floats(min_value=-2e3, max_value=2e3))
+FINITE = [v for v in COORDS if np.isfinite(v)]
+finite_coordinate = st.one_of(st.sampled_from(FINITE),
+                              st.floats(min_value=-1e300, max_value=1e300),
+                              st.floats(min_value=-2e-6, max_value=2e-6),
+                              st.floats(min_value=-2e3, max_value=2e3))
+in_band_coordinate = st.floats(min_value=1e-6, max_value=1e3).flatmap(
+    lambda v: st.sampled_from([v, -v]))
 ALPHABETS = [Constellation.bpsk(), Constellation.qpsk()]
+
+
+def _symbols(re, im):
+    symbols = np.empty(np.size(re), dtype=complex)
+    symbols.real, symbols.imag = np.reshape(re, -1), np.reshape(im, -1)
+    return symbols
 
 
 class TestSlicing:
     @pytest.mark.parametrize("c", ALPHABETS, ids=lambda c: c.name)
-    def test_every_pair_of_edge_coordinates_slices_as_the_distance_argmin(self, c):
-        re, im = np.meshgrid(COORDS, COORDS)
-        symbols = np.empty(re.size, dtype=complex)
-        symbols.real, symbols.imag = re.reshape(-1), im.reshape(-1)
+    def test_every_pair_of_edge_coordinates_slices_as_the_exact_nearest_point(self, c):
+        symbols = _symbols(*np.meshgrid(FINITE, FINITE))
         assert np.array_equal(c.nearest_indices(symbols),
-                              oracles.distance_argmin_indices(c, symbols))
+                              oracles.exact_nearest_indices(c, symbols))
 
     @settings(max_examples=400, deadline=None)
-    @given(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=12))
-    def test_nearest_indices_is_the_distance_argmin(self, pairs):
+    @given(st.lists(st.tuples(finite_coordinate, finite_coordinate), min_size=1, max_size=12))
+    def test_nearest_indices_is_the_exact_nearest_point(self, pairs):
+        symbols = np.array([complex(re, im) for re, im in pairs])
+        for c in ALPHABETS:
+            assert np.array_equal(c.nearest_indices(symbols),
+                                  oracles.exact_nearest_indices(c, symbols))
+
+    @pytest.mark.parametrize("c", ALPHABETS, ids=lambda c: c.name)
+    def test_infinite_and_nan_coordinates_read_by_sign(self, c):
+        # an infinite coordinate slices as any finite one of its sign, a NaN
+        # as a non-negative one
+        for odd, stand_in in ((np.inf, 1.0), (-np.inf, -1.0), (np.nan, 1.0)):
+            for other in FINITE:
+                for re, im, finite_re, finite_im in ((odd, other, stand_in, other),
+                                                     (other, odd, other, stand_in)):
+                    assert c.nearest_indices(_symbols(re, im)).tolist() == \
+                        oracles.exact_nearest_indices(c, _symbols(finite_re, finite_im)).tolist()
+        symbols = _symbols([np.nan, -np.inf, np.inf, np.nan], [np.nan, -np.inf, np.nan, -np.inf])
+        assert c.nearest_indices(symbols).tolist() == \
+            {"BPSK": [0, 1, 0, 0], "QPSK": [0, 3, 0, 1]}[c.name]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(in_band_coordinate, in_band_coordinate), min_size=1, max_size=12))
+    def test_in_band_symbols_slice_as_the_float_distance_argmin(self, pairs):
         symbols = np.array([complex(re, im) for re, im in pairs])
         for c in ALPHABETS:
             assert np.array_equal(c.nearest_indices(symbols),
                                   oracles.distance_argmin_indices(c, symbols))
+
+    def test_ties_and_far_symbols_take_the_nearer_point(self):
+        # the float distance argmin rounds both distances of the first two
+        # to one value and returns the farther point; the third lies on the
+        # tie line re = 0, which goes to the lower index
+        symbols = np.array([-1e-17 + 0j, -1e17 + 0j, complex(-0.0, -1e-300)])
+        assert Constellation.bpsk().nearest_indices(symbols).tolist() == [1, 1, 0]
+        assert Constellation.qpsk().nearest_indices(symbols).tolist() == [2, 2, 1]
+        assert Constellation.bpsk().nearest_indices(symbols[:2]).tolist() != \
+            oracles.distance_argmin_indices(Constellation.bpsk(), symbols[:2]).tolist()
 
     def test_in_band_symbols_take_the_sign_labels(self):
         symbols = np.array([0.5 + 0.5j, 0.5 - 0.5j, -0.5 + 0.5j, -0.5 - 0.5j, 3e-6 - 9e2j])
@@ -158,7 +198,7 @@ class TestSlicing:
         frame = np.random.default_rng(5).standard_normal((6, 8)) * (1 + 1j)
         c = Constellation.qpsk()
         assert np.array_equal(c.nearest_indices(frame[:, ::3]),
-                              oracles.distance_argmin_indices(c, frame[:, ::3]))
+                              oracles.exact_nearest_indices(c, frame[:, ::3]))
 
     @pytest.mark.parametrize("c, bits, labels", [
         (Constellation.qpsk(), [0, 0, 0, 1, 1, 0, 1, 1], [0, 1, 2, 3]),

@@ -286,6 +286,28 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="trials"):
             ExperimentConfig.from_mapping({"trials": "many"})
 
+    def test_equal_configs_hash_alike(self):
+        # an int given for a float field, an integral float or a numpy
+        # integer for an int field: each is stored as its field's type
+        default = ExperimentConfig()
+        for kwargs in ({"dc_sl_db": -40}, {"M": 30.0}, {"seed": np.int64(0)},
+                       {"delta_f": 5000}):
+            cfg = ExperimentConfig(**kwargs)
+            assert cfg == default and cfg.config_hash() == default.config_hash()
+            name, = kwargs
+            assert type(getattr(cfg, name)) is type(getattr(default, name))
+        assert ExperimentConfig.from_mapping({"M": "30", "dc_sl_db": "-40"}) == default
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"M": 30.5}, "M must be an integer, got 30.5"),
+        ({"trials": math.inf}, "bad value for 'trials': inf"),
+        ({"dc_sl_db": "x"}, "bad value for 'dc_sl_db'"),
+        ({"seed": 1j}, "bad value for 'seed'"),
+    ])
+    def test_numeric_fields_refuse_other_values(self, kwargs, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentConfig(**kwargs)
+
     def test_semantic_validation(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(constellation="64qam")

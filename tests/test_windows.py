@@ -96,6 +96,18 @@ class TestChebyshevDesign:
         with pytest.raises(ConfigurationError, match="achievable"):
             dc_window(3, -100.0)
 
+    @pytest.mark.parametrize("length", [16, 20, 64, 300])
+    def test_a_target_past_the_rounding_floor_is_refused(self, length):
+        # toward -300 dB the coefficients' rounding sets the sidelobes: a
+        # design that measures more than 0.5 dB above its target is refused,
+        # naming the level it measured
+        for sl in (-400.0, -1000.0):
+            with pytest.raises(ConfigurationError, match="infeasible") as info:
+                dc_window(length, sl)
+            measured = float(str(info.value).split("measure ")[1].split(" dB")[0])
+            assert sl + 0.5 < measured < -250.0
+        assert dc_window(length, -120.0).sl_db_measured <= -120.0 + 0.5
+
     def test_nominal_sidelobe_levels(self):
         assert nominal_sidelobe_level("rect", 20, -40.0) == pytest.approx(0.05)
         assert nominal_sidelobe_level("dc", 20, -40.0) == pytest.approx(1e-2)
