@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 from .errors import ConfigurationError, NumericalFailure
@@ -42,6 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="OTFS window-design link-level simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every spelling float() takes for a negative number: argparse on Python
+    # 3.10 and 3.11 reads only -12 and -1.5 as numbers and takes -1e2 or -inf
+    # for a flag, so "--sl-db -1e2" would fail where "--sl-db=-1e2" parses
+    negative_number = re.compile(
+        r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
 
     def add_run_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="flat key = value config file")
@@ -61,11 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_flags(fer)
 
     dw = sub.add_parser("design-window", help="design a Dolph-Chebyshev window")
+    dw._negative_number_matcher = negative_number
     dw.add_argument("--N", type=int, required=True, help="window length (time slots)")
     dw.add_argument("--sl-db", type=float, required=True, help="sidelobe level, dB (negative)")
     dw.add_argument("--out", default=None, help="coefficient CSV (sidecar gets .json)")
 
     fl = sub.add_parser("floor", help="analytic channel-estimation floor")
+    fl._negative_number_matcher = negative_number
     fl.add_argument("--N", type=int, required=True)
     fl.add_argument("--kmax", type=int, required=True)
     fl.add_argument("--lmax", type=int, required=True)

@@ -75,24 +75,18 @@ _QPSK_POINTS = (_A + 1j * _A, _A - 1j * _A, -_A + 1j * _A, -_A - 1j * _A)
 
 @dataclass(frozen=True)
 class Constellation:
-    """A unit-average-energy symbol alphabet with a fixed bit labelling."""
+    """BPSK or QPSK: a unit-average-energy alphabet with its Gray bit labelling."""
 
     name: str
     points: np.ndarray  # (Q,) complex, index = integer value of the bit label
 
     def __post_init__(self) -> None:
-        # a copy nobody can write: the slicing rule below is read from it once
+        # a copy nobody can write: the slicing rule below holds for these points only
         pts = np.array(self.points, dtype=complex)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        q = pts.size
-        if q < 2 or q & (q - 1):
-            raise ValueError("constellation size must be a power of two >= 2")
-        if abs(np.mean(np.abs(pts) ** 2) - 1.0) > 1e-12:
-            raise ValueError("constellation must have unit average energy")
-        # axes sliced by sign: 1 for the BPSK points, 2 for QPSK, else 0
-        axes = {_BPSK_POINTS: 1, _QPSK_POINTS: 2}.get(tuple(pts.tolist()), 0)
-        object.__setattr__(self, "_sliced_axes", axes)
+        if tuple(pts.tolist()) not in (_BPSK_POINTS, _QPSK_POINTS):
+            raise ValueError("constellation points must be the BPSK or the QPSK point set")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -139,26 +133,19 @@ class Constellation:
         """Index of the point nearest to each symbol, flattened, ties to the
         lower index.
 
-        BPSK and QPSK decide per axis by sign: the QPSK index is 2 [re < 0]
-        + [im < 0] and the BPSK index [re < 0].  Two of their points that
-        differ on one axis sit at +a and -a there, and their squared
-        distances to a symbol differ by exactly 4 a x, x its coordinate on
-        that axis, so the sign gives the nearest point in exact arithmetic
-        for any finite symbol.  An infinite coordinate reads by its sign; a
-        tie (x = +-0) and a NaN coordinate read as non-negative, the lower
-        index.  Other alphabets take the argmin of the float distances
-        |s - p|.
+        The decision is per axis by sign: the QPSK index is 2 [re < 0] +
+        [im < 0] and the BPSK index [re < 0].  Two points that differ on one
+        axis sit at +a and -a there, and their squared distances to a symbol
+        differ by exactly 4 a x, x its coordinate on that axis, so the sign
+        gives the nearest point in exact arithmetic for any finite symbol.
+        An infinite coordinate reads by its sign; a tie (x = +-0) and a NaN
+        coordinate read as non-negative, the lower index.
         """
         symbols = np.ascontiguousarray(symbols, dtype=complex).reshape(-1)
-        if not self._sliced_axes:
-            return self._distance_argmin(symbols)
         negative = symbols.view(float) < 0  # re, im, re, im, ...
-        if self._sliced_axes == 1:
+        if self.points.size == 2:
             return negative[0::2].astype(np.intp)
         return 2 * negative[0::2] + negative[1::2]
-
-    def _distance_argmin(self, symbols: np.ndarray) -> np.ndarray:
-        return np.argmin(np.abs(symbols[:, None] - self.points[None, :]), axis=1)
 
 
 def vectorize(frame: np.ndarray) -> np.ndarray:

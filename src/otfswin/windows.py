@@ -18,7 +18,6 @@ Two families are provided:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,29 +178,17 @@ def measure_doppler_response(coeffs: np.ndarray) -> WindowResponse:
     )
 
 
-def max_achievable_attenuation_db(length: int) -> float:
-    """Largest attenuation whose mainlobe still leaves a sidelobe region and
-    whose sidelobe ratio 10^(dB/20) is a finite float."""
-    if length < 3:
-        return 0.0
-    order = length - 1
-    # keep the first null strictly inside the half grid (one bin of margin)
-    x0_max = math.cos(math.pi / (2 * order)) / math.cos(math.pi * (length - 1) / (2 * length))
-    if x0_max <= 1.0:
-        return 0.0
-    # 20 log10 cosh(a) without forming cosh(a), which overflows for long windows
-    a = order * math.acosh(x0_max)
-    db = 20.0 * (a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)) / math.log(10.0)
-    return min(db, 20.0 * math.log10(sys.float_info.max))
-
-
 def dc_window(length: int, sl_db: float) -> DCWindowDesign:
     """Design a Dolph-Chebyshev Doppler window with the given sidelobe level.
 
-    ``sl_db`` is the requested sidelobe level in dB (negative, at most -10).
-    A design whose measured sidelobes sit more than 0.5 dB above it is
-    refused as infeasible.  Coefficients come back normalized to unit mean
-    square (sum c^2 = N) so a separable pair built from them keeps both the
+    ``sl_db`` is the requested sidelobe level in dB, finite and at most -10.
+    A design is accepted only if its measured sidelobe level sits at most
+    0.5 dB above the target; otherwise the refusal names the measured fact
+    that rules it out: the sidelobe ratio 10^(|dB|/20) overflows a float,
+    the mainlobe spans the whole Doppler axis, or the sidelobes measure too
+    high (toward -300 dB the rounding of the coefficients, not the design,
+    sets them).  Coefficients come back normalized to unit mean square
+    (sum c^2 = N) so a separable pair built from them keeps both the
     transmit-power and the joint-window normalization when the other axes
     are rectangular.
     """
@@ -210,30 +197,27 @@ def dc_window(length: int, sl_db: float) -> DCWindowDesign:
     if length > _MAX_DC_LENGTH:
         raise ConfigurationError(
             f"Chebyshev design supports window lengths up to {_MAX_DC_LENGTH}, got {length}")
-    if not sl_db <= -10.0:
-        raise ConfigurationError(f"sidelobe target must be -10 dB or lower, got {sl_db!r}")
+    if not (math.isfinite(sl_db) and sl_db <= -10.0):
+        raise ConfigurationError(
+            f"sidelobe target must be finite and -10 dB or lower, got {sl_db!r}")
     try:
-        coeffs = _chebyshev_coeffs(length, -abs(sl_db))
+        coeffs = _chebyshev_coeffs(length, sl_db)
         resp = measure_doppler_response(coeffs)
-    except (ConfigurationError, OverflowError):
-        raise ConfigurationError(
-            f"requested {sl_db:.1f} dB is infeasible for N={length}; "
-            f"max achievable attenuation is about "
-            f"{max_achievable_attenuation_db(length):.1f} dB"
-        ) from None
-    if resp.sidelobe_db > sl_db + _SIDELOBE_SLACK_DB:
-        # toward -300 dB the rounding of the coefficients, not the design,
-        # sets the sidelobes
-        raise ConfigurationError(
-            f"requested {sl_db:.1f} dB is infeasible for N={length}: the designed "
-            f"window's sidelobes measure {resp.sidelobe_db:.1f} dB")
-    coeffs = coeffs * math.sqrt(length / np.sum(coeffs ** 2))
-    return DCWindowDesign(
-        coeffs=coeffs,
-        sl_db_target=float(sl_db),
-        sl_db_measured=resp.sidelobe_db,
-        k_main=resp.mainlobe_width_bins,
-    )
+    except OverflowError:
+        reason = "the sidelobe ratio 10^(|dB|/20) overflows a float"
+    except ConfigurationError:
+        reason = "the designed window's mainlobe spans the whole Doppler axis"
+    else:
+        # a NaN measurement fails the comparison
+        if resp.sidelobe_db <= sl_db + _SIDELOBE_SLACK_DB:
+            return DCWindowDesign(
+                coeffs=coeffs * math.sqrt(length / np.sum(coeffs ** 2)),
+                sl_db_target=float(sl_db),
+                sl_db_measured=resp.sidelobe_db,
+                k_main=resp.mainlobe_width_bins,
+            )
+        reason = f"the designed window's sidelobes measure {resp.sidelobe_db:.1f} dB"
+    raise ConfigurationError(f"requested {sl_db:g} dB is infeasible for N={length}: {reason}")
 
 
 def nominal_sidelobe_level(kind: str, length: int, sl_db: float) -> float:

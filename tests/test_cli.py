@@ -126,7 +126,7 @@ class TestDesignWindow:
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: requested {float(sl_db):.1f} dB "
+        assert len(err) == 1 and err[0].startswith(f"error: requested {float(sl_db):g} dB "
                                                    "is infeasible for N=16: the designed "
                                                    "window's sidelobes measure -3"), err
 
@@ -139,13 +139,46 @@ class TestDesignWindow:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(_MAX_DC_LENGTH) in err[0]
 
-    @pytest.mark.parametrize("n, sl_db", [("20", "nan"), ("20", "-1e6"), ("400", "-1e6")])
+    @pytest.mark.parametrize("n, sl_db", [("20", "nan"), ("20", "-1e6"), ("400", "-1e6"),
+                                          ("6", "-inf")])
     def test_non_finite_or_overflowing_sidelobe_exits_2(self, capsys, n, sl_db):
-        # a NaN target, or a sidelobe ratio 10^(dB/20) beyond the float range
+        # a NaN or infinite target, or a sidelobe ratio 10^(dB/20) beyond
+        # the float range
         rc = main(["design-window", "--N", n, f"--sl-db={sl_db}"])
         assert rc == 2
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("args", [
+        ["design-window", "--N", "20", "--sl-db", "-1e2"],
+        ["design-window", "--N", "20", "--sl-db", "-4e1"],
+        ["design-window", "--N", "6", "--sl-db", "-inf"],
+        ["floor", "--N", "20", "--kmax", "3", "--lmax", "4", "--sl-db", "-4e1"],
+        ["floor", "--N", "20", "--kmax", "3", "--lmax", "4", "--sl-db", "-1e2"],
+    ])
+    def test_a_negative_value_parses_alike_apart_from_or_joined_to_its_flag(self, capsys, args):
+        # argparse takes neither -1e2 nor -inf for a number on its own
+        rc = main(args)
+        apart = capsys.readouterr()
+        rc_joined = main(args[:-2] + [f"--sl-db={args[-1]}"])
+        joined = capsys.readouterr()
+        assert (rc, apart.out, apart.err) == (rc_joined, joined.out, joined.err)
+        assert rc == (2 if args[-1] == "-inf" else 0)
+        assert apart.out if rc == 0 else apart.err.startswith("error: ")
+
+    @pytest.mark.parametrize("n, sl_db", [("3", "-40"), ("8", "-120"), ("20", "-40")])
+    def test_json_sidecar_is_strict_json(self, capsys, n, sl_db):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert main(["design-window", "--N", n, "--sl-db", sl_db]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        sidecar = json.loads("\n".join(lines[int(n) + 1:]), parse_constant=reject)
+        assert sidecar["SL_db_target"] == float(sl_db)
+        assert sidecar["SL_db_measured"] <= float(sl_db) + 0.5
+        assert all(math.isfinite(v) for v in sidecar.values())
 
 
 class TestExperiments:
@@ -208,7 +241,8 @@ class TestExperiments:
         ("pilot_power_dbw = nan", "pilot_power_dbw"),
         ("pilot_power_dbw = 400", "pilot_power_dbw"),
         ("pilot_power_dbw = -400", "pilot_power_dbw"),
-        ("tx_window = dc\ndc_sl_db = -1e6", "-1000000.0 dB"),
+        ("tx_window = dc\ndc_sl_db = -1e6", "-1e+06 dB is infeasible for N=16: the sidelobe "
+                                            "ratio 10^(|dB|/20) overflows a float"),
         ("tx_window = dc\ndc_sl_db = -400", "infeasible for N=16: the designed window's "
                                             "sidelobes measure -3"),
         ("spa_taps = 100000", "Q^L = 2^128 configurations"),

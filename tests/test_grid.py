@@ -177,16 +177,21 @@ class TestSlicing:
         assert Constellation.qpsk().nearest_indices(symbols).tolist() == [0, 1, 2, 3, 1]
         assert Constellation.bpsk().nearest_indices(symbols).tolist() == [0, 0, 1, 1, 0]
 
-    def test_other_alphabets_take_the_distance_argmin(self):
-        # the QPSK points in another labelling: no sign rule applies
-        c = Constellation("rotated", Constellation.qpsk().points[[3, 0, 1, 2]])
-        symbols = np.array([0.5 + 0.5j, -0.5 - 0.5j, 0.0, 2 - 1j])
-        assert np.array_equal(c.nearest_indices(symbols),
-                              oracles.distance_argmin_indices(c, symbols))
-        assert c.nearest_indices(symbols).tolist() == [1, 0, 0, 2]
+    @pytest.mark.parametrize("points", [
+        Constellation.qpsk().points[[3, 0, 1, 2]],  # the QPSK points in another labelling
+        Constellation.bpsk().points[::-1],
+        np.array([1.0, 1j, -1.0, -1j]),
+        np.array([1.0, -1.0, 1j, -1j, 1.0, -1.0, 1j, -1j]),
+        np.array([2.0, -2.0]),
+        np.array([np.nan, -1.0]),
+    ])
+    def test_other_point_sets_are_refused(self, points):
+        # the sign rule holds for the BPSK and QPSK points in their labelling only
+        with pytest.raises(ValueError, match="BPSK or the QPSK point set"):
+            Constellation("other", points)
 
     def test_points_are_a_read_only_copy(self):
-        # the slicing rule is chosen from the points once, at construction
+        # the point set is checked once, at construction
         points = np.array(Constellation.qpsk().points)
         c = Constellation("QPSK", points)
         points[0] = -points[0]

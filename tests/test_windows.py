@@ -1,5 +1,7 @@
 """Window shapes, Chebyshev design figures, and the optimal power map."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -92,9 +94,55 @@ class TestChebyshevDesign:
         with pytest.raises(ConfigurationError):
             dc_window(20, -5.0)
 
-    def test_infeasible_length_reports_max_attenuation(self):
-        with pytest.raises(ConfigurationError, match="achievable"):
+    @pytest.mark.parametrize("sl_db", [np.nan, -np.inf, np.inf])
+    def test_non_finite_target_rejected(self, sl_db):
+        with pytest.raises(ConfigurationError, match="finite"):
+            dc_window(6, sl_db)
+
+    def test_infeasible_length_reports_the_mainlobe_reason(self):
+        # three taps leave no sidelobe region at -100 dB: the refusal says
+        # so and quotes no bound
+        with pytest.raises(ConfigurationError) as info:
             dc_window(3, -100.0)
+        assert str(info.value) == ("requested -100 dB is infeasible for N=3: the designed "
+                                   "window's mainlobe spans the whole Doppler axis")
+
+    @pytest.mark.parametrize("length", [3, 4, 5, 8, 16, 20])
+    def test_every_target_is_accepted_as_measured_or_refused_for_a_reason(self, length):
+        # one rule: a design is accepted when its measured sidelobes sit at
+        # most 0.5 dB above the target; a refusal is one line naming the
+        # measured fact that rules it out, and nothing else
+        reasons = (r"the sidelobe ratio 10\^\(\|dB\|/20\) overflows a float"
+                   r"|the designed window's mainlobe spans the whole Doppler axis"
+                   r"|the designed window's sidelobes measure -\d+\.\d dB")
+        accepted = []
+        for sl in range(-10, -401, -5):
+            try:
+                design = dc_window(length, float(sl))
+            except ConfigurationError as exc:
+                pattern = f"requested {sl} dB is infeasible for N={length}: (?:{reasons})"
+                assert re.fullmatch(pattern, str(exc)), str(exc)
+            else:
+                assert np.all(np.isfinite(design.coeffs))
+                assert design.sl_db_measured <= sl + 0.5
+                accepted.append(sl)
+        assert accepted and accepted[0] == -10
+        if length == 3:
+            assert -60 in accepted
+            with pytest.raises(ConfigurationError, match="mainlobe spans the whole Doppler axis"):
+                dc_window(3, -120.0)
+
+    def test_a_nan_measurement_is_refused(self, monkeypatch):
+        monkeypatch.setattr(windows, "measure_doppler_response",
+                            lambda coeffs: windows.WindowResponse(3.0, float("nan")))
+        with pytest.raises(ConfigurationError, match="sidelobes measure nan dB"):
+            dc_window(20, -40.0)
+
+    def test_an_overflowing_sidelobe_ratio_is_named(self):
+        with pytest.raises(ConfigurationError) as info:
+            dc_window(20, -1e308)
+        assert str(info.value) == ("requested -1e+308 dB is infeasible for N=20: the sidelobe "
+                                   "ratio 10^(|dB|/20) overflows a float")
 
     @pytest.mark.parametrize("length", [16, 20, 64, 300])
     def test_a_target_past_the_rounding_floor_is_refused(self, length):
