@@ -37,172 +37,161 @@ from .grid import Constellation, FrameGrid, map_symbols
 # perfbench/run.py runs the self-check as harness.run_selfcheck
 from .selfcheck import run_selfcheck
 
-_WINDOW_KINDS_TX = ("rect", "dc", "optimal")
-_WINDOW_KINDS_RX = ("rect", "dc")
-_DETECTORS = ("mmse", "spa")
-_CSI_MODES = ("perfect-csir", "estimated-csir", "csit-csir")
-# ExperimentConfig's numeric field types, as its annotations spell them
-_NUMERIC_TYPES = {"int": int, "float": float}
-
-
 # Beyond a pilot-to-data amplitude ratio of 1/eps (or below eps), the pilot and
 # the unit-power data cells cannot share one frame in double precision.
 _MAX_PILOT_DB = 20.0 * math.log10(1.0 / sys.float_info.epsilon)
 
 
+def _number(kind: type, rule: str, holds):
+    """The check of a field of numeric type ``kind`` whose values satisfy
+    ``holds``, which ``rule`` states in words.  An int field takes only an
+    integral value; one type per field makes equal configs print, and
+    hash, alike."""
+    def check(name: str, value):
+        try:
+            typed = kind(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(f"bad value for {name!r}: {value!r}") from exc
+        if kind is int and not isinstance(value, str) and typed != value:
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if not holds(typed):
+            raise ConfigurationError(f"{name} must be {rule}, got {typed!r}")
+        return typed
+    return check
+
+
+def _at_least(low: int):
+    return _number(int, f"at least {low}", lambda v: v >= low)
+
+
+def _choice(*options: str, fold: bool = False):
+    """The check of a text field that takes one of ``options``, lower-cased
+    first when ``fold`` is set: one spelling per run, which the hash, the
+    echo and the link cache see."""
+    def check(name: str, value) -> str:
+        text = str(value).strip().lower() if fold else str(value).strip()
+        if text not in options:
+            raise ConfigurationError(f"{name} must be one of {options}, got {value!r}")
+        return text
+    return check
+
+
+def _snr_points(name: str, value) -> tuple[float, ...]:
+    """The check of the SNR list: a sequence or a comma/space separated
+    text of dB values, each with a normal, finite noise power."""
+    points = value.replace(",", " ").split() if isinstance(value, str) else value
+    try:
+        points = tuple(float(v) for v in points)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"bad value for {name!r}: {value!r}") from exc
+    if not points:
+        raise ConfigurationError(f"{name} must list at least one SNR point, got {value!r}")
+    for v in points:
+        try:
+            n0 = noise_power(v)
+        except OverflowError:
+            n0 = math.inf
+        if not sys.float_info.min <= n0 < math.inf:
+            raise ConfigurationError(
+                f"SNR point {v:g} dB in {name} gives a noise power of {n0:g}, outside "
+                "the normal floating-point range"
+            )
+    return points
+
+
+def _field(default, check):
+    """A config field with its own check: ``check(name, value)`` returns the
+    value as the config stores it, or raises ``ConfigurationError``."""
+    return dataclasses.field(default=default, metadata={"check": check})
+
+
+_POSITIVE_FINITE = _number(float, "finite and positive", lambda v: 0.0 < v < math.inf)
+
+# The fields of every config hash so far, in their order: each is hashed
+# always.  A field added later is hashed only when set away from its
+# default, so adding one moves no existing hash.
+_HASHED_ALWAYS = (
+    "M", "N", "delta_f", "fc", "constellation", "paths", "k_max", "l_max", "k_hat",
+    "pilot_power_dbw", "tx_window", "rx_window", "dc_sl_db", "detector", "spa_taps",
+    "spa_iters", "spa_damping", "csi", "snr_db", "trials", "seed",
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment description; unknown keys are rejected on parse."""
+    """Flat experiment description; unknown keys are rejected on parse.
 
-    M: int = 30
-    N: int = 20
-    delta_f: float = 5e3
-    fc: float = 3e9
-    constellation: str = "qpsk"
-    paths: int = 5
-    k_max: int = 3
-    l_max: int = 4
-    k_hat: int = 1
-    pilot_power_dbw: float = 30.0
-    tx_window: str = "rect"
-    rx_window: str = "rect"
-    dc_sl_db: float = -40.0
-    detector: str = "mmse"
-    spa_taps: int = 0            # 0 means the 3P-1 default
-    spa_iters: int = 20
-    spa_damping: float = 0.5
-    csi: str = "perfect-csir"
-    snr_db: tuple[float, ...] = (10.0, 20.0, 30.0)
-    trials: int = 1000
-    seed: int = 0
+    Each field declares its own check beside it; ``__post_init__`` runs
+    them all, then the rules that tie fields together.
+    """
+
+    M: int = _field(30, _at_least(2))
+    N: int = _field(20, _at_least(2))
+    delta_f: float = _field(5e3, _POSITIVE_FINITE)
+    fc: float = _field(3e9, _POSITIVE_FINITE)
+    constellation: str = _field("qpsk", _choice("bpsk", "qpsk", fold=True))
+    paths: int = _field(5, _at_least(1))
+    k_max: int = _field(3, _at_least(0))
+    l_max: int = _field(4, _at_least(0))
+    k_hat: int = _field(1, _at_least(0))
+    pilot_power_dbw: float = _field(30.0, _number(float, f"within +-{_MAX_PILOT_DB:.1f} dB",
+                                                  lambda v: abs(v) <= _MAX_PILOT_DB))
+    tx_window: str = _field("rect", _choice("rect", "dc", "optimal"))
+    rx_window: str = _field("rect", _choice("rect", "dc"))
+    dc_sl_db: float = _field(-40.0, _number(float, "finite", math.isfinite))
+    detector: str = _field("mmse", _choice("mmse", "spa"))
+    spa_taps: int = _field(0, _at_least(0))      # 0 means the 3P-1 default
+    spa_iters: int = _field(20, _at_least(1))
+    spa_damping: float = _field(0.5, _number(float, "in (0, 1]", lambda v: 0.0 < v <= 1.0))
+    csi: str = _field("perfect-csir", _choice("perfect-csir", "estimated-csir", "csit-csir"))
+    snr_db: tuple[float, ...] = _field((10.0, 20.0, 30.0), _snr_points)
+    trials: int = _field(1000, _at_least(1))
+    seed: int = _field(0, _at_least(0))
 
     def __post_init__(self) -> None:
-        # one type per numeric field: equal configs then print, and hash, alike
         for f in dataclasses.fields(self):
-            kind = _NUMERIC_TYPES.get(f.type)
-            if kind is None:
-                continue
-            value = getattr(self, f.name)
-            try:
-                typed = kind(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigurationError(f"bad value for {f.name!r}: {value!r}") from exc
-            if kind is int and not isinstance(value, str) and typed != value:
-                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
-            object.__setattr__(self, f.name, typed)
-        if self.constellation.lower() not in ("bpsk", "qpsk"):
-            raise ConfigurationError(f"unknown constellation {self.constellation!r}")
-        # one spelling per run: the hash, the echo and the link cache see it
-        object.__setattr__(self, "constellation", self.constellation.lower())
-        if self.tx_window not in _WINDOW_KINDS_TX:
-            raise ConfigurationError(f"tx_window must be one of {_WINDOW_KINDS_TX}")
-        if self.rx_window not in _WINDOW_KINDS_RX:
-            raise ConfigurationError(f"rx_window must be one of {_WINDOW_KINDS_RX}")
-        if self.detector not in _DETECTORS:
-            raise ConfigurationError(f"detector must be one of {_DETECTORS}")
-        if self.csi not in _CSI_MODES:
-            raise ConfigurationError(f"csi must be one of {_CSI_MODES}")
-        if self.trials < 1:
-            raise ConfigurationError("trials must be positive")
+            object.__setattr__(self, f.name, f.metadata["check"](f.name, getattr(self, f.name)))
+        # the rules that tie two or more fields together
         if self.tx_window == "optimal" and self.csi != "csit-csir":
             raise ConfigurationError("the optimal TX window needs csi = csit-csir")
         if self.tx_window == "optimal" and self.rx_window != "rect":
             raise ConfigurationError(
-                "the optimal TX window is designed for a rect RX window; use rx_window = rect"
-            )
+                "the optimal TX window is designed for a rect RX window; use rx_window = rect")
         if self.tx_window == "dc" and self.rx_window == "dc":
             raise ConfigurationError(
-                "shaping windows go on one side only; keep the other side rect"
-            )
-        try:
-            grid = FrameGrid(M=self.M, N=self.N, delta_f=self.delta_f, fc=self.fc)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
-        if not 0 <= self.k_max <= (grid.N - 1) // 2:
-            raise ConfigurationError(
-                f"k_max must lie in [0, {(grid.N - 1) // 2}] for N={grid.N}"
-            )
-        if not 0 <= self.l_max <= grid.M - 1:
-            raise ConfigurationError(f"l_max must lie in [0, {grid.M - 1}] for M={grid.M}")
-        if self.paths < 1:
-            raise ConfigurationError("paths must be positive")
-        if self.seed < 0 or self.k_hat < 0:
-            raise ConfigurationError("seed and k_hat must be nonnegative")
-        if self.spa_taps < 0:
-            raise ConfigurationError("spa_taps must be nonnegative (0 means 3*paths - 1)")
-        if not math.isfinite(self.dc_sl_db):
-            raise ConfigurationError(f"dc_sl_db must be finite: {self.dc_sl_db!r}")
-        if not abs(self.pilot_power_dbw) <= _MAX_PILOT_DB:
-            raise ConfigurationError(
-                f"pilot_power_dbw = {self.pilot_power_dbw!r} lies outside "
-                f"[-{_MAX_PILOT_DB:.1f}, {_MAX_PILOT_DB:.1f}] dB"
-            )
-        if not math.isfinite(self.implied_max_speed_kmh()):
-            raise ConfigurationError("delta_f / fc is too large for a finite implied speed")
-        if self.spa_iters < 1:
-            raise ConfigurationError("spa_iters must be positive")
-        if not 0.0 < self.spa_damping <= 1.0:
-            raise ConfigurationError("spa_damping must lie in (0, 1]")
-        snrs = self.snr_db
-        if isinstance(snrs, str):
-            snrs = [p for p in snrs.replace(",", " ").split() if p]
-        try:
-            snrs = tuple(float(s) for s in snrs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad snr_db list: {self.snr_db!r}") from exc
-        if not snrs:
-            raise ConfigurationError("at least one SNR point is required")
-        if not all(math.isfinite(v) for v in snrs):
-            raise ConfigurationError(f"SNR points must be finite: {self.snr_db!r}")
-        for v in snrs:
-            try:
-                n0 = noise_power(v)
-            except OverflowError:
-                n0 = math.inf
-            if not sys.float_info.min <= n0 < math.inf:
-                raise ConfigurationError(
-                    f"SNR point {v:g} dB gives a noise power of {n0:g}, outside "
-                    "the normal floating-point range"
-                )
+                "shaping windows go on one side only; keep the other side rect")
         if self.detector == "spa" and self.rx_window != "rect":
             raise ConfigurationError(
-                "the sum-product detector models white noise; use rx_window = rect"
-            )
+                "the sum-product detector models white noise; use rx_window = rect")
+        grid = self.grid()
+        if self.k_max > (grid.N - 1) // 2:
+            raise ConfigurationError(f"k_max must lie in [0, {(grid.N - 1) // 2}] for N={grid.N}")
+        if self.l_max > grid.M - 1:
+            raise ConfigurationError(f"l_max must lie in [0, {grid.M - 1}] for M={grid.M}")
+        if not math.isfinite(self.implied_max_speed_kmh()):
+            raise ConfigurationError("delta_f / fc is too large for a finite implied speed")
         if 16 * grid.size > _FRAME_BYTES:
             raise ConfigurationError(
                 f"M = {self.M}, N = {self.N}: one complex frame would take "
                 f"{16 * grid.size} bytes, past the {_FRAME_BYTES >> 20} MiB of memory "
                 "allowed for a frame")
-        chunk = min(_chunk_size(grid), len(snrs) * self.trials)
+        chunk = min(_chunk_size(grid), len(self.snr_db) * self.trials)
         fits = ch_mod.paths_that_fit(grid, chunk, _PATH_BYTES)
         if self.paths > fits:
             raise ConfigurationError(
                 f"paths = {self.paths}: the channel draws and phases of one {chunk}-frame "
                 f"chunk would not fit in {_PATH_BYTES >> 20} MiB of memory; at most {fits} "
                 "paths do")
-        object.__setattr__(self, "snr_db", snrs)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in dataclasses.fields(cls))
-
-    @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        known = cls.field_names()
-        unknown = sorted(set(mapping) - set(known))
+        unknown = sorted(set(mapping) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
-        # numbers and the SNR list are parsed and checked by __post_init__
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name not in mapping:
-                continue
-            raw = mapping[f.name]
-            parsed_later = f.type in _NUMERIC_TYPES or f.name == "snr_db"
-            kwargs[f.name] = raw if parsed_later else str(raw).strip()
-        return cls(**kwargs)
+        # each field's check parses its text
+        return cls(**mapping)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -233,12 +222,15 @@ class ExperimentConfig:
         return self.spa_taps if self.spa_taps > 0 else 3 * self.paths - 1
 
     def canonical_text(self) -> str:
+        names = _HASHED_ALWAYS + tuple(
+            f.name for f in dataclasses.fields(self)
+            if f.name not in _HASHED_ALWAYS and getattr(self, f.name) != f.default)
         items = []
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name == "snr_db":
+        for name in names:
+            value = getattr(self, name)
+            if name == "snr_db":
                 value = ",".join(f"{v:.10g}" for v in value)
-            items.append(f"{f.name}={value}")
+            items.append(f"{name}={value}")
         return "\n".join(items)
 
     def config_hash(self) -> str:
@@ -413,10 +405,9 @@ class _Link:
 
 
 # The config fields of one call that its link does not read: every other
-# field is part of the link's cache key.
+# field of the config's class, one added later included, is part of the
+# link's cache key.
 _PER_CALL_FIELDS = ("seed", "trials", "snr_db")
-_LINK_FIELDS = tuple(name for name in ExperimentConfig.field_names()
-                     if name not in _PER_CALL_FIELDS)
 # Distinct links one process keeps: a sweep over one config needs one or two.
 _LINK_CACHE_SIZE = 8
 
@@ -431,20 +422,21 @@ def _link(config: ExperimentConfig, pilot: bool) -> _Link:
     calls, as a benchmark loop, the test suite or a seed sweep through the
     API do; a single CLI run builds its link once either way.
     """
-    shared = _link_parts(tuple(getattr(config, name) for name in _LINK_FIELDS), pilot)
-    return _Link(config, *shared)
+    fields = tuple((f.name, getattr(config, f.name)) for f in dataclasses.fields(config)
+                   if f.name not in _PER_CALL_FIELDS)
+    return _Link(config, *_link_parts(type(config), fields, pilot))
 
 
 @functools.lru_cache(maxsize=_LINK_CACHE_SIZE)
-def _link_parts(fields: tuple, pilot: bool) -> tuple:
-    """The ``_Link`` fields after ``config``, built from the values of
-    ``_LINK_FIELDS`` in ``fields``.
+def _link_parts(kind: type, fields: tuple, pilot: bool) -> tuple:
+    """The ``_Link`` fields after ``config``, built from the ``(name,
+    value)`` pairs ``fields`` of a config of class ``kind``.
 
     A failed design raises on every call: the cache stores no exception.
     """
     # the link reads no per-call field, and one trial at one SNR point
     # passes validation whenever the caller's config does
-    config = ExperimentConfig(**dict(zip(_LINK_FIELDS, fields)), trials=1, snr_db=(0.0,))
+    config = kind(**dict(fields), trials=1, snr_db=(0.0,))
     grid = config.grid()
     constellation = Constellation.by_name(config.constellation)
     windows = None if config.tx_window == "optimal" else build_windows(config, grid)

@@ -309,13 +309,13 @@ class TestConfig:
             ExperimentConfig(**kwargs)
 
     def test_semantic_validation(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^constellation must be one of .*'64qam'$"):
             ExperimentConfig(constellation="64qam")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^detector must be one of .*'zf'$"):
             ExperimentConfig(detector="zf")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="optimal TX window needs csi = csit-csir"):
             ExperimentConfig(tx_window="optimal", csi="perfect-csir")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^snr_db must list at least one SNR point"):
             ExperimentConfig(snr_db=())
         with pytest.raises(ConfigurationError, match="one side"):
             ExperimentConfig(tx_window="dc", rx_window="dc")
@@ -323,7 +323,7 @@ class TestConfig:
             ExperimentConfig(N=8, k_max=4)
         with pytest.raises(ConfigurationError, match="l_max"):
             ExperimentConfig(M=4, l_max=4)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^M must be at least 2, got 1$"):
             ExperimentConfig(M=1)
 
     def test_file_parsing(self, tmp_path):
@@ -421,6 +421,51 @@ class TestConfig:
     def test_spa_tap_default_follows_path_count(self):
         assert ExperimentConfig(paths=2).spa_tap_count() == 5
         assert ExperimentConfig(paths=2, spa_taps=3).spa_tap_count() == 3
+
+
+@dataclasses.dataclass(frozen=True)
+class _GuardedConfig(ExperimentConfig):
+    """A config with one key added after the hash format was fixed."""
+
+    pilot_guard: str = harness._field("reduced", harness._choice("reduced", "full"))
+
+
+class TestAddedField:
+    def test_the_original_fields_are_hashed_in_their_order(self):
+        text = ExperimentConfig().canonical_text()
+        assert [line.split("=")[0] for line in text.splitlines()] == list(harness._HASHED_ALWAYS)
+        assert ExperimentConfig().config_hash() == "8fa01f73c2c5"
+
+    @pytest.mark.parametrize("fields", [{}, TINY_CE, GOLDEN_SPA])
+    def test_a_field_at_its_default_keeps_the_text_and_hash(self, fields):
+        base, added = ExperimentConfig(**fields), _GuardedConfig(**fields)
+        assert added.canonical_text() == base.canonical_text()
+        assert added.config_hash() == base.config_hash()
+
+    def test_a_field_away_from_its_default_changes_the_text_and_hash(self):
+        base = ExperimentConfig(**TINY_CE)
+        added = _GuardedConfig.from_mapping({**TINY_CE, "pilot_guard": " full "})
+        assert added.pilot_guard == "full"
+        assert added.canonical_text() == base.canonical_text() + "\npilot_guard=full"
+        assert added.config_hash() != base.config_hash()
+
+    def test_a_bad_value_is_refused_on_one_line_naming_the_field(self):
+        with pytest.raises(ConfigurationError, match="^pilot_guard must be one of ") as info:
+            _GuardedConfig(**TINY_CE, pilot_guard="half")
+        assert "\n" not in str(info.value) and str(info.value).endswith("got 'half'")
+
+    def test_the_link_cache_key_holds_the_field(self):
+        harness._link_parts.cache_clear()
+        try:
+            reduced = _GuardedConfig(**_LINK_BASE)
+            full = dataclasses.replace(reduced, pilot_guard="full")
+            for config in (reduced, full, dataclasses.replace(full, seed=1, trials=2,
+                                                              snr_db=(5.0,))):
+                assert harness._link(config, pilot=True).config is config
+            info = harness._link_parts.cache_info()
+            assert (info.misses, info.hits) == (2, 1)
+        finally:
+            harness._link_parts.cache_clear()
 
 
 class TestIntervals:
