@@ -25,7 +25,6 @@ from .channel import (
     ChannelRealization,
     EffectiveDDChannel,
     PathSpec,
-    channel_from_text,
     channel_to_text,
     circular_operator,
     delay_power_profile,

@@ -77,13 +77,6 @@ class ChannelRealization:
         ch.doppler_bins, ch.doppler_fracs = doppler_bins, doppler_fracs
         return ch
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChannelRealization):
-            return NotImplemented
-        return self.grid == other.grid and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("gains", "delay_bins", "doppler_bins", "doppler_fracs"))
-
     @property
     def paths(self) -> tuple[PathSpec, ...]:
         """The paths of one realization as :class:`PathSpec` records."""
@@ -420,24 +413,3 @@ def channel_to_text(ch: ChannelRealization) -> str:
             f"{float(p.doppler_frac)!r}\n"
         )
     return buf.getvalue()
-
-
-def channel_from_text(text: str, grid: FrameGrid) -> ChannelRealization:
-    paths = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"line {line_no}: expected 5 fields, got {len(parts)}")
-        re, im, l, k, frac = parts
-        paths.append(
-            PathSpec(
-                gain=complex(float(re), float(im)),
-                delay_bin=int(l),
-                doppler_bin=int(k),
-                doppler_frac=float(frac),
-            )
-        )
-    return ChannelRealization(paths=tuple(paths), grid=grid)

@@ -316,9 +316,8 @@ def spa_detect(
     tensor with the incoming messages (:func:`_factor_messages`), O(Q^L)
     per factor and sweep; the likelihood is held for all Q^L joint
     configurations, so Q^L is capped by ``_SPA_MAX_CONFIGS``.  An empty
-    truncation (an all-zero channel estimate) or a mask without data cells
-    leaves the uniform prior, decided as constellation index 0, after 0
-    sweeps; known cells keep that prior too.
+    truncation (an all-zero channel estimate) leaves the uniform prior,
+    decided as constellation index 0, after 0 sweeps.
 
     All frames of a stack share one graph (:func:`_spa_graph`) and one
     flood (:func:`_flood`) with L the largest degree: a frame that keeps
@@ -326,11 +325,14 @@ def spa_detect(
     the point mass [1, 0, ..] and leave its numbers exact.  Each frame
     stops on its own, its messages frozen in place, so every frame gets bit
     for bit its result alone; at most ``_SPA_MAX_CONFIGS // Q^L`` frames
-    share a flood.  A stack returns (B, NM) ``soft`` and ``hard_indices``
-    and (B, NM, Q) ``marginals``.  ``iterations`` counts the sweeps the
-    call ran, for one frame its iterations, and ``frame_iterations`` holds
-    each frame's own count, the ``iterations`` it gets alone: (B,) integers
-    for a stack, one for a frame.
+    share a flood.  The report covers the D cells of ``data_mask`` (all NM
+    without one) in row-major order, as :func:`tf_lmmse_detect` does for a
+    layout: a stack returns (B, D) ``soft`` and ``hard_indices`` and
+    (B, D, Q) ``marginals``.  ``iterations`` counts the sweeps the call
+    ran, for one frame its iterations, and ``frame_iterations`` holds each
+    frame's own count, the ``iterations`` it gets alone: (B,) integers for
+    a stack, one for a frame.  A ``y_frame`` not shaped as ``channel.taps``
+    or a ``data_mask`` not shaped as the grid raises ``ValueError``.
     """
     if channel.truncation is None:
         raise ValueError("sum-product detection needs a tap-truncated channel")
@@ -350,17 +352,21 @@ def spa_detect(
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
 
-    size = taps[0].size
     y = np.asarray(y_frame, dtype=complex)
-    if y.size != taps.size:
-        raise ValueError("observation shape does not match the channel grid")
-    y = y.reshape(len(taps), size)
+    if y.shape != channel.taps.shape:
+        raise ValueError(f"observation shape {y.shape} does not match the channel's "
+                         f"tap shape {channel.taps.shape}")
+    data = np.ones(channel.shape, dtype=bool) if data_mask is None else \
+        np.asarray(data_mask, dtype=bool)
+    if data.shape != channel.shape:
+        raise ValueError(f"data mask shape {data.shape} does not match the channel "
+                         f"grid {channel.shape}")
+    data = data.reshape(-1)
+    y = y.reshape(len(taps), data.size)
     sigma2 = np.broadcast_to(np.asarray(n0, dtype=float) + channel.residual_power(), len(taps))
-    data = np.ones(size, dtype=bool) if data_mask is None else \
-        np.asarray(data_mask, dtype=bool).reshape(size)
 
-    belief = np.full((len(taps), size, q), 1.0 / q)
     cells = np.flatnonzero(data)
+    belief = np.full((len(taps), cells.size, q), 1.0 / q)
     live = np.flatnonzero((degrees > 0) & (cells.size > 0))
     step = _SPA_MAX_CONFIGS // q ** int(degrees[live].max(initial=0))
     sweeps = 0
@@ -368,8 +374,7 @@ def spa_detect(
     for first in range(0, live.size, step):
         batch = live[first:first + step]
         graph = _spa_graph(y[batch], taps[batch], truncation[batch], sigma2[batch], points, data)
-        beliefs, frame_sweeps[batch] = _flood(graph, iters, damping)
-        belief[np.ix_(batch, cells)] = beliefs
+        belief[batch], frame_sweeps[batch] = _flood(graph, iters, damping)
         sweeps += int(frame_sweeps[batch].max())
 
     idx = belief.argmax(axis=2)

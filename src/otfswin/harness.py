@@ -605,7 +605,9 @@ def _detect_frames(
     tap grid.  The pilot cancellation and SPA use the taps, the LMMSE
     detector the gains; either comes from the other by one 2-D FFT.  The
     pilot is estimated and cancelled, and either detector runs, once for
-    the stack.
+    the stack.  Both detectors decide the data cells of the link's layout
+    alone, in row-major order (all cells without a layout), so their
+    indices map to bits as they come.
     """
     layout, taps = link.layout, None
     if gains is None:
@@ -625,13 +627,10 @@ def _detect_frames(
             taps = ch_mod._dd_response(gains)
         channel = ch_mod.EffectiveDDChannel(
             taps=taps, truncation=ch_mod.largest_taps(taps, config.spa_tap_count()))
-        data_mask = None if layout is None else layout.data_mask
         idx = det_mod.spa_detect(
-            y, channel, n0, constellation,
-            iters=config.spa_iters, damping=config.spa_damping, data_mask=data_mask,
+            y, channel, n0, constellation, iters=config.spa_iters,
+            damping=config.spa_damping, data_mask=None if layout is None else layout.data_mask,
         ).hard_indices
-        if layout is not None:
-            idx = idx.reshape((-1,) + link.grid.shape)[:, data_mask]
     return constellation.indices_to_bits(idx.reshape(-1)).reshape(len(idx), -1)
 
 

@@ -224,7 +224,8 @@ def enumeration_spa_detect(
     ``channel`` must carry a tap truncation; its residual tap energy is added
     to ``n0`` in the likelihood.  ``data_mask`` marks the unknown symbols;
     cells outside it are treated as known zeros (the caller cancels any pilot
-    beforehand): the taps that reach them get zero gain.
+    beforehand): the taps that reach them get zero gain.  The report covers
+    the data cells alone, in row-major order.
 
     Messages are probability vectors over the constellation; the factor
     update enumerates all Q^L joint configurations, so Q^L is capped by
@@ -250,11 +251,13 @@ def enumeration_spa_detect(
     y = np.asarray(y_frame, dtype=complex).reshape(-1)
     if y.size != size:
         raise ValueError("observation shape does not match the channel grid")
+    data = np.ones(size, dtype=bool) if data_mask is None else \
+        np.asarray(data_mask, dtype=bool).reshape(-1)
     if degree == 0:
         # an all-zero channel (estimate) leaves no factors: every symbol
         # keeps its uniform prior, decided as constellation index 0
-        belief = np.full((size, q), 1.0 / q)
-        idx = np.zeros(size, dtype=np.int64)
+        belief = np.full((int(data.sum()), q), 1.0 / q)
+        idx = np.zeros(len(belief), dtype=np.int64)
         return DetectionReport(soft=belief @ points, hard_indices=idx,
                                marginals=belief, iterations=0)
     sigma2 = n0 + channel.residual_power()
@@ -268,9 +271,7 @@ def enumeration_spa_detect(
     for t, (doppler, delay, value) in enumerate(taps):
         sym_of[:, t] = ((k_obs - doppler) % n) * m + (l_obs - delay) % m
         gains[:, t] = value
-    if data_mask is not None:
-        known = ~np.asarray(data_mask, dtype=bool).reshape(-1)
-        gains[known[sym_of]] = 0.0  # known-zero symbols contribute nothing
+    gains[~data[sym_of]] = 0.0  # known-zero symbols contribute nothing
 
     # observation index each symbol meets at tap slot t (inverse of sym_of)
     obs_of = np.empty((size, degree), dtype=np.int64)
@@ -328,6 +329,7 @@ def enumeration_spa_detect(
     np.divide(belief, total, out=belief, where=total > 0)
     belief[np.squeeze(total <= 0, axis=1)] = 1.0 / q
 
+    belief = belief[data]
     idx = belief.argmax(axis=1)
     soft = belief @ points
     return DetectionReport(
@@ -406,7 +408,8 @@ def full_graph_spa(
     added to its frame's ``n0`` in that frame's likelihood.  ``data_mask`` marks the unknown
     symbols of every frame; cells outside it are treated as known zeros (the
     caller cancels any pilot beforehand): the taps that reach them get zero
-    gain, but the cells stay variable nodes.
+    gain, but the cells stay variable nodes, and the report covers the data
+    cells alone, in row-major order, as :func:`otfswin.spa_detect` does.
 
     Messages are probability vectors over the constellation.  The factor
     update contracts the (Q,)*L likelihood tensor of every factor with its
@@ -417,9 +420,10 @@ def full_graph_spa(
 
     The frames of a stack that share a truncation degree L run their sweeps
     together (:func:`_fg_flood`), and each stops on its own, so every frame
-    gets bit for bit its result alone.  A stack returns (B, NM) ``soft`` and
-    ``hard_indices`` and (B, NM, Q) ``marginals``; ``iterations`` counts the
-    sweeps the call ran, for one frame its iterations.
+    gets bit for bit its result alone.  A stack returns (B, D) ``soft`` and
+    ``hard_indices`` and (B, D, Q) ``marginals`` for D data cells (all NM
+    without a mask); ``iterations`` counts the sweeps the call ran, for one
+    frame its iterations.
     """
     single = isinstance(channel, EffectiveDDChannel)
     channels = [channel] if single else list(channel)
@@ -463,6 +467,8 @@ def full_graph_spa(
                                         points, iters, damping, known)
             sweeps += ran
 
+    if known is not None:
+        belief = belief[:, ~known]
     idx = belief.argmax(axis=2)
     soft = belief @ points
     if single:

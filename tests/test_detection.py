@@ -1,6 +1,7 @@
 """MMSE/SPA detectors and the noise covariance."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -416,8 +417,52 @@ class TestSPA:
         x[mask] = bpsk.points[bits]
         y = transmit_frame(x, tf_channel(ch), windows, 1e-4, rng)
         report = spa_detect(y, eff, 1e-4, bpsk, data_mask=mask)
-        detected = report.hard_indices.reshape(grid.shape)[mask]
-        assert np.array_equal(detected, bits)
+        assert np.array_equal(report.hard_indices, bits)
+
+    def test_masked_stack_decides_the_data_cells_as_lmmse_does(self):
+        # both detectors return the layout's data cells in row-major order;
+        # on noise-free frames over known taps both decide the sent symbols
+        rng = np.random.default_rng(12)
+        grid = FrameGrid(M=8, N=16)
+        layout = PilotLayout.centered(grid, k_max=2, l_max=2, k_hat=1)
+        mask, frames = layout.data_mask, 3
+        bpsk = Constellation.bpsk()
+        windows = WindowPair.rectangular(grid)
+        # |1 + 0.4j e^(i phi)| >= 0.6 on every TF bin
+        ch = ChannelRealization((PathSpec(1.0, 1, -1), PathSpec(0.4j, 2, 2)), grid)
+        gains = np.broadcast_to(windows.joint * tf_channel(ch), (frames,) + grid.shape)
+        taps = effective_dd_channel(ch, windows).taps
+        taps = np.broadcast_to(taps, gains.shape)
+        sent = rng.integers(0, 2, (frames, int(mask.sum())))
+        x = np.zeros(gains.shape, dtype=complex)
+        x[:, mask] = bpsk.points[sent]
+        y = transmit_frame(x, gains, windows)
+        rx = np.broadcast_to(windows.rx, y.shape)
+        lmmse = tf_lmmse_detect(y, gains, rx, 1e-6, bpsk, layout)
+        eff = EffectiveDDChannel(taps=taps, truncation=largest_taps(taps, 2))
+        spa = spa_detect(y, eff, 1e-6, bpsk, data_mask=mask)
+        assert lmmse.hard_indices.shape == spa.hard_indices.shape == (frames, 63)
+        assert np.array_equal(lmmse.hard_indices, sent)
+        assert np.array_equal(spa.hard_indices, sent)
+        assert spa.marginals.shape == (frames, 63, 2)
+
+    @pytest.mark.parametrize("shape", [(8, 16), (128,), (1, 16, 8)])
+    def test_observation_of_another_shape_refused(self, shape):
+        taps = np.zeros((16, 8), dtype=complex)
+        taps[0, 0] = 1.0
+        eff = EffectiveDDChannel(taps=taps, truncation=largest_taps(taps, 1))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*\(16, 8\)"):
+            spa_detect(np.zeros(shape), eff, 0.1, Constellation.bpsk())
+
+    @pytest.mark.parametrize("shape", [(8, 16), (4, 4), (128,)])
+    def test_mask_of_another_shape_refused(self, shape):
+        # a transposed mask has the right size but names other cells
+        taps = np.zeros((2, 16, 8), dtype=complex)
+        taps[:, 0, 0] = 1.0
+        eff = EffectiveDDChannel(taps=taps, truncation=largest_taps(taps, 1))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*\(16, 8\)"):
+            spa_detect(np.zeros(taps.shape), eff, 0.1, Constellation.bpsk(),
+                       data_mask=np.ones(shape, dtype=bool))
 
     def test_requires_truncation(self):
         grid = FrameGrid(M=4, N=4)
