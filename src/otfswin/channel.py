@@ -358,6 +358,7 @@ def transmit_frame(
     windows: WindowPair,
     n0: float | np.ndarray = 0.0,
     rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    demodulate: bool = True,
 ) -> np.ndarray:
     """Pass a DD frame, or each frame of a ``[..., N, M]`` stack, through the
     windowed ideal-pulse channel.
@@ -365,7 +366,9 @@ def transmit_frame(
     Exact FFT chain: modulate, TX window, per-bin TF gains, additive white
     TF noise of power n0, RX window, demodulate.  The gain and window grids
     broadcast against the frames, and so does ``n0``: one noise power, or an
-    array of one per frame.  Returns the received DD frames.
+    array of one per frame.  Returns the received DD frames, or with
+    ``demodulate=False`` the RX-windowed TF grids v * (g * u * X + noise)
+    that the final ``sfft`` would take, for a receiver that works per TF bin.
 
     A stack takes one generator per frame (row-major over the leading axes)
     and draws each frame's noise from its own generator in one call, real
@@ -396,7 +399,8 @@ def transmit_frame(
         noise.real, noise.imag = draws[:, 0], draws[:, 1]
         noise = noise.reshape(x_tf.shape)
         received = received + scale[..., None, None] * noise
-    return sfft(windows.rx * received)
+    received = windows.rx * received
+    return sfft(received) if demodulate else received
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,11 @@ def tf_lmmse_detect(
     channel), so the DD channel is sfft . diag(g) . isfft, and ``rx_window``
     the RX window grid v, which colors the noise to n0 |v|^2 per bin; a
     stack takes one gain and one window grid per frame, and ``n0`` one
-    noise power for all frames or an array of one per frame.  With
-    d = |g|^2 + n0 |v|^2, the full-data estimate is sfft(conj(g) / d *
-    isfft(y)).
+    noise power for all frames or an array of one per frame (any other
+    shape raises ``ValueError``).  With d = |g|^2 + n0 |v|^2, the full-data
+    estimate is sfft(conj(g) / d * isfft(y)).  A receiver that already
+    holds the TF grid isfft(y) skips that ``isfft``: :func:`_tf_lmmse` takes
+    it as it is, and this function is ``_tf_lmmse(isfft(y), ...)``.
 
     The guard cells of an embedded-pilot ``layout`` (the caller cancels the
     pilot beforehand) are known zeros; they remove G columns from the
@@ -139,10 +141,37 @@ def tf_lmmse_detect(
     fewer than 2 l_max + 1 nonzero bins in a time slot where ``tf_gains``
     is nonzero, a pair no joint window gives, since g carries the RX window.
     """
-    y = np.asarray(y_frame, dtype=complex)
+    return _tf_lmmse(isfft(np.asarray(y_frame, dtype=complex)), tf_gains, rx_window, n0,
+                     constellation, layout)
+
+
+def _frame_noise(n0: float | np.ndarray, frames: tuple[int, ...]) -> np.ndarray:
+    """``n0`` as a float array: one noise power, or one per frame of a
+    stack whose leading shape is ``frames``; any other shape raises
+    ``ValueError`` naming both shapes."""
+    n0 = np.asarray(n0, dtype=float)
+    if n0.ndim and n0.shape != frames:
+        raise ValueError(f"noise power of shape {n0.shape} is neither one value nor one "
+                         f"per frame of the stack's leading shape {frames}")
+    return n0
+
+
+def _tf_lmmse(
+    received: np.ndarray,
+    tf_gains: np.ndarray,
+    rx_window: np.ndarray,
+    n0: float | np.ndarray,
+    constellation: Constellation,
+    layout: PilotLayout | None = None,
+) -> DetectionReport:
+    """:func:`tf_lmmse_detect` on the RX-windowed TF grids ``received``
+    (isfft of the DD frames): the full-data estimate is sfft(conj(g) / d *
+    received)."""
+    r = np.asarray(received, dtype=complex)
     g = np.asarray(tf_gains, dtype=complex)
-    noise_tf = np.asarray(n0, dtype=float)[..., None, None] * np.abs(np.asarray(rx_window)) ** 2
-    if not y.shape == g.shape == noise_tf.shape:
+    n0 = _frame_noise(n0, r.shape[:-2])
+    noise_tf = n0[..., None, None] * np.abs(np.asarray(rx_window)) ** 2
+    if not r.shape == g.shape == noise_tf.shape:
         raise ValueError("observation, gain and window grids must share one shape")
     denom = np.abs(g) ** 2 + noise_tf
     if not np.all(denom > 0):
@@ -150,9 +179,9 @@ def tf_lmmse_detect(
             "LMMSE solve is singular (a TF bin with zero gain and zero noise); "
             "refusing to regularize implicitly"
         )
-    soft = sfft(np.conj(g) / denom * isfft(y))
+    soft = sfft(np.conj(g) / denom * r)
     if layout is None:
-        soft = soft.reshape(y.shape[:-2] + (-1,))
+        soft = soft.reshape(r.shape[:-2] + (-1,))
     else:
         guard = layout.guard_mask
         residual = noise_tf / denom
@@ -162,7 +191,7 @@ def tf_lmmse_detect(
             raise NumericalFailure(
                 "LMMSE guard downdate is singular; refusing to regularize implicitly"
             ) from exc
-        placed = np.zeros_like(y)
+        placed = np.zeros_like(r)
         placed[..., guard] = weights
         soft = (soft - sfft(residual * isfft(placed)))[..., layout.data_mask]
     if not np.all(np.isfinite(soft)):
@@ -331,8 +360,9 @@ def spa_detect(
     (B, D, Q) ``marginals``.  ``iterations`` counts the sweeps the call
     ran, for one frame its iterations, and ``frame_iterations`` holds each
     frame's own count, the ``iterations`` it gets alone: (B,) integers for
-    a stack, one for a frame.  A ``y_frame`` not shaped as ``channel.taps``
-    or a ``data_mask`` not shaped as the grid raises ``ValueError``.
+    a stack, one for a frame.  A ``y_frame`` not shaped as ``channel.taps``,
+    a ``data_mask`` not shaped as the grid, or an ``n0`` that is neither one
+    value nor one per frame raises ``ValueError``.
     """
     if channel.truncation is None:
         raise ValueError("sum-product detection needs a tap-truncated channel")
@@ -363,7 +393,8 @@ def spa_detect(
                          f"grid {channel.shape}")
     data = data.reshape(-1)
     y = y.reshape(len(taps), data.size)
-    sigma2 = np.broadcast_to(np.asarray(n0, dtype=float) + channel.residual_power(), len(taps))
+    sigma2 = np.broadcast_to(_frame_noise(n0, channel.taps.shape[:-2])
+                             + channel.residual_power(), len(taps))
 
     cells = np.flatnonzero(data)
     belief = np.full((len(taps), cells.size, q), 1.0 / q)

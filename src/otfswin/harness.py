@@ -403,6 +403,13 @@ class _Link:
     layout: est_mod.PilotLayout | None    # None: full-data frames
     bits_per_frame: int
 
+    @property
+    def detects_tf(self) -> bool:
+        """Whether the receiver detects on the RX-windowed TF grid: LMMSE
+        with the gains known (no pilot layout), which is diagonal per TF bin,
+        so the received frames never enter the DD domain."""
+        return self.layout is None and self.config.detector == "mmse"
+
 
 # The config fields of one call that its link does not read: every other
 # field of the config's class, one added later included, is part of the
@@ -468,8 +475,11 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     bit the frame the trial would give on its own.
 
     Returns per frame, stacked along a leading axis: the data bits, the
-    received DD frame, the RX window and the windowed TF gains
-    ``joint * H_tf``, whose DD response is the effective channel.
+    received frame, the RX window and the windowed TF gains ``joint *
+    H_tf``, whose DD response is the effective channel.  The received frame
+    is the DD frame, or, for a link whose receiver ``detects_tf``, the
+    RX-windowed TF grid ``transmit_frame`` would demodulate: the detector
+    takes it as it is.
     """
     config = link.config
     generators = [_trial_rng(config, snr_index, t) for snr_index, t in cells]
@@ -489,7 +499,8 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     else:
         frames = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
         frames = est_mod.embed_pilot(frames, link.layout)
-    y = ch_mod.transmit_frame(frames, tf_gains, windows, n0, generators)
+    y = ch_mod.transmit_frame(frames, tf_gains, windows, n0, generators,
+                              demodulate=not link.detects_tf)
     return bits, y, np.broadcast_to(windows.rx, y.shape), windows.joint * tf_gains
 
 
@@ -600,6 +611,9 @@ def _detect_frames(
     at noise power ``n0`` (one for all frames, or one per frame) and return
     the hard bits of their data cells, one row per frame.
 
+    ``y`` holds the frames as :func:`_transmit` returns them: RX-windowed
+    TF grids where the link ``detects_tf`` (LMMSE with known gains, which
+    then detects per TF bin with no DD round trip), DD frames otherwise.
     ``gains`` is the stack of windowed TF gain grids the receiver knows, or
     ``None`` when it estimates the channel from the embedded pilot as a DD
     tap grid.  The pilot cancellation and SPA use the taps, the LMMSE
@@ -617,7 +631,9 @@ def _detect_frames(
         y = y - layout.pilot_value * shift
 
     config, constellation = link.config, link.constellation
-    if config.detector == "mmse":
+    if link.detects_tf:
+        idx = det_mod._tf_lmmse(y, gains, rx_window, n0, constellation).hard_indices
+    elif config.detector == "mmse":
         if gains is None:
             gains = ch_mod.tf_gains_from_taps(taps)
         idx = det_mod.tf_lmmse_detect(y, gains, rx_window, n0, constellation,
@@ -647,7 +663,9 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
     bin, so it is colored in the DD domain for a shaping RX window; the
     sum-product detector models the noise as white at power N0, so shaping
     RX windows pair with MMSE, not SPA.  Frames are sent and detected a
-    chunk at a time (:func:`_detect_frames`); each trial keeps only its
+    chunk at a time (:func:`_detect_frames`); with known gains the MMSE
+    detector takes the RX-windowed TF grids as the channel leaves them, so
+    those frames never enter the DD domain.  Each trial keeps only its
     frame's bit error count, but :func:`_sweep` holds one count per trial of
     the running SNR point, so memory grows with ``trials`` by a Python int
     per trial.  ROADMAP item 12, which stops a point at an error count,

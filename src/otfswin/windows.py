@@ -243,19 +243,31 @@ class PowerAllocation:
     """Power map for the optimal TX window.
 
     ``x`` holds the per-bin powers |U|^2 (budget: mean x = 1), ``eta`` the
-    dual water level, ``mercury`` the per-vessel mercury column poured in
-    before the water.  For a ``[B, N, M]`` stack, ``x`` and ``mercury`` are
-    stacks and ``eta`` holds one level per frame.
+    dual water level and ``lam`` the gains the map was solved for, held as
+    given.  For a ``[B, N, M]`` stack, ``x`` and ``lam`` are stacks and
+    ``eta`` holds one level per frame.  ``mercury``, the per-vessel mercury
+    column poured in before the water, is computed from ``lam`` and ``eta``
+    when read: a transmitter needs only ``x``.
     """
 
     x: np.ndarray
     eta: float | np.ndarray
-    mercury: np.ndarray
+    lam: np.ndarray
 
     @property
     def tx_window(self) -> np.ndarray:
         # detection MSE is phase-blind, so the window is taken real
         return np.sqrt(self.x)
+
+    @property
+    def mercury(self) -> np.ndarray:
+        """sqrt(1/eta) * [sqrt(1/eta) - sqrt(1/lam)]^+ per bin, 0 where lam = 0."""
+        lam = self.lam
+        eta = self.eta if np.ndim(self.eta) == 0 else np.asarray(self.eta)[..., None, None]
+        inv_eta_sqrt = np.sqrt(1.0 / eta)
+        with np.errstate(divide="ignore"):
+            inv_lam_sqrt = np.where(lam > 0, np.sqrt(1.0 / np.maximum(lam, 1e-300)), np.inf)
+        return inv_eta_sqrt * np.maximum(inv_eta_sqrt - inv_lam_sqrt, 0.0)
 
 
 def _allocation(lam: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -341,13 +353,8 @@ def optimal_tx_window(lam: np.ndarray) -> PowerAllocation:
     if not finite.all():
         raise NumericalFailure(
             f"optimal TX window: {frame(np.argmin(finite))}the power map is not finite")
-
-    inv_eta_sqrt = np.sqrt(1.0 / eta)
-    with np.errstate(divide="ignore"):
-        inv_lam_sqrt = np.where(frames > 0, np.sqrt(1.0 / np.maximum(frames, 1e-300)), np.inf)
-    mercury = inv_eta_sqrt * np.maximum(inv_eta_sqrt - inv_lam_sqrt, 0.0)
     return PowerAllocation(
         x=x.reshape(lam.shape),
         eta=eta.reshape(lam.shape[:-2]) if stacked else float(eta[0, 0]),
-        mercury=mercury.reshape(lam.shape),
+        lam=lam,
     )

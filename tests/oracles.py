@@ -652,16 +652,13 @@ def single_frame_optimal_tx_window(lam):
     x = np.where(lam > eta, np.maximum(raw, 0.0), 0.0)
     if not np.all(np.isfinite(x)):
         raise NumericalFailure("the power map is not finite")
-    inv_eta_sqrt = math.sqrt(1.0 / eta)
-    with np.errstate(divide="ignore"):
-        inv_lam_sqrt = np.where(lam > 0, np.sqrt(1.0 / np.maximum(lam, 1e-300)), np.inf)
-    mercury = inv_eta_sqrt * np.maximum(inv_eta_sqrt - inv_lam_sqrt, 0.0)
-    return PowerAllocation(x=x, eta=eta, mercury=mercury)
+    return PowerAllocation(x=x, eta=eta, lam=lam)
 
 
-def single_frame_transmit(dd_frame, tf_gain_grid, windows, n0=0.0, rng=None):
+def single_frame_transmit(dd_frame, tf_gain_grid, windows, n0=0.0, rng=None, demodulate=True):
     """One frame through the windowed channel: ``transmit_frame`` before it
-    took stacks."""
+    took stacks, which with ``demodulate=False`` stops at the RX-windowed
+    TF grid."""
     x_tf = isfft(dd_frame)
     received = tf_gain_grid * (windows.tx * x_tf)
     if n0 > 0.0:
@@ -669,14 +666,17 @@ def single_frame_transmit(dd_frame, tf_gain_grid, windows, n0=0.0, rng=None):
             rng.standard_normal(x_tf.shape) + 1j * rng.standard_normal(x_tf.shape)
         )
         received = received + noise
-    return sfft(windows.rx * received)
+    received = windows.rx * received
+    return sfft(received) if demodulate else received
 
 
 def per_trial_transmit(link, snr_index, trial, n0):
     """One trial of the link up to the receiver, every layer called on its
     own frame: the chain the harness ran before trials ran in chunks.  The
     trial's stream is seeded here by numpy's own list coercion, not by the
-    harness's ``_trial_rng``."""
+    harness's ``_trial_rng``.  The received frame is in the domain the
+    link's detector takes: the RX-windowed TF grid where the link
+    ``detects_tf``, the DD frame otherwise."""
     config = link.config
     rng = np.random.default_rng([config.seed, snr_index, trial])
     ch = single_generator_sample_channel(link.grid, config.paths, config.k_max, config.l_max,
@@ -692,7 +692,8 @@ def per_trial_transmit(link, snr_index, trial, n0):
     else:
         frame = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
         frame = embed_pilot(frame, link.layout)
-    y = single_frame_transmit(frame, tf_gains, windows, n0, rng)
+    y = single_frame_transmit(frame, tf_gains, windows, n0, rng,
+                              demodulate=not link.detects_tf)
     return bits, y, windows.rx, windows.joint * tf_gains
 
 

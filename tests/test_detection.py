@@ -210,6 +210,16 @@ class TestTFLMMSE:
             tf_lmmse_detect(np.ones(grid.shape), np.ones(grid.shape), np.ones(grid.shape),
                             0.0, Constellation.qpsk(), layout)
 
+    @pytest.mark.parametrize("n0", [np.full(3, 0.1), np.full((2, 1), 0.1)],
+                             ids=["three-values", "column"])
+    def test_noise_power_of_another_shape_refused(self, n0):
+        # a 2-frame stack takes one noise power or one per frame
+        grid = FrameGrid(M=4, N=4)
+        stack = np.ones((2,) + grid.shape)
+        for layout in (None, PilotLayout.centered(grid, 0, 1, 0)):
+            with pytest.raises(ValueError, match=rf"{re.escape(str(n0.shape))} is neither.*\(2,\)"):
+                tf_lmmse_detect(stack, stack, stack, n0, Constellation.qpsk(), layout)
+
 
 class TestGuardBandSolve:
     """The guard downdate solved through the inverse band blocks against
@@ -463,6 +473,16 @@ class TestSPA:
         with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*\(16, 8\)"):
             spa_detect(np.zeros(taps.shape), eff, 0.1, Constellation.bpsk(),
                        data_mask=np.ones(shape, dtype=bool))
+
+    @pytest.mark.parametrize("n0", [np.full(3, 0.1), np.full((2, 1), 0.1)],
+                             ids=["three-values", "column"])
+    def test_noise_power_of_another_shape_refused(self, n0):
+        # a 2-frame stack takes one noise power or one per frame
+        taps = np.zeros((2, 16, 8), dtype=complex)
+        taps[:, 0, 0] = 1.0
+        eff = EffectiveDDChannel(taps=taps, truncation=largest_taps(taps, 1))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(n0.shape))} is neither.*\(2,\)"):
+            spa_detect(np.zeros(taps.shape), eff, n0, Constellation.bpsk())
 
     def test_requires_truncation(self):
         grid = FrameGrid(M=4, N=4)

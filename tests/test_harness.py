@@ -143,6 +143,59 @@ class TestGoldenTrials:
         assert digest.hexdigest() == GOLDEN_TRIALS[name]
 
 
+# the golden links whose receiver knows the TF gains and runs LMMSE
+KNOWN_CSI_MMSE = ("fer-perfect-mmse-rect", "fer-perfect-mmse-dc-rx", "fer-csit-mmse-optimal",
+                  "fer-csit-mmse-dc-rx")
+
+
+class TestKnownCsiTfDetection:
+    """A known-CSI LMMSE link detects on the RX-windowed TF grid the channel
+    produced; the DD frame it no longer forms would give the same decisions.
+    The soft values move only at the rounding level, which differs between
+    numpy's SIMD levels, so this runs at both."""
+
+    @pytest.mark.parametrize("name", KNOWN_CSI_MMSE)
+    def test_decisions_equal_the_dd_detector(self, name, monkeypatch):
+        from otfswin import detection
+
+        _, fields, _ = GOLDEN_ROWS[name]
+        core, calls = detection._tf_lmmse, []
+
+        def spy(*args):
+            calls.append((args, core(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(detection, "_tf_lmmse", spy)
+        run_fer(ExperimentConfig.from_mapping(
+            {k: str(v) for k, v in dict(fields, snr_db="0, 10, 20, 30, 40").items()}))
+        monkeypatch.undo()
+        assert calls
+        for (received, gains, rx, n0, constellation), tf in calls:
+            dd = detection.tf_lmmse_detect(otfswin.sfft(received), gains, rx, n0, constellation)
+            assert np.array_equal(tf.hard_indices, dd.hard_indices)
+            error = np.linalg.norm(tf.soft - dd.soft, axis=-1)
+            assert np.all(error <= 1e-12 * np.linalg.norm(dd.soft, axis=-1))
+
+    @pytest.mark.parametrize("fields", [{}, dict(csi="csit-csir", tx_window="optimal")],
+                             ids=["perfect-csir", "csit-csir"])
+    def test_a_chunk_makes_one_transform_each_way(self, fields, monkeypatch):
+        # looked up on their modules: the channel modulates, the detector
+        # returns its estimate to the DD domain, and nothing else transforms
+        from otfswin import channel, detection
+
+        calls = []
+        for module in (channel, detection):
+            for name in ("isfft", "sfft"):
+                def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, spy)
+        # 2 points of 2 trials: one chunk
+        run_fer(ExperimentConfig(**fields, snr_db=(10.0, 20.0), trials=2))
+        assert sorted(calls) == ["isfft", "sfft"]
+
+
 _CHUNK_GRID = dict(M=30, N=20, paths=5, k_max=3, l_max=4, k_hat=1, pilot_power_dbw=30.0)
 _CHUNK_SPA = dict(constellation="bpsk", detector="spa", spa_taps=3)
 CHUNK_CASES = {
