@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FrameGrid
+from .grid import FrameGrid, frame_noise
 from .transforms import isfft, sfft
 from .windows import WindowPair
 
@@ -237,13 +237,16 @@ def _dd_response(tf_grid: np.ndarray, delays: int | None = None) -> np.ndarray:
     return np.fft.fft(np.fft.ifft(tf_grid, axis=-1)[..., :delays], axis=-2) / n
 
 
-def tf_gains_from_taps(tap_grid: np.ndarray) -> np.ndarray:
+def tf_gains_from_taps(tap_grid: np.ndarray, delays: int | None = None) -> np.ndarray:
     """TF gain grid whose DD response is ``tap_grid``: the inverse of the
     effective-channel map, so the circular operator of ``tap_grid`` is
     diagonal with these gains in the TF domain.  Per frame of a
-    ``[..., N, M]`` stack."""
-    n = tap_grid.shape[-2]
-    return np.fft.fft(np.fft.ifft(tap_grid, axis=-2), axis=-1) * n
+    ``[..., N, M]`` stack.  With ``delays``, for taps that are zero past
+    delay column delays - 1 (a pilot estimate's), the Doppler IFFT runs on
+    columns 0 .. delays - 1 alone and the delay FFT zero-pads them to M,
+    bit for bit."""
+    n, m = tap_grid.shape[-2:]
+    return np.fft.fft(np.fft.ifft(tap_grid[..., :delays], axis=-2), n=m, axis=-1) * n
 
 
 @dataclass(frozen=True)
@@ -365,10 +368,11 @@ def transmit_frame(
 
     Exact FFT chain: modulate, TX window, per-bin TF gains, additive white
     TF noise of power n0, RX window, demodulate.  The gain and window grids
-    broadcast against the frames, and so does ``n0``: one noise power, or an
-    array of one per frame.  Returns the received DD frames, or with
-    ``demodulate=False`` the RX-windowed TF grids v * (g * u * X + noise)
-    that the final ``sfft`` would take, for a receiver that works per TF bin.
+    broadcast against the frames; ``n0`` is one noise power, or an array of
+    one per frame (any other shape raises ``ValueError``).  Returns the
+    received DD frames, or with ``demodulate=False`` the RX-windowed TF
+    grids v * (g * u * X + noise) that the final ``sfft`` would take, for a
+    receiver that works per TF bin.
 
     A stack takes one generator per frame (row-major over the leading axes)
     and draws each frame's noise from its own generator in one call, real
@@ -380,7 +384,7 @@ def transmit_frame(
     # named temporaries keep the single-frame operand order (see tf_channel)
     received = windows.tx * x_tf
     received = tf_gain_grid * received
-    n0 = np.asarray(n0, dtype=float)
+    n0 = frame_noise(n0, x_tf.shape[:-2])
     if np.any(n0 > 0.0):
         if rng is None:
             raise ValueError("noise requested but no rng supplied")

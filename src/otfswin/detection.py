@@ -24,6 +24,7 @@ with message damping.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from .channel import EffectiveDDChannel
 from .errors import ConfigurationError, NumericalFailure
 from .estimation import PilotLayout
-from .grid import Constellation
+from .grid import Constellation, frame_noise
 from .transforms import dft_matrix, isfft, sfft
 
 
@@ -131,8 +132,11 @@ def tf_lmmse_detect(
     the residual n0 |v|^2 / d.  E[G, G] is the capacitance matrix I - c[G, G]
     with c the DD response of |g|^2 / d, formed without the cancellation of
     1 - c, and solved on the guard's delay band, where E splits into one
-    small block per time slot (:func:`_guard_band_weights`): on the Fig-6
+    small block per time slot (:func:`_guard_weights`): on the Fig-6
     layout, 20 inverses of 9 x 9 blocks and one 27 x 27 solve per frame.
+    The correction E[D, G] w is the DD response of the residual times the
+    TF grid of the weights w, so the estimate is one sfft of the TF grid
+    conj(g) / d * r less that product.
 
     Returns the soft estimates of the data cells in row-major order, as
     :func:`mmse_detect` does for the masked dense channel, one row per frame
@@ -143,17 +147,6 @@ def tf_lmmse_detect(
     """
     return _tf_lmmse(isfft(np.asarray(y_frame, dtype=complex)), tf_gains, rx_window, n0,
                      constellation, layout)
-
-
-def _frame_noise(n0: float | np.ndarray, frames: tuple[int, ...]) -> np.ndarray:
-    """``n0`` as a float array: one noise power, or one per frame of a
-    stack whose leading shape is ``frames``; any other shape raises
-    ``ValueError`` naming both shapes."""
-    n0 = np.asarray(n0, dtype=float)
-    if n0.ndim and n0.shape != frames:
-        raise ValueError(f"noise power of shape {n0.shape} is neither one value nor one "
-                         f"per frame of the stack's leading shape {frames}")
-    return n0
 
 
 def _tf_lmmse(
@@ -169,7 +162,7 @@ def _tf_lmmse(
     received)."""
     r = np.asarray(received, dtype=complex)
     g = np.asarray(tf_gains, dtype=complex)
-    n0 = _frame_noise(n0, r.shape[:-2])
+    n0 = frame_noise(n0, r.shape[:-2])
     noise_tf = n0[..., None, None] * np.abs(np.asarray(rx_window)) ** 2
     if not r.shape == g.shape == noise_tf.shape:
         raise ValueError("observation, gain and window grids must share one shape")
@@ -179,76 +172,122 @@ def _tf_lmmse(
             "LMMSE solve is singular (a TF bin with zero gain and zero noise); "
             "refusing to regularize implicitly"
         )
-    soft = sfft(np.conj(g) / denom * r)
+    weighted = np.conj(g) / denom * r
     if layout is None:
-        soft = soft.reshape(r.shape[:-2] + (-1,))
+        soft = sfft(weighted).reshape(r.shape[:-2] + (-1,))
     else:
-        guard = layout.guard_mask
         residual = noise_tf / denom
         try:
-            weights = _guard_band_weights(residual, soft[..., guard], guard)
+            correction = residual * _guard_weights(weighted, residual, layout)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(
                 "LMMSE guard downdate is singular; refusing to regularize implicitly"
             ) from exc
-        placed = np.zeros_like(r)
-        placed[..., guard] = weights
-        soft = (soft - sfft(residual * isfft(placed)))[..., layout.data_mask]
+        soft = sfft(weighted - correction)[..., layout.data_mask]
     if not np.all(np.isfinite(soft)):
         raise NumericalFailure("LMMSE estimate is not finite")
     hard = constellation.nearest_indices(soft).reshape(soft.shape)
     return DetectionReport(soft=soft, hard_indices=hard)
 
 
-def _guard_band_weights(residual: np.ndarray, rhs: np.ndarray, guard: np.ndarray) -> np.ndarray:
-    """Solve E[G, G] w = rhs per frame of a [..., N, M] stack of residual
-    grids and [..., G] right-hand sides, E the circular operator of the
-    residual's DD response and G the cells of the ``guard`` mask, a set Kg
-    of Doppler rows times a band Lb of b delay columns.
+@dataclass(frozen=True)
+class _GuardPlan:
+    """What the guard downdate of one layout needs besides the frames: the
+    guard's delay band, its Toeplitz lags, and the Doppler DFT rows and
+    columns at the rows Kc outside the guard."""
 
-    E restricted to the band (all N rows by Lb) is block-circulant in
-    Doppler: with h = ifft(residual) over delay, a Doppler DFT splits it into
-    one Hermitian positive semidefinite b x b block P_n[l, l'] = h[n, l - l']
-    per time slot n.  E[G, G] is the band operator's principal block on Kg.
-    With Q the band operator's inverse, applied as fft . inv(P_n) . ifft,
-    E[G, G]^(-1) = Q_GG - Q_GC Q_CC^(-1) Q_CG over the remaining rows Kc, so
-    z = Q [rhs; 0], Q_CC u = z_C and w = z_G - (Q [0; u])_G: one batched
-    inverse of the N blocks and one (|Kc| b)-sized solve per frame, with
-    Q_CC's block at row difference k - k' the n-DFT of the inv(P_n) over N.
+    band: np.ndarray       # (b,) delay columns of the guard band
+    toeplitz: np.ndarray   # (b, b) delay column of the lag l - l' mod M
+    to_rest: np.ndarray    # (|Kc|, N) Doppler FFT rows at Kc
+    from_rest: np.ndarray  # (N, |Kc|) Doppler IFFT columns at Kc
+    lag_dft: np.ndarray    # (L, N) Doppler FFT rows / N at the L distinct k - k', k, k' in Kc
+    lag_pairs: np.ndarray  # (|Kc|, |Kc|) row of lag_dft at k - k'
 
-    Each frame's weights come from its own batched LAPACK and FFT calls, so
-    a stack gives every frame bit for bit its result alone.  P_n is singular
-    exactly when time slot n has fewer than b nonzero residual bins; that
-    raises ``LinAlgError`` up front, since a rounded singular block need not
-    fail to invert.
-    """
+
+# The guard plan of each live layout: built at its first downdate, dropped
+# with the layout.
+_GUARD_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _guard_plan(layout: PilotLayout) -> _GuardPlan:
+    """The :class:`_GuardPlan` of ``layout``, built once per layout from its
+    guard mask: a set Kg of Doppler rows times a band of b delay columns."""
+    plan = _GUARD_PLANS.get(layout)
+    if plan is not None:
+        return plan
+    guard = layout.guard_mask
     n, m = guard.shape
     in_guard = guard.any(axis=1)
-    rows, rest = np.flatnonzero(in_guard), np.flatnonzero(~in_guard)
-    b = int(guard[rows[0]].sum())
+    band = np.flatnonzero(guard[np.argmax(in_guard)])
+    rest = np.flatnonzero(~in_guard)
+    toeplitz = np.subtract.outer(np.arange(band.size), np.arange(band.size)) % m
+    lags, lag_pairs = np.unique(np.subtract.outer(rest, rest) % n, return_inverse=True)
+    to_rest = np.exp(-2j * np.pi * np.outer(rest, np.arange(n)) / n)
+    plan = _GuardPlan(band, toeplitz, to_rest, to_rest.conj().T / n,
+                      np.exp(-2j * np.pi * np.outer(lags, np.arange(n)) / n) / n,
+                      lag_pairs.reshape(rest.size, rest.size))
+    for array in vars(plan).values():
+        array.flags.writeable = False
+    _GUARD_PLANS[layout] = plan
+    return plan
+
+
+def _guard_weights(weighted: np.ndarray, residual: np.ndarray, layout: PilotLayout) -> np.ndarray:
+    """The TF grid isfft(W) of the guard weights w = E[G, G]^(-1) x0[G]
+    placed on the guard cells G of ``layout`` (W zero elsewhere), per frame
+    of [..., N, M] stacks of TF grids ``weighted`` and ``residual``: x0 =
+    sfft(weighted) is the full-data estimate and E the circular operator of
+    the residual's DD response.
+
+    E restricted to the guard's delay band Lb of b columns (all N Doppler
+    rows) is block-circulant in Doppler: with h = ifft(residual) over delay,
+    a Doppler DFT splits it into one Hermitian positive semidefinite b x b
+    block P_n[l, l'] = h[n, l - l'] per time slot n.  The guard is that band
+    on a set Kg of Doppler rows, so E[G, G] is the band operator's principal
+    block on Kg.  With Q the band operator's inverse, fft . inv(P_n) . ifft
+    over Doppler, E[G, G]^(-1) = Q_GG - Q_GC Q_CC^(-1) Q_CG over the other
+    rows Kc.  So with z = Q [x0_G; 0] and Q_CC u = z_C, the band vector
+    Q [x0_G; -u] holds w on Kg and zeros on Kc: its Doppler IFFT is
+    inv(P_n) ifft([x0_G; -u]), and W's TF grid is that, placed on the band,
+    after one delay FFT.  Q_CC's block at row difference k - k' is the
+    Doppler DFT of the inv(P_n) at that lag, over N.
+
+    No Doppler FFT runs: ifft(x0) over Doppler on the band is ifft(weighted)
+    over delay there (the sqrt(M / N) of sfft and the sqrt(N / M) of isfft
+    cancel, so neither is applied), and the Kc rows enter through small DFT products (:func:`_guard_plan`).  One
+    IFFT call takes both grids, one batched inverse the N blocks and one
+    (|Kc| b)-sized solve each frame.  Each frame's weights come from its
+    own batched LAPACK, FFT and matrix-product calls, so a stack gives
+    every frame bit for bit its result alone.  P_n is singular exactly when
+    time slot n has fewer than b nonzero residual bins; that raises
+    ``LinAlgError`` up front, since a rounded singular block need not fail
+    to invert.
+    """
+    plan = _guard_plan(layout)
+    band, rest = plan.band, plan.to_rest.shape[0]
+    n, m = layout.grid.shape
+    b = band.size
     if np.any(np.count_nonzero(residual, axis=-1) < b):
         raise np.linalg.LinAlgError("a time slot's band block is singular")
-    batch = rhs.shape[:-1]
-    # h at the lags l - l' in (-b, b) of the band's b x b Toeplitz blocks
-    toeplitz = np.subtract.outer(np.arange(b), np.arange(b)) + b - 1
-    lags = np.fft.ifft(residual, axis=-1)[..., np.arange(1 - b, b) % m]
-    inverse = np.linalg.inv(lags[..., toeplitz])
-
-    def apply(cells: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Q times the band vector that holds ``values`` on rows ``cells``."""
-        x = np.zeros(batch + (n, b), dtype=complex)
-        x[..., cells, :] = values.reshape(batch + (cells.size, b))
-        return np.fft.fft((inverse @ np.fft.ifft(x, axis=-2)[..., None])[..., 0], axis=-2)
-
-    z = apply(rows, rhs)
-    if rest.size:
-        # Q_CC gathered from the row-difference blocks of Q
-        size = rest.size * b
-        q_cc = (np.fft.fft(inverse, axis=-3) / n)[..., np.subtract.outer(rest, rest) % n, :, :]
-        q_cc = q_cc.swapaxes(-3, -2).reshape(batch + (size, size))
-        u = np.linalg.solve(q_cc, z[..., rest, :].reshape(batch + (-1, 1)))
-        z -= apply(rest, u)
-    return z[..., rows, :].reshape(rhs.shape)
+    batch = weighted.shape[:-2]
+    spectra, lags = np.fft.ifft(np.stack((weighted, residual)), axis=-1)
+    # the Doppler IFFT of x0 on the band, times sqrt(N / M)
+    rhs = spectra[..., band]
+    inverse = np.linalg.inv(lags[..., plan.toeplitz])
+    if rest:
+        # less x0's rows Kc: the Doppler IFFT of [x0_G; 0]
+        rhs = rhs - plan.from_rest @ (plan.to_rest @ rhs)
+        z_rest = plan.to_rest @ (inverse @ rhs[..., None])[..., 0]
+        # Q_CC from its row-difference blocks
+        size = rest * b
+        q_lags = (plan.lag_dft @ inverse.reshape(batch + (n, b * b))).reshape(batch + (-1, b, b))
+        q_cc = q_lags[..., plan.lag_pairs, :, :].swapaxes(-3, -2).reshape(batch + (size, size))
+        u = np.linalg.solve(q_cc, z_rest.reshape(batch + (size, 1)))
+        # the Doppler IFFT of [x0_G; -u]
+        rhs = rhs - plan.from_rest @ u.reshape(batch + (rest, b))
+    placed = np.zeros(batch + (n, m), dtype=complex)
+    placed[..., band] = (inverse @ rhs[..., None])[..., 0]
+    return np.fft.fft(placed, axis=-1)
 
 
 def analytic_detection_mse(lam: np.ndarray, x: np.ndarray) -> float:
@@ -393,7 +432,7 @@ def spa_detect(
                          f"grid {channel.shape}")
     data = data.reshape(-1)
     y = y.reshape(len(taps), data.size)
-    sigma2 = np.broadcast_to(_frame_noise(n0, channel.taps.shape[:-2])
+    sigma2 = np.broadcast_to(frame_noise(n0, channel.taps.shape[:-2])
                              + channel.residual_power(), len(taps))
 
     cells = np.flatnonzero(data)

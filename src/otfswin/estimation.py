@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import FrameGrid
+from .grid import FrameGrid, frame_noise
+from .transforms import isfft
 
 
 def _check_spread(n_doppler: int, k_max: int, l_max: int, k_hat: int) -> None:
@@ -59,7 +60,10 @@ class PilotLayout:
       pilot-plus-guard cells and of the data cells;
     * ``read_cells``: ``np.ix_`` index of the read window in the frame, and
       ``tap_cells`` of the tap offsets it measures, (k - k_p) mod N and
-      l - l_p.
+      l - l_p;
+    * ``pilot_tf``: the (N, M) TF grid of the pilot-only frame, its isfft,
+      so that a receiver on the TF grid cancels the pilot's response to
+      the TF gains g as g * pilot_tf.
 
     The guard is its 4*k_max + 4*k_hat + 1 Doppler rows times one band of
     2*l_max + 1 delay columns; :func:`otfswin.detection.tf_lmmse_detect`
@@ -78,6 +82,7 @@ class PilotLayout:
     data_mask: np.ndarray = field(init=False, repr=False, compare=False)
     read_cells: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     tap_cells: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    pilot_tf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, m = self.grid.shape
@@ -98,13 +103,17 @@ class PilotLayout:
         dls = np.arange(0, self.l_max + 1)
         read_cells = np.ix_((self.pilot_doppler + dks) % n, self.pilot_delay + dls)
         tap_cells = np.ix_(dks % n, dls)
+        pilot = np.zeros((n, m), dtype=complex)
+        pilot[self.pilot_doppler, self.pilot_delay] = self.pilot_value
+        pilot_tf = isfft(pilot)
         # every frame of a run shares these, so none may be written in place
-        for array in (guard, data, *read_cells, *tap_cells):
+        for array in (guard, data, *read_cells, *tap_cells, pilot_tf):
             array.flags.writeable = False
         object.__setattr__(self, "guard_mask", guard)
         object.__setattr__(self, "data_mask", data)
         object.__setattr__(self, "read_cells", read_cells)
         object.__setattr__(self, "tap_cells", tap_cells)
+        object.__setattr__(self, "pilot_tf", pilot_tf)
 
     @classmethod
     def centered(
@@ -139,7 +148,7 @@ def embed_pilot(data_frame: np.ndarray, layout: PilotLayout) -> np.ndarray:
 
 
 def estimate_channel(received: np.ndarray, layout: PilotLayout,
-                     n0: float | np.ndarray) -> np.ndarray:
+                     n0: float | np.ndarray, tf: bool = False) -> np.ndarray:
     """Threshold estimator of the effective DD channel.
 
     Reads the window the pilot response can occupy and sets
@@ -147,13 +156,26 @@ def estimate_channel(received: np.ndarray, layout: PilotLayout,
     |y[k, l]| >= 3*sqrt(n0).  Returns a full (N, M) grid, zero outside the
     window, ready to rebuild the channel operator by circular convolution;
     a ``[..., N, M]`` stack of received frames gives a stack of grids, and
-    ``n0`` is one noise power for all of them or an array of one per frame.
+    ``n0`` is one noise power for all of them or an array of one per frame
+    (any other shape raises ``ValueError``).
+
+    With ``tf``, ``received`` holds the RX-windowed TF grids r that
+    :func:`~otfswin.channel.transmit_frame` gives with ``demodulate=False``,
+    and y = sfft(r) on the read window alone: the Doppler FFT of r, then the
+    delay IFFT of the window's rows, which gives sfft's bits there.
     """
     if received.shape[-2:] != layout.grid.shape:
         raise ValueError("frame shape does not match grid")
-    threshold = 3.0 * np.sqrt(np.maximum(np.asarray(n0, dtype=float), 0.0))
+    n0 = frame_noise(n0, received.shape[:-2])
+    threshold = 3.0 * np.sqrt(np.maximum(n0, 0.0))
     est = np.zeros(received.shape, dtype=complex)
-    block = received[(..., *layout.read_cells)]
+    if tf:
+        (n, m), (rows, cols) = layout.grid.shape, layout.read_cells
+        # sfft(r) = ifft_m(fft_n(r)) * sqrt(M / N), row by row
+        rows_dd = np.fft.ifft(np.fft.fft(received, axis=-2)[..., rows[:, 0], :], axis=-1)
+        block = rows_dd[..., cols[0]] * math.sqrt(m / n)
+    else:
+        block = received[(..., *layout.read_cells)]
     keep = np.abs(block) >= threshold[..., None, None]
     est[(..., *layout.tap_cells)] = np.where(keep, block / layout.pilot_value, 0.0)
     return est

@@ -148,6 +148,18 @@ class Constellation:
         return 2 * negative[0::2] + negative[1::2]
 
 
+def frame_noise(n0: float | np.ndarray, frames: tuple[int, ...]) -> np.ndarray:
+    """``n0`` as a float array: one noise power, or one per frame of a
+    stack whose leading shape is ``frames``.  Every layer of a trial that
+    takes a noise power checks it here; any other shape raises
+    ``ValueError`` naming both shapes."""
+    n0 = np.asarray(n0, dtype=float)
+    if n0.ndim and n0.shape != frames:
+        raise ValueError(f"noise power of shape {n0.shape} is neither one value nor one "
+                         f"per frame of the stack's leading shape {frames}")
+    return n0
+
+
 def vectorize(frame: np.ndarray) -> np.ndarray:
     """Flatten an (N, M) frame into the canonical k*M+l / n*M+m order."""
     if frame.ndim != 2:

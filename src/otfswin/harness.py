@@ -405,10 +405,11 @@ class _Link:
 
     @property
     def detects_tf(self) -> bool:
-        """Whether the receiver detects on the RX-windowed TF grid: LMMSE
-        with the gains known (no pilot layout), which is diagonal per TF bin,
-        so the received frames never enter the DD domain."""
-        return self.layout is None and self.config.detector == "mmse"
+        """Whether the fer receiver detects on the RX-windowed TF grid:
+        LMMSE, which is diagonal per TF bin, so the received frames never
+        enter the DD domain whole (a pilot estimate reads its window
+        alone)."""
+        return self.config.detector == "mmse"
 
 
 # The config fields of one call that its link does not read: every other
@@ -461,7 +462,8 @@ def _link_parts(kind: type, fields: tuple, pilot: bool) -> tuple:
     return grid, constellation, windows, layout, n_data * constellation.bits_per_symbol
 
 
-def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
+def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray,
+              demodulate: bool = True):
     """A chunk of trials of the link up to the receiver: draw each trial's
     channel and bits, build the TX windows, map the bits, embed the pilot and
     pass the frames through the windowed TF channel.
@@ -477,9 +479,9 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     Returns per frame, stacked along a leading axis: the data bits, the
     received frame, the RX window and the windowed TF gains ``joint *
     H_tf``, whose DD response is the effective channel.  The received frame
-    is the DD frame, or, for a link whose receiver ``detects_tf``, the
-    RX-windowed TF grid ``transmit_frame`` would demodulate: the detector
-    takes it as it is.
+    is the DD frame, or with ``demodulate=False`` (a fer link whose
+    receiver ``detects_tf``) the RX-windowed TF grid ``transmit_frame``
+    would demodulate: the receiver takes it as it is.
     """
     config = link.config
     generators = [_trial_rng(config, snr_index, t) for snr_index, t in cells]
@@ -500,7 +502,7 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
         frames = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
         frames = est_mod.embed_pilot(frames, link.layout)
     y = ch_mod.transmit_frame(frames, tf_gains, windows, n0, generators,
-                              demodulate=not link.detects_tf)
+                              demodulate=demodulate)
     return bits, y, np.broadcast_to(windows.rx, y.shape), windows.joint * tf_gains
 
 
@@ -612,34 +614,34 @@ def _detect_frames(
     the hard bits of their data cells, one row per frame.
 
     ``y`` holds the frames as :func:`_transmit` returns them: RX-windowed
-    TF grids where the link ``detects_tf`` (LMMSE with known gains, which
-    then detects per TF bin with no DD round trip), DD frames otherwise.
-    ``gains`` is the stack of windowed TF gain grids the receiver knows, or
-    ``None`` when it estimates the channel from the embedded pilot as a DD
-    tap grid.  The pilot cancellation and SPA use the taps, the LMMSE
-    detector the gains; either comes from the other by one 2-D FFT.  The
-    pilot is estimated and cancelled, and either detector runs, once for
-    the stack.  Both detectors decide the data cells of the link's layout
-    alone, in row-major order (all cells without a layout), so their
-    indices map to bits as they come.
+    TF grids where the link ``detects_tf`` (LMMSE, which then detects per
+    TF bin with no DD round trip), DD frames for SPA.  ``gains`` is the
+    stack of windowed TF gain grids the receiver knows, or ``None`` when it
+    estimates the channel from the embedded pilot as a DD tap grid.  LMMSE
+    takes the gains of the estimate and cancels the pilot per TF bin, as
+    those gains times the layout's ``pilot_tf``; SPA takes the taps and
+    cancels the pilot in the DD domain.  Either comes from the other by one
+    2-D FFT.  The pilot is estimated and cancelled, and either detector
+    runs, once for the stack.  Both detectors decide the data cells of the
+    link's layout alone, in row-major order (all cells without a layout),
+    so their indices map to bits as they come.
     """
-    layout, taps = link.layout, None
-    if gains is None:
-        taps = est_mod.estimate_channel(y, layout, n0)
-        # remove the pilot's estimated contribution before detection
-        shift = np.roll(taps, (layout.pilot_doppler, layout.pilot_delay), axis=(1, 2))
-        y = y - layout.pilot_value * shift
-
-    config, constellation = link.config, link.constellation
+    layout, config, constellation = link.layout, link.config, link.constellation
     if link.detects_tf:
-        idx = det_mod._tf_lmmse(y, gains, rx_window, n0, constellation).hard_indices
-    elif config.detector == "mmse":
         if gains is None:
-            gains = ch_mod.tf_gains_from_taps(taps)
-        idx = det_mod.tf_lmmse_detect(y, gains, rx_window, n0, constellation,
-                                      layout).hard_indices
+            # the estimate's taps end at delay l_max
+            taps = est_mod.estimate_channel(y, layout, n0, tf=True)
+            gains = ch_mod.tf_gains_from_taps(taps, layout.l_max + 1)
+            # remove the pilot's estimated response before detection
+            y = y - gains * layout.pilot_tf
+        idx = det_mod._tf_lmmse(y, gains, rx_window, n0, constellation, layout).hard_indices
     else:
-        if taps is None:
+        if gains is None:
+            taps = est_mod.estimate_channel(y, layout, n0)
+            # remove the pilot's estimated contribution before detection
+            shift = np.roll(taps, (layout.pilot_doppler, layout.pilot_delay), axis=(1, 2))
+            y = y - layout.pilot_value * shift
+        else:
             taps = ch_mod._dd_response(gains)
         channel = ch_mod.EffectiveDDChannel(
             taps=taps, truncation=ch_mod.largest_taps(taps, config.spa_tap_count()))
@@ -663,9 +665,10 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
     bin, so it is colored in the DD domain for a shaping RX window; the
     sum-product detector models the noise as white at power N0, so shaping
     RX windows pair with MMSE, not SPA.  Frames are sent and detected a
-    chunk at a time (:func:`_detect_frames`); with known gains the MMSE
-    detector takes the RX-windowed TF grids as the channel leaves them, so
-    those frames never enter the DD domain.  Each trial keeps only its
+    chunk at a time (:func:`_detect_frames`); the MMSE detector takes the
+    RX-windowed TF grids as the channel leaves them, so those frames never
+    enter the DD domain whole: a pilot estimate reads its window alone, and
+    the pilot is cancelled per TF bin.  Each trial keeps only its
     frame's bit error count, but :func:`_sweep` holds one count per trial of
     the running SNR point, so memory grows with ``trials`` by a Python int
     per trial.  ROADMAP item 12, which stops a point at an error count,
@@ -677,7 +680,7 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
             f"the pilot guard covers the whole {config.N}x{config.M} frame: no data cells left")
 
     def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> list[int]:
-        bits, y, rx_window, gains = _transmit(link, cells, n0)
+        bits, y, rx_window, gains = _transmit(link, cells, n0, demodulate=not link.detects_tf)
         known = gains if link.layout is None else None
         detected = _detect_frames(link, y, rx_window, n0, known)
         return np.count_nonzero(detected != bits, axis=1).tolist()

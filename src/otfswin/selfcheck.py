@@ -34,22 +34,23 @@ class CheckResult:
 
 
 def _guard_band_vs_dense(layout: est_mod.PilotLayout, rng: np.random.Generator) -> float:
-    """Deviation of the band-split guard solve from np.linalg.solve on the
-    dense guard block E[G, G] = circular_operator(e)[G][:, G], for the
-    residual DD response e of one random DC-RX-windowed frame and a random
-    right-hand side, relative to the largest weight."""
+    """Deviation of the band-split guard downdate from np.linalg.solve on
+    the dense guard block E[G, G] = circular_operator(e)[G][:, G], for the
+    residual DD response e of one random DC-RX-windowed frame and the guard
+    cells of a random full-data estimate x0, relative to the largest
+    weight."""
     grid = layout.grid
     ch = ch_mod.sample_channel(grid, 5, layout.k_max, layout.l_max, rng)
     rx = win_mod.WindowPair.separable(grid, rx_doppler=win_mod.dc_window(grid.N, -40.0).coeffs).rx
     n0 = 0.01
     noise_tf = n0 * np.abs(rx) ** 2
     residual = noise_tf / (np.abs(rx * ch_mod.tf_channel(ch)) ** 2 + noise_tf)
-    guard = layout.guard_mask.reshape(-1)
-    block = ch_mod.circular_operator(ch_mod._dd_response(residual))[guard][:, guard]
+    guard = layout.guard_mask
+    block = ch_mod.circular_operator(ch_mod._dd_response(residual))[guard.reshape(-1)]
 
-    b = rng.standard_normal(block.shape[0]) + 1j * rng.standard_normal(block.shape[0])
-    exact = np.linalg.solve(block, b)
-    weights = det_mod._guard_band_weights(residual, b, layout.guard_mask)
+    x0 = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    exact = np.linalg.solve(block[:, guard.reshape(-1)], x0[guard])
+    weights = sfft(det_mod._guard_weights(isfft(x0), residual, layout))[guard]
     return float(np.max(np.abs(weights - exact)) / np.max(np.abs(exact)))
 
 
@@ -230,7 +231,7 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
     channel = ch_mod.EffectiveDDChannel(taps=taps, truncation=ch_mod.largest_taps(taps, 2))
     check("detection.spa_stack_vs_frames", _spa_stack_vs_frames(y, channel), 0.0)
 
-    # the band-split guard solve against the dense guard block, on the
+    # the band-split guard downdate against the dense guard block, on the
     # Fig-6 layout and on one whose Doppler guard wraps row 0 (both solved
     # through the inverse band blocks: |Kg| = 17 of N = 20 rows)
     grid = FrameGrid(M=30, N=20)

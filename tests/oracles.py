@@ -17,6 +17,7 @@ from otfswin import (
     Constellation,
     PathSpec,
     WindowPair,
+    circular_operator,
     embed_pilot,
     estimate_channel,
     harness,
@@ -24,6 +25,7 @@ from otfswin import (
     map_symbols,
     measured_ce_mse,
     sfft,
+    tf_gains_from_taps,
 )
 from otfswin.channel import EffectiveDDChannel, _dd_response, delay_power_profile
 from otfswin.detection import DetectionReport
@@ -670,13 +672,13 @@ def single_frame_transmit(dd_frame, tf_gain_grid, windows, n0=0.0, rng=None, dem
     return sfft(received) if demodulate else received
 
 
-def per_trial_transmit(link, snr_index, trial, n0):
+def per_trial_transmit(link, snr_index, trial, n0, demodulate=True):
     """One trial of the link up to the receiver, every layer called on its
     own frame: the chain the harness ran before trials ran in chunks.  The
     trial's stream is seeded here by numpy's own list coercion, not by the
-    harness's ``_trial_rng``.  The received frame is in the domain the
-    link's detector takes: the RX-windowed TF grid where the link
-    ``detects_tf``, the DD frame otherwise."""
+    harness's ``_trial_rng``.  The received frame is the DD frame, or with
+    ``demodulate=False`` (a fer link whose receiver ``detects_tf``) the
+    RX-windowed TF grid."""
     config = link.config
     rng = np.random.default_rng([config.seed, snr_index, trial])
     ch = single_generator_sample_channel(link.grid, config.paths, config.k_max, config.l_max,
@@ -692,9 +694,33 @@ def per_trial_transmit(link, snr_index, trial, n0):
     else:
         frame = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
         frame = embed_pilot(frame, link.layout)
-    y = single_frame_transmit(frame, tf_gains, windows, n0, rng,
-                              demodulate=not link.detects_tf)
+    y = single_frame_transmit(frame, tf_gains, windows, n0, rng, demodulate=demodulate)
     return bits, y, windows.rx, windows.joint * tf_gains
+
+
+def dd_pilot_lmmse(y, rx_window, n0, layout):
+    """Soft LMMSE estimates of the data cells of a [B, N, M] stack of
+    received DD frames of an embedded-pilot link, by the DD chain the
+    harness ran before it detected on the TF grid: estimate the taps from
+    the DD frames, cancel the pilot in the DD domain, equalize per TF bin
+    with the estimate's gains, and take the Woodbury downdate by the guard
+    cells G, x0[D] - E[D, G] E[G, G]^(-1) x0[G], with the dense circular
+    operator E of the residual's DD response, one frame at a time."""
+    taps = estimate_channel(y, layout, n0)
+    y = y - layout.pilot_value * np.roll(taps, (layout.pilot_doppler, layout.pilot_delay),
+                                         axis=(1, 2))
+    gains = tf_gains_from_taps(taps)
+    noise_tf = np.asarray(n0)[:, None, None] * np.abs(rx_window) ** 2
+    denom = np.abs(gains) ** 2 + noise_tf
+    x0 = sfft(np.conj(gains) / denom * isfft(y))
+    guard, data = layout.guard_mask.reshape(-1), layout.data_mask.reshape(-1)
+    soft = []
+    for frame, residual in zip(x0, noise_tf / denom):
+        op = circular_operator(_dd_response(residual))
+        x = frame.reshape(-1)
+        weights = np.linalg.solve(op[guard][:, guard], x[guard])
+        soft.append(x[data] - op[data][:, guard] @ weights)
+    return np.array(soft)
 
 
 def _per_trial_sweep(config, trial):
@@ -720,7 +746,8 @@ def per_trial_fer(config):
     link = harness._link(config, pilot=config.csi == "estimated-csir")
 
     def trial(snr_index, t, n0):
-        bits, y, rx_window, gains = per_trial_transmit(link, snr_index, t, n0)
+        bits, y, rx_window, gains = per_trial_transmit(link, snr_index, t, n0,
+                                                       demodulate=not link.detects_tf)
         known = gains[None] if link.layout is None else None
         detected = harness._detect_frames(link, y[None], rx_window[None], n0, known)
         return int(np.count_nonzero(detected[0] != bits))

@@ -9,6 +9,7 @@ byte-identical only if this holds, so the comparisons are exact
 (``np.array_equal``), never within a tolerance.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -419,6 +420,21 @@ def test_transmit_frame_at_per_frame_noise(kind, frames):
     assert_framewise(stacked, alone)
 
 
+@pytest.mark.parametrize("n0", [np.full(3, 0.1), np.full((2, 1), 0.1)],
+                         ids=["three-values", "column"])
+def test_noise_power_of_another_shape_refused(n0):
+    # a 2-frame stack takes one noise power or one per frame, in the channel
+    # and the estimator as in the detectors
+    frames = np.zeros((2,) + GRID.shape, dtype=complex)
+    match = rf"{re.escape(str(n0.shape))} is neither.*\(2,\)"
+    with pytest.raises(ValueError, match=match):
+        transmit_frame(frames, np.ones(GRID.shape), window_pair("rect"), n0,
+                       [np.random.default_rng(i) for i in range(2)])
+    for tf in (False, True):
+        with pytest.raises(ValueError, match=match):
+            estimate_channel(frames, LAYOUT, n0, tf=tf)
+
+
 @pytest.mark.parametrize("frames", STACKS)
 @pytest.mark.parametrize("kind", WINDOWS)
 def test_estimate_channel_at_per_frame_noise(kind, frames):
@@ -428,9 +444,42 @@ def test_estimate_channel_at_per_frame_noise(kind, frames):
 
 
 @pytest.mark.parametrize("frames", STACKS)
+@pytest.mark.parametrize("kind", WINDOWS)
+def test_estimate_channel_on_the_tf_grid(kind, frames):
+    # the pilot window read from the RX-windowed TF grids gives the bits of
+    # the estimate from their DD frames, the sfft the channel would end with
+    rng = np.random.default_rng(frames)
+    gains = tf_channel(channels(rng, frames))
+    n0 = mixed_n0(frames)
+    r = transmit_frame(data_frames(rng, frames), gains, window_pair(kind), n0,
+                       [np.random.default_rng([9, i]) for i in range(frames)], demodulate=False)
+    est = estimate_channel(r, LAYOUT, n0, tf=True)
+    assert np.array_equal(est, estimate_channel(sfft(r), LAYOUT, n0))
+    assert_framewise(est, (estimate_channel(f, LAYOUT, float(p), tf=True) for f, p in zip(r, n0)))
+
+
+@pytest.mark.parametrize("frames", STACKS)
 def test_tf_gains_from_taps(frames):
     taps = complex_stack(np.random.default_rng(frames), frames)
     assert_framewise(tf_gains_from_taps(taps), (tf_gains_from_taps(t) for t in taps))
+
+
+@pytest.mark.parametrize("frames", STACKS)
+def test_tf_gains_from_taps_of_the_first_delays(frames):
+    # taps that end at delay l_max, as a pilot estimate's: the transform of
+    # those columns, zero-padded, gives the full transform's bits
+    taps = complex_stack(np.random.default_rng(frames), frames)
+    taps[..., LAYOUT.l_max + 1:] = 0.0
+    short = tf_gains_from_taps(taps, LAYOUT.l_max + 1)
+    assert np.array_equal(short, tf_gains_from_taps(taps))
+    assert_framewise(short, (tf_gains_from_taps(t, LAYOUT.l_max + 1) for t in taps))
+
+
+@pytest.mark.parametrize("frames", STACKS)
+def test_pilot_tf_is_the_isfft_of_pilot_frames(frames):
+    pilots = embed_pilot(np.zeros((frames,) + GRID.shape), LAYOUT)
+    assert np.array_equal(isfft(pilots), np.broadcast_to(LAYOUT.pilot_tf, pilots.shape))
+    assert not LAYOUT.pilot_tf.flags.writeable
 
 
 @pytest.mark.parametrize("frames", STACKS)

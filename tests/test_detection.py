@@ -19,6 +19,7 @@ from otfswin import (
     circular_operator,
     dc_window,
     effective_dd_channel,
+    isfft,
     largest_taps,
     mmse_detect,
     noise_covariance,
@@ -32,7 +33,7 @@ from otfswin import (
     vectorize,
 )
 from otfswin.channel import EffectiveDDChannel, _dd_response
-from otfswin.detection import _guard_band_weights
+from otfswin.detection import _guard_plan, _guard_weights
 from otfswin.oracles import build_kron_operators, dd_channel_matrix
 from otfswin.selfcheck import run_selfcheck
 
@@ -251,23 +252,31 @@ class TestGuardBandSolve:
         layout = self.LAYOUTS[name]
         rng = np.random.default_rng(6)
         residual = rng.uniform(0.01, 1.0, (2,) + layout.grid.shape)
-        _guard_band_weights(residual, np.ones((2, int(layout.guard_mask.sum()))),
-                            layout.guard_mask)
+        _guard_weights(np.ones(residual.shape, dtype=complex), residual, layout)
         assert max(sizes) == largest
 
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
     def test_stack_solves_each_frame_alone(self, name):
         layout = self.LAYOUTS[name]
-        shape, size = layout.grid.shape, int(layout.guard_mask.sum())
+        shape = (3,) + layout.grid.shape
         rng = np.random.default_rng(4)
-        residual = rng.uniform(0.01, 1.0, (3,) + shape)
-        rhs = rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
-        stacked = _guard_band_weights(residual, rhs, layout.guard_mask)
-        for frame, side, weights in zip(residual, rhs, stacked):
-            assert np.array_equal(weights, _guard_band_weights(frame, side, layout.guard_mask))
+        residual = rng.uniform(0.01, 1.0, shape)
+        weighted = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stacked = _guard_weights(weighted, residual, layout)
+        for frame, grid, weights in zip(residual, weighted, stacked):
+            assert np.array_equal(weights, _guard_weights(grid, frame, layout))
+
+    def test_plan_is_built_once_per_layout(self):
+        # the band indices and DFT rows every chunk of a run shares
+        layout = self.LAYOUTS["fig6"]
+        plan = _guard_plan(layout)
+        assert _guard_plan(PilotLayout.centered(self.GRID, 3, 4, 1)) is plan
+        assert not any(array.flags.writeable for array in vars(plan).values())
 
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
     def test_matches_the_dense_guard_solve_at_high_snr(self, name):
+        # the weights of the guard cells of x0 = sfft(weighted); they are
+        # zero off the guard
         layout = self.LAYOUTS[name]
         grid = layout.grid
         rng = np.random.default_rng(5)
@@ -275,11 +284,13 @@ class TestGuardBandSolve:
         rx = WindowPair.separable(grid, rx_doppler=dc_window(grid.N, -40.0).coeffs).rx
         noise_tf = 1e-12 * np.abs(rx) ** 2
         residual = noise_tf / (np.abs(rx * tf_channel(ch)) ** 2 + noise_tf)
-        guard = layout.guard_mask.reshape(-1)
-        rhs = rng.standard_normal(int(guard.sum())) + 1j * rng.standard_normal(int(guard.sum()))
-        exact = np.linalg.solve(circular_operator(_dd_response(residual))[guard][:, guard], rhs)
-        weights = _guard_band_weights(residual, rhs, layout.guard_mask)
-        assert np.linalg.norm(weights - exact) <= 1e-8 * np.linalg.norm(exact)
+        guard = layout.guard_mask
+        x0 = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        dense = circular_operator(_dd_response(residual))[guard.reshape(-1)][:, guard.reshape(-1)]
+        exact = np.linalg.solve(dense, x0[guard])
+        weights = sfft(_guard_weights(isfft(x0), residual, layout))
+        assert np.linalg.norm(weights[guard] - exact) <= 1e-8 * np.linalg.norm(exact)
+        assert np.linalg.norm(weights[~guard]) <= 1e-8 * np.linalg.norm(exact)
 
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
     def test_zero_noise_with_known_cells_refused(self, name):

@@ -170,7 +170,8 @@ class TestKnownCsiTfDetection:
             {k: str(v) for k, v in dict(fields, snr_db="0, 10, 20, 30, 40").items()}))
         monkeypatch.undo()
         assert calls
-        for (received, gains, rx, n0, constellation), tf in calls:
+        for (received, gains, rx, n0, constellation, layout), tf in calls:
+            assert layout is None
             dd = detection.tf_lmmse_detect(otfswin.sfft(received), gains, rx, n0, constellation)
             assert np.array_equal(tf.hard_indices, dd.hard_indices)
             error = np.linalg.norm(tf.soft - dd.soft, axis=-1)
@@ -194,6 +195,80 @@ class TestKnownCsiTfDetection:
         # 2 points of 2 trials: one chunk
         run_fer(ExperimentConfig(**fields, snr_db=(10.0, 20.0), trials=2))
         assert sorted(calls) == ["isfft", "sfft"]
+
+
+# the golden links whose receiver estimates the channel from the pilot and
+# runs LMMSE
+ESTIMATED_CSI_MMSE = ("fer-estimated-mmse-dc-tx", "fer-estimated-mmse-dc-rx")
+
+
+class TestEstimatedCsiTfDetection:
+    """An estimated-CSIR LMMSE link reads the pilot window of the TF grid,
+    cancels the pilot per TF bin and detects there; the DD chain it replaced
+    (the DD frame, the pilot cancelled in the DD domain, the guard solved on
+    the dense operator) gives the same decisions.  The soft values move only
+    at the rounding level, which differs between numpy's SIMD levels, so
+    this runs at both."""
+
+    @pytest.mark.parametrize("name", ESTIMATED_CSI_MMSE)
+    def test_decisions_equal_the_dd_chain(self, name, monkeypatch):
+        from otfswin import detection, estimation
+
+        _, fields, _ = GOLDEN_ROWS[name]
+        estimate, core = estimation.estimate_channel, detection._tf_lmmse
+        received, calls = [], []
+
+        def spy_estimate(r, layout, n0, tf=False):
+            assert tf
+            received.append(r)
+            return estimate(r, layout, n0, tf=tf)
+
+        def spy_core(*args):
+            calls.append((args, core(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(estimation, "estimate_channel", spy_estimate)
+        monkeypatch.setattr(detection, "_tf_lmmse", spy_core)
+        run_fer(ExperimentConfig.from_mapping(
+            {k: str(v) for k, v in dict(fields, snr_db="0, 10, 20, 30, 40").items()}))
+        monkeypatch.undo()
+        assert calls and len(received) == len(calls)
+        for r, ((_, _, rx, n0, constellation, layout), tf) in zip(received, calls):
+            soft = oracles.dd_pilot_lmmse(otfswin.sfft(r), rx, n0, layout)
+            hard = constellation.nearest_indices(soft).reshape(soft.shape)
+            assert np.array_equal(tf.hard_indices, hard)
+            error = np.linalg.norm(tf.soft - soft, axis=-1)
+            assert np.all(error <= 1e-12 * np.linalg.norm(soft, axis=-1))
+
+    def test_a_chunk_makes_one_transform_each_way_and_ten_ffts(self, monkeypatch):
+        # the channel modulates (2 FFT calls), the estimator reads the pilot
+        # window (2), the estimate's gains take 2, the guard downdate one
+        # delay IFFT and one delay FFT, and the detector's sfft 2; the DD
+        # chain made three isfft and three sfft calls, and 20 FFT calls
+        from otfswin import channel, detection, estimation
+
+        config = ExperimentConfig(csi="estimated-csir", rx_window="dc", snr_db=(10.0, 20.0),
+                                  trials=2)
+        # the layout, whose pilot_tf is one isfft, is built with the link
+        harness._link(config, pilot=True)
+        transforms, ffts = [], []
+        for module, name in ((channel, "isfft"), (channel, "sfft"), (detection, "isfft"),
+                             (detection, "sfft"), (estimation, "isfft")):
+            def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+                transforms.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        for name in ("fft", "ifft"):
+            def spy_fft(*args, _original=getattr(np.fft, name), **kwargs):
+                ffts.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, spy_fft)
+        # 2 points of 2 trials: one chunk
+        run_fer(config)
+        assert sorted(transforms) == ["isfft", "sfft"]
+        assert len(ffts) == 10
 
 
 _CHUNK_GRID = dict(M=30, N=20, paths=5, k_max=3, l_max=4, k_hat=1, pilot_power_dbw=30.0)
