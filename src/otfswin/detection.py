@@ -1,4 +1,4 @@
-"""MMSE and sum-product detection in the DD domain.
+"""LMMSE detection per TF bin and sum-product detection in the DD domain.
 
 Two LMMSE detectors compute the same estimate.  :func:`tf_lmmse_detect` uses
 the ideal-pulse structure: channel, both windows and the post-window noise

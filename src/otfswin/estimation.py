@@ -4,7 +4,8 @@ A single pilot cell sits inside a zero guard region sized to the channel
 spread (k_max, l_max) plus an extra Doppler guard k_hat that mitigates the
 spread caused by fractional Doppler.  The receiver reads the cells the
 pilot's own channel response can land on and divides by the pilot; cells
-below a 3*sqrt(N0) magnitude threshold are treated as empty.
+below a 3*sqrt(N0) magnitude threshold are treated as empty.  It takes
+the RX-windowed TF grid the channel leaves and demodulates that window alone.
 
 Because the guard is finite, data symbols leak into the read window through
 the window response's sidelobes.  The closed-form floor predictor for that
@@ -148,34 +149,30 @@ def embed_pilot(data_frame: np.ndarray, layout: PilotLayout) -> np.ndarray:
 
 
 def estimate_channel(received: np.ndarray, layout: PilotLayout,
-                     n0: float | np.ndarray, tf: bool = False) -> np.ndarray:
-    """Threshold estimator of the effective DD channel.
+                     n0: float | np.ndarray) -> np.ndarray:
+    """Threshold estimator of the effective DD channel from the RX-windowed
+    TF grids r that :func:`~otfswin.channel.transmit_frame` gives with
+    ``demodulate=False``.
 
-    Reads the window the pilot response can occupy and sets
-    est[(k - k_p) mod N, (l - l_p) mod M] = y[k, l] / x_p wherever
-    |y[k, l]| >= 3*sqrt(n0).  Returns a full (N, M) grid, zero outside the
+    Reads the window the pilot response can occupy in the DD frame
+    y = sfft(r) and sets est[(k - k_p) mod N, (l - l_p) mod M] = y[k, l] / x_p
+    wherever |y[k, l]| >= 3*sqrt(n0).  Only the window is demodulated: the
+    Doppler FFT of r, then the delay IFFT of the window's rows, which gives
+    sfft's bits there.  Returns a full (N, M) grid, zero outside the
     window, ready to rebuild the channel operator by circular convolution;
-    a ``[..., N, M]`` stack of received frames gives a stack of grids, and
+    a ``[..., N, M]`` stack of grids r gives a stack of estimates, and
     ``n0`` is one noise power for all of them or an array of one per frame
     (any other shape raises ``ValueError``).
-
-    With ``tf``, ``received`` holds the RX-windowed TF grids r that
-    :func:`~otfswin.channel.transmit_frame` gives with ``demodulate=False``,
-    and y = sfft(r) on the read window alone: the Doppler FFT of r, then the
-    delay IFFT of the window's rows, which gives sfft's bits there.
     """
     if received.shape[-2:] != layout.grid.shape:
         raise ValueError("frame shape does not match grid")
     n0 = frame_noise(n0, received.shape[:-2])
     threshold = 3.0 * np.sqrt(np.maximum(n0, 0.0))
     est = np.zeros(received.shape, dtype=complex)
-    if tf:
-        (n, m), (rows, cols) = layout.grid.shape, layout.read_cells
-        # sfft(r) = ifft_m(fft_n(r)) * sqrt(M / N), row by row
-        rows_dd = np.fft.ifft(np.fft.fft(received, axis=-2)[..., rows[:, 0], :], axis=-1)
-        block = rows_dd[..., cols[0]] * math.sqrt(m / n)
-    else:
-        block = received[(..., *layout.read_cells)]
+    (n, m), (rows, cols) = layout.grid.shape, layout.read_cells
+    # sfft(r) = ifft_m(fft_n(r)) * sqrt(M / N), row by row
+    rows_dd = np.fft.ifft(np.fft.fft(received, axis=-2)[..., rows[:, 0], :], axis=-1)
+    block = rows_dd[..., cols[0]] * math.sqrt(m / n)
     keep = np.abs(block) >= threshold[..., None, None]
     est[(..., *layout.tap_cells)] = np.where(keep, block / layout.pilot_value, 0.0)
     return est

@@ -36,6 +36,7 @@ from .errors import ConfigurationError, NumericalFailure
 from .grid import Constellation, FrameGrid, map_symbols
 # perfbench/run.py runs the self-check as harness.run_selfcheck
 from .selfcheck import run_selfcheck
+from .transforms import sfft
 
 # Beyond a pilot-to-data amplitude ratio of 1/eps (or below eps), the pilot and
 # the unit-power data cells cannot share one frame in double precision.
@@ -403,14 +404,6 @@ class _Link:
     layout: est_mod.PilotLayout | None    # None: full-data frames
     bits_per_frame: int
 
-    @property
-    def detects_tf(self) -> bool:
-        """Whether the fer receiver detects on the RX-windowed TF grid:
-        LMMSE, which is diagonal per TF bin, so the received frames never
-        enter the DD domain whole (a pilot estimate reads its window
-        alone)."""
-        return self.config.detector == "mmse"
-
 
 # The config fields of one call that its link does not read: every other
 # field of the config's class, one added later included, is part of the
@@ -462,8 +455,7 @@ def _link_parts(kind: type, fields: tuple, pilot: bool) -> tuple:
     return grid, constellation, windows, layout, n_data * constellation.bits_per_symbol
 
 
-def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray,
-              demodulate: bool = True):
+def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     """A chunk of trials of the link up to the receiver: draw each trial's
     channel and bits, build the TX windows, map the bits, embed the pilot and
     pass the frames through the windowed TF channel.
@@ -477,11 +469,9 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray,
     bit the frame the trial would give on its own.
 
     Returns per frame, stacked along a leading axis: the data bits, the
-    received frame, the RX window and the windowed TF gains ``joint *
-    H_tf``, whose DD response is the effective channel.  The received frame
-    is the DD frame, or with ``demodulate=False`` (a fer link whose
-    receiver ``detects_tf``) the RX-windowed TF grid ``transmit_frame``
-    would demodulate: the receiver takes it as it is.
+    RX-windowed TF grid r that ``transmit_frame`` would demodulate, the RX
+    window and the windowed TF gains ``joint * H_tf``, whose DD response is
+    the effective channel.  Every receiver takes r as it is.
     """
     config = link.config
     generators = [_trial_rng(config, snr_index, t) for snr_index, t in cells]
@@ -501,9 +491,8 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray,
     else:
         frames = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
         frames = est_mod.embed_pilot(frames, link.layout)
-    y = ch_mod.transmit_frame(frames, tf_gains, windows, n0, generators,
-                              demodulate=demodulate)
-    return bits, y, np.broadcast_to(windows.rx, y.shape), windows.joint * tf_gains
+    r = ch_mod.transmit_frame(frames, tf_gains, windows, n0, generators, demodulate=False)
+    return bits, r, np.broadcast_to(windows.rx, r.shape), windows.joint * tf_gains
 
 
 # Trials run in chunks whose (B, N, M) complex work arrays take about this
@@ -571,8 +560,8 @@ def run_ce_mse(config: ExperimentConfig) -> list[ResultRow]:
     link = _link(config, pilot=True)
 
     def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> np.ndarray:
-        _, y, _, gains = _transmit(link, cells, n0)
-        est = est_mod.estimate_channel(y, link.layout, n0)
+        _, r, _, gains = _transmit(link, cells, n0)
+        est = est_mod.estimate_channel(r, link.layout, n0)
         truth = ch_mod._dd_response(gains, config.l_max + 1)
         return est_mod.measured_ce_mse(truth, est, link.layout)
 
@@ -604,49 +593,61 @@ def _ce_rows(config: ExperimentConfig, sweep) -> list[ResultRow]:
 
 def _detect_frames(
     link: _Link,
-    y: np.ndarray,
+    r: np.ndarray,
     rx_window: np.ndarray,
     n0: float | np.ndarray,
     gains: np.ndarray | None,
 ) -> np.ndarray:
-    """Run the configured detector on a [B, N, M] stack of received frames
-    at noise power ``n0`` (one for all frames, or one per frame) and return
-    the hard bits of their data cells, one row per frame.
+    """The configured detector's hard bits of the data cells, one row per
+    frame, of a [B, N, M] stack of RX-windowed TF grids r from
+    :func:`_transmit` at noise power ``n0`` (one, or one per frame).
 
-    ``y`` holds the frames as :func:`_transmit` returns them: RX-windowed
-    TF grids where the link ``detects_tf`` (LMMSE, which then detects per
-    TF bin with no DD round trip), DD frames for SPA.  ``gains`` is the
-    stack of windowed TF gain grids the receiver knows, or ``None`` when it
-    estimates the channel from the embedded pilot as a DD tap grid.  LMMSE
-    takes the gains of the estimate and cancels the pilot per TF bin, as
-    those gains times the layout's ``pilot_tf``; SPA takes the taps and
-    cancels the pilot in the DD domain.  Either comes from the other by one
-    2-D FFT.  The pilot is estimated and cancelled, and either detector
-    runs, once for the stack.  Both detectors decide the data cells of the
-    link's layout alone, in row-major order (all cells without a layout),
-    so their indices map to bits as they come.
+    ``gains`` is the stack of windowed TF gain grids the receiver knows, or
+    ``None`` when it estimates the channel from the embedded pilot.  Each
+    stage runs once for the stack: ``estimate_channel`` reads the pilot
+    window from r, :func:`_cancel_pilot` removes the pilot's response and
+    :func:`_detect` decides.  LMMSE works on r per TF bin; only SPA
+    demodulates, to the DD frames sfft(r).
     """
-    layout, config, constellation = link.layout, link.config, link.constellation
-    if link.detects_tf:
-        if gains is None:
-            # the estimate's taps end at delay l_max
-            taps = est_mod.estimate_channel(y, layout, n0, tf=True)
-            gains = ch_mod.tf_gains_from_taps(taps, layout.l_max + 1)
-            # remove the pilot's estimated response before detection
-            y = y - gains * layout.pilot_tf
-        idx = det_mod._tf_lmmse(y, gains, rx_window, n0, constellation, layout).hard_indices
+    lmmse = link.config.detector == "mmse"
+    received = r if lmmse else sfft(r)
+    if gains is None:
+        taps = est_mod.estimate_channel(r, link.layout, n0)
+        received, channel = _cancel_pilot(link, received, taps)
     else:
-        if gains is None:
-            taps = est_mod.estimate_channel(y, layout, n0)
-            # remove the pilot's estimated contribution before detection
-            shift = np.roll(taps, (layout.pilot_doppler, layout.pilot_delay), axis=(1, 2))
-            y = y - layout.pilot_value * shift
-        else:
-            taps = ch_mod._dd_response(gains)
-        channel = ch_mod.EffectiveDDChannel(
-            taps=taps, truncation=ch_mod.largest_taps(taps, config.spa_tap_count()))
+        channel = gains if lmmse else ch_mod._dd_response(gains)
+    return _detect(link, received, channel, rx_window, n0)
+
+
+def _cancel_pilot(link: _Link, received: np.ndarray,
+                  taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The received frames less the pilot's response to the estimated taps,
+    and the channel the detector takes: LMMSE cancels per TF bin, r - g *
+    ``pilot_tf``, and takes the estimate's TF gains g; SPA cancels the taps
+    rolled to the pilot cell times x_p in the DD frames, and takes the taps."""
+    layout = link.layout
+    if link.config.detector == "mmse":
+        # the estimate's taps end at delay l_max
+        gains = ch_mod.tf_gains_from_taps(taps, layout.l_max + 1)
+        return received - gains * layout.pilot_tf, gains
+    shift = np.roll(taps, (layout.pilot_doppler, layout.pilot_delay), axis=(1, 2))
+    return received - layout.pilot_value * shift, taps
+
+
+def _detect(link: _Link, received: np.ndarray, channel: np.ndarray,
+            rx_window: np.ndarray, n0: float | np.ndarray) -> np.ndarray:
+    """The hard bits of the data cells (all cells without a layout), one
+    row per frame in row-major cell order: LMMSE on TF grids with TF gains
+    ``channel``, SPA on DD frames with DD taps ``channel``."""
+    layout, config, constellation = link.layout, link.config, link.constellation
+    if config.detector == "mmse":
+        idx = det_mod._tf_lmmse(received, channel, rx_window, n0, constellation,
+                                layout).hard_indices
+    else:
+        dd_channel = ch_mod.EffectiveDDChannel(
+            taps=channel, truncation=ch_mod.largest_taps(channel, config.spa_tap_count()))
         idx = det_mod.spa_detect(
-            y, channel, n0, constellation, iters=config.spa_iters,
+            received, dd_channel, n0, constellation, iters=config.spa_iters,
             damping=config.spa_damping, data_mask=None if layout is None else layout.data_mask,
         ).hard_indices
     return constellation.indices_to_bits(idx.reshape(-1)).reshape(len(idx), -1)
@@ -665,14 +666,12 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
     bin, so it is colored in the DD domain for a shaping RX window; the
     sum-product detector models the noise as white at power N0, so shaping
     RX windows pair with MMSE, not SPA.  Frames are sent and detected a
-    chunk at a time (:func:`_detect_frames`); the MMSE detector takes the
-    RX-windowed TF grids as the channel leaves them, so those frames never
-    enter the DD domain whole: a pilot estimate reads its window alone, and
-    the pilot is cancelled per TF bin.  Each trial keeps only its
-    frame's bit error count, but :func:`_sweep` holds one count per trial of
-    the running SNR point, so memory grows with ``trials`` by a Python int
-    per trial.  ROADMAP item 12, which stops a point at an error count,
-    is the place to stream the counts instead.
+    chunk at a time (:func:`_detect_frames`), from the RX-windowed TF grids
+    the channel leaves.  Each trial keeps only its frame's bit error
+    count, but :func:`_sweep` holds one count per trial of the running SNR
+    point, so memory grows with ``trials`` by a Python int per trial.
+    ROADMAP item 12, which stops a point at an error count, is the place to
+    stream the counts instead.
     """
     link = _link(config, pilot=config.csi == "estimated-csir")
     if link.bits_per_frame == 0:
@@ -680,9 +679,9 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
             f"the pilot guard covers the whole {config.N}x{config.M} frame: no data cells left")
 
     def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> list[int]:
-        bits, y, rx_window, gains = _transmit(link, cells, n0, demodulate=not link.detects_tf)
+        bits, r, rx_window, gains = _transmit(link, cells, n0)
         known = gains if link.layout is None else None
-        detected = _detect_frames(link, y, rx_window, n0, known)
+        detected = _detect_frames(link, r, rx_window, n0, known)
         return np.count_nonzero(detected != bits, axis=1).tolist()
 
     return _fer_rows(config, link, _sweep(config, chunk))

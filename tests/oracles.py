@@ -19,7 +19,6 @@ from otfswin import (
     WindowPair,
     circular_operator,
     embed_pilot,
-    estimate_channel,
     harness,
     isfft,
     map_symbols,
@@ -30,6 +29,7 @@ from otfswin import (
 from otfswin.channel import EffectiveDDChannel, _dd_response, delay_power_profile
 from otfswin.detection import DetectionReport
 from otfswin.errors import NumericalFailure
+from otfswin.grid import frame_noise
 from otfswin.oracles import dd_filter
 from otfswin.windows import _OVERSAMPLE, PowerAllocation, WindowResponse
 
@@ -677,8 +677,8 @@ def per_trial_transmit(link, snr_index, trial, n0, demodulate=True):
     own frame: the chain the harness ran before trials ran in chunks.  The
     trial's stream is seeded here by numpy's own list coercion, not by the
     harness's ``_trial_rng``.  The received frame is the DD frame, or with
-    ``demodulate=False`` (a fer link whose receiver ``detects_tf``) the
-    RX-windowed TF grid."""
+    ``demodulate=False`` the RX-windowed TF grid the harness's receiver
+    takes."""
     config = link.config
     rng = np.random.default_rng([config.seed, snr_index, trial])
     ch = single_generator_sample_channel(link.grid, config.paths, config.k_max, config.l_max,
@@ -698,6 +698,24 @@ def per_trial_transmit(link, snr_index, trial, n0, demodulate=True):
     return bits, y, windows.rx, windows.joint * tf_gains
 
 
+def dd_estimate_channel(received, layout, n0):
+    """The threshold estimate of the effective DD channel read from DD
+    frames y = sfft(r): est[(k - k_p) mod N, (l - l_p) mod M] = y[k, l] / x_p
+    wherever |y[k, l]| >= 3*sqrt(n0), zero elsewhere.  ``estimate_channel``
+    as it read the DD frame, before the receiver took the RX-windowed TF
+    grid r; it demodulates only the read window of r, and must give these
+    bits."""
+    if received.shape[-2:] != layout.grid.shape:
+        raise ValueError("frame shape does not match grid")
+    n0 = frame_noise(n0, received.shape[:-2])
+    threshold = 3.0 * np.sqrt(np.maximum(n0, 0.0))
+    est = np.zeros(received.shape, dtype=complex)
+    block = received[(..., *layout.read_cells)]
+    keep = np.abs(block) >= threshold[..., None, None]
+    est[(..., *layout.tap_cells)] = np.where(keep, block / layout.pilot_value, 0.0)
+    return est
+
+
 def dd_pilot_lmmse(y, rx_window, n0, layout):
     """Soft LMMSE estimates of the data cells of a [B, N, M] stack of
     received DD frames of an embedded-pilot link, by the DD chain the
@@ -706,7 +724,7 @@ def dd_pilot_lmmse(y, rx_window, n0, layout):
     with the estimate's gains, and take the Woodbury downdate by the guard
     cells G, x0[D] - E[D, G] E[G, G]^(-1) x0[G], with the dense circular
     operator E of the residual's DD response, one frame at a time."""
-    taps = estimate_channel(y, layout, n0)
+    taps = dd_estimate_channel(y, layout, n0)
     y = y - layout.pilot_value * np.roll(taps, (layout.pilot_doppler, layout.pilot_delay),
                                          axis=(1, 2))
     gains = tf_gains_from_taps(taps)
@@ -735,7 +753,7 @@ def per_trial_ce_mse(config):
 
     def trial(snr_index, t, n0):
         _, y, _, gains = per_trial_transmit(link, snr_index, t, n0)
-        est = estimate_channel(y, link.layout, n0)
+        est = dd_estimate_channel(y, link.layout, n0)
         return measured_ce_mse(_dd_response(gains), est, link.layout)
 
     return harness._ce_rows(config, _per_trial_sweep(config, trial))
@@ -746,10 +764,10 @@ def per_trial_fer(config):
     link = harness._link(config, pilot=config.csi == "estimated-csir")
 
     def trial(snr_index, t, n0):
-        bits, y, rx_window, gains = per_trial_transmit(link, snr_index, t, n0,
-                                                       demodulate=not link.detects_tf)
+        bits, r, rx_window, gains = per_trial_transmit(link, snr_index, t, n0,
+                                                       demodulate=False)
         known = gains[None] if link.layout is None else None
-        detected = harness._detect_frames(link, y[None], rx_window[None], n0, known)
+        detected = harness._detect_frames(link, r[None], rx_window[None], n0, known)
         return int(np.count_nonzero(detected[0] != bits))
 
     return harness._fer_rows(config, link, _per_trial_sweep(config, trial))

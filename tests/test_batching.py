@@ -333,9 +333,11 @@ def test_embed_pilot():
     assert_framewise(embed_pilot(frames, LAYOUT), (embed_pilot(f, LAYOUT) for f in frames))
 
 
-def _received(kind: str, frames: int, n0: float) -> tuple[np.ndarray, list[np.ndarray], WindowPair]:
+def _received(kind: str, frames: int, n0: float,
+              demodulate: bool = True) -> tuple[np.ndarray, list[np.ndarray], WindowPair]:
     """A stack sent through ``transmit_frame`` at once, and frame by frame
-    with generators seeded alike."""
+    with generators seeded alike: DD frames, or with ``demodulate=False``
+    RX-windowed TF grids."""
     rng = np.random.default_rng(frames)
     gains = tf_channel(channels(rng, frames))
     x = data_frames(rng, frames)
@@ -347,9 +349,10 @@ def _received(kind: str, frames: int, n0: float) -> tuple[np.ndarray, list[np.nd
         windows = window_pair(kind)
         pairs = [windows] * frames
     stacked = transmit_frame(x, gains, windows, n0,
-                             [np.random.default_rng([9, i]) for i in range(frames)])
+                             [np.random.default_rng([9, i]) for i in range(frames)],
+                             demodulate=demodulate)
     alone = [oracles.single_frame_transmit(x[i], gains[i], pairs[i], n0,
-                                           np.random.default_rng([9, i]))
+                                           np.random.default_rng([9, i]), demodulate)
              for i in range(frames)]
     return stacked, alone, windows
 
@@ -381,9 +384,9 @@ def test_transmit_frame_needs_one_generator_per_frame():
 @pytest.mark.parametrize("kind", WINDOWS)
 def test_estimate_channel_and_measured_ce_mse(kind, frames):
     n0 = 1e-3
-    y, _, windows = _received(kind, frames, n0)
-    est = estimate_channel(y, LAYOUT, n0)
-    assert_framewise(est, (estimate_channel(f, LAYOUT, n0) for f in y))
+    r, _, windows = _received(kind, frames, n0, demodulate=False)
+    est = estimate_channel(r, LAYOUT, n0)
+    assert_framewise(est, (estimate_channel(f, LAYOUT, n0) for f in r))
     rng = np.random.default_rng(frames)
     truth = _dd_response(windows.joint * tf_channel(channels(rng, frames)))
     sse = measured_ce_mse(truth, est, LAYOUT)
@@ -399,16 +402,19 @@ def mixed_n0(frames: int) -> np.ndarray:
     return np.where(np.arange(frames) % 2 == 0, 1e-1, 1e-3)
 
 
-def _received_at_mixed_snr(kind: str, frames: int):
+def _received_at_mixed_snr(kind: str, frames: int, demodulate: bool = True):
     """A stack sent through ``transmit_frame`` at per-frame noise powers,
-    and each frame sent alone at its own power with a generator seeded alike."""
+    and each frame sent alone at its own power with a generator seeded
+    alike: DD frames, or with ``demodulate=False`` RX-windowed TF grids."""
     rng = np.random.default_rng(frames)
     gains = tf_channel(channels(rng, frames))
     x = data_frames(rng, frames)
     windows, n0 = window_pair(kind), mixed_n0(frames)
     stacked = transmit_frame(x, gains, windows, n0,
-                             [np.random.default_rng([9, i]) for i in range(frames)])
-    alone = [transmit_frame(x[i], gains[i], windows, float(n0[i]), np.random.default_rng([9, i]))
+                             [np.random.default_rng([9, i]) for i in range(frames)],
+                             demodulate=demodulate)
+    alone = [transmit_frame(x[i], gains[i], windows, float(n0[i]), np.random.default_rng([9, i]),
+                            demodulate=demodulate)
              for i in range(frames)]
     return stacked, alone, gains, windows, n0
 
@@ -430,32 +436,26 @@ def test_noise_power_of_another_shape_refused(n0):
     with pytest.raises(ValueError, match=match):
         transmit_frame(frames, np.ones(GRID.shape), window_pair("rect"), n0,
                        [np.random.default_rng(i) for i in range(2)])
-    for tf in (False, True):
-        with pytest.raises(ValueError, match=match):
-            estimate_channel(frames, LAYOUT, n0, tf=tf)
+    with pytest.raises(ValueError, match=match):
+        estimate_channel(frames, LAYOUT, n0)
 
 
 @pytest.mark.parametrize("frames", STACKS)
 @pytest.mark.parametrize("kind", WINDOWS)
 def test_estimate_channel_at_per_frame_noise(kind, frames):
-    y, _, _, _, n0 = _received_at_mixed_snr(kind, frames)
-    assert_framewise(estimate_channel(y, LAYOUT, n0),
-                     (estimate_channel(f, LAYOUT, float(p)) for f, p in zip(y, n0)))
+    r, _, _, _, n0 = _received_at_mixed_snr(kind, frames, demodulate=False)
+    assert_framewise(estimate_channel(r, LAYOUT, n0),
+                     (estimate_channel(f, LAYOUT, float(p)) for f, p in zip(r, n0)))
 
 
 @pytest.mark.parametrize("frames", STACKS)
 @pytest.mark.parametrize("kind", WINDOWS)
 def test_estimate_channel_on_the_tf_grid(kind, frames):
     # the pilot window read from the RX-windowed TF grids gives the bits of
-    # the estimate from their DD frames, the sfft the channel would end with
-    rng = np.random.default_rng(frames)
-    gains = tf_channel(channels(rng, frames))
-    n0 = mixed_n0(frames)
-    r = transmit_frame(data_frames(rng, frames), gains, window_pair(kind), n0,
-                       [np.random.default_rng([9, i]) for i in range(frames)], demodulate=False)
-    est = estimate_channel(r, LAYOUT, n0, tf=True)
-    assert np.array_equal(est, estimate_channel(sfft(r), LAYOUT, n0))
-    assert_framewise(est, (estimate_channel(f, LAYOUT, float(p), tf=True) for f, p in zip(r, n0)))
+    # the oracle's read of their DD frames, the sfft the channel would end with
+    r, _, _, _, n0 = _received_at_mixed_snr(kind, frames, demodulate=False)
+    assert np.array_equal(estimate_channel(r, LAYOUT, n0),
+                          oracles.dd_estimate_channel(sfft(r), LAYOUT, n0))
 
 
 @pytest.mark.parametrize("frames", STACKS)
@@ -492,7 +492,7 @@ def test_tf_lmmse_detect_at_per_frame_noise(pilot, kind, frames):
     if pilot:
         # as the harness does: estimate the taps, cancel the pilot, detect
         # with the gains of the estimate
-        taps = estimate_channel(y, LAYOUT, n0)
+        taps = oracles.dd_estimate_channel(y, LAYOUT, n0)
         shift = np.roll(taps, (LAYOUT.pilot_doppler, LAYOUT.pilot_delay), axis=(1, 2))
         y = y - LAYOUT.pilot_value * shift
         gains = tf_gains_from_taps(taps)

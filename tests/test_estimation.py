@@ -15,6 +15,7 @@ from otfswin import (
     embed_pilot,
     estimate_channel,
     exact_interference_power,
+    isfft,
     map_symbols,
     measured_ce_mse,
     predicted_mse_floor,
@@ -101,7 +102,7 @@ class TestEstimator:
         ch = ChannelRealization((PathSpec(0.8 - 0.5j, 2, -1),), grid)
         truth = effective_dd_channel(ch, windows).taps
         frame = embed_pilot(np.zeros(grid.shape, dtype=complex), layout)
-        received = transmit_frame(frame, tf_channel(ch), windows)
+        received = transmit_frame(frame, tf_channel(ch), windows, demodulate=False)
         est = estimate_channel(received, layout, n0=1e-8)
         assert est[(-1) % grid.N, 2] == pytest.approx(truth[(-1) % grid.N, 2], abs=1e-10)
         mismatch = np.abs(est - truth)
@@ -111,7 +112,7 @@ class TestEstimator:
     def test_everything_below_threshold_gives_zero_estimate(self):
         grid = FrameGrid(M=8, N=8)
         layout = PilotLayout.centered(grid, k_max=1, l_max=1, k_hat=0)
-        weak = np.full(grid.shape, 1e-3, dtype=complex)
+        weak = isfft(np.full(grid.shape, 1e-3, dtype=complex))
         est = estimate_channel(weak, layout, n0=1.0)
         assert np.all(est == 0)
 
@@ -129,7 +130,7 @@ class TestEstimator:
         mask = layout.data_mask
         frame = map_symbols(rng.integers(0, 2, int(mask.sum()) * 2), qpsk, grid, mask=mask)
         frame = embed_pilot(frame, layout)
-        received = transmit_frame(frame, tf_channel(ch), windows)
+        received = transmit_frame(frame, tf_channel(ch), windows, demodulate=False)
         est = estimate_channel(received, layout, n0=0.0)
         sel = layout.tap_cells
         assert np.max(np.abs(est[sel] - truth[sel])) < 1e-12
@@ -193,7 +194,8 @@ class TestMeasuredError:
                 frame = map_symbols(trial_rng.integers(0, 2, int(mask.sum()) * 2),
                                     qpsk, grid, mask=mask)
                 frame = embed_pilot(frame, layout)
-                received = transmit_frame(frame, tf_channel(ch), windows, n0, trial_rng)
+                received = transmit_frame(frame, tf_channel(ch), windows, n0, trial_rng,
+                                          demodulate=False)
                 est = estimate_channel(received, layout, n0)
                 sse += measured_ce_mse(truth, est, layout)
             errors.append(sse / 50)
@@ -271,7 +273,8 @@ class TestInterferenceIdentity:
                 truth = effective_dd_channel(ch, windows).taps
                 frame = map_symbols(rng.integers(0, 2, nbits), qpsk, grid, mask=mask)
                 frame = embed_pilot(frame, layout)
-                received = transmit_frame(frame, tf_channel(ch), windows, n0, rng)
+                received = transmit_frame(frame, tf_channel(ch), windows, n0, rng,
+                                          demodulate=False)
                 est = estimate_channel(received, layout, n0)
                 sse += measured_ce_mse(truth, est, layout)
             floors.append(sse / trials)

@@ -218,10 +218,9 @@ class TestEstimatedCsiTfDetection:
         estimate, core = estimation.estimate_channel, detection._tf_lmmse
         received, calls = [], []
 
-        def spy_estimate(r, layout, n0, tf=False):
-            assert tf
+        def spy_estimate(r, layout, n0):
             received.append(r)
-            return estimate(r, layout, n0, tf=tf)
+            return estimate(r, layout, n0)
 
         def spy_core(*args):
             calls.append((args, core(*args)))
@@ -319,6 +318,25 @@ class TestChunkBoundaries:
             {k: str(v) for k, v in dict(_CHUNK_GRID, **dict(fields, snr_db="10, 20, 35"),
                                          trials=self.CHUNK + offset, seed=37).items()})
         assert rows_to_csv(runner(cfg)) == rows_to_csv(oracle(cfg))
+
+    @pytest.mark.parametrize("name", ["ce-rect", "fer-estimated-mmse", "fer-estimated-spa"])
+    def test_transmit_hands_the_receiver_the_tf_grid(self, name):
+        # every receiver takes the RX-windowed TF grids r of a chunk: their
+        # sfft is bit for bit the DD frame of each trial of the per-trial
+        # chain, on a chunk that spans two SNR points
+        _, _, fields = CHUNK_CASES[name]
+        cfg = ExperimentConfig.from_mapping(
+            {k: str(v) for k, v in dict(_CHUNK_GRID, **dict(fields, snr_db="10, 35"),
+                                         trials=self.CHUNK - 1, seed=41).items()})
+        link = harness._link(cfg, pilot=True)
+        cells = [(i, t) for i in range(2) for t in range(cfg.trials)][:self.CHUNK]
+        n0 = np.array([noise_power(cfg.snr_db[i]) for i, _ in cells])
+        bits, r, _, _ = harness._transmit(link, cells, n0)
+        assert r.shape == (self.CHUNK,) + link.grid.shape
+        for frame_bits, y, (i, t), p in zip(bits, otfswin.sfft(r), cells, n0):
+            want_bits, want_y, _, _ = oracles.per_trial_transmit(link, i, t, p)
+            assert np.array_equal(frame_bits, want_bits)
+            assert np.array_equal(y, want_y)
 
     def test_chunks_take_cells_across_snr_points(self):
         cfg = ExperimentConfig(snr_db=(10.0, 20.0, 30.0), trials=self.CHUNK - 1)
