@@ -121,11 +121,14 @@ def sample_channel(
     A sequence of B generators gives a (B, P) stack.  Each generator makes
     its own draws in one order, one call per distribution: the delays and
     integer Dopplers as one (2, P) ``integers`` draw on per-row bounds
-    (delays first, the values two ``size=P`` draws give), the fractions with
-    the redraw of the closed endpoint, then the real and imaginary parts of
-    the gains as one (2, P) ``standard_normal`` draw.  The arithmetic after
-    the draws runs once for the stack, and realization i is bit for bit the
-    one generator i gives alone.
+    (delays first, the values two ``size=P`` draws give), the fractions,
+    any redraws of the closed endpoint, then the real and imaginary parts
+    of the gains as one (2, P) ``standard_normal`` draw.  All generators
+    draw their bins and fractions, one check for the endpoint covers the
+    stack (only a generator that drew it redraws), and then all draw their
+    gains, so a generator listed twice interleaves its frames' draws.  The
+    arithmetic after the draws runs once for the stack, and realization i
+    is bit for bit the one generator i gives alone.
     """
     if num_paths < 1:
         raise ValueError("need at least one path")
@@ -143,14 +146,17 @@ def sample_channel(
     bins = np.empty((frames, 2, num_paths), dtype=np.int64)
     fracs = np.empty((frames, num_paths))
     gauss = np.empty((frames, 2, num_paths))
-    for gen, b, f, g in zip(generators, bins, fracs, gauss):
+    for gen, b, f in zip(generators, bins, fracs):
         b[...] = gen.integers(low, high)
         gen.random(out=f)
-        # a draw of exactly 0 would put the fraction on the closed endpoint
-        # -1/2; every other draw on [0, 1) stays above it after the shift
-        while not f.all():
-            redo = f == 0.0
-            f[redo] = gen.random(int(np.count_nonzero(redo)))
+    # a draw of exactly 0 would put the fraction on the closed endpoint
+    # -1/2; every other draw on [0, 1) stays above it after the shift
+    if not fracs.all():
+        for gen, f in zip(generators, fracs):
+            while not f.all():
+                redo = f == 0.0
+                f[redo] = gen.random(int(np.count_nonzero(redo)))
+    for gen, g in zip(generators, gauss):
         gen.standard_normal(out=g)
 
     fracs -= 0.5
@@ -178,14 +184,31 @@ def tf_channel(ch: ChannelRealization) -> np.ndarray:
     grid row-major gives the diagonal in vector order n*M + m.  Each path
     contributes a rank-one term: its gain and delay-Doppler phase times a
     Doppler phase vector over the slots and a delay phase vector over the
-    subcarriers.  The phases are computed for all (B, P) paths at once and
-    the outer products added one path at a time, in path order, so no
-    (B, P, N, M) array is built and no matrix product brings BLAS onto the
-    per-trial path.
+    subcarriers.  The Doppler phases are computed for all (B, P) paths at
+    once.  The delay phases depend on the integer delay bin alone, so they
+    come from one table per call with a row per bin 0 .. D - 1, D the
+    largest bin plus one (or a row per distinct bin, when there are fewer
+    paths than that), each row computed by the per-path expression; each
+    path then takes its bin's row.  The outer products are added one path
+    at a time, in path order, so no (B, P, N, M) array is built and no
+    matrix product brings BLAS onto the per-trial path.
+
+    Delay bins must be nonnegative integers (``PathSpec`` ensures it; a
+    realization from ``ChannelRealization.from_arrays`` is checked here):
+    anything else raises ``ValueError`` naming the offending bins.  Bins at
+    M or above are valid.  Fractional delays (ROADMAP item 22) will need a
+    delay phase path of their own.
     """
     grid = ch.grid
-    gains, nu = np.atleast_2d(ch.gains, ch.doppler_bins + ch.doppler_fracs)
-    delay = np.atleast_2d(ch.delay_bins).astype(float)
+    gains, nu, bins = np.atleast_2d(ch.gains, ch.doppler_bins + ch.doppler_fracs,
+                                    ch.delay_bins)
+    if not np.issubdtype(bins.dtype, np.integer):
+        raise ValueError(f"delay bins must be integers, got {bins.dtype} bins "
+                         f"{np.unique(bins).tolist()}")
+    if bins.min() < 0:
+        raise ValueError(
+            f"delay bins must be nonnegative, got {np.unique(bins[bins < 0]).tolist()}")
+    delay = bins.astype(float)
     # A temporary that is multiplied from the left is bound to a name first.
     # numpy rewrites ``a * tmp`` on a nameless temporary of 256 KiB or more
     # as ``tmp *= a``, which swaps the operands of its fused complex multiply
@@ -194,9 +217,17 @@ def tf_channel(ch: ChannelRealization) -> np.ndarray:
     # aliased output changes the rounding of one-element products.
     phase = np.exp(-2j * np.pi * nu * delay / (grid.N * grid.M))
     coef = gains * phase
-    phase = np.exp(2j * np.pi * nu[..., None] * np.arange(grid.N) / grid.N)
-    doppler = coef[..., None] * phase
-    delay_ph = np.exp(-2j * np.pi * delay[..., None] * np.arange(grid.M) / grid.M)
+    # rebinding the name frees the phases once their product with the gains exists
+    doppler = np.exp(2j * np.pi * nu[..., None] * np.arange(grid.N) / grid.N)
+    doppler = coef[..., None] * doppler
+    top = int(bins.max()) + 1
+    if top <= bins.size:
+        rows, index = np.arange(top, dtype=float), bins
+    else:
+        rows, index = np.unique(delay, return_inverse=True)
+        index = index.reshape(bins.shape)
+    table = np.exp(-2j * np.pi * rows[:, None] * np.arange(grid.M) / grid.M)
+    delay_ph = table[index]
     out = doppler[:, 0, :, None] * delay_ph[:, 0, None, :]
     for p in range(1, gains.shape[1]):
         out += doppler[:, p, :, None] * delay_ph[:, p, None, :]
@@ -207,22 +238,29 @@ def tf_channel(ch: ChannelRealization) -> np.ndarray:
 _PATH_SLACK_BYTES = 1024 * 1024
 
 
-def paths_that_fit(grid: FrameGrid, frames: int, budget: int) -> int:
+def paths_that_fit(grid: FrameGrid, frames: int, budget: int, delays: int) -> int:
     """The most paths whose channel draws and phases for a stack of
-    ``frames`` frames on ``grid`` fit in ``budget`` bytes.
+    ``frames`` frames on ``grid`` fit in ``budget`` bytes, for paths drawn
+    on ``delays`` delay bins 0 .. delays - 1.
 
-    Per path and frame that is at most 80 bytes of (B, P) arrays
-    (sample_channel's five draws beside its gain temporaries, or the
-    channel's arrays beside tf_channel's float and complex copies) and
-    32 (N + M) bytes of phases: tf_channel holds two complex arrays over
-    the N slots at once (the Doppler phases beside their exp argument or
-    beside their product with the gains) and, while it builds the delay
-    phases, two over the M subcarriers.  Its outer products then add the
-    output frames and one frame-sized product.
+    Per path and frame that is at most 120 bytes of (B, P) arrays
+    (sample_channel's draws and their contiguous copies beside its gain
+    temporaries, or the channel's arrays beside tf_channel's float and
+    complex copies) and 16 (N + max(N, M)) bytes of phases: tf_channel
+    holds two complex arrays over the N slots at once (the Doppler phases
+    beside their exp argument or beside their product with the gains), and
+    then the Doppler terms beside the paths' delay phases over the M
+    subcarriers.  Its outer products then add the output frames and one
+    frame-sized product.  The delay-phase table adds 16 M bytes a row, with
+    a row per delay bin up to the largest drawn and at most one per path
+    and frame.
     """
     frame_bytes = 2 * 16 * frames * grid.size
-    per_path = frames * (80 + 32 * (grid.N + grid.M))
-    return (budget - frame_bytes - _PATH_SLACK_BYTES) // per_path
+    per_path = frames * (120 + 16 * (grid.N + max(grid.N, grid.M)))
+    free = budget - frame_bytes - _PATH_SLACK_BYTES
+    # the table at its ``delays`` rows, or at one row per path and frame
+    return max((free - 16 * grid.M * delays) // per_path,
+               free // (per_path + 16 * grid.M * frames))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +370,7 @@ def effective_dd_channel(
     """
     if windows.shape != ch.grid.shape:
         raise ValueError("window grid does not match the frame grid")
-    taps = _dd_response(windows.joint * tf_channel(ch))
+    taps = _dd_response(windows.windowed(tf_channel(ch)))
     trunc = largest_taps(taps, truncate_to) if truncate_to is not None else None
     return EffectiveDDChannel(taps=taps, truncation=trunc)
 
@@ -377,12 +415,18 @@ def transmit_frame(
     A stack takes one generator per frame (row-major over the leading axes)
     and draws each frame's noise from its own generator in one call, real
     parts before imaginary parts, as a single frame does; a frame at zero
-    noise power draws nothing.  Frame i of a stack is bit for bit the frame
-    that ``transmit_frame`` returns for it alone.
+    noise power draws nothing and adds zeros.  Frame i of a stack is bit
+    for bit the frame that ``transmit_frame`` returns for it alone.
+
+    Only the arithmetic the link needs runs: a window side that
+    :class:`WindowPair` marks all ones is not multiplied (the product would
+    give back its operand), and the noise draws go into unfilled memory
+    unless some frame draws none.
     """
     x_tf = isfft(dd_frame)
-    # named temporaries keep the single-frame operand order (see tf_channel)
-    received = windows.tx * x_tf
+    # a side built all ones costs no multiply; named temporaries keep the
+    # single-frame operand order (see tf_channel)
+    received = x_tf if windows.tx_ones else windows.tx * x_tf
     received = tf_gain_grid * received
     n0 = frame_noise(n0, x_tf.shape[:-2])
     if np.any(n0 > 0.0):
@@ -394,8 +438,10 @@ def transmit_frame(
             raise ValueError("a stack of frames needs one generator per frame")
         scale = np.sqrt(n0 / 2.0)
         frame_scales = (np.zeros(x_tf.shape[:-2]) + scale).reshape(-1).tolist()
-        # frame i's (2, N, M) draws: its real plane, then its imaginary plane
-        draws = np.zeros((len(generators), 2) + shape)
+        # frame i's (2, N, M) draws: its real plane, then its imaginary plane;
+        # a frame at zero noise power draws nothing and keeps zeros
+        draws = (np.empty if min(frame_scales) > 0.0 else np.zeros)(
+            (len(generators), 2) + shape)
         for gen, frame_draws, frame_scale in zip(generators, draws, frame_scales):
             if frame_scale > 0.0:
                 gen.standard_normal(out=frame_draws)
@@ -403,7 +449,8 @@ def transmit_frame(
         noise.real, noise.imag = draws[:, 0], draws[:, 1]
         noise = noise.reshape(x_tf.shape)
         received = received + scale[..., None, None] * noise
-    received = windows.rx * received
+    if not windows.rx_ones:
+        received = windows.rx * received
     return sfft(received) if demodulate else received
 
 

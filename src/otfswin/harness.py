@@ -177,7 +177,7 @@ class ExperimentConfig:
                 f"{16 * grid.size} bytes, past the {_FRAME_BYTES >> 20} MiB of memory "
                 "allowed for a frame")
         chunk = min(_chunk_size(grid), len(self.snr_db) * self.trials)
-        fits = ch_mod.paths_that_fit(grid, chunk, _PATH_BYTES)
+        fits = ch_mod.paths_that_fit(grid, chunk, _PATH_BYTES, self.l_max + 1)
         if self.paths > fits:
             raise ConfigurationError(
                 f"paths = {self.paths}: the channel draws and phases of one {chunk}-frame "
@@ -455,7 +455,8 @@ def _link_parts(kind: type, fields: tuple, pilot: bool) -> tuple:
     return grid, constellation, windows, layout, n_data * constellation.bits_per_symbol
 
 
-def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
+def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray,
+              windowed_gains: bool = True):
     """A chunk of trials of the link up to the receiver: draw each trial's
     channel and bits, build the TX windows, map the bits, embed the pilot and
     pass the frames through the windowed TF channel.
@@ -470,8 +471,11 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
 
     Returns per frame, stacked along a leading axis: the data bits, the
     RX-windowed TF grid r that ``transmit_frame`` would demodulate, the RX
-    window and the windowed TF gains ``joint * H_tf``, whose DD response is
-    the effective channel.  Every receiver takes r as it is.
+    window and, with ``windowed_gains``, the windowed TF gains ``joint *
+    H_tf``, whose DD response is the effective channel (``None`` without:
+    a receiver that estimates the channel does not read them).  A rect/rect
+    link's windowed gains are H_tf itself, with no product.  Every receiver
+    takes r as it is.
     """
     config = link.config
     generators = [_trial_rng(config, snr_index, t) for snr_index, t in cells]
@@ -492,7 +496,8 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
         frames = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
         frames = est_mod.embed_pilot(frames, link.layout)
     r = ch_mod.transmit_frame(frames, tf_gains, windows, n0, generators, demodulate=False)
-    return bits, r, np.broadcast_to(windows.rx, r.shape), windows.joint * tf_gains
+    gains = windows.windowed(tf_gains) if windowed_gains else None
+    return bits, r, np.broadcast_to(windows.rx, r.shape), gains
 
 
 # Trials run in chunks whose (B, N, M) complex work arrays take about this
@@ -679,9 +684,9 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
             f"the pilot guard covers the whole {config.N}x{config.M} frame: no data cells left")
 
     def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> list[int]:
-        bits, r, rx_window, gains = _transmit(link, cells, n0)
-        known = gains if link.layout is None else None
-        detected = _detect_frames(link, r, rx_window, n0, known)
+        # a receiver that estimates the channel reads no windowed gains
+        bits, r, rx_window, gains = _transmit(link, cells, n0, link.layout is None)
+        detected = _detect_frames(link, r, rx_window, n0, gains)
         return np.count_nonzero(detected != bits, axis=1).tolist()
 
     return _fer_rows(config, link, _sweep(config, chunk))

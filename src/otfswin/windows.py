@@ -18,7 +18,7 @@ Two families are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,10 +38,22 @@ class WindowPair:
     ``joint`` (the entrywise product rx*tx) is what shapes the effective DD
     channel; only the tx grid affects transmit power, only the rx grid
     affects the noise statistics.
+
+    ``tx_ones`` and ``rx_ones`` mark a side that its constructor built all
+    ones: the side ``separable`` leaves out and the RX of ``from_tx_grid``.
+    They are set where the window is built and never found by scanning a
+    grid; a pair built from two grids marks neither side.  A marked side
+    costs no multiply: ``transmit_frame`` skips it, ``joint`` is the other
+    side, read-only, and ``windowed`` returns the gains of a pair marked on
+    both sides as they are.  Multiplying by exactly 1 + 0j gives back every
+    finite value (a negative zero part may come back positive), so the
+    skipped products change no output.
     """
 
     tx: np.ndarray
     rx: np.ndarray
+    tx_ones: bool = field(default=False, init=False)
+    rx_ones: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         tx = np.asarray(self.tx, dtype=complex)
@@ -51,13 +63,27 @@ class WindowPair:
         object.__setattr__(self, "tx", tx)
         object.__setattr__(self, "rx", rx)
 
+    def _marked(self, tx_ones: bool, rx_ones: bool) -> "WindowPair":
+        object.__setattr__(self, "tx_ones", tx_ones)
+        object.__setattr__(self, "rx_ones", rx_ones)
+        return self
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.tx.shape
 
     @property
     def joint(self) -> np.ndarray:
+        if self.rx_ones or self.tx_ones:
+            view = (self.tx if self.rx_ones else self.rx).view()
+            view.flags.writeable = False
+            return view
         return self.rx * self.tx
+
+    def windowed(self, tf_gains: np.ndarray) -> np.ndarray:
+        """The windowed TF gains ``joint * tf_gains``; ``tf_gains`` itself
+        when both sides are all ones."""
+        return tf_gains if self.tx_ones and self.rx_ones else self.joint * tf_gains
 
     @classmethod
     def rectangular(cls, grid: FrameGrid) -> "WindowPair":
@@ -79,13 +105,14 @@ class WindowPair:
                 raise ValueError("Doppler window length must match the grid's N")
             return np.outer(d, np.ones(grid.M, dtype=complex))
 
-        return cls(tx=_outer(tx_doppler), rx=_outer(rx_doppler))
+        pair = cls(tx=_outer(tx_doppler), rx=_outer(rx_doppler))
+        return pair._marked(tx_doppler is None, rx_doppler is None)
 
     @classmethod
     def from_tx_grid(cls, tx: np.ndarray) -> "WindowPair":
         """Arbitrary (possibly non-separable) TX grid with a rectangular RX."""
         tx = np.asarray(tx, dtype=complex)
-        return cls(tx=tx, rx=np.ones_like(tx))
+        return cls(tx=tx, rx=np.ones_like(tx))._marked(False, True)
 
 
 # ---------------------------------------------------------------------------

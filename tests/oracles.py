@@ -625,6 +625,24 @@ def broadcast_sum_tf_channel(ch):
     return np.sum(doppler[:, :, None] * delay_ph[:, None, :], axis=0)
 
 
+def per_path_tf_channel(ch):
+    """TF gains of one realization or a stack, each path's delay phases
+    computed from its own bin: ``tf_channel`` before it read them from one
+    table per call."""
+    grid = ch.grid
+    gains, nu = np.atleast_2d(ch.gains, ch.doppler_bins + ch.doppler_fracs)
+    delay = np.atleast_2d(ch.delay_bins).astype(float)
+    phase = np.exp(-2j * np.pi * nu * delay / (grid.N * grid.M))
+    coef = gains * phase
+    phase = np.exp(2j * np.pi * nu[..., None] * np.arange(grid.N) / grid.N)
+    doppler = coef[..., None] * phase
+    delay_ph = np.exp(-2j * np.pi * delay[..., None] * np.arange(grid.M) / grid.M)
+    out = doppler[:, 0, :, None] * delay_ph[:, 0, None, :]
+    for p in range(1, gains.shape[1]):
+        out += doppler[:, p, :, None] * delay_ph[:, p, None, :]
+    return out[0] if ch.gains.ndim == 1 else out
+
+
 def single_frame_optimal_tx_window(lam):
     """The mercury/water-filling allocation of one frame, its level one
     numpy scalar squared by ``np.square``: ``optimal_tx_window`` before it
@@ -672,6 +690,31 @@ def single_frame_transmit(dd_frame, tf_gain_grid, windows, n0=0.0, rng=None, dem
     return sfft(received) if demodulate else received
 
 
+def multiply_chain_transmit(dd_frame, tf_gain_grid, windows, n0=0.0, rng=None,
+                            demodulate=True):
+    """``transmit_frame`` as it ran every multiply, a window side of all
+    ones too, and drew the noise into zeroed planes."""
+    x_tf = isfft(dd_frame)
+    received = windows.tx * x_tf
+    received = tf_gain_grid * received
+    n0 = frame_noise(n0, x_tf.shape[:-2])
+    if np.any(n0 > 0.0):
+        shape = x_tf.shape[-2:]
+        generators = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+        scale = np.sqrt(n0 / 2.0)
+        frame_scales = (np.zeros(x_tf.shape[:-2]) + scale).reshape(-1).tolist()
+        draws = np.zeros((len(generators), 2) + shape)
+        for gen, frame_draws, frame_scale in zip(generators, draws, frame_scales):
+            if frame_scale > 0.0:
+                gen.standard_normal(out=frame_draws)
+        noise = np.empty((len(generators),) + shape, dtype=complex)
+        noise.real, noise.imag = draws[:, 0], draws[:, 1]
+        noise = noise.reshape(x_tf.shape)
+        received = received + scale[..., None, None] * noise
+    received = windows.rx * received
+    return sfft(received) if demodulate else received
+
+
 def per_trial_transmit(link, snr_index, trial, n0, demodulate=True):
     """One trial of the link up to the receiver, every layer called on its
     own frame: the chain the harness ran before trials ran in chunks.  The
@@ -695,7 +738,7 @@ def per_trial_transmit(link, snr_index, trial, n0, demodulate=True):
         frame = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
         frame = embed_pilot(frame, link.layout)
     y = single_frame_transmit(frame, tf_gains, windows, n0, rng, demodulate=demodulate)
-    return bits, y, windows.rx, windows.joint * tf_gains
+    return bits, y, windows.rx, (windows.rx * windows.tx) * tf_gains
 
 
 def dd_estimate_channel(received, layout, n0):

@@ -41,6 +41,7 @@ from otfswin import (
     tf_lmmse_detect,
     transmit_frame,
 )
+from otfswin import channel as ch_mod
 from otfswin import detection
 from otfswin.channel import _dd_response
 from otfswin.harness import ExperimentConfig, build_windows
@@ -112,6 +113,38 @@ def test_tf_channel(paths, frames):
     chs = [sample_channel(GRID, paths, 3, 4, rng) for _ in range(frames)]
     assert_framewise([tf_channel(ch) for ch in chs],
                      (oracles.broadcast_sum_tf_channel(ch) for ch in chs))
+
+
+def assert_same_bits(got, want) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _delay_bin_cases(frames: int):
+    """Realizations whose delay bins reach the cases the delay-phase table
+    serves: drawn on 0..4; up to and past M - 1; all below a wide l_max;
+    and a few bins far apart, fewer than the largest bin."""
+    rng = np.random.default_rng([11, frames])
+    stack = [rng] * frames if frames else rng
+    drawn = sample_channel(GRID, 5, 3, 4, stack)
+    past = sample_channel(GRID, 7, 3, 4, stack)
+    past.delay_bins = rng.integers(GRID.M - 3, 2 * GRID.M + 3, past.delay_bins.shape)
+    past.delay_bins.flat[:2] = GRID.M - 1, GRID.M
+    below = sample_channel(GRID, 3, 3, GRID.M - 1, stack)
+    below.delay_bins //= 3
+    assert below.delay_bins.max() < GRID.M // 3
+    sparse = sample_channel(GRID, 2, 3, 4, stack)
+    sparse.delay_bins = np.where(np.arange(2) == 0, 0, 1000) + np.zeros_like(sparse.delay_bins)
+    assert sparse.delay_bins.max() + 1 > sparse.delay_bins.size
+    return {"drawn": drawn, "past-m": past, "below-l-max": below, "sparse": sparse}
+
+
+@pytest.mark.parametrize("frames", (0, 1) + STACKS, ids=lambda f: f"frames={f or 'single'}")
+def test_tf_channel_equals_the_per_path_phases(frames):
+    # the delay phases read from one table per call are the per-path
+    # expression's bits, for single realizations and stacks
+    for ch in _delay_bin_cases(frames).values():
+        assert_same_bits(tf_channel(ch), oracles.per_path_tf_channel(ch))
 
 
 # --- channel draws: one generator per realization of a stack
@@ -378,6 +411,51 @@ def test_transmit_frame_needs_one_generator_per_frame():
     rngs = [np.random.default_rng(i) for i in range(2)]
     with pytest.raises(ValueError, match="one generator per frame"):
         transmit_frame(x, gains, window_pair("rect"), 0.1, rngs)
+
+
+class NanEmptyNumpy:
+    """numpy, but ``empty`` hands out memory filled with NaNs."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype=dtype)
+
+
+@pytest.mark.parametrize("demodulate", [False, True])
+@pytest.mark.parametrize("noise", ["none", "every-frame", "some-frames"])
+@pytest.mark.parametrize("frames", (0,) + STACKS, ids=lambda f: f"frames={f or 'single'}")
+@pytest.mark.parametrize("kind", WINDOWS + ("tx-grid",))
+def test_transmit_frame_equals_the_multiply_chain(kind, frames, noise, demodulate, monkeypatch):
+    # a side built all ones skips its multiply and a chunk whose frames all
+    # draw noise skips the zero fill; neither moves a bit of the output or
+    # of the windowed gains
+    rng = np.random.default_rng([12, frames])
+    count = max(frames, 1)
+    gains = tf_channel(channels(rng, count))
+    x = data_frames(rng, count)
+    if kind == "tx-grid":
+        windows = WindowPair.from_tx_grid(np.abs(complex_stack(rng, count)))
+    else:
+        windows = window_pair(kind)
+    n0 = {"none": np.zeros(count), "every-frame": mixed_n0(count),
+          "some-frames": np.where(np.arange(count) % 3 == 1, 0.0, 1e-2)}[noise]
+    generators = [np.random.default_rng([9, i]) for i in range(count)]
+    if not frames:
+        x, gains, n0, generators = x[0], gains[0], float(n0[0]), generators[0]
+        windows = WindowPair.from_tx_grid(windows.tx[0]) if kind == "tx-grid" else windows
+    twins = [np.random.default_rng([9, i]) for i in range(count)]
+    # unfilled memory that holds NaNs: a frame that draws nothing must still
+    # add zeros, and a frame that draws must overwrite all of it
+    monkeypatch.setattr(ch_mod, "np", NanEmptyNumpy())
+    got = transmit_frame(x, gains, windows, n0, generators, demodulate=demodulate)
+    monkeypatch.undo()
+    want = oracles.multiply_chain_transmit(x, gains, windows, n0,
+                                           twins if frames else twins[0], demodulate)
+    assert_same_bits(got, want)
+    assert_same_bits(windows.windowed(gains), (windows.rx * windows.tx) * gains)
 
 
 @pytest.mark.parametrize("frames", STACKS)

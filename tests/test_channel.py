@@ -1,6 +1,7 @@
 """Channel generation, effective DD channel, and operator equivalences."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,36 @@ class TestTFChannel:
         m = np.arange(4)
         expect = np.exp(-1j * np.pi * m / 2)[None, :] * np.ones((2, 1))
         assert np.allclose(tf_channel(ch), expect, atol=1e-14)
+
+    @staticmethod
+    def _with_delay_bins(bins):
+        grid = FrameGrid(M=8, N=4)
+        bins = np.asarray(bins)
+        return ChannelRealization.from_arrays(
+            grid, np.ones(bins.shape, dtype=complex), bins,
+            np.zeros(bins.shape, dtype=np.int64), np.zeros(bins.shape))
+
+    def test_negative_delay_bins_are_refused_by_name(self):
+        # a negative bin would index the delay-phase table from its end
+        for bins, named in (([0, -1, 2, -3, -1], "[-3, -1]"), ([[1, 2], [-4, 0]], "[-4]")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"delay bins must be nonnegative, got {named}")) as info:
+                tf_channel(self._with_delay_bins(np.array(bins, dtype=np.int64)))
+            assert "\n" not in str(info.value)
+
+    def test_delay_bins_of_another_dtype_are_refused_by_name(self):
+        for bins, named in (([0.0, 1.5, 2.0], "float64 bins [0.0, 1.5, 2.0]"),
+                            ([True, False], "bool bins [False, True]")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"delay bins must be integers, got {named}")) as info:
+                tf_channel(self._with_delay_bins(bins))
+            assert "\n" not in str(info.value)
+
+    def test_delay_bins_at_or_past_m_are_valid(self):
+        # bin l and bin l + M give the same phases up to rounding
+        ch = self._with_delay_bins([[3, 8, 17]])
+        low = self._with_delay_bins([[3, 0, 1]])
+        assert np.allclose(tf_channel(ch), tf_channel(low), atol=1e-12)
 
 
 class TestTimeChannel:

@@ -338,6 +338,34 @@ class TestChunkBoundaries:
             assert np.array_equal(frame_bits, want_bits)
             assert np.array_equal(y, want_y)
 
+    @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+    def test_transmit_forms_the_windowed_gains_only_where_a_receiver_reads_them(
+            self, name, monkeypatch):
+        # an estimated-CSIR fer link gets no windowed gains; every other
+        # link gets joint * H_tf of each trial, bit for bit
+        runner, _, fields = CHUNK_CASES[name]
+        cfg = ExperimentConfig.from_mapping(
+            {k: str(v) for k, v in dict(_CHUNK_GRID, **dict(fields, snr_db="10, 35"),
+                                         trials=self.CHUNK - 1, seed=43).items()})
+        sent, transmit = [], harness._transmit
+
+        def spy(link, cells, n0, *args):
+            out = transmit(link, cells, n0, *args)
+            sent.append((link, cells, n0, out[3]))
+            return out
+
+        monkeypatch.setattr(harness, "_transmit", spy)
+        runner(cfg)
+        assert len(sent) == 2
+        for link, cells, n0, gains in sent:
+            if runner is run_fer and cfg.csi == "estimated-csir":
+                assert gains is None
+                continue
+            assert gains.shape == (len(cells),) + link.grid.shape
+            for frame_gains, (i, t), p in zip(gains, cells, n0):
+                want = oracles.per_trial_transmit(link, i, t, p)[3]
+                assert frame_gains.tobytes() == want.tobytes()
+
     def test_chunks_take_cells_across_snr_points(self):
         cfg = ExperimentConfig(snr_db=(10.0, 20.0, 30.0), trials=self.CHUNK - 1)
         calls = []
@@ -520,14 +548,15 @@ class TestConfig:
         assert meta["implied_max_speed_kmh"] > 0
 
     def test_paths_past_the_chunk_byte_ceiling_are_refused(self):
-        # 13 frames of 30x20: 13 x (80 + 32 x 50) bytes per path under 64 MiB,
-        # less twice the chunk's 124800 bytes of frames and 1 MiB of slack
+        # 13 frames of 30x20: 13 x (120 + 16 x (20 + 30)) bytes per path under
+        # 64 MiB, less twice the chunk's 124800 bytes of frames, 1 MiB of slack
+        # and the 2400-byte delay-phase table of the default l_max + 1 = 5 bins
         fields = dict(M=30, N=20, snr_db="10", trials=13)
         with pytest.raises(ConfigurationError, match="paths = 100000000: ") as info:
             ExperimentConfig(paths=100_000_000, **fields)
         assert "\n" not in str(info.value)
         limit = int(re.search(r"at most (\d+) paths", str(info.value)).group(1))
-        assert limit == 3013
+        assert limit == 5502
         ExperimentConfig(paths=limit, **fields)
         with pytest.raises(ConfigurationError, match=f"paths = {limit + 1}: "):
             ExperimentConfig(paths=limit + 1, **fields)

@@ -302,6 +302,41 @@ class TestWindowPair:
         for a, b in ((rect.tx, plain.tx), (rect.rx, plain.rx)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
+    def test_all_ones_sides_are_marked_where_they_are_built(self):
+        grid = FrameGrid(M=6, N=20)
+        coeffs = dc_window(grid.N, -40.0).coeffs
+        marks = {
+            "rect": WindowPair.rectangular(grid),
+            "dc-tx": WindowPair.separable(grid, tx_doppler=coeffs),
+            "dc-rx": WindowPair.separable(grid, rx_doppler=coeffs),
+            "tx-grid": WindowPair.from_tx_grid(np.full((3,) + grid.shape, 0.5)),
+            # a pair built from two grids marks neither side, all ones or not
+            "grids": WindowPair(tx=np.ones(grid.shape), rx=np.ones(grid.shape)),
+        }
+        assert {name: (pair.tx_ones, pair.rx_ones) for name, pair in marks.items()} == {
+            "rect": (True, True), "dc-tx": (False, True), "dc-rx": (True, False),
+            "tx-grid": (False, True), "grids": (False, False)}
+        for pair in marks.values():
+            assert np.all(pair.tx == 1.0) or not pair.tx_ones
+            assert np.all(pair.rx == 1.0) or not pair.rx_ones
+
+    def test_joint_of_a_marked_pair_is_never_a_writable_alias(self):
+        grid = FrameGrid(M=6, N=20)
+        tx = np.abs(np.random.default_rng(5).standard_normal(grid.shape)) + 0.1
+        for pair in (WindowPair.rectangular(grid), WindowPair.from_tx_grid(tx),
+                     WindowPair.separable(grid, rx_doppler=dc_window(grid.N, -40.0).coeffs)):
+            joint = pair.joint
+            assert joint.tobytes() == (pair.rx * pair.tx).tobytes()
+            assert not joint.flags.writeable
+            with pytest.raises(ValueError):
+                joint[0, 0] = 2.0
+        plain = WindowPair(tx=tx, rx=np.ones(grid.shape))
+        assert plain.joint.flags.writeable and not np.shares_memory(plain.joint, plain.tx)
+        # a rect/rect pair hands back the gains themselves, with no product
+        gains = np.ones(grid.shape, dtype=complex)
+        assert WindowPair.rectangular(grid).windowed(gains) is gains
+        assert WindowPair.from_tx_grid(tx).windowed(gains) is not gains
+
     def test_axis_length_validation(self):
         grid = FrameGrid(M=6, N=20)
         with pytest.raises(ValueError):
