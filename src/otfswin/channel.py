@@ -102,6 +102,85 @@ def delay_power_profile(delay_bins: np.ndarray) -> np.ndarray:
     return profile / profile.sum(axis=-1, keepdims=True)
 
 
+def _holds_half_or_is_not_pcg64(bit_generator) -> bool:
+    state = bit_generator.state
+    return state["bit_generator"] != "PCG64" or bool(state["has_uint32"])
+
+
+def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarray:
+    """What ``gen.integers(0, spans)`` returns for each generator, as the
+    rows of a (B, K) int64 array, for K spans in 1 .. 2**32 - 1; each stream
+    is left where that call leaves it.
+
+    numpy draws each value from the next 32-bit half of its stream, a PCG64
+    word's low half first and then its high half, which it keeps buffered in
+    between.  The value is Lemire's (half * span) >> 32; numpy redraws while
+    the product's low 32 bits fall below (2**32 - span) % span, and draws
+    nothing for a span of 1.  Here each generator hands over the words of
+    its draws in one ``random_raw`` call, and the halves of all of them are
+    scaled and shifted as one block.  numpy's own call draws instead where
+    the block would not give its bytes or costs more:
+
+    - every row, for an odd number of draws (the last word's high half
+      stays buffered), a single generator or one listed twice;
+    - the row of a bit generator other than PCG64 and of one that already
+      holds a buffered half;
+    - a row with a redraw, once its stream is rewound by its words.
+    """
+    high = np.asarray(spans)
+    if high.ndim != 1 or high.dtype.kind not in "iu":
+        raise ValueError(f"spans must be a vector of integers, got {spans!r}")
+    least, most = (int(high.min()), int(high.max())) if high.size else (1, 1)
+    if not 1 <= least <= most < 2**32:
+        raise ValueError(f"spans must lie in [1, 2**32), got {least} .. {most}")
+    shape = (len(generators), high.size)
+    if most == 1:
+        return np.zeros(shape, dtype=np.int64)
+    # the columns that draw, None for all of them
+    columns = np.flatnonzero(high > 1) if least == 1 else None
+    words, odd = divmod(shape[1] if columns is None else columns.size, 2)
+
+    def own_call(gen: np.random.Generator) -> np.ndarray:
+        return gen.integers(0, least, high.size) if least == most else gen.integers(0, high)
+
+    if odd or shape[0] < 2 or len({id(gen.bit_generator) for gen in generators}) < shape[0]:
+        return np.array([own_call(gen) for gen in generators], dtype=np.int64).reshape(shape)
+    bit_generators = [gen.bit_generator for gen in generators]
+    slow = [i for i, bit_generator in enumerate(bit_generators)
+            if _holds_half_or_is_not_pcg64(bit_generator)]
+    fast = [i for i in range(shape[0]) if i not in slow]
+    out = None if not slow and columns is None else np.zeros(shape, dtype=np.int64)
+    if fast:
+        # little-endian words read as uint32 pairs are (low, high) halves on any host
+        raw = np.empty((len(fast), words), dtype="<u8")
+        for i, row in zip(fast, raw):
+            row[...] = bit_generators[i].random_raw(words)
+        if least == most:
+            # a power of two divides 2**32: numpy never redraws it
+            block, check = np.uint64(least), bool(least & (least - 1))
+        else:
+            block, check = (high if columns is None else high[columns]).astype(np.uint64), True
+        halves = raw.view("<u4") * block
+        if check:
+            low = halves & np.uint64(0xFFFFFFFF)
+            # numpy's redraw bound (2**32 - span) % span is below the span
+            if (low < most).any():
+                redraw = (low < (2**32 - block) % block).any(axis=1)
+                for j in np.flatnonzero(redraw).tolist():
+                    bit_generators[fast[j]].advance(-words)
+                    slow.append(fast[j])
+        np.right_shift(halves, np.uint64(32), out=halves)
+        if out is None:
+            out = halves.view(np.int64)
+        elif columns is None:
+            out[fast] = halves
+        else:
+            out[np.ix_(fast, columns)] = halves
+    for i in slow:
+        out[i] = own_call(generators[i])
+    return out
+
+
 def sample_channel(
     grid: FrameGrid,
     num_paths: int,
@@ -120,15 +199,18 @@ def sample_channel(
 
     A sequence of B generators gives a (B, P) stack.  Each generator makes
     its own draws in one order, one call per distribution: the delays and
-    integer Dopplers as one (2, P) ``integers`` draw on per-row bounds
-    (delays first, the values two ``size=P`` draws give), the fractions,
-    any redraws of the closed endpoint, then the real and imaginary parts
-    of the gains as one (2, P) ``standard_normal`` draw.  All generators
-    draw their bins and fractions, one check for the endpoint covers the
-    stack (only a generator that drew it redraws), and then all draw their
-    gains, so a generator listed twice interleaves its frames' draws.  The
-    arithmetic after the draws runs once for the stack, and realization i
-    is bit for bit the one generator i gives alone.
+    integer Dopplers as the values of one ``integers(0, spans)`` call, spans
+    l_max + 1 for the P delays and then 2 k_max + 1 for the P Dopplers,
+    which are shifted by -k_max (the values two ``size=P`` draws on the
+    bounds give), the fractions, any redraws of the closed endpoint, then
+    the real and imaginary parts of the gains as one (2, P)
+    ``standard_normal`` draw.  :func:`bounded_draws` draws the bins of all
+    generators as one block; then all draw their fractions, one check for
+    the endpoint covers the stack (only a generator that drew it redraws),
+    and then all draw their gains, so a generator listed twice makes each
+    kind of draw for its frames in turn.  The arithmetic after the draws
+    runs once for the stack, and realization i is bit for bit the one
+    generator i gives alone.
     """
     if num_paths < 1:
         raise ValueError("need at least one path")
@@ -140,14 +222,12 @@ def sample_channel(
     single = isinstance(rng, np.random.Generator)
     generators = (rng,) if single else tuple(rng)
     frames = len(generators)
-    # row 0 draws the delays on [0, l_max], row 1 the Dopplers on [-k_max, k_max]
-    low = np.array([[0] * num_paths, [-k_max] * num_paths])
-    high = np.array([[l_max + 1] * num_paths, [k_max + 1] * num_paths])
-    bins = np.empty((frames, 2, num_paths), dtype=np.int64)
+    # row 0 draws the delays on [0, l_max], row 1 the Dopplers on [0, 2 k_max]
+    spans = np.array([l_max + 1] * num_paths + [2 * k_max + 1] * num_paths)
+    bins = bounded_draws(generators, spans).reshape(frames, 2, num_paths)
     fracs = np.empty((frames, num_paths))
     gauss = np.empty((frames, 2, num_paths))
-    for gen, b, f in zip(generators, bins, fracs):
-        b[...] = gen.integers(low, high)
+    for gen, f in zip(generators, fracs):
         gen.random(out=f)
     # a draw of exactly 0 would put the fraction on the closed endpoint
     # -1/2; every other draw on [0, 1) stays above it after the shift
@@ -162,6 +242,7 @@ def sample_channel(
     fracs -= 0.5
     # contiguous (B, P) planes, as the arithmetic below and the realization take them
     delays, dopplers = bins.swapaxes(0, 1).copy()
+    dopplers -= k_max
     real, imag = gauss.swapaxes(0, 1).copy()
     scale = np.sqrt(delay_power_profile(delays) / 2.0)
     # named, so that numpy does not reorder the complex product (see tf_channel)

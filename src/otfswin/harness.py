@@ -27,6 +27,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import channel as ch_mod
 from . import detection as det_mod
@@ -375,18 +376,53 @@ def _seed_words(value: int) -> list[int]:
     return words
 
 
-def _trial_rng(config: ExperimentConfig, snr_index: int, trial: int) -> np.random.Generator:
-    """The PCG64 stream of one trial, seeded by the 32-bit words of the
-    master seed, the SNR index and the trial index in that order.
+# SeedSequence.generate_state's hash of the entropy pool: output word i takes
+# pool word i mod 4, xors in INIT_B * MULT_B**i, multiplies by INIT_B *
+# MULT_B**(i + 1) and xor-shifts by 16, all mod 2**32.  PCG64 seeds from
+# generate_state(4, uint64), 8 such words read as little-endian pairs.
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_STATE_WORDS = 8
+_HASH = np.array([_INIT_B * _MULT_B**i % 2**32 for i in range(_STATE_WORDS + 1)],
+                 dtype=np.uint32)
+
+
+class _SeedState(ISeedSequence):
+    """The state words a ``SeedSequence`` would generate for ``PCG64``,
+    computed beforehand: ``PCG64(_SeedState(words))`` is seeded as
+    ``PCG64`` of that ``SeedSequence``."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (_STATE_WORDS // 2, np.uint64):
+            raise ValueError(f"holds 4 uint64 words, not {n_words} of {dtype}")
+        return self.words
+
+
+def _trial_rng(config: ExperimentConfig,
+               cells: list[tuple[int, int]]) -> list[np.random.Generator]:
+    """The PCG64 streams of a chunk's (snr index, trial) cells, in order.
+    Each is seeded by the 32-bit words of the master seed, the SNR index
+    and the trial index in that order.
 
     Those are the words numpy makes of the list ``[seed, snr_index,
-    trial]``, so the stream is that of ``np.random.default_rng([seed,
-    snr_index, trial])``; handing numpy the word array skips its per-item
-    list coercion.
+    trial]``, so each stream is that of ``np.random.default_rng([seed,
+    snr_index, trial])``.  Each cell's ``SeedSequence`` mixes its words into
+    its entropy pool.  The pools of all cells then take ``generate_state``'s
+    hash as one uint32 array, and each PCG64 is seeded from its row through
+    ``_SeedState`` (which its ``seed_seq`` then is).
     """
-    words = _seed_words(config.seed) + _seed_words(snr_index) + _seed_words(trial)
-    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.PCG64(entropy))
+    seed = _seed_words(config.seed)
+    pools = np.array([np.random.SeedSequence(np.array(
+        seed + _seed_words(snr_index) + _seed_words(trial), dtype=np.uint32)).pool
+        for snr_index, trial in cells])
+    hashed = pools[:, np.arange(_STATE_WORDS) % pools.shape[1]] ^ _HASH[:-1]
+    hashed *= _HASH[1:]
+    hashed ^= hashed >> np.uint32(16)
+    # as generate_state reads uint32 pairs as uint64, on any host byte order
+    words = hashed.astype("<u4", order="C").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_SeedState(row))) for row in words]
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +498,14 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray,
     pass the frames through the windowed TF channel.
 
     ``cells`` lists the chunk's (snr index, trial) pairs and ``n0`` their
-    noise powers.  Each trial keeps its own stream ``_trial_rng(config,
-    snr_index, t)`` and the draw order (channel, bits, noise) that fixes the
-    output bytes; only the array work after the draws runs once for the
-    whole chunk (one ``sample_channel``, ``tf_channel`` and, for the optimal
-    TX window, ``optimal_tx_window`` call), and every frame of it is bit for
-    bit the frame the trial would give on its own.
+    noise powers.  Each trial keeps its own stream (``_trial_rng`` seeds
+    the chunk's streams at once) and the draw order that fixes the output
+    bytes: the channel (``sample_channel``), the data bits as one
+    ``integers(0, 2, bits)`` call (``bounded_draws`` draws them for the
+    whole chunk), then the noise.  The array work after the draws also runs
+    once for the whole chunk (one ``sample_channel``, ``tf_channel`` and,
+    for the optimal TX window, ``optimal_tx_window`` call), and every frame
+    of it is bit for bit the frame the trial would give on its own.
 
     Returns per frame, stacked along a leading axis: the data bits, the
     RX-windowed TF grid r that ``transmit_frame`` would demodulate, the RX
@@ -478,10 +516,10 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray,
     takes r as it is.
     """
     config = link.config
-    generators = [_trial_rng(config, snr_index, t) for snr_index, t in cells]
+    generators = _trial_rng(config, cells)
     channels = ch_mod.sample_channel(link.grid, config.paths, config.k_max, config.l_max,
                                      generators)
-    bits = np.array([rng.integers(0, 2, link.bits_per_frame) for rng in generators])
+    bits = ch_mod.bounded_draws(generators, np.full(link.bits_per_frame, 2))
     tf_gains = ch_mod.tf_channel(channels)
     windows = link.windows
     if windows is None:

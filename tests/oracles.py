@@ -594,6 +594,25 @@ def _fg_flood(
 # frames, and the rows come from the harness's own row functions.
 # ---------------------------------------------------------------------------
 
+def live_stream_state(bit_generator):
+    """The part of a PCG64 state that later draws read: the LCG state and
+    increment, whether a 32-bit half is buffered, and that half only when
+    it is.  numpy leaves the last half it handed out in ``uinteger`` after
+    it is used; ``random_raw`` and ``advance`` do not keep it there."""
+    state = bit_generator.state
+    return (state["state"], state["has_uint32"],
+            state["uinteger"] if state["has_uint32"] else None)
+
+
+def assert_same_streams(got, want):
+    """Each generator of ``got`` is where the one of ``want`` is: the same
+    live state, and the same next 32-bit and 64-bit draws."""
+    for a, b in zip(got, want, strict=True):
+        assert live_stream_state(a.bit_generator) == live_stream_state(b.bit_generator)
+        assert a.integers(0, 2**32, dtype=np.uint32) == b.integers(0, 2**32, dtype=np.uint32)
+        assert a.bit_generator.random_raw() == b.bit_generator.random_raw()
+
+
 def single_generator_sample_channel(grid, num_paths, k_max, l_max, rng):
     """One realization drawn from one generator and built from ``PathSpec``
     records: ``sample_channel`` before it took generator sequences."""

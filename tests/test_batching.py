@@ -188,8 +188,10 @@ def test_sample_channel_stack(paths, frames):
 @pytest.mark.parametrize("l_max", [0, 4, GRID.M - 1])
 @pytest.mark.parametrize("k_max", [0, 1, 3])
 def test_sample_channel_is_the_single_generator_draw(k_max, l_max):
-    # one integers draw on (2, P) bounds and one (2, P) normal draw give the
-    # values, and leave the stream where, the per-array draws leave it
+    # the bins of all generators as one block of bounded draws and one (2, P)
+    # normal draw give the values the per-array draws give, and leave each
+    # stream where they leave it: the same live state and next draws (numpy
+    # leaves its last used half in the state, the block does not)
     for paths in range(1, 10):
         seeds = [[k_max, l_max, paths, i] for i in range(3)]
         generators = [np.random.default_rng(seed) for seed in seeds]
@@ -200,17 +202,38 @@ def test_sample_channel_is_the_single_generator_draw(k_max, l_max):
         assert_same_realizations(stack, alone)
         single = np.random.default_rng(seeds[0])
         assert_same_realization(sample_channel(GRID, paths, k_max, l_max, single), alone[0])
-        for rng, old in zip(generators + [single], olds + olds[:1]):
-            assert rng.bit_generator.state == old.bit_generator.state
+        old_single = np.random.default_rng(seeds[0])
+        oracles.single_generator_sample_channel(GRID, paths, k_max, l_max, old_single)
+        oracles.assert_same_streams(generators + [single], olds + [old_single])
+
+
+class LoggedBitGenerator:
+    """A PCG64 that logs the raw draws made from it."""
+
+    def __init__(self, bit_generator, draws):
+        self.wrapped, self.draws = bit_generator, draws
+
+    @property
+    def state(self):
+        return self.wrapped.state
+
+    def random_raw(self, size=None):
+        self.draws.append("random_raw")
+        return self.wrapped.random_raw(size)
+
+    def advance(self, delta):
+        self.draws.append("advance")
+        return self.wrapped.advance(delta)
 
 
 class FirstRandomZero:
     """A generator whose first ``random`` draw starts with 0.0, the value
     that puts a Doppler fraction on the excluded endpoint -1/2; it logs
-    which draws it makes."""
+    which draws it makes, its raw draws included."""
 
     def __init__(self, seed):
         self.rng, self.draws = np.random.default_rng(seed), []
+        self.bit_generator = LoggedBitGenerator(self.rng.bit_generator, self.draws)
 
     def integers(self, *args, **kwargs):
         self.draws.append("integers")
@@ -233,9 +256,10 @@ def test_sample_channel_redraws_the_endpoint_from_the_trials_own_stream():
     stub = FirstRandomZero(seeds[1])
     generators = [np.random.default_rng(seeds[0]), stub, np.random.default_rng(seeds[2])]
     stack = sample_channel(GRID, 5, 3, 4, generators)
-    # one draw per distribution: delays with Dopplers, fractions, the redraw,
-    # gains (the single-generator oracle makes two integer and two normal draws)
-    assert stub.draws == ["integers", "random", "random", "standard_normal"]
+    # one draw per distribution: delays with Dopplers (the words of their
+    # bounded draws, taken raw), fractions, the redraw, gains (the
+    # single-generator oracle makes two integer and two normal draws)
+    assert stub.draws == ["random_raw", "random", "random", "standard_normal"]
     old_stub = FirstRandomZero(seeds[1])
     alone = [sample_channel(GRID, 5, 3, 4, np.random.default_rng(seeds[0])),
              oracles.single_generator_sample_channel(GRID, 5, 3, 4, old_stub),

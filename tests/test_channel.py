@@ -22,10 +22,15 @@ from otfswin import (
     transmit_frame,
     vectorize,
 )
-from otfswin.channel import _dd_response
+from otfswin.channel import _dd_response, bounded_draws
 from otfswin.oracles import dd_channel_matrix, dd_filter, rect_doppler_response, time_channel
 
-from oracles import naive_effective_channel, python_sum_residual_power
+from oracles import (
+    assert_same_streams,
+    live_stream_state,
+    naive_effective_channel,
+    python_sum_residual_power,
+)
 
 
 def random_windows(rng, grid):
@@ -86,6 +91,90 @@ class TestPathSampling:
             PathSpec(1.0, -1, 0)
         with pytest.raises(ValueError):
             PathSpec(1.0, 0, 0, doppler_frac=0.5)
+
+
+class TestBoundedDraws:
+    """``bounded_draws`` gives each generator's ``integers(0, spans)``
+    values and leaves each stream where that call leaves it; the values,
+    the live stream state and the next 32-bit and 64-bit draws must match
+    numpy's own call exactly."""
+
+    @staticmethod
+    def streams(seed, count=3):
+        return [np.random.default_rng([seed, i]) for i in range(count)]
+
+    @staticmethod
+    def numpy_draws(generators, spans):
+        return np.array([gen.integers(0, spans) for gen in generators]).reshape(
+            len(generators), len(spans))
+
+    def assert_matches_numpy(self, got_streams, want_streams, spans):
+        got = bounded_draws(got_streams, spans)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, self.numpy_draws(want_streams, spans))
+        assert_same_streams(got_streams, want_streams)
+
+    # 2**31 + 1 rejects about half of all halves, 2**32 - 1 almost none
+    @pytest.mark.parametrize("span", [1, 2, 5, 7, 2**31 + 1, 2**32 - 1])
+    @pytest.mark.parametrize("count", [1, 2, 7, 10, 64])
+    def test_uniform_spans(self, span, count):
+        spans = np.full(count, span)
+        seed = [span, count]
+        self.assert_matches_numpy(self.streams(seed), self.streams(seed), spans)
+
+    @pytest.mark.parametrize("spans", [
+        [5, 5, 7, 7],                     # sample_channel's delays, then Dopplers
+        [1, 5, 1, 2**32 - 1, 7, 2],       # spans of 1 draw nothing: 4 draws
+        [1, 5, 1, 2**32 - 1, 7, 2, 3],    # and 5 draws
+        [2**31 + 1, 3, 2**31 + 1, 3] * 4,
+    ])
+    def test_mixed_spans(self, spans):
+        self.assert_matches_numpy(self.streams(len(spans), 5), self.streams(len(spans), 5),
+                                  np.array(spans))
+
+    def test_a_redraw_rewinds_the_row(self):
+        # 2**31 + 1 rejects about half of all halves, so some row redraws
+        # and its stream ends past the 8 words of its 16 halves
+        spans = np.full(16, 2**31 + 1)
+        self.assert_matches_numpy(self.streams(11, 4), self.streams(11, 4), spans)
+        streams = self.streams(11, 4)
+        bounded_draws(streams, spans)
+        unredrawn = [np.random.PCG64(np.random.SeedSequence([11, i])).advance(8)
+                     for i in range(4)]
+        assert any(live_stream_state(gen.bit_generator) != live_stream_state(plain)
+                   for gen, plain in zip(streams, unredrawn))
+
+    @pytest.mark.parametrize("count", [2, 7])
+    def test_a_buffered_half_is_drawn_first(self, count):
+        got, want = self.streams(12), self.streams(12)
+        for gen in (got[1], want[1]):
+            gen.integers(0, 2, 1)   # leaves the high half of a word buffered
+        assert got[1].bit_generator.state["has_uint32"] == 1
+        self.assert_matches_numpy(got, want, np.full(count, 5))
+
+    @pytest.mark.parametrize("spans", [[5, 7, 3, 2**32 - 1], [2**31 + 1, 3]])
+    def test_a_generator_listed_twice_draws_in_turn(self, spans):
+        # under the second spans about half the rows redraw; for some of
+        # these seeds one row of the twice-listed generator redraws and its
+        # other row does not, and the redraw must not undo the other's words
+        for seed in range(16, 24):
+            got, want = self.streams(seed), self.streams(seed)
+            self.assert_matches_numpy([got[0], got[1], got[0], got[2]],
+                                      [want[0], want[1], want[0], want[2]], np.array(spans))
+
+    def test_no_draws(self):
+        got, want = self.streams(14), self.streams(14)
+        for spans in (np.ones(4, dtype=np.int64), np.zeros(0, dtype=np.int64)):
+            assert bounded_draws(got, spans).shape == (3, spans.size)
+            assert not bounded_draws(got, spans).any()
+        assert_same_streams(got, want)
+        none = bounded_draws([], np.full(4, 5))
+        assert none.shape == (0, 4) and none.dtype == np.int64
+
+    @pytest.mark.parametrize("spans", [[0, 2], [2, 2**32], [-3], [[2, 2]], [2.0, 2.0]])
+    def test_bad_spans_are_refused(self, spans):
+        with pytest.raises(ValueError, match="spans"):
+            bounded_draws(self.streams(15), np.array(spans))
 
 
 class TestTFChannel:

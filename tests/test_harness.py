@@ -425,17 +425,32 @@ class TestTrialStreams:
     """Each trial's stream is the one numpy seeds from the list
     ``[seed, snr_index, trial]``, for seeds and indices of any word count."""
 
+    # one chunk mixes SNR indices and trials of one and two words; with the
+    # seeds below a cell has 3 to 8 words, past the 4-word entropy pool
+    CELLS = [(snr_index, trial) for trial in (0, 1, 12, 2**32 - 1, 2**32, 2**32 + 3)
+             for snr_index in (0, 2, 2**32)]
+
+    # seeds of 1, 1, 1, 2, 3 and 4 words
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30])
     def test_trial_rng_is_the_list_seeded_stream(self, seed):
         config = ExperimentConfig(seed=seed, trials=1, snr_db="10")
-        for snr_index in (0, 2, 2**32):
-            for trial in (0, 1, 12, 2**32 - 1, 2**32, 2**32 + 3):
-                got = harness._trial_rng(config, snr_index, trial)
-                want = np.random.default_rng([seed, snr_index, trial])
-                assert np.array_equal(got.random(3), want.random(3))
-                assert np.array_equal(got.integers(0, 2**62, 3), want.integers(0, 2**62, 3))
-                assert np.array_equal(got.standard_normal(3), want.standard_normal(3))
-                assert got.bit_generator.state == want.bit_generator.state
+        generators = harness._trial_rng(config, self.CELLS)
+        assert len(generators) == len(self.CELLS)
+        for got, (snr_index, trial) in zip(generators, self.CELLS):
+            want = np.random.default_rng([seed, snr_index, trial])
+            assert got.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(got.random(3), want.random(3))
+            assert np.array_equal(got.integers(0, 2**62, 3), want.integers(0, 2**62, 3))
+            assert np.array_equal(got.standard_normal(3), want.standard_normal(3))
+            assert np.array_equal(got.integers(0, 7, 3), want.integers(0, 7, 3))
+            assert got.bit_generator.state == want.bit_generator.state
+
+    def test_a_cell_alone_gets_its_chunk_stream(self):
+        config = ExperimentConfig(seed=2**32 + 7, trials=1, snr_db="10")
+        chunk = harness._trial_rng(config, self.CELLS)
+        for cell, in_chunk in zip(self.CELLS, chunk):
+            (alone,) = harness._trial_rng(config, [cell])
+            assert alone.bit_generator.state == in_chunk.bit_generator.state
 
     def test_seed_words_are_little_endian_32_bit(self):
         assert harness._seed_words(0) == [0]
