@@ -155,13 +155,12 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarra
         raw = np.empty((len(fast), words), dtype="<u8")
         for i, row in zip(fast, raw):
             row[...] = bit_generators[i].random_raw(words)
-        if least == most:
-            # a power of two divides 2**32: numpy never redraws it
-            block, check = np.uint64(least), bool(least & (least - 1))
-        else:
-            block, check = (high if columns is None else high[columns]).astype(np.uint64), True
+        # a vector, not a numpy scalar: numpy 1.x would promote a scalar
+        # by its value and keep the products at 32 bits
+        block = (high if columns is None else high[columns]).astype(np.uint64)
         halves = raw.view("<u4") * block
-        if check:
+        # a power of two divides 2**32: numpy never redraws it
+        if (block & (block - np.uint64(1))).any():
             low = halves & np.uint64(0xFFFFFFFF)
             # numpy's redraw bound (2**32 - span) % span is below the span
             if (low < most).any():

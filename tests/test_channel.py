@@ -110,7 +110,8 @@ class TestBoundedDraws:
 
     def assert_matches_numpy(self, got_streams, want_streams, spans):
         got = bounded_draws(got_streams, spans)
-        assert got.dtype == np.int64
+        # 32-bit products would give half the columns, and wrong values
+        assert got.dtype == np.int64 and got.shape == (len(got_streams), len(spans))
         assert np.array_equal(got, self.numpy_draws(want_streams, spans))
         assert_same_streams(got_streams, want_streams)
 
