@@ -487,7 +487,8 @@ def transmit_frame(
     Exact FFT chain: modulate, TX window, per-bin TF gains, additive white
     TF noise of power n0, RX window, demodulate.  The gain and window grids
     broadcast against the frames; ``n0`` is one noise power, or an array of
-    one per frame (any other shape raises ``ValueError``).  Returns the
+    one per frame (any other shape, or a value that is not finite and
+    nonnegative, raises ``ValueError``).  Returns the
     received DD frames, or with ``demodulate=False`` the RX-windowed TF
     grids v * (g * u * X + noise) that the final ``sfft`` would take, for a
     receiver that works per TF bin.

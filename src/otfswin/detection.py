@@ -2,13 +2,15 @@
 
 Two LMMSE detectors compute the same estimate.  :func:`tf_lmmse_detect` uses
 the ideal-pulse structure: channel, both windows and the post-window noise
-are diagonal in the TF domain, so a full-data frame is equalized per TF bin,
-and the known guard and pilot cells of an embedded-pilot frame are a
-low-rank downdate of that diagonal Gram matrix, applied with the Woodbury
-identity.  :func:`mmse_detect` works on the dense vectorized model and takes
-colored noise from a non-unimodular RX window through the full covariance
-(no whitening: a whitening filter would undo the RX window's sparsity
-shaping); it is the oracle the per-bin detector is checked against.
+are diagonal in the TF domain, so it takes the RX-windowed TF grid the
+channel leaves (``transmit_frame(..., demodulate=False)``), equalizes a
+full-data frame per TF bin, and applies the known guard and pilot cells of
+an embedded-pilot frame as a low-rank downdate of that diagonal Gram matrix,
+with the Woodbury identity.  :func:`mmse_detect` works on the dense
+vectorized model and takes colored noise from a non-unimodular RX window
+through the full covariance (no whitening: a whitening filter would undo the
+RX window's sparsity shaping); it is the oracle the per-bin detector is
+checked against.
 
 The sum-product detector runs belief propagation on the factor graph induced
 by the truncated effective channel, restricted to the unknown symbols: every
@@ -33,7 +35,7 @@ from .channel import EffectiveDDChannel
 from .errors import ConfigurationError, NumericalFailure
 from .estimation import PilotLayout
 from .grid import Constellation, frame_noise
-from .transforms import dft_matrix, isfft, sfft
+from .transforms import dft_matrix, sfft
 
 
 # ---------------------------------------------------------------------------
@@ -104,25 +106,27 @@ def mmse_detect(
 
 
 def tf_lmmse_detect(
-    y_frame: np.ndarray,
+    received: np.ndarray,
     tf_gains: np.ndarray,
     rx_window: np.ndarray,
     n0: float | np.ndarray,
     constellation: Constellation,
     layout: PilotLayout | None = None,
 ) -> DetectionReport:
-    """LMMSE detection of an (N, M) DD frame, or of each frame of a
-    [B, N, M] stack, solved per TF bin.
+    """LMMSE detection of an (N, M) RX-windowed TF grid, or of each grid of
+    a [B, N, M] stack, solved per TF bin.
 
-    ``tf_gains`` is the receiver's TF gain grid g (joint window times
-    channel), so the DD channel is sfft . diag(g) . isfft, and ``rx_window``
-    the RX window grid v, which colors the noise to n0 |v|^2 per bin; a
-    stack takes one gain and one window grid per frame, and ``n0`` one
-    noise power for all frames or an array of one per frame (any other
-    shape raises ``ValueError``).  With d = |g|^2 + n0 |v|^2, the full-data
-    estimate is sfft(conj(g) / d * isfft(y)).  A receiver that already
-    holds the TF grid isfft(y) skips that ``isfft``: :func:`_tf_lmmse` takes
-    it as it is, and this function is ``_tf_lmmse(isfft(y), ...)``.
+    ``received`` is the grid r that ``transmit_frame(..., demodulate=False)``
+    returns, whose sfft is the DD frame y; a caller that holds y passes
+    isfft(y).  ``tf_gains`` is the receiver's TF gain grid g (joint window
+    times channel), so the DD channel is sfft . diag(g) . isfft, and
+    ``rx_window`` the RX window grid v, which colors the noise to n0 |v|^2
+    per bin.  ``n0`` is one noise power for all frames or an array of one
+    per frame (any other shape, or a value that is not finite and
+    nonnegative, raises ``ValueError``).  g and n0 |v|^2 take the shape of
+    r: a stack takes one gain grid per frame, and one window grid per frame
+    or, with one noise power per frame, one for all.  With d = |g|^2 +
+    n0 |v|^2, the full-data estimate is sfft(conj(g) / d * r).
 
     The guard cells of an embedded-pilot ``layout`` (the caller cancels the
     pilot beforehand) are known zeros; they remove G columns from the
@@ -145,21 +149,6 @@ def tf_lmmse_detect(
     fewer than 2 l_max + 1 nonzero bins in a time slot where ``tf_gains``
     is nonzero, a pair no joint window gives, since g carries the RX window.
     """
-    return _tf_lmmse(isfft(np.asarray(y_frame, dtype=complex)), tf_gains, rx_window, n0,
-                     constellation, layout)
-
-
-def _tf_lmmse(
-    received: np.ndarray,
-    tf_gains: np.ndarray,
-    rx_window: np.ndarray,
-    n0: float | np.ndarray,
-    constellation: Constellation,
-    layout: PilotLayout | None = None,
-) -> DetectionReport:
-    """:func:`tf_lmmse_detect` on the RX-windowed TF grids ``received``
-    (isfft of the DD frames): the full-data estimate is sfft(conj(g) / d *
-    received)."""
     r = np.asarray(received, dtype=complex)
     g = np.asarray(tf_gains, dtype=complex)
     n0 = frame_noise(n0, r.shape[:-2])
@@ -401,7 +390,8 @@ def spa_detect(
     frame's own count, the ``iterations`` it gets alone: (B,) integers for
     a stack, one for a frame.  A ``y_frame`` not shaped as ``channel.taps``,
     a ``data_mask`` not shaped as the grid, or an ``n0`` that is neither one
-    value nor one per frame raises ``ValueError``.
+    value nor one per frame, or not finite and nonnegative, raises
+    ``ValueError``.
     """
     if channel.truncation is None:
         raise ValueError("sum-product detection needs a tap-truncated channel")

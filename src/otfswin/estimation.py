@@ -162,12 +162,13 @@ def estimate_channel(received: np.ndarray, layout: PilotLayout,
     window, ready to rebuild the channel operator by circular convolution;
     a ``[..., N, M]`` stack of grids r gives a stack of estimates, and
     ``n0`` is one noise power for all of them or an array of one per frame
-    (any other shape raises ``ValueError``).
+    (any other shape, or a value that is not finite and nonnegative, raises
+    ``ValueError``).
     """
     if received.shape[-2:] != layout.grid.shape:
         raise ValueError("frame shape does not match grid")
     n0 = frame_noise(n0, received.shape[:-2])
-    threshold = 3.0 * np.sqrt(np.maximum(n0, 0.0))
+    threshold = 3.0 * np.sqrt(n0)
     est = np.zeros(received.shape, dtype=complex)
     (n, m), (rows, cols) = layout.grid.shape, layout.read_cells
     # sfft(r) = ifft_m(fft_n(r)) * sqrt(M / N), row by row

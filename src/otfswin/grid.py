@@ -151,12 +151,17 @@ class Constellation:
 def frame_noise(n0: float | np.ndarray, frames: tuple[int, ...]) -> np.ndarray:
     """``n0`` as a float array: one noise power, or one per frame of a
     stack whose leading shape is ``frames``.  Every layer of a trial that
-    takes a noise power checks it here; any other shape raises
-    ``ValueError`` naming both shapes."""
+    takes a noise power checks it here.  Any other shape raises
+    ``ValueError`` naming both shapes, and a power that is not finite and
+    nonnegative (0 is valid) raises ``ValueError`` naming the bad values."""
     n0 = np.asarray(n0, dtype=float)
     if n0.ndim and n0.shape != frames:
         raise ValueError(f"noise power of shape {n0.shape} is neither one value nor one "
                          f"per frame of the stack's leading shape {frames}")
+    # NaN fails every comparison
+    if n0.size and not 0.0 <= n0.min() <= n0.max() < math.inf:
+        bad = n0[~((n0 >= 0.0) & (n0 < math.inf))]
+        raise ValueError(f"noise power must be finite and nonnegative, got {bad.tolist()}")
     return n0
 
 

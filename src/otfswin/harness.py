@@ -491,8 +491,7 @@ def _link_parts(kind: type, fields: tuple, pilot: bool) -> tuple:
     return grid, constellation, windows, layout, n_data * constellation.bits_per_symbol
 
 
-def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray,
-              windowed_gains: bool = True):
+def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     """A chunk of trials of the link up to the receiver: draw each trial's
     channel and bits, build the TX windows, map the bits, embed the pilot and
     pass the frames through the windowed TF channel.
@@ -507,13 +506,13 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray,
     for the optimal TX window, ``optimal_tx_window`` call), and every frame
     of it is bit for bit the frame the trial would give on its own.
 
-    Returns per frame, stacked along a leading axis: the data bits, the
-    RX-windowed TF grid r that ``transmit_frame`` would demodulate, the RX
-    window and, with ``windowed_gains``, the windowed TF gains ``joint *
-    H_tf``, whose DD response is the effective channel (``None`` without:
-    a receiver that estimates the channel does not read them).  A rect/rect
-    link's windowed gains are H_tf itself, with no product.  Every receiver
-    takes r as it is.
+    Returns what the channel made: the data bits and the RX-windowed TF
+    grids r that ``transmit_frame`` would demodulate, one per frame stacked
+    along a leading axis, the chunk's ``WindowPair`` (the link's, or one
+    optimal pair per frame) and the TF channel gains H_tf of each frame.
+    Every receiver takes r as it is; a caller that needs the windowed gains
+    ``joint * H_tf``, whose DD response is the effective channel, forms them
+    with ``windows.windowed(tf_gains)``.
     """
     config = link.config
     generators = _trial_rng(config, cells)
@@ -534,8 +533,7 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray,
         frames = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
         frames = est_mod.embed_pilot(frames, link.layout)
     r = ch_mod.transmit_frame(frames, tf_gains, windows, n0, generators, demodulate=False)
-    gains = windows.windowed(tf_gains) if windowed_gains else None
-    return bits, r, np.broadcast_to(windows.rx, r.shape), gains
+    return bits, r, windows, tf_gains
 
 
 # Trials run in chunks whose (B, N, M) complex work arrays take about this
@@ -603,9 +601,9 @@ def run_ce_mse(config: ExperimentConfig) -> list[ResultRow]:
     link = _link(config, pilot=True)
 
     def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> np.ndarray:
-        _, r, _, gains = _transmit(link, cells, n0)
+        _, r, windows, tf_gains = _transmit(link, cells, n0)
         est = est_mod.estimate_channel(r, link.layout, n0)
-        truth = ch_mod._dd_response(gains, config.l_max + 1)
+        truth = ch_mod._dd_response(windows.windowed(tf_gains), config.l_max + 1)
         return est_mod.measured_ce_mse(truth, est, link.layout)
 
     return _ce_rows(config, _sweep(config, chunk))
@@ -645,12 +643,13 @@ def _detect_frames(
     frame, of a [B, N, M] stack of RX-windowed TF grids r from
     :func:`_transmit` at noise power ``n0`` (one, or one per frame).
 
-    ``gains`` is the stack of windowed TF gain grids the receiver knows, or
-    ``None`` when it estimates the channel from the embedded pilot.  Each
-    stage runs once for the stack: ``estimate_channel`` reads the pilot
-    window from r, :func:`_cancel_pilot` removes the pilot's response and
-    :func:`_detect` decides.  LMMSE works on r per TF bin; only SPA
-    demodulates, to the DD frames sfft(r).
+    ``rx_window`` is the chunk's RX window grid, one for all frames or one
+    per frame.  ``gains`` is the stack of windowed TF gain grids the
+    receiver knows, or ``None`` when it estimates the channel from the
+    embedded pilot.  Each stage runs once for the stack: ``estimate_channel``
+    reads the pilot window from r, :func:`_cancel_pilot` removes the pilot's
+    response and :func:`_detect` decides.  LMMSE works on r per TF bin; only
+    SPA demodulates, to the DD frames sfft(r).
     """
     lmmse = link.config.detector == "mmse"
     received = r if lmmse else sfft(r)
@@ -684,8 +683,8 @@ def _detect(link: _Link, received: np.ndarray, channel: np.ndarray,
     ``channel``, SPA on DD frames with DD taps ``channel``."""
     layout, config, constellation = link.layout, link.config, link.constellation
     if config.detector == "mmse":
-        idx = det_mod._tf_lmmse(received, channel, rx_window, n0, constellation,
-                                layout).hard_indices
+        idx = det_mod.tf_lmmse_detect(received, channel, rx_window, n0, constellation,
+                                      layout).hard_indices
     else:
         dd_channel = ch_mod.EffectiveDDChannel(
             taps=channel, truncation=ch_mod.largest_taps(channel, config.spa_tap_count()))
@@ -710,11 +709,12 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
     sum-product detector models the noise as white at power N0, so shaping
     RX windows pair with MMSE, not SPA.  Frames are sent and detected a
     chunk at a time (:func:`_detect_frames`), from the RX-windowed TF grids
-    the channel leaves.  Each trial keeps only its frame's bit error
-    count, but :func:`_sweep` holds one count per trial of the running SNR
-    point, so memory grows with ``trials`` by a Python int per trial.
-    ROADMAP item 12, which stops a point at an error count, is the place to
-    stream the counts instead.
+    the channel leaves.  Only a known-CSI receiver gets the windowed gains
+    ``joint * H_tf``; an estimated-CSIR chunk never forms them.  Each trial
+    keeps only its frame's bit error count, but :func:`_sweep` holds one
+    count per trial of the running SNR point, so memory grows with
+    ``trials`` by a Python int per trial.  ROADMAP item 12, which stops a
+    point at an error count, is the place to stream the counts instead.
     """
     link = _link(config, pilot=config.csi == "estimated-csir")
     if link.bits_per_frame == 0:
@@ -722,9 +722,9 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
             f"the pilot guard covers the whole {config.N}x{config.M} frame: no data cells left")
 
     def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> list[int]:
-        # a receiver that estimates the channel reads no windowed gains
-        bits, r, rx_window, gains = _transmit(link, cells, n0, link.layout is None)
-        detected = _detect_frames(link, r, rx_window, n0, gains)
+        bits, r, windows, tf_gains = _transmit(link, cells, n0)
+        gains = windows.windowed(tf_gains) if link.layout is None else None
+        detected = _detect_frames(link, r, windows.rx, n0, gains)
         return np.count_nonzero(detected != bits, axis=1).tolist()
 
     return _fer_rows(config, link, _sweep(config, chunk))

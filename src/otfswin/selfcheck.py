@@ -172,7 +172,7 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
             dense = det_mod.mmse_detect(
                 y.reshape(-1), h, det_mod.noise_covariance(windows.rx, n0), qpsk).soft
             fast = det_mod.tf_lmmse_detect(
-                y, windows.joint * ch_mod.tf_channel(ch), windows.rx, n0, qpsk, layout).soft
+                isfft(y), windows.joint * ch_mod.tf_channel(ch), windows.rx, n0, qpsk, layout).soft
             worst = max(worst, float(np.linalg.norm(fast - dense) / np.linalg.norm(dense)))
         check(name, worst, 1e-8)
 

@@ -738,9 +738,10 @@ def per_trial_transmit(link, snr_index, trial, n0, demodulate=True):
     """One trial of the link up to the receiver, every layer called on its
     own frame: the chain the harness ran before trials ran in chunks.  The
     trial's stream is seeded here by numpy's own list coercion, not by the
-    harness's ``_trial_rng``.  The received frame is the DD frame, or with
+    harness's ``_trial_rng``.  Returns what ``harness._transmit`` returns
+    for one frame: the bits, the received frame (the DD frame, or with
     ``demodulate=False`` the RX-windowed TF grid the harness's receiver
-    takes."""
+    takes), the window pair and the TF channel gains."""
     config = link.config
     rng = np.random.default_rng([config.seed, snr_index, trial])
     ch = single_generator_sample_channel(link.grid, config.paths, config.k_max, config.l_max,
@@ -757,7 +758,13 @@ def per_trial_transmit(link, snr_index, trial, n0, demodulate=True):
         frame = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
         frame = embed_pilot(frame, link.layout)
     y = single_frame_transmit(frame, tf_gains, windows, n0, rng, demodulate=demodulate)
-    return bits, y, windows.rx, (windows.rx * windows.tx) * tf_gains
+    return bits, y, windows, tf_gains
+
+
+def windowed_gains(windows, tf_gains):
+    """The windowed TF gains ``joint * H_tf`` of one trial, every multiply
+    run."""
+    return (windows.rx * windows.tx) * tf_gains
 
 
 def dd_estimate_channel(received, layout, n0):
@@ -814,9 +821,9 @@ def per_trial_ce_mse(config):
     link = harness._link(config, pilot=True)
 
     def trial(snr_index, t, n0):
-        _, y, _, gains = per_trial_transmit(link, snr_index, t, n0)
+        _, y, windows, tf_gains = per_trial_transmit(link, snr_index, t, n0)
         est = dd_estimate_channel(y, link.layout, n0)
-        return measured_ce_mse(_dd_response(gains), est, link.layout)
+        return measured_ce_mse(_dd_response(windowed_gains(windows, tf_gains)), est, link.layout)
 
     return harness._ce_rows(config, _per_trial_sweep(config, trial))
 
@@ -826,10 +833,10 @@ def per_trial_fer(config):
     link = harness._link(config, pilot=config.csi == "estimated-csir")
 
     def trial(snr_index, t, n0):
-        bits, r, rx_window, gains = per_trial_transmit(link, snr_index, t, n0,
-                                                       demodulate=False)
-        known = gains[None] if link.layout is None else None
-        detected = harness._detect_frames(link, r[None], rx_window[None], n0, known)
+        bits, r, windows, tf_gains = per_trial_transmit(link, snr_index, t, n0,
+                                                        demodulate=False)
+        known = windowed_gains(windows, tf_gains)[None] if link.layout is None else None
+        detected = harness._detect_frames(link, r[None], windows.rx[None], n0, known)
         return int(np.count_nonzero(detected[0] != bits))
 
     return harness._fer_rows(config, link, _per_trial_sweep(config, trial))

@@ -542,6 +542,46 @@ def test_noise_power_of_another_shape_refused(n0):
         estimate_channel(frames, LAYOUT, n0)
 
 
+def _spa_one_tap(frames: np.ndarray, n0):
+    taps = np.zeros(frames.shape, dtype=complex)
+    taps[:, 0, 0] = 1.0
+    channel = EffectiveDDChannel(taps=taps, truncation=largest_taps(taps, 1))
+    return spa_detect(frames, channel, n0, QPSK)
+
+
+# every layer of a trial that takes a noise power, on a 2-frame stack
+NOISE_LAYERS = {
+    "transmit_frame": lambda frames, n0: transmit_frame(
+        frames, np.ones(GRID.shape), window_pair("rect"), n0,
+        [np.random.default_rng(i) for i in range(2)]),
+    "estimate_channel": lambda frames, n0: estimate_channel(frames, LAYOUT, n0),
+    "tf_lmmse_detect": lambda frames, n0: tf_lmmse_detect(
+        frames, np.ones(frames.shape), np.ones(frames.shape), n0, QPSK),
+    "spa_detect": _spa_one_tap,
+}
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["scalar", "one-frame"])
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("layer", sorted(NOISE_LAYERS))
+def test_noise_power_that_is_not_finite_and_nonnegative_refused(layer, value, stack):
+    # one bad value, alone or beside a good one, is named, not run as a NaN
+    # frame or as no noise
+    frames = np.ones((2,) + GRID.shape, dtype=complex)
+    n0 = np.array([0.1, value]) if stack else value
+    with pytest.raises(ValueError, match=rf"finite and nonnegative, got {re.escape(str([value]))}"):
+        NOISE_LAYERS[layer](frames, n0)
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["scalar", "one-frame"])
+@pytest.mark.parametrize("layer", sorted(NOISE_LAYERS))
+def test_zero_noise_power_runs(layer, stack):
+    frames = np.ones((2,) + GRID.shape, dtype=complex)
+    out = NOISE_LAYERS[layer](frames, np.array([0.1, 0.0]) if stack else 0.0)
+    soft = getattr(out, "soft", out)
+    assert np.all(np.isfinite(soft))
+
+
 @pytest.mark.parametrize("frames", STACKS)
 @pytest.mark.parametrize("kind", WINDOWS)
 def test_estimate_channel_at_per_frame_noise(kind, frames):
@@ -588,20 +628,21 @@ def test_pilot_tf_is_the_isfft_of_pilot_frames(frames):
 @pytest.mark.parametrize("kind", ("rect", "dc-rx"))
 @pytest.mark.parametrize("pilot", [False, True], ids=["full-data", "pilot"])
 def test_tf_lmmse_detect_at_per_frame_noise(pilot, kind, frames):
-    y, _, true_gains, windows, n0 = _received_at_mixed_snr(kind, frames)
+    # the RX-windowed TF grids of a stack, and of each frame sent alone
+    r, alone, true_gains, windows, n0 = _received_at_mixed_snr(kind, frames, demodulate=False)
     layout = LAYOUT if pilot else None
+
+    def detect(r, gains, n0):
+        if pilot:
+            # as the harness does: estimate the taps, cancel the pilot per
+            # TF bin, detect with the gains of the estimate
+            gains = tf_gains_from_taps(estimate_channel(r, LAYOUT, n0), LAYOUT.l_max + 1)
+            r = r - gains * LAYOUT.pilot_tf
+        return tf_lmmse_detect(r, gains, windows.rx, n0, QPSK, layout)
+
     gains = windows.joint * true_gains
-    if pilot:
-        # as the harness does: estimate the taps, cancel the pilot, detect
-        # with the gains of the estimate
-        taps = oracles.dd_estimate_channel(y, LAYOUT, n0)
-        shift = np.roll(taps, (LAYOUT.pilot_doppler, LAYOUT.pilot_delay), axis=(1, 2))
-        y = y - LAYOUT.pilot_value * shift
-        gains = tf_gains_from_taps(taps)
-    rx = np.broadcast_to(windows.rx, y.shape)
-    stacked = tf_lmmse_detect(y, gains, rx, n0, QPSK, layout)
-    alone = [tf_lmmse_detect(f, g, windows.rx, float(p), QPSK, layout)
-             for f, g, p in zip(y, gains, n0)]
+    stacked = detect(r, gains, n0)
+    alone = [detect(f, g, float(p)) for f, g, p in zip(alone, gains, n0)]
     cells = int(LAYOUT.data_mask.sum()) if pilot else GRID.size
     assert stacked.soft.shape == stacked.hard_indices.shape == (frames, cells)
     assert_framewise(stacked.soft, (r.soft for r in alone))

@@ -164,13 +164,14 @@ class TestTFLMMSE:
             ch, windows = self.draw(rng, grid)
             x = np.zeros(grid.shape, dtype=complex)
             x[data] = qpsk.points[rng.integers(0, 4, int(data.sum()))]
-            y = transmit_frame(x, tf_channel(ch), windows, n0, rng)
+            # the detector reads the RX-windowed TF grid, the oracle its DD frame
+            r = transmit_frame(x, tf_channel(ch), windows, n0, rng, demodulate=False)
             taps = effective_dd_channel(ch, windows).taps
             # estimated CSI reaches the detector as taps, known CSI as TF gains
             gains = tf_gains_from_taps(taps) if estimated else windows.joint * tf_channel(ch)
-            dense = mmse_detect(vectorize(y), circular_operator(taps)[:, vectorize(data)],
+            dense = mmse_detect(vectorize(sfft(r)), circular_operator(taps)[:, vectorize(data)],
                                 noise_covariance(windows.rx, n0), qpsk)
-            fast = tf_lmmse_detect(y, gains, windows.rx, n0, qpsk, layout)
+            fast = tf_lmmse_detect(r, gains, windows.rx, n0, qpsk, layout)
             rel = np.linalg.norm(fast.soft - dense.soft) / np.linalg.norm(dense.soft)
             assert rel < 1e-8, (grid, snr)
             assert np.array_equal(fast.hard_indices, dense.hard_indices)
@@ -457,11 +458,12 @@ class TestSPA:
         sent = rng.integers(0, 2, (frames, int(mask.sum())))
         x = np.zeros(gains.shape, dtype=complex)
         x[:, mask] = bpsk.points[sent]
-        y = transmit_frame(x, gains, windows)
-        rx = np.broadcast_to(windows.rx, y.shape)
-        lmmse = tf_lmmse_detect(y, gains, rx, 1e-6, bpsk, layout)
+        # LMMSE reads the TF grids, SPA their DD frames
+        r = transmit_frame(x, gains, windows, demodulate=False)
+        rx = np.broadcast_to(windows.rx, r.shape)
+        lmmse = tf_lmmse_detect(r, gains, rx, 1e-6, bpsk, layout)
         eff = EffectiveDDChannel(taps=taps, truncation=largest_taps(taps, 2))
-        spa = spa_detect(y, eff, 1e-6, bpsk, data_mask=mask)
+        spa = spa_detect(sfft(r), eff, 1e-6, bpsk, data_mask=mask)
         assert lmmse.hard_indices.shape == spa.hard_indices.shape == (frames, 63)
         assert np.array_equal(lmmse.hard_indices, sent)
         assert np.array_equal(spa.hard_indices, sent)
@@ -519,7 +521,7 @@ class TestSPA:
         report = spa_detect(y, eff, 0.1, bpsk)
         assert report.iterations == 0
         assert np.all(report.marginals == 0.5)
-        lmmse = tf_lmmse_detect(y, taps, np.ones(grid.shape), 0.1, bpsk)
+        lmmse = tf_lmmse_detect(isfft(y), taps, np.ones(grid.shape), 0.1, bpsk)
         assert np.array_equal(report.hard_indices, lmmse.hard_indices)
 
     def test_configuration_budget_enforced(self):

@@ -16,6 +16,7 @@ import oracles
 import otfswin
 from otfswin import ConfigurationError, FrameGrid, NumericalFailure, harness, predicted_mse_floor
 from otfswin import windows as win_mod
+from otfswin.channel import _dd_response
 from otfswin.cli import main
 from otfswin.estimation import PilotLayout
 from otfswin.grid import Constellation
@@ -150,32 +151,37 @@ KNOWN_CSI_MMSE = ("fer-perfect-mmse-rect", "fer-perfect-mmse-dc-rx", "fer-csit-m
 
 class TestKnownCsiTfDetection:
     """A known-CSI LMMSE link detects on the RX-windowed TF grid the channel
-    produced; the DD frame it no longer forms would give the same decisions.
-    The soft values move only at the rounding level, which differs between
-    numpy's SIMD levels, so this runs at both."""
+    produced; the dense LMMSE on the DD frame it no longer forms gives the
+    same decisions.  The soft values move only at the rounding level, which
+    differs between numpy's SIMD levels, so this runs at both."""
 
     @pytest.mark.parametrize("name", KNOWN_CSI_MMSE)
-    def test_decisions_equal_the_dd_detector(self, name, monkeypatch):
+    def test_decisions_equal_the_dense_dd_detector(self, name, monkeypatch):
+        # the harness looks the detector up on its module at call time
         from otfswin import detection
 
         _, fields, _ = GOLDEN_ROWS[name]
-        core, calls = detection._tf_lmmse, []
+        detect, calls = detection.tf_lmmse_detect, []
 
         def spy(*args):
-            calls.append((args, core(*args)))
+            calls.append((args, detect(*args)))
             return calls[-1][1]
 
-        monkeypatch.setattr(detection, "_tf_lmmse", spy)
+        monkeypatch.setattr(detection, "tf_lmmse_detect", spy)
         run_fer(ExperimentConfig.from_mapping(
             {k: str(v) for k, v in dict(fields, snr_db="0, 10, 20, 30, 40").items()}))
         monkeypatch.undo()
         assert calls
         for (received, gains, rx, n0, constellation, layout), tf in calls:
             assert layout is None
-            dd = detection.tf_lmmse_detect(otfswin.sfft(received), gains, rx, n0, constellation)
-            assert np.array_equal(tf.hard_indices, dd.hard_indices)
-            error = np.linalg.norm(tf.soft - dd.soft, axis=-1)
-            assert np.all(error <= 1e-12 * np.linalg.norm(dd.soft, axis=-1))
+            frames = zip(otfswin.sfft(received), gains, np.broadcast_to(rx, received.shape),
+                         np.broadcast_to(n0, len(received)), tf.soft, tf.hard_indices)
+            for y, g, v, p, soft, hard in frames:
+                dense = otfswin.mmse_detect(
+                    y, otfswin.circular_operator(_dd_response(g)),
+                    otfswin.noise_covariance(v, p), constellation)
+                assert np.array_equal(hard, dense.hard_indices)
+                assert np.linalg.norm(soft - dense.soft) <= 1e-8 * np.linalg.norm(dense.soft)
 
     @pytest.mark.parametrize("fields", [{}, dict(csi="csit-csir", tx_window="optimal")],
                              ids=["perfect-csir", "csit-csir"])
@@ -184,14 +190,14 @@ class TestKnownCsiTfDetection:
         # returns its estimate to the DD domain, and nothing else transforms
         from otfswin import channel, detection
 
+        assert not hasattr(detection, "isfft")
         calls = []
-        for module in (channel, detection):
-            for name in ("isfft", "sfft"):
-                def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
-                    calls.append(_name)
-                    return _original(*args, **kwargs)
+        for module, name in ((channel, "isfft"), (channel, "sfft"), (detection, "sfft")):
+            def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
 
-                monkeypatch.setattr(module, name, spy)
+            monkeypatch.setattr(module, name, spy)
         # 2 points of 2 trials: one chunk
         run_fer(ExperimentConfig(**fields, snr_db=(10.0, 20.0), trials=2))
         assert sorted(calls) == ["isfft", "sfft"]
@@ -215,19 +221,19 @@ class TestEstimatedCsiTfDetection:
         from otfswin import detection, estimation
 
         _, fields, _ = GOLDEN_ROWS[name]
-        estimate, core = estimation.estimate_channel, detection._tf_lmmse
+        estimate, detect = estimation.estimate_channel, detection.tf_lmmse_detect
         received, calls = [], []
 
         def spy_estimate(r, layout, n0):
             received.append(r)
             return estimate(r, layout, n0)
 
-        def spy_core(*args):
-            calls.append((args, core(*args)))
+        def spy_detect(*args):
+            calls.append((args, detect(*args)))
             return calls[-1][1]
 
         monkeypatch.setattr(estimation, "estimate_channel", spy_estimate)
-        monkeypatch.setattr(detection, "_tf_lmmse", spy_core)
+        monkeypatch.setattr(detection, "tf_lmmse_detect", spy_detect)
         run_fer(ExperimentConfig.from_mapping(
             {k: str(v) for k, v in dict(fields, snr_db="0, 10, 20, 30, 40").items()}))
         monkeypatch.undo()
@@ -251,8 +257,8 @@ class TestEstimatedCsiTfDetection:
         # the layout, whose pilot_tf is one isfft, is built with the link
         harness._link(config, pilot=True)
         transforms, ffts = [], []
-        for module, name in ((channel, "isfft"), (channel, "sfft"), (detection, "isfft"),
-                             (detection, "sfft"), (estimation, "isfft")):
+        for module, name in ((channel, "isfft"), (channel, "sfft"), (detection, "sfft"),
+                             (estimation, "isfft")):
             def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
                 transforms.append(_name)
                 return _original(*args, **kwargs)
@@ -339,32 +345,64 @@ class TestChunkBoundaries:
             assert np.array_equal(y, want_y)
 
     @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
-    def test_transmit_forms_the_windowed_gains_only_where_a_receiver_reads_them(
+    def test_the_receiver_gets_the_windowed_gains_only_where_it_reads_them(
             self, name, monkeypatch):
-        # an estimated-CSIR fer link gets no windowed gains; every other
-        # link gets joint * H_tf of each trial, bit for bit
+        # an estimated-CSIR fer run never forms joint * H_tf; every other
+        # case hands its receiver (ce-mse: its truth) the windowed gains of
+        # each trial, bit for bit, and a fer receiver gets each trial's RX
+        # window
+        from otfswin import channel
+
         runner, _, fields = CHUNK_CASES[name]
         cfg = ExperimentConfig.from_mapping(
             {k: str(v) for k, v in dict(_CHUNK_GRID, **dict(fields, snr_db="10, 35"),
                                          trials=self.CHUNK - 1, seed=43).items()})
-        sent, transmit = [], harness._transmit
+        chunks, handed, formed = [], [], []
+        transmit, windowed = harness._transmit, win_mod.WindowPair.windowed
 
-        def spy(link, cells, n0, *args):
-            out = transmit(link, cells, n0, *args)
-            sent.append((link, cells, n0, out[3]))
-            return out
+        def spy_transmit(link, cells, n0):
+            chunks.append((link, cells, n0))
+            return transmit(link, cells, n0)
 
-        monkeypatch.setattr(harness, "_transmit", spy)
+        def spy_windowed(windows, tf_gains):
+            formed.append(tf_gains.shape)
+            return windowed(windows, tf_gains)
+
+        if runner is run_fer:
+            detect_frames = harness._detect_frames
+
+            def spy_receiver(link, r, rx_window, n0, gains):
+                handed.append((np.broadcast_to(rx_window, r.shape), gains))
+                return detect_frames(link, r, rx_window, n0, gains)
+
+            monkeypatch.setattr(harness, "_detect_frames", spy_receiver)
+        else:
+            dd_response = channel._dd_response
+
+            def spy_receiver(gains, delays=None):
+                handed.append((None, gains))
+                return dd_response(gains, delays)
+
+            monkeypatch.setattr(channel, "_dd_response", spy_receiver)
+        monkeypatch.setattr(harness, "_transmit", spy_transmit)
+        monkeypatch.setattr(win_mod.WindowPair, "windowed", spy_windowed)
         runner(cfg)
-        assert len(sent) == 2
-        for link, cells, n0, gains in sent:
-            if runner is run_fer and cfg.csi == "estimated-csir":
+        monkeypatch.undo()
+        estimated_fer = runner is run_fer and cfg.csi == "estimated-csir"
+        assert len(chunks) == len(handed) == 2
+        assert len(formed) == (0 if estimated_fer else 2)
+        for (link, cells, n0), (rx, gains) in zip(chunks, handed):
+            if estimated_fer:
                 assert gains is None
-                continue
-            assert gains.shape == (len(cells),) + link.grid.shape
-            for frame_gains, (i, t), p in zip(gains, cells, n0):
-                want = oracles.per_trial_transmit(link, i, t, p)[3]
-                assert frame_gains.tobytes() == want.tobytes()
+            else:
+                assert gains.shape == (len(cells),) + link.grid.shape
+            for b, ((i, t), p) in enumerate(zip(cells, n0)):
+                _, _, windows, tf_gains = oracles.per_trial_transmit(link, i, t, p)
+                if not estimated_fer:
+                    want = oracles.windowed_gains(windows, tf_gains)
+                    assert gains[b].tobytes() == want.tobytes()
+                if rx is not None:
+                    assert rx[b].tobytes() == windows.rx.tobytes()
 
     def test_chunks_take_cells_across_snr_points(self):
         cfg = ExperimentConfig(snr_db=(10.0, 20.0, 30.0), trials=self.CHUNK - 1)
@@ -1001,6 +1039,14 @@ class TestSelfCheck:
             assert not found, (name, found)
         found = {ref for ref in _imports(src / "harness.py") if ref.split(".")[0] in apart}
         assert found == {"selfcheck", "selfcheck.run_selfcheck"}
+
+    def test_the_harness_calls_detection_by_public_names(self):
+        # the detectors the harness runs are the ones the API offers, under
+        # the names a tracer wraps
+        tree = ast.parse((Path(otfswin.__file__).parent / "harness.py").read_text(encoding="utf-8"))
+        used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "det_mod"}
+        assert used == {"tf_lmmse_detect", "spa_detect"}
 
 
 def _imports(path: Path) -> set[str]:
