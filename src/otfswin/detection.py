@@ -123,10 +123,10 @@ def tf_lmmse_detect(
     ``rx_window`` the RX window grid v, which colors the noise to n0 |v|^2
     per bin.  ``n0`` is one noise power for all frames or an array of one
     per frame (any other shape, or a value that is not finite and
-    nonnegative, raises ``ValueError``).  g and n0 |v|^2 take the shape of
-    r: a stack takes one gain grid per frame, and one window grid per frame
-    or, with one noise power per frame, one for all.  With d = |g|^2 +
-    n0 |v|^2, the full-data estimate is sfft(conj(g) / d * r).
+    nonnegative, raises ``ValueError``).  g takes the shape of r and n0 |v|^2
+    broadcasts to it: a stack takes one window grid, or one per frame, with
+    either kind of n0.  With d = |g|^2 + n0 |v|^2, the full-data estimate is
+    sfft(conj(g) / d * r).
 
     The guard cells of an embedded-pilot ``layout`` (the caller cancels the
     pilot beforehand) are known zeros; they remove G columns from the
@@ -152,8 +152,12 @@ def tf_lmmse_detect(
     r = np.asarray(received, dtype=complex)
     g = np.asarray(tf_gains, dtype=complex)
     n0 = frame_noise(n0, r.shape[:-2])
-    noise_tf = n0[..., None, None] * np.abs(np.asarray(rx_window)) ** 2
-    if not r.shape == g.shape == noise_tf.shape:
+    try:
+        noise_tf = np.broadcast_to(n0[..., None, None] * np.abs(np.asarray(rx_window)) ** 2,
+                                   r.shape)
+    except ValueError:
+        noise_tf = None
+    if noise_tf is None or g.shape != r.shape:
         raise ValueError("observation, gain and window grids must share one shape")
     denom = np.abs(g) ** 2 + noise_tf
     if not np.all(denom > 0):

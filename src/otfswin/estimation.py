@@ -63,8 +63,8 @@ class PilotLayout:
       ``tap_cells`` of the tap offsets it measures, (k - k_p) mod N and
       l - l_p;
     * ``pilot_tf``: the (N, M) TF grid of the pilot-only frame, its isfft,
-      so that a receiver on the TF grid cancels the pilot's response to
-      the TF gains g as g * pilot_tf.
+      so that every receiver cancels the pilot's response to the TF gains
+      g as g * pilot_tf.
 
     The guard is its 4*k_max + 4*k_hat + 1 Doppler rows times one band of
     2*l_max + 1 delay columns; :func:`otfswin.detection.tf_lmmse_detect`

@@ -648,48 +648,42 @@ def _detect_frames(
     receiver knows, or ``None`` when it estimates the channel from the
     embedded pilot.  Each stage runs once for the stack: ``estimate_channel``
     reads the pilot window from r, :func:`_cancel_pilot` removes the pilot's
-    response and :func:`_detect` decides.  LMMSE works on r per TF bin; only
-    SPA demodulates, to the DD frames sfft(r).
+    response per TF bin and :func:`_detect` decides.
     """
-    lmmse = link.config.detector == "mmse"
-    received = r if lmmse else sfft(r)
+    taps = None
     if gains is None:
         taps = est_mod.estimate_channel(r, link.layout, n0)
-        received, channel = _cancel_pilot(link, received, taps)
-    else:
-        channel = gains if lmmse else ch_mod._dd_response(gains)
-    return _detect(link, received, channel, rx_window, n0)
+        r, gains = _cancel_pilot(link.layout, r, taps)
+    return _detect(link, r, gains, taps, rx_window, n0)
 
 
-def _cancel_pilot(link: _Link, received: np.ndarray,
+def _cancel_pilot(layout: est_mod.PilotLayout, r: np.ndarray,
                   taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The received frames less the pilot's response to the estimated taps,
-    and the channel the detector takes: LMMSE cancels per TF bin, r - g *
-    ``pilot_tf``, and takes the estimate's TF gains g; SPA cancels the taps
-    rolled to the pilot cell times x_p in the DD frames, and takes the taps."""
-    layout = link.layout
-    if link.config.detector == "mmse":
-        # the estimate's taps end at delay l_max
-        gains = ch_mod.tf_gains_from_taps(taps, layout.l_max + 1)
-        return received - gains * layout.pilot_tf, gains
-    shift = np.roll(taps, (layout.pilot_doppler, layout.pilot_delay), axis=(1, 2))
-    return received - layout.pilot_value * shift, taps
+    """The TF grids r less the pilot's response to the estimated DD taps,
+    r - g * ``pilot_tf``, and the estimate's TF gains g."""
+    # the estimate's taps end at delay l_max
+    gains = ch_mod.tf_gains_from_taps(taps, layout.l_max + 1)
+    return r - gains * layout.pilot_tf, gains
 
 
-def _detect(link: _Link, received: np.ndarray, channel: np.ndarray,
+def _detect(link: _Link, r: np.ndarray, gains: np.ndarray, taps: np.ndarray | None,
             rx_window: np.ndarray, n0: float | np.ndarray) -> np.ndarray:
     """The hard bits of the data cells (all cells without a layout), one
-    row per frame in row-major cell order: LMMSE on TF grids with TF gains
-    ``channel``, SPA on DD frames with DD taps ``channel``."""
+    row per frame in row-major cell order, of the pilot-cancelled TF grids r
+    with TF gains ``gains``: LMMSE decides on r, SPA on sfft(r) with the DD
+    taps ``taps`` (those of ``gains`` when ``None``).  An estimate reaches
+    SPA as read: a round trip through its gains would turn its exact zeros
+    outside the read window into rounding residue that ``largest_taps``
+    selects."""
     layout, config, constellation = link.layout, link.config, link.constellation
     if config.detector == "mmse":
-        idx = det_mod.tf_lmmse_detect(received, channel, rx_window, n0, constellation,
-                                      layout).hard_indices
+        idx = det_mod.tf_lmmse_detect(r, gains, rx_window, n0, constellation, layout).hard_indices
     else:
+        taps = ch_mod._dd_response(gains) if taps is None else taps
         dd_channel = ch_mod.EffectiveDDChannel(
-            taps=channel, truncation=ch_mod.largest_taps(channel, config.spa_tap_count()))
+            taps=taps, truncation=ch_mod.largest_taps(taps, config.spa_tap_count()))
         idx = det_mod.spa_detect(
-            received, dd_channel, n0, constellation, iters=config.spa_iters,
+            sfft(r), dd_channel, n0, constellation, iters=config.spa_iters,
             damping=config.spa_damping, data_mask=None if layout is None else layout.data_mask,
         ).hard_indices
     return constellation.indices_to_bits(idx.reshape(-1)).reshape(len(idx), -1)
@@ -700,7 +694,7 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
 
     perfect-csir: full-data frames, detector sees the true effective channel.
     estimated-csir: embedded-pilot frames, detector sees the threshold
-    estimate and the pilot is cancelled with it.
+    estimate and the pilot is cancelled with it per TF bin.
     csit-csir: full-data frames, the TX window is rebuilt per realization
     from the TF gains (mercury/water filling) when tx_window = optimal.
 
@@ -709,9 +703,10 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
     sum-product detector models the noise as white at power N0, so shaping
     RX windows pair with MMSE, not SPA.  Frames are sent and detected a
     chunk at a time (:func:`_detect_frames`), from the RX-windowed TF grids
-    the channel leaves.  Only a known-CSI receiver gets the windowed gains
-    ``joint * H_tf``; an estimated-CSIR chunk never forms them.  Each trial
-    keeps only its frame's bit error count, but :func:`_sweep` holds one
+    the channel leaves, which SPA demodulates after any pilot cancellation.
+    Only a known-CSI receiver gets the windowed gains ``joint * H_tf``; an
+    estimated-CSIR chunk never forms them.  Each trial keeps only its
+    frame's bit error count, but :func:`_sweep` holds one
     count per trial of the running SNR point, so memory grows with
     ``trials`` by a Python int per trial.  ROADMAP item 12, which stops a
     point at an error count, is the place to stream the counts instead.

@@ -785,6 +785,14 @@ def dd_estimate_channel(received, layout, n0):
     return est
 
 
+def dd_cancel_pilot(y, taps, layout):
+    """DD frames y less the pilot's response to the DD taps, y - x_p *
+    roll(taps, (k_p, l_p)): the cancellation the receiver made in the DD
+    frame before it cancelled per TF bin."""
+    return y - layout.pilot_value * np.roll(taps, (layout.pilot_doppler, layout.pilot_delay),
+                                            axis=(-2, -1))
+
+
 def dd_pilot_lmmse(y, rx_window, n0, layout):
     """Soft LMMSE estimates of the data cells of a [B, N, M] stack of
     received DD frames of an embedded-pilot link, by the DD chain the
@@ -794,8 +802,7 @@ def dd_pilot_lmmse(y, rx_window, n0, layout):
     cells G, x0[D] - E[D, G] E[G, G]^(-1) x0[G], with the dense circular
     operator E of the residual's DD response, one frame at a time."""
     taps = dd_estimate_channel(y, layout, n0)
-    y = y - layout.pilot_value * np.roll(taps, (layout.pilot_doppler, layout.pilot_delay),
-                                         axis=(1, 2))
+    y = dd_cancel_pilot(y, taps, layout)
     gains = tf_gains_from_taps(taps)
     noise_tf = np.asarray(n0)[:, None, None] * np.abs(rx_window) ** 2
     denom = np.abs(gains) ** 2 + noise_tf

@@ -222,6 +222,38 @@ class TestTFLMMSE:
             with pytest.raises(ValueError, match=rf"{re.escape(str(n0.shape))} is neither.*\(2,\)"):
                 tf_lmmse_detect(stack, stack, stack, n0, Constellation.qpsk(), layout)
 
+    @pytest.mark.parametrize("shared_window", [True, False], ids=["shared-v", "per-frame-v"])
+    @pytest.mark.parametrize("one_power", [True, False], ids=["scalar-n0", "per-frame-n0"])
+    def test_noise_grid_broadcasts_and_each_frame_decides_alone(self, one_power, shared_window):
+        # n0 |v|^2 broadcasts to the stack: one noise power or one per frame,
+        # with one RX window for all frames or one per frame
+        grid = FrameGrid(M=4, N=4)
+        rng = np.random.default_rng(17)
+
+        def draw(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        r, g = draw((3,) + grid.shape), draw((3,) + grid.shape)
+        v = draw(grid.shape if shared_window else (3,) + grid.shape)
+        n0 = 0.1 if one_power else np.array([0.05, 0.1, 0.2])
+        qpsk = Constellation.qpsk()
+        for layout in (None, PilotLayout.centered(grid, 0, 1, 0)):
+            stacked = tf_lmmse_detect(r, g, v, n0, qpsk, layout)
+            for i in range(3):
+                alone = tf_lmmse_detect(r[i], g[i], v if shared_window else v[i],
+                                        np.broadcast_to(n0, 3)[i], qpsk, layout)
+                assert np.array_equal(stacked.soft[i], alone.soft)
+                assert np.array_equal(stacked.hard_indices[i], alone.hard_indices)
+
+    @pytest.mark.parametrize("frames, window", [(3, (2, 4, 4)), (None, (3, 4, 4)),
+                                                (3, (4, 3))], ids=str)
+    def test_window_that_does_not_broadcast_refused(self, frames, window):
+        shape = (4, 4) if frames is None else (frames, 4, 4)
+        ones = np.ones(shape)
+        for layout in (None, PilotLayout.centered(FrameGrid(M=4, N=4), 0, 1, 0)):
+            with pytest.raises(ValueError, match="must share one shape"):
+                tf_lmmse_detect(ones, ones, np.ones(window), 0.1, Constellation.qpsk(), layout)
+
 
 class TestGuardBandSolve:
     """The guard downdate solved through the inverse band blocks against

@@ -245,6 +245,45 @@ class TestEstimatedCsiTfDetection:
             error = np.linalg.norm(tf.soft - soft, axis=-1)
             assert np.all(error <= 1e-12 * np.linalg.norm(soft, axis=-1))
 
+    @pytest.mark.parametrize("fields", [
+        dict(M=8, N=16, constellation="bpsk", paths=2, k_max=2, l_max=2, k_hat=1,
+             tx_window="dc"),
+        dict(M=8, N=16, constellation="qpsk", paths=2, k_max=2, l_max=2, k_hat=1,
+             spa_taps=4, pilot_power_dbw=20),
+    ], ids=["9b", "qpsk-rect"])
+    def test_spa_decisions_equal_the_dd_cancellation(self, fields, monkeypatch):
+        # two chunks, of 64 and 11 frames: SPA demodulates the grids the
+        # pilot was cancelled from per TF bin, which differ from the DD
+        # frames y - x_p roll(taps) it took before by rounding alone and
+        # give the same decisions
+        from otfswin import detection, estimation
+
+        estimate, detect = estimation.estimate_channel, detection.spa_detect
+        estimates, calls = [], []
+
+        def spy_estimate(r, layout, n0):
+            estimates.append((r, layout, estimate(r, layout, n0)))
+            return estimates[-1][2]
+
+        def spy_detect(*args, **kwargs):
+            calls.append((args, kwargs, detect(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(estimation, "estimate_channel", spy_estimate)
+        monkeypatch.setattr(detection, "spa_detect", spy_detect)
+        run_fer(ExperimentConfig(**fields, detector="spa", csi="estimated-csir",
+                                 snr_db=(0.0, 10.0, 20.0, 30.0, 40.0), trials=15, seed=23))
+        monkeypatch.undo()
+        assert calls and len(estimates) == len(calls)
+        for (r, layout, taps), ((y, channel, *args), kwargs, report) in zip(estimates, calls):
+            # the estimate reaches SPA as estimate_channel returned it
+            assert channel.taps is taps
+            want = oracles.dd_cancel_pilot(otfswin.sfft(r), taps, layout)
+            error = np.linalg.norm(y - want, axis=(-2, -1))
+            assert np.all(error <= 1e-12 * np.linalg.norm(want, axis=(-2, -1)))
+            oracle = detect(want, channel, *args, **kwargs)
+            assert np.array_equal(report.hard_indices, oracle.hard_indices)
+
     def test_a_chunk_makes_one_transform_each_way_and_ten_ffts(self, monkeypatch):
         # the channel modulates (2 FFT calls), the estimator reads the pilot
         # window (2), the estimate's gains take 2, the guard downdate one
