@@ -134,17 +134,21 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarra
     if not 1 <= least <= most < 2**32:
         raise ValueError(f"spans must lie in [1, 2**32), got {least} .. {most}")
     shape = (len(generators), high.size)
+
+    def own_calls(gens: Sequence[np.random.Generator]) -> list[np.ndarray]:
+        # with scalar bounds where all spans are equal, numpy's faster call
+        if least == most:
+            return [gen.integers(0, least, high.size) for gen in gens]
+        return [gen.integers(0, high) for gen in gens]
+
+    draws = high.size if least > 1 else int(np.count_nonzero(high > 1))
+    if draws % 2 or shape[0] < 2 or len({id(gen.bit_generator) for gen in generators}) < shape[0]:
+        return np.array(own_calls(generators), dtype=np.int64).reshape(shape)
     if most == 1:
         return np.zeros(shape, dtype=np.int64)
     # the columns that draw, None for all of them
     columns = np.flatnonzero(high > 1) if least == 1 else None
-    words, odd = divmod(shape[1] if columns is None else columns.size, 2)
-
-    def own_call(gen: np.random.Generator) -> np.ndarray:
-        return gen.integers(0, least, high.size) if least == most else gen.integers(0, high)
-
-    if odd or shape[0] < 2 or len({id(gen.bit_generator) for gen in generators}) < shape[0]:
-        return np.array([own_call(gen) for gen in generators], dtype=np.int64).reshape(shape)
+    words = draws // 2
     bit_generators = [gen.bit_generator for gen in generators]
     slow = [i for i, bit_generator in enumerate(bit_generators)
             if _holds_half_or_is_not_pcg64(bit_generator)]
@@ -175,8 +179,8 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarra
             out[fast] = halves
         else:
             out[np.ix_(fast, columns)] = halves
-    for i in slow:
-        out[i] = own_call(generators[i])
+    for i, row in zip(slow, own_calls([generators[i] for i in slow])):
+        out[i] = row
     return out
 
 

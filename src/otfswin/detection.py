@@ -26,6 +26,8 @@ with message damping.
 from __future__ import annotations
 
 import itertools
+import math
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -153,11 +155,11 @@ def tf_lmmse_detect(
     g = np.asarray(tf_gains, dtype=complex)
     n0 = frame_noise(n0, r.shape[:-2])
     try:
-        noise_tf = np.broadcast_to(n0[..., None, None] * np.abs(np.asarray(rx_window)) ** 2,
-                                   r.shape)
+        noise_tf = n0[..., None, None] * np.abs(np.asarray(rx_window)) ** 2
+        fits = np.broadcast(noise_tf, r).shape == r.shape
     except ValueError:
-        noise_tf = None
-    if noise_tf is None or g.shape != r.shape:
+        fits = False
+    if not fits or g.shape != r.shape:
         raise ValueError("observation, gain and window grids must share one shape")
     denom = np.abs(g) ** 2 + noise_tf
     if not np.all(denom > 0):
@@ -302,6 +304,31 @@ def analytic_detection_mse(lam: np.ndarray, x: np.ndarray) -> float:
 # sum-product detector
 # ---------------------------------------------------------------------------
 
+class _Arena(threading.local):
+    """A thread's grow-only scratch memory.  ``take`` hands out views one
+    after another (past the end, plain arrays); ``used`` set back frees
+    those taken since, and ``reset`` frees all views and grows the memory to
+    the most ever taken, so it never grows while a view of it is in use."""
+
+    memory, used, peak = np.empty(0, dtype=np.uint8), 0, 0
+
+    def reset(self) -> None:
+        self.used = 0
+        if self.peak > self.memory.size:
+            self.memory = np.empty(self.peak, dtype=np.uint8)
+
+    def take(self, shape: tuple, dtype=float) -> np.ndarray:
+        start, nbytes = self.used, math.prod(shape) * np.dtype(dtype).itemsize
+        self.used += nbytes
+        self.peak = max(self.peak, self.used)
+        if self.used > self.memory.size:
+            return np.empty(shape, dtype)
+        return self.memory[start:start + nbytes].view(dtype).reshape(shape)
+
+
+_ARENA = _Arena()
+
+
 def _normalize(msgs: np.ndarray, axis: int) -> np.ndarray:
     """Scale ``msgs`` in place to unit sum along ``axis``; all-zero ones become uniform."""
     total = msgs.sum(axis=axis, keepdims=True)
@@ -313,28 +340,30 @@ def _normalize(msgs: np.ndarray, axis: int) -> np.ndarray:
     return msgs
 
 
-def _factor_messages(likelihood: np.ndarray, from_symbol: np.ndarray) -> np.ndarray:
-    """Unnormalized factor-to-symbol messages of one flooding sweep.
+def _factor_messages(likelihood: np.ndarray, from_symbol: np.ndarray, out: np.ndarray,
+                     tails: list[np.ndarray]) -> np.ndarray:
+    """Unnormalized factor-to-symbol messages of one flooding sweep, in ``out``.
 
     ``likelihood`` has shape (Q,)*L + (F,): one axis per tap slot and the
     factor axis last; ``from_symbol[t]`` is the (Q, F) array of messages the
     factors receive on slot t.  Message t sums the likelihood over every slot
     but t, each weighted by its incoming message.  The head over slots
     0..t-1 is contracted once and shared by all t, and the tail over slots
-    t+1..L-1 enters as one product weight, so a sweep costs O(Q^L F).
+    t+1..L-1 enters as one product weight, so a sweep costs O(Q^L F).  The
+    tails of slots 0..L-3 are written to ``tails``, (Q^(L-1-t), F) buffers,
+    and each head after the first over the tail its step has just read.
     """
     degree, q, size = from_symbol.shape
     # tails[t][r, i]: product of the messages on slots t+1.. at tail index r
-    tails = [None] * degree
-    for t in range(degree - 2, -1, -1):
-        later = tails[t + 1]
-        tails[t] = from_symbol[t + 1] if later is None else (
-            from_symbol[t + 1][:, None, :] * later).reshape(-1, size)
-    out = np.empty_like(from_symbol)
+    tails = [*tails, from_symbol[-1]]
+    for t in range(degree - 3, -1, -1):
+        np.multiply(from_symbol[t + 1][:, None, :], tails[t + 1],
+                    out=tails[t].reshape(q, -1, size))
     head = likelihood.reshape(q, -1, size)
     for t in range(degree - 1):
         np.einsum("vri,ri->vi", head, tails[t], out=out[t])
-        head = np.einsum("vri,vi->ri", head, from_symbol[t]).reshape(q, -1, size)
+        head = np.einsum("vri,vi->ri", head, from_symbol[t],
+                         out=out[-1] if t == degree - 2 else tails[t]).reshape(q, -1, size)
     out[-1] = head.reshape(q, size)
     return out
 
@@ -369,33 +398,24 @@ def spa_detect(
     marks the unknown symbols of every frame; cells outside it are known
     zeros (the caller cancels any pilot beforehand).
 
-    The variable nodes are the data symbols, each with one edge per kept
-    tap, and the factors the received cells that reach at least one data
-    symbol.  A factor keeps the (Q,)*L likelihood tensor of its L slots; a
-    slot on a known symbol has zero gain, so the tensor is constant along
-    it, and reads the uniform message 1/Q.  The factor update contracts the
-    tensor with the incoming messages (:func:`_factor_messages`), O(Q^L)
-    per factor and sweep; the likelihood is held for all Q^L joint
-    configurations, so Q^L is capped by ``_SPA_MAX_CONFIGS``.  An empty
-    truncation (an all-zero channel estimate) leaves the uniform prior,
-    decided as constellation index 0, after 0 sweeps.
-
-    All frames of a stack share one graph (:func:`_spa_graph`) and one
-    flood (:func:`_flood`) with L the largest degree: a frame that keeps
-    d < L taps gives its factors L - d pad slots of zero gain, which read
-    the point mass [1, 0, ..] and leave its numbers exact.  Each frame
-    stops on its own, its messages frozen in place, so every frame gets bit
-    for bit its result alone; at most ``_SPA_MAX_CONFIGS // Q^L`` frames
-    share a flood.  The report covers the D cells of ``data_mask`` (all NM
-    without one) in row-major order, as :func:`tf_lmmse_detect` does for a
-    layout: a stack returns (B, D) ``soft`` and ``hard_indices`` and
-    (B, D, Q) ``marginals``.  ``iterations`` counts the sweeps the call
-    ran, for one frame its iterations, and ``frame_iterations`` holds each
-    frame's own count, the ``iterations`` it gets alone: (B,) integers for
-    a stack, one for a frame.  A ``y_frame`` not shaped as ``channel.taps``,
-    a ``data_mask`` not shaped as the grid, or an ``n0`` that is neither one
-    value nor one per frame, or not finite and nonnegative, raises
-    ``ValueError``.
+    The graph is the one the module docstring describes: a factor keeps the
+    (Q,)*L likelihood of its L slots, and its update (:func:`_factor_messages`)
+    costs O(Q^L) per sweep, so Q^L is capped by ``_SPA_MAX_CONFIGS``.  An
+    empty truncation (an all-zero channel estimate) leaves the uniform
+    prior, decided as constellation index 0, after 0 sweeps.  At most
+    ``_SPA_MAX_CONFIGS // Q^L`` frames of a stack at a time share one graph
+    (:func:`_spa_graph`) and one flood (:func:`_flood`), L their largest
+    degree; each stops on its own, its messages frozen in place, so it gets
+    bit for bit its result alone.  The report covers the D cells of
+    ``data_mask`` (all NM without one) in row-major order, as
+    :func:`tf_lmmse_detect` does for a layout: a stack returns (B, D)
+    ``soft`` and ``hard_indices`` and (B, D, Q) ``marginals``.
+    ``iterations`` counts the sweeps the call ran, for one frame its
+    iterations, and ``frame_iterations`` holds each frame's own count, the
+    ``iterations`` it gets alone: (B,) integers for a stack, one for a
+    frame.  A ``y_frame`` not shaped as ``channel.taps``, a ``data_mask``
+    not shaped as the grid, or an ``n0`` that is neither one value nor one
+    per frame, or not finite and nonnegative, raises ``ValueError``.
     """
     if channel.truncation is None:
         raise ValueError("sum-product detection needs a tap-truncated channel")
@@ -433,8 +453,7 @@ def spa_detect(
     belief = np.full((len(taps), cells.size, q), 1.0 / q)
     live = np.flatnonzero((degrees > 0) & (cells.size > 0))
     step = _SPA_MAX_CONFIGS // q ** int(degrees[live].max(initial=0))
-    sweeps = 0
-    frame_sweeps = np.zeros(len(taps), dtype=np.int64)
+    sweeps, frame_sweeps = 0, np.zeros(len(taps), dtype=np.int64)
     for first in range(0, live.size, step):
         batch = live[first:first + step]
         graph = _spa_graph(y[batch], taps[batch], truncation[batch], sigma2[batch], points, data)
@@ -479,7 +498,9 @@ def _spa_graph(
     (slot * Q + value) * columns + column.  On slot t a factor reads its
     symbol's column, constant slot L (1/Q) where that symbol is known and
     slot L + 1 (the point mass) on a pad slot; a data symbol reads its
-    factor's column, or slot L + 1 (1) on a pad slot.
+    factor's column, or slot L + 1 (1) on a pad slot.  The likelihood, and
+    each degree's (F_d, Q^d) means and part behind it, are taken in the
+    thread's :class:`_Arena`, reset here: a graph lasts until its next call.
     """
     frames, n, m = taps.shape
     q = points.size
@@ -526,20 +547,22 @@ def _spa_graph(
     tap = np.take_along_axis(taps.reshape(frames, -1), kept, axis=1)
     gains = np.where(on_data, tap[frame_of], 0.0)
     y = y[live]
-    likelihood = np.empty((q ** degree, width))
+    _ARENA.reset()
+    likelihood = _ARENA.take((q ** degree, width))
     for d in sorted(set(degrees.tolist())):
         cols = np.flatnonzero(degrees[frame_of] == d)
         configs = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
-        means = gains[cols, degree - d:] @ points[configs].T      # (F_d, Q^d)
+        means = np.matmul(gains[cols, degree - d:], points[configs].T,   # (F_d, Q^d)
+                          out=_ARENA.take((cols.size, configs.shape[0]), complex))
         np.subtract(y[cols, None], means, out=means)
-        part = np.empty((configs.shape[0], cols.size))
+        part = _ARENA.take((configs.shape[0], cols.size))
         np.abs(means.T, out=part)
-        del means
         part **= 2
         part -= part.min(axis=0)                             # scale-free normalization
         part /= -sigma2[frame_of[cols]]
         np.exp(part, out=part)
         likelihood.reshape(q ** (degree - d), -1, width)[:, :, cols] = part
+        _ARENA.used = likelihood.nbytes                       # frees means and part
     return _SpaGraph(likelihood.reshape((q,) * degree + (width,)), at_factors, at_symbols, counts)
 
 
@@ -553,34 +576,41 @@ def _flood(graph: _SpaGraph, iters: int, damping: float) -> tuple[np.ndarray, np
     sweeps, freezes: its factor columns take the damping weights 1 and 0,
     which leave its messages bit for bit as they are.  The flood stops once
     every frame is frozen.  Returns the (B, D, Q) beliefs of the data cells
-    and the (B,) sweeps each frame ran before it froze.
+    and the (B,) sweeps each frame ran before it froze.  The message
+    buffers and the sweeps' work arrays (both gathers, the new messages,
+    their change and the tails, which the heads reuse) are taken once, in
+    the arena behind the likelihood, and serve every sweep: the arena holds
+    one flood, at most ``_SPA_MAX_CONFIGS // Q^L`` frames, whatever the
+    trial count.
     """
     degree, q, width = graph.at_factors.shape
-    counts = graph.counts
-    frames = counts.size
+    counts, frames = graph.counts, graph.counts.size
     # to_symbol[t, :, f] leaves factor f on slot t and from_symbol[t, :, f]
     # enters it, gathered from the symbols' messages ``out``.  A frame's move
     # is the largest over its consecutive factor columns; ``keep`` and
     # ``step`` weigh the old and new messages of each column.
-    to_buffer = np.empty((degree + 2, q, width))
+    to_buffer = _ARENA.take((degree + 2, q, width))
     to_buffer[:degree + 1] = 1.0 / q
     to_buffer[degree + 1] = 1.0
     to_symbol = to_buffer[:degree]
-    from_buffer = np.empty((degree + 2, q, graph.at_symbols.shape[2]))
+    from_buffer = _ARENA.take((degree + 2, q, graph.at_symbols.shape[2]))
     from_buffer[:degree + 1] = 1.0 / q
     from_buffer[degree + 1] = (np.arange(q) == 0)[:, None]
     out = from_buffer[:degree]
-    from_symbol = from_buffer.take(graph.at_factors)
-    prefix = np.ones_like(out)
-    suffix = np.ones_like(out)
+    prefix, suffix, incoming = _ARENA.take((3,) + out.shape)
+    prefix[0] = suffix[-1] = 1.0
+    from_symbol, new_msgs, change = _ARENA.take((3,) + to_symbol.shape)
+    tails = [_ARENA.take((q ** (degree - 1 - t), width)) for t in range(degree - 2)]
     starts = np.cumsum(counts) - counts
     keep, step = np.full(width, 1.0 - damping), np.full(width, damping)
     running = np.ones(frames, dtype=bool)
     ran = np.zeros(frames, dtype=np.int64)
     for sweeps in range(1, iters + 1):
-        new_msgs = _normalize(_factor_messages(graph.likelihood, from_symbol), axis=1)
-        change = np.abs(new_msgs - to_symbol).reshape(degree * q, -1).max(axis=0)
-        moved = np.maximum.reduceat(change, starts)
+        # take's default mode would gather through a temporary
+        np.take(from_buffer, graph.at_factors, out=from_symbol, mode="clip")
+        _normalize(_factor_messages(graph.likelihood, from_symbol, new_msgs, tails), axis=1)
+        np.abs(np.subtract(new_msgs, to_symbol, out=change), out=change)
+        moved = np.maximum.reduceat(change.reshape(degree * q, -1).max(axis=0), starts)
         to_symbol *= keep
         new_msgs *= step
         to_symbol += new_msgs
@@ -596,13 +626,12 @@ def _flood(graph: _SpaGraph, iters: int, damping: float) -> tuple[np.ndarray, np
 
         # leave-one-out product over each symbol's slots: exclusive prefix
         # times exclusive suffix products (prefix[0] and suffix[-1] stay 1)
-        incoming = to_buffer.take(graph.at_symbols)
+        np.take(to_buffer, graph.at_symbols, out=incoming, mode="clip")
         for t in range(1, degree):
             np.multiply(prefix[t - 1], incoming[t - 1], out=prefix[t])
             np.multiply(suffix[-t], incoming[-t], out=suffix[-t - 1])
         _normalize(np.multiply(prefix, suffix, out=out), axis=1)
-        from_symbol = from_buffer.take(graph.at_factors)
 
-    belief = np.prod(to_buffer.take(graph.at_symbols), axis=0)
+    belief = np.prod(np.take(to_buffer, graph.at_symbols, out=incoming, mode="clip"), axis=0)
     belief = np.ascontiguousarray(belief.reshape(q, frames, -1).transpose(1, 2, 0))
     return _normalize(belief, axis=2), ran

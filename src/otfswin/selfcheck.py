@@ -195,7 +195,8 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
                     if s != t:
                         weight *= from_symbol[s, config[s]]
                 slow[t, config[t]] += weight
-        fast = det_mod._factor_messages(likelihood, from_symbol)
+        tails = [np.empty((q ** (degree - 1 - t), size)) for t in range(degree - 2)]
+        fast = det_mod._factor_messages(likelihood, from_symbol, np.empty_like(from_symbol), tails)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
     check("detection.spa_factor_update_vs_enumeration", worst, 1e-12)
 

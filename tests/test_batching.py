@@ -10,6 +10,9 @@ byte-identical only if this holds, so the comparisons are exact
 """
 
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -912,3 +915,99 @@ def test_spa_frame_iterations_are_each_frames_alone(constellation, degrees, mask
         # one flood, in which frames stop at different sweeps
         assert len(set(counts) - {0}) > 1, counts
         assert stack.iterations == max(counts)
+
+
+# --- the sum-product scratch arena: one per thread, reused across calls
+
+BPSK = Constellation.bpsk()
+
+
+def spa_stacks():
+    """Stacks of both constellations and of several sizes, each with its
+    detection arguments."""
+    rng = np.random.default_rng(44)
+    cases = {"bpsk": (BPSK, (3, 1, 4, 2)), "bpsk-large": (BPSK, (5, 4, 5, 5, 3, 5, 5, 5)),
+             "bpsk-small": (BPSK, (2,)), "qpsk": (QPSK, (2, 3, 1)),
+             "qpsk-large": (QPSK, (4, 3, 4, 4, 4)), "qpsk-small": (QPSK, (1, 2))}
+    return {name: (*spa_frames(rng, constellation, degrees, 0.1), constellation)
+            for name, (constellation, degrees) in cases.items()}
+
+
+def spa_report(y, channel, constellation):
+    return spa_detect(y, channel, 0.1, constellation, iters=6, data_mask=SPA_MASK)
+
+
+def assert_same_spa_report(got, want) -> None:
+    for field in ("soft", "hard_indices", "marginals", "frame_iterations"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert got.iterations == want.iterations
+
+
+def test_spa_arena_reuse_keeps_each_stacks_report(monkeypatch):
+    # a stack detected right after a larger or a smaller one, of either
+    # constellation, gives the report a fresh arena gives, and so it does
+    # in an arena filled with NaN: it reads no byte it did not write
+    stacks = spa_stacks()
+    fresh = {}
+    for name in ("bpsk", "qpsk"):
+        monkeypatch.setattr(detection, "_ARENA", detection._Arena())
+        fresh[name] = spa_report(*stacks[name])
+    arena = detection._Arena()
+    monkeypatch.setattr(detection, "_ARENA", arena)
+    for before, name in [("qpsk-large", "bpsk"), ("qpsk-small", "bpsk"), ("bpsk", "bpsk"),
+                         ("bpsk-large", "qpsk"), ("bpsk-small", "qpsk"), ("qpsk", "qpsk")]:
+        spa_report(*stacks[before])
+        assert_same_spa_report(spa_report(*stacks[name]), fresh[name])
+        arena.reset()
+        arena.memory[:] = 0xFF
+        assert_same_spa_report(spa_report(*stacks[name]), fresh[name])
+        # no view past the end: the whole flood ran in the NaN-filled arena
+        assert arena.peak <= arena.memory.size
+
+
+def test_spa_threads_detect_in_their_own_arenas():
+    # more threads than cores detect different stacks at once, each many
+    # times over, switching often: a shared arena would mix their buffers
+    stacks = spa_stacks()
+    names = ("bpsk-large", "qpsk-large", "bpsk", "qpsk")
+    alone = {name: spa_report(*stacks[name]) for name in names}
+    start = threading.Barrier(len(names))
+
+    def detect(name):
+        start.wait(timeout=60)
+        return [spa_report(*stacks[name]) for _ in range(6)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(names)) as pool:
+            results = list(pool.map(detect, names, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for name, reports in zip(names, results):
+        for report in reports:
+            assert_same_spa_report(report, alone[name])
+
+
+def test_spa_warm_call_reuses_the_arena(monkeypatch):
+    # the first call records what it takes, the second grows the arena to
+    # that, and a third on the same shapes takes all of it from there
+    y, channel, constellation = spa_stacks()["bpsk-large"]
+    arena = detection._Arena()
+    monkeypatch.setattr(detection, "_ARENA", arena)
+    graphs = []
+    build = detection._spa_graph
+
+    def spy(*args):
+        graphs.append(build(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(detection, "_spa_graph", spy)
+    first = spa_report(y, channel, constellation)
+    assert arena.memory.size == 0 and not np.shares_memory(graphs[-1].likelihood, arena.memory)
+    spa_report(y, channel, constellation)
+    memory, peak = arena.memory, arena.peak
+    assert memory.size == peak > 0
+    assert_same_spa_report(spa_report(y, channel, constellation), first)
+    assert arena.memory is memory and arena.peak == peak
+    assert np.shares_memory(graphs[-1].likelihood, memory)
