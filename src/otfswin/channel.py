@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import cmath
 import io
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import FrameGrid, frame_noise
-from .transforms import isfft, sfft
+# perfbench's tracer wraps isfft and sfft where this module looks them up
+from .transforms import _check_frames, _into, _isfft_into, isfft, sfft  # noqa: F401
+from .workspace import WORKSPACE
 from .windows import WindowPair
 
 
@@ -128,12 +131,20 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarra
     - a row with a redraw, once its stream is rewound by its words.
     """
     high = np.asarray(spans)
+    return _bounded_draws_into(generators, high, np.empty((len(generators), high.size),
+                                                          dtype=np.int64))
+
+
+def _bounded_draws_into(generators: Sequence[np.random.Generator], high: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """:func:`bounded_draws` of the spans ``high`` written to the (B, K)
+    int64 ``out``, with the raw words in the thread's workspace."""
     if high.ndim != 1 or high.dtype.kind not in "iu":
-        raise ValueError(f"spans must be a vector of integers, got {spans!r}")
+        raise ValueError(f"spans must be a vector of integers, got {high!r}")
     least, most = (int(high.min()), int(high.max())) if high.size else (1, 1)
     if not 1 <= least <= most < 2**32:
         raise ValueError(f"spans must lie in [1, 2**32), got {least} .. {most}")
-    shape = (len(generators), high.size)
+    shape = out.shape
 
     def own_calls(gens: Sequence[np.random.Generator]) -> list[np.ndarray]:
         # with scalar bounds where all spans are equal, numpy's faster call
@@ -143,9 +154,11 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarra
 
     draws = high.size if least > 1 else int(np.count_nonzero(high > 1))
     if draws % 2 or shape[0] < 2 or len({id(gen.bit_generator) for gen in generators}) < shape[0]:
-        return np.array(own_calls(generators), dtype=np.int64).reshape(shape)
+        out[...] = np.array(own_calls(generators), dtype=np.int64).reshape(shape)
+        return out
     if most == 1:
-        return np.zeros(shape, dtype=np.int64)
+        out[...] = 0
+        return out
     # the columns that draw, None for all of them
     columns = np.flatnonzero(high > 1) if least == 1 else None
     words = draws // 2
@@ -153,19 +166,25 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarra
     slow = [i for i, bit_generator in enumerate(bit_generators)
             if _holds_half_or_is_not_pcg64(bit_generator)]
     fast = [i for i in range(shape[0]) if i not in slow]
-    out = None if not slow and columns is None else np.zeros(shape, dtype=np.int64)
+    # every row drawn as one block lands in ``out`` itself
+    whole = not slow and columns is None
+    if not whole:
+        out[...] = 0
     if fast:
+        mark = WORKSPACE.used
         # little-endian words read as uint32 pairs are (low, high) halves on any host
-        raw = np.empty((len(fast), words), dtype="<u8")
+        raw = WORKSPACE.take((len(fast), words), "<u8")
         for i, row in zip(fast, raw):
             row[...] = bit_generators[i].random_raw(words)
         # a vector, not a numpy scalar: numpy 1.x would promote a scalar
         # by its value and keep the products at 32 bits
         block = (high if columns is None else high[columns]).astype(np.uint64)
-        halves = raw.view("<u4") * block
+        halves = np.multiply(raw.view("<u4"), block, out=out.view(np.uint64) if whole else
+                             WORKSPACE.take((len(fast), draws), np.uint64))
         # a power of two divides 2**32: numpy never redraws it
         if (block & (block - np.uint64(1))).any():
-            low = halves & np.uint64(0xFFFFFFFF)
+            low = np.bitwise_and(halves, np.uint64(0xFFFFFFFF),
+                                 out=WORKSPACE.take(halves.shape, np.uint64))
             # numpy's redraw bound (2**32 - span) % span is below the span
             if (low < most).any():
                 redraw = (low < (2**32 - block) % block).any(axis=1)
@@ -173,12 +192,11 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarra
                     bit_generators[fast[j]].advance(-words)
                     slow.append(fast[j])
         np.right_shift(halves, np.uint64(32), out=halves)
-        if out is None:
-            out = halves.view(np.int64)
-        elif columns is None:
+        if columns is None and not whole:
             out[fast] = halves
-        else:
+        elif not whole:
             out[np.ix_(fast, columns)] = halves
+        WORKSPACE.used = mark
     for i, row in zip(slow, own_calls([generators[i] for i in slow])):
         out[i] = row
     return out
@@ -283,6 +301,13 @@ def tf_channel(ch: ChannelRealization) -> np.ndarray:
     M or above are valid.  Fractional delays (ROADMAP item 22) will need a
     delay phase path of their own.
     """
+    out = np.empty(np.shape(ch.gains)[:-1] + ch.grid.shape, dtype=complex)
+    return _tf_channel_into(ch, out)
+
+
+def _tf_channel_into(ch: ChannelRealization, out: np.ndarray) -> np.ndarray:
+    """:func:`tf_channel` of ``ch`` written to the complex ``out`` of its
+    shape, with the per-path products in the thread's workspace."""
     grid = ch.grid
     gains, nu, bins = np.atleast_2d(ch.gains, ch.doppler_bins + ch.doppler_fracs,
                                     ch.delay_bins)
@@ -312,10 +337,14 @@ def tf_channel(ch: ChannelRealization) -> np.ndarray:
         index = index.reshape(bins.shape)
     table = np.exp(-2j * np.pi * rows[:, None] * np.arange(grid.M) / grid.M)
     delay_ph = table[index]
-    out = doppler[:, 0, :, None] * delay_ph[:, 0, None, :]
+    stack = out.reshape(gains.shape[:1] + grid.shape)
+    np.multiply(doppler[:, 0, :, None], delay_ph[:, 0, None, :], out=stack)
+    mark = WORKSPACE.used
+    term = WORKSPACE.take(stack.shape, complex)
     for p in range(1, gains.shape[1]):
-        out += doppler[:, p, :, None] * delay_ph[:, p, None, :]
-    return out[0] if ch.gains.ndim == 1 else out
+        stack += np.multiply(doppler[:, p, :, None], delay_ph[:, p, None, :], out=term)
+    WORKSPACE.used = mark
+    return out
 
 
 # numpy's cast buffers and the small per-call arrays, counted once per stack
@@ -355,8 +384,20 @@ def _dd_response(tf_grid: np.ndarray, delays: int | None = None) -> np.ndarray:
     """(1/NM) * sum_{n,m} A[n,m] exp(-j2pi nk/N) exp(+j2pi ml/M) for all (k,l),
     per frame of a ``[..., N, M]`` stack.  With ``delays``, only the delay
     columns 0 .. delays - 1, bit for bit: the Doppler FFT runs on those alone."""
+    out = np.empty(tf_grid.shape[:-1] + (tf_grid[..., :delays].shape[-1],), dtype=complex)
+    return _dd_response_into(tf_grid, delays, out)
+
+
+def _dd_response_into(tf_grid: np.ndarray, delays: int | None, out: np.ndarray) -> np.ndarray:
+    """:func:`_dd_response` written to the complex ``out`` of its shape,
+    with its work arrays in the thread's workspace."""
     n = tf_grid.shape[-2]
-    return np.fft.fft(np.fft.ifft(tf_grid, axis=-1)[..., :delays], axis=-2) / n
+    mark = WORKSPACE.used
+    spectra = _into(np.fft.ifft, tf_grid, -1, WORKSPACE.take(tf_grid.shape, complex))
+    taps = _into(np.fft.fft, spectra[..., :delays], -2, WORKSPACE.take(out.shape, complex))
+    np.true_divide(taps, n, out=out)
+    WORKSPACE.used = mark
+    return out
 
 
 def tf_gains_from_taps(tap_grid: np.ndarray, delays: int | None = None) -> np.ndarray:
@@ -367,8 +408,22 @@ def tf_gains_from_taps(tap_grid: np.ndarray, delays: int | None = None) -> np.nd
     delay column delays - 1 (a pilot estimate's), the Doppler IFFT runs on
     columns 0 .. delays - 1 alone and the delay FFT zero-pads them to M,
     bit for bit."""
+    return _tf_gains_from_taps_into(tap_grid, delays,
+                                    np.empty(tap_grid.shape, dtype=complex))
+
+
+def _tf_gains_from_taps_into(tap_grid: np.ndarray, delays: int | None,
+                             out: np.ndarray) -> np.ndarray:
+    """:func:`tf_gains_from_taps` written to the complex ``out`` of the
+    taps' shape, with its work arrays in the thread's workspace."""
     n, m = tap_grid.shape[-2:]
-    return np.fft.fft(np.fft.ifft(tap_grid[..., :delays], axis=-2), n=m, axis=-1) * n
+    columns = tap_grid[..., :delays]
+    mark = WORKSPACE.used
+    doppler = _into(np.fft.ifft, columns, -2, WORKSPACE.take(columns.shape, complex))
+    spectra = _into(np.fft.fft, doppler, -1, WORKSPACE.take(out.shape, complex), n=m)
+    np.multiply(spectra, n, out=out)
+    WORKSPACE.used = mark
+    return out
 
 
 @dataclass(frozen=True)
@@ -508,35 +563,85 @@ def transmit_frame(
     give back its operand), and the noise draws go into unfilled memory
     unless some frame draws none.
     """
-    x_tf = isfft(dd_frame)
-    # a side built all ones costs no multiply; named temporaries keep the
-    # single-frame operand order (see tf_channel)
-    received = x_tf if windows.tx_ones else windows.tx * x_tf
-    received = tf_gain_grid * received
-    n0 = frame_noise(n0, x_tf.shape[:-2])
-    if np.any(n0 > 0.0):
+    frames = _check_frames(dd_frame)
+    sides = [grid for grid, ones in ((windows.tx, windows.tx_ones), (windows.rx, windows.rx_ones))
+             if not ones]
+    shape = np.broadcast_shapes(frames.shape, np.shape(tf_gain_grid), *(s.shape for s in sides))
+    received = _transmit_frame_into(frames, tf_gain_grid, windows, n0, rng,
+                                    np.empty(shape, dtype=complex))
+    return sfft(received) if demodulate else received
+
+
+def _transmit_frame_into(
+    dd_frame: np.ndarray,
+    tf_gain_grid: np.ndarray,
+    windows: WindowPair,
+    n0: float | np.ndarray,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None,
+    out: np.ndarray,
+) -> np.ndarray:
+    """The RX-windowed TF grids of :func:`transmit_frame` written to the
+    complex ``out`` of their broadcast shape.
+
+    The modulated frames and each product after them go to ``out`` and one
+    spare grid in turn, so the last product lands in ``out``; the noise and
+    its draws take one more grid and the spare, where the noise is added.
+    So the chain holds at most two grids of the thread's workspace."""
+    n0 = frame_noise(n0, dd_frame.shape[:-2])
+    noisy = bool(np.any(n0 > 0.0))
+    if noisy:
         if rng is None:
             raise ValueError("noise requested but no rng supplied")
-        shape = x_tf.shape[-2:]
         generators = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-        if len(generators) * shape[0] * shape[1] != x_tf.size:
+        if len(generators) * dd_frame.shape[-2] * dd_frame.shape[-1] != dd_frame.size:
             raise ValueError("a stack of frames needs one generator per frame")
+    mark = WORKSPACE.used
+    buffers = (out, WORKSPACE.take(out.shape, complex))
+    # each step flips the buffer, and the modulation takes the one that
+    # puts the last step in ``out``
+    at = 1 - ((not windows.tx_ones) + 1 + noisy + (not windows.rx_ones)) % 2
+
+    def into(shape: tuple) -> np.ndarray:
+        nonlocal at
+        at = 1 - at
+        if shape == out.shape:
+            return buffers[at]
+        # a step before the broadcast to the full shape
+        return buffers[at].reshape(-1)[:math.prod(shape)].reshape(shape)
+
+    def product(ufunc, a, b) -> np.ndarray:
+        return ufunc(a, b, out=into(np.broadcast(a, b).shape))
+
+    received = _isfft_into(dd_frame, into(dd_frame.shape))
+    # a side built all ones costs no multiply; named operands keep the
+    # single-frame operand order (see tf_channel)
+    if not windows.tx_ones:
+        received = product(np.multiply, windows.tx, received)
+    received = product(np.multiply, tf_gain_grid, received)
+    if noisy:
+        shape = dd_frame.shape[-2:]
         scale = np.sqrt(n0 / 2.0)
-        frame_scales = (np.zeros(x_tf.shape[:-2]) + scale).reshape(-1).tolist()
-        # frame i's (2, N, M) draws: its real plane, then its imaginary plane;
-        # a frame at zero noise power draws nothing and keeps zeros
-        draws = (np.empty if min(frame_scales) > 0.0 else np.zeros)(
-            (len(generators), 2) + shape)
+        frame_scales = (np.zeros(dd_frame.shape[:-2]) + scale).reshape(-1).tolist()
+        noise = WORKSPACE.take(dd_frame.shape, complex)
+        # frame i's (2, N, M) draws, in the noise grid's bytes: its real
+        # plane, then its imaginary plane; a frame at zero noise power draws
+        # nothing and keeps zeros
+        draws = noise.reshape(-1).view(float).reshape((len(generators), 2) + shape)
+        if min(frame_scales) <= 0.0:
+            draws[...] = 0.0
         for gen, frame_draws, frame_scale in zip(generators, draws, frame_scales):
             if frame_scale > 0.0:
                 gen.standard_normal(out=frame_draws)
-        noise = np.empty((len(generators),) + shape, dtype=complex)
-        noise.real, noise.imag = draws[:, 0], draws[:, 1]
-        noise = noise.reshape(x_tf.shape)
-        received = received + scale[..., None, None] * noise
+        # the unit-power noise goes where the sum will
+        unit = into(dd_frame.shape)
+        at = 1 - at
+        unit.real, unit.imag = draws[:, 0].reshape(unit.shape), draws[:, 1].reshape(unit.shape)
+        np.multiply(scale[..., None, None], unit, out=noise)
+        received = product(np.add, received, noise)
     if not windows.rx_ones:
-        received = windows.rx * received
-    return sfft(received) if demodulate else received
+        product(np.multiply, windows.rx, received)
+    WORKSPACE.used = mark
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,6 @@ with message damping.
 from __future__ import annotations
 
 import itertools
-import math
-import threading
 import weakref
 from dataclasses import dataclass
 
@@ -37,7 +35,8 @@ from .channel import EffectiveDDChannel
 from .errors import ConfigurationError, NumericalFailure
 from .estimation import PilotLayout
 from .grid import Constellation, frame_noise
-from .transforms import dft_matrix, sfft
+from .transforms import _into, _sfft_into, dft_matrix
+from .workspace import WORKSPACE, Workspace
 
 
 # ---------------------------------------------------------------------------
@@ -152,44 +151,75 @@ def tf_lmmse_detect(
     is nonzero, a pair no joint window gives, since g carries the RX window.
     """
     r = np.asarray(received, dtype=complex)
-    g = np.asarray(tf_gains, dtype=complex)
+    cells = r.shape[-2] * r.shape[-1] if layout is None else int(layout.data_mask.sum())
+    soft = _tf_lmmse_into(r, np.asarray(tf_gains, dtype=complex), rx_window, n0, layout,
+                          np.empty(r.shape[:-2] + (cells,), dtype=complex))
+    hard = constellation.nearest_indices(soft).reshape(soft.shape)
+    return DetectionReport(soft=soft, hard_indices=hard)
+
+
+def _tf_lmmse_into(r: np.ndarray, g: np.ndarray, rx_window: np.ndarray,
+                   n0: float | np.ndarray, layout: PilotLayout | None,
+                   out: np.ndarray) -> np.ndarray:
+    """The soft estimates of :func:`tf_lmmse_detect` for complex grids r and
+    gains g, written to the complex ``out`` of their [..., cells] shape,
+    with every grid of the solve in the thread's workspace.  No complex
+    step writes over one of its operands (see ``channel.tf_channel``)."""
     n0 = frame_noise(n0, r.shape[:-2])
+    rx = np.asarray(rx_window)
     try:
-        noise_tf = n0[..., None, None] * np.abs(np.asarray(rx_window)) ** 2
-        fits = np.broadcast(noise_tf, r).shape == r.shape
+        fits = np.broadcast(n0[..., None, None], rx, r).shape == r.shape
     except ValueError:
         fits = False
     if not fits or g.shape != r.shape:
         raise ValueError("observation, gain and window grids must share one shape")
-    denom = np.abs(g) ** 2 + noise_tf
+    mark = WORKSPACE.used
+    # n0 |v|^2, broadcast to the grids, and d = |g|^2 + n0 |v|^2: real, so
+    # exact in place
+    noise_tf, denom = WORKSPACE.take((2,) + r.shape)
+    power = np.abs(rx, out=WORKSPACE.take(rx.shape))
+    np.multiply(n0[..., None, None], np.square(power, out=power), out=noise_tf)
+    np.abs(g, out=denom)
+    np.add(np.square(denom, out=denom), noise_tf, out=denom)
     if not np.all(denom > 0):
         raise NumericalFailure(
             "LMMSE solve is singular (a TF bin with zero gain and zero noise); "
             "refusing to regularize implicitly"
         )
-    weighted = np.conj(g) / denom * r
+    # conj(g) / d * r, each complex step into a grid that is not its operand
+    weighted, other, *spare = WORKSPACE.take((2 if layout is None else 3,) + r.shape, complex)
+    np.true_divide(np.conj(g, out=weighted), denom, out=other)
+    np.multiply(other, r, out=weighted)
     if layout is None:
-        soft = sfft(weighted).reshape(r.shape[:-2] + (-1,))
+        _sfft_into(weighted, out.reshape(r.shape))
     else:
-        residual = noise_tf / denom
+        residual = np.true_divide(noise_tf, denom, out=denom)
         try:
-            correction = residual * _guard_weights(weighted, residual, layout)
+            weights = _guard_weights(weighted, residual, layout, other)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(
                 "LMMSE guard downdate is singular; refusing to regularize implicitly"
             ) from exc
-        soft = sfft(weighted - correction)[..., layout.data_mask]
-    if not np.all(np.isfinite(soft)):
+        correction = np.multiply(residual, weights, out=spare[0])
+        dd = _sfft_into(np.subtract(weighted, correction, out=other), spare[0])
+        dd.reshape(out.shape[:-1] + (-1,)).take(_data_cells(layout), axis=-1, out=out)
+    WORKSPACE.used = mark
+    if not np.all(np.isfinite(out)):
         raise NumericalFailure("LMMSE estimate is not finite")
-    hard = constellation.nearest_indices(soft).reshape(soft.shape)
-    return DetectionReport(soft=soft, hard_indices=hard)
+    return out
+
+
+def _data_cells(layout: PilotLayout) -> np.ndarray:
+    """The flat row-major indices of ``layout``'s data cells."""
+    return _guard_plan(layout).data_cells
 
 
 @dataclass(frozen=True)
 class _GuardPlan:
     """What the guard downdate of one layout needs besides the frames: the
     guard's delay band, its Toeplitz lags, and the Doppler DFT rows and
-    columns at the rows Kc outside the guard."""
+    columns at the rows Kc outside the guard; and the data cells the
+    estimate is read at."""
 
     band: np.ndarray       # (b,) delay columns of the guard band
     toeplitz: np.ndarray   # (b, b) delay column of the lag l - l' mod M
@@ -197,6 +227,7 @@ class _GuardPlan:
     from_rest: np.ndarray  # (N, |Kc|) Doppler IFFT columns at Kc
     lag_dft: np.ndarray    # (L, N) Doppler FFT rows / N at the L distinct k - k', k, k' in Kc
     lag_pairs: np.ndarray  # (|Kc|, |Kc|) row of lag_dft at k - k'
+    data_cells: np.ndarray  # (D,) flat row-major indices of the data cells
 
 
 # The guard plan of each live layout: built at its first downdate, dropped
@@ -220,17 +251,19 @@ def _guard_plan(layout: PilotLayout) -> _GuardPlan:
     to_rest = np.exp(-2j * np.pi * np.outer(rest, np.arange(n)) / n)
     plan = _GuardPlan(band, toeplitz, to_rest, to_rest.conj().T / n,
                       np.exp(-2j * np.pi * np.outer(lags, np.arange(n)) / n) / n,
-                      lag_pairs.reshape(rest.size, rest.size))
+                      lag_pairs.reshape(rest.size, rest.size), np.flatnonzero(layout.data_mask))
     for array in vars(plan).values():
         array.flags.writeable = False
     _GUARD_PLANS[layout] = plan
     return plan
 
 
-def _guard_weights(weighted: np.ndarray, residual: np.ndarray, layout: PilotLayout) -> np.ndarray:
+def _guard_weights(weighted: np.ndarray, residual: np.ndarray, layout: PilotLayout,
+                   out: np.ndarray) -> np.ndarray:
     """The TF grid isfft(W) of the guard weights w = E[G, G]^(-1) x0[G]
-    placed on the guard cells G of ``layout`` (W zero elsewhere), per frame
-    of [..., N, M] stacks of TF grids ``weighted`` and ``residual``: x0 =
+    placed on the guard cells G of ``layout`` (W zero elsewhere), written to
+    the complex ``out``, per frame of [..., N, M] stacks of TF grids
+    ``weighted`` and ``residual``: x0 =
     sfft(weighted) is the full-data estimate and E the circular operator of
     the residual's DD response.
 
@@ -265,10 +298,15 @@ def _guard_weights(weighted: np.ndarray, residual: np.ndarray, layout: PilotLayo
     if np.any(np.count_nonzero(residual, axis=-1) < b):
         raise np.linalg.LinAlgError("a time slot's band block is singular")
     batch = weighted.shape[:-2]
-    spectra, lags = np.fft.ifft(np.stack((weighted, residual)), axis=-1)
+    mark = WORKSPACE.used
+    both, transformed = WORKSPACE.take((2, 2) + weighted.shape, complex)
+    both[0], both[1] = weighted, residual
+    spectra, lags = _into(np.fft.ifft, both, -1, transformed)
     # the Doppler IFFT of x0 on the band, times sqrt(N / M)
     rhs = spectra[..., band]
-    inverse = np.linalg.inv(lags[..., plan.toeplitz])
+    blocks = lags.take(plan.toeplitz, axis=-1,
+                       out=WORKSPACE.take(lags.shape[:-1] + plan.toeplitz.shape, complex))
+    inverse = np.linalg.inv(blocks)
     if rest:
         # less x0's rows Kc: the Doppler IFFT of [x0_G; 0]
         rhs = rhs - plan.from_rest @ (plan.to_rest @ rhs)
@@ -280,9 +318,13 @@ def _guard_weights(weighted: np.ndarray, residual: np.ndarray, layout: PilotLayo
         u = np.linalg.solve(q_cc, z_rest.reshape(batch + (size, 1)))
         # the Doppler IFFT of [x0_G; -u]
         rhs = rhs - plan.from_rest @ u.reshape(batch + (rest, b))
-    placed = np.zeros(batch + (n, m), dtype=complex)
+    # the grid weighted was copied into is free again
+    placed = both[0]
+    placed[...] = 0.0
     placed[..., band] = (inverse @ rhs[..., None])[..., 0]
-    return np.fft.fft(placed, axis=-1)
+    _into(np.fft.fft, placed, -1, out)
+    WORKSPACE.used = mark
+    return out
 
 
 def analytic_detection_mse(lam: np.ndarray, x: np.ndarray) -> float:
@@ -304,29 +346,9 @@ def analytic_detection_mse(lam: np.ndarray, x: np.ndarray) -> float:
 # sum-product detector
 # ---------------------------------------------------------------------------
 
-class _Arena(threading.local):
-    """A thread's grow-only scratch memory.  ``take`` hands out views one
-    after another (past the end, plain arrays); ``used`` set back frees
-    those taken since, and ``reset`` frees all views and grows the memory to
-    the most ever taken, so it never grows while a view of it is in use."""
-
-    memory, used, peak = np.empty(0, dtype=np.uint8), 0, 0
-
-    def reset(self) -> None:
-        self.used = 0
-        if self.peak > self.memory.size:
-            self.memory = np.empty(self.peak, dtype=np.uint8)
-
-    def take(self, shape: tuple, dtype=float) -> np.ndarray:
-        start, nbytes = self.used, math.prod(shape) * np.dtype(dtype).itemsize
-        self.used += nbytes
-        self.peak = max(self.peak, self.used)
-        if self.used > self.memory.size:
-            return np.empty(shape, dtype)
-        return self.memory[start:start + nbytes].view(dtype).reshape(shape)
-
-
-_ARENA = _Arena()
+# The sum-product detector's own workspace: a flood never overwrites the
+# chunk's grids in the trial path's.
+_ARENA = Workspace()
 
 
 def _normalize(msgs: np.ndarray, axis: int) -> np.ndarray:
@@ -498,9 +520,11 @@ def _spa_graph(
     (slot * Q + value) * columns + column.  On slot t a factor reads its
     symbol's column, constant slot L (1/Q) where that symbol is known and
     slot L + 1 (the point mass) on a pad slot; a data symbol reads its
-    factor's column, or slot L + 1 (1) on a pad slot.  The likelihood, and
-    each degree's (F_d, Q^d) means and part behind it, are taken in the
-    thread's :class:`_Arena`, reset here: a graph lasts until its next call.
+    factor's column, or slot L + 1 (1) on a pad slot.  The index arrays,
+    then the likelihood and each degree's (F_d, Q^d) means and part behind
+    it, are taken in the thread's sum-product
+    :class:`~otfswin.workspace.Workspace`, reset here: a graph lasts until
+    its next call.
     """
     frames, n, m = taps.shape
     q = points.size
@@ -512,13 +536,20 @@ def _spa_graph(
     kept = np.zeros((frames, degree), dtype=np.int64)
     kept[~pad] = truncation[truncation >= 0]
 
+    _ARENA.reset()
+
+    def take(shape: tuple) -> np.ndarray:
+        return _ARENA.take(shape, np.int64)
+
     # factor i of frame b meets symbol sym_of[b, t, i] on tap slot t, and
     # symbol j meets factor obs_of[b, t, j] there: inverse permutations per slot
     doppler, delay = np.divmod(kept[:, :, None], m)
-    sym_of = (((np.arange(n) - doppler) % n)[..., None] * m
-              + ((np.arange(m) - delay) % m)[..., None, :]).reshape(frames, degree, -1)
-    obs_of = (((np.arange(n) + doppler) % n)[..., None] * m
-              + ((np.arange(m) + delay) % m)[..., None, :]).reshape(frames, degree, -1)
+    sym_of = np.add(((np.arange(n) - doppler) % n)[..., None] * m,
+                    ((np.arange(m) - delay) % m)[..., None, :],
+                    out=take((frames, degree, n, m))).reshape(frames, degree, -1)
+    obs_of = np.add(((np.arange(n) + doppler) % n)[..., None] * m,
+                    ((np.arange(m) + delay) % m)[..., None, :],
+                    out=take((frames, degree, n, m))).reshape(frames, degree, -1)
 
     cells = np.flatnonzero(data)
     on_data = data[sym_of] & ~pad[:, :, None]
@@ -531,14 +562,16 @@ def _spa_graph(
     on_data = on_data.transpose(0, 2, 1)[live]
     symbol_col = ((np.cumsum(data) - 1)[sym_of.transpose(0, 2, 1)[live]]
                   + cells.size * frame_of[:, None])
-    reads = np.where(on_data, np.arange(degree) * q * columns + symbol_col,
-                     (degree + pad[frame_of]) * q * columns)
-    at_factors = np.ascontiguousarray(reads.T)[:, None, :] + values * columns
+    reads = _picked(on_data, np.arange(degree) * q * columns + symbol_col,
+                    (degree + pad[frame_of]) * q * columns, take(on_data.shape))
+    at_factors = np.add(reads.T[:, None, :], values * columns, out=take((degree, q, width)))
     factor_col = (np.cumsum(live) - 1).reshape(live.shape)
-    reads = np.where(pad[:, :, None], (degree + 1) * q * width,
-                     np.arange(degree)[:, None] * q * width
-                     + np.take_along_axis(factor_col[:, None, :], obs_of[:, :, cells], axis=2))
-    at_symbols = reads.transpose(1, 0, 2).reshape(degree, 1, columns) + values * width
+    reads = _picked(pad[:, :, None], (degree + 1) * q * width,
+                    np.arange(degree)[:, None] * q * width
+                    + np.take_along_axis(factor_col[:, None, :], obs_of[:, :, cells], axis=2),
+                    take((frames, degree, cells.size)))
+    at_symbols = np.add(reads.transpose(1, 0, 2).reshape(degree, 1, columns), values * width,
+                        out=take((degree, q, columns)))
 
     # likelihood[c_0, .., c_{L-1}, f] of factor f under symbol values c: a
     # tap's gain on a real data slot, 0 elsewhere (known zeros add nothing);
@@ -547,8 +580,8 @@ def _spa_graph(
     tap = np.take_along_axis(taps.reshape(frames, -1), kept, axis=1)
     gains = np.where(on_data, tap[frame_of], 0.0)
     y = y[live]
-    _ARENA.reset()
     likelihood = _ARENA.take((q ** degree, width))
+    graph_bytes = _ARENA.used
     for d in sorted(set(degrees.tolist())):
         cols = np.flatnonzero(degrees[frame_of] == d)
         configs = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
@@ -562,8 +595,15 @@ def _spa_graph(
         part /= -sigma2[frame_of[cols]]
         np.exp(part, out=part)
         likelihood.reshape(q ** (degree - d), -1, width)[:, :, cols] = part
-        _ARENA.used = likelihood.nbytes                       # frees means and part
+        _ARENA.used = graph_bytes                             # frees means and part
     return _SpaGraph(likelihood.reshape((q,) * degree + (width,)), at_factors, at_symbols, counts)
+
+
+def _picked(where: np.ndarray, chosen, other, out: np.ndarray) -> np.ndarray:
+    """``np.where(where, chosen, other)`` written to ``out``."""
+    np.copyto(out, other)
+    np.copyto(out, chosen, where=where)
+    return out
 
 
 def _flood(graph: _SpaGraph, iters: int, damping: float) -> tuple[np.ndarray, np.ndarray]:
@@ -606,8 +646,9 @@ def _flood(graph: _SpaGraph, iters: int, damping: float) -> tuple[np.ndarray, np
     running = np.ones(frames, dtype=bool)
     ran = np.zeros(frames, dtype=np.int64)
     for sweeps in range(1, iters + 1):
-        # take's default mode would gather through a temporary
-        np.take(from_buffer, graph.at_factors, out=from_symbol, mode="clip")
+        # take's default mode would gather through a temporary; the method
+        # skips np.take's Python wrapper
+        from_buffer.take(graph.at_factors, out=from_symbol, mode="clip")
         _normalize(_factor_messages(graph.likelihood, from_symbol, new_msgs, tails), axis=1)
         np.abs(np.subtract(new_msgs, to_symbol, out=change), out=change)
         moved = np.maximum.reduceat(change.reshape(degree * q, -1).max(axis=0), starts)
@@ -626,12 +667,12 @@ def _flood(graph: _SpaGraph, iters: int, damping: float) -> tuple[np.ndarray, np
 
         # leave-one-out product over each symbol's slots: exclusive prefix
         # times exclusive suffix products (prefix[0] and suffix[-1] stay 1)
-        np.take(to_buffer, graph.at_symbols, out=incoming, mode="clip")
+        to_buffer.take(graph.at_symbols, out=incoming, mode="clip")
         for t in range(1, degree):
             np.multiply(prefix[t - 1], incoming[t - 1], out=prefix[t])
             np.multiply(suffix[-t], incoming[-t], out=suffix[-t - 1])
         _normalize(np.multiply(prefix, suffix, out=out), axis=1)
 
-    belief = np.prod(np.take(to_buffer, graph.at_symbols, out=incoming, mode="clip"), axis=0)
+    belief = np.prod(to_buffer.take(graph.at_symbols, out=incoming, mode="clip"), axis=0)
     belief = np.ascontiguousarray(belief.reshape(q, frames, -1).transpose(1, 2, 0))
     return _normalize(belief, axis=2), ran

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import FrameGrid, frame_noise
-from .transforms import isfft
+from .transforms import _into, isfft
+from .workspace import WORKSPACE
 
 
 def _check_spread(n_doppler: int, k_max: int, l_max: int, k_hat: int) -> None:
@@ -165,18 +166,31 @@ def estimate_channel(received: np.ndarray, layout: PilotLayout,
     (any other shape, or a value that is not finite and nonnegative, raises
     ``ValueError``).
     """
+    return _estimate_channel_into(received, layout, n0,
+                                  np.empty(received.shape, dtype=complex))
+
+
+def _estimate_channel_into(received: np.ndarray, layout: PilotLayout,
+                           n0: float | np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`estimate_channel` written to the complex ``out`` of the grids'
+    shape, with the Doppler FFT and the window's rows in the thread's
+    workspace."""
     if received.shape[-2:] != layout.grid.shape:
         raise ValueError("frame shape does not match grid")
     n0 = frame_noise(n0, received.shape[:-2])
     threshold = 3.0 * np.sqrt(n0)
-    est = np.zeros(received.shape, dtype=complex)
     (n, m), (rows, cols) = layout.grid.shape, layout.read_cells
+    mark = WORKSPACE.used
     # sfft(r) = ifft_m(fft_n(r)) * sqrt(M / N), row by row
-    rows_dd = np.fft.ifft(np.fft.fft(received, axis=-2)[..., rows[:, 0], :], axis=-1)
+    doppler = _into(np.fft.fft, received, -2, WORKSPACE.take(received.shape, complex))
+    window, rows_dd = WORKSPACE.take((2,) + received.shape[:-2] + (rows.shape[0], m), complex)
+    rows_dd = _into(np.fft.ifft, doppler.take(rows[:, 0], axis=-2, out=window), -1, rows_dd)
     block = rows_dd[..., cols[0]] * math.sqrt(m / n)
+    WORKSPACE.used = mark
     keep = np.abs(block) >= threshold[..., None, None]
-    est[(..., *layout.tap_cells)] = np.where(keep, block / layout.pilot_value, 0.0)
-    return est
+    out[...] = 0.0
+    out[(..., *layout.tap_cells)] = np.where(keep, block / layout.pilot_value, 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------

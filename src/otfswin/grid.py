@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .workspace import WORKSPACE
+
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
@@ -90,7 +92,8 @@ class Constellation:
 
     @property
     def bits_per_symbol(self) -> int:
-        return int(np.log2(self.points.size))
+        # 2 or 4 points
+        return self.points.size.bit_length() - 1
 
     @classmethod
     def bpsk(cls) -> "Constellation":
@@ -111,6 +114,12 @@ class Constellation:
         """Labels of consecutive groups of ``bits_per_symbol`` bits, first
         bit most significant."""
         bits = np.asarray(bits, dtype=np.int64)
+        return self._indices_into(bits, np.empty(bits.size // self.bits_per_symbol,
+                                                 dtype=np.int64))
+
+    def _indices_into(self, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`bits_to_indices` of the int64 vector ``bits`` written to
+        the int64 ``out``."""
         bps = self.bits_per_symbol
         if bits.ndim != 1 or bits.size % bps:
             raise ValueError("bit count must be a multiple of bits_per_symbol")
@@ -118,13 +127,23 @@ class Constellation:
             raise ValueError("bits must be 0 or 1")
         label = bits[0::bps]
         for first in range(1, bps):
-            label = 2 * label + bits[first::bps]
-        return label
+            label = np.add(np.multiply(label, 2, out=out), bits[first::bps], out=out)
+        if label is not out:
+            np.copyto(out, label)
+        return out
 
     def indices_to_bits(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
+        return self._bits_into(indices, np.empty(indices.shape + (self.bits_per_symbol,),
+                                                 dtype=np.int64)).reshape(-1)
+
+    def _bits_into(self, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The bits of each label of the int64 vector ``indices``, first bit
+        most significant, written to the (labels, bits_per_symbol) int64
+        ``out``."""
         shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
-        return ((indices[:, None] >> shifts) & 1).reshape(-1)
+        np.right_shift(indices[:, None], shifts, out=out)
+        return np.bitwise_and(out, 1, out=out)
 
     def modulate(self, bits: np.ndarray) -> np.ndarray:
         return self.points[self.bits_to_indices(bits)]
@@ -142,10 +161,21 @@ class Constellation:
         coordinate read as non-negative, the lower index.
         """
         symbols = np.ascontiguousarray(symbols, dtype=complex).reshape(-1)
-        negative = symbols.view(float) < 0  # re, im, re, im, ...
-        if self.points.size == 2:
-            return negative[0::2].astype(np.intp)
-        return 2 * negative[0::2] + negative[1::2]
+        return self._nearest_into(symbols, np.empty(symbols.shape, dtype=np.intp))
+
+    def _nearest_into(self, symbols: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`nearest_indices` of the contiguous complex vector
+        ``symbols`` written to the intp ``out`` of its shape, with the signs
+        in the thread's workspace."""
+        mark = WORKSPACE.used
+        # re, im, re, im, ...
+        negative = np.less(symbols.view(float), 0, out=WORKSPACE.take((2 * symbols.size,), bool))
+        np.copyto(out, negative[0::2])
+        if self.points.size == 4:
+            out *= 2
+            out += negative[1::2]
+        WORKSPACE.used = mark
+        return out
 
 
 def frame_noise(n0: float | np.ndarray, frames: tuple[int, ...]) -> np.ndarray:
@@ -186,17 +216,31 @@ def map_symbols(
     expected to overwrite them (pilot embedding).  The bit count per frame
     must match the number of filled cells exactly.
     """
+    bits = np.asarray(bits)
+    return _map_symbols_into(bits, constellation, grid, mask,
+                             np.empty(bits.shape[:-1] + grid.shape, dtype=complex))
+
+
+def _map_symbols_into(bits: np.ndarray, constellation: Constellation, grid: FrameGrid,
+                      mask: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """:func:`map_symbols` of the bit array ``bits`` written to the complex
+    ``out`` of the frames' shape, with the labels and symbols in the
+    thread's workspace."""
     bps = constellation.bits_per_symbol
     n_cells = grid.size if mask is None else int(np.count_nonzero(mask))
-    bits = np.asarray(bits)
     if bits.ndim < 1 or bits.shape[-1] != n_cells * bps:
         raise ValueError(f"expected {n_cells * bps} bits per frame, got {bits.shape}")
-    lead = bits.shape[:-1]
-    symbols = constellation.modulate(bits.reshape(-1)).reshape(lead + (n_cells,))
-    if mask is None:
-        return symbols.reshape(lead + grid.shape)
-    if mask.shape != grid.shape:
+    if mask is not None and mask.shape != grid.shape:
         raise ValueError("mask shape does not match grid")
-    frame = np.zeros(lead + grid.shape, dtype=complex)
-    frame[..., mask] = symbols
-    return frame
+    lead = bits.shape[:-1]
+    mark = WORKSPACE.used
+    labels = constellation._indices_into(np.asarray(bits.reshape(-1), dtype=np.int64),
+                                         WORKSPACE.take((bits.size // bps,), np.int64))
+    if mask is None:
+        constellation.points.take(labels, out=out.reshape(-1))
+    else:
+        symbols = constellation.points.take(labels, out=WORKSPACE.take(labels.shape, complex))
+        out[...] = 0.0
+        out[..., mask] = symbols.reshape(lead + (n_cells,))
+    WORKSPACE.used = mark
+    return out

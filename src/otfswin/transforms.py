@@ -18,25 +18,71 @@ import math
 
 import numpy as np
 
+from .workspace import WORKSPACE
+
+
+# numpy 2 writes a transform into ``out``; numpy 1.x has no ``out`` and its
+# result is copied there.  The one check of the numpy version for it.
+_FFT_WRITES_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
+
+def _into(transform, a: np.ndarray, axis: int, out: np.ndarray, n: int | None = None):
+    """``transform`` (``np.fft.fft`` or ``np.fft.ifft``) of ``a`` along
+    ``axis``, at length ``n``, written to ``out``, which it returns."""
+    if _FFT_WRITES_OUT:
+        return transform(a, n, axis, out=out)
+    out[...] = transform(a, n, axis)
+    return out
+
+
+def _check_frames(frames: np.ndarray) -> np.ndarray:
+    """``frames`` as an array of an (N, M) frame or a ``[..., N, M]`` stack."""
+    frames = np.asarray(frames)
+    if frames.ndim < 2:
+        raise ValueError("expected an (N, M) frame or a stack of them")
+    return frames
+
+
+def _isfft_into(dd_frame: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`isfft` of ``dd_frame`` written to the complex ``out`` of its
+    shape (which must not share memory with it), with its work array in the
+    thread's workspace."""
+    n, m = dd_frame.shape[-2:]
+    mark = WORKSPACE.used
+    # ``out`` holds the first stage; no stage writes over its own input
+    _into(np.fft.ifft, dd_frame, -2, out)
+    np.multiply(_into(np.fft.fft, out, -1, WORKSPACE.take(out.shape, complex)),
+                math.sqrt(n / m), out=out)
+    WORKSPACE.used = mark
+    return out
+
+
+def _sfft_into(tf_frame: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`sfft` of ``tf_frame`` written to the complex ``out`` of its
+    shape (which must not share memory with it), with its work array in the
+    thread's workspace."""
+    n, m = tf_frame.shape[-2:]
+    mark = WORKSPACE.used
+    # ``out`` holds the first stage; no stage writes over its own input
+    _into(np.fft.fft, tf_frame, -2, out)
+    np.multiply(_into(np.fft.ifft, out, -1, WORKSPACE.take(out.shape, complex)),
+                math.sqrt(m / n), out=out)
+    WORKSPACE.used = mark
+    return out
+
 
 def isfft(dd_frame: np.ndarray) -> np.ndarray:
     """DD -> TF transform of an (N, M) frame, or of each frame of a
     ``[..., N, M]`` stack (inverse symplectic FFT)."""
-    dd_frame = np.asarray(dd_frame)
-    if dd_frame.ndim < 2:
-        raise ValueError("expected an (N, M) frame or a stack of them")
-    n, m = dd_frame.shape[-2:]
-    return np.fft.fft(np.fft.ifft(dd_frame, axis=-2), axis=-1) * math.sqrt(n / m)
+    dd_frame = _check_frames(dd_frame)
+    return _isfft_into(dd_frame, np.empty(dd_frame.shape, dtype=complex))
 
 
 def sfft(tf_frame: np.ndarray) -> np.ndarray:
     """TF -> DD transform, the exact inverse of :func:`isfft`, also frame by
     frame over a ``[..., N, M]`` stack."""
-    tf_frame = np.asarray(tf_frame)
-    if tf_frame.ndim < 2:
-        raise ValueError("expected an (N, M) frame or a stack of them")
-    n, m = tf_frame.shape[-2:]
-    return np.fft.ifft(np.fft.fft(tf_frame, axis=-2), axis=-1) * math.sqrt(m / n)
+    tf_frame = _check_frames(tf_frame)
+    return _sfft_into(tf_frame, np.empty(tf_frame.shape, dtype=complex))
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure
 from .grid import FrameGrid
+from .workspace import WORKSPACE
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +298,23 @@ class PowerAllocation:
         return inv_eta_sqrt * np.maximum(inv_eta_sqrt - inv_lam_sqrt, 0.0)
 
 
-def _allocation(lam: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def _allocation_into(lam: np.ndarray, eta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """[sqrt(1/(eta*lam)) - 1/lam]^+ written to ``out``, 0 where lam <= eta;
+    each step is a correctly rounded real operation, so the ones done in
+    place give the bits of the ones that are not."""
+    mark = WORKSPACE.used
+    raw, inverse = WORKSPACE.take((2,) + lam.shape)
     # bins at or below the level get no power (their 1/lam may overflow)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        raw = np.sqrt(1.0 / (eta * lam)) - 1.0 / lam
-    return np.where(lam > eta, np.maximum(raw, 0.0), 0.0)
+        np.multiply(eta, lam, out=raw)
+        np.divide(1.0, raw, out=raw)
+        np.sqrt(raw, out=raw)
+        np.subtract(raw, np.divide(1.0, lam, out=inverse), out=raw)
+    np.maximum(raw, 0.0, out=raw)
+    out[...] = 0.0
+    np.copyto(out, raw, where=lam > eta)
+    WORKSPACE.used = mark
+    return out
 
 
 def optimal_tx_window(lam: np.ndarray) -> PowerAllocation:
@@ -340,6 +353,14 @@ def optimal_tx_window(lam: np.ndarray) -> PowerAllocation:
     of a stack.
     """
     lam = np.asarray(lam, dtype=float)
+    x = np.empty(lam.shape)
+    return PowerAllocation(x=x, eta=_optimal_tx_window_into(lam, x), lam=lam)
+
+
+def _optimal_tx_window_into(lam: np.ndarray, x: np.ndarray) -> float | np.ndarray:
+    """The water level of :func:`optimal_tx_window` for the float gains
+    ``lam``, with its power map written to ``x`` of their shape and the
+    fixed point's work arrays in the thread's workspace."""
     stacked = lam.ndim > 2
     frames = lam.reshape((-1, lam.shape[-2] * lam.shape[-1]) if stacked else (1, lam.size))
     size = frames.shape[1]
@@ -357,9 +378,12 @@ def optimal_tx_window(lam: np.ndarray) -> PowerAllocation:
     # the start bound lam_max / denom^2, divided twice so the square cannot overflow
     denom = size * lam_max + 1.0
     active = (frames > 0.0) & (frames >= lam_max / denom / denom)
+    mark = WORKSPACE.used
+    inv_lam, inv_sqrt = WORKSPACE.take((2,) + frames.shape)
+    inv_lam[...] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        inv_lam = np.divide(1.0, frames, out=np.zeros_like(frames), where=active)
-        inv_sqrt = np.sqrt(inv_lam)
+        np.divide(1.0, frames, out=inv_lam, where=active)
+        np.sqrt(inv_lam, out=inv_sqrt)
         for _ in range(size):
             root = (inv_sqrt.sum(axis=1, where=active)
                     / (size + inv_lam.sum(axis=1, where=active)))
@@ -368,6 +392,7 @@ def optimal_tx_window(lam: np.ndarray) -> PowerAllocation:
             if not dropped.any():
                 break
             active ^= dropped
+    WORKSPACE.used = mark
     bad = ~(np.isfinite(eta) & (eta > 0.0))
     if bad.any():
         first = np.argmax(bad)
@@ -375,13 +400,9 @@ def optimal_tx_window(lam: np.ndarray) -> PowerAllocation:
             f"optimal TX window: {frame(first)}water level {float(eta[first, 0])!r} is not "
             "finite and positive (channel gains too small for the power budget)"
         )
-    x = _allocation(frames, eta)
-    finite = np.isfinite(x).all(axis=1)
+    power = _allocation_into(frames, eta, x.reshape(frames.shape))
+    finite = np.isfinite(power).all(axis=1)
     if not finite.all():
         raise NumericalFailure(
             f"optimal TX window: {frame(np.argmin(finite))}the power map is not finite")
-    return PowerAllocation(
-        x=x.reshape(lam.shape),
-        eta=eta.reshape(lam.shape[:-2]) if stacked else float(eta[0, 0]),
-        lam=lam,
-    )
+    return eta.reshape(lam.shape[:-2]) if stacked else float(eta[0, 0])

@@ -48,6 +48,7 @@ from otfswin import channel as ch_mod
 from otfswin import detection
 from otfswin.channel import _dd_response
 from otfswin.harness import ExperimentConfig, build_windows
+from otfswin.workspace import Workspace
 
 GRID = FrameGrid(M=30, N=20)
 LAYOUT = PilotLayout.centered(GRID, k_max=3, l_max=4, k_hat=1, pilot_power_dbw=30.0)
@@ -332,6 +333,16 @@ def test_water_level_stack_vs_frames():
     assert_allocations_framewise(stack, (oracles.single_frame_optimal_tx_window(frame)
                                          for frame in lam))
     assert stack.x[1, 0, 0] == 0.0 and np.all(stack.x[1][lam[1] == 0.0] == 0.0)
+
+
+def test_water_level_stack_past_the_elision_threshold():
+    # 64 float 30x20 frames take 300 KiB, past the 256 KiB from which numpy
+    # rewrites ``a * tmp`` in place
+    rng = np.random.default_rng(19)
+    lam = np.concatenate([water_level_frames(rng) for _ in range(16)])
+    assert lam.nbytes > 256 * 1024
+    assert_allocations_framewise(optimal_tx_window(lam),
+                                 (optimal_tx_window(frame) for frame in lam))
 
 
 def test_water_level_is_the_correctly_rounded_square():
@@ -950,9 +961,9 @@ def test_spa_arena_reuse_keeps_each_stacks_report(monkeypatch):
     stacks = spa_stacks()
     fresh = {}
     for name in ("bpsk", "qpsk"):
-        monkeypatch.setattr(detection, "_ARENA", detection._Arena())
+        monkeypatch.setattr(detection, "_ARENA", Workspace())
         fresh[name] = spa_report(*stacks[name])
-    arena = detection._Arena()
+    arena = Workspace()
     monkeypatch.setattr(detection, "_ARENA", arena)
     for before, name in [("qpsk-large", "bpsk"), ("qpsk-small", "bpsk"), ("bpsk", "bpsk"),
                          ("bpsk-large", "qpsk"), ("bpsk-small", "qpsk"), ("qpsk", "qpsk")]:
@@ -993,7 +1004,7 @@ def test_spa_warm_call_reuses_the_arena(monkeypatch):
     # the first call records what it takes, the second grows the arena to
     # that, and a third on the same shapes takes all of it from there
     y, channel, constellation = spa_stacks()["bpsk-large"]
-    arena = detection._Arena()
+    arena = Workspace()
     monkeypatch.setattr(detection, "_ARENA", arena)
     graphs = []
     build = detection._spa_graph

@@ -16,7 +16,7 @@ import oracles
 import otfswin
 from otfswin import ConfigurationError, FrameGrid, NumericalFailure, harness, predicted_mse_floor
 from otfswin import windows as win_mod
-from otfswin.channel import _dd_response
+from otfswin.channel import EffectiveDDChannel, _dd_response
 from otfswin.cli import main
 from otfswin.estimation import PilotLayout
 from otfswin.grid import Constellation
@@ -144,6 +144,20 @@ class TestGoldenTrials:
         assert digest.hexdigest() == GOLDEN_TRIALS[name]
 
 
+def kept(args) -> list:
+    """Copies of the arrays among ``args``: a spy that reads a chunk's
+    arrays after the chunk keeps them past its workspace's reset."""
+    return [np.array(a) if isinstance(a, np.ndarray) else a for a in args]
+
+
+class TfReport:
+    """A copy of the soft estimates the LMMSE core wrote and their decisions."""
+
+    def __init__(self, soft, constellation):
+        self.soft = np.array(soft)
+        self.hard_indices = constellation.nearest_indices(soft).reshape(soft.shape)
+
+
 # the golden links whose receiver knows the TF gains and runs LMMSE
 KNOWN_CSI_MMSE = ("fer-perfect-mmse-rect", "fer-perfect-mmse-dc-rx", "fer-csit-mmse-optimal",
                   "fer-csit-mmse-dc-rx")
@@ -157,22 +171,25 @@ class TestKnownCsiTfDetection:
 
     @pytest.mark.parametrize("name", KNOWN_CSI_MMSE)
     def test_decisions_equal_the_dense_dd_detector(self, name, monkeypatch):
-        # the harness looks the detector up on its module at call time
+        # the harness looks the detector's core up on its module at call time
         from otfswin import detection
 
         _, fields, _ = GOLDEN_ROWS[name]
-        detect, calls = detection.tf_lmmse_detect, []
+        detect, calls = detection._tf_lmmse_into, []
+        constellation = Constellation.by_name(fields.get("constellation", ExperimentConfig().constellation))
 
         def spy(*args):
-            calls.append((args, detect(*args)))
-            return calls[-1][1]
+            # the chunk's arrays live in its workspace: kept as copies
+            soft = detect(*args)
+            calls.append((kept(args[:-1]), TfReport(soft, constellation)))
+            return soft
 
-        monkeypatch.setattr(detection, "tf_lmmse_detect", spy)
+        monkeypatch.setattr(detection, "_tf_lmmse_into", spy)
         run_fer(ExperimentConfig.from_mapping(
             {k: str(v) for k, v in dict(fields, snr_db="0, 10, 20, 30, 40").items()}))
         monkeypatch.undo()
         assert calls
-        for (received, gains, rx, n0, constellation, layout), tf in calls:
+        for (received, gains, rx, n0, layout), tf in calls:
             assert layout is None
             frames = zip(otfswin.sfft(received), gains, np.broadcast_to(rx, received.shape),
                          np.broadcast_to(n0, len(received)), tf.soft, tf.hard_indices)
@@ -190,9 +207,10 @@ class TestKnownCsiTfDetection:
         # returns its estimate to the DD domain, and nothing else transforms
         from otfswin import channel, detection
 
-        assert not hasattr(detection, "isfft")
+        assert not hasattr(detection, "_isfft_into")
         calls = []
-        for module, name in ((channel, "isfft"), (channel, "sfft"), (detection, "sfft")):
+        for module, name in ((channel, "_isfft_into"), (detection, "_sfft_into"),
+                             (harness, "_sfft_into")):
             def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
@@ -200,7 +218,7 @@ class TestKnownCsiTfDetection:
             monkeypatch.setattr(module, name, spy)
         # 2 points of 2 trials: one chunk
         run_fer(ExperimentConfig(**fields, snr_db=(10.0, 20.0), trials=2))
-        assert sorted(calls) == ["isfft", "sfft"]
+        assert sorted(calls) == ["_isfft_into", "_sfft_into"]
 
 
 # the golden links whose receiver estimates the channel from the pilot and
@@ -221,24 +239,26 @@ class TestEstimatedCsiTfDetection:
         from otfswin import detection, estimation
 
         _, fields, _ = GOLDEN_ROWS[name]
-        estimate, detect = estimation.estimate_channel, detection.tf_lmmse_detect
+        estimate, detect = estimation._estimate_channel_into, detection._tf_lmmse_into
+        constellation = Constellation.by_name(fields.get("constellation", ExperimentConfig().constellation))
         received, calls = [], []
 
-        def spy_estimate(r, layout, n0):
-            received.append(r)
-            return estimate(r, layout, n0)
+        def spy_estimate(r, layout, n0, out):
+            received.append(np.array(r))
+            return estimate(r, layout, n0, out)
 
         def spy_detect(*args):
-            calls.append((args, detect(*args)))
-            return calls[-1][1]
+            soft = detect(*args)
+            calls.append((kept(args[:-1]), TfReport(soft, constellation)))
+            return soft
 
-        monkeypatch.setattr(estimation, "estimate_channel", spy_estimate)
-        monkeypatch.setattr(detection, "tf_lmmse_detect", spy_detect)
+        monkeypatch.setattr(estimation, "_estimate_channel_into", spy_estimate)
+        monkeypatch.setattr(detection, "_tf_lmmse_into", spy_detect)
         run_fer(ExperimentConfig.from_mapping(
             {k: str(v) for k, v in dict(fields, snr_db="0, 10, 20, 30, 40").items()}))
         monkeypatch.undo()
         assert calls and len(received) == len(calls)
-        for r, ((_, _, rx, n0, constellation, layout), tf) in zip(received, calls):
+        for r, ((_, _, rx, n0, layout), tf) in zip(received, calls):
             soft = oracles.dd_pilot_lmmse(otfswin.sfft(r), rx, n0, layout)
             hard = constellation.nearest_indices(soft).reshape(soft.shape)
             assert np.array_equal(tf.hard_indices, hard)
@@ -258,27 +278,29 @@ class TestEstimatedCsiTfDetection:
         # give the same decisions
         from otfswin import detection, estimation
 
-        estimate, detect = estimation.estimate_channel, detection.spa_detect
+        estimate, detect = estimation._estimate_channel_into, detection.spa_detect
         estimates, calls = [], []
 
-        def spy_estimate(r, layout, n0):
-            estimates.append((r, layout, estimate(r, layout, n0)))
+        def spy_estimate(r, layout, n0, out):
+            estimates.append((np.array(r), layout, estimate(r, layout, n0, out)))
             return estimates[-1][2]
 
-        def spy_detect(*args, **kwargs):
-            calls.append((args, kwargs, detect(*args, **kwargs)))
-            return calls[-1][2]
+        def spy_detect(y, channel, *args, **kwargs):
+            # the estimate reaches SPA as the estimator wrote it
+            assert channel.taps is estimates[-1][2]
+            report = detect(y, channel, *args, **kwargs)
+            channel = EffectiveDDChannel(np.array(channel.taps), np.array(channel.truncation))
+            calls.append(((np.array(y), channel, *args), kwargs, report))
+            return report
 
-        monkeypatch.setattr(estimation, "estimate_channel", spy_estimate)
+        monkeypatch.setattr(estimation, "_estimate_channel_into", spy_estimate)
         monkeypatch.setattr(detection, "spa_detect", spy_detect)
         run_fer(ExperimentConfig(**fields, detector="spa", csi="estimated-csir",
                                  snr_db=(0.0, 10.0, 20.0, 30.0, 40.0), trials=15, seed=23))
         monkeypatch.undo()
         assert calls and len(estimates) == len(calls)
-        for (r, layout, taps), ((y, channel, *args), kwargs, report) in zip(estimates, calls):
-            # the estimate reaches SPA as estimate_channel returned it
-            assert channel.taps is taps
-            want = oracles.dd_cancel_pilot(otfswin.sfft(r), taps, layout)
+        for (r, layout, _), ((y, channel, *args), kwargs, report) in zip(estimates, calls):
+            want = oracles.dd_cancel_pilot(otfswin.sfft(r), channel.taps, layout)
             error = np.linalg.norm(y - want, axis=(-2, -1))
             assert np.all(error <= 1e-12 * np.linalg.norm(want, axis=(-2, -1)))
             oracle = detect(want, channel, *args, **kwargs)
@@ -296,8 +318,8 @@ class TestEstimatedCsiTfDetection:
         # the layout, whose pilot_tf is one isfft, is built with the link
         harness._link(config, pilot=True)
         transforms, ffts = [], []
-        for module, name in ((channel, "isfft"), (channel, "sfft"), (detection, "sfft"),
-                             (estimation, "isfft")):
+        for module, name in ((channel, "_isfft_into"), (detection, "_sfft_into"),
+                             (harness, "_sfft_into"), (estimation, "isfft")):
             def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
                 transforms.append(_name)
                 return _original(*args, **kwargs)
@@ -311,7 +333,7 @@ class TestEstimatedCsiTfDetection:
             monkeypatch.setattr(np.fft, name, spy_fft)
         # 2 points of 2 trials: one chunk
         run_fer(config)
-        assert sorted(transforms) == ["isfft", "sfft"]
+        assert sorted(transforms) == ["_isfft_into", "_sfft_into"]
         assert len(ffts) == 10
 
 
@@ -342,15 +364,27 @@ class TestChunkBoundaries:
     CHUNK = _chunk_size(FrameGrid(M=30, N=20))
 
     def test_chunk_size_on_the_fig6_grid(self):
-        assert self.CHUNK == 13
+        assert self.CHUNK == 27
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1, CHUNK + 1])
+    def test_sum_product_runs_keep_the_smaller_chunk(self):
+        # 128 KiB of 30x20 frames: its flood sweeps a chunk's frames together
+        assert self.run_chunk(CHUNK_CASES["fer-perfect-spa"][2]) == 13
+        assert self.run_chunk(CHUNK_CASES["fer-perfect-mmse"][2]) == self.CHUNK
+
+    @staticmethod
+    def run_chunk(fields: dict) -> int:
+        """The chunk a long run of a case's link takes."""
+        return harness._run_chunk(ExperimentConfig.from_mapping(
+            {k: str(v) for k, v in dict(_CHUNK_GRID, **fields, trials=1000).items()}))
+
+    @pytest.mark.parametrize("chunks, offset", [(1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["B-1", "B", "B+1", "2B+1"])
     @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
-    def test_rows_equal_the_per_trial_chain(self, name, offset):
+    def test_rows_equal_the_per_trial_chain(self, name, chunks, offset):
         runner, oracle, fields = CHUNK_CASES[name]
+        trials = chunks * self.run_chunk(fields) + offset
         cfg = ExperimentConfig.from_mapping(
-            {k: str(v) for k, v in dict(_CHUNK_GRID, **fields, trials=self.CHUNK + offset,
-                                         seed=31).items()})
+            {k: str(v) for k, v in dict(_CHUNK_GRID, **fields, trials=trials, seed=31).items()})
         assert rows_to_csv(runner(cfg)) == rows_to_csv(oracle(cfg))
 
     @pytest.mark.parametrize("offset", [-1, 1])
@@ -359,9 +393,10 @@ class TestChunkBoundaries:
         # three points of B - 1 or B + 1 trials: every chunk boundary but
         # the last falls inside a point, and chunks mix two noise powers
         runner, oracle, fields = CHUNK_CASES[name]
+        trials = self.run_chunk(fields) + offset
         cfg = ExperimentConfig.from_mapping(
             {k: str(v) for k, v in dict(_CHUNK_GRID, **dict(fields, snr_db="10, 20, 35"),
-                                         trials=self.CHUNK + offset, seed=37).items()})
+                                         trials=trials, seed=37).items()})
         assert rows_to_csv(runner(cfg)) == rows_to_csv(oracle(cfg))
 
     @pytest.mark.parametrize("name", ["ce-rect", "fer-estimated-mmse", "fer-estimated-spa"])
@@ -397,7 +432,7 @@ class TestChunkBoundaries:
             {k: str(v) for k, v in dict(_CHUNK_GRID, **dict(fields, snr_db="10, 35"),
                                          trials=self.CHUNK - 1, seed=43).items()})
         chunks, handed, formed = [], [], []
-        transmit, windowed = harness._transmit, win_mod.WindowPair.windowed
+        transmit, windowed = harness._transmit, harness._windowed
 
         def spy_transmit(link, cells, n0):
             chunks.append((link, cells, n0))
@@ -407,29 +442,30 @@ class TestChunkBoundaries:
             formed.append(tf_gains.shape)
             return windowed(windows, tf_gains)
 
+        # the chunk's arrays live in its workspace: kept as copies
         if runner is run_fer:
             detect_frames = harness._detect_frames
 
             def spy_receiver(link, r, rx_window, n0, gains):
-                handed.append((np.broadcast_to(rx_window, r.shape), gains))
+                handed.append(kept((np.broadcast_to(rx_window, r.shape), gains)))
                 return detect_frames(link, r, rx_window, n0, gains)
 
             monkeypatch.setattr(harness, "_detect_frames", spy_receiver)
         else:
-            dd_response = channel._dd_response
+            dd_response = channel._dd_response_into
 
-            def spy_receiver(gains, delays=None):
-                handed.append((None, gains))
-                return dd_response(gains, delays)
+            def spy_receiver(gains, delays, out):
+                handed.append((None, np.array(gains)))
+                return dd_response(gains, delays, out)
 
-            monkeypatch.setattr(channel, "_dd_response", spy_receiver)
+            monkeypatch.setattr(channel, "_dd_response_into", spy_receiver)
         monkeypatch.setattr(harness, "_transmit", spy_transmit)
-        monkeypatch.setattr(win_mod.WindowPair, "windowed", spy_windowed)
+        monkeypatch.setattr(harness, "_windowed", spy_windowed)
         runner(cfg)
         monkeypatch.undo()
         estimated_fer = runner is run_fer and cfg.csi == "estimated-csir"
-        assert len(chunks) == len(handed) == 2
-        assert len(formed) == (0 if estimated_fer else 2)
+        assert len(chunks) == len(handed) == -(-2 * cfg.trials // harness._run_chunk(cfg))
+        assert len(formed) == (0 if estimated_fer else len(chunks))
         for (link, cells, n0), (rx, gains) in zip(chunks, handed):
             if estimated_fer:
                 assert gains is None
@@ -454,8 +490,10 @@ class TestChunkBoundaries:
         swept = list(_sweep(cfg, chunk))
         assert swept == [(snr, [100 * i + t for t in range(cfg.trials)])
                          for i, snr in enumerate(cfg.snr_db)]
-        assert [len(cells) for cells, _ in calls] == [13, 13, 10]
-        assert calls[0][0][-1] == (1, 0) and calls[1][0][-3:] == [(1, 11), (2, 0), (2, 1)]
+        chunk = self.CHUNK
+        assert [len(cells) for cells, _ in calls] == [chunk, chunk, chunk - 3]
+        assert calls[0][0][-1] == (1, 0)
+        assert calls[1][0][-3:] == [(1, chunk - 2), (2, 0), (2, 1)]
         for cells, n0 in calls:
             assert n0 == [noise_power(cfg.snr_db[snr_index]) for snr_index, _ in cells]
 
@@ -464,7 +502,7 @@ class TestChunkBoundaries:
         from otfswin import channel, windows
 
         calls = []
-        for module, name in ((channel, "sample_channel"), (windows, "optimal_tx_window")):
+        for module, name in ((channel, "sample_channel"), (windows, "_optimal_tx_window_into")):
             def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
@@ -473,7 +511,7 @@ class TestChunkBoundaries:
         # 2 points of B - 1 trials: two chunks
         run_fer(ExperimentConfig(csi="csit-csir", tx_window="optimal", snr_db=(10.0, 20.0),
                                  trials=self.CHUNK - 1))
-        assert calls == ["sample_channel", "optimal_tx_window"] * 2
+        assert calls == ["sample_channel", "_optimal_tx_window_into"] * 2
 
     def test_the_benchmark_mmse_calls_run_one_chunk(self):
         # 2 points of 2 trials: one chunk of 4 frames, not one chunk per point
@@ -657,14 +695,15 @@ class TestConfig:
                                       (256, 256)])
     def test_one_chunk_at_the_path_ceiling_peaks_within_it(self, M, N):
         # numpy reports its array allocations to tracemalloc
+        # a run at the ceiling takes chunks whose draws fit
         grid = FrameGrid(M=M, N=N)
-        chunk = harness._chunk_size(grid)
         k_max, l_max = (N - 1) // 2, min(M - 1, 4)
-        fields = dict(M=M, N=N, k_max=k_max, l_max=l_max, trials=chunk, snr_db="10")
+        fields = dict(M=M, N=N, k_max=k_max, l_max=l_max, trials=harness._chunk_size(grid),
+                      snr_db="10")
         with pytest.raises(ConfigurationError, match="paths = 100000000: ") as info:
             ExperimentConfig(paths=100_000_000, **fields)
         limit = int(re.search(r"at most (\d+) paths", str(info.value)).group(1))
-        ExperimentConfig(paths=limit, **fields)
+        chunk = harness._run_chunk(ExperimentConfig(paths=limit, **fields))
         generators = [np.random.default_rng([3, i]) for i in range(chunk)]
         tracemalloc.start()
         try:
@@ -822,23 +861,24 @@ class TestFerExperiment:
         from otfswin import harness
 
         sent, detected = [], []
-        map_symbols, detect_frames = harness.map_symbols, harness._detect_frames
+        map_symbols, detect_frames = harness._map_symbols_into, harness._detect_frames
 
         def spy_map(bits, *args, **kwargs):
             sent.append(np.array(bits))
             return map_symbols(bits, *args, **kwargs)
 
         def spy_detect(*args, **kwargs):
-            detected.append(detect_frames(*args, **kwargs))
+            # the chunk's bits live in its workspace: kept as a copy
+            detected.append(np.array(detect_frames(*args, **kwargs)))
             return detected[-1]
 
-        monkeypatch.setattr(harness, "map_symbols", spy_map)
+        monkeypatch.setattr(harness, "_map_symbols_into", spy_map)
         monkeypatch.setattr(harness, "_detect_frames", spy_detect)
         cfg = ExperimentConfig(M=8, N=16, paths=2, k_max=1, l_max=1, k_hat=0,
                                csi="estimated-csir", detector="mmse",
                                snr_db=(4.0, 14.0), trials=25, seed=12)
         rows = run_fer(cfg)
-        # map_symbols maps and _detect_frames detects a chunk of frames per
+        # _map_symbols_into maps and _detect_frames detects a chunk of frames per
         # call, one bit row per frame
         sent = [frame_bits for chunk in sent for frame_bits in chunk]
         detected = [frame_bits for chunk in detected for frame_bits in chunk]
@@ -1080,12 +1120,13 @@ class TestSelfCheck:
         assert found == {"selfcheck", "selfcheck.run_selfcheck"}
 
     def test_the_harness_calls_detection_by_public_names(self):
-        # the detectors the harness runs are the ones the API offers, under
-        # the names a tracer wraps
+        # the detectors the harness runs are the ones the API offers: SPA
+        # under the name a tracer wraps, LMMSE through the core that
+        # tf_lmmse_detect runs, which writes into the chunk's workspace
         tree = ast.parse((Path(otfswin.__file__).parent / "harness.py").read_text(encoding="utf-8"))
         used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name) and node.value.id == "det_mod"}
-        assert used == {"tf_lmmse_detect", "spa_detect"}
+        assert used == {"_tf_lmmse_into", "spa_detect"}
 
 
 def _imports(path: Path) -> set[str]:
