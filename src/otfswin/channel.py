@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import cmath
 import io
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import FrameGrid, frame_noise
-# perfbench's tracer wraps isfft and sfft where this module looks them up
-from .transforms import _check_frames, _into, _isfft_into, isfft, sfft  # noqa: F401
+from .transforms import _check_frames, _into, isfft, sfft
 from .workspace import WORKSPACE
 from .windows import WindowPair
 
@@ -131,20 +129,13 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarra
     - a row with a redraw, once its stream is rewound by its words.
     """
     high = np.asarray(spans)
-    return _bounded_draws_into(generators, high, np.empty((len(generators), high.size),
-                                                          dtype=np.int64))
-
-
-def _bounded_draws_into(generators: Sequence[np.random.Generator], high: np.ndarray,
-                        out: np.ndarray) -> np.ndarray:
-    """:func:`bounded_draws` of the spans ``high`` written to the (B, K)
-    int64 ``out``, with the raw words in the thread's workspace."""
     if high.ndim != 1 or high.dtype.kind not in "iu":
-        raise ValueError(f"spans must be a vector of integers, got {high!r}")
+        raise ValueError(f"spans must be a vector of integers, got {spans!r}")
     least, most = (int(high.min()), int(high.max())) if high.size else (1, 1)
     if not 1 <= least <= most < 2**32:
         raise ValueError(f"spans must lie in [1, 2**32), got {least} .. {most}")
-    shape = out.shape
+    shape = (len(generators), high.size)
+    out = WORKSPACE.take(shape, np.int64)
 
     def own_calls(gens: Sequence[np.random.Generator]) -> list[np.ndarray]:
         # with scalar bounds where all spans are equal, numpy's faster call
@@ -171,32 +162,31 @@ def _bounded_draws_into(generators: Sequence[np.random.Generator], high: np.ndar
     if not whole:
         out[...] = 0
     if fast:
-        mark = WORKSPACE.used
-        # little-endian words read as uint32 pairs are (low, high) halves on any host
-        raw = WORKSPACE.take((len(fast), words), "<u8")
-        for i, row in zip(fast, raw):
-            row[...] = bit_generators[i].random_raw(words)
-        # a vector, not a numpy scalar: numpy 1.x would promote a scalar
-        # by its value and keep the products at 32 bits
-        block = (high if columns is None else high[columns]).astype(np.uint64)
-        halves = np.multiply(raw.view("<u4"), block, out=out.view(np.uint64) if whole else
-                             WORKSPACE.take((len(fast), draws), np.uint64))
-        # a power of two divides 2**32: numpy never redraws it
-        if (block & (block - np.uint64(1))).any():
-            low = np.bitwise_and(halves, np.uint64(0xFFFFFFFF),
-                                 out=WORKSPACE.take(halves.shape, np.uint64))
-            # numpy's redraw bound (2**32 - span) % span is below the span
-            if (low < most).any():
-                redraw = (low < (2**32 - block) % block).any(axis=1)
-                for j in np.flatnonzero(redraw).tolist():
-                    bit_generators[fast[j]].advance(-words)
-                    slow.append(fast[j])
-        np.right_shift(halves, np.uint64(32), out=halves)
-        if columns is None and not whole:
-            out[fast] = halves
-        elif not whole:
-            out[np.ix_(fast, columns)] = halves
-        WORKSPACE.used = mark
+        with WORKSPACE.scope():
+            # little-endian words read as uint32 pairs are (low, high) halves on any host
+            raw = WORKSPACE.take((len(fast), words), "<u8")
+            for i, row in zip(fast, raw):
+                row[...] = bit_generators[i].random_raw(words)
+            # a vector, not a numpy scalar: numpy 1.x would promote a scalar
+            # by its value and keep the products at 32 bits
+            block = (high if columns is None else high[columns]).astype(np.uint64)
+            halves = np.multiply(raw.view("<u4"), block, out=out.view(np.uint64) if whole else
+                                 WORKSPACE.take((len(fast), draws), np.uint64))
+            # a power of two divides 2**32: numpy never redraws it
+            if (block & (block - np.uint64(1))).any():
+                low = np.bitwise_and(halves, np.uint64(0xFFFFFFFF),
+                                     out=WORKSPACE.take(halves.shape, np.uint64))
+                # numpy's redraw bound (2**32 - span) % span is below the span
+                if (low < most).any():
+                    redraw = (low < (2**32 - block) % block).any(axis=1)
+                    for j in np.flatnonzero(redraw).tolist():
+                        bit_generators[fast[j]].advance(-words)
+                        slow.append(fast[j])
+            np.right_shift(halves, np.uint64(32), out=halves)
+            if columns is None and not whole:
+                out[fast] = halves
+            elif not whole:
+                out[np.ix_(fast, columns)] = halves
     for i, row in zip(slow, own_calls([generators[i] for i in slow])):
         out[i] = row
     return out
@@ -245,7 +235,11 @@ def sample_channel(
     frames = len(generators)
     # row 0 draws the delays on [0, l_max], row 1 the Dopplers on [0, 2 k_max]
     spans = np.array([l_max + 1] * num_paths + [2 * k_max + 1] * num_paths)
-    bins = bounded_draws(generators, spans).reshape(frames, 2, num_paths)
+    with WORKSPACE.scope():
+        # contiguous (B, P) planes, as the arithmetic below and the
+        # realization take them, copied out of the workspace
+        delays, dopplers = bounded_draws(generators, spans).reshape(
+            frames, 2, num_paths).swapaxes(0, 1).copy()
     fracs = np.empty((frames, num_paths))
     gauss = np.empty((frames, 2, num_paths))
     for gen, f in zip(generators, fracs):
@@ -261,8 +255,6 @@ def sample_channel(
         gen.standard_normal(out=g)
 
     fracs -= 0.5
-    # contiguous (B, P) planes, as the arithmetic below and the realization take them
-    delays, dopplers = bins.swapaxes(0, 1).copy()
     dopplers -= k_max
     real, imag = gauss.swapaxes(0, 1).copy()
     scale = np.sqrt(delay_power_profile(delays) / 2.0)
@@ -301,13 +293,6 @@ def tf_channel(ch: ChannelRealization) -> np.ndarray:
     M or above are valid.  Fractional delays (ROADMAP item 22) will need a
     delay phase path of their own.
     """
-    out = np.empty(np.shape(ch.gains)[:-1] + ch.grid.shape, dtype=complex)
-    return _tf_channel_into(ch, out)
-
-
-def _tf_channel_into(ch: ChannelRealization, out: np.ndarray) -> np.ndarray:
-    """:func:`tf_channel` of ``ch`` written to the complex ``out`` of its
-    shape, with the per-path products in the thread's workspace."""
     grid = ch.grid
     gains, nu, bins = np.atleast_2d(ch.gains, ch.doppler_bins + ch.doppler_fracs,
                                     ch.delay_bins)
@@ -337,14 +322,13 @@ def _tf_channel_into(ch: ChannelRealization, out: np.ndarray) -> np.ndarray:
         index = index.reshape(bins.shape)
     table = np.exp(-2j * np.pi * rows[:, None] * np.arange(grid.M) / grid.M)
     delay_ph = table[index]
-    stack = out.reshape(gains.shape[:1] + grid.shape)
-    np.multiply(doppler[:, 0, :, None], delay_ph[:, 0, None, :], out=stack)
-    mark = WORKSPACE.used
-    term = WORKSPACE.take(stack.shape, complex)
-    for p in range(1, gains.shape[1]):
-        stack += np.multiply(doppler[:, p, :, None], delay_ph[:, p, None, :], out=term)
-    WORKSPACE.used = mark
-    return out
+    out = WORKSPACE.take(gains.shape[:1] + grid.shape, complex)
+    np.multiply(doppler[:, 0, :, None], delay_ph[:, 0, None, :], out=out)
+    with WORKSPACE.scope():
+        term = WORKSPACE.take(out.shape, complex)
+        for p in range(1, gains.shape[1]):
+            out += np.multiply(doppler[:, p, :, None], delay_ph[:, p, None, :], out=term)
+    return out[0] if ch.gains.ndim == 1 else out
 
 
 # numpy's cast buffers and the small per-call arrays, counted once per stack
@@ -384,19 +368,12 @@ def _dd_response(tf_grid: np.ndarray, delays: int | None = None) -> np.ndarray:
     """(1/NM) * sum_{n,m} A[n,m] exp(-j2pi nk/N) exp(+j2pi ml/M) for all (k,l),
     per frame of a ``[..., N, M]`` stack.  With ``delays``, only the delay
     columns 0 .. delays - 1, bit for bit: the Doppler FFT runs on those alone."""
-    out = np.empty(tf_grid.shape[:-1] + (tf_grid[..., :delays].shape[-1],), dtype=complex)
-    return _dd_response_into(tf_grid, delays, out)
-
-
-def _dd_response_into(tf_grid: np.ndarray, delays: int | None, out: np.ndarray) -> np.ndarray:
-    """:func:`_dd_response` written to the complex ``out`` of its shape,
-    with its work arrays in the thread's workspace."""
     n = tf_grid.shape[-2]
-    mark = WORKSPACE.used
-    spectra = _into(np.fft.ifft, tf_grid, -1, WORKSPACE.take(tf_grid.shape, complex))
-    taps = _into(np.fft.fft, spectra[..., :delays], -2, WORKSPACE.take(out.shape, complex))
-    np.true_divide(taps, n, out=out)
-    WORKSPACE.used = mark
+    out = WORKSPACE.take(tf_grid[..., :delays].shape, complex)
+    with WORKSPACE.scope():
+        spectra = _into(np.fft.ifft, tf_grid, -1, WORKSPACE.take(tf_grid.shape, complex))
+        taps = _into(np.fft.fft, spectra[..., :delays], -2, WORKSPACE.take(out.shape, complex))
+        np.true_divide(taps, n, out=out)
     return out
 
 
@@ -408,21 +385,13 @@ def tf_gains_from_taps(tap_grid: np.ndarray, delays: int | None = None) -> np.nd
     delay column delays - 1 (a pilot estimate's), the Doppler IFFT runs on
     columns 0 .. delays - 1 alone and the delay FFT zero-pads them to M,
     bit for bit."""
-    return _tf_gains_from_taps_into(tap_grid, delays,
-                                    np.empty(tap_grid.shape, dtype=complex))
-
-
-def _tf_gains_from_taps_into(tap_grid: np.ndarray, delays: int | None,
-                             out: np.ndarray) -> np.ndarray:
-    """:func:`tf_gains_from_taps` written to the complex ``out`` of the
-    taps' shape, with its work arrays in the thread's workspace."""
     n, m = tap_grid.shape[-2:]
     columns = tap_grid[..., :delays]
-    mark = WORKSPACE.used
-    doppler = _into(np.fft.ifft, columns, -2, WORKSPACE.take(columns.shape, complex))
-    spectra = _into(np.fft.fft, doppler, -1, WORKSPACE.take(out.shape, complex), n=m)
-    np.multiply(spectra, n, out=out)
-    WORKSPACE.used = mark
+    out = WORKSPACE.take(tap_grid.shape, complex)
+    with WORKSPACE.scope():
+        doppler = _into(np.fft.ifft, columns, -2, WORKSPACE.take(columns.shape, complex))
+        spectra = _into(np.fft.fft, doppler, -1, WORKSPACE.take(out.shape, complex), n=m)
+        np.multiply(spectra, n, out=out)
     return out
 
 
@@ -564,84 +533,60 @@ def transmit_frame(
     unless some frame draws none.
     """
     frames = _check_frames(dd_frame)
-    sides = [grid for grid, ones in ((windows.tx, windows.tx_ones), (windows.rx, windows.rx_ones))
-             if not ones]
-    shape = np.broadcast_shapes(frames.shape, np.shape(tf_gain_grid), *(s.shape for s in sides))
-    received = _transmit_frame_into(frames, tf_gain_grid, windows, n0, rng,
-                                    np.empty(shape, dtype=complex))
-    return sfft(received) if demodulate else received
-
-
-def _transmit_frame_into(
-    dd_frame: np.ndarray,
-    tf_gain_grid: np.ndarray,
-    windows: WindowPair,
-    n0: float | np.ndarray,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None,
-    out: np.ndarray,
-) -> np.ndarray:
-    """The RX-windowed TF grids of :func:`transmit_frame` written to the
-    complex ``out`` of their broadcast shape.
-
-    The modulated frames and each product after them go to ``out`` and one
-    spare grid in turn, so the last product lands in ``out``; the noise and
-    its draws take one more grid and the spare, where the noise is added.
-    So the chain holds at most two grids of the thread's workspace."""
-    n0 = frame_noise(n0, dd_frame.shape[:-2])
+    n0 = frame_noise(n0, frames.shape[:-2])
     noisy = bool(np.any(n0 > 0.0))
     if noisy:
         if rng is None:
             raise ValueError("noise requested but no rng supplied")
         generators = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-        if len(generators) * dd_frame.shape[-2] * dd_frame.shape[-1] != dd_frame.size:
+        if len(generators) * frames.shape[-2] * frames.shape[-1] != frames.size:
             raise ValueError("a stack of frames needs one generator per frame")
-    mark = WORKSPACE.used
-    buffers = (out, WORKSPACE.take(out.shape, complex))
-    # each step flips the buffer, and the modulation takes the one that
-    # puts the last step in ``out``
-    at = 1 - ((not windows.tx_ones) + 1 + noisy + (not windows.rx_ones)) % 2
-
-    def into(shape: tuple) -> np.ndarray:
-        nonlocal at
-        at = 1 - at
-        if shape == out.shape:
-            return buffers[at]
-        # a step before the broadcast to the full shape
-        return buffers[at].reshape(-1)[:math.prod(shape)].reshape(shape)
-
-    def product(ufunc, a, b) -> np.ndarray:
-        return ufunc(a, b, out=into(np.broadcast(a, b).shape))
-
-    received = _isfft_into(dd_frame, into(dd_frame.shape))
-    # a side built all ones costs no multiply; named operands keep the
-    # single-frame operand order (see tf_channel)
-    if not windows.tx_ones:
-        received = product(np.multiply, windows.tx, received)
-    received = product(np.multiply, tf_gain_grid, received)
-    if noisy:
-        shape = dd_frame.shape[-2:]
-        scale = np.sqrt(n0 / 2.0)
-        frame_scales = (np.zeros(dd_frame.shape[:-2]) + scale).reshape(-1).tolist()
-        noise = WORKSPACE.take(dd_frame.shape, complex)
-        # frame i's (2, N, M) draws, in the noise grid's bytes: its real
-        # plane, then its imaginary plane; a frame at zero noise power draws
-        # nothing and keeps zeros
-        draws = noise.reshape(-1).view(float).reshape((len(generators), 2) + shape)
-        if min(frame_scales) <= 0.0:
-            draws[...] = 0.0
-        for gen, frame_draws, frame_scale in zip(generators, draws, frame_scales):
-            if frame_scale > 0.0:
-                gen.standard_normal(out=frame_draws)
-        # the unit-power noise goes where the sum will
-        unit = into(dd_frame.shape)
-        at = 1 - at
-        unit.real, unit.imag = draws[:, 0].reshape(unit.shape), draws[:, 1].reshape(unit.shape)
-        np.multiply(scale[..., None, None], unit, out=noise)
-        received = product(np.add, received, noise)
-    if not windows.rx_ones:
-        product(np.multiply, windows.rx, received)
-    WORKSPACE.used = mark
-    return out
+    sides = [grid for grid, ones in ((windows.tx, windows.tx_ones), (windows.rx, windows.rx_ones))
+             if not ones]
+    shape = np.broadcast(frames, tf_gain_grid, *sides).shape
+    products = (not windows.tx_ones) + 1 + (not windows.rx_ones)
+    received = WORKSPACE.take(shape, complex)
+    with WORKSPACE.scope():
+        # Each product writes the free grid and frees the one it read, so
+        # the value alternates between the modulated frames and
+        # ``received``; the noise is added in place after an odd number of
+        # products and into the free grid after an even one, so the chain
+        # ends in ``received``.  A side built all ones costs no multiply;
+        # the grids multiply from the left, as a single frame's do.
+        value = isfft(frames if frames.shape == shape else np.broadcast_to(frames, shape))
+        free = received
+        if not windows.tx_ones:
+            value, free = np.multiply(windows.tx, value, out=free), value
+        value, free = np.multiply(tf_gain_grid, value, out=free), value
+        if noisy:
+            plane = frames.shape[-2:]
+            scale = np.sqrt(n0 / 2.0)
+            frame_scales = (np.zeros(frames.shape[:-2]) + scale).reshape(-1).tolist()
+            noise = WORKSPACE.take(frames.shape, complex)
+            # frame i's (2, N, M) draws, real plane then imaginary plane;
+            # a frame at zero noise power draws nothing and keeps zeros
+            draws = noise.reshape(-1).view(float).reshape((len(generators), 2) + plane)
+            if min(frame_scales) <= 0.0:
+                draws[...] = 0.0
+            for gen, frame_draws, frame_scale in zip(generators, draws, frame_scales):
+                if frame_scale > 0.0:
+                    gen.standard_normal(out=frame_draws)
+            # the unit-power noise, then scaled over the draws
+            unit = free.reshape(-1)[:frames.size].reshape(frames.shape)
+            unit.real, unit.imag = (draws[:, 0].reshape(frames.shape),
+                                    draws[:, 1].reshape(frames.shape))
+            np.multiply(scale[..., None, None], unit, out=noise)
+            if products % 2:
+                # a complex sum rounds alike in place
+                value += noise
+            else:
+                value, free = np.add(value, noise, out=free), value
+        if not windows.rx_ones:
+            value, free = np.multiply(windows.rx, value, out=free), value
+        if value is not received:
+            # noise-free, after an even number of products
+            np.copyto(received, value)
+    return sfft(received) if demodulate else received
 
 
 # ---------------------------------------------------------------------------

@@ -151,20 +151,7 @@ def tf_lmmse_detect(
     is nonzero, a pair no joint window gives, since g carries the RX window.
     """
     r = np.asarray(received, dtype=complex)
-    cells = r.shape[-2] * r.shape[-1] if layout is None else int(layout.data_mask.sum())
-    soft = _tf_lmmse_into(r, np.asarray(tf_gains, dtype=complex), rx_window, n0, layout,
-                          np.empty(r.shape[:-2] + (cells,), dtype=complex))
-    hard = constellation.nearest_indices(soft).reshape(soft.shape)
-    return DetectionReport(soft=soft, hard_indices=hard)
-
-
-def _tf_lmmse_into(r: np.ndarray, g: np.ndarray, rx_window: np.ndarray,
-                   n0: float | np.ndarray, layout: PilotLayout | None,
-                   out: np.ndarray) -> np.ndarray:
-    """The soft estimates of :func:`tf_lmmse_detect` for complex grids r and
-    gains g, written to the complex ``out`` of their [..., cells] shape,
-    with every grid of the solve in the thread's workspace.  No complex
-    step writes over one of its operands (see ``channel.tf_channel``)."""
+    g = np.asarray(tf_gains, dtype=complex)
     n0 = frame_noise(n0, r.shape[:-2])
     rx = np.asarray(rx_window)
     try:
@@ -173,40 +160,46 @@ def _tf_lmmse_into(r: np.ndarray, g: np.ndarray, rx_window: np.ndarray,
         fits = False
     if not fits or g.shape != r.shape:
         raise ValueError("observation, gain and window grids must share one shape")
-    mark = WORKSPACE.used
-    # n0 |v|^2, broadcast to the grids, and d = |g|^2 + n0 |v|^2: real, so
-    # exact in place
-    noise_tf, denom = WORKSPACE.take((2,) + r.shape)
-    power = np.abs(rx, out=WORKSPACE.take(rx.shape))
-    np.multiply(n0[..., None, None], np.square(power, out=power), out=noise_tf)
-    np.abs(g, out=denom)
-    np.add(np.square(denom, out=denom), noise_tf, out=denom)
-    if not np.all(denom > 0):
-        raise NumericalFailure(
-            "LMMSE solve is singular (a TF bin with zero gain and zero noise); "
-            "refusing to regularize implicitly"
-        )
-    # conj(g) / d * r, each complex step into a grid that is not its operand
-    weighted, other, *spare = WORKSPACE.take((2 if layout is None else 3,) + r.shape, complex)
-    np.true_divide(np.conj(g, out=weighted), denom, out=other)
-    np.multiply(other, r, out=weighted)
-    if layout is None:
-        _sfft_into(weighted, out.reshape(r.shape))
-    else:
-        residual = np.true_divide(noise_tf, denom, out=denom)
-        try:
-            weights = _guard_weights(weighted, residual, layout, other)
-        except np.linalg.LinAlgError as exc:
+    cells = r.shape[-2] * r.shape[-1] if layout is None else int(layout.data_mask.sum())
+    soft = WORKSPACE.take(r.shape[:-2] + (cells,), complex)
+    # every grid of the solve in the workspace; no complex step writes over
+    # one of its operands (see ``channel.tf_channel``)
+    with WORKSPACE.scope():
+        # n0 |v|^2, broadcast to the grids, and d = |g|^2 + n0 |v|^2: real,
+        # so exact in place
+        noise_tf, denom = WORKSPACE.take((2,) + r.shape)
+        power = np.abs(rx, out=WORKSPACE.take(rx.shape))
+        np.multiply(n0[..., None, None], np.square(power, out=power), out=noise_tf)
+        np.abs(g, out=denom)
+        np.add(np.square(denom, out=denom), noise_tf, out=denom)
+        if not np.all(denom > 0):
             raise NumericalFailure(
-                "LMMSE guard downdate is singular; refusing to regularize implicitly"
-            ) from exc
-        correction = np.multiply(residual, weights, out=spare[0])
-        dd = _sfft_into(np.subtract(weighted, correction, out=other), spare[0])
-        dd.reshape(out.shape[:-1] + (-1,)).take(_data_cells(layout), axis=-1, out=out)
-    WORKSPACE.used = mark
-    if not np.all(np.isfinite(out)):
+                "LMMSE solve is singular (a TF bin with zero gain and zero noise); "
+                "refusing to regularize implicitly"
+            )
+        # conj(g) / d * r
+        weighted, other, *spare = WORKSPACE.take((2 if layout is None else 3,) + r.shape,
+                                                 complex)
+        np.true_divide(np.conj(g, out=weighted), denom, out=other)
+        np.multiply(other, r, out=weighted)
+        if layout is None:
+            _sfft_into(weighted, soft.reshape(r.shape))
+        else:
+            residual = np.true_divide(noise_tf, denom, out=denom)
+            try:
+                weights = _guard_weights(weighted, residual, layout, other)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure(
+                    "LMMSE guard downdate is singular; refusing to regularize implicitly"
+                ) from exc
+            correction = np.multiply(residual, weights, out=spare[0])
+            dd = _sfft_into(np.subtract(weighted, correction, out=other), spare[0])
+            dd.reshape(soft.shape[:-1] + (-1,)).take(_data_cells(layout), axis=-1, out=soft,
+                                                     mode="clip")
+    if not np.all(np.isfinite(soft)):
         raise NumericalFailure("LMMSE estimate is not finite")
-    return out
+    hard = constellation.nearest_indices(soft).reshape(soft.shape)
+    return DetectionReport(soft=soft, hard_indices=hard)
 
 
 def _data_cells(layout: PilotLayout) -> np.ndarray:
@@ -263,9 +256,8 @@ def _guard_weights(weighted: np.ndarray, residual: np.ndarray, layout: PilotLayo
     """The TF grid isfft(W) of the guard weights w = E[G, G]^(-1) x0[G]
     placed on the guard cells G of ``layout`` (W zero elsewhere), written to
     the complex ``out``, per frame of [..., N, M] stacks of TF grids
-    ``weighted`` and ``residual``: x0 =
-    sfft(weighted) is the full-data estimate and E the circular operator of
-    the residual's DD response.
+    ``weighted`` and ``residual``: x0 = sfft(weighted) is the full-data
+    estimate and E the circular operator of the residual's DD response.
 
     E restricted to the guard's delay band Lb of b columns (all N Doppler
     rows) is block-circulant in Doppler: with h = ifft(residual) over delay,
@@ -298,32 +290,33 @@ def _guard_weights(weighted: np.ndarray, residual: np.ndarray, layout: PilotLayo
     if np.any(np.count_nonzero(residual, axis=-1) < b):
         raise np.linalg.LinAlgError("a time slot's band block is singular")
     batch = weighted.shape[:-2]
-    mark = WORKSPACE.used
-    both, transformed = WORKSPACE.take((2, 2) + weighted.shape, complex)
-    both[0], both[1] = weighted, residual
-    spectra, lags = _into(np.fft.ifft, both, -1, transformed)
-    # the Doppler IFFT of x0 on the band, times sqrt(N / M)
-    rhs = spectra[..., band]
-    blocks = lags.take(plan.toeplitz, axis=-1,
-                       out=WORKSPACE.take(lags.shape[:-1] + plan.toeplitz.shape, complex))
-    inverse = np.linalg.inv(blocks)
-    if rest:
-        # less x0's rows Kc: the Doppler IFFT of [x0_G; 0]
-        rhs = rhs - plan.from_rest @ (plan.to_rest @ rhs)
-        z_rest = plan.to_rest @ (inverse @ rhs[..., None])[..., 0]
-        # Q_CC from its row-difference blocks
-        size = rest * b
-        q_lags = (plan.lag_dft @ inverse.reshape(batch + (n, b * b))).reshape(batch + (-1, b, b))
-        q_cc = q_lags[..., plan.lag_pairs, :, :].swapaxes(-3, -2).reshape(batch + (size, size))
-        u = np.linalg.solve(q_cc, z_rest.reshape(batch + (size, 1)))
-        # the Doppler IFFT of [x0_G; -u]
-        rhs = rhs - plan.from_rest @ u.reshape(batch + (rest, b))
-    # the grid weighted was copied into is free again
-    placed = both[0]
-    placed[...] = 0.0
-    placed[..., band] = (inverse @ rhs[..., None])[..., 0]
-    _into(np.fft.fft, placed, -1, out)
-    WORKSPACE.used = mark
+    with WORKSPACE.scope():
+        both, transformed = WORKSPACE.take((2, 2) + weighted.shape, complex)
+        both[0], both[1] = weighted, residual
+        spectra, lags = _into(np.fft.ifft, both, -1, transformed)
+        # the Doppler IFFT of x0 on the band, times sqrt(N / M)
+        rhs = spectra[..., band]
+        blocks = lags.take(plan.toeplitz, axis=-1, mode="clip",
+                           out=WORKSPACE.take(lags.shape[:-1] + plan.toeplitz.shape, complex))
+        inverse = np.linalg.inv(blocks)
+        if rest:
+            # less x0's rows Kc: the Doppler IFFT of [x0_G; 0]
+            rhs = rhs - plan.from_rest @ (plan.to_rest @ rhs)
+            z_rest = plan.to_rest @ (inverse @ rhs[..., None])[..., 0]
+            # Q_CC from its row-difference blocks
+            size = rest * b
+            q_lags = (plan.lag_dft @ inverse.reshape(batch + (n, b * b))
+                      ).reshape(batch + (-1, b, b))
+            q_cc = q_lags[..., plan.lag_pairs, :, :].swapaxes(-3, -2).reshape(
+                batch + (size, size))
+            u = np.linalg.solve(q_cc, z_rest.reshape(batch + (size, 1)))
+            # the Doppler IFFT of [x0_G; -u]
+            rhs = rhs - plan.from_rest @ u.reshape(batch + (rest, b))
+        # the grid weighted was copied into is free again
+        placed = both[0]
+        placed[...] = 0.0
+        placed[..., band] = (inverse @ rhs[..., None])[..., 0]
+        _into(np.fft.fft, placed, -1, out)
     return out
 
 
@@ -581,21 +574,21 @@ def _spa_graph(
     gains = np.where(on_data, tap[frame_of], 0.0)
     y = y[live]
     likelihood = _ARENA.take((q ** degree, width))
-    graph_bytes = _ARENA.used
     for d in sorted(set(degrees.tolist())):
-        cols = np.flatnonzero(degrees[frame_of] == d)
-        configs = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
-        means = np.matmul(gains[cols, degree - d:], points[configs].T,   # (F_d, Q^d)
-                          out=_ARENA.take((cols.size, configs.shape[0]), complex))
-        np.subtract(y[cols, None], means, out=means)
-        part = _ARENA.take((configs.shape[0], cols.size))
-        np.abs(means.T, out=part)
-        part **= 2
-        part -= part.min(axis=0)                             # scale-free normalization
-        part /= -sigma2[frame_of[cols]]
-        np.exp(part, out=part)
-        likelihood.reshape(q ** (degree - d), -1, width)[:, :, cols] = part
-        _ARENA.used = graph_bytes                             # frees means and part
+        # means and part are freed with each degree
+        with _ARENA.scope():
+            cols = np.flatnonzero(degrees[frame_of] == d)
+            configs = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
+            means = np.matmul(gains[cols, degree - d:], points[configs].T,   # (F_d, Q^d)
+                              out=_ARENA.take((cols.size, configs.shape[0]), complex))
+            np.subtract(y[cols, None], means, out=means)
+            part = _ARENA.take((configs.shape[0], cols.size))
+            np.abs(means.T, out=part)
+            part **= 2
+            part -= part.min(axis=0)                             # scale-free normalization
+            part /= -sigma2[frame_of[cols]]
+            np.exp(part, out=part)
+            likelihood.reshape(q ** (degree - d), -1, width)[:, :, cols] = part
     return _SpaGraph(likelihood.reshape((q,) * degree + (width,)), at_factors, at_symbols, counts)
 
 

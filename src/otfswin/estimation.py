@@ -143,7 +143,8 @@ def embed_pilot(data_frame: np.ndarray, layout: PilotLayout) -> np.ndarray:
     an (N, M) frame or in each frame of a ``[..., N, M]`` stack."""
     if data_frame.shape[-2:] != layout.grid.shape:
         raise ValueError("frame shape does not match grid")
-    frame = np.array(data_frame, dtype=complex, copy=True)
+    frame = WORKSPACE.take(data_frame.shape, complex)
+    np.copyto(frame, data_frame)
     frame[..., layout.guard_mask] = 0.0
     frame[..., layout.pilot_doppler, layout.pilot_delay] = layout.pilot_value
     return frame
@@ -166,31 +167,26 @@ def estimate_channel(received: np.ndarray, layout: PilotLayout,
     (any other shape, or a value that is not finite and nonnegative, raises
     ``ValueError``).
     """
-    return _estimate_channel_into(received, layout, n0,
-                                  np.empty(received.shape, dtype=complex))
-
-
-def _estimate_channel_into(received: np.ndarray, layout: PilotLayout,
-                           n0: float | np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`estimate_channel` written to the complex ``out`` of the grids'
-    shape, with the Doppler FFT and the window's rows in the thread's
-    workspace."""
     if received.shape[-2:] != layout.grid.shape:
         raise ValueError("frame shape does not match grid")
     n0 = frame_noise(n0, received.shape[:-2])
     threshold = 3.0 * np.sqrt(n0)
     (n, m), (rows, cols) = layout.grid.shape, layout.read_cells
-    mark = WORKSPACE.used
-    # sfft(r) = ifft_m(fft_n(r)) * sqrt(M / N), row by row
-    doppler = _into(np.fft.fft, received, -2, WORKSPACE.take(received.shape, complex))
-    window, rows_dd = WORKSPACE.take((2,) + received.shape[:-2] + (rows.shape[0], m), complex)
-    rows_dd = _into(np.fft.ifft, doppler.take(rows[:, 0], axis=-2, out=window), -1, rows_dd)
-    block = rows_dd[..., cols[0]] * math.sqrt(m / n)
-    WORKSPACE.used = mark
+    est = WORKSPACE.take(received.shape, complex)
+    shape = received.shape[:-2] + (rows.shape[0], m)
+    with WORKSPACE.scope():
+        # sfft(r) = ifft_m(fft_n(r)) * sqrt(M / N), row by row.  The
+        # estimate's grid, filled after it, holds the Doppler FFT and then
+        # the delay IFFT of the window's rows
+        doppler = _into(np.fft.fft, received, -2, est)
+        window = doppler.take(rows[:, 0], axis=-2, mode="clip",
+                              out=WORKSPACE.take(shape, complex))
+        rows_dd = _into(np.fft.ifft, window, -1, est.reshape(-1)[:window.size].reshape(shape))
+        block = rows_dd[..., cols[0]] * math.sqrt(m / n)
     keep = np.abs(block) >= threshold[..., None, None]
-    out[...] = 0.0
-    out[(..., *layout.tap_cells)] = np.where(keep, block / layout.pilot_value, 0.0)
-    return out
+    est[...] = 0.0
+    est[(..., *layout.tap_cells)] = np.where(keep, block / layout.pilot_value, 0.0)
+    return est
 
 
 # ---------------------------------------------------------------------------

@@ -114,36 +114,24 @@ class Constellation:
         """Labels of consecutive groups of ``bits_per_symbol`` bits, first
         bit most significant."""
         bits = np.asarray(bits, dtype=np.int64)
-        return self._indices_into(bits, np.empty(bits.size // self.bits_per_symbol,
-                                                 dtype=np.int64))
-
-    def _indices_into(self, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """:meth:`bits_to_indices` of the int64 vector ``bits`` written to
-        the int64 ``out``."""
         bps = self.bits_per_symbol
         if bits.ndim != 1 or bits.size % bps:
             raise ValueError("bit count must be a multiple of bits_per_symbol")
         if bits.size and (bits.min() < 0 or bits.max() > 1):
             raise ValueError("bits must be 0 or 1")
         label = bits[0::bps]
-        for first in range(1, bps):
-            label = np.add(np.multiply(label, 2, out=out), bits[first::bps], out=out)
-        if label is not out:
-            np.copyto(out, label)
-        return out
+        if bps > 1:
+            out = WORKSPACE.take(label.shape, np.int64)
+            for first in range(1, bps):
+                label = np.add(np.multiply(label, 2, out=out), bits[first::bps], out=out)
+        return label
 
     def indices_to_bits(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
-        return self._bits_into(indices, np.empty(indices.shape + (self.bits_per_symbol,),
-                                                 dtype=np.int64)).reshape(-1)
-
-    def _bits_into(self, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The bits of each label of the int64 vector ``indices``, first bit
-        most significant, written to the (labels, bits_per_symbol) int64
-        ``out``."""
         shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
+        out = WORKSPACE.take(indices.shape + shifts.shape, np.int64)
         np.right_shift(indices[:, None], shifts, out=out)
-        return np.bitwise_and(out, 1, out=out)
+        return np.bitwise_and(out, 1, out=out).reshape(-1)
 
     def modulate(self, bits: np.ndarray) -> np.ndarray:
         return self.points[self.bits_to_indices(bits)]
@@ -161,20 +149,15 @@ class Constellation:
         coordinate read as non-negative, the lower index.
         """
         symbols = np.ascontiguousarray(symbols, dtype=complex).reshape(-1)
-        return self._nearest_into(symbols, np.empty(symbols.shape, dtype=np.intp))
-
-    def _nearest_into(self, symbols: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """:meth:`nearest_indices` of the contiguous complex vector
-        ``symbols`` written to the intp ``out`` of its shape, with the signs
-        in the thread's workspace."""
-        mark = WORKSPACE.used
-        # re, im, re, im, ...
-        negative = np.less(symbols.view(float), 0, out=WORKSPACE.take((2 * symbols.size,), bool))
-        np.copyto(out, negative[0::2])
-        if self.points.size == 4:
-            out *= 2
-            out += negative[1::2]
-        WORKSPACE.used = mark
+        out = WORKSPACE.take(symbols.shape, np.intp)
+        with WORKSPACE.scope():
+            # re, im, re, im, ...
+            negative = np.less(symbols.view(float), 0,
+                               out=WORKSPACE.take((2 * symbols.size,), bool))
+            np.copyto(out, negative[0::2])
+            if self.points.size == 4:
+                out *= 2
+                out += negative[1::2]
         return out
 
 
@@ -217,15 +200,6 @@ def map_symbols(
     must match the number of filled cells exactly.
     """
     bits = np.asarray(bits)
-    return _map_symbols_into(bits, constellation, grid, mask,
-                             np.empty(bits.shape[:-1] + grid.shape, dtype=complex))
-
-
-def _map_symbols_into(bits: np.ndarray, constellation: Constellation, grid: FrameGrid,
-                      mask: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-    """:func:`map_symbols` of the bit array ``bits`` written to the complex
-    ``out`` of the frames' shape, with the labels and symbols in the
-    thread's workspace."""
     bps = constellation.bits_per_symbol
     n_cells = grid.size if mask is None else int(np.count_nonzero(mask))
     if bits.ndim < 1 or bits.shape[-1] != n_cells * bps:
@@ -233,14 +207,16 @@ def _map_symbols_into(bits: np.ndarray, constellation: Constellation, grid: Fram
     if mask is not None and mask.shape != grid.shape:
         raise ValueError("mask shape does not match grid")
     lead = bits.shape[:-1]
-    mark = WORKSPACE.used
-    labels = constellation._indices_into(np.asarray(bits.reshape(-1), dtype=np.int64),
-                                         WORKSPACE.take((bits.size // bps,), np.int64))
-    if mask is None:
-        constellation.points.take(labels, out=out.reshape(-1))
-    else:
-        symbols = constellation.points.take(labels, out=WORKSPACE.take(labels.shape, complex))
-        out[...] = 0.0
-        out[..., mask] = symbols.reshape(lead + (n_cells,))
-    WORKSPACE.used = mark
-    return out
+    frames = WORKSPACE.take(lead + grid.shape, complex)
+    with WORKSPACE.scope():
+        # every label is a point's index: take's "raise" mode would gather
+        # through a copy of its output
+        labels = constellation.bits_to_indices(bits.reshape(-1))
+        if mask is None:
+            constellation.points.take(labels, out=frames.reshape(-1), mode="clip")
+        else:
+            symbols = constellation.points.take(
+                labels, out=WORKSPACE.take(labels.shape, complex), mode="clip")
+            frames[...] = 0.0
+            frames[..., mask] = symbols.reshape(lead + (n_cells,))
+    return frames

@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -34,11 +35,10 @@ from . import detection as det_mod
 from . import estimation as est_mod
 from . import windows as win_mod
 from .errors import ConfigurationError, NumericalFailure
-# perfbench's tracer wraps map_symbols where this module looks it up
-from .grid import Constellation, FrameGrid, _map_symbols_into, map_symbols  # noqa: F401
+from .grid import Constellation, FrameGrid, map_symbols
 # perfbench/run.py runs the self-check as harness.run_selfcheck
 from .selfcheck import run_selfcheck
-from .transforms import _sfft_into
+from .transforms import sfft
 from .workspace import WORKSPACE
 
 # Beyond a pilot-to-data amplitude ratio of 1/eps (or below eps), the pilot and
@@ -119,6 +119,7 @@ _HASHED_ALWAYS = (
     "pilot_power_dbw", "tx_window", "rx_window", "dc_sl_db", "detector", "spa_taps",
     "spa_iters", "spa_damping", "csi", "snr_db", "trials", "seed",
 )
+_HASHED_ALWAYS_SET = frozenset(_HASHED_ALWAYS)
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ class ExperimentConfig:
     def canonical_text(self) -> str:
         names = _HASHED_ALWAYS + tuple(
             f.name for f in dataclasses.fields(self)
-            if f.name not in _HASHED_ALWAYS and getattr(self, f.name) != f.default)
+            if f.name not in _HASHED_ALWAYS_SET and getattr(self, f.name) != f.default)
         items = []
         for name in names:
             value = getattr(self, name)
@@ -461,9 +462,16 @@ def _link(config: ExperimentConfig, pilot: bool) -> _Link:
     calls, as a benchmark loop, the test suite or a seed sweep through the
     API do; a single CLI run builds its link once either way.
     """
-    fields = tuple((f.name, getattr(config, f.name)) for f in dataclasses.fields(config)
-                   if f.name not in _PER_CALL_FIELDS)
-    return _Link(config, *_link_parts(type(config), fields, pilot))
+    names, values = _link_fields(type(config))
+    return _Link(config, *_link_parts(type(config), tuple(zip(names, values(config))), pilot))
+
+
+@functools.cache
+def _link_fields(kind: type) -> tuple[tuple[str, ...], operator.attrgetter]:
+    """The names of the fields of config class ``kind`` that its link
+    reads, and a getter of their values."""
+    names = tuple(f.name for f in dataclasses.fields(kind) if f.name not in _PER_CALL_FIELDS)
+    return names, operator.attrgetter(*names)
 
 
 @functools.lru_cache(maxsize=_LINK_CACHE_SIZE)
@@ -495,8 +503,7 @@ def _link_parts(kind: type, fields: tuple, pilot: bool) -> tuple:
 
 def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     """A chunk of trials of the link up to the receiver: draw each trial's
-    channel and bits, build the TX windows, map the bits onto the data
-    cells, set the pilot cell (the map leaves every guard cell at 0) and
+    channel and bits, build the TX windows, map the bits, embed the pilot and
     pass the frames through the windowed TF channel.
 
     ``cells`` lists the chunk's (snr index, trial) pairs and ``n0`` their
@@ -506,77 +513,62 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     ``integers(0, 2, bits)`` call (``bounded_draws`` draws them for the
     whole chunk), then the noise.  The array work after the draws also runs
     once for the whole chunk (one ``sample_channel``, ``tf_channel`` and,
-    for the optimal TX window, ``optimal_tx_window`` core call), writing
-    into the chunk's workspace, and every frame of it is bit for bit the
-    frame the trial would give on its own.
+    for the optimal TX window, ``optimal_tx_window`` call), and every frame
+    of it is bit for bit the frame the trial would give on its own.
 
     Returns what the channel made: the data bits and the RX-windowed TF
     grids r that ``transmit_frame`` would demodulate, one per frame stacked
     along a leading axis, the chunk's ``WindowPair`` (the link's, or one
-    optimal pair per frame) and the TF channel gains H_tf of each frame, all
-    views of the workspace that last until the next chunk.  Every receiver
-    takes r as it is; a caller that needs the windowed gains ``joint *
-    H_tf``, whose DD response is the effective channel, forms them with
-    :func:`_windowed`.
+    optimal pair per frame) and the TF channel gains H_tf of each frame.
+    Every receiver takes r as it is; a caller that needs the windowed gains
+    ``joint * H_tf``, whose DD response is the effective channel, forms them
+    with ``windows.windowed(tf_gains)``.
     """
-    config, layout = link.config, link.layout
-    shape = (len(cells),) + link.grid.shape
+    config = link.config
     generators = _trial_rng(config, cells)
     channels = ch_mod.sample_channel(link.grid, config.paths, config.k_max, config.l_max,
                                      generators)
-    bits = ch_mod._bounded_draws_into(generators, np.full(link.bits_per_frame, 2),
-                                      WORKSPACE.take((len(cells), link.bits_per_frame), np.int64))
-    tf_gains, r = WORKSPACE.take((2,) + shape, complex)
-    ch_mod._tf_channel_into(channels, tf_gains)
+    bits = ch_mod.bounded_draws(generators, np.full(link.bits_per_frame, 2))
+    tf_gains = ch_mod.tf_channel(channels)
     windows = link.windows if link.windows is not None else _optimal_windows(tf_gains, n0)
-    mark = WORKSPACE.used
-    frames = _map_symbols_into(bits, link.constellation, link.grid,
-                               None if layout is None else layout.data_mask,
-                               WORKSPACE.take(shape, complex))
-    if layout is not None:
-        # the data mask leaves every guard cell at 0: only the pilot is set
-        frames[:, layout.pilot_doppler, layout.pilot_delay] = layout.pilot_value
-    ch_mod._transmit_frame_into(frames, tf_gains, windows, n0, generators, r)
-    WORKSPACE.used = mark
+    if link.layout is None:
+        frames = map_symbols(bits, link.constellation, link.grid)
+    else:
+        frames = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
+        # the embedded copy goes back over the mapped frames and its grid is
+        # freed: the chunk's deepest point, in the transmit chain, holds one
+        # grid of frames
+        with WORKSPACE.scope():
+            frames[...] = est_mod.embed_pilot(frames, link.layout)
+    r = ch_mod.transmit_frame(frames, tf_gains, windows, n0, generators, demodulate=False)
     return bits, r, windows, tf_gains
 
 
 def _optimal_windows(tf_gains: np.ndarray, n0: np.ndarray) -> win_mod.WindowPair:
     """One optimal TX window per frame of the chunk's TF gains at noise
-    powers ``n0``, the pair ``WindowPair.from_tx_grid`` makes of its
-    ``tx_window``, in the chunk's workspace."""
+    powers ``n0``: the pair ``WindowPair.from_tx_grid`` makes of its
+    ``tx_window``, formed in the workspace."""
     tx, rx = WORKSPACE.take((2,) + tf_gains.shape, complex)
-    mark = WORKSPACE.used
-    # |H|^2 / n0, real and so exact in place
-    lam, power = WORKSPACE.take((2,) + tf_gains.shape)
-    np.abs(tf_gains, out=lam)
-    np.true_divide(np.square(lam, out=lam), n0[:, None, None], out=lam)
-    try:
-        win_mod._optimal_tx_window_into(lam, power)
-    except ValueError as exc:
-        raise NumericalFailure(f"optimal TX window: {exc}") from exc
-    tx[...] = np.sqrt(power, out=power)
+    with WORKSPACE.scope():
+        # |H|^2 / n0, real and so exact in place
+        lam = np.abs(tf_gains, out=WORKSPACE.take(tf_gains.shape))
+        np.true_divide(np.square(lam, out=lam), n0[:, None, None], out=lam)
+        try:
+            power = win_mod.optimal_tx_window(lam).x
+        except ValueError as exc:
+            raise NumericalFailure(f"optimal TX window: {exc}") from exc
+        tx[...] = np.sqrt(power, out=power)
     rx[...] = 1.0
-    WORKSPACE.used = mark
     return win_mod.WindowPair(tx=tx, rx=rx)._marked(False, True)
-
-
-def _windowed(windows: win_mod.WindowPair, tf_gains: np.ndarray) -> np.ndarray:
-    """``windows.windowed(tf_gains)``, a product in the chunk's workspace."""
-    if windows.tx_ones and windows.rx_ones:
-        return tf_gains
-    return np.multiply(windows.joint, tf_gains, out=WORKSPACE.take(tf_gains.shape, complex))
 
 
 # Trials run in chunks whose (B, N, M) complex work arrays take about this
 # many bytes: B = 27 on the 30x20 grid.  A chunk shares each numpy call's
 # fixed cost among its frames, and a warm chunk takes its arrays from the
-# thread's workspace without page faults: about six such arrays at its
-# deepest (1.5 MB on 30x20).
+# thread's workspace without page faults.
 _CHUNK_BYTES = 256 * 1024
 # A run whose paths' draws would not fit in _PATH_BYTES at the full chunk
-# takes smaller chunks, down to frames of this many bytes; paths that do not
-# fit there are refused.
+# takes chunks of frames of this many bytes, at which configs are checked.
 _LEAST_CHUNK_BYTES = 128 * 1024
 
 
@@ -586,26 +578,21 @@ def _chunk_size(grid: FrameGrid, nbytes: int = _CHUNK_BYTES) -> int:
 
 
 def _run_chunk(config: ExperimentConfig) -> int:
-    """Trials per chunk in a run of ``config``: the frames of
-    ``_CHUNK_BYTES``, at most the run's trials, and fewer where the paths'
-    draws and phases would not fit in ``_PATH_BYTES`` (never below the
-    frames of ``_LEAST_CHUNK_BYTES``, at which the config was checked).
+    """Trials per chunk in a run of ``config``, at most the run's trials:
+    the frames of ``_CHUNK_BYTES``, or of ``_LEAST_CHUNK_BYTES`` where the
+    paths' draws and phases would not fit in ``_PATH_BYTES`` at the full
+    chunk (the config was checked at that size).
 
     A sum-product run takes the frames of ``_LEAST_CHUNK_BYTES``: its flood
     sweeps all frames of a chunk until the slowest one freezes, so a larger
-    chunk costs it more per frame (326 against 342 us a frame on a
-    2000-trial 9b run)."""
+    chunk costs it more per frame."""
     grid, total = config.grid(), len(config.snr_db) * config.trials
-    low = min(_chunk_size(grid, _LEAST_CHUNK_BYTES), total)
-    high = low if config.detector == "spa" else min(_chunk_size(grid), total)
-    # the largest chunk in [low, high] whose paths fit: fewer frames fit more paths
-    while low < high:
-        middle = (low + high + 1) // 2
-        if ch_mod.paths_that_fit(grid, middle, _PATH_BYTES, config.l_max + 1) >= config.paths:
-            low = middle
-        else:
-            high = middle - 1
-    return low
+    least = min(_chunk_size(grid, _LEAST_CHUNK_BYTES), total)
+    if config.detector == "spa":
+        return least
+    chunk = min(_chunk_size(grid), total)
+    fits = ch_mod.paths_that_fit(grid, chunk, _PATH_BYTES, config.l_max + 1) >= config.paths
+    return chunk if fits else least
 
 
 # One complex (N, M) frame takes at most this many bytes, a million cells;
@@ -630,15 +617,18 @@ def _sweep(config: ExperimentConfig, chunk):
     its last trial has run.
     """
     step = _run_chunk(config)
+    # a run of chunks smaller than those of _LEAST_CHUNK_BYTES leaves the
+    # workspace closed: its bookkeeping would cost such a chunk more than
+    # the page faults it saves (a 4-frame 30x20 chunk runs 3% slower in it)
+    reuse = step >= _chunk_size(config.grid(), _LEAST_CHUNK_BYTES)
     snrs, trials = config.snr_db, config.trials
     powers = np.array([noise_power(snr) for snr in snrs])
     cells = itertools.product(range(len(snrs)), range(trials))
     values: list = []
     point = 0
     while batch := list(itertools.islice(cells, step)):
-        # the last chunk's arrays are done with
-        WORKSPACE.reset()
-        values.extend(chunk(batch, powers[[snr_index for snr_index, _ in batch]]))
+        with WORKSPACE.chunk(reuse):
+            values.extend(chunk(batch, powers[[snr_index for snr_index, _ in batch]]))
         while len(values) >= trials:
             yield snrs[point], values[:trials]
             del values[:trials]
@@ -665,10 +655,9 @@ def run_ce_mse(config: ExperimentConfig) -> list[ResultRow]:
 
     def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> np.ndarray:
         _, r, windows, tf_gains = _transmit(link, cells, n0)
-        est = est_mod._estimate_channel_into(r, link.layout, n0, WORKSPACE.take(r.shape, complex))
-        truth = ch_mod._dd_response_into(_windowed(windows, tf_gains), config.l_max + 1,
-                                         WORKSPACE.take(r.shape[:-1] + (config.l_max + 1,),
-                                                        complex))
+        # the truth's work grid is freed before the estimate takes its own
+        truth = ch_mod._dd_response(windows.windowed(tf_gains), config.l_max + 1)
+        est = est_mod.estimate_channel(r, link.layout, n0)
         return est_mod.measured_ce_mse(truth, est, link.layout)
 
     return _ce_rows(config, _sweep(config, chunk))
@@ -717,7 +706,7 @@ def _detect_frames(
     """
     taps = None
     if gains is None:
-        taps = est_mod._estimate_channel_into(r, link.layout, n0, WORKSPACE.take(r.shape, complex))
+        taps = est_mod.estimate_channel(r, link.layout, n0)
         r, gains = _cancel_pilot(link.layout, r, taps)
     return _detect(link, r, gains, taps, rx_window, n0)
 
@@ -726,12 +715,11 @@ def _cancel_pilot(layout: est_mod.PilotLayout, r: np.ndarray,
                   taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The TF grids r less the pilot's response to the estimated DD taps,
     r - g * ``pilot_tf``, and the estimate's TF gains g."""
-    gains, cancelled = WORKSPACE.take((2,) + r.shape, complex)
     # the estimate's taps end at delay l_max
-    ch_mod._tf_gains_from_taps_into(taps, layout.l_max + 1, gains)
+    gains = ch_mod.tf_gains_from_taps(taps, layout.l_max + 1)
     # the pilot's response, then r less it in its place: a subtraction
     # rounds alike in place
-    np.multiply(gains, layout.pilot_tf, out=cancelled)
+    cancelled = np.multiply(gains, layout.pilot_tf, out=WORKSPACE.take(r.shape, complex))
     return np.subtract(r, cancelled, out=cancelled), gains
 
 
@@ -746,24 +734,16 @@ def _detect(link: _Link, r: np.ndarray, gains: np.ndarray, taps: np.ndarray | No
     selects."""
     layout, config, constellation = link.layout, link.config, link.constellation
     if config.detector == "mmse":
-        cells = link.bits_per_frame // constellation.bits_per_symbol
-        soft = det_mod._tf_lmmse_into(r, gains, rx_window, n0, layout,
-                                      WORKSPACE.take((len(r), cells), complex))
-        idx = constellation._nearest_into(soft.reshape(-1),
-                                          WORKSPACE.take((soft.size,), np.intp))
+        idx = det_mod.tf_lmmse_detect(r, gains, rx_window, n0, constellation, layout).hard_indices
     else:
-        if taps is None:
-            taps = ch_mod._dd_response_into(gains, None, WORKSPACE.take(r.shape, complex))
+        taps = ch_mod._dd_response(gains) if taps is None else taps
         dd_channel = ch_mod.EffectiveDDChannel(
             taps=taps, truncation=ch_mod.largest_taps(taps, config.spa_tap_count()))
         idx = det_mod.spa_detect(
-            _sfft_into(r, WORKSPACE.take(r.shape, complex)), dd_channel, n0, constellation,
-            iters=config.spa_iters, damping=config.spa_damping,
-            data_mask=None if layout is None else layout.data_mask,
-        ).hard_indices.reshape(-1)
-    bits = constellation._bits_into(idx, WORKSPACE.take(
-        (idx.size, constellation.bits_per_symbol), np.int64))
-    return bits.reshape(len(r), -1)
+            sfft(r), dd_channel, n0, constellation, iters=config.spa_iters,
+            damping=config.spa_damping, data_mask=None if layout is None else layout.data_mask,
+        ).hard_indices
+    return constellation.indices_to_bits(idx.reshape(-1)).reshape(len(idx), -1)
 
 
 def run_fer(config: ExperimentConfig) -> list[ResultRow]:
@@ -795,7 +775,7 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
 
     def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> list[int]:
         bits, r, windows, tf_gains = _transmit(link, cells, n0)
-        gains = _windowed(windows, tf_gains) if link.layout is None else None
+        gains = windows.windowed(tf_gains) if link.layout is None else None
         detected = _detect_frames(link, r, windows.rx, n0, gains)
         return np.count_nonzero(detected != bits, axis=1).tolist()
 

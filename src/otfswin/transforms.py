@@ -23,7 +23,7 @@ from .workspace import WORKSPACE
 
 # numpy 2 writes a transform into ``out``; numpy 1.x has no ``out`` and its
 # result is copied there.  The one check of the numpy version for it.
-_FFT_WRITES_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+_FFT_WRITES_OUT = int(np.__version__.split(".")[0]) >= 2
 
 
 def _into(transform, a: np.ndarray, axis: int, out: np.ndarray, n: int | None = None):
@@ -43,31 +43,16 @@ def _check_frames(frames: np.ndarray) -> np.ndarray:
     return frames
 
 
-def _isfft_into(dd_frame: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`isfft` of ``dd_frame`` written to the complex ``out`` of its
-    shape (which must not share memory with it), with its work array in the
-    thread's workspace."""
-    n, m = dd_frame.shape[-2:]
-    mark = WORKSPACE.used
-    # ``out`` holds the first stage; no stage writes over its own input
-    _into(np.fft.ifft, dd_frame, -2, out)
-    np.multiply(_into(np.fft.fft, out, -1, WORKSPACE.take(out.shape, complex)),
-                math.sqrt(n / m), out=out)
-    WORKSPACE.used = mark
-    return out
-
-
 def _sfft_into(tf_frame: np.ndarray, out: np.ndarray) -> np.ndarray:
     """:func:`sfft` of ``tf_frame`` written to the complex ``out`` of its
     shape (which must not share memory with it), with its work array in the
     thread's workspace."""
     n, m = tf_frame.shape[-2:]
-    mark = WORKSPACE.used
-    # ``out`` holds the first stage; no stage writes over its own input
-    _into(np.fft.fft, tf_frame, -2, out)
-    np.multiply(_into(np.fft.ifft, out, -1, WORKSPACE.take(out.shape, complex)),
-                math.sqrt(m / n), out=out)
-    WORKSPACE.used = mark
+    with WORKSPACE.scope():
+        # ``out`` holds the first stage; no stage writes over its own input
+        _into(np.fft.fft, tf_frame, -2, out)
+        np.multiply(_into(np.fft.ifft, out, -1, WORKSPACE.take(out.shape, complex)),
+                    math.sqrt(m / n), out=out)
     return out
 
 
@@ -75,14 +60,21 @@ def isfft(dd_frame: np.ndarray) -> np.ndarray:
     """DD -> TF transform of an (N, M) frame, or of each frame of a
     ``[..., N, M]`` stack (inverse symplectic FFT)."""
     dd_frame = _check_frames(dd_frame)
-    return _isfft_into(dd_frame, np.empty(dd_frame.shape, dtype=complex))
+    n, m = dd_frame.shape[-2:]
+    out = WORKSPACE.take(dd_frame.shape, complex)
+    with WORKSPACE.scope():
+        # ``out`` holds the first stage; no stage writes over its own input
+        _into(np.fft.ifft, dd_frame, -2, out)
+        np.multiply(_into(np.fft.fft, out, -1, WORKSPACE.take(out.shape, complex)),
+                    math.sqrt(n / m), out=out)
+    return out
 
 
 def sfft(tf_frame: np.ndarray) -> np.ndarray:
     """TF -> DD transform, the exact inverse of :func:`isfft`, also frame by
     frame over a ``[..., N, M]`` stack."""
     tf_frame = _check_frames(tf_frame)
-    return _sfft_into(tf_frame, np.empty(tf_frame.shape, dtype=complex))
+    return _sfft_into(tf_frame, WORKSPACE.take(tf_frame.shape, complex))
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -84,7 +84,11 @@ class WindowPair:
     def windowed(self, tf_gains: np.ndarray) -> np.ndarray:
         """The windowed TF gains ``joint * tf_gains``; ``tf_gains`` itself
         when both sides are all ones."""
-        return tf_gains if self.tx_ones and self.rx_ones else self.joint * tf_gains
+        if self.tx_ones and self.rx_ones:
+            return tf_gains
+        joint = self.joint
+        return np.multiply(joint, tf_gains, out=WORKSPACE.take(
+            np.broadcast(joint, tf_gains).shape, complex))
 
     @classmethod
     def rectangular(cls, grid: FrameGrid) -> "WindowPair":
@@ -298,22 +302,22 @@ class PowerAllocation:
         return inv_eta_sqrt * np.maximum(inv_eta_sqrt - inv_lam_sqrt, 0.0)
 
 
-def _allocation_into(lam: np.ndarray, eta: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """[sqrt(1/(eta*lam)) - 1/lam]^+ written to ``out``, 0 where lam <= eta;
-    each step is a correctly rounded real operation, so the ones done in
-    place give the bits of the ones that are not."""
-    mark = WORKSPACE.used
-    raw, inverse = WORKSPACE.take((2,) + lam.shape)
-    # bins at or below the level get no power (their 1/lam may overflow)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.multiply(eta, lam, out=raw)
-        np.divide(1.0, raw, out=raw)
-        np.sqrt(raw, out=raw)
-        np.subtract(raw, np.divide(1.0, lam, out=inverse), out=raw)
-    np.maximum(raw, 0.0, out=raw)
-    out[...] = 0.0
-    np.copyto(out, raw, where=lam > eta)
-    WORKSPACE.used = mark
+def _allocation(lam: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """[sqrt(1/(eta*lam)) - 1/lam]^+, 0 where lam <= eta; each step is a
+    correctly rounded real operation, so the ones done in place give the
+    bits of the ones that are not."""
+    out = WORKSPACE.take(lam.shape)
+    with WORKSPACE.scope():
+        raw, inverse = WORKSPACE.take((2,) + lam.shape)
+        # bins at or below the level get no power (their 1/lam may overflow)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.multiply(eta, lam, out=raw)
+            np.divide(1.0, raw, out=raw)
+            np.sqrt(raw, out=raw)
+            np.subtract(raw, np.divide(1.0, lam, out=inverse), out=raw)
+        np.maximum(raw, 0.0, out=raw)
+        out[...] = 0.0
+        np.copyto(out, raw, where=lam > eta)
     return out
 
 
@@ -353,14 +357,6 @@ def optimal_tx_window(lam: np.ndarray) -> PowerAllocation:
     of a stack.
     """
     lam = np.asarray(lam, dtype=float)
-    x = np.empty(lam.shape)
-    return PowerAllocation(x=x, eta=_optimal_tx_window_into(lam, x), lam=lam)
-
-
-def _optimal_tx_window_into(lam: np.ndarray, x: np.ndarray) -> float | np.ndarray:
-    """The water level of :func:`optimal_tx_window` for the float gains
-    ``lam``, with its power map written to ``x`` of their shape and the
-    fixed point's work arrays in the thread's workspace."""
     stacked = lam.ndim > 2
     frames = lam.reshape((-1, lam.shape[-2] * lam.shape[-1]) if stacked else (1, lam.size))
     size = frames.shape[1]
@@ -378,10 +374,9 @@ def _optimal_tx_window_into(lam: np.ndarray, x: np.ndarray) -> float | np.ndarra
     # the start bound lam_max / denom^2, divided twice so the square cannot overflow
     denom = size * lam_max + 1.0
     active = (frames > 0.0) & (frames >= lam_max / denom / denom)
-    mark = WORKSPACE.used
-    inv_lam, inv_sqrt = WORKSPACE.take((2,) + frames.shape)
-    inv_lam[...] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with WORKSPACE.scope(), np.errstate(over="ignore", invalid="ignore"):
+        inv_lam, inv_sqrt = WORKSPACE.take((2,) + frames.shape)
+        inv_lam[...] = 0.0
         np.divide(1.0, frames, out=inv_lam, where=active)
         np.sqrt(inv_lam, out=inv_sqrt)
         for _ in range(size):
@@ -392,7 +387,6 @@ def _optimal_tx_window_into(lam: np.ndarray, x: np.ndarray) -> float | np.ndarra
             if not dropped.any():
                 break
             active ^= dropped
-    WORKSPACE.used = mark
     bad = ~(np.isfinite(eta) & (eta > 0.0))
     if bad.any():
         first = np.argmax(bad)
@@ -400,9 +394,13 @@ def _optimal_tx_window_into(lam: np.ndarray, x: np.ndarray) -> float | np.ndarra
             f"optimal TX window: {frame(first)}water level {float(eta[first, 0])!r} is not "
             "finite and positive (channel gains too small for the power budget)"
         )
-    power = _allocation_into(frames, eta, x.reshape(frames.shape))
-    finite = np.isfinite(power).all(axis=1)
+    x = _allocation(frames, eta)
+    finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise NumericalFailure(
             f"optimal TX window: {frame(np.argmin(finite))}the power map is not finite")
-    return eta.reshape(lam.shape[:-2]) if stacked else float(eta[0, 0])
+    return PowerAllocation(
+        x=x.reshape(lam.shape),
+        eta=eta.reshape(lam.shape[:-2]) if stacked else float(eta[0, 0]),
+        lam=lam,
+    )

@@ -146,16 +146,14 @@ class TestGoldenTrials:
 
 def kept(args) -> list:
     """Copies of the arrays among ``args``: a spy that reads a chunk's
-    arrays after the chunk keeps them past its workspace's reset."""
+    arrays after the chunk keeps them past its workspace."""
     return [np.array(a) if isinstance(a, np.ndarray) else a for a in args]
 
 
-class TfReport:
-    """A copy of the soft estimates the LMMSE core wrote and their decisions."""
-
-    def __init__(self, soft, constellation):
-        self.soft = np.array(soft)
-        self.hard_indices = constellation.nearest_indices(soft).reshape(soft.shape)
+def kept_report(report):
+    """A copy of a detection report's soft estimates and decisions."""
+    return dataclasses.replace(report, soft=np.array(report.soft),
+                               hard_indices=np.array(report.hard_indices))
 
 
 # the golden links whose receiver knows the TF gains and runs LMMSE
@@ -171,25 +169,24 @@ class TestKnownCsiTfDetection:
 
     @pytest.mark.parametrize("name", KNOWN_CSI_MMSE)
     def test_decisions_equal_the_dense_dd_detector(self, name, monkeypatch):
-        # the harness looks the detector's core up on its module at call time
+        # the harness looks the detector up on its module at call time
         from otfswin import detection
 
         _, fields, _ = GOLDEN_ROWS[name]
-        detect, calls = detection._tf_lmmse_into, []
-        constellation = Constellation.by_name(fields.get("constellation", ExperimentConfig().constellation))
+        detect, calls = detection.tf_lmmse_detect, []
 
         def spy(*args):
             # the chunk's arrays live in its workspace: kept as copies
-            soft = detect(*args)
-            calls.append((kept(args[:-1]), TfReport(soft, constellation)))
-            return soft
+            report = detect(*args)
+            calls.append((kept(args), kept_report(report)))
+            return report
 
-        monkeypatch.setattr(detection, "_tf_lmmse_into", spy)
+        monkeypatch.setattr(detection, "tf_lmmse_detect", spy)
         run_fer(ExperimentConfig.from_mapping(
             {k: str(v) for k, v in dict(fields, snr_db="0, 10, 20, 30, 40").items()}))
         monkeypatch.undo()
         assert calls
-        for (received, gains, rx, n0, layout), tf in calls:
+        for (received, gains, rx, n0, constellation, layout), tf in calls:
             assert layout is None
             frames = zip(otfswin.sfft(received), gains, np.broadcast_to(rx, received.shape),
                          np.broadcast_to(n0, len(received)), tf.soft, tf.hard_indices)
@@ -207,10 +204,10 @@ class TestKnownCsiTfDetection:
         # returns its estimate to the DD domain, and nothing else transforms
         from otfswin import channel, detection
 
-        assert not hasattr(detection, "_isfft_into")
+        assert not hasattr(detection, "isfft")
         calls = []
-        for module, name in ((channel, "_isfft_into"), (detection, "_sfft_into"),
-                             (harness, "_sfft_into")):
+        # the LMMSE detector writes its sfft into its result: ``_sfft_into``
+        for module, name in ((channel, "isfft"), (channel, "sfft"), (detection, "_sfft_into")):
             def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
@@ -218,7 +215,7 @@ class TestKnownCsiTfDetection:
             monkeypatch.setattr(module, name, spy)
         # 2 points of 2 trials: one chunk
         run_fer(ExperimentConfig(**fields, snr_db=(10.0, 20.0), trials=2))
-        assert sorted(calls) == ["_isfft_into", "_sfft_into"]
+        assert sorted(calls) == ["_sfft_into", "isfft"]
 
 
 # the golden links whose receiver estimates the channel from the pilot and
@@ -239,26 +236,25 @@ class TestEstimatedCsiTfDetection:
         from otfswin import detection, estimation
 
         _, fields, _ = GOLDEN_ROWS[name]
-        estimate, detect = estimation._estimate_channel_into, detection._tf_lmmse_into
-        constellation = Constellation.by_name(fields.get("constellation", ExperimentConfig().constellation))
+        estimate, detect = estimation.estimate_channel, detection.tf_lmmse_detect
         received, calls = [], []
 
-        def spy_estimate(r, layout, n0, out):
+        def spy_estimate(r, layout, n0):
             received.append(np.array(r))
-            return estimate(r, layout, n0, out)
+            return estimate(r, layout, n0)
 
         def spy_detect(*args):
-            soft = detect(*args)
-            calls.append((kept(args[:-1]), TfReport(soft, constellation)))
-            return soft
+            report = detect(*args)
+            calls.append((kept(args), kept_report(report)))
+            return report
 
-        monkeypatch.setattr(estimation, "_estimate_channel_into", spy_estimate)
-        monkeypatch.setattr(detection, "_tf_lmmse_into", spy_detect)
+        monkeypatch.setattr(estimation, "estimate_channel", spy_estimate)
+        monkeypatch.setattr(detection, "tf_lmmse_detect", spy_detect)
         run_fer(ExperimentConfig.from_mapping(
             {k: str(v) for k, v in dict(fields, snr_db="0, 10, 20, 30, 40").items()}))
         monkeypatch.undo()
         assert calls and len(received) == len(calls)
-        for r, ((_, _, rx, n0, layout), tf) in zip(received, calls):
+        for r, ((_, _, rx, n0, constellation, layout), tf) in zip(received, calls):
             soft = oracles.dd_pilot_lmmse(otfswin.sfft(r), rx, n0, layout)
             hard = constellation.nearest_indices(soft).reshape(soft.shape)
             assert np.array_equal(tf.hard_indices, hard)
@@ -278,22 +274,23 @@ class TestEstimatedCsiTfDetection:
         # give the same decisions
         from otfswin import detection, estimation
 
-        estimate, detect = estimation._estimate_channel_into, detection.spa_detect
+        estimate, detect = estimation.estimate_channel, detection.spa_detect
         estimates, calls = [], []
 
-        def spy_estimate(r, layout, n0, out):
-            estimates.append((np.array(r), layout, estimate(r, layout, n0, out)))
+        def spy_estimate(r, layout, n0):
+            estimates.append((np.array(r), layout, estimate(r, layout, n0)))
             return estimates[-1][2]
 
         def spy_detect(y, channel, *args, **kwargs):
-            # the estimate reaches SPA as the estimator wrote it
+            # the estimate reaches SPA as estimate_channel returned it; the
+            # chunk's arrays live in its workspace and are kept as copies
             assert channel.taps is estimates[-1][2]
             report = detect(y, channel, *args, **kwargs)
             channel = EffectiveDDChannel(np.array(channel.taps), np.array(channel.truncation))
             calls.append(((np.array(y), channel, *args), kwargs, report))
             return report
 
-        monkeypatch.setattr(estimation, "_estimate_channel_into", spy_estimate)
+        monkeypatch.setattr(estimation, "estimate_channel", spy_estimate)
         monkeypatch.setattr(detection, "spa_detect", spy_detect)
         run_fer(ExperimentConfig(**fields, detector="spa", csi="estimated-csir",
                                  snr_db=(0.0, 10.0, 20.0, 30.0, 40.0), trials=15, seed=23))
@@ -318,8 +315,8 @@ class TestEstimatedCsiTfDetection:
         # the layout, whose pilot_tf is one isfft, is built with the link
         harness._link(config, pilot=True)
         transforms, ffts = [], []
-        for module, name in ((channel, "_isfft_into"), (detection, "_sfft_into"),
-                             (harness, "_sfft_into"), (estimation, "isfft")):
+        for module, name in ((channel, "isfft"), (channel, "sfft"), (detection, "_sfft_into"),
+                             (estimation, "isfft")):
             def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
                 transforms.append(_name)
                 return _original(*args, **kwargs)
@@ -333,7 +330,7 @@ class TestEstimatedCsiTfDetection:
             monkeypatch.setattr(np.fft, name, spy_fft)
         # 2 points of 2 trials: one chunk
         run_fer(config)
-        assert sorted(transforms) == ["_isfft_into", "_sfft_into"]
+        assert sorted(transforms) == ["_sfft_into", "isfft"]
         assert len(ffts) == 10
 
 
@@ -432,7 +429,7 @@ class TestChunkBoundaries:
             {k: str(v) for k, v in dict(_CHUNK_GRID, **dict(fields, snr_db="10, 35"),
                                          trials=self.CHUNK - 1, seed=43).items()})
         chunks, handed, formed = [], [], []
-        transmit, windowed = harness._transmit, harness._windowed
+        transmit, windowed = harness._transmit, win_mod.WindowPair.windowed
 
         def spy_transmit(link, cells, n0):
             chunks.append((link, cells, n0))
@@ -442,7 +439,6 @@ class TestChunkBoundaries:
             formed.append(tf_gains.shape)
             return windowed(windows, tf_gains)
 
-        # the chunk's arrays live in its workspace: kept as copies
         if runner is run_fer:
             detect_frames = harness._detect_frames
 
@@ -452,15 +448,16 @@ class TestChunkBoundaries:
 
             monkeypatch.setattr(harness, "_detect_frames", spy_receiver)
         else:
-            dd_response = channel._dd_response_into
+            dd_response = channel._dd_response
 
-            def spy_receiver(gains, delays, out):
+            def spy_receiver(gains, delays=None):
                 handed.append((None, np.array(gains)))
-                return dd_response(gains, delays, out)
+                return dd_response(gains, delays)
 
-            monkeypatch.setattr(channel, "_dd_response_into", spy_receiver)
+            monkeypatch.setattr(channel, "_dd_response", spy_receiver)
+        # the chunk's arrays live in its workspace: kept as copies
         monkeypatch.setattr(harness, "_transmit", spy_transmit)
-        monkeypatch.setattr(harness, "_windowed", spy_windowed)
+        monkeypatch.setattr(win_mod.WindowPair, "windowed", spy_windowed)
         runner(cfg)
         monkeypatch.undo()
         estimated_fer = runner is run_fer and cfg.csi == "estimated-csir"
@@ -502,7 +499,7 @@ class TestChunkBoundaries:
         from otfswin import channel, windows
 
         calls = []
-        for module, name in ((channel, "sample_channel"), (windows, "_optimal_tx_window_into")):
+        for module, name in ((channel, "sample_channel"), (windows, "optimal_tx_window")):
             def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
@@ -511,7 +508,7 @@ class TestChunkBoundaries:
         # 2 points of B - 1 trials: two chunks
         run_fer(ExperimentConfig(csi="csit-csir", tx_window="optimal", snr_db=(10.0, 20.0),
                                  trials=self.CHUNK - 1))
-        assert calls == ["sample_channel", "_optimal_tx_window_into"] * 2
+        assert calls == ["sample_channel", "optimal_tx_window"] * 2
 
     def test_the_benchmark_mmse_calls_run_one_chunk(self):
         # 2 points of 2 trials: one chunk of 4 frames, not one chunk per point
@@ -694,8 +691,8 @@ class TestConfig:
     @pytest.mark.parametrize("M, N", [(30, 20), (8, 16), (2, 2), (2, 3000), (3000, 2),
                                       (256, 256)])
     def test_one_chunk_at_the_path_ceiling_peaks_within_it(self, M, N):
-        # numpy reports its array allocations to tracemalloc
-        # a run at the ceiling takes chunks whose draws fit
+        # numpy reports its array allocations to tracemalloc; a run at the
+        # ceiling takes chunks whose draws fit
         grid = FrameGrid(M=M, N=N)
         k_max, l_max = (N - 1) // 2, min(M - 1, 4)
         fields = dict(M=M, N=N, k_max=k_max, l_max=l_max, trials=harness._chunk_size(grid),
@@ -861,7 +858,7 @@ class TestFerExperiment:
         from otfswin import harness
 
         sent, detected = [], []
-        map_symbols, detect_frames = harness._map_symbols_into, harness._detect_frames
+        map_symbols, detect_frames = harness.map_symbols, harness._detect_frames
 
         def spy_map(bits, *args, **kwargs):
             sent.append(np.array(bits))
@@ -872,13 +869,13 @@ class TestFerExperiment:
             detected.append(np.array(detect_frames(*args, **kwargs)))
             return detected[-1]
 
-        monkeypatch.setattr(harness, "_map_symbols_into", spy_map)
+        monkeypatch.setattr(harness, "map_symbols", spy_map)
         monkeypatch.setattr(harness, "_detect_frames", spy_detect)
         cfg = ExperimentConfig(M=8, N=16, paths=2, k_max=1, l_max=1, k_hat=0,
                                csi="estimated-csir", detector="mmse",
                                snr_db=(4.0, 14.0), trials=25, seed=12)
         rows = run_fer(cfg)
-        # _map_symbols_into maps and _detect_frames detects a chunk of frames per
+        # map_symbols maps and _detect_frames detects a chunk of frames per
         # call, one bit row per frame
         sent = [frame_bits for chunk in sent for frame_bits in chunk]
         detected = [frame_bits for chunk in detected for frame_bits in chunk]
@@ -1120,13 +1117,12 @@ class TestSelfCheck:
         assert found == {"selfcheck", "selfcheck.run_selfcheck"}
 
     def test_the_harness_calls_detection_by_public_names(self):
-        # the detectors the harness runs are the ones the API offers: SPA
-        # under the name a tracer wraps, LMMSE through the core that
-        # tf_lmmse_detect runs, which writes into the chunk's workspace
+        # the detectors the harness runs are the ones the API offers, under
+        # the names a tracer wraps
         tree = ast.parse((Path(otfswin.__file__).parent / "harness.py").read_text(encoding="utf-8"))
         used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name) and node.value.id == "det_mod"}
-        assert used == {"_tf_lmmse_into", "spa_detect"}
+        assert used == {"tf_lmmse_detect", "spa_detect"}
 
 
 def _imports(path: Path) -> set[str]:

@@ -19,15 +19,16 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 _PILOT = dict(M=8, N=16, paths=2, k_max=2, l_max=2, k_hat=1, pilot_power_dbw=30.0,
               snr_db="10, 30", trials=3, seed=4)
-# The stages that write a chunk's arrays into its workspace (the transmit
-# chain, the estimator and the LMMSE solve) run under their ``_into`` cores,
-# which the tracer's layers do not name; the layers below still record calls.
 CASES = {
-    "ce-mse": (run_ce_mse, dict(_PILOT, tx_window="dc"), ("estimation.measured_ce_mse",)),
-    "fer-mmse-pilot": (run_fer, dict(_PILOT, csi="estimated-csir", rx_window="dc"), ()),
+    "ce-mse": (run_ce_mse, dict(_PILOT, tx_window="dc"),
+               ("estimation.embed_pilot", "estimation.estimate_channel",
+                "estimation.measured_ce_mse")),
+    "fer-mmse-pilot": (run_fer, dict(_PILOT, csi="estimated-csir", rx_window="dc"),
+                       ("estimation.embed_pilot", "estimation.estimate_channel")),
     "fer-spa-pilot": (run_fer, dict(_PILOT, csi="estimated-csir", constellation="bpsk",
                                     detector="spa", spa_taps=3),
-                      ("channel.largest_taps", "detection.spa_detect")),
+                      ("estimation.embed_pilot", "estimation.estimate_channel",
+                       "channel.largest_taps", "detection.spa_detect")),
 }
 
 
@@ -53,7 +54,8 @@ def test_traced_rows_equal_untraced_and_layers_record_calls(name):
         tracer.restore()
     assert traced == untraced
     calls = Counter(tracer.names[span[0]] for span in tracer.spans)
-    for layer in expected + ("harness._trial_rng", "channel.sample_channel"):
+    for layer in expected + ("harness._trial_rng", "channel.sample_channel",
+                             "channel.transmit_frame", "grid.map_symbols"):
         assert calls[layer] > 0, (layer, dict(calls))
     restored = [getattr(getattr(otfswin, module), attr) for module, attr, _, _ in tracing.LAYERS]
     assert all(a is b for a, b in zip(restored, originals))

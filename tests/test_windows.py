@@ -243,11 +243,11 @@ class TestOptimalTxWindow:
                 assert opt <= analytic_detection_mse(lam, x) + 1e-12
 
     def test_budget_is_monotone_in_dual_level(self):
-        from otfswin.windows import _allocation_into
+        from otfswin.windows import _allocation
 
         lam = np.array([0.3, 2.0, 7.5, 0.02])
         etas = np.geomspace(1e-4, lam.max(), 40)
-        budgets = [float(np.mean(_allocation_into(lam, e, np.empty(lam.shape)))) for e in etas]
+        budgets = [float(np.mean(_allocation(lam, e))) for e in etas]
         assert all(a >= b - 1e-15 for a, b in zip(budgets, budgets[1:]))
 
     def test_degenerate_inputs_rejected(self):

@@ -80,21 +80,38 @@ def test_every_view_is_written_before_it_is_read(name, monkeypatch):
     # views handed out zeroed, and then filled with NaN bytes, give the
     # same rows: no stage reads a byte of its arrays, or of the sum-product
     # arena's, before it writes it (a NaN read moves a row or raises)
-    take = Workspace.take
+    view = Workspace._view
 
     def filled(byte):
-        def take_filled(self, shape, dtype=float):
-            view = take(self, shape, dtype)
-            view.reshape(-1).view(np.uint8)[...] = byte
-            return view
-        return take_filled
+        def view_filled(self, shape, dtype=float):
+            taken = view(self, shape, dtype)
+            taken.reshape(-1).view(np.uint8)[...] = byte
+            return taken
+        return view_filled
 
     runner, fields = CASES[name]
     trials = (harness._run_chunk(_config(fields, 1000)) + 3) // 2
-    monkeypatch.setattr(Workspace, "take", filled(0))
+    monkeypatch.setattr(Workspace, "_view", filled(0))
     zeroed = _run(name, trials)
-    monkeypatch.setattr(Workspace, "take", filled(0xFF))
+    monkeypatch.setattr(Workspace, "_view", filled(0xFF))
     assert _run(name, trials) == zeroed
+
+
+def test_runs_of_chunks_under_128_kib_leave_the_workspace_closed(monkeypatch):
+    # 4-frame 30x20 chunks, as the benchmark's MMSE calls run, take plain
+    # arrays; a run of 14 frames, one chunk past 128 KiB, opens it once
+    opened = []
+    reset = Workspace.reset
+
+    def spy(self):
+        opened.append(self)
+        reset(self)
+
+    monkeypatch.setattr(Workspace, "reset", spy)
+    run_fer(ExperimentConfig(snr_db=(10.0, 20.0), trials=2))
+    assert opened == []
+    run_fer(ExperimentConfig(snr_db=(10.0, 20.0), trials=7))
+    assert opened == [WORKSPACE] and not WORKSPACE.open
 
 
 def test_threads_run_chunks_in_their_own_workspaces():
@@ -127,7 +144,10 @@ def test_threads_run_chunks_in_their_own_workspaces():
 
 def test_a_workspace_hands_out_aligned_views_and_plain_arrays_past_its_end():
     space = Workspace()
-    # no memory yet: plain arrays, and the most taken is recorded
+    # closed: plain arrays, and nothing is recorded
+    assert space.take((3,), np.uint8).base is None and space.peak == 0
+    space.reset()
+    # open with no memory yet: plain arrays, and the most taken is recorded
     assert space.take((3,), np.uint8).base is None
     space.take((2, 5), complex)
     assert space.peak == 64 + 160 and space.memory.size == 0
@@ -136,10 +156,57 @@ def test_a_workspace_hands_out_aligned_views_and_plain_arrays_past_its_end():
     a, b = space.take((3,), np.uint8), space.take((2, 5), complex)
     assert np.shares_memory(a, space.memory) and np.shares_memory(b, space.memory)
     assert b.ctypes.data - space.memory.ctypes.data == 64
-    # setting ``used`` back frees what was taken since
+    # a scope frees what was taken inside it, however it ends
     space.used = 3
+    with pytest.raises(ZeroDivisionError), space.scope():
+        assert np.shares_memory(space.take((2, 5), complex), b)
+        1 / 0
+    assert space.used == 3
     assert np.shares_memory(space.take((2, 5), complex), b)
     assert space.take((1,), np.uint8).base is None
+    # closing frees every view, and a closed workspace hands out plain arrays
+    space.close()
+    assert space.used == 0 and space.take((3,), np.uint8).base is None
+
+
+def test_calls_outside_a_chunk_leave_the_workspace_alone():
+    # the public functions, failing or not, take plain arrays and record
+    # nothing when no chunk is open
+    from otfswin import FrameGrid, NumericalFailure, tf_lmmse_detect
+    from otfswin.grid import Constellation, map_symbols
+
+    _fresh_workspace()
+    grid = FrameGrid(M=30, N=20)
+    frames = np.ones((64,) + grid.shape, dtype=complex)
+    report = tf_lmmse_detect(frames, frames, np.ones(grid.shape), 0.1, Constellation.qpsk())
+    assert report.soft.base is None
+    with pytest.raises(NumericalFailure, match="singular"):
+        tf_lmmse_detect(frames, 0 * frames, np.ones(grid.shape), 0.0, Constellation.qpsk())
+    with pytest.raises(ValueError, match="0 or 1"):
+        map_symbols(np.full((64, 2 * grid.size), 2), Constellation.qpsk(), grid)
+    assert (WORKSPACE.used, WORKSPACE.peak, WORKSPACE.memory.size) == (0, 0, 0)
+
+
+def test_a_chunk_that_raises_closes_the_workspace(monkeypatch):
+    # a stage that fails mid-chunk, after its takes: the run raises, the
+    # workspace is closed with nothing in use, and the next run gives its
+    # fresh bytes
+    from otfswin import NumericalFailure, detection
+
+    fresh = _run("fer-estimated-dc-rx", 5)
+    detect = detection.tf_lmmse_detect
+
+    def failing(*args):
+        detect(*args)
+        WORKSPACE.take((1000,))
+        raise NumericalFailure("failing on purpose")
+
+    monkeypatch.setattr(detection, "tf_lmmse_detect", failing)
+    with pytest.raises(NumericalFailure, match="on purpose"):
+        _run("fer-estimated-dc-rx", 5)
+    monkeypatch.undo()
+    assert not WORKSPACE.open and WORKSPACE.used == 0
+    assert _run("fer-estimated-dc-rx", 5) == fresh
 
 
 # One run per call in a fresh process: one that has freed a buffer of a few
