@@ -361,7 +361,7 @@ class TestChunkBoundaries:
     CHUNK = _chunk_size(FrameGrid(M=30, N=20))
 
     def test_chunk_size_on_the_fig6_grid(self):
-        assert self.CHUNK == 27
+        assert self.CHUNK == 54
 
     def test_sum_product_runs_keep_the_smaller_chunk(self):
         # 128 KiB of 30x20 frames: its flood sweeps a chunk's frames together

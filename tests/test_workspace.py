@@ -169,6 +169,17 @@ def test_a_workspace_hands_out_aligned_views_and_plain_arrays_past_its_end():
     assert space.used == 0 and space.take((3,), np.uint8).base is None
 
 
+def test_a_regrowth_takes_a_quarter_more():
+    # the first growth takes the most taken; a later one takes a quarter
+    # more than the workspace had, unless more was taken
+    space = Workspace()
+    for taken, size in [(1000, 1000), (1100, 1250), (1300, 1562), (4000, 4000)]:
+        space.reset()
+        space.take((taken,), np.uint8)
+        space.reset()
+        assert space.memory.size == size
+
+
 def test_calls_outside_a_chunk_leave_the_workspace_alone():
     # the public functions, failing or not, take plain arrays and record
     # nothing when no chunk is open
@@ -247,3 +258,20 @@ def test_a_warm_chunk_takes_no_new_page_faults(name):
     # a few for the interpreter's own objects; one complex 30x20 chunk
     # array alone is 64 pages
     assert sorted(faults)[2] <= 16, faults
+
+
+@pytest.mark.parametrize("name, grids", [("ce-rect", 6), ("fer-estimated-dc-rx", 19)])
+def test_the_workspace_stays_bounded_as_the_trials_grow(name, grids):
+    # the Fig-6 config's ce-mse run and an estimated-CSIR DC-RX LMMSE run
+    # on 30x20: runs of 2 and of 20 full chunks peak alike, within a pinned
+    # number of the chunk's complex (B, N, M) grids, and hold no more
+    runner, fields = CASES[name]
+    chunk = harness._run_chunk(_config(fields, 1000))
+    grid_bytes = 16 * chunk * _config(fields, 1).grid().size
+    peaks = []
+    for chunks in (2, 20):
+        _fresh_workspace()
+        runner(_config(fields, chunks * chunk // 2))
+        assert WORKSPACE.memory.size == WORKSPACE.peak
+        peaks.append(WORKSPACE.peak)
+    assert peaks[0] == peaks[1] <= grids * grid_bytes, (peaks, grid_bytes)
