@@ -513,11 +513,11 @@ def _spa_graph(
     (slot * Q + value) * columns + column.  On slot t a factor reads its
     symbol's column, constant slot L (1/Q) where that symbol is known and
     slot L + 1 (the point mass) on a pad slot; a data symbol reads its
-    factor's column, or slot L + 1 (1) on a pad slot.  Every array that
-    grows with the stack is taken in the thread's sum-product
-    :class:`~otfswin.workspace.Workspace`, reset here: the graph's index
-    arrays and likelihood last until its next call, and the work arrays
-    behind them are freed on return, for the flood's buffers.
+    factor's column, or slot L + 1 (1) on a pad slot.  The index arrays,
+    then the likelihood and each degree's (F_d, Q^d) means and part behind
+    it, are taken in the thread's sum-product
+    :class:`~otfswin.workspace.Workspace`, reset here: a graph lasts until
+    its next call.
     """
     frames, n, m = taps.shape
     q = points.size
@@ -531,114 +531,72 @@ def _spa_graph(
 
     _ARENA.reset()
 
-    def take(shape: tuple, dtype=np.int64) -> np.ndarray:
-        return _ARENA.take(shape, dtype)
+    def take(shape: tuple) -> np.ndarray:
+        return _ARENA.take(shape, np.int64)
 
-    def gather(source: np.ndarray, at: np.ndarray, out: np.ndarray, axis=None) -> np.ndarray:
-        # take's default mode would gather through a temporary
-        return np.take(source, at, axis=axis, out=out, mode="clip")
-
-    # on tap slot t, factor i of frame b meets symbol sym_of[t, b, i], and
-    # symbol j meets the factor at flat (frame, cell) position
-    # obs_of[t, b, j]: inverse permutations per slot
-    doppler, delay = np.divmod(kept.T[:, :, None], m)
+    # factor i of frame b meets symbol sym_of[b, t, i] on tap slot t, and
+    # symbol j meets factor obs_of[b, t, j] there: inverse permutations per slot
+    doppler, delay = np.divmod(kept[:, :, None], m)
     sym_of = np.add(((np.arange(n) - doppler) % n)[..., None] * m,
                     ((np.arange(m) - delay) % m)[..., None, :],
-                    out=take((degree, frames, n, m))).reshape(degree, frames, -1)
-    on_data = gather(data, sym_of, take(sym_of.shape, bool))
-    np.logical_and(on_data, ~pad.T[:, :, None], out=on_data)
-    live = on_data.any(axis=0)
-    counts = live.sum(axis=1)
-    cells = np.flatnonzero(data)
-    width, columns = int(counts.sum()), frames * cells.size
-    at_factors = take((degree, q, width))
-    at_symbols = take((degree, q, columns))
-    likelihood = take((q ** degree, width), float)
-    # the work arrays from here on are freed on return, and those of the
-    # index arrays before the likelihood's work arrays are taken
-    with _ARENA.scope():
-        frame_of = np.repeat(np.arange(frames), counts)
-        live_at = np.flatnonzero(live)
-        off_data = gather(on_data.reshape(degree, -1), live_at, take((degree, width), bool), 1)
-        np.logical_not(off_data, out=off_data)
-        with _ARENA.scope():
-            values = np.arange(q)[:, None]
-            # (L, F) slots of the live factors, frame by frame: the symbol's
-            # column on a data slot, slot L on a known symbol, L + 1 on a pad
-            reads = gather(np.cumsum(data) - 1,
-                           gather(sym_of.reshape(degree, -1), live_at, take((degree, width)), 1),
-                           take((degree, width)))
-            reads += cells.size * frame_of
-            reads += np.arange(degree)[:, None] * q * columns
-            np.copyto(reads, degree * q * columns, where=off_data)
-            np.copyto(reads, (degree + 1) * q * columns,
-                      where=gather(pad.T, frame_of, take((degree, width), bool), 1))
-            np.add(reads[:, None, :], values * columns, out=at_factors)
-            # (L, B, D) slots of the data symbols: the factor's column, L + 1
-            # on a pad
-            obs_of = np.add((((np.arange(n) + doppler) % n) * m
-                             + (np.arange(frames) * n * m)[:, None])[..., None],
-                            ((np.arange(m) + delay) % m)[..., None, :],
-                            out=take((degree, frames, n, m))).reshape(degree, frames, -1)
-            factor_col = np.cumsum(live, out=take((live.size,)))
-            factor_col -= 1
-            obs = gather(obs_of, cells, take((degree, frames, cells.size)), 2)
-            reads = gather(factor_col, obs, take(obs.shape))
-            reads += np.arange(degree)[:, None, None] * q * width
-            np.copyto(reads, (degree + 1) * q * width, where=pad.T[:, :, None])
-            np.add(reads.reshape(degree, 1, columns), values * width, out=at_symbols)
+                    out=take((frames, degree, n, m))).reshape(frames, degree, -1)
+    obs_of = np.add(((np.arange(n) + doppler) % n)[..., None] * m,
+                    ((np.arange(m) + delay) % m)[..., None, :],
+                    out=take((frames, degree, n, m))).reshape(frames, degree, -1)
 
-        # likelihood[c_0, .., c_{L-1}, f] of factor f under symbol values
-        # c: a tap's gain on a real data slot, 0 elsewhere (known zeros add
-        # nothing); per degree d one (F_d, d) x (d, Q^d) product over the
-        # live factors of that degree's frames, tiled over the pad axes
-        tap = np.take_along_axis(taps.reshape(frames, -1), kept, axis=1)
-        gains = gather(tap, frame_of, take((width, degree), complex), 0)
-        np.copyto(gains, 0.0, where=off_data.T)
-        y = gather(y, live_at, take((width,), complex))
-        for d in sorted(set(degrees.tolist())):
-            # the degree's work arrays are freed with it
-            with _ARENA.scope():
-                cols = np.flatnonzero(degrees[frame_of] == d)
-                configs = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
-                # gains[cols, L - d:], contiguous as the product takes it
-                at = np.add.outer(cols * degree, np.arange(degree - d, degree),
-                                  out=take((cols.size, d)))
-                means = np.matmul(gather(gains, at, take(at.shape, complex)),
-                                  points[configs].T,                   # (F_d, Q^d)
-                                  out=take((cols.size, configs.shape[0]), complex))
-                np.subtract(gather(y, cols, take(cols.shape, complex))[:, None], means,
-                            out=means)
-                part = take((configs.shape[0], cols.size), float)
-                np.abs(means.T, out=part)
-                part **= 2
-                part -= part.min(axis=0)                         # scale-free normalization
-                part /= -sigma2[frame_of[cols]]
-                _exp_in_place(part, take(part.shape, bool))
-                likelihood.reshape(q ** (degree - d), -1, width)[:, :, cols] = part
+    cells = np.flatnonzero(data)
+    on_data = data[sym_of] & ~pad[:, :, None]
+    live = on_data.any(axis=1)
+    counts = live.sum(axis=1)
+    frame_of = np.repeat(np.arange(frames), counts)
+    width, columns = int(counts.sum()), frames * cells.size
+    values = np.arange(q)[:, None]
+    # (F, L) rows of the live factors, frame by frame
+    on_data = on_data.transpose(0, 2, 1)[live]
+    symbol_col = ((np.cumsum(data) - 1)[sym_of.transpose(0, 2, 1)[live]]
+                  + cells.size * frame_of[:, None])
+    reads = _picked(on_data, np.arange(degree) * q * columns + symbol_col,
+                    (degree + pad[frame_of]) * q * columns, take(on_data.shape))
+    at_factors = np.add(reads.T[:, None, :], values * columns, out=take((degree, q, width)))
+    factor_col = (np.cumsum(live) - 1).reshape(live.shape)
+    reads = _picked(pad[:, :, None], (degree + 1) * q * width,
+                    np.arange(degree)[:, None] * q * width
+                    + np.take_along_axis(factor_col[:, None, :], obs_of[:, :, cells], axis=2),
+                    take((frames, degree, cells.size)))
+    at_symbols = np.add(reads.transpose(1, 0, 2).reshape(degree, 1, columns), values * width,
+                        out=take((degree, q, columns)))
+
+    # likelihood[c_0, .., c_{L-1}, f] of factor f under symbol values c: a
+    # tap's gain on a real data slot, 0 elsewhere (known zeros add nothing);
+    # per degree d one (F_d, d) x (d, Q^d) product over the live factors of
+    # that degree's frames, tiled over the pad axes
+    tap = np.take_along_axis(taps.reshape(frames, -1), kept, axis=1)
+    gains = np.where(on_data, tap[frame_of], 0.0)
+    y = y[live]
+    likelihood = _ARENA.take((q ** degree, width))
+    for d in sorted(set(degrees.tolist())):
+        # means and part are freed with each degree
+        with _ARENA.scope():
+            cols = np.flatnonzero(degrees[frame_of] == d)
+            configs = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
+            means = np.matmul(gains[cols, degree - d:], points[configs].T,   # (F_d, Q^d)
+                              out=_ARENA.take((cols.size, configs.shape[0]), complex))
+            np.subtract(y[cols, None], means, out=means)
+            part = _ARENA.take((configs.shape[0], cols.size))
+            np.abs(means.T, out=part)
+            part **= 2
+            part -= part.min(axis=0)                             # scale-free normalization
+            part /= -sigma2[frame_of[cols]]
+            np.exp(part, out=part)
+            likelihood.reshape(q ** (degree - d), -1, width)[:, :, cols] = part
     return _SpaGraph(likelihood.reshape((q,) * degree + (width,)), at_factors, at_symbols, counts)
 
 
-# exp(x) is exactly 0 in float64 for every x below -745.14, and numpy's exp
-# takes a slow path for such x, about 20 times as long as for another.
-_EXP_ZERO_BELOW = -746.0
-
-
-def _exp_in_place(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``np.exp(x, out=x)`` of a float64 ``x``, bit for bit, with ``mask`` a
-    bool work array of its shape.  Where more than 1% of ``x`` lies below
-    ``_EXP_ZERO_BELOW``, those entries enter exp as -0 and leave it times 0;
-    the others enter and leave it times 1, which is exact."""
-    # NaN compares below nothing, so it is kept and passes through exp
-    keep = np.logical_not(np.less(x, _EXP_ZERO_BELOW, out=mask), out=mask)
-    if np.count_nonzero(keep) > 0.99 * keep.size:
-        return np.exp(x, out=x)
-    # -inf times 0 would be NaN
-    np.maximum(x, -np.finfo(float).max, out=x)
-    x *= keep
-    np.exp(x, out=x)
-    x *= keep
-    return x
+def _picked(where: np.ndarray, chosen, other, out: np.ndarray) -> np.ndarray:
+    """``np.where(where, chosen, other)`` written to ``out``."""
+    np.copyto(out, other)
+    np.copyto(out, chosen, where=where)
+    return out
 
 
 def _flood(graph: _SpaGraph, iters: int, damping: float) -> tuple[np.ndarray, np.ndarray]:

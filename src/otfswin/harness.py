@@ -566,11 +566,11 @@ def _optimal_windows(tf_gains: np.ndarray, n0: np.ndarray) -> win_mod.WindowPair
 # many bytes: B = 54 on the 30x20 grid.  A chunk shares each numpy call's
 # fixed cost among its frames (about 200 us a ce-mse chunk on 30x20, against
 # 49 us a frame), and a warm chunk takes its arrays from the thread's
-# workspace without page faults, so the larger chunk costs no faults, only
-# workspace: 3 MB for a 30x20 ce-mse chunk.
+# workspace without page faults: 3 MB of it for a 30x20 ce-mse chunk.
 _CHUNK_BYTES = 512 * 1024
 # A run whose paths' draws would not fit in _PATH_BYTES at the full chunk
-# takes chunks of frames of this many bytes, at which configs are checked.
+# takes half chunks, down to frames of this many bytes, at which configs are
+# checked.
 _LEAST_CHUNK_BYTES = 128 * 1024
 
 
@@ -581,11 +581,11 @@ def _chunk_size(grid: FrameGrid, nbytes: int = _CHUNK_BYTES) -> int:
 
 def _run_chunk(config: ExperimentConfig) -> int:
     """Trials per chunk in a run of ``config``, at most the run's trials:
-    the frames of ``_CHUNK_BYTES``, or of ``_LEAST_CHUNK_BYTES`` where the
-    paths' draws and phases would not fit in ``_PATH_BYTES`` at the full
-    chunk (the config was checked at that size).  On the 30x20 grid that
-    is 54 frames up to 1308 paths and 13 frames from 1309 paths to the
-    config ceiling of 5502.
+    the frames of ``_CHUNK_BYTES``, halved while the paths' draws and phases
+    would not fit in ``_PATH_BYTES`` at that chunk, down to the frames of
+    ``_LEAST_CHUNK_BYTES`` (the config was checked at that size).  On the
+    30x20 grid that is 54 frames up to 1308 paths, 27 up to 2638 and 13 up
+    to the config ceiling of 5502.
 
     A sum-product run takes the frames of ``_LEAST_CHUNK_BYTES``: its flood
     sweeps all frames of a chunk until the slowest one freezes, so a larger
@@ -595,8 +595,10 @@ def _run_chunk(config: ExperimentConfig) -> int:
     if config.detector == "spa":
         return least
     chunk = min(_chunk_size(grid), total)
-    fits = ch_mod.paths_that_fit(grid, chunk, _PATH_BYTES, config.l_max + 1) >= config.paths
-    return chunk if fits else least
+    while chunk > least and (ch_mod.paths_that_fit(grid, chunk, _PATH_BYTES, config.l_max + 1)
+                             < config.paths):
+        chunk = max(least, chunk // 2)
+    return chunk
 
 
 # One complex (N, M) frame takes at most this many bytes, a million cells;

@@ -62,13 +62,12 @@ _UNSCOPED = _Unscoped()
 
 class Workspace(threading.local):
     """A thread's grow-only scratch memory.  ``reset`` opens it: it frees all
-    views and grows the memory to the most ever taken (a regrowth to at
-    least a quarter more than it had), so it never grows while a view of it
-    is in use.  While it is open ``take`` hands out views one after another
-    (past the end, plain arrays); a ``scope`` frees those taken inside it.
-    ``close`` frees all views, and a closed workspace hands out plain arrays
-    and records nothing.  As a block, the workspace is open inside and
-    closed after."""
+    views and grows the memory to the most ever taken, so it never grows
+    while a view of it is in use.  While it is open ``take`` hands out views
+    one after another (past the end, plain arrays); a ``scope`` frees those
+    taken inside it.  ``close`` frees all views, and a closed workspace hands
+    out plain arrays and records nothing.  As a block, the workspace is open
+    inside and closed after."""
 
     def __init__(self) -> None:
         self.memory, self.peak = np.empty(0, dtype=np.uint8), 0
@@ -77,10 +76,7 @@ class Workspace(threading.local):
     def reset(self) -> None:
         self.used, self.open, self.take = 0, True, self._view
         if self.peak > self.memory.size:
-            # calls whose sizes vary (sum-product stacks do) then regrow a
-            # few times, not at each new peak; pages never written are
-            # never mapped in
-            self.memory = np.empty(max(self.peak, self.memory.size * 5 // 4), dtype=np.uint8)
+            self.memory = np.empty(self.peak, dtype=np.uint8)
 
     def close(self) -> None:
         # ``take(shape, dtype=float)`` of a closed workspace is numpy's own

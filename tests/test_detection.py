@@ -33,7 +33,7 @@ from otfswin import (
     vectorize,
 )
 from otfswin.channel import EffectiveDDChannel, _dd_response
-from otfswin.detection import _exp_in_place, _guard_plan, _guard_weights
+from otfswin.detection import _guard_plan, _guard_weights
 from otfswin.oracles import build_kron_operators, dd_channel_matrix
 from otfswin.selfcheck import run_selfcheck
 
@@ -579,49 +579,6 @@ class TestSPA:
         y = transmit_frame(x, tf_channel(ch), windows)
         report = spa_detect(y, eff, 1e-3, bpsk, iters=25)
         assert 1 <= report.iterations <= 25
-
-    # around the last exponent whose exp rounds up to the least subnormal,
-    # below it, past every finite value, and NaN
-    EXP_EDGES = (-745.13, -745.14, -746.0, -1e4, -np.inf, np.nan)
-
-    @pytest.mark.parametrize("below", [0, 1, 7, 50])
-    @pytest.mark.parametrize("size", [1, 7, 64, 1001])
-    def test_exp_in_place_gives_numpys_bytes(self, size, below):
-        # below percent of the entries lie past the zero bound, the edges
-        # among them, at every offset of a SIMD lane; the rest spans exp's
-        # normal and subnormal results, signed zeros and positive values
-        rng = np.random.default_rng(size + below)
-        x = -rng.uniform(0.0, 745.0, size)
-        x[rng.random(size) < below / 100] = -rng.uniform(746.0, 1e6)
-        x[:3] = (-0.0, 0.0, 1.5)[:size]
-        if below:
-            x[-len(self.EXP_EDGES):] = self.EXP_EDGES[-size:]
-        got = x.copy()
-        assert _exp_in_place(got, np.empty(size, dtype=bool)) is got
-        assert got.tobytes() == np.exp(x).tobytes()
-
-    def test_likelihood_gives_numpys_exp_bytes_past_the_zero_bound(self, monkeypatch):
-        # one unit tap per frame and y = +1 on BPSK: each factor's part is
-        # 0 and -4 / sigma2, so each frame's noise power puts the second at
-        # an edge of the exp
-        from otfswin import detection
-
-        grid = FrameGrid(M=4, N=4)
-        sigma2 = np.array([4.0 / -e for e in self.EXP_EDGES[:4]] + [1e-320, np.nan])
-        taps = np.zeros((sigma2.size,) + grid.shape, dtype=complex)
-        taps[:, 0, 0] = 1.0
-        args = (np.ones((sigma2.size, grid.size), dtype=complex), taps,
-                np.zeros((sigma2.size, 1), dtype=np.int64), sigma2,
-                Constellation.bpsk().points, np.ones(grid.shape, dtype=bool))
-        # the subnormal noise power overflows -4 / sigma2 to -inf
-        with np.errstate(over="ignore"):
-            got = detection._spa_graph(*args).likelihood.copy()
-            monkeypatch.setattr(detection, "_exp_in_place", lambda x, mask: np.exp(x, out=x))
-            want = detection._spa_graph(*args).likelihood
-        assert got.tobytes() == want.tobytes()
-        # the edges: the least subnormal, then zeros, and NaN
-        assert got[1, 0] > 0 and np.all(got[1, grid.size:5 * grid.size] == 0)
-        assert np.all(np.isnan(got[:, 5 * grid.size:]))
 
 
 class TestSPAContraction:

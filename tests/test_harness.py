@@ -368,6 +368,13 @@ class TestChunkBoundaries:
         assert self.run_chunk(CHUNK_CASES["fer-perfect-spa"][2]) == 13
         assert self.run_chunk(CHUNK_CASES["fer-perfect-mmse"][2]) == self.CHUNK
 
+    @pytest.mark.parametrize("paths, chunk", [(1308, CHUNK), (1309, CHUNK // 2),
+                                              (2638, CHUNK // 2), (2639, 13), (5502, 13)])
+    def test_paths_past_a_chunks_budget_halve_the_chunk(self, paths, chunk):
+        # 1308 paths' draws fit a full 30x20 chunk's path budget and 2638 a
+        # half chunk's; up to the config ceiling of 5502 a run takes 128 KiB
+        assert self.run_chunk(dict(CHUNK_CASES["ce-rect"][2], paths=paths)) == chunk
+
     @staticmethod
     def run_chunk(fields: dict) -> int:
         """The chunk a long run of a case's link takes."""

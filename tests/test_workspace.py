@@ -169,17 +169,6 @@ def test_a_workspace_hands_out_aligned_views_and_plain_arrays_past_its_end():
     assert space.used == 0 and space.take((3,), np.uint8).base is None
 
 
-def test_a_regrowth_takes_a_quarter_more():
-    # the first growth takes the most taken; a later one takes a quarter
-    # more than the workspace had, unless more was taken
-    space = Workspace()
-    for taken, size in [(1000, 1000), (1100, 1250), (1300, 1562), (4000, 4000)]:
-        space.reset()
-        space.take((taken,), np.uint8)
-        space.reset()
-        assert space.memory.size == size
-
-
 def test_calls_outside_a_chunk_leave_the_workspace_alone():
     # the public functions, failing or not, take plain arrays and record
     # nothing when no chunk is open
