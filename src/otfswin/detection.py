@@ -420,8 +420,9 @@ def spa_detect(
     prior, decided as constellation index 0, after 0 sweeps.  At most
     ``_SPA_MAX_CONFIGS // Q^L`` frames of a stack at a time share one graph
     (:func:`_spa_graph`) and one flood (:func:`_flood`), L their largest
-    degree; each stops on its own, its messages frozen in place, so it gets
-    bit for bit its result alone.  The report covers the D cells of
+    degree, in the thread's sum-product workspace, opened for the batch and
+    closed after it; each stops on its own, its messages frozen in place, so
+    it gets bit for bit its result alone.  The report covers the D cells of
     ``data_mask`` (all NM without one) in row-major order, as
     :func:`tf_lmmse_detect` does for a layout: a stack returns (B, D)
     ``soft`` and ``hard_indices`` and (B, D, Q) ``marginals``.
@@ -471,8 +472,10 @@ def spa_detect(
     sweeps, frame_sweeps = 0, np.zeros(len(taps), dtype=np.int64)
     for first in range(0, live.size, step):
         batch = live[first:first + step]
-        graph = _spa_graph(y[batch], taps[batch], truncation[batch], sigma2[batch], points, data)
-        belief[batch], frame_sweeps[batch] = _flood(graph, iters, damping)
+        with _ARENA:
+            graph = _spa_graph(y[batch], taps[batch], truncation[batch], sigma2[batch], points,
+                               data)
+            belief[batch], frame_sweeps[batch] = _flood(graph, iters, damping)
         sweeps += int(frame_sweeps[batch].max())
 
     idx = belief.argmax(axis=2)
@@ -512,12 +515,13 @@ def _spa_graph(
     Q, columns) message buffer (:func:`_flood`) at the flat position
     (slot * Q + value) * columns + column.  On slot t a factor reads its
     symbol's column, constant slot L (1/Q) where that symbol is known and
-    slot L + 1 (the point mass) on a pad slot; a data symbol reads its
-    factor's column, or slot L + 1 (1) on a pad slot.  The index arrays,
-    then the likelihood and each degree's (F_d, Q^d) means and part behind
-    it, are taken in the thread's sum-product
-    :class:`~otfswin.workspace.Workspace`, reset here: a graph lasts until
-    its next call.
+    slot L + 1 (the point mass) on a pad slot; a data symbol reads the
+    column of the one live factor that meets it there, or slot L + 1 (1) on
+    a pad slot.  Both index arrays come from one (F, L) table of the live
+    factors' symbol columns.  The index arrays, then the likelihood and each
+    degree's (F_d, Q^d) means and part behind it, are taken in the thread's
+    sum-product :class:`~otfswin.workspace.Workspace`, which the caller
+    opens: a graph lasts until the caller closes it.
     """
     frames, n, m = taps.shape
     q = points.size
@@ -529,19 +533,13 @@ def _spa_graph(
     kept = np.zeros((frames, degree), dtype=np.int64)
     kept[~pad] = truncation[truncation >= 0]
 
-    _ARENA.reset()
-
     def take(shape: tuple) -> np.ndarray:
         return _ARENA.take(shape, np.int64)
 
-    # factor i of frame b meets symbol sym_of[b, t, i] on tap slot t, and
-    # symbol j meets factor obs_of[b, t, j] there: inverse permutations per slot
+    # factor i of frame b meets symbol sym_of[b, t, i] on tap slot t
     doppler, delay = np.divmod(kept[:, :, None], m)
     sym_of = np.add(((np.arange(n) - doppler) % n)[..., None] * m,
                     ((np.arange(m) - delay) % m)[..., None, :],
-                    out=take((frames, degree, n, m))).reshape(frames, degree, -1)
-    obs_of = np.add(((np.arange(n) + doppler) % n)[..., None] * m,
-                    ((np.arange(m) + delay) % m)[..., None, :],
                     out=take((frames, degree, n, m))).reshape(frames, degree, -1)
 
     cells = np.flatnonzero(data)
@@ -555,16 +553,20 @@ def _spa_graph(
     on_data = on_data.transpose(0, 2, 1)[live]
     symbol_col = ((np.cumsum(data) - 1)[sym_of.transpose(0, 2, 1)[live]]
                   + cells.size * frame_of[:, None])
-    reads = _picked(on_data, np.arange(degree) * q * columns + symbol_col,
-                    (degree + pad[frame_of]) * q * columns, take(on_data.shape))
+    reads = take(on_data.shape)
+    np.copyto(reads, (degree + pad[frame_of]) * q * columns)
+    np.copyto(reads, np.arange(degree) * q * columns + symbol_col, where=on_data)
     at_factors = np.add(reads.T[:, None, :], values * columns, out=take((degree, q, width)))
-    factor_col = (np.cumsum(live) - 1).reshape(live.shape)
-    reads = _picked(pad[:, :, None], (degree + 1) * q * width,
-                    np.arange(degree)[:, None] * q * width
-                    + np.take_along_axis(factor_col[:, None, :], obs_of[:, :, cells], axis=2),
-                    take((frames, degree, cells.size)))
-    at_symbols = np.add(reads.transpose(1, 0, 2).reshape(degree, 1, columns), values * width,
-                        out=take((degree, q, columns)))
+    # on a real slot each data symbol meets one received cell, whose factor
+    # is live and names the symbol in its row; pad slots keep slot L + 1.
+    # Slot by slot, a 64-frame chunk's index temporaries stay under glibc's
+    # 128 KiB mmap threshold (all slots at once raised 9b's maxrss 0.5 MB)
+    reads = take((degree, columns))
+    reads.fill((degree + 1) * q * width)
+    for t in range(degree):
+        factor = np.flatnonzero(on_data[:, t])
+        reads[t, symbol_col[factor, t]] = t * q * width + factor
+    at_symbols = np.add(reads[:, None, :], values * width, out=take((degree, q, columns)))
 
     # likelihood[c_0, .., c_{L-1}, f] of factor f under symbol values c: a
     # tap's gain on a real data slot, 0 elsewhere (known zeros add nothing);
@@ -592,13 +594,6 @@ def _spa_graph(
     return _SpaGraph(likelihood.reshape((q,) * degree + (width,)), at_factors, at_symbols, counts)
 
 
-def _picked(where: np.ndarray, chosen, other, out: np.ndarray) -> np.ndarray:
-    """``np.where(where, chosen, other)`` written to ``out``."""
-    np.copyto(out, other)
-    np.copyto(out, chosen, where=where)
-    return out
-
-
 def _flood(graph: _SpaGraph, iters: int, damping: float) -> tuple[np.ndarray, np.ndarray]:
     """Flooding sum-product on a stack's ``graph`` (:func:`_spa_graph`).
 
@@ -612,9 +607,9 @@ def _flood(graph: _SpaGraph, iters: int, damping: float) -> tuple[np.ndarray, np
     and the (B,) sweeps each frame ran before it froze.  The message
     buffers and the sweeps' work arrays (both gathers, the new messages,
     their change and the tails, which the heads reuse) are taken once, in
-    the arena behind the likelihood, and serve every sweep: the arena holds
-    one flood, at most ``_SPA_MAX_CONFIGS // Q^L`` frames, whatever the
-    trial count.
+    the open sum-product workspace behind the graph, and serve every sweep:
+    the workspace holds one flood, at most ``_SPA_MAX_CONFIGS // Q^L``
+    frames, whatever the trial count.
     """
     degree, q, width = graph.at_factors.shape
     counts, frames = graph.counts, graph.counts.size

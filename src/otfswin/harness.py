@@ -17,6 +17,7 @@ runs can additionally be summarized in the compact CE row format
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -633,7 +634,7 @@ def _sweep(config: ExperimentConfig, chunk):
     values: list = []
     point = 0
     while batch := list(itertools.islice(cells, step)):
-        with WORKSPACE.chunk(reuse):
+        with WORKSPACE if reuse else contextlib.nullcontext():
             values.extend(chunk(batch, powers[[snr_index for snr_index, _ in batch]]))
         while len(values) >= trials:
             yield snrs[point], values[:trials]

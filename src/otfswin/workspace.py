@@ -8,16 +8,17 @@ size has run, the next one takes every array from memory that is already
 mapped.
 
 The trial path's arrays come from :data:`WORKSPACE`, which ``harness._sweep``
-opens for each chunk (``with WORKSPACE.chunk():``).  The functions on that
-path take their results and work arrays with :meth:`Workspace.take` and free
-the work arrays at the end of a ``with WORKSPACE.scope():`` block.  Outside
-a chunk the workspace is closed and ``take`` gives plain arrays, so a caller
-outside the trial path never holds a view of it; inside one, a result is a
-view that lasts until the chunk ends.
+opens for each chunk (``with WORKSPACE:``).  The functions on that path take
+their results and work arrays with :meth:`Workspace.take` and free the work
+arrays at the end of a ``with WORKSPACE.scope():`` block.  Outside a chunk
+the workspace is closed and ``take`` gives plain arrays, so a caller outside
+the trial path never holds a view of it; inside one, a result is a view that
+lasts until the chunk ends.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 
@@ -27,6 +28,8 @@ import numpy as np
 _ALIGN = 64
 # The item size of each dtype taken so far: np.dtype costs more than a lookup.
 _ITEMSIZE: dict = {}
+# A closed workspace's scope: a block that does nothing.
+_UNSCOPED = contextlib.nullcontext()
 
 
 class _Scope:
@@ -44,59 +47,33 @@ class _Scope:
         self.workspace.used = self.mark
 
 
-class _Unscoped:
-    """A block that does nothing: a closed workspace's scope, and the chunk
-    of one that stays closed."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_UNSCOPED = _Unscoped()
-
-
 class Workspace(threading.local):
-    """A thread's grow-only scratch memory.  ``reset`` opens it: it frees all
-    views and grows the memory to the most ever taken, so it never grows
-    while a view of it is in use.  While it is open ``take`` hands out views
-    one after another (past the end, plain arrays); a ``scope`` frees those
-    taken inside it.  ``close`` frees all views, and a closed workspace hands
-    out plain arrays and records nothing.  As a block, the workspace is open
-    inside and closed after."""
+    """A thread's grow-only scratch memory, open inside a ``with`` block and
+    closed outside it.  Entering frees all views and grows the memory to the
+    most ever taken, so it never grows while a view of it is in use.  While
+    it is open ``take`` hands out views one after another (past the end,
+    plain arrays); a ``scope`` frees those taken inside it.  Leaving frees
+    all views, and a closed workspace hands out plain arrays and records
+    nothing."""
 
     def __init__(self) -> None:
         self.memory, self.peak = np.empty(0, dtype=np.uint8), 0
-        self.close()
+        self.__exit__()
 
-    def reset(self) -> None:
+    def __enter__(self) -> None:
         self.used, self.open, self.take = 0, True, self._view
         if self.peak > self.memory.size:
             self.memory = np.empty(self.peak, dtype=np.uint8)
 
-    def close(self) -> None:
+    def __exit__(self, *exc) -> None:
         # ``take(shape, dtype=float)`` of a closed workspace is numpy's own
         # empty: the small chunks that leave it closed make no Python call
         # for their arrays
         self.used, self.open, self.take = 0, False, np.empty
 
-    def __enter__(self) -> None:
-        self.reset()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def chunk(self, reuse: bool = True) -> Workspace | _Unscoped:
-        """A block open for one chunk's arrays; one that stays closed, so
-        that the chunk takes plain arrays, unless ``reuse``."""
-        return self if reuse else _UNSCOPED
-
-    def scope(self) -> _Scope | _Unscoped:
-        """A block whose views are freed when it ends."""
+    def scope(self) -> _Scope | contextlib.nullcontext:
+        """A block whose views are freed when it ends; one that does nothing
+        in a closed workspace."""
         return _Scope(self) if self.open else _UNSCOPED
 
     def _view(self, shape: tuple, dtype=float) -> np.ndarray:

@@ -478,6 +478,48 @@ def full_graph_spa(
     return DetectionReport(soft=soft, hard_indices=idx, marginals=belief, iterations=sweeps)
 
 
+def inverse_permutation_spa_gathers(
+    taps_shape: tuple, truncation: np.ndarray, data: np.ndarray, q: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (L, Q, F) factor and (L, Q, B*D) symbol gather indices of the
+    sum-product graph of ``detection._spa_graph`` for [B, N, M] tap grids
+    truncated to ``truncation`` (rows padded with -1, each with a kept tap)
+    on the cells marked in ``data``.  A data symbol's reads go through each
+    slot's inverse permutation: symbol j meets factor obs_of[b, t, j] on
+    slot t, found at that factor's cumulative live column."""
+    frames, n, m = taps_shape
+    degrees = np.count_nonzero(truncation >= 0, axis=1)
+    degree = int(degrees.max())
+    pad = np.arange(degree) < (degree - degrees)[:, None]
+    kept = np.zeros((frames, degree), dtype=np.int64)
+    kept[~pad] = truncation[truncation >= 0]
+    doppler, delay = np.divmod(kept[:, :, None], m)
+    # factor i of frame b meets symbol sym_of[b, t, i] on tap slot t, and
+    # symbol j meets factor obs_of[b, t, j] there
+    sym_of = (((np.arange(n) - doppler) % n)[..., None] * m
+              + ((np.arange(m) - delay) % m)[..., None, :]).reshape(frames, degree, -1)
+    obs_of = (((np.arange(n) + doppler) % n)[..., None] * m
+              + ((np.arange(m) + delay) % m)[..., None, :]).reshape(frames, degree, -1)
+    cells = np.flatnonzero(data)
+    on_data = data[sym_of] & ~pad[:, :, None]
+    live = on_data.any(axis=1)
+    frame_of = np.repeat(np.arange(frames), live.sum(axis=1))
+    width, columns = frame_of.size, frames * cells.size
+    values = np.arange(q)[:, None]
+    on_data = on_data.transpose(0, 2, 1)[live]
+    symbol_col = ((np.cumsum(data) - 1)[sym_of.transpose(0, 2, 1)[live]]
+                  + cells.size * frame_of[:, None])
+    reads = np.where(on_data, np.arange(degree) * q * columns + symbol_col,
+                     (degree + pad[frame_of]) * q * columns)
+    at_factors = reads.T[:, None, :] + values * columns
+    factor_col = (np.cumsum(live) - 1).reshape(live.shape)
+    reads = np.where(pad[:, :, None], (degree + 1) * q * width,
+                     np.arange(degree)[:, None] * q * width
+                     + np.take_along_axis(factor_col[:, None, :], obs_of[:, :, cells], axis=2))
+    at_symbols = reads.transpose(1, 0, 2).reshape(degree, 1, columns) + values * width
+    return at_factors, at_symbols
+
+
 def _fg_gathers(cells: np.ndarray, q: int) -> np.ndarray:
     """Flat ``take`` index into (L, Q, B*NM) messages that reads, at
     [t, v, b*NM + j], value v on slot t of node ``cells[b, t, j]`` of frame b."""

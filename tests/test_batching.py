@@ -891,6 +891,39 @@ def test_spa_graph_reads_the_literal_graph(monkeypatch):
     assert factor == width
 
 
+@pytest.mark.parametrize("masked", [False, True], ids=["all-data", "guard"])
+@pytest.mark.parametrize("constellation, degrees", [
+    (Constellation.bpsk(), (3, 0, 3, 5, 1, 4)),
+    (QPSK, (2, 0, 2, 3, 1)),
+    # three floods of two frames, the degree-2 frame padded to 6
+    (QPSK, (6, 6, 2, 6, 0, 6, 6)),
+], ids=["bpsk", "qpsk", "qpsk-split"])
+def test_spa_gathers_equal_the_inverse_permutation_tables(constellation, degrees, masked,
+                                                          monkeypatch):
+    # each graph's gather tables, built from the live factors' symbol
+    # columns, equal those built through each slot's inverse permutation;
+    # the degree-0 frame never reaches a graph.  A graph lives in the arena
+    # until the next batch's, so each is checked as it is built
+    y, channel = spa_frames(np.random.default_rng(9), constellation, degrees, 0.1)
+    mask = SPA_MASK if masked else np.ones(SPA_GRID.shape, dtype=bool)
+    frames = []
+    build = detection._spa_graph
+
+    def spy(y, taps, truncation, sigma2, points, data):
+        graph = build(y, taps, truncation, sigma2, points, data)
+        assert np.all(np.count_nonzero(truncation >= 0, axis=1) > 0)
+        at_factors, at_symbols = oracles.inverse_permutation_spa_gathers(
+            taps.shape, truncation, data, points.size)
+        assert np.array_equal(graph.at_factors, at_factors)
+        assert np.array_equal(graph.at_symbols, at_symbols)
+        frames.append(len(taps))
+        return graph
+
+    monkeypatch.setattr(detection, "_spa_graph", spy)
+    spa_detect(y, channel, 0.1, constellation, iters=2, data_mask=mask)
+    assert sum(frames) == len(degrees) - 1
+
+
 def test_spa_stack_matches_enumeration():
     bpsk = Constellation.bpsk()
     y, channel = spa_frames(np.random.default_rng(7), bpsk, (4, 0, 2, 4, 3), 0.02)
@@ -969,11 +1002,38 @@ def test_spa_arena_reuse_keeps_each_stacks_report(monkeypatch):
                          ("bpsk-large", "qpsk"), ("bpsk-small", "qpsk"), ("qpsk", "qpsk")]:
         spa_report(*stacks[before])
         assert_same_spa_report(spa_report(*stacks[name]), fresh[name])
-        arena.reset()
-        arena.memory[:] = 0xFF
+        with arena:
+            arena.memory[:] = 0xFF
         assert_same_spa_report(spa_report(*stacks[name]), fresh[name])
         # no view past the end: the whole flood ran in the NaN-filled arena
         assert arena.peak <= arena.memory.size
+
+
+def test_spa_closes_its_arena_after_each_call(monkeypatch):
+    # the arena is open only for a flood batch: after a call, and after one
+    # whose flood raises, it is closed with nothing in use, and the next
+    # call gives the report of a fresh arena
+    y, channel, constellation = spa_stacks()["qpsk-large"]
+    monkeypatch.setattr(detection, "_ARENA", Workspace())
+    fresh = spa_report(y, channel, constellation)
+    arena = Workspace()
+    monkeypatch.setattr(detection, "_ARENA", arena)
+    spa_report(y, channel, constellation)
+    assert not arena.open and arena.used == 0
+    assert_same_spa_report(spa_report(y, channel, constellation), fresh)
+    flood = detection._flood
+
+    def failing(graph, iters, damping):
+        flood(graph, iters, damping)
+        assert arena.open and arena.used > 0
+        raise RuntimeError("flood failed")
+
+    monkeypatch.setattr(detection, "_flood", failing)
+    with pytest.raises(RuntimeError, match="flood failed"):
+        spa_report(y, channel, constellation)
+    assert not arena.open and arena.used == 0
+    monkeypatch.setattr(detection, "_flood", flood)
+    assert_same_spa_report(spa_report(y, channel, constellation), fresh)
 
 
 def test_spa_threads_detect_in_their_own_arenas():

@@ -66,9 +66,9 @@ def test_a_chunk_after_larger_and_smaller_chunks_gives_its_fresh_bytes(name):
     for before in (2 * chunk, 1, chunk):
         _run(name, before, seed=5)
         assert _run(name, trials) == fresh
-    WORKSPACE.reset()
-    memory = WORKSPACE.memory
-    memory[:] = 0xFF
+    with WORKSPACE:
+        memory = WORKSPACE.memory
+        memory[:] = 0xFF
     assert _run(name, trials) == fresh
     # no view past the end and no new memory: every chunk ran in the
     # NaN-filled bytes
@@ -101,13 +101,13 @@ def test_runs_of_chunks_under_128_kib_leave_the_workspace_closed(monkeypatch):
     # 4-frame 30x20 chunks, as the benchmark's MMSE calls run, take plain
     # arrays; a run of 14 frames, one chunk past 128 KiB, opens it once
     opened = []
-    reset = Workspace.reset
+    enter = Workspace.__enter__
 
     def spy(self):
         opened.append(self)
-        reset(self)
+        enter(self)
 
-    monkeypatch.setattr(Workspace, "reset", spy)
+    monkeypatch.setattr(Workspace, "__enter__", spy)
     run_fer(ExperimentConfig(snr_db=(10.0, 20.0), trials=2))
     assert opened == []
     run_fer(ExperimentConfig(snr_db=(10.0, 20.0), trials=7))
@@ -146,26 +146,26 @@ def test_a_workspace_hands_out_aligned_views_and_plain_arrays_past_its_end():
     space = Workspace()
     # closed: plain arrays, and nothing is recorded
     assert space.take((3,), np.uint8).base is None and space.peak == 0
-    space.reset()
-    # open with no memory yet: plain arrays, and the most taken is recorded
-    assert space.take((3,), np.uint8).base is None
-    space.take((2, 5), complex)
-    assert space.peak == 64 + 160 and space.memory.size == 0
-    space.reset()
-    assert space.memory.size == space.peak
-    a, b = space.take((3,), np.uint8), space.take((2, 5), complex)
-    assert np.shares_memory(a, space.memory) and np.shares_memory(b, space.memory)
-    assert b.ctypes.data - space.memory.ctypes.data == 64
-    # a scope frees what was taken inside it, however it ends
-    space.used = 3
-    with pytest.raises(ZeroDivisionError), space.scope():
+    with space:
+        # open with no memory yet: plain arrays, and the most taken is recorded
+        assert space.take((3,), np.uint8).base is None
+        space.take((2, 5), complex)
+        assert space.peak == 64 + 160 and space.memory.size == 0
+    with space:
+        assert space.memory.size == space.peak
+        a, b = space.take((3,), np.uint8), space.take((2, 5), complex)
+        assert np.shares_memory(a, space.memory) and np.shares_memory(b, space.memory)
+        assert b.ctypes.data - space.memory.ctypes.data == 64
+        # a scope frees what was taken inside it, however it ends
+        space.used = 3
+        with pytest.raises(ZeroDivisionError), space.scope():
+            assert np.shares_memory(space.take((2, 5), complex), b)
+            1 / 0
+        assert space.used == 3
         assert np.shares_memory(space.take((2, 5), complex), b)
-        1 / 0
-    assert space.used == 3
-    assert np.shares_memory(space.take((2, 5), complex), b)
-    assert space.take((1,), np.uint8).base is None
-    # closing frees every view, and a closed workspace hands out plain arrays
-    space.close()
+        assert space.take((1,), np.uint8).base is None
+    # leaving the block frees every view, and a closed workspace hands out
+    # plain arrays
     assert space.used == 0 and space.take((3,), np.uint8).base is None
 
 
