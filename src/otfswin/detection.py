@@ -36,7 +36,7 @@ from .errors import ConfigurationError, NumericalFailure
 from .estimation import PilotLayout
 from .grid import Constellation, frame_noise
 from .transforms import _into, _sfft_into, dft_matrix
-from .workspace import WORKSPACE, Workspace
+from .workspace import WORKSPACE
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +194,12 @@ def tf_lmmse_detect(
                 ) from exc
             correction = np.multiply(residual, weights, out=spare[0])
             dd = _sfft_into(np.subtract(weighted, correction, out=other), spare[0])
-            dd.reshape(soft.shape[:-1] + (-1,)).take(_data_cells(layout), axis=-1, out=soft,
-                                                     mode="clip")
+            dd.reshape(soft.shape[:-1] + (-1,)).take(_guard_plan(layout).data_cells, axis=-1,
+                                                     out=soft, mode="clip")
     if not np.all(np.isfinite(soft)):
         raise NumericalFailure("LMMSE estimate is not finite")
     hard = constellation.nearest_indices(soft).reshape(soft.shape)
     return DetectionReport(soft=soft, hard_indices=hard)
-
-
-def _data_cells(layout: PilotLayout) -> np.ndarray:
-    """The flat row-major indices of ``layout``'s data cells."""
-    return _guard_plan(layout).data_cells
 
 
 @dataclass(frozen=True)
@@ -339,11 +334,6 @@ def analytic_detection_mse(lam: np.ndarray, x: np.ndarray) -> float:
 # sum-product detector
 # ---------------------------------------------------------------------------
 
-# The sum-product detector's own workspace: a flood never overwrites the
-# chunk's grids in the trial path's.
-_ARENA = Workspace()
-
-
 def _normalize(msgs: np.ndarray, axis: int) -> np.ndarray:
     """Scale ``msgs`` in place to unit sum along ``axis``; all-zero ones become uniform."""
     total = msgs.sum(axis=axis, keepdims=True)
@@ -420,11 +410,11 @@ def spa_detect(
     prior, decided as constellation index 0, after 0 sweeps.  At most
     ``_SPA_MAX_CONFIGS // Q^L`` frames of a stack at a time share one graph
     (:func:`_spa_graph`) and one flood (:func:`_flood`), L their largest
-    degree, in the thread's sum-product workspace, opened for the batch and
-    closed after it; each stops on its own, its messages frozen in place, so
-    it gets bit for bit its result alone.  The report covers the D cells of
-    ``data_mask`` (all NM without one) in row-major order, as
-    :func:`tf_lmmse_detect` does for a layout: a stack returns (B, D)
+    degree, in a ``with WORKSPACE:`` block of their own, nested in a chunk's
+    or opening the closed workspace; each stops on its own, its messages
+    frozen in place, so it gets bit for bit its result alone.  The report
+    covers the D cells of ``data_mask`` (all NM without one) in row-major
+    order, as :func:`tf_lmmse_detect` does for a layout: a stack returns (B, D)
     ``soft`` and ``hard_indices`` and (B, D, Q) ``marginals``.
     ``iterations`` counts the sweeps the call ran, for one frame its
     iterations, and ``frame_iterations`` holds each frame's own count, the
@@ -472,7 +462,7 @@ def spa_detect(
     sweeps, frame_sweeps = 0, np.zeros(len(taps), dtype=np.int64)
     for first in range(0, live.size, step):
         batch = live[first:first + step]
-        with _ARENA:
+        with WORKSPACE:
             graph = _spa_graph(y[batch], taps[batch], truncation[batch], sigma2[batch], points,
                                data)
             belief[batch], frame_sweeps[batch] = _flood(graph, iters, damping)
@@ -519,9 +509,9 @@ def _spa_graph(
     column of the one live factor that meets it there, or slot L + 1 (1) on
     a pad slot.  Both index arrays come from one (F, L) table of the live
     factors' symbol columns.  The index arrays, then the likelihood and each
-    degree's (F_d, Q^d) means and part behind it, are taken in the thread's
-    sum-product :class:`~otfswin.workspace.Workspace`, which the caller
-    opens: a graph lasts until the caller closes it.
+    degree's (F_d, Q^d) means and part behind it, are taken in
+    :data:`~otfswin.workspace.WORKSPACE`, which the caller enters: a graph
+    lasts until the caller's block ends.
     """
     frames, n, m = taps.shape
     q = points.size
@@ -533,14 +523,12 @@ def _spa_graph(
     kept = np.zeros((frames, degree), dtype=np.int64)
     kept[~pad] = truncation[truncation >= 0]
 
-    def take(shape: tuple) -> np.ndarray:
-        return _ARENA.take(shape, np.int64)
-
     # factor i of frame b meets symbol sym_of[b, t, i] on tap slot t
     doppler, delay = np.divmod(kept[:, :, None], m)
     sym_of = np.add(((np.arange(n) - doppler) % n)[..., None] * m,
                     ((np.arange(m) - delay) % m)[..., None, :],
-                    out=take((frames, degree, n, m))).reshape(frames, degree, -1)
+                    out=WORKSPACE.take((frames, degree, n, m), np.int64))
+    sym_of = sym_of.reshape(frames, degree, -1)
 
     cells = np.flatnonzero(data)
     on_data = data[sym_of] & ~pad[:, :, None]
@@ -553,20 +541,22 @@ def _spa_graph(
     on_data = on_data.transpose(0, 2, 1)[live]
     symbol_col = ((np.cumsum(data) - 1)[sym_of.transpose(0, 2, 1)[live]]
                   + cells.size * frame_of[:, None])
-    reads = take(on_data.shape)
+    reads = WORKSPACE.take(on_data.shape, np.int64)
     np.copyto(reads, (degree + pad[frame_of]) * q * columns)
     np.copyto(reads, np.arange(degree) * q * columns + symbol_col, where=on_data)
-    at_factors = np.add(reads.T[:, None, :], values * columns, out=take((degree, q, width)))
+    at_factors = np.add(reads.T[:, None, :], values * columns,
+                        out=WORKSPACE.take((degree, q, width), np.int64))
     # on a real slot each data symbol meets one received cell, whose factor
     # is live and names the symbol in its row; pad slots keep slot L + 1.
     # Slot by slot, a 64-frame chunk's index temporaries stay under glibc's
     # 128 KiB mmap threshold (all slots at once raised 9b's maxrss 0.5 MB)
-    reads = take((degree, columns))
+    reads = WORKSPACE.take((degree, columns), np.int64)
     reads.fill((degree + 1) * q * width)
     for t in range(degree):
         factor = np.flatnonzero(on_data[:, t])
         reads[t, symbol_col[factor, t]] = t * q * width + factor
-    at_symbols = np.add(reads[:, None, :], values * width, out=take((degree, q, columns)))
+    at_symbols = np.add(reads[:, None, :], values * width,
+                        out=WORKSPACE.take((degree, q, columns), np.int64))
 
     # likelihood[c_0, .., c_{L-1}, f] of factor f under symbol values c: a
     # tap's gain on a real data slot, 0 elsewhere (known zeros add nothing);
@@ -575,16 +565,16 @@ def _spa_graph(
     tap = np.take_along_axis(taps.reshape(frames, -1), kept, axis=1)
     gains = np.where(on_data, tap[frame_of], 0.0)
     y = y[live]
-    likelihood = _ARENA.take((q ** degree, width))
+    likelihood = WORKSPACE.take((q ** degree, width))
     for d in sorted(set(degrees.tolist())):
         # means and part are freed with each degree
-        with _ARENA.scope():
+        with WORKSPACE.scope():
             cols = np.flatnonzero(degrees[frame_of] == d)
             configs = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
             means = np.matmul(gains[cols, degree - d:], points[configs].T,   # (F_d, Q^d)
-                              out=_ARENA.take((cols.size, configs.shape[0]), complex))
+                              out=WORKSPACE.take((cols.size, configs.shape[0]), complex))
             np.subtract(y[cols, None], means, out=means)
-            part = _ARENA.take((configs.shape[0], cols.size))
+            part = WORKSPACE.take((configs.shape[0], cols.size))
             np.abs(means.T, out=part)
             part **= 2
             part -= part.min(axis=0)                             # scale-free normalization
@@ -607,8 +597,8 @@ def _flood(graph: _SpaGraph, iters: int, damping: float) -> tuple[np.ndarray, np
     and the (B,) sweeps each frame ran before it froze.  The message
     buffers and the sweeps' work arrays (both gathers, the new messages,
     their change and the tails, which the heads reuse) are taken once, in
-    the open sum-product workspace behind the graph, and serve every sweep:
-    the workspace holds one flood, at most ``_SPA_MAX_CONFIGS // Q^L``
+    the caller's block of the workspace behind the graph, and serve every
+    sweep: the block holds one flood, at most ``_SPA_MAX_CONFIGS // Q^L``
     frames, whatever the trial count.
     """
     degree, q, width = graph.at_factors.shape
@@ -617,18 +607,18 @@ def _flood(graph: _SpaGraph, iters: int, damping: float) -> tuple[np.ndarray, np
     # enters it, gathered from the symbols' messages ``out``.  A frame's move
     # is the largest over its consecutive factor columns; ``keep`` and
     # ``step`` weigh the old and new messages of each column.
-    to_buffer = _ARENA.take((degree + 2, q, width))
+    to_buffer = WORKSPACE.take((degree + 2, q, width))
     to_buffer[:degree + 1] = 1.0 / q
     to_buffer[degree + 1] = 1.0
     to_symbol = to_buffer[:degree]
-    from_buffer = _ARENA.take((degree + 2, q, graph.at_symbols.shape[2]))
+    from_buffer = WORKSPACE.take((degree + 2, q, graph.at_symbols.shape[2]))
     from_buffer[:degree + 1] = 1.0 / q
     from_buffer[degree + 1] = (np.arange(q) == 0)[:, None]
     out = from_buffer[:degree]
-    prefix, suffix, incoming = _ARENA.take((3,) + out.shape)
+    prefix, suffix, incoming = WORKSPACE.take((3,) + out.shape)
     prefix[0] = suffix[-1] = 1.0
-    from_symbol, new_msgs, change = _ARENA.take((3,) + to_symbol.shape)
-    tails = [_ARENA.take((q ** (degree - 1 - t), width)) for t in range(degree - 2)]
+    from_symbol, new_msgs, change = WORKSPACE.take((3,) + to_symbol.shape)
+    tails = [WORKSPACE.take((q ** (degree - 1 - t), width)) for t in range(degree - 2)]
     starts = np.cumsum(counts) - counts
     keep, step = np.full(width, 1.0 - damping), np.full(width, damping)
     running = np.ones(frames, dtype=bool)

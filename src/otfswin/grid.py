@@ -133,9 +133,6 @@ class Constellation:
         np.right_shift(indices[:, None], shifts, out=out)
         return np.bitwise_and(out, 1, out=out).reshape(-1)
 
-    def modulate(self, bits: np.ndarray) -> np.ndarray:
-        return self.points[self.bits_to_indices(bits)]
-
     def nearest_indices(self, symbols: np.ndarray) -> np.ndarray:
         """Index of the point nearest to each symbol, flattened, ties to the
         lower index.

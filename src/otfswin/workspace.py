@@ -10,10 +10,12 @@ mapped.
 The trial path's arrays come from :data:`WORKSPACE`, which ``harness._sweep``
 opens for each chunk (``with WORKSPACE:``).  The functions on that path take
 their results and work arrays with :meth:`Workspace.take` and free the work
-arrays at the end of a ``with WORKSPACE.scope():`` block.  Outside a chunk
+arrays at the end of a ``with WORKSPACE.scope():`` block.  The sum-product
+detector enters it for each flood batch: inside a chunk its arrays follow
+the chunk's views, and outside one the batch opens it.  Outside every block
 the workspace is closed and ``take`` gives plain arrays, so a caller outside
 the trial path never holds a view of it; inside one, a result is a view that
-lasts until the chunk ends.
+lasts until the block that took it ends.
 """
 
 from __future__ import annotations
@@ -32,49 +34,42 @@ _ITEMSIZE: dict = {}
 _UNSCOPED = contextlib.nullcontext()
 
 
-class _Scope:
-    """Sets its workspace's ``used`` back on exit, however the block ends."""
-
-    __slots__ = ("workspace", "mark")
-
-    def __init__(self, workspace: "Workspace") -> None:
-        self.workspace = workspace
-
-    def __enter__(self) -> None:
-        self.mark = self.workspace.used
-
-    def __exit__(self, *exc) -> None:
-        self.workspace.used = self.mark
-
-
 class Workspace(threading.local):
-    """A thread's grow-only scratch memory, open inside a ``with`` block and
-    closed outside it.  Entering frees all views and grows the memory to the
-    most ever taken, so it never grows while a view of it is in use.  While
-    it is open ``take`` hands out views one after another (past the end,
-    plain arrays); a ``scope`` frees those taken inside it.  Leaving frees
-    all views, and a closed workspace hands out plain arrays and records
-    nothing."""
+    """A thread's grow-only scratch memory: a stack of nested ``with``
+    blocks, open inside the outermost and closed outside it.  Entering a
+    closed workspace opens it with no view in use and grows the memory to
+    the most ever taken, so it never grows while a view of it is in use;
+    entering an open one marks what is in use.  While it is open ``take``
+    hands out views one after another (past the end, plain arrays).  Leaving
+    a nested block frees the views taken since its mark, however the block
+    ends, and leaving the outermost closes the workspace: a closed one hands
+    out plain arrays and records nothing."""
 
     def __init__(self) -> None:
-        self.memory, self.peak = np.empty(0, dtype=np.uint8), 0
+        self.memory, self.peak, self.marks = np.empty(0, dtype=np.uint8), 0, []
         self.__exit__()
 
     def __enter__(self) -> None:
+        if self.open:
+            self.marks.append(self.used)
+            return
         self.used, self.open, self.take = 0, True, self._view
         if self.peak > self.memory.size:
             self.memory = np.empty(self.peak, dtype=np.uint8)
 
     def __exit__(self, *exc) -> None:
+        if self.marks:
+            self.used = self.marks.pop()
+            return
         # ``take(shape, dtype=float)`` of a closed workspace is numpy's own
         # empty: the small chunks that leave it closed make no Python call
         # for their arrays
         self.used, self.open, self.take = 0, False, np.empty
 
-    def scope(self) -> _Scope | contextlib.nullcontext:
-        """A block whose views are freed when it ends; one that does nothing
-        in a closed workspace."""
-        return _Scope(self) if self.open else _UNSCOPED
+    def scope(self) -> Workspace | contextlib.nullcontext:
+        """A nested block of an open workspace; one that does nothing in a
+        closed workspace."""
+        return self if self.open else _UNSCOPED
 
     def _view(self, shape: tuple, dtype=float) -> np.ndarray:
         """``take`` of an open workspace."""
@@ -93,5 +88,6 @@ class Workspace(threading.local):
         return np.ndarray(shape, dtype, memory, start)
 
 
-# The trial path's workspace: one chunk's transmit chain and receivers.
+# The thread's one workspace: a chunk's transmit chain and receivers, and
+# each sum-product flood batch.
 WORKSPACE = Workspace()

@@ -902,8 +902,8 @@ def test_spa_gathers_equal_the_inverse_permutation_tables(constellation, degrees
                                                           monkeypatch):
     # each graph's gather tables, built from the live factors' symbol
     # columns, equal those built through each slot's inverse permutation;
-    # the degree-0 frame never reaches a graph.  A graph lives in the arena
-    # until the next batch's, so each is checked as it is built
+    # the degree-0 frame never reaches a graph.  A graph lives in the
+    # workspace until its batch ends, so each is checked as it is built
     y, channel = spa_frames(np.random.default_rng(9), constellation, degrees, 0.1)
     mask = SPA_MASK if masked else np.ones(SPA_GRID.shape, dtype=bool)
     frames = []
@@ -961,7 +961,8 @@ def test_spa_frame_iterations_are_each_frames_alone(constellation, degrees, mask
         assert stack.iterations == max(counts)
 
 
-# --- the sum-product scratch arena: one per thread, reused across calls
+# --- the sum-product flood's scratch memory: the thread's workspace, reused
+# across calls
 
 BPSK = Constellation.bpsk()
 
@@ -989,15 +990,15 @@ def assert_same_spa_report(got, want) -> None:
 
 def test_spa_arena_reuse_keeps_each_stacks_report(monkeypatch):
     # a stack detected right after a larger or a smaller one, of either
-    # constellation, gives the report a fresh arena gives, and so it does
-    # in an arena filled with NaN: it reads no byte it did not write
+    # constellation, gives the report a fresh workspace gives, and so it
+    # does in a workspace filled with NaN: it reads no byte it did not write
     stacks = spa_stacks()
     fresh = {}
     for name in ("bpsk", "qpsk"):
-        monkeypatch.setattr(detection, "_ARENA", Workspace())
+        monkeypatch.setattr(detection, "WORKSPACE", Workspace())
         fresh[name] = spa_report(*stacks[name])
     arena = Workspace()
-    monkeypatch.setattr(detection, "_ARENA", arena)
+    monkeypatch.setattr(detection, "WORKSPACE", arena)
     for before, name in [("qpsk-large", "bpsk"), ("qpsk-small", "bpsk"), ("bpsk", "bpsk"),
                          ("bpsk-large", "qpsk"), ("bpsk-small", "qpsk"), ("qpsk", "qpsk")]:
         spa_report(*stacks[before])
@@ -1005,19 +1006,19 @@ def test_spa_arena_reuse_keeps_each_stacks_report(monkeypatch):
         with arena:
             arena.memory[:] = 0xFF
         assert_same_spa_report(spa_report(*stacks[name]), fresh[name])
-        # no view past the end: the whole flood ran in the NaN-filled arena
+        # no view past the end: the whole flood ran in the NaN-filled memory
         assert arena.peak <= arena.memory.size
 
 
 def test_spa_closes_its_arena_after_each_call(monkeypatch):
-    # the arena is open only for a flood batch: after a call, and after one
-    # whose flood raises, it is closed with nothing in use, and the next
-    # call gives the report of a fresh arena
+    # outside a chunk the workspace is open only for a flood batch: after a
+    # call, and after one whose flood raises, it is closed with nothing in
+    # use, and the next call gives the report of a fresh workspace
     y, channel, constellation = spa_stacks()["qpsk-large"]
-    monkeypatch.setattr(detection, "_ARENA", Workspace())
+    monkeypatch.setattr(detection, "WORKSPACE", Workspace())
     fresh = spa_report(y, channel, constellation)
     arena = Workspace()
-    monkeypatch.setattr(detection, "_ARENA", arena)
+    monkeypatch.setattr(detection, "WORKSPACE", arena)
     spa_report(y, channel, constellation)
     assert not arena.open and arena.used == 0
     assert_same_spa_report(spa_report(y, channel, constellation), fresh)
@@ -1061,11 +1062,11 @@ def test_spa_threads_detect_in_their_own_arenas():
 
 
 def test_spa_warm_call_reuses_the_arena(monkeypatch):
-    # the first call records what it takes, the second grows the arena to
-    # that, and a third on the same shapes takes all of it from there
+    # the first call records what it takes, the second grows the workspace
+    # to that, and a third on the same shapes takes all of it from there
     y, channel, constellation = spa_stacks()["bpsk-large"]
     arena = Workspace()
-    monkeypatch.setattr(detection, "_ARENA", arena)
+    monkeypatch.setattr(detection, "WORKSPACE", arena)
     graphs = []
     build = detection._spa_graph
 

@@ -54,12 +54,13 @@ class TestConstellations:
 
     def test_bpsk_sign_convention(self):
         c = Constellation.bpsk()
-        assert c.modulate(np.array([0]))[0] == 1.0
-        assert c.modulate(np.array([1]))[0] == -1.0
+        assert c.points[c.bits_to_indices(np.array([0]))][0] == 1.0
+        assert c.points[c.bits_to_indices(np.array([1]))][0] == -1.0
 
     def test_qpsk_gray_map_first_point(self):
         c = Constellation.qpsk()
-        assert c.modulate(np.array([0, 0]))[0] == pytest.approx((1 + 1j) / np.sqrt(2))
+        assert c.points[c.bits_to_indices(np.array([0, 0]))][0] == \
+            pytest.approx((1 + 1j) / np.sqrt(2))
 
     def test_qpsk_gray_neighbors_differ_in_one_bit(self):
         c = Constellation.qpsk()

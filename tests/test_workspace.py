@@ -1,5 +1,6 @@
 """The trial path's workspace: a chunk's arrays come from one grow-only
-buffer per thread, which ``_sweep`` frees before each chunk.  A chunk must
+buffer per thread, which ``_sweep`` frees before each chunk, and a
+sum-product flood nests in it after the chunk's views.  A chunk must
 give the bytes it gives in a fresh workspace whatever ran in the workspace
 before it and whatever the workspace holds, a thread must never share one,
 and a warm chunk must take its arrays from memory that is already mapped.
@@ -51,6 +52,7 @@ def _run(name: str, trials: int, seed: int = 47) -> str:
 
 def _fresh_workspace() -> None:
     WORKSPACE.memory, WORKSPACE.used, WORKSPACE.peak = np.empty(0, dtype=np.uint8), 0, 0
+    WORKSPACE.marks = []
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -78,8 +80,8 @@ def test_a_chunk_after_larger_and_smaller_chunks_gives_its_fresh_bytes(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_every_view_is_written_before_it_is_read(name, monkeypatch):
     # views handed out zeroed, and then filled with NaN bytes, give the
-    # same rows: no stage reads a byte of its arrays, or of the sum-product
-    # arena's, before it writes it (a NaN read moves a row or raises)
+    # same rows: no stage, the sum-product flood's included, reads a byte
+    # of its arrays before it writes it (a NaN read moves a row or raises)
     view = Workspace._view
 
     def filled(byte):
@@ -99,12 +101,14 @@ def test_every_view_is_written_before_it_is_read(name, monkeypatch):
 
 def test_runs_of_chunks_under_128_kib_leave_the_workspace_closed(monkeypatch):
     # 4-frame 30x20 chunks, as the benchmark's MMSE calls run, take plain
-    # arrays; a run of 14 frames, one chunk past 128 KiB, opens it once
+    # arrays; a run of 14 frames, one chunk past 128 KiB, opens it once (the
+    # chunk's scopes enter it open)
     opened = []
     enter = Workspace.__enter__
 
     def spy(self):
-        opened.append(self)
+        if not self.open:
+            opened.append(self)
         enter(self)
 
     monkeypatch.setattr(Workspace, "__enter__", spy)
@@ -169,6 +173,71 @@ def test_a_workspace_hands_out_aligned_views_and_plain_arrays_past_its_end():
     assert space.used == 0 and space.take((3,), np.uint8).base is None
 
 
+def test_a_nested_block_frees_what_it_took_and_leaves_the_workspace_open():
+    # a block entered in an open workspace takes its views after those in
+    # use and frees them when it ends, however it ends; only the outermost
+    # block closes the workspace
+    space = Workspace()
+    with space:
+        space.take((256,), np.uint8)
+    with space:
+        assert space.scope() is space
+        first = space.take((5,), complex)
+        first[:] = 1 + 2j
+        mark = space.used
+        with space:
+            second = space.take((5,), complex)
+            assert np.shares_memory(second, space.memory)
+            assert not np.shares_memory(first, second)
+            second[:] = np.nan
+        assert space.open and space.used == mark and space.marks == []
+        with pytest.raises(ZeroDivisionError), space:
+            assert np.shares_memory(space.take((5,), complex), second)
+            1 / 0
+        assert space.open and space.used == mark and space.marks == []
+        assert np.all(first == 1 + 2j)
+    assert not space.open and space.used == 0 and space.take((3,), np.uint8).base is None
+
+
+def test_a_flood_in_an_open_workspace_keeps_the_chunks_views(monkeypatch):
+    # sum-product detection inside a chunk takes its arrays after the
+    # chunk's views: a filled view keeps its bytes and the workspace's use
+    # returns to its value, also when the flood raises, and the report is
+    # the one a closed workspace gives
+    from otfswin import detection
+    from test_batching import assert_same_spa_report, spa_report, spa_stacks
+
+    stack = spa_stacks()["bpsk-large"]
+    closed = spa_report(*stack)
+    flood = detection._flood
+    graphs = []
+
+    def failing(graph, iters, damping):
+        graphs.append(graph)
+        flood(graph, iters, damping)
+        raise RuntimeError("flood failed")
+
+    _fresh_workspace()
+    for _ in range(2):
+        # the first block records the most taken and the second runs in it
+        with WORKSPACE:
+            view = WORKSPACE.take((4096,), np.uint8)
+            view[:] = 0xA5
+            used = WORKSPACE.used
+            report = spa_report(*stack)
+            assert WORKSPACE.open and WORKSPACE.used == used
+            monkeypatch.setattr(detection, "_flood", failing)
+            with pytest.raises(RuntimeError, match="flood failed"):
+                spa_report(*stack)
+            monkeypatch.undo()
+            assert WORKSPACE.open and WORKSPACE.used == used
+            assert np.all(view == 0xA5)
+    assert np.shares_memory(view, WORKSPACE.memory)
+    assert np.shares_memory(graphs[-1].likelihood, WORKSPACE.memory)
+    assert not WORKSPACE.open and WORKSPACE.marks == []
+    assert_same_spa_report(report, closed)
+
+
 def test_calls_outside_a_chunk_leave_the_workspace_alone():
     # the public functions, failing or not, take plain arrays and record
     # nothing when no chunk is open
@@ -230,11 +299,12 @@ print(json.dumps(faults))
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts minor page faults with Linux getrusage")
-@pytest.mark.parametrize("name", ["ce-rect", "fer-estimated-dc-rx", "fer-csit"])
+@pytest.mark.parametrize("name", ["ce-rect", "fer-estimated-dc-rx", "fer-csit",
+                                  "fer-estimated-spa"])
 def test_a_warm_chunk_takes_no_new_page_faults(name):
-    # two full chunks of the 30x20 grid a call: a warm call maps no new
-    # memory, where the chain without the workspace faults in hundreds of
-    # pages a call
+    # two full chunks a call (30x20, or 9b's 8x16 grid with each chunk's
+    # sum-product flood nested in it): a warm call maps no new memory, where
+    # the chain without the workspace faults in hundreds of pages a call
     runner, fields = CASES[name]
     config = _config(fields, harness._run_chunk(_config(fields, 1000)))
     mapping = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
