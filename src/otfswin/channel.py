@@ -108,7 +108,8 @@ def _holds_half_or_is_not_pcg64(bit_generator) -> bool:
     return state["bit_generator"] != "PCG64" or bool(state["has_uint32"])
 
 
-def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarray:
+def bounded_draws(generators: Sequence[np.random.Generator], spans, *,
+                  buffered: np.ndarray | None = None) -> np.ndarray:
     """What ``gen.integers(0, spans)`` returns for each generator, as the
     rows of a (B, K) int64 array, for K spans in 1 .. 2**32 - 1; each stream
     is left where that call leaves it.
@@ -119,14 +120,23 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarra
     the product's low 32 bits fall below (2**32 - span) % span, and draws
     nothing for a span of 1.  Here each generator hands over the words of
     its draws in one ``random_raw`` call, and the halves of all of them are
-    scaled and shifted as one block.  numpy's own call draws instead where
-    the block would not give its bytes or costs more:
+    scaled and shifted as one block.  Where every span is one power of two
+    2**k, the value is half >> (32 - k), one shift, and never redrawn.
+    numpy's own call draws instead where the block would not give its bytes
+    or costs more:
 
     - every row, for an odd number of draws (the last word's high half
       stays buffered), a single generator or one listed twice;
     - the row of a bit generator other than PCG64 and of one that already
       holds a buffered half;
     - a row with a redraw, once its stream is rewound by its words.
+
+    ``buffered``, a bool per row, spares the read of each stream's state
+    that finds the second kind of row: a row marked False must be a PCG64
+    stream that holds no buffered half, one marked True has its state read.
+    The call marks True every row that numpy's own call drew, which may
+    leave a half buffered, so the same array passes on to the streams' next
+    bounded draw.  Without it, every row's state is read.
     """
     high = np.asarray(spans)
     if high.ndim != 1 or high.dtype.kind not in "iu":
@@ -135,6 +145,8 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarra
     if not 1 <= least <= most < 2**32:
         raise ValueError(f"spans must lie in [1, 2**32), got {least} .. {most}")
     shape = (len(generators), high.size)
+    if buffered is not None and buffered.shape != shape[:1]:
+        raise ValueError(f"buffered holds {buffered.shape} flags for {shape[0]} generators")
     out = WORKSPACE.take(shape, np.int64)
 
     def own_calls(gens: Sequence[np.random.Generator]) -> list[np.ndarray]:
@@ -146,6 +158,8 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarra
     draws = high.size if least > 1 else int(np.count_nonzero(high > 1))
     if draws % 2 or shape[0] < 2 or len({id(gen.bit_generator) for gen in generators}) < shape[0]:
         out[...] = np.array(own_calls(generators), dtype=np.int64).reshape(shape)
+        if buffered is not None:
+            buffered[...] = True
         return out
     if most == 1:
         out[...] = 0
@@ -154,8 +168,8 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarra
     columns = np.flatnonzero(high > 1) if least == 1 else None
     words = draws // 2
     bit_generators = [gen.bit_generator for gen in generators]
-    slow = [i for i, bit_generator in enumerate(bit_generators)
-            if _holds_half_or_is_not_pcg64(bit_generator)]
+    unknown = range(shape[0]) if buffered is None else np.flatnonzero(buffered).tolist()
+    slow = [i for i in unknown if _holds_half_or_is_not_pcg64(bit_generators[i])]
     fast = [i for i in range(shape[0]) if i not in slow]
     # every row drawn as one block lands in ``out`` itself
     whole = not slow and columns is None
@@ -167,28 +181,36 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans) -> np.ndarra
             raw = WORKSPACE.take((len(fast), words), "<u8")
             for i, row in zip(fast, raw):
                 row[...] = bit_generators[i].random_raw(words)
-            # a vector, not a numpy scalar: numpy 1.x would promote a scalar
-            # by its value and keep the products at 32 bits
-            block = (high if columns is None else high[columns]).astype(np.uint64)
-            halves = np.multiply(raw.view("<u4"), block, out=out.view(np.uint64) if whole else
-                                 WORKSPACE.take((len(fast), draws), np.uint64))
-            # a power of two divides 2**32: numpy never redraws it
-            if (block & (block - np.uint64(1))).any():
-                low = np.bitwise_and(halves, np.uint64(0xFFFFFFFF),
-                                     out=WORKSPACE.take(halves.shape, np.uint64))
-                # numpy's redraw bound (2**32 - span) % span is below the span
-                if (low < most).any():
-                    redraw = (low < (2**32 - block) % block).any(axis=1)
-                    for j in np.flatnonzero(redraw).tolist():
-                        bit_generators[fast[j]].advance(-words)
-                        slow.append(fast[j])
-            np.right_shift(halves, np.uint64(32), out=halves)
+            halves = (out.view(np.uint64) if whole
+                      else WORKSPACE.take((len(fast), draws), np.uint64))
+            if least == most and not least & (least - 1):
+                # (half * 2**k) >> 32 is half >> (32 - k), and a power of
+                # two divides 2**32: numpy never redraws it
+                np.right_shift(raw.view("<u4"), np.uint32(33 - least.bit_length()), out=halves)
+            else:
+                # a vector, not a numpy scalar: numpy 1.x would promote a
+                # scalar by its value and keep the products at 32 bits
+                block = (high if columns is None else high[columns]).astype(np.uint64)
+                np.multiply(raw.view("<u4"), block, out=halves)
+                # a power of two divides 2**32: numpy never redraws it
+                if (block & (block - np.uint64(1))).any():
+                    low = np.bitwise_and(halves, np.uint64(0xFFFFFFFF),
+                                         out=WORKSPACE.take(halves.shape, np.uint64))
+                    # numpy's redraw bound (2**32 - span) % span is below the span
+                    if (low < most).any():
+                        redraw = (low < (2**32 - block) % block).any(axis=1)
+                        for j in np.flatnonzero(redraw).tolist():
+                            bit_generators[fast[j]].advance(-words)
+                            slow.append(fast[j])
+                np.right_shift(halves, np.uint64(32), out=halves)
             if columns is None and not whole:
                 out[fast] = halves
             elif not whole:
                 out[np.ix_(fast, columns)] = halves
     for i, row in zip(slow, own_calls([generators[i] for i in slow])):
         out[i] = row
+    if slow and buffered is not None:
+        buffered[slow] = True
     return out
 
 
@@ -198,6 +220,8 @@ def sample_channel(
     k_max: int,
     l_max: int,
     rng: np.random.Generator | Sequence[np.random.Generator],
+    *,
+    buffered: np.ndarray | None = None,
 ) -> ChannelRealization:
     """Draw a random multipath channel, or one per generator of a sequence.
 
@@ -221,7 +245,10 @@ def sample_channel(
     and then all draw their gains, so a generator listed twice makes each
     kind of draw for its frames in turn.  The arithmetic after the draws
     runs once for the stack, and realization i is bit for bit the one
-    generator i gives alone.
+    generator i gives alone.  ``buffered`` passes on to the bin draw (see
+    :func:`bounded_draws`): the caller's flags of the generators that may
+    hold a buffered 32-bit half, which the draw updates.  The fractions and
+    gains take whole words, so the flags still hold after them.
     """
     if num_paths < 1:
         raise ValueError("need at least one path")
@@ -238,7 +265,7 @@ def sample_channel(
     with WORKSPACE.scope():
         # contiguous (B, P) planes, as the arithmetic below and the
         # realization take them, copied out of the workspace
-        delays, dopplers = bounded_draws(generators, spans).reshape(
+        delays, dopplers = bounded_draws(generators, spans, buffered=buffered).reshape(
             frames, 2, num_paths).swapaxes(0, 1).copy()
     fracs = np.empty((frames, num_paths))
     gauss = np.empty((frames, 2, num_paths))

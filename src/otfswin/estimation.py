@@ -138,13 +138,21 @@ class PilotLayout:
         )
 
 
-def embed_pilot(data_frame: np.ndarray, layout: PilotLayout) -> np.ndarray:
+def embed_pilot(data_frame: np.ndarray, layout: PilotLayout,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Overwrite the guard region with zeros and the pilot cell with x_p, in
-    an (N, M) frame or in each frame of a ``[..., N, M]`` stack."""
+    an (N, M) frame or in each frame of a ``[..., N, M]`` stack.
+
+    The frames are written into ``out``, a complex array of their shape,
+    and a new one by default; ``out=data_frame`` embeds the pilot in place
+    and leaves the data cells untouched."""
     if data_frame.shape[-2:] != layout.grid.shape:
         raise ValueError("frame shape does not match grid")
-    frame = WORKSPACE.take(data_frame.shape, complex)
-    np.copyto(frame, data_frame)
+    if out is not None and (out.shape != data_frame.shape or out.dtype != complex):
+        raise ValueError(f"out must be a complex array of shape {data_frame.shape}")
+    frame = WORKSPACE.take(data_frame.shape, complex) if out is None else out
+    if frame is not data_frame:
+        np.copyto(frame, data_frame)
     frame[..., layout.guard_mask] = 0.0
     frame[..., layout.pilot_doppler, layout.pilot_delay] = layout.pilot_value
     return frame

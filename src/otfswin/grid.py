@@ -194,7 +194,11 @@ def map_symbols(
     When ``mask`` is given (True marks data cells), bits fill only the masked
     cells in row-major order and the remaining cells are zero; the caller is
     expected to overwrite them (pilot embedding).  The bit count per frame
-    must match the number of filled cells exactly.
+    must match the number of filled cells exactly; a mask without data cells
+    takes no bits and gives zero frames.  Each frame's labels are padded by
+    one label past the points, whose symbol is zero; every grid cell
+    gathers the label of its data cell or that pad, and one gather of the
+    points fills the frames.
     """
     bits = np.asarray(bits)
     bps = constellation.bits_per_symbol
@@ -212,8 +216,15 @@ def map_symbols(
         if mask is None:
             constellation.points.take(labels, out=frames.reshape(-1), mode="clip")
         else:
-            symbols = constellation.points.take(
-                labels, out=WORKSPACE.take(labels.shape, complex), mode="clip")
-            frames[...] = 0.0
-            frames[..., mask] = symbols.reshape(lead + (n_cells,))
+            count = math.prod(lead)
+            padded = WORKSPACE.take((count, n_cells + 1), np.int64)
+            padded[:, :n_cells] = labels.reshape(count, n_cells)
+            padded[:, n_cells] = constellation.points.size
+            # the label column each grid cell reads: its data index, or the pad
+            column = np.full(grid.size, n_cells)
+            column[mask.reshape(-1)] = np.arange(n_cells)
+            cells = padded.take(column, axis=1, mode="clip",
+                                out=WORKSPACE.take((count, grid.size), np.int64))
+            np.concatenate((constellation.points, [0.0])).take(
+                cells, out=frames.reshape(count, grid.size), mode="clip")
     return frames

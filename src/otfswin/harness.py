@@ -380,6 +380,18 @@ def _seed_words(value: int) -> list[int]:
     return words
 
 
+# SeedSequence's mixing of its entropy words into a pool of _POOL words, all
+# mod 2**32.  Its j-th hashmix of a word xors in INIT_A * MULT_A**j,
+# multiplies by INIT_A * MULT_A**(j + 1) and xor-shifts by 16; mix(x, y) is
+# MIX_L x - MIX_R y, xor-shifted by 16.  Pool word i starts as the hashmix
+# of entropy word i (of 0 past the entropy); then each pool word, in turn,
+# is hashmixed into every other by mix, and each entropy word past the pool
+# into every pool word.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = (np.array([m], dtype=np.uint32) for m in (0xCA01F9DD, 0x4973F715))
+_POOL = 4
+_XSHIFT = np.uint32(16)
+
 # SeedSequence.generate_state's hash of the entropy pool: output word i takes
 # pool word i mod 4, xors in INIT_B * MULT_B**i, multiplies by INIT_B *
 # MULT_B**(i + 1) and xor-shifts by 16, all mod 2**32.  PCG64 seeds from
@@ -388,6 +400,63 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _STATE_WORDS = 8
 _HASH = np.array([_INIT_B * _MULT_B**i % 2**32 for i in range(_STATE_WORDS + 1)],
                  dtype=np.uint32)
+
+# A chunk of at least this many cells mixes its pools as one array
+# (_mixed_pools), a smaller one cell by cell through SeedSequence.  Measured
+# for all of _trial_rng (best of 7, 2-core AVX-512 host, numpy 2.4): the
+# array pass costs about 25 us more on a 4-cell chunk (51 against 27 us),
+# draws level at 12-14 cells, and takes 70 against 81 us at 16 cells and 127
+# against 247 us on a 54-cell chunk.  Sum-product chunks of 15 cells and the
+# 4-cell MMSE chunks keep the loop.
+_POOL_HASH_CELLS = 16
+
+
+@functools.cache
+def _mix_constants(width: int) -> np.ndarray:
+    """The hashmix constants of ``_mixed_pools`` for ``width`` entropy
+    words, one (xor, multiplier) pair of (_POOL, 1) columns per round: the
+    first round fills the pool, round 1 + i mixes in word i (a pool word
+    for i < _POOL, whose own row is left as it was)."""
+    table = np.zeros((1 + max(width, _POOL), 2, _POOL, 1), dtype=np.uint32)
+    calls = [(0, i) for i in range(_POOL)]
+    calls += [(1 + src, dst) for src in range(max(width, _POOL)) for dst in range(_POOL)
+              if dst != src]
+    for j, (round_, row) in enumerate(calls):
+        table[round_, :, row] = [[_INIT_A * _MULT_A**j % 2**32],
+                                 [_INIT_A * _MULT_A**(j + 1) % 2**32]]
+    # every call of one width shares the table
+    table.flags.writeable = False
+    return table
+
+
+def _mixed_pools(entropy: np.ndarray) -> np.ndarray:
+    """The entropy pools of (width, B) uint32 ``entropy``, one cell per
+    column, as a (_POOL, B) array: column b is ``SeedSequence(entropy[:,
+    b]).pool``.  Each step of SeedSequence's mixing runs once for all
+    columns, and the three updates of one pool word's round as one block."""
+    width, cells = entropy.shape
+    constants = _mix_constants(width)
+    pool = np.zeros((_POOL, cells), dtype=np.uint32)
+    pool[:min(width, _POOL)] = entropy[:_POOL]
+    mixed, shifted = np.empty_like(pool), np.empty_like(pool)
+
+    def hashmix(words: np.ndarray, round_: int, out: np.ndarray) -> None:
+        np.bitwise_xor(words, constants[round_, 0], out=out)
+        out *= constants[round_, 1]
+        out ^= np.right_shift(out, _XSHIFT, out=shifted)
+
+    hashmix(pool, 0, pool)
+    for src in range(max(width, _POOL)):
+        word = pool[src].copy() if src < _POOL else entropy[src]
+        hashmix(word, 1 + src, mixed)
+        # mix(pool, mixed)
+        mixed *= _MIX_R
+        np.subtract(np.multiply(pool, _MIX_L, out=shifted), mixed, out=pool)
+        pool ^= np.right_shift(pool, _XSHIFT, out=shifted)
+        if src < _POOL:
+            # a pool word's round leaves that word as it was
+            pool[src] = word
+    return pool
 
 
 class _SeedState(ISeedSequence):
@@ -404,6 +473,22 @@ class _SeedState(ISeedSequence):
         return self.words
 
 
+def _one_word_entropy(seed: list[int], cells: list[tuple[int, int]]) -> np.ndarray | None:
+    """The entropy words of every cell, the seed's words and then its SNR
+    and trial index, as a (width, B) uint32 array; None when an index is
+    negative or takes more than one 32-bit word."""
+    try:
+        index = np.array(cells, dtype=np.int64).T
+    except OverflowError:
+        return None
+    if index.min() < 0 or index.max() >= 2**32:
+        return None
+    entropy = np.empty((len(seed) + 2, len(cells)), dtype=np.uint32)
+    entropy[:len(seed)] = np.array(seed, dtype=np.uint32)[:, None]
+    entropy[len(seed):] = index
+    return entropy
+
+
 def _trial_rng(config: ExperimentConfig,
                cells: list[tuple[int, int]]) -> list[np.random.Generator]:
     """The PCG64 streams of a chunk's (snr index, trial) cells, in order.
@@ -412,18 +497,26 @@ def _trial_rng(config: ExperimentConfig,
 
     Those are the words numpy makes of the list ``[seed, snr_index,
     trial]``, so each stream is that of ``np.random.default_rng([seed,
-    snr_index, trial])``.  Each cell's ``SeedSequence`` mixes its words into
-    its entropy pool.  The pools of all cells then take ``generate_state``'s
-    hash as one uint32 array, and each PCG64 is seeded from its row through
-    ``_SeedState`` (which its ``seed_seq`` then is).
+    snr_index, trial])``.  A chunk of at least ``_POOL_HASH_CELLS`` cells
+    whose indices are one word each mixes its cells' words into their
+    entropy pools as one uint32 array (``_mixed_pools``); any other chunk
+    mixes each cell's words, whatever their count, through its own
+    ``SeedSequence``.  The pools of all cells then take
+    ``generate_state``'s hash as one uint32 array, and each PCG64 is
+    seeded from its row through ``_SeedState`` (which its ``seed_seq`` then
+    is).  No stream holds a buffered 32-bit half.
     """
     seed = _seed_words(config.seed)
-    pools = np.array([np.random.SeedSequence(np.array(
-        seed + _seed_words(snr_index) + _seed_words(trial), dtype=np.uint32)).pool
-        for snr_index, trial in cells])
+    entropy = _one_word_entropy(seed, cells) if len(cells) >= _POOL_HASH_CELLS else None
+    if entropy is not None:
+        pools = _mixed_pools(entropy).T
+    else:
+        pools = np.array([np.random.SeedSequence(np.array(
+            seed + _seed_words(snr_index) + _seed_words(trial), dtype=np.uint32)).pool
+            for snr_index, trial in cells])
     hashed = pools[:, np.arange(_STATE_WORDS) % pools.shape[1]] ^ _HASH[:-1]
     hashed *= _HASH[1:]
-    hashed ^= hashed >> np.uint32(16)
+    hashed ^= hashed >> _XSHIFT
     # as generate_state reads uint32 pairs as uint64, on any host byte order
     words = hashed.astype("<u4", order="C").view("<u8").astype(np.uint64)
     return [np.random.Generator(np.random.PCG64(_SeedState(row))) for row in words]
@@ -512,10 +605,14 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     the chunk's streams at once) and the draw order that fixes the output
     bytes: the channel (``sample_channel``), the data bits as one
     ``integers(0, 2, bits)`` call (``bounded_draws`` draws them for the
-    whole chunk), then the noise.  The array work after the draws also runs
-    once for the whole chunk (one ``sample_channel``, ``tf_channel`` and,
-    for the optimal TX window, ``optimal_tx_window`` call), and every frame
-    of it is bit for bit the frame the trial would give on its own.
+    whole chunk), then the noise.  Neither bounded draw reads a stream's
+    state: the streams are fresh, and one array of flags carries the rows
+    that the bin draw left to numpy's call on to the bit draw.  The pilot
+    is embedded over the mapped frames in place.  The array work after the
+    draws also runs once for the whole chunk (one ``sample_channel``,
+    ``tf_channel`` and, for the optimal TX window, ``optimal_tx_window``
+    call), and every frame of it is bit for bit the frame the trial would
+    give on its own.
 
     Returns what the channel made: the data bits and the RX-windowed TF
     grids r that ``transmit_frame`` would demodulate, one per frame stacked
@@ -527,20 +624,19 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     """
     config = link.config
     generators = _trial_rng(config, cells)
+    # _trial_rng's streams are fresh PCG64 streams: none holds a buffered
+    # half until a bounded draw falls back to numpy's call, which marks it
+    buffered = np.zeros(len(generators), dtype=bool)
     channels = ch_mod.sample_channel(link.grid, config.paths, config.k_max, config.l_max,
-                                     generators)
-    bits = ch_mod.bounded_draws(generators, np.full(link.bits_per_frame, 2))
+                                     generators, buffered=buffered)
+    bits = ch_mod.bounded_draws(generators, np.full(link.bits_per_frame, 2), buffered=buffered)
     tf_gains = ch_mod.tf_channel(channels)
     windows = link.windows if link.windows is not None else _optimal_windows(tf_gains, n0)
     if link.layout is None:
         frames = map_symbols(bits, link.constellation, link.grid)
     else:
         frames = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
-        # the embedded copy goes back over the mapped frames and its grid is
-        # freed: the chunk's deepest point, in the transmit chain, holds one
-        # grid of frames
-        with WORKSPACE.scope():
-            frames[...] = est_mod.embed_pilot(frames, link.layout)
+        est_mod.embed_pilot(frames, link.layout, out=frames)
     r = ch_mod.transmit_frame(frames, tf_gains, windows, n0, generators, demodulate=False)
     return bits, r, windows, tf_gains
 

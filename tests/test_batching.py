@@ -404,6 +404,46 @@ def test_embed_pilot():
     assert_framewise(embed_pilot(frames, LAYOUT), (embed_pilot(f, LAYOUT) for f in frames))
 
 
+# a mask of the pilot layout's data cells, and one of none
+MASKS = {"data": LAYOUT.data_mask, "all-guard": np.zeros(GRID.shape, dtype=bool)}
+
+
+@pytest.mark.parametrize("frames", [None, 64], ids=["one-frame", "stack"])
+@pytest.mark.parametrize("mask", MASKS.values(), ids=MASKS.keys())
+@pytest.mark.parametrize("constellation", [Constellation.bpsk(), QPSK], ids=lambda c: c.name)
+def test_masked_map_symbols_is_a_zero_fill_and_mask_assignment(constellation, mask, frames):
+    # the masked frames gather their labels onto the grid; their bytes must
+    # be those of a zero fill with the points assigned through the mask
+    lead = () if frames is None else (frames,)
+    cells = int(mask.sum())
+    bits = np.random.default_rng(4).integers(0, 2, lead + (cells * constellation.bits_per_symbol,))
+    want = np.zeros(lead + GRID.shape, dtype=complex)
+    want[..., mask] = constellation.points[
+        constellation.bits_to_indices(bits.reshape(-1))].reshape(lead + (cells,))
+    got = map_symbols(bits, constellation, GRID, mask=mask)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("frames", [None, 64], ids=["one-frame", "stack"])
+def test_embed_pilot_in_place_is_the_copying_call(frames):
+    data = data_frames(np.random.default_rng(6), 1 if frames is None else frames)
+    data = data[0] if frames is None else data
+    # data cells of every value, guard cells that are not zero yet
+    data += complex_stack(np.random.default_rng(7), data.size // GRID.size).reshape(data.shape)
+    before = data.copy()
+    copied = embed_pilot(data, LAYOUT)
+    assert data.tobytes() == before.tobytes()
+    assert embed_pilot(data, LAYOUT, out=data) is data
+    assert data.tobytes() == copied.tobytes()
+
+
+def test_embed_pilot_refuses_an_out_of_another_shape():
+    frames = complex_stack(np.random.default_rng(8), 2)
+    with pytest.raises(ValueError, match="out must be"):
+        embed_pilot(frames, LAYOUT, out=frames[0])
+
+
 def _received(kind: str, frames: int, n0: float,
               demodulate: bool = True) -> tuple[np.ndarray, list[np.ndarray], WindowPair]:
     """A stack sent through ``transmit_frame`` at once, and frame by frame

@@ -108,8 +108,8 @@ class TestBoundedDraws:
         return np.array([gen.integers(0, spans) for gen in generators]).reshape(
             len(generators), len(spans))
 
-    def assert_matches_numpy(self, got_streams, want_streams, spans):
-        got = bounded_draws(got_streams, spans)
+    def assert_matches_numpy(self, got_streams, want_streams, spans, buffered=None):
+        got = bounded_draws(got_streams, spans, buffered=buffered)
         # 32-bit products would give half the columns, and wrong values
         assert got.dtype == np.int64 and got.shape == (len(got_streams), len(spans))
         assert np.array_equal(got, self.numpy_draws(want_streams, spans))
@@ -132,6 +132,58 @@ class TestBoundedDraws:
     def test_mixed_spans(self, spans):
         self.assert_matches_numpy(self.streams(len(spans), 5), self.streams(len(spans), 5),
                                   np.array(spans))
+
+    # a power of two 2**k is half >> (32 - k), one shift that never redraws;
+    # fresh streams flagged clear read no stream state
+    @pytest.mark.parametrize("flags", [False, True], ids=["state-read", "flagged-clear"])
+    @pytest.mark.parametrize("span", [4, 8, 2**16, 2**31])
+    @pytest.mark.parametrize("count", [1, 2, 7, 10, 64])
+    def test_uniform_power_of_two_spans(self, span, count, flags):
+        spans = np.full(count, span)
+        seed = [span, count]
+        buffered = np.zeros(3, dtype=bool) if flags else None
+        self.assert_matches_numpy(self.streams(seed), self.streams(seed), spans, buffered)
+
+    @pytest.mark.parametrize("flags", [False, True], ids=["state-read", "flagged-clear"])
+    @pytest.mark.parametrize("spans", [
+        [4, 8, 2**16, 2**31],
+        [2**31, 4, 8, 2**16, 2**31],         # 5 draws
+        [1, 4, 8, 1, 2**16, 2**31, 2],       # spans of 1 draw nothing: 6 draws
+        [4, 5, 2**16, 7, 2**31, 2**31 + 1],
+        [8, 3, 2**16],
+    ])
+    def test_mixed_power_of_two_spans(self, spans, flags):
+        buffered = np.zeros(5, dtype=bool) if flags else None
+        self.assert_matches_numpy(self.streams(len(spans), 5), self.streams(len(spans), 5),
+                                  np.array(spans), buffered)
+
+    # 2**31 + 1 rejects about half of all halves: rows redraw through
+    # numpy's call, which leaves a half buffered after an odd number of
+    # them.  An odd number of draws goes to numpy's call for every row and
+    # leaves a half buffered in each
+    @pytest.mark.parametrize("bins", [np.full(10, 2**31 + 1), np.full(5, 7)],
+                             ids=["redraws", "odd-count"])
+    def test_flags_pass_a_buffered_half_on(self, bins):
+        # the flags the bin draw sets keep the bit draw after it on numpy's
+        # values
+        bits = np.full(8, 2)
+        got, want = self.streams(31, 6), self.streams(31, 6)
+        flags = np.zeros(6, dtype=bool)
+        assert np.array_equal(bounded_draws(got, bins, buffered=flags),
+                              self.numpy_draws(want, bins))
+        held = np.array([gen.bit_generator.state["has_uint32"] for gen in got], dtype=bool)
+        assert held.any() and flags[held].all()
+        # flags left clear would skip the buffered halves
+        stale, fresh = self.streams(31, 6), self.streams(31, 6)
+        bounded_draws(stale, bins)
+        self.numpy_draws(fresh, bins)
+        assert not np.array_equal(bounded_draws(stale, bits, buffered=np.zeros(6, dtype=bool)),
+                                  self.numpy_draws(fresh, bits))
+        self.assert_matches_numpy(got, want, bits, flags)
+
+    def test_flags_of_another_count_are_refused(self):
+        with pytest.raises(ValueError, match="buffered"):
+            bounded_draws(self.streams(15), np.full(4, 5), buffered=np.zeros(2, dtype=bool))
 
     def test_a_redraw_rewinds_the_row(self):
         # 2**31 + 1 rejects about half of all halves, so some row redraws

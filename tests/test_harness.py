@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -570,6 +571,66 @@ class TestTrialStreams:
         for cell, in_chunk in zip(self.CELLS, chunk):
             (alone,) = harness._trial_rng(config, [cell])
             assert alone.bit_generator.state == in_chunk.bit_generator.state
+
+    # entropy widths 3, 4, 5 and 6 words: one-, two- and three-word seeds,
+    # and past the pool a two-word trial index
+    WIDTHS = [(5, 0, 3), (2**32 + 7, 0, 4), (2**70 + 3, 0, 5), (2**70 + 3, 2**32, 6)]
+
+    @pytest.mark.parametrize("count", [4, 15, 16, 54])
+    @pytest.mark.parametrize("seed, first_trial, width", WIDTHS)
+    def test_mixed_pools_are_the_seed_sequence_pools(self, seed, first_trial, width, count):
+        cells = list(itertools.product(range(3), range(first_trial, first_trial + 18)))[:count]
+        entropy = np.array([harness._seed_words(seed) + harness._seed_words(snr_index)
+                            + harness._seed_words(trial) for snr_index, trial in cells],
+                           dtype=np.uint32)
+        assert entropy.shape == (count, width)
+        want = np.array([np.random.SeedSequence(row).pool for row in entropy])
+        got = harness._mixed_pools(np.ascontiguousarray(entropy.T))
+        assert got.dtype == np.uint32 and np.array_equal(got.T, want)
+
+    @pytest.mark.parametrize("count", [4, 15, 16, 54])
+    @pytest.mark.parametrize("seed", [5, 2**32 + 7, 2**70 + 3])
+    def test_chunks_on_both_sides_of_the_pool_hash_gate(self, seed, count, monkeypatch):
+        mixed, pools = [], harness._mixed_pools
+
+        def spy(entropy):
+            mixed.append(entropy.shape)
+            return pools(entropy)
+
+        monkeypatch.setattr(harness, "_mixed_pools", spy)
+        config = ExperimentConfig(seed=seed, trials=1, snr_db="10")
+        cells = list(itertools.product(range(3), range(18)))[:count]
+        generators = harness._trial_rng(config, cells)
+        assert bool(mixed) == (count >= harness._POOL_HASH_CELLS)
+        for got, (snr_index, trial) in zip(generators, cells, strict=True):
+            want = np.random.default_rng([seed, snr_index, trial])
+            assert got.bit_generator.state == want.bit_generator.state
+
+    # past the gate, indices of one and two words, and of three (past int64)
+    @pytest.mark.parametrize("first_trial", [2**32 - 8, 2**64])
+    def test_a_chunk_of_longer_indices_mixes_cell_by_cell(self, first_trial):
+        config = ExperimentConfig(seed=5, trials=1, snr_db="10")
+        cells = [(1, first_trial + t) for t in range(harness._POOL_HASH_CELLS)]
+        for got, (snr_index, trial) in zip(harness._trial_rng(config, cells), cells, strict=True):
+            want = np.random.default_rng([5, snr_index, trial])
+            assert got.bit_generator.state == want.bit_generator.state
+
+    def test_a_chunk_passes_one_flag_array_from_its_bin_draw_to_its_bit_draw(
+            self, monkeypatch):
+        # a bin draw that falls back on numpy's call may leave a half
+        # buffered; the bit draw after it must see the flags it set
+        flags, draws = [], harness.ch_mod.bounded_draws
+
+        def spy(generators, spans, *, buffered=None):
+            flags.append(buffered)
+            return draws(generators, spans, buffered=buffered)
+
+        monkeypatch.setattr(harness.ch_mod, "bounded_draws", spy)
+        config = ExperimentConfig(**{**TINY_CE, "trials": 20})
+        harness.run_ce_mse(config)
+        assert len(flags) >= 2 and not any(flag is None for flag in flags)
+        # one array per chunk, first the bins' and then the bits' draw
+        assert all(flags[i] is flags[i + 1] for i in range(0, len(flags), 2))
 
     def test_seed_words_are_little_endian_32_bit(self):
         assert harness._seed_words(0) == [0]
