@@ -153,7 +153,7 @@ def embed_pilot(data_frame: np.ndarray, layout: PilotLayout,
     frame = WORKSPACE.take(data_frame.shape, complex) if out is None else out
     if frame is not data_frame:
         np.copyto(frame, data_frame)
-    frame[..., layout.guard_mask] = 0.0
+    np.copyto(frame, 0.0, where=layout.guard_mask)
     frame[..., layout.pilot_doppler, layout.pilot_delay] = layout.pilot_value
     return frame
 

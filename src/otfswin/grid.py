@@ -126,12 +126,9 @@ class Constellation:
                 label = np.add(np.multiply(label, 2, out=out), bits[first::bps], out=out)
         return label
 
-    def indices_to_bits(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
-        shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
-        out = WORKSPACE.take(indices.shape + shifts.shape, np.int64)
-        np.right_shift(indices[:, None], shifts, out=out)
-        return np.bitwise_and(out, 1, out=out).reshape(-1)
+    # sent and detected labels differ in popcount[sent ^ detected] bits
+    popcount = np.array([0, 1, 1, 2])
+    popcount.flags.writeable = False
 
     def nearest_indices(self, symbols: np.ndarray) -> np.ndarray:
         """Index of the point nearest to each symbol, flattened, ties to the
@@ -183,38 +180,39 @@ def vectorize(frame: np.ndarray) -> np.ndarray:
 
 
 def map_symbols(
-    bits: np.ndarray,
+    labels: np.ndarray,
     constellation: Constellation,
     grid: FrameGrid,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Map a bit sequence onto a DD frame, or each row of a ``[..., bits]``
-    array onto the frames of a ``[..., N, M]`` stack.
+    """Map a sequence of point indices (labels) onto a DD frame, or each row
+    of a ``[..., cells]`` array onto the frames of a ``[..., N, M]`` stack.
 
-    When ``mask`` is given (True marks data cells), bits fill only the masked
+    When ``mask`` is given (True marks data cells), labels fill only the masked
     cells in row-major order and the remaining cells are zero; the caller is
-    expected to overwrite them (pilot embedding).  The bit count per frame
-    must match the number of filled cells exactly; a mask without data cells
-    takes no bits and gives zero frames.  Each frame's labels are padded by
-    one label past the points, whose symbol is zero; every grid cell
-    gathers the label of its data cell or that pad, and one gather of the
-    points fills the frames.
+    expected to overwrite them (pilot embedding).  The label count per frame
+    must match the number of filled cells exactly, and every label must lie
+    in [0, Q); a mask without data cells takes no labels and gives zero
+    frames.  Each frame's labels are padded by one label past the points,
+    whose symbol is zero; every grid cell gathers the label of its data cell
+    or that pad, and one gather of the points fills the frames.
     """
-    bits = np.asarray(bits)
-    bps = constellation.bits_per_symbol
+    labels = np.asarray(labels)
+    q = constellation.points.size
     n_cells = grid.size if mask is None else int(np.count_nonzero(mask))
-    if bits.ndim < 1 or bits.shape[-1] != n_cells * bps:
-        raise ValueError(f"expected {n_cells * bps} bits per frame, got {bits.shape}")
+    if labels.ndim < 1 or labels.shape[-1] != n_cells:
+        raise ValueError(f"expected {n_cells} labels per frame, got {labels.shape}")
+    if labels.dtype.kind not in "iu" or labels.size and not 0 <= labels.min() <= labels.max() < q:
+        raise ValueError(f"labels must be integers in [0, {q}) for {constellation.name}")
     if mask is not None and mask.shape != grid.shape:
         raise ValueError("mask shape does not match grid")
-    lead = bits.shape[:-1]
+    lead = labels.shape[:-1]
     frames = WORKSPACE.take(lead + grid.shape, complex)
     with WORKSPACE.scope():
         # every label is a point's index: take's "raise" mode would gather
         # through a copy of its output
-        labels = constellation.bits_to_indices(bits.reshape(-1))
         if mask is None:
-            constellation.points.take(labels, out=frames.reshape(-1), mode="clip")
+            constellation.points.take(labels, out=frames.reshape(labels.shape), mode="clip")
         else:
             count = math.prod(lead)
             padded = WORKSPACE.take((count, n_cells + 1), np.int64)

@@ -597,8 +597,8 @@ def _link_parts(kind: type, fields: tuple, pilot: bool) -> tuple:
 
 def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     """A chunk of trials of the link up to the receiver: draw each trial's
-    channel and bits, build the TX windows, map the bits, embed the pilot and
-    pass the frames through the windowed TF channel.
+    channel and bits, build the TX windows, map the bits' labels, embed the
+    pilot and pass the frames through the windowed TF channel.
 
     ``cells`` lists the chunk's (snr index, trial) pairs and ``n0`` their
     noise powers.  Each trial keeps its own stream (``_trial_rng`` seeds
@@ -614,7 +614,7 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     call), and every frame of it is bit for bit the frame the trial would
     give on its own.
 
-    Returns what the channel made: the data bits and the RX-windowed TF
+    Returns what the channel made: the sent labels and the RX-windowed TF
     grids r that ``transmit_frame`` would demodulate, one per frame stacked
     along a leading axis, the chunk's ``WindowPair`` (the link's, or one
     optimal pair per frame) and the TF channel gains H_tf of each frame.
@@ -629,16 +629,20 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     buffered = np.zeros(len(generators), dtype=bool)
     channels = ch_mod.sample_channel(link.grid, config.paths, config.k_max, config.l_max,
                                      generators, buffered=buffered)
-    bits = ch_mod.bounded_draws(generators, np.full(link.bits_per_frame, 2), buffered=buffered)
+    bps = link.constellation.bits_per_symbol
+    labels = WORKSPACE.take((len(cells), link.bits_per_frame // bps), np.int64)
+    with WORKSPACE.scope():  # the bits are freed once their labels exist
+        bits = ch_mod.bounded_draws(generators, np.full(link.bits_per_frame, 2),
+                                    buffered=buffered)
+        labels.reshape(-1)[...] = link.constellation.bits_to_indices(bits.reshape(-1))
     tf_gains = ch_mod.tf_channel(channels)
     windows = link.windows if link.windows is not None else _optimal_windows(tf_gains, n0)
-    if link.layout is None:
-        frames = map_symbols(bits, link.constellation, link.grid)
-    else:
-        frames = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
+    mask = None if link.layout is None else link.layout.data_mask
+    frames = map_symbols(labels, link.constellation, link.grid, mask=mask)
+    if link.layout is not None:
         est_mod.embed_pilot(frames, link.layout, out=frames)
     r = ch_mod.transmit_frame(frames, tf_gains, windows, n0, generators, demodulate=False)
-    return bits, r, windows, tf_gains
+    return labels, r, windows, tf_gains
 
 
 def _optimal_windows(tf_gains: np.ndarray, n0: np.ndarray) -> win_mod.WindowPair:
@@ -679,9 +683,11 @@ def _chunk_size(grid: FrameGrid, nbytes: int = _CHUNK_BYTES) -> int:
 def _run_chunk(config: ExperimentConfig) -> int:
     """Trials per chunk in a run of ``config``, at most the run's trials:
     the frames of ``_CHUNK_BYTES``, halved while the paths' draws and phases
-    would not fit in ``_PATH_BYTES`` at that chunk, down to the frames of
+    would not fit in ``_PATH_BYTES`` at that chunk, or while one of
+    ``tf_channel``'s per-path phase arrays, 16 frames paths max(N, M) bytes,
+    would pass ``_MMAP_MAX_BYTES``, down to the frames of
     ``_LEAST_CHUNK_BYTES`` (the config was checked at that size).  On the
-    30x20 grid that is 54 frames up to 1308 paths, 27 up to 2638 and 13 up
+    30x20 grid that is 54 frames up to 1294 paths, 27 up to 2589 and 13 up
     to the config ceiling of 5502.
 
     A sum-product run takes the frames of ``_LEAST_CHUNK_BYTES``: its flood
@@ -692,8 +698,9 @@ def _run_chunk(config: ExperimentConfig) -> int:
     if config.detector == "spa":
         return least
     chunk = min(_chunk_size(grid), total)
+    widest = 16 * config.paths * max(grid.N, grid.M)
     while chunk > least and (ch_mod.paths_that_fit(grid, chunk, _PATH_BYTES, config.l_max + 1)
-                             < config.paths):
+                             < config.paths or chunk * widest > _MMAP_MAX_BYTES):
         chunk = max(least, chunk // 2)
     return chunk
 
@@ -702,6 +709,10 @@ def _run_chunk(config: ExperimentConfig) -> int:
 # a config with a larger grid is refused.  It leaves room under _PATH_BYTES
 # for at least one path on any grid.
 _FRAME_BYTES = 16 * 1024 * 1024
+
+# glibc's largest dynamic mmap threshold: an array past it is mapped anew,
+# and faulted page by page, in every chunk that takes it.
+_MMAP_MAX_BYTES = 32 * 1024 * 1024
 
 # One chunk's channel draws and phases (channel.paths_that_fit) take at most
 # this many bytes, about 3000 paths on the 30x20 grid; a config with more
@@ -796,7 +807,7 @@ def _detect_frames(
     n0: float | np.ndarray,
     gains: np.ndarray | None,
 ) -> np.ndarray:
-    """The configured detector's hard bits of the data cells, one row per
+    """The configured detector's hard labels of the data cells, one row per
     frame, of a [B, N, M] stack of RX-windowed TF grids r from
     :func:`_transmit` at noise power ``n0`` (one, or one per frame).
 
@@ -828,7 +839,7 @@ def _cancel_pilot(layout: est_mod.PilotLayout, r: np.ndarray,
 
 def _detect(link: _Link, r: np.ndarray, gains: np.ndarray, taps: np.ndarray | None,
             rx_window: np.ndarray, n0: float | np.ndarray) -> np.ndarray:
-    """The hard bits of the data cells (all cells without a layout), one
+    """The hard labels of the data cells (all cells without a layout), one
     row per frame in row-major cell order, of the pilot-cancelled TF grids r
     with TF gains ``gains``: LMMSE decides on r, SPA on sfft(r) with the DD
     taps ``taps`` (those of ``gains`` when ``None``).  An estimate reaches
@@ -837,16 +848,15 @@ def _detect(link: _Link, r: np.ndarray, gains: np.ndarray, taps: np.ndarray | No
     selects."""
     layout, config, constellation = link.layout, link.config, link.constellation
     if config.detector == "mmse":
-        idx = det_mod.tf_lmmse_detect(r, gains, rx_window, n0, constellation, layout).hard_indices
-    else:
-        taps = ch_mod._dd_response(gains) if taps is None else taps
-        dd_channel = ch_mod.EffectiveDDChannel(
-            taps=taps, truncation=ch_mod.largest_taps(taps, config.spa_tap_count()))
-        idx = det_mod.spa_detect(
-            sfft(r), dd_channel, n0, constellation, iters=config.spa_iters,
-            damping=config.spa_damping, data_mask=None if layout is None else layout.data_mask,
-        ).hard_indices
-    return constellation.indices_to_bits(idx.reshape(-1)).reshape(len(idx), -1)
+        return det_mod.tf_lmmse_detect(r, gains, rx_window, n0, constellation,
+                                       layout).hard_indices
+    taps = ch_mod._dd_response(gains) if taps is None else taps
+    dd_channel = ch_mod.EffectiveDDChannel(
+        taps=taps, truncation=ch_mod.largest_taps(taps, config.spa_tap_count()))
+    return det_mod.spa_detect(
+        sfft(r), dd_channel, n0, constellation, iters=config.spa_iters,
+        damping=config.spa_damping, data_mask=None if layout is None else layout.data_mask,
+    ).hard_indices
 
 
 def run_fer(config: ExperimentConfig) -> list[ResultRow]:
@@ -877,10 +887,10 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
             f"the pilot guard covers the whole {config.N}x{config.M} frame: no data cells left")
 
     def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> list[int]:
-        bits, r, windows, tf_gains = _transmit(link, cells, n0)
+        sent, r, windows, tf_gains = _transmit(link, cells, n0)
         gains = windows.windowed(tf_gains) if link.layout is None else None
         detected = _detect_frames(link, r, windows.rx, n0, gains)
-        return np.count_nonzero(detected != bits, axis=1).tolist()
+        return link.constellation.popcount[sent ^ detected].sum(axis=1).tolist()
 
     return _fer_rows(config, link, _sweep(config, chunk))
 

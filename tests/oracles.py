@@ -781,9 +781,16 @@ def per_trial_transmit(link, snr_index, trial, n0, demodulate=True):
     own frame: the chain the harness ran before trials ran in chunks.  The
     trial's stream is seeded here by numpy's own list coercion, not by the
     harness's ``_trial_rng``.  Returns what ``harness._transmit`` returns
-    for one frame: the bits, the received frame (the DD frame, or with
-    ``demodulate=False`` the RX-windowed TF grid the harness's receiver
-    takes), the window pair and the TF channel gains."""
+    for one frame: the data cells' constellation labels, the received frame
+    (the DD frame, or with ``demodulate=False`` the RX-windowed TF grid the
+    harness's receiver takes), the window pair and the TF channel gains."""
+    bits, y, windows, tf_gains = _per_trial_bits_transmit(link, snr_index, trial, n0, demodulate)
+    return link.constellation.bits_to_indices(bits), y, windows, tf_gains
+
+
+def _per_trial_bits_transmit(link, snr_index, trial, n0, demodulate):
+    """``per_trial_transmit`` returning the trial's drawn bits in place of
+    their labels."""
     config = link.config
     rng = np.random.default_rng([config.seed, snr_index, trial])
     ch = single_generator_sample_channel(link.grid, config.paths, config.k_max, config.l_max,
@@ -794,10 +801,11 @@ def per_trial_transmit(link, snr_index, trial, n0, demodulate=True):
         allocation = single_frame_optimal_tx_window(np.abs(tf_gains) ** 2 / n0)
         windows = WindowPair.from_tx_grid(allocation.tx_window)
     bits = rng.integers(0, 2, link.bits_per_frame)
+    labels = link.constellation.bits_to_indices(bits)
     if link.layout is None:
-        frame = map_symbols(bits, link.constellation, link.grid)
+        frame = map_symbols(labels, link.constellation, link.grid)
     else:
-        frame = map_symbols(bits, link.constellation, link.grid, mask=link.layout.data_mask)
+        frame = map_symbols(labels, link.constellation, link.grid, mask=link.layout.data_mask)
         frame = embed_pilot(frame, link.layout)
     y = single_frame_transmit(frame, tf_gains, windows, n0, rng, demodulate=demodulate)
     return bits, y, windows, tf_gains
@@ -877,15 +885,24 @@ def per_trial_ce_mse(config):
     return harness._ce_rows(config, _per_trial_sweep(config, trial))
 
 
+def label_bits(constellation, labels):
+    """The bits of each label, first bit most significant, concatenated in
+    label order: ``Constellation.bits_to_indices`` inverted."""
+    shifts = np.arange(constellation.bits_per_symbol - 1, -1, -1)
+    return ((np.asarray(labels)[:, None] >> shifts) & 1).reshape(-1)
+
+
 def per_trial_fer(config):
-    """``run_fer`` rows from the frame-by-frame chain."""
+    """``run_fer`` rows from the frame-by-frame chain, each frame's bit
+    errors counted between the drawn bits and the bits of the detected
+    labels."""
     link = harness._link(config, pilot=config.csi == "estimated-csir")
 
     def trial(snr_index, t, n0):
-        bits, r, windows, tf_gains = per_trial_transmit(link, snr_index, t, n0,
-                                                        demodulate=False)
+        bits, r, windows, tf_gains = _per_trial_bits_transmit(link, snr_index, t, n0,
+                                                              demodulate=False)
         known = windowed_gains(windows, tf_gains)[None] if link.layout is None else None
         detected = harness._detect_frames(link, r[None], windows.rx[None], n0, known)
-        return int(np.count_nonzero(detected[0] != bits))
+        return int(np.count_nonzero(label_bits(link.constellation, detected[0]) != bits))
 
     return harness._fer_rows(config, link, _per_trial_sweep(config, trial))

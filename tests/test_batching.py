@@ -74,8 +74,8 @@ def channels(rng, frames: int):
 
 
 def data_frames(rng, frames: int) -> np.ndarray:
-    bits = rng.integers(0, 2, (frames, 2 * int(LAYOUT.data_mask.sum())))
-    return embed_pilot(map_symbols(bits, QPSK, GRID, mask=LAYOUT.data_mask), LAYOUT)
+    labels = rng.integers(0, QPSK.points.size, (frames, int(LAYOUT.data_mask.sum())))
+    return embed_pilot(map_symbols(labels, QPSK, GRID, mask=LAYOUT.data_mask), LAYOUT)
 
 
 def assert_framewise(stacked, per_frame) -> None:
@@ -394,9 +394,9 @@ def test_water_level_stack_errors(fill, error, message):
 def test_map_symbols(constellation, masked):
     mask = LAYOUT.data_mask if masked else None
     cells = int(LAYOUT.data_mask.sum()) if masked else GRID.size
-    bits = np.random.default_rng(2).integers(0, 2, (64, cells * constellation.bits_per_symbol))
-    assert_framewise(map_symbols(bits, constellation, GRID, mask=mask),
-                     (map_symbols(b, constellation, GRID, mask=mask) for b in bits))
+    labels = np.random.default_rng(2).integers(0, constellation.points.size, (64, cells))
+    assert_framewise(map_symbols(labels, constellation, GRID, mask=mask),
+                     (map_symbols(row, constellation, GRID, mask=mask) for row in labels))
 
 
 def test_embed_pilot():
@@ -416,11 +416,10 @@ def test_masked_map_symbols_is_a_zero_fill_and_mask_assignment(constellation, ma
     # be those of a zero fill with the points assigned through the mask
     lead = () if frames is None else (frames,)
     cells = int(mask.sum())
-    bits = np.random.default_rng(4).integers(0, 2, lead + (cells * constellation.bits_per_symbol,))
+    labels = np.random.default_rng(4).integers(0, constellation.points.size, lead + (cells,))
     want = np.zeros(lead + GRID.shape, dtype=complex)
-    want[..., mask] = constellation.points[
-        constellation.bits_to_indices(bits.reshape(-1))].reshape(lead + (cells,))
-    got = map_symbols(bits, constellation, GRID, mask=mask)
+    want[..., mask] = constellation.points[labels]
+    got = map_symbols(labels, constellation, GRID, mask=mask)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
 

@@ -81,8 +81,8 @@ class TestEmbedPilot:
         layout = fig6_layout()
         qpsk = Constellation.qpsk()
         mask = layout.data_mask
-        bits = rng.integers(0, 2, int(mask.sum()) * 2)
-        frame = embed_pilot(map_symbols(bits, qpsk, FIG6_GRID, mask=mask), layout)
+        labels = qpsk.bits_to_indices(rng.integers(0, 2, int(mask.sum()) * 2))
+        frame = embed_pilot(map_symbols(labels, qpsk, FIG6_GRID, mask=mask), layout)
         assert frame[layout.pilot_doppler, layout.pilot_delay] == layout.pilot_value
         guard = layout.guard_mask.copy()
         guard[layout.pilot_doppler, layout.pilot_delay] = False
@@ -128,7 +128,8 @@ class TestEstimator:
         truth = effective_dd_channel(ch, windows).taps
         qpsk = Constellation.qpsk()
         mask = layout.data_mask
-        frame = map_symbols(rng.integers(0, 2, int(mask.sum()) * 2), qpsk, grid, mask=mask)
+        frame = map_symbols(qpsk.bits_to_indices(rng.integers(0, 2, int(mask.sum()) * 2)),
+                            qpsk, grid, mask=mask)
         frame = embed_pilot(frame, layout)
         received = transmit_frame(frame, tf_channel(ch), windows, demodulate=False)
         est = estimate_channel(received, layout, n0=0.0)
@@ -191,8 +192,8 @@ class TestMeasuredError:
                 trial_rng = np.random.default_rng([4, int(snr_db), t])
                 ch = sample_channel(grid, 3, 1, 3, trial_rng)
                 truth = effective_dd_channel(ch, windows).taps
-                frame = map_symbols(trial_rng.integers(0, 2, int(mask.sum()) * 2),
-                                    qpsk, grid, mask=mask)
+                bits = trial_rng.integers(0, 2, int(mask.sum()) * 2)
+                frame = map_symbols(qpsk.bits_to_indices(bits), qpsk, grid, mask=mask)
                 frame = embed_pilot(frame, layout)
                 received = transmit_frame(frame, tf_channel(ch), windows, n0, trial_rng,
                                           demodulate=False)
@@ -214,7 +215,8 @@ class TestInterferenceIdentity:
         taps = effective_dd_channel(ch, windows).taps
         qpsk = Constellation.qpsk()
         mask = layout.data_mask
-        frame = map_symbols(rng.integers(0, 2, int(mask.sum()) * 2), qpsk, grid, mask=mask)
+        frame = map_symbols(qpsk.bits_to_indices(rng.integers(0, 2, int(mask.sum()) * 2)),
+                            qpsk, grid, mask=mask)
         frame = embed_pilot(frame, layout)
         received = transmit_frame(frame, tf_channel(ch), windows)
         # direct leakage sum over data cells only
@@ -246,7 +248,8 @@ class TestInterferenceIdentity:
             rng = np.random.default_rng([rng_seed, t])
             ch = sample_channel(grid, 5, 3, 4, rng)
             taps = effective_dd_channel(ch, windows).taps
-            frame = map_symbols(rng.integers(0, 2, nbits), qpsk, grid, mask=mask)
+            frame = map_symbols(qpsk.bits_to_indices(rng.integers(0, 2, nbits)), qpsk, grid,
+                                mask=mask)
             frame = embed_pilot(frame, layout)
             received = transmit_frame(frame, tf_channel(ch), windows)
             pilot = layout.pilot_value * np.roll(taps, (layout.pilot_doppler, layout.pilot_delay), axis=(0, 1))
@@ -271,7 +274,8 @@ class TestInterferenceIdentity:
                 rng = np.random.default_rng([7, k_hat, t])
                 ch = sample_channel(grid, 5, 3, 4, rng)
                 truth = effective_dd_channel(ch, windows).taps
-                frame = map_symbols(rng.integers(0, 2, nbits), qpsk, grid, mask=mask)
+                frame = map_symbols(qpsk.bits_to_indices(rng.integers(0, 2, nbits)), qpsk,
+                                    grid, mask=mask)
                 frame = embed_pilot(frame, layout)
                 received = transmit_frame(frame, tf_channel(ch), windows, n0, rng,
                                           demodulate=False)

@@ -77,23 +77,52 @@ class TestConstellations:
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, 2 * grid.size)
         c = Constellation.qpsk()
-        frame = map_symbols(bits, c, grid)
-        assert np.array_equal(c.indices_to_bits(c.nearest_indices(frame)), bits)
+        frame = map_symbols(c.bits_to_indices(bits), c, grid)
+        assert np.array_equal(c.nearest_indices(frame), c.bits_to_indices(bits))
 
-    def test_bit_count_mismatch_rejected(self):
+    @pytest.mark.parametrize("c, labels, match", [
+        (Constellation.bpsk(), np.zeros(15, dtype=int), "16 labels"),
+        (Constellation.qpsk(), np.zeros((2, 17), dtype=int), "16 labels"),
+        (Constellation.qpsk(), np.zeros(0, dtype=int), "16 labels"),
+        (Constellation.bpsk(), np.r_[np.zeros(15, dtype=int), -1], r"\[0, 2\)"),
+        (Constellation.bpsk(), np.r_[np.zeros(15, dtype=int), 2], r"\[0, 2\)"),
+        (Constellation.qpsk(), np.r_[np.zeros(15, dtype=int), -1], r"\[0, 4\)"),
+        (Constellation.qpsk(), np.r_[np.zeros(15, dtype=int), 4], r"\[0, 4\)"),
+        (Constellation.qpsk(), np.zeros(16), "integers"),
+    ])
+    def test_map_symbols_refuses_a_wrong_label_count_or_label(self, c, labels, match):
         grid = FrameGrid(M=4, N=4)
-        with pytest.raises(ValueError, match="bits"):
-            map_symbols(np.zeros(5, dtype=int), Constellation.bpsk(), grid)
+        with pytest.raises(ValueError, match=match) as info:
+            map_symbols(labels, c, grid)
+        assert "\n" not in str(info.value)
 
     def test_masked_mapping_fills_only_data_cells(self):
         grid = FrameGrid(M=4, N=4)
         mask = np.zeros(grid.shape, dtype=bool)
         mask[1, :] = True
-        bits = np.array([0, 1, 0, 1])
-        frame = map_symbols(bits, Constellation.bpsk(), grid, mask=mask)
+        labels = np.array([0, 1, 0, 1])
+        frame = map_symbols(labels, Constellation.bpsk(), grid, mask=mask)
         assert np.array_equal(frame[1, :], [1, -1, 1, -1])
         assert np.count_nonzero(frame) == 4
-        assert np.array_equal(Constellation.bpsk().nearest_indices(frame[mask]), bits)
+        assert np.array_equal(Constellation.bpsk().nearest_indices(frame[mask]), labels)
+        with pytest.raises(ValueError, match="4 labels"):
+            map_symbols(labels[:3], Constellation.bpsk(), grid, mask=mask)
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            map_symbols(labels + 1, Constellation.bpsk(), grid, mask=mask)
+
+    @pytest.mark.parametrize("c", [Constellation.bpsk(), Constellation.qpsk()],
+                             ids=lambda c: c.name)
+    def test_popcount_at_xor_counts_the_differing_bits_of_every_label_pair(self, c):
+        # the oracle's bits of each label invert bits_to_indices, and the
+        # table counts the bits in which two labels differ
+        labels = range(c.points.size)
+        for a in labels:
+            assert c.bits_to_indices(oracles.label_bits(c, [a])).tolist() == [a]
+        for a, b in itertools.product(labels, repeat=2):
+            differing = np.count_nonzero(oracles.label_bits(c, [a]) != oracles.label_bits(c, [b]))
+            assert c.popcount[a ^ b] == differing
+        with pytest.raises(ValueError, match="read-only"):
+            c.popcount[0] = 1
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
