@@ -127,7 +127,7 @@ class Constellation:
         return label
 
     # sent and detected labels differ in popcount[sent ^ detected] bits
-    popcount = np.array([0, 1, 1, 2])
+    popcount = np.array([0, 1, 1, 2], dtype=np.uint8)
     popcount.flags.writeable = False
 
     def nearest_indices(self, symbols: np.ndarray) -> np.ndarray:
@@ -185,17 +185,16 @@ def map_symbols(
     grid: FrameGrid,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Map a sequence of point indices (labels) onto a DD frame, or each row
+    """Map a sequence of labels (point indices) onto a DD frame, or each row
     of a ``[..., cells]`` array onto the frames of a ``[..., N, M]`` stack.
 
-    When ``mask`` is given (True marks data cells), labels fill only the masked
-    cells in row-major order and the remaining cells are zero; the caller is
-    expected to overwrite them (pilot embedding).  The label count per frame
-    must match the number of filled cells exactly, and every label must lie
-    in [0, Q); a mask without data cells takes no labels and gives zero
-    frames.  Each frame's labels are padded by one label past the points,
-    whose symbol is zero; every grid cell gathers the label of its data cell
-    or that pad, and one gather of the points fills the frames.
+    When ``mask`` is given (True marks data cells), labels fill only the
+    masked cells in row-major order and the remaining cells are zero; the
+    caller is expected to overwrite them (pilot embedding).  A frame takes
+    one label in [0, Q) per filled cell; a mask without data cells takes
+    none and gives zero frames.  Each frame's labels are padded by one label
+    past the points, whose symbol is zero; every grid cell gathers the label
+    of its data cell or that pad, and one gather of the points fills them.
     """
     labels = np.asarray(labels)
     q = constellation.points.size

@@ -632,8 +632,7 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     bps = link.constellation.bits_per_symbol
     labels = WORKSPACE.take((len(cells), link.bits_per_frame // bps), np.int64)
     with WORKSPACE.scope():  # the bits are freed once their labels exist
-        bits = ch_mod.bounded_draws(generators, np.full(link.bits_per_frame, 2),
-                                    buffered=buffered)
+        bits = ch_mod.bounded_draws(generators, np.full(link.bits_per_frame, 2), buffered=buffered)
         labels.reshape(-1)[...] = link.constellation.bits_to_indices(bits.reshape(-1))
     tf_gains = ch_mod.tf_channel(channels)
     windows = link.windows if link.windows is not None else _optimal_windows(tf_gains, n0)
@@ -683,11 +682,9 @@ def _chunk_size(grid: FrameGrid, nbytes: int = _CHUNK_BYTES) -> int:
 def _run_chunk(config: ExperimentConfig) -> int:
     """Trials per chunk in a run of ``config``, at most the run's trials:
     the frames of ``_CHUNK_BYTES``, halved while the paths' draws and phases
-    would not fit in ``_PATH_BYTES`` at that chunk, or while one of
-    ``tf_channel``'s per-path phase arrays, 16 frames paths max(N, M) bytes,
-    would pass ``_MMAP_MAX_BYTES``, down to the frames of
+    would not fit in ``_PATH_BYTES`` at that chunk, down to the frames of
     ``_LEAST_CHUNK_BYTES`` (the config was checked at that size).  On the
-    30x20 grid that is 54 frames up to 1294 paths, 27 up to 2589 and 13 up
+    30x20 grid that is 54 frames up to 1308 paths, 27 up to 2638 and 13 up
     to the config ceiling of 5502.
 
     A sum-product run takes the frames of ``_LEAST_CHUNK_BYTES``: its flood
@@ -698,9 +695,8 @@ def _run_chunk(config: ExperimentConfig) -> int:
     if config.detector == "spa":
         return least
     chunk = min(_chunk_size(grid), total)
-    widest = 16 * config.paths * max(grid.N, grid.M)
     while chunk > least and (ch_mod.paths_that_fit(grid, chunk, _PATH_BYTES, config.l_max + 1)
-                             < config.paths or chunk * widest > _MMAP_MAX_BYTES):
+                             < config.paths):
         chunk = max(least, chunk // 2)
     return chunk
 
@@ -709,10 +705,6 @@ def _run_chunk(config: ExperimentConfig) -> int:
 # a config with a larger grid is refused.  It leaves room under _PATH_BYTES
 # for at least one path on any grid.
 _FRAME_BYTES = 16 * 1024 * 1024
-
-# glibc's largest dynamic mmap threshold: an array past it is mapped anew,
-# and faulted page by page, in every chunk that takes it.
-_MMAP_MAX_BYTES = 32 * 1024 * 1024
 
 # One chunk's channel draws and phases (channel.paths_that_fit) take at most
 # this many bytes, about 3000 paths on the 30x20 grid; a config with more
@@ -848,8 +840,7 @@ def _detect(link: _Link, r: np.ndarray, gains: np.ndarray, taps: np.ndarray | No
     selects."""
     layout, config, constellation = link.layout, link.config, link.constellation
     if config.detector == "mmse":
-        return det_mod.tf_lmmse_detect(r, gains, rx_window, n0, constellation,
-                                       layout).hard_indices
+        return det_mod.tf_lmmse_detect(r, gains, rx_window, n0, constellation, layout).hard_indices
     taps = ch_mod._dd_response(gains) if taps is None else taps
     dd_channel = ch_mod.EffectiveDDChannel(
         taps=taps, truncation=ch_mod.largest_taps(taps, config.spa_tap_count()))

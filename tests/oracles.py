@@ -784,13 +784,11 @@ def per_trial_transmit(link, snr_index, trial, n0, demodulate=True):
     for one frame: the data cells' constellation labels, the received frame
     (the DD frame, or with ``demodulate=False`` the RX-windowed TF grid the
     harness's receiver takes), the window pair and the TF channel gains."""
-    bits, y, windows, tf_gains = _per_trial_bits_transmit(link, snr_index, trial, n0, demodulate)
-    return link.constellation.bits_to_indices(bits), y, windows, tf_gains
+    return _per_trial_bits_transmit(link, snr_index, trial, n0, demodulate)[1:]
 
 
 def _per_trial_bits_transmit(link, snr_index, trial, n0, demodulate):
-    """``per_trial_transmit`` returning the trial's drawn bits in place of
-    their labels."""
+    """``per_trial_transmit`` with the trial's drawn bits in front."""
     config = link.config
     rng = np.random.default_rng([config.seed, snr_index, trial])
     ch = single_generator_sample_channel(link.grid, config.paths, config.k_max, config.l_max,
@@ -808,7 +806,7 @@ def _per_trial_bits_transmit(link, snr_index, trial, n0, demodulate):
         frame = map_symbols(labels, link.constellation, link.grid, mask=link.layout.data_mask)
         frame = embed_pilot(frame, link.layout)
     y = single_frame_transmit(frame, tf_gains, windows, n0, rng, demodulate=demodulate)
-    return bits, y, windows, tf_gains
+    return bits, labels, y, windows, tf_gains
 
 
 def windowed_gains(windows, tf_gains):
@@ -899,8 +897,8 @@ def per_trial_fer(config):
     link = harness._link(config, pilot=config.csi == "estimated-csir")
 
     def trial(snr_index, t, n0):
-        bits, r, windows, tf_gains = _per_trial_bits_transmit(link, snr_index, t, n0,
-                                                              demodulate=False)
+        bits, _, r, windows, tf_gains = _per_trial_bits_transmit(link, snr_index, t, n0,
+                                                                 demodulate=False)
         known = windowed_gains(windows, tf_gains)[None] if link.layout is None else None
         detected = harness._detect_frames(link, r[None], windows.rx[None], n0, known)
         return int(np.count_nonzero(label_bits(link.constellation, detected[0]) != bits))

@@ -369,16 +369,11 @@ class TestChunkBoundaries:
         assert self.run_chunk(CHUNK_CASES["fer-perfect-spa"][2]) == 13
         assert self.run_chunk(CHUNK_CASES["fer-perfect-mmse"][2]) == self.CHUNK
 
-    @pytest.mark.parametrize("paths, chunk", [(1294, CHUNK), (1295, CHUNK // 2),
-                                              (1308, CHUNK // 2), (1309, CHUNK // 2),
-                                              (2589, CHUNK // 2), (2590, 13),
-                                              (2638, 13), (2639, 13), (5502, 13)])
+    @pytest.mark.parametrize("paths, chunk", [(1308, CHUNK), (1309, CHUNK // 2),
+                                              (2638, CHUNK // 2), (2639, 13), (5502, 13)])
     def test_paths_past_a_chunks_budget_halve_the_chunk(self, paths, chunk):
         # 1308 paths' draws fit a full 30x20 chunk's path budget and 2638 a
-        # half chunk's, but tf_channel's (frames, paths, 30) complex phases
-        # pass glibc's 32 MiB mmap ceiling from 1295 paths on at 54 frames
-        # and from 2590 on at 27; up to the config ceiling of 5502 a run
-        # takes 128 KiB
+        # half chunk's; up to the config ceiling of 5502 a run takes 128 KiB
         assert self.run_chunk(dict(CHUNK_CASES["ce-rect"][2], paths=paths)) == chunk
 
     @staticmethod
