@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FrameGrid, frame_noise
-from .transforms import _check_frames, _into, isfft, sfft
-from .workspace import WORKSPACE
+from .transforms import _check_frames, isfft, sfft
 from .windows import WindowPair
 
 
@@ -147,7 +146,7 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans, *,
     shape = (len(generators), high.size)
     if buffered is not None and buffered.shape != shape[:1]:
         raise ValueError(f"buffered holds {buffered.shape} flags for {shape[0]} generators")
-    out = WORKSPACE.take(shape, np.int64)
+    out = np.empty(shape, np.int64)
 
     def own_calls(gens: Sequence[np.random.Generator]) -> list[np.ndarray]:
         # with scalar bounds where all spans are equal, numpy's faster call
@@ -176,37 +175,34 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans, *,
     if not whole:
         out[...] = 0
     if fast:
-        with WORKSPACE.scope():
-            # little-endian words read as uint32 pairs are (low, high) halves on any host
-            raw = WORKSPACE.take((len(fast), words), "<u8")
-            for i, row in zip(fast, raw):
-                row[...] = bit_generators[i].random_raw(words)
-            halves = (out.view(np.uint64) if whole
-                      else WORKSPACE.take((len(fast), draws), np.uint64))
-            if least == most and not least & (least - 1):
-                # (half * 2**k) >> 32 is half >> (32 - k), and a power of
-                # two divides 2**32: numpy never redraws it
-                np.right_shift(raw.view("<u4"), np.uint32(33 - least.bit_length()), out=halves)
-            else:
-                # a vector, not a numpy scalar: numpy 1.x would promote a
-                # scalar by its value and keep the products at 32 bits
-                block = (high if columns is None else high[columns]).astype(np.uint64)
-                np.multiply(raw.view("<u4"), block, out=halves)
-                # a power of two divides 2**32: numpy never redraws it
-                if (block & (block - np.uint64(1))).any():
-                    low = np.bitwise_and(halves, np.uint64(0xFFFFFFFF),
-                                         out=WORKSPACE.take(halves.shape, np.uint64))
-                    # numpy's redraw bound (2**32 - span) % span is below the span
-                    if (low < most).any():
-                        redraw = (low < (2**32 - block) % block).any(axis=1)
-                        for j in np.flatnonzero(redraw).tolist():
-                            bit_generators[fast[j]].advance(-words)
-                            slow.append(fast[j])
-                np.right_shift(halves, np.uint64(32), out=halves)
-            if columns is None and not whole:
-                out[fast] = halves
-            elif not whole:
-                out[np.ix_(fast, columns)] = halves
+        # little-endian words read as uint32 pairs are (low, high) halves on any host
+        raw = np.empty((len(fast), words), "<u8")
+        for i, row in zip(fast, raw):
+            row[...] = bit_generators[i].random_raw(words)
+        halves = out.view(np.uint64) if whole else np.empty((len(fast), draws), np.uint64)
+        if least == most and not least & (least - 1):
+            # (half * 2**k) >> 32 is half >> (32 - k), and a power of
+            # two divides 2**32: numpy never redraws it
+            np.right_shift(raw.view("<u4"), np.uint32(33 - least.bit_length()), out=halves)
+        else:
+            # a vector, not a numpy scalar: numpy 1.x would promote a
+            # scalar by its value and keep the products at 32 bits
+            block = (high if columns is None else high[columns]).astype(np.uint64)
+            np.multiply(raw.view("<u4"), block, out=halves)
+            # a power of two divides 2**32: numpy never redraws it
+            if (block & (block - np.uint64(1))).any():
+                low = np.bitwise_and(halves, np.uint64(0xFFFFFFFF))
+                # numpy's redraw bound (2**32 - span) % span is below the span
+                if (low < most).any():
+                    redraw = (low < (2**32 - block) % block).any(axis=1)
+                    for j in np.flatnonzero(redraw).tolist():
+                        bit_generators[fast[j]].advance(-words)
+                        slow.append(fast[j])
+            np.right_shift(halves, np.uint64(32), out=halves)
+        if columns is None and not whole:
+            out[fast] = halves
+        elif not whole:
+            out[np.ix_(fast, columns)] = halves
     for i, row in zip(slow, own_calls([generators[i] for i in slow])):
         out[i] = row
     if slow and buffered is not None:
@@ -262,11 +258,10 @@ def sample_channel(
     frames = len(generators)
     # row 0 draws the delays on [0, l_max], row 1 the Dopplers on [0, 2 k_max]
     spans = np.array([l_max + 1] * num_paths + [2 * k_max + 1] * num_paths)
-    with WORKSPACE.scope():
-        # contiguous (B, P) planes, as the arithmetic below and the
-        # realization take them, copied out of the workspace
-        delays, dopplers = bounded_draws(generators, spans, buffered=buffered).reshape(
-            frames, 2, num_paths).swapaxes(0, 1).copy()
+    # contiguous (B, P) planes, as the arithmetic below and the realization
+    # take them
+    delays, dopplers = bounded_draws(generators, spans, buffered=buffered).reshape(
+        frames, 2, num_paths).swapaxes(0, 1).copy()
     fracs = np.empty((frames, num_paths))
     gauss = np.empty((frames, 2, num_paths))
     for gen, f in zip(generators, fracs):
@@ -349,12 +344,9 @@ def tf_channel(ch: ChannelRealization) -> np.ndarray:
         index = index.reshape(bins.shape)
     table = np.exp(-2j * np.pi * rows[:, None] * np.arange(grid.M) / grid.M)
     delay_ph = table[index]
-    out = WORKSPACE.take(gains.shape[:1] + grid.shape, complex)
-    np.multiply(doppler[:, 0, :, None], delay_ph[:, 0, None, :], out=out)
-    with WORKSPACE.scope():
-        term = WORKSPACE.take(out.shape, complex)
-        for p in range(1, gains.shape[1]):
-            out += np.multiply(doppler[:, p, :, None], delay_ph[:, p, None, :], out=term)
+    out = np.multiply(doppler[:, 0, :, None], delay_ph[:, 0, None, :])
+    for p in range(1, gains.shape[1]):
+        out += np.multiply(doppler[:, p, :, None], delay_ph[:, p, None, :])
     return out[0] if ch.gains.ndim == 1 else out
 
 
@@ -396,12 +388,8 @@ def _dd_response(tf_grid: np.ndarray, delays: int | None = None) -> np.ndarray:
     per frame of a ``[..., N, M]`` stack.  With ``delays``, only the delay
     columns 0 .. delays - 1, bit for bit: the Doppler FFT runs on those alone."""
     n = tf_grid.shape[-2]
-    out = WORKSPACE.take(tf_grid[..., :delays].shape, complex)
-    with WORKSPACE.scope():
-        spectra = _into(np.fft.ifft, tf_grid, -1, WORKSPACE.take(tf_grid.shape, complex))
-        taps = _into(np.fft.fft, spectra[..., :delays], -2, WORKSPACE.take(out.shape, complex))
-        np.true_divide(taps, n, out=out)
-    return out
+    spectra = np.fft.ifft(tf_grid, axis=-1)
+    return np.true_divide(np.fft.fft(spectra[..., :delays], axis=-2), n)
 
 
 def tf_gains_from_taps(tap_grid: np.ndarray, delays: int | None = None) -> np.ndarray:
@@ -413,13 +401,8 @@ def tf_gains_from_taps(tap_grid: np.ndarray, delays: int | None = None) -> np.nd
     columns 0 .. delays - 1 alone and the delay FFT zero-pads them to M,
     bit for bit."""
     n, m = tap_grid.shape[-2:]
-    columns = tap_grid[..., :delays]
-    out = WORKSPACE.take(tap_grid.shape, complex)
-    with WORKSPACE.scope():
-        doppler = _into(np.fft.ifft, columns, -2, WORKSPACE.take(columns.shape, complex))
-        spectra = _into(np.fft.fft, doppler, -1, WORKSPACE.take(out.shape, complex), n=m)
-        np.multiply(spectra, n, out=out)
-    return out
+    doppler = np.fft.ifft(tap_grid[..., :delays], axis=-2)
+    return np.multiply(np.fft.fft(doppler, m, axis=-1), n)
 
 
 @dataclass(frozen=True)
@@ -571,49 +554,32 @@ def transmit_frame(
     sides = [grid for grid, ones in ((windows.tx, windows.tx_ones), (windows.rx, windows.rx_ones))
              if not ones]
     shape = np.broadcast(frames, tf_gain_grid, *sides).shape
-    products = (not windows.tx_ones) + 1 + (not windows.rx_ones)
-    received = WORKSPACE.take(shape, complex)
-    with WORKSPACE.scope():
-        # Each product writes the free grid and frees the one it read, so
-        # the value alternates between the modulated frames and
-        # ``received``; the noise is added in place after an odd number of
-        # products and into the free grid after an even one, so the chain
-        # ends in ``received``.  A side built all ones costs no multiply;
-        # the grids multiply from the left, as a single frame's do.
-        value = isfft(frames if frames.shape == shape else np.broadcast_to(frames, shape))
-        free = received
-        if not windows.tx_ones:
-            value, free = np.multiply(windows.tx, value, out=free), value
-        value, free = np.multiply(tf_gain_grid, value, out=free), value
-        if noisy:
-            plane = frames.shape[-2:]
-            scale = np.sqrt(n0 / 2.0)
-            frame_scales = (np.zeros(frames.shape[:-2]) + scale).reshape(-1).tolist()
-            noise = WORKSPACE.take(frames.shape, complex)
-            # frame i's (2, N, M) draws, real plane then imaginary plane;
-            # a frame at zero noise power draws nothing and keeps zeros
-            draws = noise.reshape(-1).view(float).reshape((len(generators), 2) + plane)
-            if min(frame_scales) <= 0.0:
-                draws[...] = 0.0
-            for gen, frame_draws, frame_scale in zip(generators, draws, frame_scales):
-                if frame_scale > 0.0:
-                    gen.standard_normal(out=frame_draws)
-            # the unit-power noise, then scaled over the draws
-            unit = free.reshape(-1)[:frames.size].reshape(frames.shape)
-            unit.real, unit.imag = (draws[:, 0].reshape(frames.shape),
-                                    draws[:, 1].reshape(frames.shape))
-            np.multiply(scale[..., None, None], unit, out=noise)
-            if products % 2:
-                # a complex sum rounds alike in place
-                value += noise
-            else:
-                value, free = np.add(value, noise, out=free), value
-        if not windows.rx_ones:
-            value, free = np.multiply(windows.rx, value, out=free), value
-        if value is not received:
-            # noise-free, after an even number of products
-            np.copyto(received, value)
-    return sfft(received) if demodulate else received
+    # the grids multiply from the left, as a single frame's do; a side built
+    # all ones costs no multiply
+    value = isfft(frames if frames.shape == shape else np.broadcast_to(frames, shape))
+    if not windows.tx_ones:
+        value = np.multiply(windows.tx, value)
+    value = np.multiply(tf_gain_grid, value)
+    if noisy:
+        scale = np.sqrt(n0 / 2.0)
+        frame_scales = (np.zeros(frames.shape[:-2]) + scale).reshape(-1).tolist()
+        noise = np.empty(frames.shape, complex)
+        # frame i's (2, N, M) draws, real plane then imaginary plane; a frame
+        # at zero noise power draws nothing and keeps zeros
+        draws = noise.reshape(-1).view(float).reshape((len(generators), 2) + frames.shape[-2:])
+        if min(frame_scales) <= 0.0:
+            draws[...] = 0.0
+        for gen, frame_draws, frame_scale in zip(generators, draws, frame_scales):
+            if frame_scale > 0.0:
+                gen.standard_normal(out=frame_draws)
+        # the unit-power noise, then scaled over the draws; a complex sum
+        # rounds alike in place
+        unit = np.empty(frames.shape, complex)
+        unit.real, unit.imag = draws[:, 0].reshape(frames.shape), draws[:, 1].reshape(frames.shape)
+        value += np.multiply(scale[..., None, None], unit, out=noise)
+    if not windows.rx_ones:
+        value = np.multiply(windows.rx, value)
+    return sfft(value) if demodulate else value
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,7 @@ from .channel import EffectiveDDChannel
 from .errors import ConfigurationError, NumericalFailure
 from .estimation import PilotLayout
 from .grid import Constellation, frame_noise
-from .transforms import _into, _sfft_into, dft_matrix
-from .workspace import WORKSPACE
+from .transforms import dft_matrix, sfft
 
 
 # ---------------------------------------------------------------------------
@@ -161,41 +160,30 @@ def tf_lmmse_detect(
     if not fits or g.shape != r.shape:
         raise ValueError("observation, gain and window grids must share one shape")
     cells = r.shape[-2] * r.shape[-1] if layout is None else int(layout.data_mask.sum())
-    soft = WORKSPACE.take(r.shape[:-2] + (cells,), complex)
-    # every grid of the solve in the workspace; no complex step writes over
+    # n0 |v|^2 and d = |g|^2 + n0 |v|^2, real; no complex step writes over
     # one of its operands (see ``channel.tf_channel``)
-    with WORKSPACE.scope():
-        # n0 |v|^2, broadcast to the grids, and d = |g|^2 + n0 |v|^2: real,
-        # so exact in place
-        noise_tf, denom = WORKSPACE.take((2,) + r.shape)
-        power = np.abs(rx, out=WORKSPACE.take(rx.shape))
-        np.multiply(n0[..., None, None], np.square(power, out=power), out=noise_tf)
-        np.abs(g, out=denom)
-        np.add(np.square(denom, out=denom), noise_tf, out=denom)
-        if not np.all(denom > 0):
+    noise_tf = np.multiply(n0[..., None, None], np.square(np.abs(rx)))
+    denom = np.add(np.square(np.abs(g)), noise_tf)
+    if not np.all(denom > 0):
+        raise NumericalFailure(
+            "LMMSE solve is singular (a TF bin with zero gain and zero noise); "
+            "refusing to regularize implicitly"
+        )
+    # conj(g) / d * r
+    weighted = np.multiply(np.true_divide(np.conj(g), denom), r)
+    if layout is None:
+        soft = sfft(weighted).reshape(r.shape[:-2] + (cells,))
+    else:
+        residual = np.true_divide(noise_tf, denom)
+        try:
+            weights = _guard_weights(weighted, residual, layout)
+        except np.linalg.LinAlgError as exc:
             raise NumericalFailure(
-                "LMMSE solve is singular (a TF bin with zero gain and zero noise); "
-                "refusing to regularize implicitly"
-            )
-        # conj(g) / d * r
-        weighted, other, *spare = WORKSPACE.take((2 if layout is None else 3,) + r.shape,
-                                                 complex)
-        np.true_divide(np.conj(g, out=weighted), denom, out=other)
-        np.multiply(other, r, out=weighted)
-        if layout is None:
-            _sfft_into(weighted, soft.reshape(r.shape))
-        else:
-            residual = np.true_divide(noise_tf, denom, out=denom)
-            try:
-                weights = _guard_weights(weighted, residual, layout, other)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure(
-                    "LMMSE guard downdate is singular; refusing to regularize implicitly"
-                ) from exc
-            correction = np.multiply(residual, weights, out=spare[0])
-            dd = _sfft_into(np.subtract(weighted, correction, out=other), spare[0])
-            dd.reshape(soft.shape[:-1] + (-1,)).take(_guard_plan(layout).data_cells, axis=-1,
-                                                     out=soft, mode="clip")
+                "LMMSE guard downdate is singular; refusing to regularize implicitly"
+            ) from exc
+        dd = sfft(np.subtract(weighted, np.multiply(residual, weights)))
+        soft = dd.reshape(r.shape[:-2] + (-1,)).take(_guard_plan(layout).data_cells, axis=-1,
+                                                    mode="clip")
     if not np.all(np.isfinite(soft)):
         raise NumericalFailure("LMMSE estimate is not finite")
     hard = constellation.nearest_indices(soft).reshape(soft.shape)
@@ -246,11 +234,10 @@ def _guard_plan(layout: PilotLayout) -> _GuardPlan:
     return plan
 
 
-def _guard_weights(weighted: np.ndarray, residual: np.ndarray, layout: PilotLayout,
-                   out: np.ndarray) -> np.ndarray:
+def _guard_weights(weighted: np.ndarray, residual: np.ndarray, layout: PilotLayout) -> np.ndarray:
     """The TF grid isfft(W) of the guard weights w = E[G, G]^(-1) x0[G]
-    placed on the guard cells G of ``layout`` (W zero elsewhere), written to
-    the complex ``out``, per frame of [..., N, M] stacks of TF grids
+    placed on the guard cells G of ``layout`` (W zero elsewhere), per frame
+    of [..., N, M] stacks of TF grids
     ``weighted`` and ``residual``: x0 = sfft(weighted) is the full-data
     estimate and E the circular operator of the residual's DD response.
 
@@ -285,34 +272,26 @@ def _guard_weights(weighted: np.ndarray, residual: np.ndarray, layout: PilotLayo
     if np.any(np.count_nonzero(residual, axis=-1) < b):
         raise np.linalg.LinAlgError("a time slot's band block is singular")
     batch = weighted.shape[:-2]
-    with WORKSPACE.scope():
-        both, transformed = WORKSPACE.take((2, 2) + weighted.shape, complex)
-        both[0], both[1] = weighted, residual
-        spectra, lags = _into(np.fft.ifft, both, -1, transformed)
-        # the Doppler IFFT of x0 on the band, times sqrt(N / M)
-        rhs = spectra[..., band]
-        blocks = lags.take(plan.toeplitz, axis=-1, mode="clip",
-                           out=WORKSPACE.take(lags.shape[:-1] + plan.toeplitz.shape, complex))
-        inverse = np.linalg.inv(blocks)
-        if rest:
-            # less x0's rows Kc: the Doppler IFFT of [x0_G; 0]
-            rhs = rhs - plan.from_rest @ (plan.to_rest @ rhs)
-            z_rest = plan.to_rest @ (inverse @ rhs[..., None])[..., 0]
-            # Q_CC from its row-difference blocks
-            size = rest * b
-            q_lags = (plan.lag_dft @ inverse.reshape(batch + (n, b * b))
-                      ).reshape(batch + (-1, b, b))
-            q_cc = q_lags[..., plan.lag_pairs, :, :].swapaxes(-3, -2).reshape(
-                batch + (size, size))
-            u = np.linalg.solve(q_cc, z_rest.reshape(batch + (size, 1)))
-            # the Doppler IFFT of [x0_G; -u]
-            rhs = rhs - plan.from_rest @ u.reshape(batch + (rest, b))
-        # the grid weighted was copied into is free again
-        placed = both[0]
-        placed[...] = 0.0
-        placed[..., band] = (inverse @ rhs[..., None])[..., 0]
-        _into(np.fft.fft, placed, -1, out)
-    return out
+    spectra, lags = np.fft.ifft(np.stack((weighted, residual)), axis=-1)
+    # the Doppler IFFT of x0 on the band, times sqrt(N / M)
+    rhs = spectra[..., band]
+    inverse = np.linalg.inv(lags.take(plan.toeplitz, axis=-1, mode="clip"))
+    if rest:
+        # less x0's rows Kc: the Doppler IFFT of [x0_G; 0]
+        rhs = rhs - plan.from_rest @ (plan.to_rest @ rhs)
+        z_rest = plan.to_rest @ (inverse @ rhs[..., None])[..., 0]
+        # Q_CC from its row-difference blocks
+        size = rest * b
+        q_lags = (plan.lag_dft @ inverse.reshape(batch + (n, b * b))
+                  ).reshape(batch + (-1, b, b))
+        q_cc = q_lags[..., plan.lag_pairs, :, :].swapaxes(-3, -2).reshape(
+            batch + (size, size))
+        u = np.linalg.solve(q_cc, z_rest.reshape(batch + (size, 1)))
+        # the Doppler IFFT of [x0_G; -u]
+        rhs = rhs - plan.from_rest @ u.reshape(batch + (rest, b))
+    placed = np.zeros(weighted.shape, complex)
+    placed[..., band] = (inverse @ rhs[..., None])[..., 0]
+    return np.fft.fft(placed, axis=-1)
 
 
 def analytic_detection_mse(lam: np.ndarray, x: np.ndarray) -> float:
@@ -410,9 +389,8 @@ def spa_detect(
     prior, decided as constellation index 0, after 0 sweeps.  At most
     ``_SPA_MAX_CONFIGS // Q^L`` frames of a stack at a time share one graph
     (:func:`_spa_graph`) and one flood (:func:`_flood`), L their largest
-    degree, in a ``with WORKSPACE:`` block of their own, nested in a chunk's
-    or opening the closed workspace; each stops on its own, its messages
-    frozen in place, so it gets bit for bit its result alone.  The report
+    degree; each stops on its own, its messages frozen in place, so it gets
+    bit for bit its result alone.  The report
     covers the D cells of ``data_mask`` (all NM without one) in row-major
     order, as :func:`tf_lmmse_detect` does for a layout: a stack returns (B, D)
     ``soft`` and ``hard_indices`` and (B, D, Q) ``marginals``.
@@ -462,10 +440,8 @@ def spa_detect(
     sweeps, frame_sweeps = 0, np.zeros(len(taps), dtype=np.int64)
     for first in range(0, live.size, step):
         batch = live[first:first + step]
-        with WORKSPACE:
-            graph = _spa_graph(y[batch], taps[batch], truncation[batch], sigma2[batch], points,
-                               data)
-            belief[batch], frame_sweeps[batch] = _flood(graph, iters, damping)
+        graph = _spa_graph(y[batch], taps[batch], truncation[batch], sigma2[batch], points, data)
+        belief[batch], frame_sweeps[batch] = _flood(graph, iters, damping)
         sweeps += int(frame_sweeps[batch].max())
 
     idx = belief.argmax(axis=2)
@@ -508,10 +484,7 @@ def _spa_graph(
     slot L + 1 (the point mass) on a pad slot; a data symbol reads the
     column of the one live factor that meets it there, or slot L + 1 (1) on
     a pad slot.  Both index arrays come from one (F, L) table of the live
-    factors' symbol columns.  The index arrays, then the likelihood and each
-    degree's (F_d, Q^d) means and part behind it, are taken in
-    :data:`~otfswin.workspace.WORKSPACE`, which the caller enters: a graph
-    lasts until the caller's block ends.
+    factors' symbol columns.
     """
     frames, n, m = taps.shape
     q = points.size
@@ -526,9 +499,7 @@ def _spa_graph(
     # factor i of frame b meets symbol sym_of[b, t, i] on tap slot t
     doppler, delay = np.divmod(kept[:, :, None], m)
     sym_of = np.add(((np.arange(n) - doppler) % n)[..., None] * m,
-                    ((np.arange(m) - delay) % m)[..., None, :],
-                    out=WORKSPACE.take((frames, degree, n, m), np.int64))
-    sym_of = sym_of.reshape(frames, degree, -1)
+                    ((np.arange(m) - delay) % m)[..., None, :]).reshape(frames, degree, -1)
 
     cells = np.flatnonzero(data)
     on_data = data[sym_of] & ~pad[:, :, None]
@@ -541,22 +512,19 @@ def _spa_graph(
     on_data = on_data.transpose(0, 2, 1)[live]
     symbol_col = ((np.cumsum(data) - 1)[sym_of.transpose(0, 2, 1)[live]]
                   + cells.size * frame_of[:, None])
-    reads = WORKSPACE.take(on_data.shape, np.int64)
-    np.copyto(reads, (degree + pad[frame_of]) * q * columns)
-    np.copyto(reads, np.arange(degree) * q * columns + symbol_col, where=on_data)
-    at_factors = np.add(reads.T[:, None, :], values * columns,
-                        out=WORKSPACE.take((degree, q, width), np.int64))
+    reads = np.where(on_data, np.arange(degree) * q * columns + symbol_col,
+                     (degree + pad[frame_of]) * q * columns)
+    # C order: take copies indices of any other layout at every gather
+    at_factors = np.add(reads.T[:, None, :], values * columns, order="C")
     # on a real slot each data symbol meets one received cell, whose factor
     # is live and names the symbol in its row; pad slots keep slot L + 1.
-    # Slot by slot, a 64-frame chunk's index temporaries stay under glibc's
-    # 128 KiB mmap threshold (all slots at once raised 9b's maxrss 0.5 MB)
-    reads = WORKSPACE.take((degree, columns), np.int64)
-    reads.fill((degree + 1) * q * width)
+    # Slot by slot, a 64-frame chunk's index temporaries stay small (all
+    # slots at once raised 9b's maxrss 0.5 MB)
+    reads = np.full((degree, columns), (degree + 1) * q * width, dtype=np.int64)
     for t in range(degree):
         factor = np.flatnonzero(on_data[:, t])
         reads[t, symbol_col[factor, t]] = t * q * width + factor
-    at_symbols = np.add(reads[:, None, :], values * width,
-                        out=WORKSPACE.take((degree, q, columns), np.int64))
+    at_symbols = reads[:, None, :] + values * width
 
     # likelihood[c_0, .., c_{L-1}, f] of factor f under symbol values c: a
     # tap's gain on a real data slot, 0 elsewhere (known zeros add nothing);
@@ -565,22 +533,19 @@ def _spa_graph(
     tap = np.take_along_axis(taps.reshape(frames, -1), kept, axis=1)
     gains = np.where(on_data, tap[frame_of], 0.0)
     y = y[live]
-    likelihood = WORKSPACE.take((q ** degree, width))
+    likelihood = np.empty((q ** degree, width))
     for d in sorted(set(degrees.tolist())):
-        # means and part are freed with each degree
-        with WORKSPACE.scope():
-            cols = np.flatnonzero(degrees[frame_of] == d)
-            configs = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
-            means = np.matmul(gains[cols, degree - d:], points[configs].T,   # (F_d, Q^d)
-                              out=WORKSPACE.take((cols.size, configs.shape[0]), complex))
-            np.subtract(y[cols, None], means, out=means)
-            part = WORKSPACE.take((configs.shape[0], cols.size))
-            np.abs(means.T, out=part)
-            part **= 2
-            part -= part.min(axis=0)                             # scale-free normalization
-            part /= -sigma2[frame_of[cols]]
-            np.exp(part, out=part)
-            likelihood.reshape(q ** (degree - d), -1, width)[:, :, cols] = part
+        cols = np.flatnonzero(degrees[frame_of] == d)
+        configs = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
+        means = np.matmul(gains[cols, degree - d:], points[configs].T)   # (F_d, Q^d)
+        np.subtract(y[cols, None], means, out=means)
+        part = np.empty((configs.shape[0], cols.size))
+        np.abs(means.T, out=part)
+        part **= 2
+        part -= part.min(axis=0)                             # scale-free normalization
+        part /= -sigma2[frame_of[cols]]
+        np.exp(part, out=part)
+        likelihood.reshape(q ** (degree - d), -1, width)[:, :, cols] = part
     return _SpaGraph(likelihood.reshape((q,) * degree + (width,)), at_factors, at_symbols, counts)
 
 
@@ -596,9 +561,8 @@ def _flood(graph: _SpaGraph, iters: int, damping: float) -> tuple[np.ndarray, np
     every frame is frozen.  Returns the (B, D, Q) beliefs of the data cells
     and the (B,) sweeps each frame ran before it froze.  The message
     buffers and the sweeps' work arrays (both gathers, the new messages,
-    their change and the tails, which the heads reuse) are taken once, in
-    the caller's block of the workspace behind the graph, and serve every
-    sweep: the block holds one flood, at most ``_SPA_MAX_CONFIGS // Q^L``
+    their change and the tails, which the heads reuse) are taken once and
+    serve every sweep: a flood holds at most ``_SPA_MAX_CONFIGS // Q^L``
     frames, whatever the trial count.
     """
     degree, q, width = graph.at_factors.shape
@@ -607,18 +571,18 @@ def _flood(graph: _SpaGraph, iters: int, damping: float) -> tuple[np.ndarray, np
     # enters it, gathered from the symbols' messages ``out``.  A frame's move
     # is the largest over its consecutive factor columns; ``keep`` and
     # ``step`` weigh the old and new messages of each column.
-    to_buffer = WORKSPACE.take((degree + 2, q, width))
+    to_buffer = np.empty((degree + 2, q, width))
     to_buffer[:degree + 1] = 1.0 / q
     to_buffer[degree + 1] = 1.0
     to_symbol = to_buffer[:degree]
-    from_buffer = WORKSPACE.take((degree + 2, q, graph.at_symbols.shape[2]))
+    from_buffer = np.empty((degree + 2, q, graph.at_symbols.shape[2]))
     from_buffer[:degree + 1] = 1.0 / q
     from_buffer[degree + 1] = (np.arange(q) == 0)[:, None]
     out = from_buffer[:degree]
-    prefix, suffix, incoming = WORKSPACE.take((3,) + out.shape)
+    prefix, suffix, incoming = np.empty((3,) + out.shape)
     prefix[0] = suffix[-1] = 1.0
-    from_symbol, new_msgs, change = WORKSPACE.take((3,) + to_symbol.shape)
-    tails = [WORKSPACE.take((q ** (degree - 1 - t), width)) for t in range(degree - 2)]
+    from_symbol, new_msgs, change = np.empty((3,) + to_symbol.shape)
+    tails = [np.empty((q ** (degree - 1 - t), width)) for t in range(degree - 2)]
     starts = np.cumsum(counts) - counts
     keep, step = np.full(width, 1.0 - damping), np.full(width, damping)
     running = np.ones(frames, dtype=bool)

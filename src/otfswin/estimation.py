@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import FrameGrid, frame_noise
-from .transforms import _into, isfft
-from .workspace import WORKSPACE
+from .transforms import isfft
 
 
 def _check_spread(n_doppler: int, k_max: int, l_max: int, k_hat: int) -> None:
@@ -150,7 +149,7 @@ def embed_pilot(data_frame: np.ndarray, layout: PilotLayout,
         raise ValueError("frame shape does not match grid")
     if out is not None and (out.shape != data_frame.shape or out.dtype != complex):
         raise ValueError(f"out must be a complex array of shape {data_frame.shape}")
-    frame = WORKSPACE.take(data_frame.shape, complex) if out is None else out
+    frame = np.empty(data_frame.shape, complex) if out is None else out
     if frame is not data_frame:
         np.copyto(frame, data_frame)
     np.copyto(frame, 0.0, where=layout.guard_mask)
@@ -180,19 +179,11 @@ def estimate_channel(received: np.ndarray, layout: PilotLayout,
     n0 = frame_noise(n0, received.shape[:-2])
     threshold = 3.0 * np.sqrt(n0)
     (n, m), (rows, cols) = layout.grid.shape, layout.read_cells
-    est = WORKSPACE.take(received.shape, complex)
-    shape = received.shape[:-2] + (rows.shape[0], m)
-    with WORKSPACE.scope():
-        # sfft(r) = ifft_m(fft_n(r)) * sqrt(M / N), row by row.  The
-        # estimate's grid, filled after it, holds the Doppler FFT and then
-        # the delay IFFT of the window's rows
-        doppler = _into(np.fft.fft, received, -2, est)
-        window = doppler.take(rows[:, 0], axis=-2, mode="clip",
-                              out=WORKSPACE.take(shape, complex))
-        rows_dd = _into(np.fft.ifft, window, -1, est.reshape(-1)[:window.size].reshape(shape))
-        block = rows_dd[..., cols[0]] * math.sqrt(m / n)
+    # sfft(r) = ifft_m(fft_n(r)) * sqrt(M / N), row by row
+    window = np.fft.fft(received, axis=-2).take(rows[:, 0], axis=-2, mode="clip")
+    block = np.fft.ifft(window, axis=-1)[..., cols[0]] * math.sqrt(m / n)
     keep = np.abs(block) >= threshold[..., None, None]
-    est[...] = 0.0
+    est = np.zeros(received.shape, complex)
     est[(..., *layout.tap_cells)] = np.where(keep, block / layout.pilot_value, 0.0)
     return est
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .workspace import WORKSPACE
-
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
@@ -120,10 +118,8 @@ class Constellation:
         if bits.size and (bits.min() < 0 or bits.max() > 1):
             raise ValueError("bits must be 0 or 1")
         label = bits[0::bps]
-        if bps > 1:
-            out = WORKSPACE.take(label.shape, np.int64)
-            for first in range(1, bps):
-                label = np.add(np.multiply(label, 2, out=out), bits[first::bps], out=out)
+        for first in range(1, bps):
+            label = 2 * label + bits[first::bps]
         return label
 
     # sent and detected labels differ in popcount[sent ^ detected] bits
@@ -143,15 +139,12 @@ class Constellation:
         coordinate read as non-negative, the lower index.
         """
         symbols = np.ascontiguousarray(symbols, dtype=complex).reshape(-1)
-        out = WORKSPACE.take(symbols.shape, np.intp)
-        with WORKSPACE.scope():
-            # re, im, re, im, ...
-            negative = np.less(symbols.view(float), 0,
-                               out=WORKSPACE.take((2 * symbols.size,), bool))
-            np.copyto(out, negative[0::2])
-            if self.points.size == 4:
-                out *= 2
-                out += negative[1::2]
+        # re, im, re, im, ...
+        negative = np.less(symbols.view(float), 0)
+        out = negative[0::2].astype(np.intp)
+        if self.points.size == 4:
+            out *= 2
+            out += negative[1::2]
         return out
 
 
@@ -206,22 +199,16 @@ def map_symbols(
     if mask is not None and mask.shape != grid.shape:
         raise ValueError("mask shape does not match grid")
     lead = labels.shape[:-1]
-    frames = WORKSPACE.take(lead + grid.shape, complex)
-    with WORKSPACE.scope():
-        # every label is a point's index: take's "raise" mode would gather
-        # through a copy of its output
-        if mask is None:
-            constellation.points.take(labels, out=frames.reshape(labels.shape), mode="clip")
-        else:
-            count = math.prod(lead)
-            padded = WORKSPACE.take((count, n_cells + 1), np.int64)
-            padded[:, :n_cells] = labels.reshape(count, n_cells)
-            padded[:, n_cells] = constellation.points.size
-            # the label column each grid cell reads: its data index, or the pad
-            column = np.full(grid.size, n_cells)
-            column[mask.reshape(-1)] = np.arange(n_cells)
-            cells = padded.take(column, axis=1, mode="clip",
-                                out=WORKSPACE.take((count, grid.size), np.int64))
-            np.concatenate((constellation.points, [0.0])).take(
-                cells, out=frames.reshape(count, grid.size), mode="clip")
-    return frames
+    # the labels are checked above: clipping moves none of them
+    if mask is None:
+        return constellation.points.take(labels, mode="clip").reshape(lead + grid.shape)
+    count = math.prod(lead)
+    padded = np.empty((count, n_cells + 1), np.int64)
+    padded[:, :n_cells] = labels.reshape(count, n_cells)
+    padded[:, n_cells] = q
+    # the label column each grid cell reads: its data index, or the pad
+    column = np.full(grid.size, n_cells)
+    column[mask.reshape(-1)] = np.arange(n_cells)
+    cells = padded.take(column, axis=1, mode="clip")
+    return np.concatenate((constellation.points, [0.0])).take(cells, mode="clip").reshape(
+        lead + grid.shape)

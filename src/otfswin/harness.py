@@ -17,7 +17,6 @@ runs can additionally be summarized in the compact CE row format
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -40,7 +39,6 @@ from .grid import Constellation, FrameGrid, map_symbols
 # perfbench/run.py runs the self-check as harness.run_selfcheck
 from .selfcheck import run_selfcheck
 from .transforms import sfft
-from .workspace import WORKSPACE
 
 # Beyond a pilot-to-data amplitude ratio of 1/eps (or below eps), the pilot and
 # the unit-power data cells cannot share one frame in double precision.
@@ -629,11 +627,10 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
     buffered = np.zeros(len(generators), dtype=bool)
     channels = ch_mod.sample_channel(link.grid, config.paths, config.k_max, config.l_max,
                                      generators, buffered=buffered)
-    bps = link.constellation.bits_per_symbol
-    labels = WORKSPACE.take((len(cells), link.bits_per_frame // bps), np.int64)
-    with WORKSPACE.scope():  # the bits are freed once their labels exist
-        bits = ch_mod.bounded_draws(generators, np.full(link.bits_per_frame, 2), buffered=buffered)
-        labels.reshape(-1)[...] = link.constellation.bits_to_indices(bits.reshape(-1))
+    # one expression, so that the bits are freed once their labels exist
+    labels = link.constellation.bits_to_indices(ch_mod.bounded_draws(
+        generators, np.full(link.bits_per_frame, 2), buffered=buffered).reshape(-1))
+    labels = labels.reshape(len(cells), -1)
     tf_gains = ch_mod.tf_channel(channels)
     windows = link.windows if link.windows is not None else _optimal_windows(tf_gains, n0)
     mask = None if link.layout is None else link.layout.data_mask
@@ -647,26 +644,21 @@ def _transmit(link: _Link, cells: list[tuple[int, int]], n0: np.ndarray):
 def _optimal_windows(tf_gains: np.ndarray, n0: np.ndarray) -> win_mod.WindowPair:
     """One optimal TX window per frame of the chunk's TF gains at noise
     powers ``n0``: the pair ``WindowPair.from_tx_grid`` makes of its
-    ``tx_window``, formed in the workspace."""
-    tx, rx = WORKSPACE.take((2,) + tf_gains.shape, complex)
-    with WORKSPACE.scope():
-        # |H|^2 / n0, real and so exact in place
-        lam = np.abs(tf_gains, out=WORKSPACE.take(tf_gains.shape))
-        np.true_divide(np.square(lam, out=lam), n0[:, None, None], out=lam)
-        try:
-            power = win_mod.optimal_tx_window(lam).x
-        except ValueError as exc:
-            raise NumericalFailure(f"optimal TX window: {exc}") from exc
-        tx[...] = np.sqrt(power, out=power)
-    rx[...] = 1.0
-    return win_mod.WindowPair(tx=tx, rx=rx)._marked(False, True)
+    ``tx_window``."""
+    # |H|^2 / n0
+    lam = np.true_divide(np.square(np.abs(tf_gains)), n0[:, None, None])
+    try:
+        allocation = win_mod.optimal_tx_window(lam)
+    except ValueError as exc:
+        raise NumericalFailure(f"optimal TX window: {exc}") from exc
+    return win_mod.WindowPair.from_tx_grid(allocation.tx_window)
 
 
 # Trials run in chunks whose (B, N, M) complex work arrays take about this
 # many bytes: B = 54 on the 30x20 grid.  A chunk shares each numpy call's
 # fixed cost among its frames (about 200 us a ce-mse chunk on 30x20, against
-# 49 us a frame), and a warm chunk takes its arrays from the thread's
-# workspace without page faults: 3 MB of it for a 30x20 ce-mse chunk.
+# 49 us a frame), and a warm chunk takes its arrays from heap pages that are
+# already mapped (:func:`_keep_freed_heap`).
 _CHUNK_BYTES = 512 * 1024
 # A run whose paths' draws would not fit in _PATH_BYTES at the full chunk
 # takes half chunks, down to frames of this many bytes, at which configs are
@@ -712,6 +704,23 @@ _FRAME_BYTES = 16 * 1024 * 1024
 _PATH_BYTES = 64 * 1024 * 1024
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Make the C library keep the memory a chunk frees, once per process.
+
+    glibc maps every allocation of 128 KiB or more on its own and unmaps it
+    when freed, and trims a freed heap top of 128 KiB, so each chunk whose
+    arrays pass that size faults their pages in anew.  Freeing one mapped
+    16 MiB array invokes glibc's dynamic rule: allocations below 16 MiB then
+    come from the heap, which keeps up to 32 MiB of freed memory, and a warm
+    chunk reuses it.  glibc leaves the rule off in a process that has set
+    its own thresholds (``mallopt``), and other C libraries need not follow
+    it; this changes the allocator of the whole process, not only of
+    otfswin.
+    """
+    np.empty(16 * 1024 * 1024, dtype=np.uint8)
+
+
 def _sweep(config: ExperimentConfig, chunk):
     """Yield each SNR point with the per-trial values of every trial, in
     trial order.
@@ -723,18 +732,17 @@ def _sweep(config: ExperimentConfig, chunk):
     its last trial has run.
     """
     step = _run_chunk(config)
-    # a run of chunks smaller than those of _LEAST_CHUNK_BYTES leaves the
-    # workspace closed: its bookkeeping would cost such a chunk more than
-    # the page faults it saves (a 4-frame 30x20 chunk runs 3% slower in it)
-    reuse = step >= _chunk_size(config.grid(), _LEAST_CHUNK_BYTES)
+    # chunks of _LEAST_CHUNK_BYTES or more, and every sum-product flood,
+    # pass glibc's 128 KiB mmap threshold; smaller ones stay below it
+    if step >= _chunk_size(config.grid(), _LEAST_CHUNK_BYTES) or config.detector == "spa":
+        _keep_freed_heap()
     snrs, trials = config.snr_db, config.trials
     powers = np.array([noise_power(snr) for snr in snrs])
     cells = itertools.product(range(len(snrs)), range(trials))
     values: list = []
     point = 0
     while batch := list(itertools.islice(cells, step)):
-        with WORKSPACE if reuse else contextlib.nullcontext():
-            values.extend(chunk(batch, powers[[snr_index for snr_index, _ in batch]]))
+        values.extend(chunk(batch, powers[[snr_index for snr_index, _ in batch]]))
         while len(values) >= trials:
             yield snrs[point], values[:trials]
             del values[:trials]
@@ -825,7 +833,7 @@ def _cancel_pilot(layout: est_mod.PilotLayout, r: np.ndarray,
     gains = ch_mod.tf_gains_from_taps(taps, layout.l_max + 1)
     # the pilot's response, then r less it in its place: a subtraction
     # rounds alike in place
-    cancelled = np.multiply(gains, layout.pilot_tf, out=WORKSPACE.take(r.shape, complex))
+    cancelled = np.multiply(gains, layout.pilot_tf)
     return np.subtract(r, cancelled, out=cancelled), gains
 
 

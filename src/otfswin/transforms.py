@@ -18,22 +18,6 @@ import math
 
 import numpy as np
 
-from .workspace import WORKSPACE
-
-
-# numpy 2 writes a transform into ``out``; numpy 1.x has no ``out`` and its
-# result is copied there.  The one check of the numpy version for it.
-_FFT_WRITES_OUT = int(np.__version__.split(".")[0]) >= 2
-
-
-def _into(transform, a: np.ndarray, axis: int, out: np.ndarray, n: int | None = None):
-    """``transform`` (``np.fft.fft`` or ``np.fft.ifft``) of ``a`` along
-    ``axis``, at length ``n``, written to ``out``, which it returns."""
-    if _FFT_WRITES_OUT:
-        return transform(a, n, axis, out=out)
-    out[...] = transform(a, n, axis)
-    return out
-
 
 def _check_frames(frames: np.ndarray) -> np.ndarray:
     """``frames`` as an array of an (N, M) frame or a ``[..., N, M]`` stack."""
@@ -43,38 +27,20 @@ def _check_frames(frames: np.ndarray) -> np.ndarray:
     return frames
 
 
-def _sfft_into(tf_frame: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`sfft` of ``tf_frame`` written to the complex ``out`` of its
-    shape (which must not share memory with it), with its work array in the
-    thread's workspace."""
-    n, m = tf_frame.shape[-2:]
-    with WORKSPACE.scope():
-        # ``out`` holds the first stage; no stage writes over its own input
-        _into(np.fft.fft, tf_frame, -2, out)
-        np.multiply(_into(np.fft.ifft, out, -1, WORKSPACE.take(out.shape, complex)),
-                    math.sqrt(m / n), out=out)
-    return out
-
-
 def isfft(dd_frame: np.ndarray) -> np.ndarray:
     """DD -> TF transform of an (N, M) frame, or of each frame of a
     ``[..., N, M]`` stack (inverse symplectic FFT)."""
     dd_frame = _check_frames(dd_frame)
     n, m = dd_frame.shape[-2:]
-    out = WORKSPACE.take(dd_frame.shape, complex)
-    with WORKSPACE.scope():
-        # ``out`` holds the first stage; no stage writes over its own input
-        _into(np.fft.ifft, dd_frame, -2, out)
-        np.multiply(_into(np.fft.fft, out, -1, WORKSPACE.take(out.shape, complex)),
-                    math.sqrt(n / m), out=out)
-    return out
+    return np.multiply(np.fft.fft(np.fft.ifft(dd_frame, axis=-2), axis=-1), math.sqrt(n / m))
 
 
 def sfft(tf_frame: np.ndarray) -> np.ndarray:
     """TF -> DD transform, the exact inverse of :func:`isfft`, also frame by
     frame over a ``[..., N, M]`` stack."""
     tf_frame = _check_frames(tf_frame)
-    return _sfft_into(tf_frame, WORKSPACE.take(tf_frame.shape, complex))
+    n, m = tf_frame.shape[-2:]
+    return np.multiply(np.fft.ifft(np.fft.fft(tf_frame, axis=-2), axis=-1), math.sqrt(m / n))
 
 
 def dft_matrix(n: int) -> np.ndarray:

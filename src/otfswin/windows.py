@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure
 from .grid import FrameGrid
-from .workspace import WORKSPACE
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +85,7 @@ class WindowPair:
         when both sides are all ones."""
         if self.tx_ones and self.rx_ones:
             return tf_gains
-        joint = self.joint
-        return np.multiply(joint, tf_gains, out=WORKSPACE.take(
-            np.broadcast(joint, tf_gains).shape, complex))
+        return np.multiply(self.joint, tf_gains)
 
     @classmethod
     def rectangular(cls, grid: FrameGrid) -> "WindowPair":
@@ -303,22 +300,11 @@ class PowerAllocation:
 
 
 def _allocation(lam: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """[sqrt(1/(eta*lam)) - 1/lam]^+, 0 where lam <= eta; each step is a
-    correctly rounded real operation, so the ones done in place give the
-    bits of the ones that are not."""
-    out = WORKSPACE.take(lam.shape)
-    with WORKSPACE.scope():
-        raw, inverse = WORKSPACE.take((2,) + lam.shape)
-        # bins at or below the level get no power (their 1/lam may overflow)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.multiply(eta, lam, out=raw)
-            np.divide(1.0, raw, out=raw)
-            np.sqrt(raw, out=raw)
-            np.subtract(raw, np.divide(1.0, lam, out=inverse), out=raw)
-        np.maximum(raw, 0.0, out=raw)
-        out[...] = 0.0
-        np.copyto(out, raw, where=lam > eta)
-    return out
+    """[sqrt(1/(eta*lam)) - 1/lam]^+, 0 where lam <= eta."""
+    # bins at or below the level get no power (their 1/lam may overflow)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        raw = np.sqrt(1.0 / (eta * lam)) - 1.0 / lam
+    return np.where(lam > eta, np.maximum(raw, 0.0), 0.0)
 
 
 def optimal_tx_window(lam: np.ndarray) -> PowerAllocation:
@@ -374,11 +360,9 @@ def optimal_tx_window(lam: np.ndarray) -> PowerAllocation:
     # the start bound lam_max / denom^2, divided twice so the square cannot overflow
     denom = size * lam_max + 1.0
     active = (frames > 0.0) & (frames >= lam_max / denom / denom)
-    with WORKSPACE.scope(), np.errstate(over="ignore", invalid="ignore"):
-        inv_lam, inv_sqrt = WORKSPACE.take((2,) + frames.shape)
-        inv_lam[...] = 0.0
-        np.divide(1.0, frames, out=inv_lam, where=active)
-        np.sqrt(inv_lam, out=inv_sqrt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_lam = np.divide(1.0, frames, out=np.zeros(frames.shape), where=active)
+        inv_sqrt = np.sqrt(inv_lam)
         for _ in range(size):
             root = (inv_sqrt.sum(axis=1, where=active)
                     / (size + inv_lam.sum(axis=1, where=active)))

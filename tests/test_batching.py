@@ -10,9 +10,6 @@ byte-identical only if this holds, so the comparisons are exact
 """
 
 import re
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +45,6 @@ from otfswin import channel as ch_mod
 from otfswin import detection
 from otfswin.channel import _dd_response
 from otfswin.harness import ExperimentConfig, build_windows
-from otfswin.workspace import Workspace
 
 GRID = FrameGrid(M=30, N=20)
 LAYOUT = PilotLayout.centered(GRID, k_max=3, l_max=4, k_hat=1, pilot_power_dbw=30.0)
@@ -941,8 +937,7 @@ def test_spa_gathers_equal_the_inverse_permutation_tables(constellation, degrees
                                                           monkeypatch):
     # each graph's gather tables, built from the live factors' symbol
     # columns, equal those built through each slot's inverse permutation;
-    # the degree-0 frame never reaches a graph.  A graph lives in the
-    # workspace until its batch ends, so each is checked as it is built
+    # the degree-0 frame never reaches a graph
     y, channel = spa_frames(np.random.default_rng(9), constellation, degrees, 0.1)
     mask = SPA_MASK if masked else np.ones(SPA_GRID.shape, dtype=bool)
     frames = []
@@ -998,127 +993,3 @@ def test_spa_frame_iterations_are_each_frames_alone(constellation, degrees, mask
         # one flood, in which frames stop at different sweeps
         assert len(set(counts) - {0}) > 1, counts
         assert stack.iterations == max(counts)
-
-
-# --- the sum-product flood's scratch memory: the thread's workspace, reused
-# across calls
-
-BPSK = Constellation.bpsk()
-
-
-def spa_stacks():
-    """Stacks of both constellations and of several sizes, each with its
-    detection arguments."""
-    rng = np.random.default_rng(44)
-    cases = {"bpsk": (BPSK, (3, 1, 4, 2)), "bpsk-large": (BPSK, (5, 4, 5, 5, 3, 5, 5, 5)),
-             "bpsk-small": (BPSK, (2,)), "qpsk": (QPSK, (2, 3, 1)),
-             "qpsk-large": (QPSK, (4, 3, 4, 4, 4)), "qpsk-small": (QPSK, (1, 2))}
-    return {name: (*spa_frames(rng, constellation, degrees, 0.1), constellation)
-            for name, (constellation, degrees) in cases.items()}
-
-
-def spa_report(y, channel, constellation):
-    return spa_detect(y, channel, 0.1, constellation, iters=6, data_mask=SPA_MASK)
-
-
-def assert_same_spa_report(got, want) -> None:
-    for field in ("soft", "hard_indices", "marginals", "frame_iterations"):
-        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-    assert got.iterations == want.iterations
-
-
-def test_spa_arena_reuse_keeps_each_stacks_report(monkeypatch):
-    # a stack detected right after a larger or a smaller one, of either
-    # constellation, gives the report a fresh workspace gives, and so it
-    # does in a workspace filled with NaN: it reads no byte it did not write
-    stacks = spa_stacks()
-    fresh = {}
-    for name in ("bpsk", "qpsk"):
-        monkeypatch.setattr(detection, "WORKSPACE", Workspace())
-        fresh[name] = spa_report(*stacks[name])
-    arena = Workspace()
-    monkeypatch.setattr(detection, "WORKSPACE", arena)
-    for before, name in [("qpsk-large", "bpsk"), ("qpsk-small", "bpsk"), ("bpsk", "bpsk"),
-                         ("bpsk-large", "qpsk"), ("bpsk-small", "qpsk"), ("qpsk", "qpsk")]:
-        spa_report(*stacks[before])
-        assert_same_spa_report(spa_report(*stacks[name]), fresh[name])
-        with arena:
-            arena.memory[:] = 0xFF
-        assert_same_spa_report(spa_report(*stacks[name]), fresh[name])
-        # no view past the end: the whole flood ran in the NaN-filled memory
-        assert arena.peak <= arena.memory.size
-
-
-def test_spa_closes_its_arena_after_each_call(monkeypatch):
-    # outside a chunk the workspace is open only for a flood batch: after a
-    # call, and after one whose flood raises, it is closed with nothing in
-    # use, and the next call gives the report of a fresh workspace
-    y, channel, constellation = spa_stacks()["qpsk-large"]
-    monkeypatch.setattr(detection, "WORKSPACE", Workspace())
-    fresh = spa_report(y, channel, constellation)
-    arena = Workspace()
-    monkeypatch.setattr(detection, "WORKSPACE", arena)
-    spa_report(y, channel, constellation)
-    assert not arena.open and arena.used == 0
-    assert_same_spa_report(spa_report(y, channel, constellation), fresh)
-    flood = detection._flood
-
-    def failing(graph, iters, damping):
-        flood(graph, iters, damping)
-        assert arena.open and arena.used > 0
-        raise RuntimeError("flood failed")
-
-    monkeypatch.setattr(detection, "_flood", failing)
-    with pytest.raises(RuntimeError, match="flood failed"):
-        spa_report(y, channel, constellation)
-    assert not arena.open and arena.used == 0
-    monkeypatch.setattr(detection, "_flood", flood)
-    assert_same_spa_report(spa_report(y, channel, constellation), fresh)
-
-
-def test_spa_threads_detect_in_their_own_arenas():
-    # more threads than cores detect different stacks at once, each many
-    # times over, switching often: a shared arena would mix their buffers
-    stacks = spa_stacks()
-    names = ("bpsk-large", "qpsk-large", "bpsk", "qpsk")
-    alone = {name: spa_report(*stacks[name]) for name in names}
-    start = threading.Barrier(len(names))
-
-    def detect(name):
-        start.wait(timeout=60)
-        return [spa_report(*stacks[name]) for _ in range(6)]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(len(names)) as pool:
-            results = list(pool.map(detect, names, timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    for name, reports in zip(names, results):
-        for report in reports:
-            assert_same_spa_report(report, alone[name])
-
-
-def test_spa_warm_call_reuses_the_arena(monkeypatch):
-    # the first call records what it takes, the second grows the workspace
-    # to that, and a third on the same shapes takes all of it from there
-    y, channel, constellation = spa_stacks()["bpsk-large"]
-    arena = Workspace()
-    monkeypatch.setattr(detection, "WORKSPACE", arena)
-    graphs = []
-    build = detection._spa_graph
-
-    def spy(*args):
-        graphs.append(build(*args))
-        return graphs[-1]
-
-    monkeypatch.setattr(detection, "_spa_graph", spy)
-    first = spa_report(y, channel, constellation)
-    assert arena.memory.size == 0 and not np.shares_memory(graphs[-1].likelihood, arena.memory)
-    spa_report(y, channel, constellation)
-    memory, peak = arena.memory, arena.peak
-    assert memory.size == peak > 0
-    assert_same_spa_report(spa_report(y, channel, constellation), first)
-    assert arena.memory is memory and arena.peak == peak
-    assert np.shares_memory(graphs[-1].likelihood, memory)

@@ -40,11 +40,6 @@ from otfswin.selfcheck import run_selfcheck
 from oracles import brute_force_map, enumeration_spa_detect, mmse_error_covariance, mmse_trace_mse
 
 
-def guard_weights(weighted, residual, layout):
-    """The guard weights' TF grid in a fresh array."""
-    return _guard_weights(weighted, residual, layout, np.empty(weighted.shape, dtype=complex))
-
-
 class TestNoiseCovariance:
     def test_flat_rx_window_is_white(self):
         assert np.array_equal(noise_covariance(np.ones((4, 4)), 0.3), 0.3 * np.eye(16))
@@ -290,7 +285,7 @@ class TestGuardBandSolve:
         layout = self.LAYOUTS[name]
         rng = np.random.default_rng(6)
         residual = rng.uniform(0.01, 1.0, (2,) + layout.grid.shape)
-        guard_weights(np.ones(residual.shape, dtype=complex), residual, layout)
+        _guard_weights(np.ones(residual.shape, dtype=complex), residual, layout)
         assert max(sizes) == largest
 
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
@@ -300,9 +295,9 @@ class TestGuardBandSolve:
         rng = np.random.default_rng(4)
         residual = rng.uniform(0.01, 1.0, shape)
         weighted = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        stacked = guard_weights(weighted, residual, layout)
+        stacked = _guard_weights(weighted, residual, layout)
         for frame, grid, weights in zip(residual, weighted, stacked):
-            assert np.array_equal(weights, guard_weights(grid, frame, layout))
+            assert np.array_equal(weights, _guard_weights(grid, frame, layout))
 
     def test_plan_is_built_once_per_layout(self):
         # the band indices and DFT rows every chunk of a run shares
@@ -326,7 +321,7 @@ class TestGuardBandSolve:
         x0 = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         dense = circular_operator(_dd_response(residual))[guard.reshape(-1)][:, guard.reshape(-1)]
         exact = np.linalg.solve(dense, x0[guard])
-        weights = sfft(guard_weights(isfft(x0), residual, layout))
+        weights = sfft(_guard_weights(isfft(x0), residual, layout))
         assert np.linalg.norm(weights[guard] - exact) <= 1e-8 * np.linalg.norm(exact)
         assert np.linalg.norm(weights[~guard]) <= 1e-8 * np.linalg.norm(exact)
 

@@ -17,7 +17,7 @@ import oracles
 import otfswin
 from otfswin import ConfigurationError, FrameGrid, NumericalFailure, harness, predicted_mse_floor
 from otfswin import windows as win_mod
-from otfswin.channel import EffectiveDDChannel, _dd_response
+from otfswin.channel import _dd_response
 from otfswin.cli import main
 from otfswin.estimation import PilotLayout
 from otfswin.grid import Constellation
@@ -145,18 +145,6 @@ class TestGoldenTrials:
         assert digest.hexdigest() == GOLDEN_TRIALS[name]
 
 
-def kept(args) -> list:
-    """Copies of the arrays among ``args``: a spy that reads a chunk's
-    arrays after the chunk keeps them past its workspace."""
-    return [np.array(a) if isinstance(a, np.ndarray) else a for a in args]
-
-
-def kept_report(report):
-    """A copy of a detection report's soft estimates and decisions."""
-    return dataclasses.replace(report, soft=np.array(report.soft),
-                               hard_indices=np.array(report.hard_indices))
-
-
 # the golden links whose receiver knows the TF gains and runs LMMSE
 KNOWN_CSI_MMSE = ("fer-perfect-mmse-rect", "fer-perfect-mmse-dc-rx", "fer-csit-mmse-optimal",
                   "fer-csit-mmse-dc-rx")
@@ -177,9 +165,8 @@ class TestKnownCsiTfDetection:
         detect, calls = detection.tf_lmmse_detect, []
 
         def spy(*args):
-            # the chunk's arrays live in its workspace: kept as copies
             report = detect(*args)
-            calls.append((kept(args), kept_report(report)))
+            calls.append((args, report))
             return report
 
         monkeypatch.setattr(detection, "tf_lmmse_detect", spy)
@@ -207,8 +194,8 @@ class TestKnownCsiTfDetection:
 
         assert not hasattr(detection, "isfft")
         calls = []
-        # the LMMSE detector writes its sfft into its result: ``_sfft_into``
-        for module, name in ((channel, "isfft"), (channel, "sfft"), (detection, "_sfft_into")):
+        # the LMMSE detector demodulates with its own module's sfft
+        for module, name in ((channel, "isfft"), (channel, "sfft"), (detection, "sfft")):
             def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
@@ -216,7 +203,7 @@ class TestKnownCsiTfDetection:
             monkeypatch.setattr(module, name, spy)
         # 2 points of 2 trials: one chunk
         run_fer(ExperimentConfig(**fields, snr_db=(10.0, 20.0), trials=2))
-        assert sorted(calls) == ["_sfft_into", "isfft"]
+        assert sorted(calls) == ["isfft", "sfft"]
 
 
 # the golden links whose receiver estimates the channel from the pilot and
@@ -241,12 +228,12 @@ class TestEstimatedCsiTfDetection:
         received, calls = [], []
 
         def spy_estimate(r, layout, n0):
-            received.append(np.array(r))
+            received.append(r)
             return estimate(r, layout, n0)
 
         def spy_detect(*args):
             report = detect(*args)
-            calls.append((kept(args), kept_report(report)))
+            calls.append((args, report))
             return report
 
         monkeypatch.setattr(estimation, "estimate_channel", spy_estimate)
@@ -279,16 +266,14 @@ class TestEstimatedCsiTfDetection:
         estimates, calls = [], []
 
         def spy_estimate(r, layout, n0):
-            estimates.append((np.array(r), layout, estimate(r, layout, n0)))
+            estimates.append((r, layout, estimate(r, layout, n0)))
             return estimates[-1][2]
 
         def spy_detect(y, channel, *args, **kwargs):
-            # the estimate reaches SPA as estimate_channel returned it; the
-            # chunk's arrays live in its workspace and are kept as copies
+            # the estimate reaches SPA as estimate_channel returned it
             assert channel.taps is estimates[-1][2]
             report = detect(y, channel, *args, **kwargs)
-            channel = EffectiveDDChannel(np.array(channel.taps), np.array(channel.truncation))
-            calls.append(((np.array(y), channel, *args), kwargs, report))
+            calls.append(((y, channel, *args), kwargs, report))
             return report
 
         monkeypatch.setattr(estimation, "estimate_channel", spy_estimate)
@@ -316,7 +301,7 @@ class TestEstimatedCsiTfDetection:
         # the layout, whose pilot_tf is one isfft, is built with the link
         harness._link(config, pilot=True)
         transforms, ffts = [], []
-        for module, name in ((channel, "isfft"), (channel, "sfft"), (detection, "_sfft_into"),
+        for module, name in ((channel, "isfft"), (channel, "sfft"), (detection, "sfft"),
                              (estimation, "isfft")):
             def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
                 transforms.append(_name)
@@ -331,7 +316,7 @@ class TestEstimatedCsiTfDetection:
             monkeypatch.setattr(np.fft, name, spy_fft)
         # 2 points of 2 trials: one chunk
         run_fer(config)
-        assert sorted(transforms) == ["_sfft_into", "isfft"]
+        assert sorted(transforms) == ["isfft", "sfft"]
         assert len(ffts) == 10
 
 
@@ -452,7 +437,7 @@ class TestChunkBoundaries:
             detect_frames = harness._detect_frames
 
             def spy_receiver(link, r, rx_window, n0, gains):
-                handed.append(kept((np.broadcast_to(rx_window, r.shape), gains)))
+                handed.append((np.broadcast_to(rx_window, r.shape), gains))
                 return detect_frames(link, r, rx_window, n0, gains)
 
             monkeypatch.setattr(harness, "_detect_frames", spy_receiver)
@@ -460,11 +445,10 @@ class TestChunkBoundaries:
             dd_response = channel._dd_response
 
             def spy_receiver(gains, delays=None):
-                handed.append((None, np.array(gains)))
+                handed.append((None, gains))
                 return dd_response(gains, delays)
 
             monkeypatch.setattr(channel, "_dd_response", spy_receiver)
-        # the chunk's arrays live in its workspace: kept as copies
         monkeypatch.setattr(harness, "_transmit", spy_transmit)
         monkeypatch.setattr(win_mod.WindowPair, "windowed", spy_windowed)
         runner(cfg)
@@ -930,12 +914,11 @@ class TestFerExperiment:
         map_symbols, detect_frames = harness.map_symbols, harness._detect_frames
 
         def spy_map(labels, *args, **kwargs):
-            sent.append(np.array(labels))
+            sent.append(labels)
             return map_symbols(labels, *args, **kwargs)
 
         def spy_detect(*args, **kwargs):
-            # the chunk's labels live in its workspace: kept as a copy
-            detected.append(np.array(detect_frames(*args, **kwargs)))
+            detected.append(detect_frames(*args, **kwargs))
             return detected[-1]
 
         monkeypatch.setattr(harness, "map_symbols", spy_map)
