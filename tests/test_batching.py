@@ -10,6 +10,9 @@ byte-identical only if this holds, so the comparisons are exact
 """
 
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -993,3 +996,122 @@ def test_spa_frame_iterations_are_each_frames_alone(constellation, degrees, mask
         # one flood, in which frames stop at different sweeps
         assert len(set(counts) - {0}) > 1, counts
         assert stack.iterations == max(counts)
+
+
+# --- the sum-product flood across calls: each call's arrays are its own
+
+BPSK = Constellation.bpsk()
+
+
+def spa_stacks():
+    """Stacks of both constellations and of several sizes, each with its
+    detection arguments."""
+    rng = np.random.default_rng(44)
+    cases = {"bpsk": (BPSK, (3, 1, 4, 2)), "bpsk-large": (BPSK, (5, 4, 5, 5, 3, 5, 5, 5)),
+             "bpsk-small": (BPSK, (2,)), "qpsk": (QPSK, (2, 3, 1)),
+             "qpsk-large": (QPSK, (4, 3, 4, 4, 4)), "qpsk-small": (QPSK, (1, 2))}
+    return {name: (*spa_frames(rng, constellation, degrees, 0.1), constellation)
+            for name, (constellation, degrees) in cases.items()}
+
+
+def spa_report(y, channel, constellation):
+    return spa_detect(y, channel, 0.1, constellation, iters=6, data_mask=SPA_MASK)
+
+
+_REPORT_FIELDS = ("soft", "hard_indices", "marginals", "frame_iterations")
+
+
+def assert_same_spa_report(got, want) -> None:
+    for field in _REPORT_FIELDS:
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert got.iterations == want.iterations
+
+
+def test_spa_reports_do_not_depend_on_earlier_stacks(monkeypatch):
+    # a stack detected right after a larger or a smaller one, of either
+    # constellation, gives its report in a fresh process's order, and so it
+    # does when np.empty hands out NaN bytes: it reads no byte it did not
+    # write
+    stacks = spa_stacks()
+    fresh = {name: spa_report(*stacks[name]) for name in ("bpsk", "qpsk")}
+    empty = np.empty
+
+    def nan_filled(*args, **kwargs):
+        array = empty(*args, **kwargs)
+        array.reshape(-1).view(np.uint8)[...] = 0xFF
+        return array
+
+    for before, name in [("qpsk-large", "bpsk"), ("qpsk-small", "bpsk"), ("bpsk", "bpsk"),
+                         ("bpsk-large", "qpsk"), ("bpsk-small", "qpsk"), ("qpsk", "qpsk")]:
+        spa_report(*stacks[before])
+        assert_same_spa_report(spa_report(*stacks[name]), fresh[name])
+        monkeypatch.setattr(np, "empty", nan_filled)
+        assert_same_spa_report(spa_report(*stacks[name]), fresh[name])
+        monkeypatch.undo()
+
+
+def test_spa_call_after_a_failing_flood_gives_its_fresh_report(monkeypatch):
+    # a flood that raises after its sweeps leaves nothing behind: the next
+    # call gives the report of the first
+    y, channel, constellation = spa_stacks()["qpsk-large"]
+    fresh = spa_report(y, channel, constellation)
+    flood = detection._flood
+
+    def failing(graph, iters, damping):
+        flood(graph, iters, damping)
+        raise RuntimeError("flood failed")
+
+    monkeypatch.setattr(detection, "_flood", failing)
+    with pytest.raises(RuntimeError, match="flood failed"):
+        spa_report(y, channel, constellation)
+    monkeypatch.undo()
+    assert_same_spa_report(spa_report(y, channel, constellation), fresh)
+
+
+def test_spa_threads_detect_alone():
+    # more threads than cores detect different stacks at once, each many
+    # times over, switching often: any buffer they shared would mix them
+    stacks = spa_stacks()
+    names = ("bpsk-large", "qpsk-large", "bpsk", "qpsk")
+    alone = {name: spa_report(*stacks[name]) for name in names}
+    start = threading.Barrier(len(names))
+
+    def detect(name):
+        start.wait(timeout=60)
+        return [spa_report(*stacks[name]) for _ in range(6)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(names)) as pool:
+            results = list(pool.map(detect, names, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for name, reports in zip(names, results):
+        for report in reports:
+            assert_same_spa_report(report, alone[name])
+
+
+def test_spa_reports_share_no_memory_with_the_graph_or_a_later_call(monkeypatch):
+    # a report's arrays are its own: they hold their bytes through later
+    # calls on the same shapes, and none of them is a view of the flood's
+    # graph or of another call's report
+    y, channel, constellation = spa_stacks()["bpsk-large"]
+    graphs = []
+    build = detection._spa_graph
+
+    def spy(*args):
+        graphs.append(build(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(detection, "_spa_graph", spy)
+    first = spa_report(y, channel, constellation)
+    kept = {field: getattr(first, field).copy() for field in _REPORT_FIELDS}
+    second = spa_report(y, channel, constellation)
+    spa_report(*spa_stacks()["qpsk-large"])
+    for field in _REPORT_FIELDS:
+        assert getattr(first, field).tobytes() == kept[field].tobytes(), field
+        assert not np.shares_memory(getattr(first, field), getattr(second, field)), field
+        for graph in graphs:
+            assert not np.shares_memory(getattr(first, field), graph.likelihood), field
+    assert_same_spa_report(second, first)

@@ -116,25 +116,84 @@ _SPA_9B = dict(_SPA, pilot_power_dbw=30.0, tx_window="dc", csi="estimated-csir",
                snr_db="15, 25, 40")
 
 
-def test_only_runs_past_the_mmap_threshold_keep_freed_heap(monkeypatch):
+_GATE_RUNS = {
+    "fer-mmse-pilot-dc": (run_fer, dict(_MMSE_CALLS[0], snr_db="10, 20"), 2, []),
+    "fer-mmse-csit": (run_fer, dict(_MMSE_CALLS[1], snr_db="10, 20"), 2, []),
+    "ce-fig6": (run_ce_mse, CASES["ce-rect"][1], 27, [1]),
+    "fer-spa-9b": (run_fer, _SPA_9B, 5, [1]),
+}
+
+
+@pytest.mark.parametrize("name", list(_GATE_RUNS))
+def test_only_runs_past_the_mmap_threshold_keep_freed_heap(name, monkeypatch):
     # a run of 4-frame 30x20 chunks stays under glibc's 128 KiB threshold
     # and leaves the allocator alone; a 54-frame ce-mse chunk passes it, and
     # a sum-product run's floods may at any chunk size: each of those runs
-    # asks once, and the setting is made once per process
-    keep = harness._keep_freed_heap
+    # asks once
+    runner, fields, trials, want = _GATE_RUNS[name]
     calls = []
     monkeypatch.setattr(harness, "_keep_freed_heap", lambda: calls.append(1))
-    for fields in _MMSE_CALLS:
-        run_fer(_config(dict(fields, snr_db="10, 20"), 2))
+    runner(_config(fields, trials))
+    assert calls == want
+
+
+def test_the_heap_setting_is_made_once_per_process(monkeypatch):
+    # however many runs ask, one 16 MiB array is allocated and freed
+    empty = np.empty
+    sixteen_mib = []
+
+    def spy(shape, *args, **kwargs):
+        if shape == 16 * 1024 * 1024:
+            sixteen_mib.append(shape)
+        return empty(shape, *args, **kwargs)
+
+    harness._keep_freed_heap.cache_clear()
+    monkeypatch.setattr(np, "empty", spy)
+    for name in ("ce-fig6", "fer-spa-9b", "ce-fig6"):
+        runner, fields, trials, _ = _GATE_RUNS[name]
+        runner(_config(fields, trials))
+    harness._keep_freed_heap()
+    assert sixteen_mib == [16 * 1024 * 1024]
+    assert harness._keep_freed_heap.cache_info().misses == 1
+
+
+def test_calls_outside_a_run_leave_the_allocator_alone(monkeypatch):
+    # the public functions, failing or not, and a sum-product stack detected
+    # directly, never make the heap setting: only a run's sweep makes it
+    from otfswin import FrameGrid, NumericalFailure, tf_lmmse_detect
+    from otfswin.grid import Constellation, map_symbols
+    from test_batching import spa_report, spa_stacks
+
+    calls = []
+    monkeypatch.setattr(harness, "_keep_freed_heap", lambda: calls.append(1))
+    grid = FrameGrid(M=30, N=20)
+    frames = np.ones((64,) + grid.shape, dtype=complex)
+    tf_lmmse_detect(frames, frames, np.ones(grid.shape), 0.1, Constellation.qpsk())
+    with pytest.raises(NumericalFailure, match="singular"):
+        tf_lmmse_detect(frames, 0 * frames, np.ones(grid.shape), 0.0, Constellation.qpsk())
+    with pytest.raises(ValueError, match="labels"):
+        map_symbols(np.full((64, grid.size), 4), Constellation.qpsk(), grid)
+    spa_report(*spa_stacks()["bpsk-large"])
     assert calls == []
-    run_ce_mse(_config(CASES["ce-rect"][1], 27))
-    assert calls == [1]
-    run_fer(_config(_SPA_9B, 5))
-    assert calls == [1, 1]
+
+
+def test_a_run_after_a_failing_chunk_gives_its_fresh_bytes(monkeypatch):
+    # a stage that fails mid-chunk: the run raises, and the next run gives
+    # its fresh bytes
+    from otfswin import NumericalFailure, detection
+
+    fresh = _run("fer-estimated-dc-rx", 5)
+    detect = detection.tf_lmmse_detect
+
+    def failing(*args):
+        detect(*args)
+        raise NumericalFailure("failing on purpose")
+
+    monkeypatch.setattr(detection, "tf_lmmse_detect", failing)
+    with pytest.raises(NumericalFailure, match="on purpose"):
+        _run("fer-estimated-dc-rx", 5)
     monkeypatch.undo()
-    keep()
-    keep()
-    assert keep.cache_info().misses == 1
+    assert _run("fer-estimated-dc-rx", 5) == fresh
 
 
 # One run per call in a fresh process: the suite's own process has freed
