@@ -124,8 +124,8 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans, *,
     numpy's own call draws instead where the block would not give its bytes
     or costs more:
 
-    - every row, for an odd number of draws (the last word's high half
-      stays buffered), a single generator or one listed twice;
+    - every row, for a span of 1, an odd number of spans (the last word's
+      high half stays buffered), a single generator or one listed twice;
     - the row of a bit generator other than PCG64 and of one that already
       holds a buffered half;
     - a row with a redraw, once its stream is rewound by its words.
@@ -154,32 +154,25 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans, *,
             return [gen.integers(0, least, high.size) for gen in gens]
         return [gen.integers(0, high) for gen in gens]
 
-    draws = high.size if least > 1 else int(np.count_nonzero(high > 1))
-    if draws % 2 or shape[0] < 2 or len({id(gen.bit_generator) for gen in generators}) < shape[0]:
+    if (least == 1 or high.size % 2 or shape[0] < 2
+            or len({id(gen.bit_generator) for gen in generators}) < shape[0]):
         out[...] = np.array(own_calls(generators), dtype=np.int64).reshape(shape)
         if buffered is not None:
             buffered[...] = True
         return out
-    if most == 1:
-        out[...] = 0
-        return out
-    # the columns that draw, None for all of them
-    columns = np.flatnonzero(high > 1) if least == 1 else None
-    words = draws // 2
+    words = high.size // 2
     bit_generators = [gen.bit_generator for gen in generators]
     unknown = range(shape[0]) if buffered is None else np.flatnonzero(buffered).tolist()
     slow = [i for i in unknown if _holds_half_or_is_not_pcg64(bit_generators[i])]
     fast = [i for i in range(shape[0]) if i not in slow]
     # every row drawn as one block lands in ``out`` itself
-    whole = not slow and columns is None
-    if not whole:
-        out[...] = 0
+    whole = not slow
     if fast:
         # little-endian words read as uint32 pairs are (low, high) halves on any host
         raw = np.empty((len(fast), words), "<u8")
         for i, row in zip(fast, raw):
             row[...] = bit_generators[i].random_raw(words)
-        halves = out.view(np.uint64) if whole else np.empty((len(fast), draws), np.uint64)
+        halves = out.view(np.uint64) if whole else np.empty((len(fast), high.size), np.uint64)
         if least == most and not least & (least - 1):
             # (half * 2**k) >> 32 is half >> (32 - k), and a power of
             # two divides 2**32: numpy never redraws it
@@ -187,7 +180,7 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans, *,
         else:
             # a vector, not a numpy scalar: numpy 1.x would promote a
             # scalar by its value and keep the products at 32 bits
-            block = (high if columns is None else high[columns]).astype(np.uint64)
+            block = high.astype(np.uint64)
             np.multiply(raw.view("<u4"), block, out=halves)
             # a power of two divides 2**32: numpy never redraws it
             if (block & (block - np.uint64(1))).any():
@@ -199,10 +192,8 @@ def bounded_draws(generators: Sequence[np.random.Generator], spans, *,
                         bit_generators[fast[j]].advance(-words)
                         slow.append(fast[j])
             np.right_shift(halves, np.uint64(32), out=halves)
-        if columns is None and not whole:
+        if not whole:
             out[fast] = halves
-        elif not whole:
-            out[np.ix_(fast, columns)] = halves
     for i, row in zip(slow, own_calls([generators[i] for i in slow])):
         out[i] = row
     if slow and buffered is not None:

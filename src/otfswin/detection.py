@@ -25,7 +25,6 @@ with message damping.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 
@@ -527,25 +526,20 @@ def _spa_graph(
     at_symbols = reads[:, None, :] + values * width
 
     # likelihood[c_0, .., c_{L-1}, f] of factor f under symbol values c: a
-    # tap's gain on a real data slot, 0 elsewhere (known zeros add nothing);
-    # per degree d one (F_d, d) x (d, Q^d) product over the live factors of
-    # that degree's frames, tiled over the pad axes
+    # tap's gain on a real data slot, 0 elsewhere (known zeros add nothing).
+    # One (F, L) x (L, Q^L) product over all live factors: the exact zeros
+    # of a frame's pad slots lead its d real terms, so its likelihood is its
+    # degree-d product tiled over the pad axes
     tap = np.take_along_axis(taps.reshape(frames, -1), kept, axis=1)
     gains = np.where(on_data, tap[frame_of], 0.0)
-    y = y[live]
+    means = np.matmul(gains, points[np.indices((q,) * degree).reshape(degree, -1)])
+    np.subtract(y[live][:, None], means, out=means)
     likelihood = np.empty((q ** degree, width))
-    for d in sorted(set(degrees.tolist())):
-        cols = np.flatnonzero(degrees[frame_of] == d)
-        configs = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
-        means = np.matmul(gains[cols, degree - d:], points[configs].T)   # (F_d, Q^d)
-        np.subtract(y[cols, None], means, out=means)
-        part = np.empty((configs.shape[0], cols.size))
-        np.abs(means.T, out=part)
-        part **= 2
-        part -= part.min(axis=0)                             # scale-free normalization
-        part /= -sigma2[frame_of[cols]]
-        np.exp(part, out=part)
-        likelihood.reshape(q ** (degree - d), -1, width)[:, :, cols] = part
+    np.abs(means.T, out=likelihood)
+    likelihood **= 2
+    likelihood -= likelihood.min(axis=0)                     # scale-free normalization
+    likelihood /= -sigma2[frame_of]
+    np.exp(likelihood, out=likelihood)
     return _SpaGraph(likelihood.reshape((q,) * degree + (width,)), at_factors, at_symbols, counts)
 
 

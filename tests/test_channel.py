@@ -125,8 +125,8 @@ class TestBoundedDraws:
 
     @pytest.mark.parametrize("spans", [
         [5, 5, 7, 7],                     # sample_channel's delays, then Dopplers
-        [1, 5, 1, 2**32 - 1, 7, 2],       # spans of 1 draw nothing: 4 draws
-        [1, 5, 1, 2**32 - 1, 7, 2, 3],    # and 5 draws
+        [1, 5, 1, 2**32 - 1, 7, 2],       # spans of 1 draw nothing, and send
+        [1, 5, 1, 2**32 - 1, 7, 2, 3],    # the call to numpy's own
         [2**31 + 1, 3, 2**31 + 1, 3] * 4,
     ])
     def test_mixed_spans(self, spans):
@@ -148,7 +148,7 @@ class TestBoundedDraws:
     @pytest.mark.parametrize("spans", [
         [4, 8, 2**16, 2**31],
         [2**31, 4, 8, 2**16, 2**31],         # 5 draws
-        [1, 4, 8, 1, 2**16, 2**31, 2],       # spans of 1 draw nothing: 6 draws
+        [1, 4, 8, 1, 2**16, 2**31, 2],       # spans of 1: numpy's own call
         [4, 5, 2**16, 7, 2**31, 2**31 + 1],
         [8, 3, 2**16],
     ])
