@@ -534,6 +534,7 @@ def _spa_graph(
     gains = np.where(on_data, tap[frame_of], 0.0)
     means = np.matmul(gains, points[np.indices((q,) * degree).reshape(degree, -1)])
     np.subtract(y[live][:, None], means, out=means)
+    # a C buffer: np.abs(means.T) would keep the transposed layout
     likelihood = np.empty((q ** degree, width))
     np.abs(means.T, out=likelihood)
     likelihood **= 2
