@@ -722,31 +722,27 @@ def _keep_freed_heap() -> None:
 
 
 def _sweep(config: ExperimentConfig, chunk):
-    """Yield each SNR point with the per-trial values of every trial, in
-    trial order.
+    """Yield ``(snr index, values)`` for each run of one SNR point's cells
+    in a chunk, in trial order, as the chunk finishes: it keeps no value.
 
-    The (snr index, trial) cells run in SNR-major order, in chunks of at
-    most ``_run_chunk`` cells that may span SNR points: ``chunk(cells, n0)``
-    runs a list of (snr index, trial) pairs at their noise powers ``n0``, one
-    per cell, and returns one value per cell.  A point is yielded as soon as
-    its last trial has run.
+    The cells run SNR-major, in chunks of at most ``_run_chunk`` cells that
+    may span points: ``chunk(cells, n0)`` runs a list of (snr index, trial)
+    cells at their noise powers ``n0`` and returns a ``(B,)`` array of values.
     """
     step = _run_chunk(config)
     # chunks of _LEAST_CHUNK_BYTES or more, and every sum-product flood,
     # pass glibc's 128 KiB mmap threshold; smaller ones stay below it
     if step >= _chunk_size(config.grid(), _LEAST_CHUNK_BYTES) or config.detector == "spa":
         _keep_freed_heap()
-    snrs, trials = config.snr_db, config.trials
-    powers = np.array([noise_power(snr) for snr in snrs])
-    cells = itertools.product(range(len(snrs)), range(trials))
-    values: list = []
-    point = 0
+    powers = np.array([noise_power(snr) for snr in config.snr_db])
+    cells = ((snr_index, trial) for snr_index in range(len(powers))
+             for trial in range(config.trials))
     while batch := list(itertools.islice(cells, step)):
-        values.extend(chunk(batch, powers[[snr_index for snr_index, _ in batch]]))
-        while len(values) >= trials:
-            yield snrs[point], values[:trials]
-            del values[:trials]
-            point += 1
+        values = chunk(batch, powers[[snr_index for snr_index, _ in batch]])
+        # each run of one point's cells ends at that point's last trial
+        for start in [0, *range(config.trials - batch[0][1], len(batch), config.trials)]:
+            snr_index, trial = batch[start]
+            yield snr_index, values[start:start + config.trials - trial]
 
 
 # ---------------------------------------------------------------------------
@@ -778,14 +774,15 @@ def run_ce_mse(config: ExperimentConfig) -> list[ResultRow]:
 
 
 def _ce_rows(config: ExperimentConfig, sweep) -> list[ResultRow]:
-    """The ce-mse rows of ``(snr, per-trial squared errors)`` pairs."""
+    """The ce-mse rows of a sweep's ``(snr index, squared errors)`` pieces."""
     sl_w = win_mod.nominal_sidelobe_level(_shaping_window(config), config.N, config.dc_sl_db)
     predicted = est_mod.predicted_mse_floor(config.N, config.k_max, config.l_max, config.k_hat,
                                             sl_w)
     tag = config.config_hash()
     rows: list[ResultRow] = []
-    for snr, sse in sweep:
-        mean, lo, hi = mean_interval(np.array(sse))
+    for snr_index, pieces in itertools.groupby(sweep, key=operator.itemgetter(0)):
+        snr = config.snr_db[snr_index]
+        mean, lo, hi = mean_interval(np.concatenate([sse for _, sse in pieces]))
         rows.append(ResultRow("ce-mse", tag, snr, "ce_mse", mean, lo, hi, config.trials))
         rows.append(ResultRow("ce-mse", tag, snr, "ce_mse_db",
                               _db(mean), _db(lo), _db(hi), config.trials))
@@ -874,34 +871,37 @@ def run_fer(config: ExperimentConfig) -> list[ResultRow]:
     chunk at a time (:func:`_detect_frames`), from the RX-windowed TF grids
     the channel leaves, which SPA demodulates after any pilot cancellation.
     Only a known-CSI receiver gets the windowed gains ``joint * H_tf``; an
-    estimated-CSIR chunk never forms them.  Each trial keeps only its
-    frame's bit error count, but :func:`_sweep` holds one
-    count per trial of the running SNR point, so memory grows with
-    ``trials`` by a Python int per trial.  ROADMAP item 12, which stops a
-    point at an error count, is the place to stream the counts instead.
+    estimated-CSIR chunk never forms them.  Each chunk's bit error counts
+    are added to its points' totals as it finishes, so a run's memory does
+    not grow with ``trials``.
     """
     link = _link(config, pilot=config.csi == "estimated-csir")
     if link.bits_per_frame == 0:
         raise ConfigurationError(
             f"the pilot guard covers the whole {config.N}x{config.M} frame: no data cells left")
 
-    def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> list[int]:
+    def chunk(cells: list[tuple[int, int]], n0: np.ndarray) -> np.ndarray:
         sent, r, windows, tf_gains = _transmit(link, cells, n0)
         gains = windows.windowed(tf_gains) if link.layout is None else None
         detected = _detect_frames(link, r, windows.rx, n0, gains)
-        return link.constellation.popcount[sent ^ detected].sum(axis=1).tolist()
+        return link.constellation.popcount[sent ^ detected].sum(axis=1, dtype=np.int64)
 
     return _fer_rows(config, link, _sweep(config, chunk))
 
 
 def _fer_rows(config: ExperimentConfig, link: _Link, sweep) -> list[ResultRow]:
-    """The fer rows of ``(snr, per-trial bit error counts)`` pairs."""
+    """The fer rows of a sweep's ``(snr index, bit error counts)`` pieces."""
     tag = config.config_hash()
     rows: list[ResultRow] = []
     frames = config.trials
     bits = frames * link.bits_per_frame
-    for snr, bit_errors in sweep:
-        errors, frame_errors = sum(bit_errors), sum(e > 0 for e in bit_errors)
+    counts = [[0, 0] for _ in config.snr_db]
+    for snr_index, piece in sweep:
+        # as Python ints, which a short piece sums faster than numpy
+        bit_errors = piece.tolist()
+        counts[snr_index][0] += sum(bit_errors)
+        counts[snr_index][1] += len(bit_errors) - bit_errors.count(0)
+    for snr, (errors, frame_errors) in zip(config.snr_db, counts):
         flo, fhi = wilson_interval(frame_errors, frames)
         blo, bhi = wilson_interval(errors, bits)
         rows.append(ResultRow("fer", tag, snr, "fer", frame_errors / frames, flo, fhi, frames))

@@ -868,7 +868,7 @@ def dd_pilot_lmmse(y, rx_window, n0, layout):
 def _per_trial_sweep(config, trial):
     for snr_index, snr in enumerate(config.snr_db):
         n0 = harness.noise_power(snr)
-        yield snr, [trial(snr_index, t, n0) for t in range(config.trials)]
+        yield snr_index, np.array([trial(snr_index, t, n0) for t in range(config.trials)])
 
 
 def per_trial_ce_mse(config):

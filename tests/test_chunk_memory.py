@@ -3,8 +3,10 @@ a fresh process whatever ran before it, read no byte of an array before it
 writes it, and share nothing with a chunk another thread runs.  The runs
 whose chunks pass glibc's 128 KiB mmap threshold keep their freed memory on
 the heap (``harness._keep_freed_heap``), so a warm chunk maps no new pages;
-a run of 4-frame chunks leaves the allocator as it is.  A run's memory stays
-bounded as its trials grow.
+a run of 4-frame chunks leaves the allocator as it is.  As a run's trials
+grow, its chunks' memory stays bounded, a fer run's counts take no more
+memory, and a ce-mse run holds one float64 (8 B) a trial of its running SNR
+point.
 """
 
 import dataclasses
@@ -263,3 +265,37 @@ def test_a_run_stays_bounded_as_the_trials_grow(name, grids):
         tracemalloc.stop()
     assert max(peaks) <= grids * grid_bytes, (peaks, grid_bytes)
     assert abs(peaks[1] - peaks[0]) <= grid_bytes // 4, (peaks, grid_bytes)
+
+
+@pytest.mark.parametrize("experiment", ["fer", "ce-mse"])
+def test_a_point_holds_at_most_its_errors_as_the_trials_grow(experiment):
+    # one 8x8 point of 10^4 and of 1.6 x 10^5 trials, its 512-frame chunks
+    # stubbed: the sweep hands each chunk's values on and keeps none, fer
+    # adds up each piece's counts, and ce-mse holds one float64 a trial of
+    # the running point; at the point's end the joined array sits beside
+    # the pieces, then beside std's temporary
+    def counts(cells, n0):
+        return np.arange(len(cells)) % 3
+
+    def errors(cells, n0):
+        return np.full(len(cells), 0.5)
+
+    peaks = []
+    # its 16 MiB array would read as the peak
+    harness._keep_freed_heap()
+    for trials in (10**4, 16 * 10**4):
+        config = _config(dict(M=8, N=8, paths=2, k_max=1, l_max=1, k_hat=0, snr_db=20), trials)
+        link = harness._link(config, pilot=False)
+        tracemalloc.start()
+        try:
+            if experiment == "fer":
+                harness._fer_rows(config, link, harness._sweep(config, counts))
+            else:
+                harness._ce_rows(config, harness._sweep(config, errors))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    if experiment == "fer":
+        assert abs(peaks[1] - peaks[0]) <= 100_000, peaks
+    else:
+        assert peaks[1] - peaks[0] <= 24 * 15 * 10**4, peaks

@@ -134,11 +134,11 @@ class TestGoldenTrials:
         sweep, digest = harness._sweep, hashlib.sha256()
 
         def spy_sweep(config, chunk):
-            for snr, values in sweep(config, chunk):
-                values_array = np.asarray(values)
-                assert values_array.dtype == dtype
-                digest.update(values_array.tobytes())
-                yield snr, values
+            # piece by piece, the digest of all the run's values in order
+            for snr_index, values in sweep(config, chunk):
+                assert values.dtype == dtype
+                digest.update(values.tobytes())
+                yield snr_index, values
 
         monkeypatch.setattr(harness, "_sweep", spy_sweep)
         runner(ExperimentConfig.from_mapping({k: str(v) for k, v in fields.items()}))
@@ -377,15 +377,18 @@ class TestChunkBoundaries:
             {k: str(v) for k, v in dict(_CHUNK_GRID, **fields, trials=trials, seed=31).items()})
         assert rows_to_csv(runner(cfg)) == rows_to_csv(oracle(cfg))
 
-    @pytest.mark.parametrize("offset", [-1, 1])
+    @pytest.mark.parametrize("offset, snr_db", [(-1, "10, 20, 35"), (1, "10, 20, 35"),
+                                                (1, "30, 30, 10")],
+                             ids=["-1", "1", "repeated-point"])
     @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
-    def test_chunks_straddling_snr_points_give_the_per_trial_rows(self, name, offset):
+    def test_chunks_straddling_snr_points_give_the_per_trial_rows(self, name, offset, snr_db):
         # three points of B - 1 or B + 1 trials: every chunk boundary but
-        # the last falls inside a point, and chunks mix two noise powers
+        # the last falls inside a point, and chunks mix two noise powers.
+        # A point listed twice is two points, each with its own trials
         runner, oracle, fields = CHUNK_CASES[name]
         trials = self.run_chunk(fields) + offset
         cfg = ExperimentConfig.from_mapping(
-            {k: str(v) for k, v in dict(_CHUNK_GRID, **dict(fields, snr_db="10, 20, 35"),
+            {k: str(v) for k, v in dict(_CHUNK_GRID, **dict(fields, snr_db=snr_db),
                                          trials=trials, seed=37).items()})
         assert rows_to_csv(runner(cfg)) == rows_to_csv(oracle(cfg))
 
@@ -475,12 +478,17 @@ class TestChunkBoundaries:
 
         def chunk(cells, n0):
             calls.append((cells, n0.tolist()))
-            return [100 * snr_index + t for snr_index, t in cells]
+            return np.array([100 * snr_index + t for snr_index, t in cells])
 
-        swept = list(_sweep(cfg, chunk))
-        assert swept == [(snr, [100 * i + t for t in range(cfg.trials)])
-                         for i, snr in enumerate(cfg.snr_db)]
+        pieces = [(i, values.tolist()) for i, values in _sweep(cfg, chunk)]
         chunk = self.CHUNK
+        # one piece per run of a point's cells in a chunk, and each point's
+        # pieces joined give its values in trial order
+        assert [(i, len(values)) for i, values in pieces] == [
+            (0, chunk - 1), (1, 1), (1, chunk - 2), (2, 2), (2, chunk - 3)]
+        for i in range(len(cfg.snr_db)):
+            joined = [v for j, values in pieces if j == i for v in values]
+            assert joined == [100 * i + t for t in range(cfg.trials)]
         assert [len(cells) for cells, _ in calls] == [chunk, chunk, chunk - 3]
         assert calls[0][0][-1] == (1, 0)
         assert calls[1][0][-3:] == [(1, chunk - 2), (2, 0), (2, 1)]
@@ -510,7 +518,7 @@ class TestChunkBoundaries:
 
         def chunk(cells, n0):
             chunks.append(cells)
-            return [0] * len(cells)
+            return np.zeros(len(cells))
 
         list(_sweep(cfg, chunk))
         assert chunks == [[(0, 0), (0, 1), (1, 0), (1, 1)]]
