@@ -734,15 +734,15 @@ def _sweep(config: ExperimentConfig, chunk):
     # pass glibc's 128 KiB mmap threshold; smaller ones stay below it
     if step >= _chunk_size(config.grid(), _LEAST_CHUNK_BYTES) or config.detector == "spa":
         _keep_freed_heap()
+    trials = config.trials
     powers = np.array([noise_power(snr) for snr in config.snr_db])
-    cells = ((snr_index, trial) for snr_index in range(len(powers))
-             for trial in range(config.trials))
+    cells = ((snr_index, trial) for snr_index in range(len(powers)) for trial in range(trials))
     while batch := list(itertools.islice(cells, step)):
         values = chunk(batch, powers[[snr_index for snr_index, _ in batch]])
         # each run of one point's cells ends at that point's last trial
-        for start in [0, *range(config.trials - batch[0][1], len(batch), config.trials)]:
+        for start in [0, *range(trials - batch[0][1], len(batch), trials)]:
             snr_index, trial = batch[start]
-            yield snr_index, values[start:start + config.trials - trial]
+            yield snr_index, values[start:start + trials - trial]
 
 
 # ---------------------------------------------------------------------------
